@@ -28,6 +28,7 @@ from .metrics import (  # noqa: F401
     MetricThresholds,
     MetricWeights,
     RewardRecord,
+    SimContext,
     SubMetricVector,
     aggregate_epdms,
     check_collision,

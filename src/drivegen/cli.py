@@ -125,22 +125,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else PipelineConfig()
     t_start = args.t_start if args.t_start is not None else scenario.anchor_frame
     horizon = min(scenario.t_horizon, len(traj) - 1)
-    states = rollout(
-        scenario, traj, t_start, horizon, mode=args.mode,
-        idm=config.idm, lqr=config.lqr, limits=config.limits, b_hard=config.b_hard,
-    )
+    ctx = config.sim_context
+    states = rollout(scenario, traj, t_start, horizon, mode=args.mode, ctx=ctx)
     history = scenario.ego_log.segment(0, t_start)
     combined = Trajectory(
         dt=scenario.dt, states=history.states + states.ego[1:], frame=FRAME_GLOBAL
     )
-    sub = compute_submetrics(
-        states, scenario, combined, config.metric_thresholds,
-        (config.ego_length, config.ego_width),
-    )
+    sub = compute_submetrics(states, scenario, combined, ctx)
     report = {
         "scenario_id": scenario.id,
         "submetrics": sub.as_dict(),
-        "epdms": aggregate_epdms(sub, config.weights),
+        "epdms": aggregate_epdms(sub, ctx.weights),
         "stage_scores": None,
     }
     text = dump_json_canonical(report)

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
 from .control import LqrParams, VehicleLimits
 from .errors import ConfigError
 from .expert import EXPERT_KINDS, ExpertFilterSpec, PlannerParams
-from .metrics import MetricThresholds, MetricWeights
-from .reactive import IdmParams
+from .metrics import MetricThresholds, MetricWeights, SimContext
+from .reactive import DEFAULT_B_HARD, IdmParams
 from .scenario import DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH, dump_json_canonical
 from .vocab import GridSpec, PerturbThresholds
 
@@ -46,10 +47,9 @@ class PipelineConfig:
     per_round: int | None = None  # None: ceil(cleared / rounds)
     reactive: bool = True
     expert_kind: str = "recovery"
-    two_stage_mode: str = "product"
     ego_length: float = DEFAULT_EGO_LENGTH
     ego_width: float = DEFAULT_EGO_WIDTH
-    b_hard: float = 4.0
+    b_hard: float = DEFAULT_B_HARD
     vocab_size: int = 1024
     vocab_source_count: int = 16384
     perturb: PerturbThresholds = field(default_factory=PerturbThresholds)
@@ -70,14 +70,26 @@ class PipelineConfig:
             raise ConfigError("per_round must be >= 1 when set")
         if self.expert_kind not in EXPERT_KINDS:
             raise ConfigError(f"expert_kind must be one of {EXPERT_KINDS}")
-        if self.two_stage_mode not in ("product", "mean"):
-            raise ConfigError("two_stage_mode must be 'product' or 'mean'")
         if self.ego_length <= 0 or self.ego_width <= 0:
             raise ConfigError("ego extent must be positive")
         if self.vocab_size < 1 or self.vocab_source_count < self.vocab_size:
             raise ConfigError("vocab_source_count must be >= vocab_size >= 1")
         if not (0 <= self.master_seed < 2**64):
             raise ConfigError("master_seed must fit in 64 bits")
+
+    @cached_property
+    def sim_context(self) -> SimContext:
+        """The one simulated world of a run with this config."""
+        return SimContext(
+            idm=self.idm,
+            lqr=self.lqr,
+            limits=self.limits,
+            b_hard=self.b_hard,
+            ego_length=self.ego_length,
+            ego_width=self.ego_width,
+            thresholds=self.metric_thresholds,
+            weights=self.weights,
+        )
 
 
 _SECTION_TYPES = {

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .control import LqrParams, VehicleLimits
+from .control import VehicleLimits
 from .errors import RolloutError, ValidationError
 from .geometry import (
     PolylineOps,
@@ -26,6 +26,7 @@ from .geometry import (
 from .metrics import (
     MetricThresholds,
     MetricWeights,
+    SimContext,
     aggregate_epdms,
     compute_submetrics,
 )
@@ -110,24 +111,19 @@ def _matching_matrix(vocab: Vocabulary) -> np.ndarray:
     return M
 
 
-def recovery_retrieve(
-    target: MatchingVector,
-    vocab: Vocabulary,
-    scales: tuple[float, ...] = (1.0,) * 6,
-) -> Trajectory:
+def recovery_retrieve(target: MatchingVector, vocab: Vocabulary) -> Trajectory:
     """Entry minimizing the L1 matching distance; ties break to lowest index.
 
     Angle components use wrapped differences. The distance is plain L1 over
-    mixed units; `scales` allows per-component reweighting (all ones by
-    default).
+    mixed units.
     """
     M = _matching_matrix(vocab)
     diff = M - target.as_array()[None, :]
     wrapped = np.remainder(diff[:, _ANGLE_COMPONENTS] + math.pi, 2.0 * math.pi) - math.pi
     d = np.abs(diff)
     d[:, _ANGLE_COMPONENTS] = np.abs(wrapped)
-    dist = d @ np.asarray(scales)
-    return vocab.entries[int(np.argmin(dist))]
+    # summed by a matmul: sum(axis=1) rounds differently and can flip near-ties
+    return vocab.entries[int(np.argmin(d @ np.ones(d.shape[1])))]
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +211,19 @@ def privileged_plan(
     p: PlannerParams | None = None,
     ego_start: VehicleState | None = None,
     agent_init: Mapping[str, VehicleState] | None = None,
-    idm: IdmParams | None = None,
-    lqr: LqrParams | None = None,
-    limits: VehicleLimits | None = None,
-    thresholds: MetricThresholds | None = None,
+    ctx: SimContext | None = None,
 ) -> Trajectory:
     """Best-scoring proposal of a rule-based planner with ground-truth access.
 
     Proposals are the cross product of speed fractions and lateral offsets;
-    each is simulated reactively from frame t and scored with the metric
-    aggregate. Returns the winning reference trajectory (ties go to the
-    lower proposal index). `ego_start` / `agent_init` plan from perturbed
-    rather than logged states.
+    each is simulated reactively from frame t in the world of `ctx` and
+    scored with the metric aggregate under the planner's own weights.
+    Returns the winning reference trajectory (ties go to the lower proposal
+    index). `ego_start` / `agent_init` plan from perturbed rather than
+    logged states.
     """
     p = p or PlannerParams()
-    idm = idm or IdmParams()
-    limits = limits or VehicleLimits()
+    ctx = ctx or SimContext()
     horizon = p.horizon if p.horizon is not None else scenario.t_horizon
     if t < 0 or t + horizon > scenario.frame_count - 1:
         raise RolloutError(f"planning window [{t}, {t + horizon}] outside scenario")
@@ -248,7 +241,7 @@ def privileged_plan(
     for frac in p.speed_fractions:
         for offset in p.lateral_offsets:
             proposal = _proposal_trajectory(
-                scenario, start, offset, frac * idm.v_desired, horizon, idm, limits
+                scenario, start, offset, frac * ctx.idm.v_desired, horizon, ctx.idm, ctx.limits
             )
             try:
                 states = rollout(
@@ -257,9 +250,7 @@ def privileged_plan(
                     t,
                     horizon,
                     mode="reactive",
-                    idm=idm,
-                    lqr=lqr,
-                    limits=limits,
+                    ctx=ctx,
                     ego_start=start,
                     agent_init=agent_init,
                 )
@@ -267,7 +258,7 @@ def privileged_plan(
                 continue
             simulable += 1
             executed = Trajectory(dt=scenario.dt, states=states.ego, frame=FRAME_GLOBAL)
-            sub = compute_submetrics(states, scenario, executed, thresholds)
+            sub = compute_submetrics(states, scenario, executed, ctx)
             score = aggregate_epdms(sub, p.weights)
             if score > best_score:
                 best_score = score

@@ -113,10 +113,6 @@ def point_in_polygon(x: float, y: float, polygon: Sequence[Point]) -> bool:
     return inside
 
 
-def point_in_any_polygon(x: float, y: float, polygons: Iterable[Sequence[Point]]) -> bool:
-    return any(point_in_polygon(x, y, poly) for poly in polygons)
-
-
 def polygon_is_simple(polygon: Sequence[Point]) -> bool:
     """True if no two non-adjacent edges intersect (O(n^2); fine at desk scale)."""
     n = len(polygon)
@@ -135,14 +131,6 @@ def polygon_is_simple(polygon: Sequence[Point]) -> bool:
 
 # ---------------------------------------------------------------------------
 # Polylines
-
-
-def polyline_lengths(points: Sequence[Point]) -> list[float]:
-    """Cumulative arclength at each vertex, starting from 0."""
-    s = [0.0]
-    for i in range(1, len(points)):
-        s.append(s[-1] + math.hypot(points[i][0] - points[i - 1][0], points[i][1] - points[i - 1][1]))
-    return s
 
 
 def project_to_polyline(x: float, y: float, points: Sequence[Point]) -> tuple[float, float, float]:
@@ -170,28 +158,6 @@ def project_to_polyline(x: float, y: float, points: Sequence[Point]) -> tuple[fl
             best = (d2, s_acc + t * L, lat, math.atan2(ey, ex))
         s_acc += L
     return best[1], best[2], best[3]
-
-
-def point_at_arclength(points: Sequence[Point], s: float) -> tuple[float, float, float]:
-    """Point and tangent heading at arclength s (clamped to ends)."""
-    if s <= 0.0:
-        x1, y1 = points[0]
-        x2, y2 = points[1]
-        return x1, y1, math.atan2(y2 - y1, x2 - x1)
-    s_acc = 0.0
-    for i in range(len(points) - 1):
-        x1, y1 = points[i]
-        x2, y2 = points[i + 1]
-        L = math.hypot(x2 - x1, y2 - y1)
-        if L == 0.0:
-            continue
-        if s_acc + L >= s:
-            t = (s - s_acc) / L
-            return x1 + t * (x2 - x1), y1 + t * (y2 - y1), math.atan2(y2 - y1, x2 - x1)
-        s_acc += L
-    x1, y1 = points[-2]
-    x2, y2 = points[-1]
-    return x2, y2, math.atan2(y2 - y1, x2 - x1)
 
 
 def offset_polyline(points: Sequence[Point], offset: float) -> list[Point]:

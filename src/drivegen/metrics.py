@@ -24,7 +24,8 @@ from .geometry import (
     polyline_ops,
     segments_intersect,
 )
-from .reactive import SceneStates
+from .control import LqrParams, VehicleLimits
+from .reactive import DEFAULT_B_HARD, IdmParams, SceneStates
 from .scenario import (
     DEFAULT_EGO_LENGTH,
     DEFAULT_EGO_WIDTH,
@@ -99,6 +100,28 @@ class MetricThresholds:
 
 
 @dataclass(frozen=True, slots=True)
+class SimContext:
+    """The simulated world of a run: every rollout, screen and score shares it.
+
+    Reactive agents, the feasibility screen, the planner and the metrics all
+    read the ego extent, the controllers and the braking bound from here.
+    """
+
+    idm: IdmParams = IdmParams()
+    lqr: LqrParams = LqrParams()
+    limits: VehicleLimits = VehicleLimits()
+    b_hard: float = DEFAULT_B_HARD
+    ego_length: float = DEFAULT_EGO_LENGTH
+    ego_width: float = DEFAULT_EGO_WIDTH
+    thresholds: MetricThresholds = MetricThresholds()
+    weights: MetricWeights = MetricWeights()
+
+    @property
+    def ego_extent(self) -> tuple[float, float]:
+        return (self.ego_length, self.ego_width)
+
+
+@dataclass(frozen=True, slots=True)
 class RewardRecord:
     submetrics: SubMetricVector
     epdms: float
@@ -128,15 +151,6 @@ def aggregate_epdms(s: SubMetricVector, w: MetricWeights) -> float:
         w.w_ep * s.ep + w.w_ttc * s.ttc + w.w_lk * s.lk + w.w_hc * s.hc + w.w_ec * s.ec
     ) / total
     return penalties * avg
-
-
-def two_stage_score(s1: float, s2: float, mode: str = "product") -> float:
-    """Combine per-stage scores; product by default, mean as alternative."""
-    if mode == "product":
-        return s1 * s2
-    if mode == "mean":
-        return 0.5 * (s1 + s2)
-    raise ValueError(f"unknown two-stage aggregation '{mode}'")
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +324,18 @@ def compute_submetrics(
     states: SceneStates,
     scenario: Scenario,
     ego_traj: Trajectory,
-    thresholds: MetricThresholds | None = None,
-    ego_extent: tuple[float, float] = (DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH),
+    ctx: SimContext | None = None,
     stage1_features: tuple[float, float, float] | None = None,
 ) -> SubMetricVector:
-    """Score a simulated window.
+    """Score a simulated window in the world of `ctx` (default: SimContext()).
 
     `states` covers the scored window; `ego_traj` is the trajectory judged
     for comfort (conventionally history + plan, so junction dynamics count).
     `stage1_features` switches extended comfort to two-stage comparison.
     """
-    th = thresholds or MetricThresholds()
+    ctx = ctx or SimContext()
+    th = ctx.thresholds
+    ego_extent = ctx.ego_extent
     n = states.frame_count
     if n < 2:
         raise ValueError("scored window must contain at least 2 frames")

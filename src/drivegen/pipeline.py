@@ -14,7 +14,7 @@ import io
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -43,7 +43,6 @@ from .scenario import (
 )
 from .seeding import mix64
 from .vocab import (
-    STATUS_ACCEPTED,
     STATUS_CLEARED_NONREACTIVE,
     STATUS_CLEARED_REACTIVE,
     STATUS_PENDING,
@@ -127,44 +126,30 @@ def cleared_status(config: PipelineConfig) -> str:
     return STATUS_CLEARED_REACTIVE if config.reactive else STATUS_CLEARED_NONREACTIVE
 
 
+def screen(
+    cand: PerturbationCandidate, scenario: Scenario, config: PipelineConfig
+) -> PerturbationCandidate:
+    """The feasibility screen: non-reactive first, then reactive on its survivors.
+
+    Pending candidates take the non-reactive check; in reactive runs those it
+    clears take the reactive one. Candidates this config has cleared pass
+    through unchanged, so the screen runs once per candidate.
+    """
+    epdms_min, ctx = config.perturb.epdms_min, config.sim_context
+    if cand.status == STATUS_PENDING:
+        cand = feasibility_filter(cand, scenario, MODE_NONREACTIVE, epdms_min, ctx)
+    if config.reactive and cand.status == STATUS_CLEARED_NONREACTIVE:
+        cand = feasibility_filter(cand, scenario, MODE_REACTIVE, epdms_min, ctx)
+    return cand
+
+
 def prepare_candidates(
     scenario: Scenario, vocab: Vocabulary, config: PipelineConfig
 ) -> list[PerturbationCandidate]:
-    """Threshold, grid-sparsify and feasibility-check the full vocabulary.
-
-    The cheap non-reactive pass always runs first; reactive checks run only
-    on its survivors and only in reactive runs.
-    """
+    """Threshold, grid-sparsify and screen the full vocabulary."""
     cands = enumerate_perturbations(scenario, vocab, config.perturb)
     cands = grid_sparsify(cands, config.grid, mix64(config.master_seed, scenario.id))
-    out = []
-    for c in cands:
-        if c.status == STATUS_PENDING:
-            c = feasibility_filter(
-                c,
-                scenario,
-                "nonreactive",
-                config.perturb.epdms_min,
-                config.weights,
-                config.metric_thresholds,
-                config.idm,
-                config.lqr,
-                config.limits,
-            )
-            if config.reactive and c.status == STATUS_CLEARED_NONREACTIVE:
-                c = feasibility_filter(
-                    c,
-                    scenario,
-                    "reactive",
-                    config.perturb.epdms_min,
-                    config.weights,
-                    config.metric_thresholds,
-                    config.idm,
-                    config.lqr,
-                    config.limits,
-                )
-        out.append(c)
-    return out
+    return [screen(c, scenario, config) for c in cands]
 
 
 # ---------------------------------------------------------------------------
@@ -195,40 +180,22 @@ def _simulate(
     round_idx: int,
 ) -> tuple[SimSample | None, str]:
     mode = MODE_REACTIVE if config.reactive else MODE_NONREACTIVE
+    ctx = config.sim_context
     anchor = scenario.anchor_frame
     H = scenario.t_horizon
     dt = scenario.dt
-    ego_extent = (config.ego_length, config.ego_width)
 
-    if cand.status not in (cleared_status(config), STATUS_ACCEPTED):
-        # reuse of the stage-1 feasibility contract: un-cleared candidates
-        # are re-screened and rejected rather than trusted
-        c = cand
-        if c.status == STATUS_PENDING:
-            c = feasibility_filter(
-                c, scenario, "nonreactive", config.perturb.epdms_min,
-                config.weights, config.metric_thresholds, config.idm, config.lqr, config.limits,
-            )
-        if config.reactive and c.status == STATUS_CLEARED_NONREACTIVE:
-            c = feasibility_filter(
-                c, scenario, "reactive", config.perturb.epdms_min,
-                config.weights, config.metric_thresholds, config.idm, config.lqr, config.limits,
-            )
-        if c.status != cleared_status(config):
-            return None, c.reason or "reward"
-        cand = c
-
-    # stage 1: perturbation rollout
-    states1 = rollout(
-        scenario, cand.trajectory, anchor, H, mode,
-        idm=config.idm, lqr=config.lqr, limits=config.limits, b_hard=config.b_hard,
-    )
+    # stage 1 is the rollout that cleared the screen; candidates that did not
+    # come through this run's screen are screened here rather than trusted
+    if cand.status == cleared_status(config) and cand.screen_states is None:
+        cand = replace(cand, status=STATUS_PENDING)
+    cand = screen(cand, scenario, config)
+    if cand.status != cleared_status(config):
+        return None, cand.reason or "reward"
+    states1 = cand.screen_states
     perturbed = states1.ego[-1]
     agent_finals = {aid: track[-1] for aid, track in states1.agents.items()}
-    history = scenario.ego_log.segment(0, anchor)
-    combined1 = Trajectory(dt=dt, states=history.states + states1.ego[1:], frame=FRAME_GLOBAL)
-    sub1 = compute_submetrics(states1, scenario, combined1, config.metric_thresholds, ego_extent)
-    epdms1 = aggregate_epdms(sub1, config.weights)
+    epdms1 = aggregate_epdms(cand.screen_submetrics, ctx.weights)
 
     # stage 2: pseudo-expert demonstration from the perturbed state
     anchor2 = anchor + H
@@ -239,27 +206,23 @@ def _simulate(
     elif expert_kind == EXPERT_PLANNER:
         plan2 = privileged_plan(
             scenario, anchor2, config.planner,
-            ego_start=perturbed, agent_init=agent_finals,
-            idm=config.idm, lqr=config.lqr, limits=config.limits,
-            thresholds=config.metric_thresholds,
+            ego_start=perturbed, agent_init=agent_finals, ctx=ctx,
         )
     else:
         raise ValidationError(f"unknown expert kind '{expert_kind}'")
 
     states2 = rollout(
-        scenario, plan2, anchor2, H, mode,
-        idm=config.idm, lqr=config.lqr, limits=config.limits, b_hard=config.b_hard,
-        ego_start=perturbed, agent_init=agent_finals,
+        scenario, plan2, anchor2, H, mode, ctx, ego_start=perturbed, agent_init=agent_finals
     )
     executed2 = Trajectory(dt=dt, states=states2.ego, frame=FRAME_GLOBAL)
-    sub2 = compute_submetrics(states2, scenario, executed2, config.metric_thresholds, ego_extent)
+    sub2 = compute_submetrics(states2, scenario, executed2, ctx)
     accepted, reason = expert_filter(
         states2, scenario, executed2, config.expert_filter,
         config.metric_thresholds, config.limits, precomputed=sub2,
     )
     if not accepted:
         return None, reason
-    epdms2 = aggregate_epdms(sub2, config.weights)
+    epdms2 = aggregate_epdms(sub2, ctx.weights)
 
     ego_comb = states1.ego + states2.ego[1:]
     agents_comb = {
@@ -291,10 +254,11 @@ def simulate_sample(
     vocab: Vocabulary,
     round_idx: int = 0,
 ) -> SimSample | None:
-    """Run the two-stage simulation for one cleared candidate.
+    """Run the two-stage simulation for one candidate.
 
-    Returns None when the expert-stage filter rejects the demonstration (or
-    when an un-cleared candidate fails the re-screened stage-1 feasibility).
+    Stage 1 reuses the screen's rollout of a cleared candidate; a candidate
+    that this config's screen has not cleared is screened first. Returns None
+    when the screen or the expert-stage filter rejects it.
     """
     sample, _ = _simulate(scenario, cand, expert_kind, config, vocab, round_idx)
     return sample
@@ -486,15 +450,11 @@ def export_dataset(
     stats: Sequence[RoundStats] = (),
     config: PipelineConfig | None = None,
     corpus_ids: Sequence[str] = (),
-    fmt: str = "jsonl",
 ) -> list[Path]:
     """Write dataset.jsonl, stats.csv and manifest.json into a directory.
 
     Re-exporting the same inputs produces byte-identical files.
     """
-    if fmt != "jsonl":
-        raise ValidationError(f"unsupported export format '{fmt}'")
-
     # the expert-filter guarantee is re-asserted at the export boundary
     ep_min = config.expert_filter.ep_min if config is not None else 0.5
     for s in samples:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .control import DEFAULT_STEER_MAX, LqrParams, VehicleLimits, lqr_track
 from .errors import RolloutError
@@ -24,6 +24,9 @@ from .scenario import (
     Trajectory,
     VehicleState,
 )
+
+if TYPE_CHECKING:  # metrics imports this module, so the context type is annotation-only
+    from .metrics import SimContext
 
 MODE_REACTIVE = "reactive"
 MODE_NONREACTIVE = "nonreactive"
@@ -108,24 +111,33 @@ def assign_lane(x: float, y: float, map_model: MapModel) -> int:
     return best_i
 
 
+def lane_position(state: VehicleState, map_model: MapModel) -> tuple[Lane, PolylineOps, float]:
+    """Assigned lane, its centerline operator and the arclength along it."""
+    lane = map_model.lanes[assign_lane(state.pose.x, state.pose.y, map_model)]
+    ops = lane_centerline_ops(lane)
+    s, _, _ = ops.project(state.pose.x, state.pose.y)
+    return lane, ops, s
+
+
 def select_leader(
     agent_id: str,
     scene: Mapping[str, tuple[VehicleState, float]],
     map_model: MapModel,
+    position: tuple[Lane, PolylineOps, float] | None = None,
 ) -> tuple[float, float] | None:
     """Nearest entity ahead of an agent along its lane.
 
-    `scene` maps entity id (including "ego") to (state, body length).
+    `scene` maps entity id (including "ego") to (state, body length), and
+    `position` is the agent's `lane_position` when the caller already has it.
     Returns (leader speed, bumper-to-bumper gap) or None. Candidates must sit
     within half a lane width of the centerline and at most 100 m ahead; ties
-    on distance break by ascending id.
+    on distance break by ascending id. Overlapping bumpers give a 0.01 m gap,
+    which forces hard braking.
     """
     state, length = scene[agent_id]
-    lane = map_model.lanes[assign_lane(state.pose.x, state.pose.y, map_model)]
-    ops = lane_centerline_ops(lane)
-    s_self, _, _ = ops.project(state.pose.x, state.pose.y)
+    lane, ops, s_self = position or lane_position(state, map_model)
 
-    best: tuple[float, str, float, float] | None = None  # (ds, id, v, gap)
+    best: tuple[float, float, float] | None = None  # (ds, v, gap)
     for other_id in sorted(scene.keys()):
         if other_id == agent_id:
             continue
@@ -137,11 +149,11 @@ def select_leader(
         if ds <= 0.0 or ds > LEADER_LOOKAHEAD:
             continue
         if best is None or ds < best[0]:
-            gap = ds - 0.5 * length - 0.5 * other_len
-            best = (ds, other_id, other.vel_lon, gap)
+            best = (ds, other.vel_lon, ds - 0.5 * length - 0.5 * other_len)
     if best is None:
         return None
-    return (best[2], best[3])
+    _, v_lead, gap = best
+    return (v_lead, gap if gap > 0.0 else 0.01)
 
 
 def _agent_step(state: VehicleState, accel: float, steering: float, dt: float, wheelbase: float) -> VehicleState:
@@ -165,20 +177,18 @@ def rollout(
     t_start: int,
     horizon: int,
     mode: str = MODE_REACTIVE,
-    idm: IdmParams | None = None,
-    lqr: LqrParams | None = None,
-    limits: VehicleLimits | None = None,
-    b_hard: float = DEFAULT_B_HARD,
+    ctx: SimContext | None = None,
     ego_start: VehicleState | None = None,
     agent_init: Mapping[str, VehicleState] | None = None,
 ) -> SceneStates:
-    """Simulate a frame window [t_start, t_start + horizon].
+    """Simulate a frame window [t_start, t_start + horizon] in the world of `ctx`.
 
     The ego executes `ego_plan` through the LQR tracker (or replays the log
     in log-replay-ego mode). Agents replay their logged tracks in nonreactive
     and log-replay-ego modes, and run IDM + pure pursuit in reactive mode.
     `ego_start` / `agent_init` optionally override the initial states, which
     is how the second simulation stage continues from perturbed states.
+    Without `ctx` the defaults of SimContext apply.
 
     Deterministic: equal inputs give bitwise-equal outputs.
     """
@@ -193,9 +203,14 @@ def rollout(
             f"window [{t_start}, {t_start + horizon}] outside scenario frames "
             f"[0, {scenario.frame_count - 1}]"
         )
-    idm = idm or IdmParams()
-    lqr = lqr or LqrParams()
-    lim = limits or VehicleLimits()
+    if ctx is None:
+        idm, lqr, lim, b_hard, ego_length = (
+            IdmParams(), LqrParams(), VehicleLimits(), DEFAULT_B_HARD, DEFAULT_EGO_LENGTH
+        )
+    else:
+        idm, lqr, lim, b_hard, ego_length = (
+            ctx.idm, ctx.lqr, ctx.limits, ctx.b_hard, ctx.ego_length
+        )
     t_end = t_start + horizon
 
     # --- ego
@@ -217,8 +232,6 @@ def rollout(
         for a in ordered:
             tracks[a.id] = list(a.states[t_start : t_end + 1])
     else:
-        extents = {a.id: a.length for a in ordered}
-        kinds = {a.id: a.kind for a in ordered}
         current: dict[str, VehicleState] = {}
         for a in ordered:
             init = agent_init.get(a.id) if agent_init else None
@@ -226,41 +239,21 @@ def rollout(
             tracks[a.id] = [current[a.id]]
 
         for k in range(horizon):
-            snapshot: dict[str, tuple[VehicleState, float]] = {
-                "ego": (ego_states[k], DEFAULT_EGO_LENGTH)
-            }
-            for aid, st in current.items():
-                snapshot[aid] = (st, extents[aid])
+            snapshot: dict[str, tuple[VehicleState, float]] = {"ego": (ego_states[k], ego_length)}
+            for a in ordered:
+                snapshot[a.id] = (current[a.id], a.length)
 
             nxt: dict[str, VehicleState] = {}
             for a in ordered:
                 st = current[a.id]
-                if kinds[a.id] == "static":
+                if a.kind == "static":
                     nxt[a.id] = st
                     continue
-                lane = scenario.map.lanes[assign_lane(st.pose.x, st.pose.y, scenario.map)]
-                ops = lane_centerline_ops(lane)
-                s_self, _, _ = ops.project(st.pose.x, st.pose.y)
-
-                # leader: nearest in-corridor entity ahead along this lane
-                leader = None
-                best_ds = math.inf
-                for other_id in sorted(snapshot.keys()):
-                    if other_id == a.id:
-                        continue
-                    other, other_len = snapshot[other_id]
-                    s_o, lat_o, _ = ops.project(other.pose.x, other.pose.y)
-                    if abs(lat_o) > 0.5 * lane.width:
-                        continue
-                    ds = s_o - s_self
-                    if ds <= 0.0 or ds > LEADER_LOOKAHEAD or ds >= best_ds:
-                        continue
-                    best_ds = ds
-                    leader = (other.vel_lon, ds - 0.5 * extents[a.id] - 0.5 * other_len)
-                if leader is not None and leader[1] <= 0.0:
-                    leader = (leader[0], 0.01)  # overlapping bumpers: force hard braking
-
+                position = lane_position(st, scenario.map)
+                leader = select_leader(a.id, snapshot, scenario.map, position)
                 accel = idm_accel(st.vel_lon, leader, idm, b_hard)
+
+                _, ops, s_self = position
                 wheelbase = 0.6 * a.length
                 tx, ty, _ = ops.point_at(s_self + PURE_PURSUIT_LOOKAHEAD)
                 alpha = wrap_angle(

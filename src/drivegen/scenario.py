@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -59,10 +60,6 @@ class VehicleState:
     accel: float
     steering: float
 
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.vel_lon, self.vel_lat)
-
 
 @dataclass(frozen=True, slots=True)
 class Trajectory:
@@ -95,9 +92,6 @@ class Trajectory:
         if stride < 1:
             raise ValueError("stride must be >= 1")
         return Trajectory(self.dt * stride, self.states[::stride], self.frame)
-
-    def poses_xy(self) -> list[tuple[float, float]]:
-        return [(s.pose.x, s.pose.y) for s in self.states]
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,12 +157,6 @@ class Scenario:
         """
         return self.t_history - 1
 
-    def agent_by_id(self, agent_id: str) -> AgentTrack:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise KeyError(agent_id)
-
     def ego_box(self, state: VehicleState, length: float = DEFAULT_EGO_LENGTH, width: float = DEFAULT_EGO_WIDTH) -> OrientedBox:
         return OrientedBox(state.pose.x, state.pose.y, state.pose.theta, length, width)
 
@@ -177,7 +165,8 @@ class Scenario:
 # JSON schema
 
 
-_STATE_KEYS = {"x", "y", "theta", "v_lon", "v_lat", "accel", "steering"}
+_STATE_FIELDS = ("x", "y", "theta", "v_lon", "v_lat", "accel", "steering")
+_STATE_KEYS = set(_STATE_FIELDS)
 _TOP_KEYS = {"id", "dt", "t_history", "t_horizon", "map", "ego_log", "agents"}
 _MAP_KEYS = {"lanes", "drivable_area", "route", "traffic_lights"}
 _LANE_KEYS = {"polyline", "width", "direction"}
@@ -199,13 +188,16 @@ def _require_keys(obj: dict, keys: set[str], where: str) -> None:
 
 def _state_from_json(d: dict, where: str) -> VehicleState:
     _require_keys(d, _STATE_KEYS, where)
-    return VehicleState(
-        pose=Pose2D(float(d["x"]), float(d["y"]), float(d["theta"])),
-        vel_lon=float(d["v_lon"]),
-        vel_lat=float(d["v_lat"]),
-        accel=float(d["accel"]),
-        steering=float(d["steering"]),
-    )
+    values = []
+    for key in _STATE_FIELDS:
+        v = d[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SchemaError(f"{where}.{key}: expected a number, got {v!r}")
+        if not -sys.float_info.max <= v <= sys.float_info.max:  # also false for NaN
+            raise SchemaError(f"{where}.{key}: not a finite float: {v}")
+        values.append(float(v))
+    x, y, theta, v_lon, v_lat, accel, steering = values
+    return VehicleState(Pose2D(x, y, theta), v_lon, v_lat, accel, steering)
 
 
 def _state_to_json(s: VehicleState) -> dict:

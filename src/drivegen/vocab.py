@@ -18,20 +18,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .control import ControlInput, LqrParams, VehicleLimits, bicycle_step
+from .control import ControlInput, VehicleLimits, bicycle_step
 from .errors import SchemaError, ValidationError
 from .geometry import OrientedBox, angle_diff, global_to_local, local_to_global, wrap_angle
 from .metrics import (
-    MetricThresholds,
-    MetricWeights,
+    SimContext,
+    SubMetricVector,
     aggregate_epdms,
     check_collision,
     compute_submetrics,
 )
-from .reactive import IdmParams, rollout
+from .reactive import SceneStates, rollout
 from .scenario import (
-    DEFAULT_EGO_LENGTH,
-    DEFAULT_EGO_WIDTH,
     FRAME_EGO_LOCAL,
     FRAME_GLOBAL,
     Pose2D,
@@ -51,9 +49,6 @@ STATUS_INFEASIBLE_NONREACTIVE = "infeasible-nonreactive"
 STATUS_INFEASIBLE_REACTIVE = "infeasible-reactive"
 STATUS_CLEARED_NONREACTIVE = "cleared-nonreactive"
 STATUS_CLEARED_REACTIVE = "cleared-reactive"
-STATUS_ACCEPTED = "accepted"
-
-CLEARED_STATUSES = (STATUS_CLEARED_NONREACTIVE, STATUS_CLEARED_REACTIVE, STATUS_ACCEPTED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,6 +117,9 @@ class PerturbationCandidate:
     vocab_index: int
     endpoint_cell: tuple[int, int] | None = None
     reason: str = ""
+    # what the clearing screen simulated and scored; None until cleared
+    screen_states: SceneStates | None = None
+    screen_submetrics: SubMetricVector | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +374,14 @@ def feasibility_filter(
     scenario: Scenario,
     mode: str,
     epdms_min: float,
-    weights: MetricWeights | None = None,
-    thresholds: MetricThresholds | None = None,
-    idm: IdmParams | None = None,
-    lqr: LqrParams | None = None,
-    limits: VehicleLimits | None = None,
+    ctx: SimContext | None = None,
 ) -> PerturbationCandidate:
-    """Roll a candidate out and mark it cleared or infeasible.
+    """Roll a candidate out in the world of `ctx` and mark it cleared or infeasible.
 
     Non-reactive checks run on pending candidates; reactive checks require a
     prior non-reactive clearance (the cheap filter always runs first).
-    Infeasibility reasons: "collision", "off-road", or "reward".
+    Infeasibility reasons: "collision", "off-road", or "reward". A cleared
+    candidate keeps the states and sub-metrics of this rollout.
     """
     if mode == "nonreactive":
         if cand.status != STATUS_PENDING:
@@ -401,40 +396,30 @@ def feasibility_filter(
     else:
         raise ValidationError(f"unknown feasibility mode '{mode}'")
 
-    weights = weights or MetricWeights()
+    ctx = ctx or SimContext()
     anchor = scenario.anchor_frame
-    states = rollout(
-        scenario,
-        cand.trajectory,
-        anchor,
-        scenario.t_horizon,
-        mode=mode,
-        idm=idm,
-        lqr=lqr,
-        limits=limits,
-    )
+    states = rollout(scenario, cand.trajectory, anchor, scenario.t_horizon, mode=mode, ctx=ctx)
+    failed = replace(cand, status=fail_status, screen_states=None, screen_submetrics=None)
 
     # any contact at all is infeasible here, at fault or not
     extents = {a.id: (a.length, a.width) for a in scenario.agents}
-    ego_boxes = [
-        OrientedBox(s.pose.x, s.pose.y, s.pose.theta, DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH)
-        for s in states.ego
-    ]
+    ego_boxes = [OrientedBox(s.pose.x, s.pose.y, s.pose.theta, *ctx.ego_extent) for s in states.ego]
     agent_boxes = {
         aid: [OrientedBox(s.pose.x, s.pose.y, s.pose.theta, *extents[aid]) for s in track]
         for aid, track in states.agents.items()
     }
     if check_collision(ego_boxes, agent_boxes) is not None:
-        return replace(cand, status=fail_status, reason="collision")
+        return replace(failed, reason="collision")
 
     history = scenario.ego_log.segment(0, anchor)
     combined = Trajectory(
         dt=scenario.dt, states=history.states + states.ego[1:], frame=FRAME_GLOBAL
     )
-    sub = compute_submetrics(states, scenario, combined, thresholds)
+    sub = compute_submetrics(states, scenario, combined, ctx)
     if sub.dac == 0.0:
-        return replace(cand, status=fail_status, reason="off-road")
-    score = aggregate_epdms(sub, weights)
-    if score < epdms_min:
-        return replace(cand, status=fail_status, reason="reward")
-    return replace(cand, status=new_status, reason="")
+        return replace(failed, reason="off-road")
+    if aggregate_epdms(sub, ctx.weights) < epdms_min:
+        return replace(failed, reason="reward")
+    return replace(
+        cand, status=new_status, reason="", screen_states=states, screen_submetrics=sub
+    )

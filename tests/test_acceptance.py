@@ -236,8 +236,7 @@ def test_criterion_6_export_safety_guarantee(bundled_corpus, recovery_run, tmp_p
                 agents=agents,
             )
             traj = Trajectory(dt=s.dt, states=tuple(states))
-            sub = compute_submetrics(scene, s, traj, config.metric_thresholds,
-                                     (config.ego_length, config.ego_width))
+            sub = compute_submetrics(scene, s, traj, config.sim_context)
             n_checked += 1
             if (
                 sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0

@@ -212,6 +212,23 @@ def test_eval_dt_mismatch_nonzero_exit(tmp_path, corpus_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad", ["abc", float("nan"), 10**400], ids=["non-numeric", "nan", "overflow"]
+)
+def test_eval_bad_state_value_one_error_line(tmp_path, corpus_dir, capsys, bad):
+    scenario_path = sorted(corpus_dir.glob("*.json"))[0]
+    traj_path = tmp_path / "bad_value.json"
+    _write_logged_trajectory(scenario_path, traj_path)
+    data = json.loads(traj_path.read_text())
+    data["states"][3]["x"] = bad
+    traj_path.write_text(json.dumps(data))
+    rc = main(["eval", "--scenario", str(scenario_path), "--trajectory", str(traj_path)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "states[3].x" in err[0]
+
+
 def _points_csv(path: Path, rows):
     path.write_text("n,s\n" + "\n".join(f"{n},{s}" for n, s in rows) + "\n")
 

@@ -14,7 +14,6 @@ from drivegen.metrics import (
     comfort_features,
     compute_submetrics,
     time_to_collision,
-    two_stage_score,
 )
 from drivegen.reactive import SceneStates, rollout
 from drivegen.scenario import Trajectory
@@ -80,16 +79,6 @@ def test_submetric_vector_validation():
         ones(nc=0.5)  # penalty members must be binary
     with pytest.raises(ValidationError):
         ones(ep=1.5)
-
-
-def test_two_stage_score():
-    assert two_stage_score(0.8, 0.5) == pytest.approx(0.4)
-    assert two_stage_score(0.8, 0.5, "mean") == pytest.approx(0.65)
-    with pytest.raises(ValueError):
-        two_stage_score(1.0, 1.0, "median")
-
-
-# --- collision kernel
 
 
 def test_check_collision_overlapping_squares():

@@ -5,8 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from drivegen.config import CameraConfig, config_hash
+import drivegen.expert
+import drivegen.pipeline
+import drivegen.reactive
+from drivegen.config import CameraConfig, PipelineConfig, config_hash
 from drivegen.errors import ValidationError
+from drivegen.expert import privileged_plan
+from drivegen.metrics import aggregate_epdms, compute_submetrics
 from drivegen.pipeline import (
     RoundStats,
     cleared_status,
@@ -19,7 +24,8 @@ from drivegen.pipeline import (
     simulate_sample,
     stats_csv_text,
 )
-from drivegen.reactive import SceneStates
+from drivegen.reactive import SceneStates, rollout
+from drivegen.scenario import Trajectory
 from drivegen.vocab import STATUS_PENDING, PerturbationCandidate
 
 from conftest import make_state
@@ -145,6 +151,78 @@ def test_sample_continuity_and_safety(small_corpus, small_vocab, small_config, p
             assert sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0
             assert sub.ep > small_config.expert_filter.ep_min
     assert checked > 0
+
+
+def _spy(monkeypatch, module, name, record):
+    """Wrap module.name so every call is recorded before it runs."""
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        record(args, kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_screen_simulates_the_configured_world(small_corpus, small_vocab, monkeypatch):
+    """With a non-default ego and braking bound, the screen, the reactive
+    agents and the planner all simulate the configured world."""
+    config = PipelineConfig(
+        vocab_size=256, vocab_source_count=2048, master_seed=11, ego_length=6.0, b_hard=2.0
+    )
+    ctx = config.sim_context
+    ego_lengths = set()
+    _spy(monkeypatch, drivegen.reactive, "select_leader",
+         lambda args, kwargs: ego_lengths.add(args[1]["ego"][1]))
+
+    checked = 0
+    for s in (x for x in small_corpus if x.agents):
+        anchor, H = s.anchor_frame, s.t_horizon
+        history = s.ego_log.segment(0, anchor)
+        for cand in prepare_candidates(s, small_vocab, config):
+            if cand.status != cleared_status(config):
+                continue
+            states = rollout(s, cand.trajectory, anchor, H, "reactive", ctx)
+            combined = Trajectory(dt=s.dt, states=history.states + states.ego[1:])
+            sub = compute_submetrics(states, s, combined, ctx)
+            assert cand.screen_states == states
+            assert cand.screen_submetrics == sub
+            assert aggregate_epdms(sub, ctx.weights) >= config.perturb.epdms_min
+            checked += 1
+    assert checked > 0
+    assert ego_lengths == {6.0}
+
+    contexts = []
+    _spy(monkeypatch, drivegen.expert, "rollout",
+         lambda args, kwargs: contexts.append(kwargs["ctx"]))
+    ego_lengths.clear()
+    s = next(x for x in small_corpus if x.agents)
+    privileged_plan(s, s.anchor_frame, config.planner, ctx=ctx)
+    assert contexts and all(c is ctx for c in contexts)
+    assert ego_lengths == {6.0}
+
+
+def test_stage1_is_the_screen_rollout(small_corpus, small_vocab, small_config, prepared, monkeypatch):
+    """Accepted samples carry the screen's ego track and EPDMS as stage 1, and
+    a cleared candidate costs one rollout (stage 2) and no second screen."""
+    rollouts, screens = [], []
+    _spy(monkeypatch, drivegen.pipeline, "rollout", lambda a, k: rollouts.append(1))
+    _spy(monkeypatch, drivegen.pipeline, "feasibility_filter", lambda a, k: screens.append(1))
+    checked = 0
+    for s in small_corpus:
+        for cand in prepared[s.id]:
+            rollouts.clear()
+            sample = simulate_sample(s, cand, "recovery", small_config, small_vocab)
+            assert len(rollouts) == 1
+            if sample is None:
+                continue
+            checked += 1
+            assert sample.perturbed_history.states == cand.screen_states.ego
+            assert sample.reward.stage_scores[0] == aggregate_epdms(
+                cand.screen_submetrics, small_config.weights
+            )
+    assert checked > 0
+    assert screens == []
 
 
 def test_sample_seed_mixing_documented():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from drivegen.errors import RolloutError
+from drivegen.metrics import SimContext
 from drivegen.reactive import (
     IdmParams,
     SceneStates,
@@ -97,13 +98,19 @@ def test_select_leader_ignores_other_lane(small_corpus):
         "a0": (make_state(x=0.0, v=10.0), 4.5),
         "side": (make_state(x=20.0, y=3.5, v=10.0), 4.5),
     }
-    assert select_leader("a0", scene, cutin.map) is None or True  # corridor rule below
+    assert select_leader("a0", scene, cutin.map) is None
     # the adjacent-lane vehicle is 3.5 m off lane 0's centerline, beyond 1.75 m
     lane0_scene = {
         "a0": (make_state(x=0.0, y=0.0, v=10.0), 4.5),
         "side": (make_state(x=20.0, y=3.0, v=10.0), 4.5),
     }
     assert select_leader("a0", lane0_scene, small_corpus[0].map) is None
+
+
+def test_select_leader_overlapping_bumpers_force_braking(benign_scenario):
+    # 3 m apart with 4.5 m and 4.6 m bodies: the bumpers overlap by 1.55 m
+    scene = _lead_scene(benign_scenario, {"a0": (0.0, 10.0, 4.5), "ego": (3.0, 5.0, 4.6)})
+    assert select_leader("a0", scene, benign_scenario.map) == (5.0, 0.01)
 
 
 # --- rollout
@@ -127,7 +134,7 @@ def test_rollout_log_replay_mode(small_corpus):
         assert states.agents[a.id] == a.states[anchor : anchor + s.t_horizon + 1]
 
 
-def test_rollout_reactive_follower_brakes():
+def _check_follower_oracle(ctx, ego_length, b_hard):
     """Two-vehicle template: ego brakes to a stop, follower must slow down."""
     corpus = generate_synthetic_corpus(corpus_config_for_count(5), seed=3)
     s = next(x for x in corpus if x.id.startswith("lead"))
@@ -159,7 +166,7 @@ def test_rollout_reactive_follower_brakes():
         t_history=s.t_history,
         t_horizon=s.t_horizon,
     )
-    out = rollout(s2, plan, anchor, s2.t_horizon, mode="reactive")
+    out = rollout(s2, plan, anchor, s2.t_horizon, mode="reactive", ctx=ctx)
     track = out.agents["f00"]
     assert track[-1].vel_lon < track[0].vel_lon  # follower decelerated
 
@@ -170,15 +177,35 @@ def test_rollout_reactive_follower_brakes():
     oracle_v = [fv]
     for k in range(s2.t_horizon):
         ego_k = out.ego[k]
-        gap = (ego_k.pose.x - fx) - 0.5 * 4.5 - 0.5 * 4.6
+        gap = (ego_k.pose.x - fx) - 0.5 * 4.5 - 0.5 * ego_length
         a = oracle_idm(fv, p.v_desired, p.delta, p.a_max, p.b_comf, p.s0, p.headway,
                        v_lead=ego_k.vel_lon, gap=gap)
-        a = max(-4.0, min(p.a_max, a))
+        a = max(-b_hard, min(p.a_max, a))
         fx += dt * fv
         fv = max(0.0, fv + dt * a)
         oracle_v.append(fv)
     got_v = [st.vel_lon for st in track]
     assert got_v == pytest.approx(oracle_v, abs=1e-6)
+    return out
+
+
+def test_rollout_reactive_follower_brakes():
+    _check_follower_oracle(None, 4.6, 4.0)
+
+
+def test_rollout_follower_sees_context_ego_and_braking_bound():
+    """The follower's gap uses the context's ego length and its braking bound."""
+    configured = _check_follower_oracle(SimContext(ego_length=6.0, b_hard=2.0), 6.0, 2.0)
+    default = _check_follower_oracle(SimContext(), 4.6, 4.0)
+    assert configured.agents["f00"] != default.agents["f00"]
+
+
+def test_rollout_default_context_is_simcontext(small_corpus):
+    s = next(x for x in small_corpus if x.agents)
+    plan = s.ego_log.segment(s.anchor_frame, s.anchor_frame + s.t_horizon)
+    a = rollout(s, plan, s.anchor_frame, s.t_horizon, "reactive")
+    b = rollout(s, plan, s.anchor_frame, s.t_horizon, "reactive", SimContext())
+    assert a == b
 
 
 def test_rollout_deterministic(small_corpus, small_vocab):
