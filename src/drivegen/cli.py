@@ -25,6 +25,8 @@ from .scenario import (
     FRAME_GLOBAL,
     Scenario,
     Trajectory,
+    _array,
+    _number,
     _state_from_json,
     dump_json_canonical,
     load_scenario,
@@ -111,9 +113,10 @@ def _load_trajectory(path: str) -> Trajectory:
     if not isinstance(data, dict) or set(data.keys()) - {"dt", "frame", "states"}:
         raise SchemaError(f"{path}: expected fields dt, frame, states")
     return Trajectory(
-        dt=float(data["dt"]),
+        dt=_number(data.get("dt"), "dt"),
         states=tuple(
-            _state_from_json(s, f"states[{i}]") for i, s in enumerate(data["states"])
+            _state_from_json(s, f"states[{i}]")
+            for i, s in enumerate(_array(data.get("states"), "states"))
         ),
         frame=str(data.get("frame", FRAME_GLOBAL)),
     )

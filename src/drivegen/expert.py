@@ -24,7 +24,6 @@ from .geometry import (
     polyline_ops,
 )
 from .metrics import (
-    MetricThresholds,
     MetricWeights,
     SimContext,
     aggregate_epdms,
@@ -306,25 +305,25 @@ def expert_filter(
     scenario: Scenario,
     traj: Trajectory,
     spec: ExpertFilterSpec | None = None,
-    thresholds: MetricThresholds | None = None,
-    limits: VehicleLimits | None = None,
+    ctx: SimContext | None = None,
     precomputed=None,
 ) -> tuple[bool, str]:
     """Strict demonstration gate: all required sub-metrics at 1, relaxed EP,
-    and hard kinematic limits. Returns (accepted, reason of first failure).
-    `precomputed` skips the metric evaluation when the caller already has it.
+    and the hard kinematic limits of `ctx`. Returns (accepted, reason of
+    first failure). `precomputed` skips the metric evaluation (in the world
+    of `ctx`) when the caller already has it.
     """
     spec = spec or ExpertFilterSpec()
-    limits = limits or VehicleLimits()
+    ctx = ctx or SimContext()
     sub = precomputed if precomputed is not None else compute_submetrics(
-        states, scenario, traj, thresholds
+        states, scenario, traj, ctx
     )
     for name in ("nc", "dac", "ddc", "tlc", "ep", "ttc", "lk", "hc", "ec"):
         if name in spec.required_ones and getattr(sub, name) != 1.0:
             return False, name
     if sub.ep <= spec.ep_min:
         return False, "EP"
-    violation = kinematic_limit_violation(traj, limits)
+    violation = kinematic_limit_violation(traj, ctx.limits)
     if violation is not None:
         return False, "kinematics"
     return True, ""

@@ -146,7 +146,7 @@ def screen(
 def prepare_candidates(
     scenario: Scenario, vocab: Vocabulary, config: PipelineConfig
 ) -> list[PerturbationCandidate]:
-    """Threshold, grid-sparsify and screen the full vocabulary."""
+    """Threshold and grid-sparsify the full vocabulary; place and screen its grid survivors."""
     cands = enumerate_perturbations(scenario, vocab, config.perturb)
     cands = grid_sparsify(cands, config.grid, mix64(config.master_seed, scenario.id))
     return [screen(c, scenario, config) for c in cands]
@@ -217,8 +217,7 @@ def _simulate(
     executed2 = Trajectory(dt=dt, states=states2.ego, frame=FRAME_GLOBAL)
     sub2 = compute_submetrics(states2, scenario, executed2, ctx)
     accepted, reason = expert_filter(
-        states2, scenario, executed2, config.expert_filter,
-        config.metric_thresholds, config.limits, precomputed=sub2,
+        states2, scenario, executed2, config.expert_filter, ctx, precomputed=sub2
     )
     if not accepted:
         return None, reason

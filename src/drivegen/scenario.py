@@ -186,17 +186,47 @@ def _require_keys(obj: dict, keys: set[str], where: str) -> None:
         raise SchemaError(f"{where}: unknown field '{sorted(unknown)[0]}'")
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(v: Any, where: str, key: str | None = None) -> float:
+    """A finite JSON number as a float; SchemaError naming `where`[.key] otherwise."""
+    if type(v) is float and -_FLOAT_MAX <= v <= _FLOAT_MAX:  # the common case, also false for NaN
+        return v
+    name = where if key is None else f"{where}.{key}"
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SchemaError(f"{name}: expected a number, got {v!r}")
+    if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+        raise SchemaError(f"{name}: not a finite float: {v}")
+    return float(v)
+
+
+def _integer(v: Any, where: str) -> int:
+    x = _number(v, where)
+    if not x.is_integer():
+        raise SchemaError(f"{where}: expected an integer, got {v!r}")
+    return int(x)
+
+
+def _array(v: Any, where: str) -> list:
+    if not isinstance(v, list):
+        raise SchemaError(f"{where}: expected an array")
+    return v
+
+
+def _point(p: Any, where: str) -> tuple[float, float]:
+    if not isinstance(p, list) or len(p) != 2:
+        raise SchemaError(f"{where}: expected an [x, y] point")
+    return (_number(p[0], f"{where}[0]"), _number(p[1], f"{where}[1]"))
+
+
+def _points(v: Any, where: str) -> tuple[tuple[float, float], ...]:
+    return tuple(_point(p, f"{where}[{i}]") for i, p in enumerate(_array(v, where)))
+
+
 def _state_from_json(d: dict, where: str) -> VehicleState:
     _require_keys(d, _STATE_KEYS, where)
-    values = []
-    for key in _STATE_FIELDS:
-        v = d[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{where}.{key}: expected a number, got {v!r}")
-        if not -sys.float_info.max <= v <= sys.float_info.max:  # also false for NaN
-            raise SchemaError(f"{where}.{key}: not a finite float: {v}")
-        values.append(float(v))
-    x, y, theta, v_lon, v_lat, accel, steering = values
+    x, y, theta, v_lon, v_lat, accel, steering = [_number(d[k], where, k) for k in _STATE_FIELDS]
     return VehicleState(Pose2D(x, y, theta), v_lon, v_lat, accel, steering)
 
 
@@ -253,68 +283,73 @@ def scenario_from_dict(d: dict) -> Scenario:
     _require_keys(m, _MAP_KEYS, "map")
 
     lanes = []
-    for i, ln in enumerate(m["lanes"]):
-        _require_keys(ln, _LANE_KEYS, f"map.lanes[{i}]")
+    for i, ln in enumerate(_array(m["lanes"], "map.lanes")):
+        where = f"map.lanes[{i}]"
+        _require_keys(ln, _LANE_KEYS, where)
+        direction = _integer(ln["direction"], f"{where}.direction")
+        if direction not in (1, -1):
+            raise SchemaError(f"{where}.direction: expected 1 or -1, got {direction}")
         lanes.append(
             Lane(
-                polyline=tuple((float(p[0]), float(p[1])) for p in ln["polyline"]),
-                width=float(ln["width"]),
-                direction=int(ln["direction"]),
+                polyline=_points(ln["polyline"], f"{where}.polyline"),
+                width=_number(ln["width"], f"{where}.width"),
+                direction=direction,
             )
         )
 
     lights = []
-    for i, tl in enumerate(m["traffic_lights"]):
-        _require_keys(tl, _LIGHT_KEYS, f"map.traffic_lights[{i}]")
+    for i, tl in enumerate(_array(m["traffic_lights"], "map.traffic_lights")):
+        where = f"map.traffic_lights[{i}]"
+        _require_keys(tl, _LIGHT_KEYS, where)
         phases = []
-        for j, ph in enumerate(tl["phases"]):
-            _require_keys(ph, _PHASE_KEYS, f"map.traffic_lights[{i}].phases[{j}]")
-            phases.append((float(ph["t0"]), float(ph["t1"]), str(ph["state"])))
-        lights.append(
-            TrafficLight(
-                stop_line=(
-                    (float(tl["stop_line"][0][0]), float(tl["stop_line"][0][1])),
-                    (float(tl["stop_line"][1][0]), float(tl["stop_line"][1][1])),
-                ),
-                phases=tuple(phases),
-            )
-        )
+        for j, ph in enumerate(_array(tl["phases"], f"{where}.phases")):
+            pw = f"{where}.phases[{j}]"
+            _require_keys(ph, _PHASE_KEYS, pw)
+            t0, t1 = _number(ph["t0"], f"{pw}.t0"), _number(ph["t1"], f"{pw}.t1")
+            phases.append((t0, t1, str(ph["state"])))
+        stop_line = _points(tl["stop_line"], f"{where}.stop_line")
+        if len(stop_line) != 2:
+            raise SchemaError(f"{where}.stop_line: expected two points")
+        lights.append(TrafficLight(stop_line=stop_line, phases=tuple(phases)))
 
-    dt = float(d["dt"])
+    dt = _number(d["dt"], "dt")
     ego_states = tuple(
-        _state_from_json(st, f"ego_log[{i}]") for i, st in enumerate(d["ego_log"])
+        _state_from_json(st, f"ego_log[{i}]")
+        for i, st in enumerate(_array(d["ego_log"], "ego_log"))
     )
 
     agents = []
-    for i, ag in enumerate(d["agents"]):
-        _require_keys(ag, _AGENT_KEYS, f"agents[{i}]")
+    for i, ag in enumerate(_array(d["agents"], "agents")):
+        where = f"agents[{i}]"
+        _require_keys(ag, _AGENT_KEYS, where)
         agents.append(
             AgentTrack(
                 id=str(ag["id"]),
-                length=float(ag["length"]),
-                width=float(ag["width"]),
+                length=_number(ag["length"], f"{where}.length"),
+                width=_number(ag["width"], f"{where}.width"),
                 kind=str(ag["kind"]),
                 states=tuple(
-                    _state_from_json(st, f"agents[{i}].states[{j}]")
-                    for j, st in enumerate(ag["states"])
+                    _state_from_json(st, f"{where}.states[{j}]")
+                    for j, st in enumerate(_array(ag["states"], f"{where}.states"))
                 ),
             )
         )
 
+    drivable = _array(m["drivable_area"], "map.drivable_area")
     return Scenario(
         id=str(d["id"]),
         map=MapModel(
             lanes=tuple(lanes),
             drivable_area=tuple(
-                tuple((float(p[0]), float(p[1])) for p in poly) for poly in m["drivable_area"]
+                _points(poly, f"map.drivable_area[{i}]") for i, poly in enumerate(drivable)
             ),
-            route=tuple((float(p[0]), float(p[1])) for p in m["route"]),
+            route=_points(m["route"], "map.route"),
             traffic_lights=tuple(lights),
         ),
         ego_log=Trajectory(dt=dt, states=ego_states, frame=FRAME_GLOBAL),
         agents=tuple(agents),
-        t_history=int(d["t_history"]),
-        t_horizon=int(d["t_horizon"]),
+        t_history=_integer(d["t_history"], "t_history"),
+        t_horizon=_integer(d["t_horizon"], "t_horizon"),
     )
 
 
@@ -410,6 +445,10 @@ def validate_scenario(
         diags.append("drivable_area is empty")
 
     diags.extend(trajectory_consistency_errors(s.ego_log))
+
+    for li, lane in enumerate(s.map.lanes):
+        if lane.width <= 0:
+            diags.append(f"lane {li}: width must be positive")
 
     for poly in s.map.drivable_area:
         if not polygon_is_simple(poly):

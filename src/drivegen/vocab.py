@@ -1,10 +1,10 @@
 """Trajectory vocabulary and perturbation sampling.
 
 The vocabulary is a clustered bank of short ego-local maneuvers. Perturbation
-sampling places every entry at the scenario anchor state, thresholds the
-endpoint shifts, spreads survivors over an interleaved endpoint grid, and
-filters the rest by simulation (non-reactive first, reactive on the sparse
-set only, since reactive rollouts cost the most).
+sampling thresholds where each entry would end at the scenario anchor state,
+spreads survivors over an interleaved endpoint grid, and places and filters
+only the grid survivors by simulation (non-reactive first, reactive on the
+sparse set only, since reactive rollouts cost the most).
 """
 
 from __future__ import annotations
@@ -111,10 +111,11 @@ class GridSpec:
 
 @dataclass(frozen=True, slots=True)
 class PerturbationCandidate:
-    trajectory: Trajectory  # global frame, placed at the anchor state
+    trajectory: Trajectory | None  # global frame at the anchor; None until a check places it
     offsets: tuple[float, float, float]  # (lon, lat, dtheta) vs logged endpoint
     status: str
     vocab_index: int
+    entry: Trajectory | None = None  # the ego-local vocabulary entry behind an unplaced candidate
     endpoint_cell: tuple[int, int] | None = None
     reason: str = ""
     # what the clearing screen simulated and scored; None until cleared
@@ -248,21 +249,21 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    from .scenario import _state_from_json
+    from .scenario import _array, _number, _state_from_json
 
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list):
         raise SchemaError("vocabulary: expected a JSON array of trajectories")
     entries = []
     for i, item in enumerate(data):
-        if set(item.keys()) != {"dt", "states"}:
+        if not isinstance(item, dict) or set(item) != {"dt", "states"}:
             raise SchemaError(f"vocabulary[{i}]: expected fields dt, states")
         entries.append(
             Trajectory(
-                dt=float(item["dt"]),
+                dt=_number(item["dt"], f"vocabulary[{i}].dt"),
                 states=tuple(
                     _state_from_json(s, f"vocabulary[{i}].states[{j}]")
-                    for j, s in enumerate(item["states"])
+                    for j, s in enumerate(_array(item["states"], f"vocabulary[{i}].states"))
                 ),
                 frame=FRAME_EGO_LOCAL,
             )
@@ -274,42 +275,38 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 # Perturbation sampling
 
 
+def _place_pose(p: Pose2D, anchor: Pose2D) -> Pose2D:
+    gx, gy = local_to_global(p.x, p.y, anchor.x, anchor.y, anchor.theta)
+    return Pose2D(gx, gy, wrap_angle(p.theta + anchor.theta))
+
+
 def place_at_state(entry: Trajectory, anchor: VehicleState) -> Trajectory:
     """Rigidly transform an ego-local entry to start at the anchor pose."""
-    ax, ay, ath = anchor.pose.x, anchor.pose.y, anchor.pose.theta
-    states = []
-    for s in entry.states:
-        gx, gy = local_to_global(s.pose.x, s.pose.y, ax, ay, ath)
-        states.append(
-            VehicleState(
-                pose=Pose2D(gx, gy, wrap_angle(s.pose.theta + ath)),
-                vel_lon=s.vel_lon,
-                vel_lat=s.vel_lat,
-                accel=s.accel,
-                steering=s.steering,
-            )
-        )
-    return Trajectory(dt=entry.dt, states=tuple(states), frame=FRAME_GLOBAL)
+    states = tuple(
+        VehicleState(_place_pose(s.pose, anchor.pose), s.vel_lon, s.vel_lat, s.accel, s.steering)
+        for s in entry.states
+    )
+    return Trajectory(dt=entry.dt, states=states, frame=FRAME_GLOBAL)
 
 
 def endpoint_offsets(
-    placed: Trajectory, logged_end: VehicleState
+    end: VehicleState, anchor: VehicleState, logged_end: VehicleState
 ) -> tuple[float, float, float]:
-    """Endpoint shift in the logged endpoint's frame (lon ahead, lat left)."""
-    end = placed.states[-1]
-    lon, lat = global_to_local(
-        end.pose.x, end.pose.y, logged_end.pose.x, logged_end.pose.y, logged_end.pose.theta
-    )
-    return (lon, lat, angle_diff(end.pose.theta, logged_end.pose.theta))
+    """Shift of an ego-local endpoint placed at the anchor, in the logged endpoint's
+    frame (lon ahead, lat left); bit-identical to measuring `place_at_state`'s last state."""
+    p = _place_pose(end.pose, anchor.pose)
+    ref = logged_end.pose
+    lon, lat = global_to_local(p.x, p.y, ref.x, ref.y, ref.theta)
+    return (lon, lat, angle_diff(p.theta, ref.theta))
 
 
 def enumerate_perturbations(
     scenario: Scenario, vocab: Vocabulary, th: PerturbThresholds
 ) -> list[PerturbationCandidate]:
-    """Place every vocabulary entry at the anchor state and threshold it.
+    """Threshold every vocabulary entry by where it would end at the anchor state.
 
     Offsets are measured against the logged ego pose at the end of the first
-    simulation window (anchor + horizon).
+    simulation window (anchor + horizon). Candidates are left unplaced.
     """
     if vocab.horizon != scenario.t_horizon:
         raise ValidationError(
@@ -320,8 +317,7 @@ def enumerate_perturbations(
 
     out = []
     for idx, entry in enumerate(vocab.entries):
-        placed = place_at_state(entry, anchor)
-        lon, lat, dtheta = endpoint_offsets(placed, logged_end)
+        lon, lat, dtheta = endpoint_offsets(entry.states[-1], anchor, logged_end)
         status, reason = STATUS_PENDING, ""
         if abs(lon) > th.r_lon:
             status, reason = STATUS_THRESHOLD_REJECTED, "lon"
@@ -331,10 +327,11 @@ def enumerate_perturbations(
             status, reason = STATUS_THRESHOLD_REJECTED, "heading"
         out.append(
             PerturbationCandidate(
-                trajectory=placed,
+                trajectory=None,
                 offsets=(lon, lat, dtheta),
                 status=status,
                 vocab_index=idx,
+                entry=entry,
                 reason=reason,
             )
         )
@@ -379,7 +376,8 @@ def feasibility_filter(
     """Roll a candidate out in the world of `ctx` and mark it cleared or infeasible.
 
     Non-reactive checks run on pending candidates; reactive checks require a
-    prior non-reactive clearance (the cheap filter always runs first).
+    prior non-reactive clearance (the cheap filter always runs first), and
+    an unplaced candidate is placed at the anchor state before its rollout.
     Infeasibility reasons: "collision", "off-road", or "reward". A cleared
     candidate keeps the states and sub-metrics of this rollout.
     """
@@ -398,6 +396,8 @@ def feasibility_filter(
 
     ctx = ctx or SimContext()
     anchor = scenario.anchor_frame
+    if cand.trajectory is None:  # the one place an enumerated entry is placed
+        cand = replace(cand, trajectory=place_at_state(cand.entry, scenario.ego_log[anchor]))
     states = rollout(scenario, cand.trajectory, anchor, scenario.t_horizon, mode=mode, ctx=ctx)
     failed = replace(cand, status=fail_status, screen_states=None, screen_submetrics=None)
 

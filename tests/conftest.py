@@ -31,6 +31,11 @@ def small_corpus():
 
 
 @pytest.fixture(scope="session")
+def corpus_100():
+    return generate_synthetic_corpus(corpus_config_for_count(100), seed=2026)
+
+
+@pytest.fixture(scope="session")
 def benign_scenario(small_corpus):
     return small_corpus[0]  # straight template, no agents
 

@@ -229,6 +229,22 @@ def test_eval_bad_state_value_one_error_line(tmp_path, corpus_dir, capsys, bad):
     assert "states[3].x" in err[0]
 
 
+@pytest.mark.parametrize("bad", ["wide", float("nan")], ids=["non-numeric", "nan"])
+def test_eval_bad_map_number_one_error_line(tmp_path, corpus_dir, capsys, bad):
+    scenario_path = sorted(corpus_dir.glob("*.json"))[0]
+    traj_path = tmp_path / "logged.json"
+    _write_logged_trajectory(scenario_path, traj_path)
+    data = json.loads(scenario_path.read_text())
+    data["map"]["lanes"][0]["width"] = bad
+    bad_path = tmp_path / "bad_width.json"
+    bad_path.write_text(json.dumps(data))
+    rc = main(["eval", "--scenario", str(bad_path), "--trajectory", str(traj_path)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "map.lanes[0].width" in err[0]
+
+
 def _points_csv(path: Path, rows):
     path.write_text("n,s\n" + "\n".join(f"{n},{s}" for n, s in rows) + "\n")
 

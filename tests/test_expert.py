@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from drivegen.expert import (
     privileged_plan,
     recovery_retrieve,
 )
-from drivegen.metrics import aggregate_epdms, compute_submetrics
+from drivegen.metrics import SimContext, aggregate_epdms, compute_submetrics
 from drivegen.reactive import rollout
 from drivegen.scenario import AgentTrack, Scenario, Trajectory
 from drivegen.vocab import Vocabulary, synthesize_maneuvers
@@ -308,9 +309,27 @@ def test_expert_filter_kinematics_rejection(benign_scenario):
     )
     # relax everything else so the kinematic check is the one that fires
     spec = ExpertFilterSpec(required_ones=frozenset(), ep_min=0.0)
-    accepted, reason = expert_filter(states, s, traj, spec, limits=lim)
+    accepted, reason = expert_filter(states, s, traj, spec, SimContext(limits=lim))
     assert not accepted
     assert reason == "kinematics"
+
+
+def test_expert_filter_scores_in_the_context_world(benign_scenario):
+    """Without `precomputed`, the filter scores in the world of `ctx`: a lead
+    car 5 m ahead (center to center) clears a 4.6 m ego and hits a 6.0 m one."""
+    s = benign_scenario
+    lead = tuple(
+        replace(st, pose=replace(st.pose, x=st.pose.x + 5.0 * math.cos(st.pose.theta),
+                                 y=st.pose.y + 5.0 * math.sin(st.pose.theta)))
+        for st in s.ego_log.states
+    )
+    s2 = replace(s, id="tailgate", agents=(AgentTrack("lead", 4.5, 1.9, "vehicle", lead),))
+    anchor = s2.anchor_frame
+    plan = s2.ego_log.segment(anchor, anchor + s2.t_horizon)
+    states = rollout(s2, plan, anchor, s2.t_horizon, mode="nonreactive")
+    traj = Trajectory(dt=s2.dt, states=states.ego)
+    assert expert_filter(states, s2, traj) == (True, "")
+    assert expert_filter(states, s2, traj, ctx=SimContext(ego_length=6.0)) == (False, "nc")
 
 
 def test_expert_filter_guarantee_property(benign_scenario, small_vocab, small_config):

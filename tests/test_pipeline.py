@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 import drivegen.expert
 import drivegen.pipeline
 import drivegen.reactive
+import drivegen.vocab
 from drivegen.config import CameraConfig, PipelineConfig, config_hash
 from drivegen.errors import ValidationError
 from drivegen.expert import privileged_plan
@@ -26,7 +28,16 @@ from drivegen.pipeline import (
 )
 from drivegen.reactive import SceneStates, rollout
 from drivegen.scenario import Trajectory
-from drivegen.vocab import STATUS_PENDING, PerturbationCandidate
+from drivegen.seeding import mix64
+from drivegen.vocab import (
+    STATUS_GRID_DROPPED,
+    STATUS_PENDING,
+    STATUS_THRESHOLD_REJECTED,
+    PerturbationCandidate,
+    enumerate_perturbations,
+    grid_sparsify,
+    place_at_state,
+)
 
 from conftest import make_state
 
@@ -200,6 +211,56 @@ def test_screen_simulates_the_configured_world(small_corpus, small_vocab, monkey
     privileged_plan(s, s.anchor_frame, config.planner, ctx=ctx)
     assert contexts and all(c is ctx for c in contexts)
     assert ego_lengths == {6.0}
+
+
+def test_only_grid_survivors_are_placed(small_corpus, small_vocab, small_config, monkeypatch):
+    """The screen places each grid survivor once (the reactive check reuses
+    that placement); threshold-rejected and grid-dropped entries never are."""
+    placed = []
+    _spy(monkeypatch, drivegen.vocab, "place_at_state", lambda args, kwargs: placed.append(args[0]))
+    checked = 0
+    for s in small_corpus:
+        placed.clear()
+        cands = prepare_candidates(s, small_vocab, small_config)
+        unscreened = (STATUS_THRESHOLD_REJECTED, STATUS_GRID_DROPPED)
+        survivors = [c for c in cands if c.status not in unscreened]
+        assert Counter(map(id, placed)) == Counter(
+            id(small_vocab.entries[c.vocab_index]) for c in survivors
+        )
+        assert all(c.trajectory is None for c in cands if c.status in unscreened)
+        checked += len(survivors)
+    assert checked > 0
+
+
+def test_simulate_sample_places_a_raw_pending_candidate(small_corpus, small_vocab, small_config):
+    """An unplaced grid survivor is placed by the screen inside simulate_sample
+    and gives the same sample as its prepared, cleared counterpart."""
+    s = small_corpus[0]
+    raw = grid_sparsify(
+        enumerate_perturbations(s, small_vocab, small_config.perturb),
+        small_config.grid, mix64(small_config.master_seed, s.id),
+    )
+    by_index = {c.vocab_index: c for c in raw}
+    cleared = [c for c in prepare_candidates(s, small_vocab, small_config)
+               if c.status == cleared_status(small_config)]
+    assert cleared
+    cand = by_index[cleared[0].vocab_index]
+    assert cand.status == STATUS_PENDING and cand.trajectory is None
+    assert simulate_sample(s, cand, "recovery", small_config, small_vocab) == simulate_sample(
+        s, cleared[0], "recovery", small_config, small_vocab
+    )
+
+
+def test_cleared_candidates_carry_the_placed_entry(corpus_100, small_vocab, small_config):
+    config = replace(small_config, reactive=False)
+    cleared = 0
+    for s in corpus_100:
+        anchor = s.ego_log[s.anchor_frame]
+        for c in prepare_candidates(s, small_vocab, config):
+            if c.status == cleared_status(config):
+                assert c.trajectory == place_at_state(small_vocab.entries[c.vocab_index], anchor)
+                cleared += 1
+    assert cleared > 0
 
 
 def test_stage1_is_the_screen_rollout(small_corpus, small_vocab, small_config, prepared, monkeypatch):

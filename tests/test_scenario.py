@@ -111,6 +111,50 @@ def test_load_scenario_missing_and_unknown_fields(tmp_path):
         load_scenario(path)
 
 
+def _set(d, path, value):
+    *head, last = path
+    for key in head:
+        d = d[key]
+    d[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, bad, named",
+    [
+        (("map", "lanes", 0, "width"), "wide", "map.lanes[0].width"),
+        (("map", "lanes", 0, "width"), float("nan"), "map.lanes[0].width"),
+        (("map", "lanes", 0, "direction"), 0.5, "map.lanes[0].direction"),
+        (("map", "lanes", 0, "direction"), 2, "map.lanes[0].direction"),
+        (("map", "lanes", 0, "polyline", 1, 0), None, "map.lanes[0].polyline[1][0]"),
+        (("map", "lanes", 0, "polyline", 1), [1.0], "map.lanes[0].polyline[1]"),
+        (("map", "drivable_area", 0, 2, 1), float("inf"), "map.drivable_area[0][2][1]"),
+        (("map", "route"), [[0.0, 0.0], [50.0, True]], "map.route[1][1]"),
+        (("map", "traffic_lights"), [{"stop_line": [[0.0, -2.0], [0.0, 2.0]],
+          "phases": [{"t0": "0", "t1": 9.0, "state": "red"}]}], "map.traffic_lights[0].phases[0].t0"),
+        (("map", "traffic_lights"), [{"stop_line": [[0.0, -2.0]], "phases": []}],
+         "map.traffic_lights[0].stop_line"),
+        (("agents", 0, "length"), "long", "agents[0].length"),
+        (("agents", 0, "width"), float("nan"), "agents[0].width"),
+        (("t_history",), "2", "t_history"),
+        (("t_horizon",), 4.5, "t_horizon"),
+        (("dt",), None, "dt"),
+        (("ego_log",), {}, "ego_log"),
+    ],
+)
+def test_scenario_numbers_are_checked_at_the_boundary(path, bad, named):
+    d = minimal_scenario_dict(n_agents=1)
+    _set(d, path, bad)
+    with pytest.raises(SchemaError) as err:
+        scenario_from_dict(d)
+    assert str(err.value).startswith(named + ":")
+
+
+def test_validate_lane_width_positive():
+    d = minimal_scenario_dict()
+    d["map"]["lanes"][0]["width"] = 0.0
+    assert "lane 0: width must be positive" in validate_scenario(scenario_from_dict(d))
+
+
 def test_validate_overlapping_light_phases():
     d = minimal_scenario_dict()
     d["map"]["traffic_lights"] = [

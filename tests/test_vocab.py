@@ -1,11 +1,15 @@
+import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from drivegen.errors import ValidationError
+from drivegen.errors import SchemaError, ValidationError
+from drivegen.geometry import angle_diff, global_to_local
 from drivegen.scenario import AgentTrack, Scenario, Trajectory
+from drivegen.seeding import mix64
 from drivegen.vocab import (
     STATUS_CLEARED_NONREACTIVE,
     STATUS_CLEARED_REACTIVE,
@@ -22,6 +26,7 @@ from drivegen.vocab import (
     feasibility_filter,
     grid_sparsify,
     load_vocabulary,
+    place_at_state,
     save_vocabulary,
     synthesize_maneuvers,
 )
@@ -107,6 +112,19 @@ def test_vocabulary_save_load_roundtrip(tmp_path, small_vocab):
     loaded = load_vocabulary(path)
     assert loaded.size == small_vocab.size
     assert loaded.entries == small_vocab.entries
+
+
+@pytest.mark.parametrize(
+    "item, named",
+    [({"dt": "0.1", "states": []}, "vocabulary[0].dt"),
+     ({"dt": 0.1, "states": {}}, "vocabulary[0].states"),
+     ([0.1], "vocabulary[0]")],
+)
+def test_load_vocabulary_names_a_bad_field(tmp_path, item, named):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps([item]))
+    with pytest.raises(SchemaError, match=re.escape(named) + ":"):
+        load_vocabulary(path)
 
 
 # --- enumeration and thresholds
@@ -209,6 +227,51 @@ def test_threshold_monotonicity(benign_scenario, small_vocab):
     loose_ok = {c.vocab_index for c in loose if c.status == STATUS_PENDING}
     tight_ok = {c.vocab_index for c in tight if c.status == STATUS_PENDING}
     assert tight_ok <= loose_ok
+
+
+def _placed_oracle(scenario, vocab, th):
+    """Enumeration by the scalar oracle: place every entry at the anchor,
+    then measure the last state of the placed trajectory."""
+    anchor = scenario.ego_log[scenario.anchor_frame]
+    ref = scenario.ego_log[scenario.anchor_frame + scenario.t_horizon].pose
+    out = []
+    for idx, entry in enumerate(vocab.entries):
+        placed = place_at_state(entry, anchor)
+        end = placed.states[-1].pose
+        lon, lat = global_to_local(end.x, end.y, ref.x, ref.y, ref.theta)
+        dtheta = angle_diff(end.theta, ref.theta)
+        status, reason = STATUS_PENDING, ""
+        if abs(lon) > th.r_lon:
+            status, reason = STATUS_THRESHOLD_REJECTED, "lon"
+        elif abs(lat) > th.r_lat:
+            status, reason = STATUS_THRESHOLD_REJECTED, "lat"
+        elif abs(dtheta) > th.dtheta_max:
+            status, reason = STATUS_THRESHOLD_REJECTED, "heading"
+        out.append(PerturbationCandidate(
+            trajectory=placed, offsets=(lon, lat, dtheta), status=status,
+            vocab_index=idx, reason=reason,
+        ))
+    return out
+
+
+def test_endpoint_enumeration_matches_placed_oracle(corpus_100, small_vocab):
+    """Offsets measured from the endpoint alone are bit-identical to the
+    placed oracle's, so every threshold decision and grid cell is too."""
+    th, g = PerturbThresholds(), GridSpec()
+    pending = 0
+    for s in corpus_100:
+        seed = mix64(11, s.id)
+        lazy = grid_sparsify(enumerate_perturbations(s, small_vocab, th), g, seed)
+        oracle = grid_sparsify(_placed_oracle(s, small_vocab, th), g, seed)
+        assert len(lazy) == len(oracle) == small_vocab.size
+        for a, b in zip(lazy, oracle):
+            assert [x.hex() for x in a.offsets] == [x.hex() for x in b.offsets]
+            assert (a.vocab_index, a.status, a.reason, a.endpoint_cell) == (
+                b.vocab_index, b.status, b.reason, b.endpoint_cell
+            )
+            assert a.trajectory is None and a.entry is small_vocab.entries[a.vocab_index]
+            pending += a.status == STATUS_PENDING
+    assert pending > 0
 
 
 # --- grid sparsification
