@@ -22,11 +22,13 @@ from .pipeline import export_dataset, run_generation
 from .reactive import MODES, rollout
 from .scaling import ScalingPoint, compare_fits, emit_curve, fit_log_quadratic
 from .scenario import (
+    FRAME_EGO_LOCAL,
     FRAME_GLOBAL,
     Scenario,
     Trajectory,
     _array,
     _number,
+    _require_keys,
     _state_from_json,
     dump_json_canonical,
     load_scenario,
@@ -112,13 +114,18 @@ def _load_trajectory(path: str) -> Trajectory:
         raise ParseError(f"{path}: malformed JSON: {e}") from e
     if not isinstance(data, dict) or set(data.keys()) - {"dt", "frame", "states"}:
         raise SchemaError(f"{path}: expected fields dt, frame, states")
+    frame = data.get("frame", FRAME_GLOBAL)
+    if frame not in (FRAME_GLOBAL, FRAME_EGO_LOCAL):
+        raise SchemaError(
+            f"{path}: frame: expected '{FRAME_GLOBAL}' or '{FRAME_EGO_LOCAL}', got {frame!r}"
+        )
     return Trajectory(
         dt=_number(data.get("dt"), "dt"),
         states=tuple(
             _state_from_json(s, f"states[{i}]")
             for i, s in enumerate(_array(data.get("states"), "states"))
         ),
-        frame=str(data.get("frame", FRAME_GLOBAL)),
+        frame=frame,
     )
 
 
@@ -190,13 +197,21 @@ def cmd_fit_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
+_MANIFEST_KEYS = {"config_hash", "corpus_ids", "expert_kind", "master_seed", "reactive", "tool_version"}
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
     dataset_dir = Path(args.dataset)
-    manifest = json.loads((dataset_dir / "manifest.json").read_text(encoding="utf-8"))
+    manifest_path = dataset_dir / "manifest.json"
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{manifest_path}: malformed JSON: {e}") from e
+    _require_keys(manifest, _MANIFEST_KEYS, str(manifest_path))
     print(f"tool_version:  {manifest['tool_version']}")
     print(f"config_hash:   {manifest['config_hash']}")
     print(f"master_seed:   {manifest['master_seed']}")
-    print(f"scenarios:     {len(manifest['corpus_ids'])}")
+    print(f"scenarios:     {len(_array(manifest['corpus_ids'], 'corpus_ids'))}")
     with open(dataset_dir / "stats.csv", newline="", encoding="utf-8") as f:
         rows = list(csv.DictReader(f))
     for row in rows:

@@ -8,17 +8,18 @@ so it is stable under key reordering.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .control import LqrParams, VehicleLimits
-from .errors import ConfigError
+from .errors import ConfigError, SchemaError, ValidationError
 from .expert import EXPERT_KINDS, ExpertFilterSpec, PlannerParams
 from .metrics import MetricThresholds, MetricWeights, SimContext
 from .reactive import DEFAULT_B_HARD, IdmParams
-from .scenario import DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH, dump_json_canonical
+from .scenario import DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH, _number, dump_json_canonical
 from .vocab import GridSpec, PerturbThresholds
 
 
@@ -28,7 +29,7 @@ class CameraConfig:
     dx: float
     dy: float
     dyaw: float
-    intrinsics: dict = field(default_factory=dict)
+    intrinsics: dict[str, int | float] = field(default_factory=dict)
 
 
 def default_camera_rig() -> tuple[CameraConfig, ...]:
@@ -92,69 +93,74 @@ class PipelineConfig:
         )
 
 
-_SECTION_TYPES = {
-    "perturb": PerturbThresholds,
-    "grid": GridSpec,
-    "idm": IdmParams,
-    "lqr": LqrParams,
-    "limits": VehicleLimits,
-    "weights": MetricWeights,
-    "metric_thresholds": MetricThresholds,
-    "expert_filter": ExpertFilterSpec,
-    "planner": PlannerParams,
-}
-
-
-def _dataclass_to_dict(obj: Any) -> Any:
+def config_to_dict(obj: Any) -> Any:
+    """A config, or any value in it, as JSON data; sets are written sorted."""
     if isinstance(obj, frozenset):
         return sorted(obj)
     if isinstance(obj, tuple):
-        return [_dataclass_to_dict(v) for v in obj]
-    if hasattr(obj, "__dataclass_fields__"):
-        return {f.name: _dataclass_to_dict(getattr(obj, f.name)) for f in fields(obj)}
+        return [config_to_dict(v) for v in obj]
+    if is_dataclass(obj):
+        return {f.name: config_to_dict(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 
-def _build_section(cls, data: dict, where: str):
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data.keys()) - allowed
+def _read(tp: Any, value: Any, where: str) -> Any:
+    """A JSON value as an instance of the field annotation `tp`; ConfigError naming `where`."""
+    if is_dataclass(tp):
+        return _read_dataclass(tp, value, where)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:
+        for arm in args:
+            try:
+                return _read(arm, value, where)
+            except ConfigError:
+                pass
+        raise ConfigError(f"{where}: expected {tp}, got {value!r}")
+    if tp is float:
+        try:
+            return _number(value, where)
+        except SchemaError as e:
+            raise ConfigError(str(e)) from e
+    if origin in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected an array")
+        if origin is frozenset or args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(value) != len(args):
+            raise ConfigError(f"{where}: expected {len(args)} values, got {len(value)}")
+        return origin(_read(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected an object")
+        return {k: _read(args[1], v, f"{where}.{k}") for k, v in value.items()}
+    if type(value) is not tp:
+        raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
+    return value
+
+
+def _read_dataclass(cls: type, data: Any, where: str) -> Any:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected an object")
+    known = fields(cls)
+    unknown = data.keys() - {f.name for f in known}
     if unknown:
         raise ConfigError(f"{where}: unknown key '{sorted(unknown)[0]}'")
+    types = get_type_hints(cls)
     kwargs = {}
-    for f in fields(cls):
-        if f.name not in data:
-            continue
-        v = data[f.name]
-        if f.name == "required_ones":
-            v = frozenset(v)
-        elif f.name == "weights" and cls is PlannerParams:
-            v = _build_section(MetricWeights, v, f"{where}.weights")
-        elif isinstance(v, list):
-            v = tuple(v)
-        kwargs[f.name] = v
-    return cls(**kwargs)
+    for f in known:
+        if f.name in data:
+            kwargs[f.name] = _read(types[f.name], data[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}: missing key '{f.name}'")
+    try:
+        return cls(**kwargs)
+    except (ConfigError, ValidationError) as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
-def config_to_dict(config: PipelineConfig) -> dict:
-    return _dataclass_to_dict(config)
-
-
-def config_from_dict(data: dict) -> PipelineConfig:
-    allowed = {f.name for f in fields(PipelineConfig)}
-    unknown = set(data.keys()) - allowed
-    if unknown:
-        raise ConfigError(f"config: unknown key '{sorted(unknown)[0]}'")
-    kwargs: dict[str, Any] = {}
-    for name, value in data.items():
-        if name in _SECTION_TYPES:
-            kwargs[name] = _build_section(_SECTION_TYPES[name], value, name)
-        elif name == "cameras":
-            kwargs[name] = tuple(
-                _build_section(CameraConfig, cam, f"cameras[{i}]") for i, cam in enumerate(value)
-            )
-        else:
-            kwargs[name] = value
-    return PipelineConfig(**kwargs)
+def config_from_dict(data: Any) -> PipelineConfig:
+    """The config a JSON object describes, read by the types of the fields it sets."""
+    return _read_dataclass(PipelineConfig, data, "config")
 
 
 def config_hash(config: PipelineConfig) -> str:

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import RiccatiError, RolloutError
+from .errors import RiccatiError, RolloutError, ValidationError
 from .geometry import angle_diff, global_to_local, wrap_angle
 from .scenario import Pose2D, Trajectory, VehicleState
 
@@ -36,6 +36,10 @@ class VehicleLimits:
     steer_max: float = DEFAULT_STEER_MAX
     steer_rate_max: float = DEFAULT_STEER_RATE_MAX
 
+    def __post_init__(self):
+        if not self.wheelbase > 0:
+            raise ValidationError("wheelbase must be positive")
+
     def max_curvature(self) -> float:
         return math.tan(self.steer_max) / self.wheelbase
 
@@ -57,7 +61,6 @@ def bicycle_step(
     state: VehicleState,
     u: ControlInput,
     dt: float,
-    wheelbase: float = DEFAULT_WHEELBASE,
     limits: VehicleLimits | None = None,
 ) -> VehicleState:
     """Forward-Euler kinematic bicycle update.
@@ -68,9 +71,7 @@ def bicycle_step(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if wheelbase <= 0:
-        raise ValueError("wheelbase must be positive")
-    lim = limits or VehicleLimits(wheelbase=wheelbase)
+    lim = limits or VehicleLimits()
 
     accel = _clamp(u.accel, -lim.accel_max, lim.accel_max)
     steer_rate = _clamp(u.steer_rate, -lim.steer_rate_max, lim.steer_rate_max)
@@ -81,7 +82,7 @@ def bicycle_step(
 
     x = state.pose.x + dt * v * math.cos(theta)
     y = state.pose.y + dt * v * math.sin(theta)
-    new_theta = wrap_angle(theta + dt * v * math.tan(delta) / wheelbase)
+    new_theta = wrap_angle(theta + dt * v * math.tan(delta) / lim.wheelbase)
     new_v = max(0.0, v + dt * accel)
     new_delta = _clamp(delta + dt * steer_rate, -lim.steer_max, lim.steer_max)
 
@@ -211,7 +212,6 @@ def lqr_track(
     reference: Trajectory,
     start: VehicleState,
     params: LqrParams | None = None,
-    wheelbase: float = DEFAULT_WHEELBASE,
     limits: VehicleLimits | None = None,
 ) -> Trajectory:
     """Execute a reference trajectory with error-state LQR feedback.
@@ -225,7 +225,7 @@ def lqr_track(
         params = LqrParams()
     if len(reference) < 2:
         raise RolloutError("reference must contain at least 2 states")
-    lim = limits or VehicleLimits(wheelbase=wheelbase)
+    lim = limits or VehicleLimits()
     dt = reference.dt
 
     out = [start]
@@ -260,7 +260,7 @@ def lqr_track(
         a_fb = -(K[0][0] * err[0] + K[0][1] * err[1] + K[0][2] * err[2] + K[0][3] * err[3])
         sr_fb = -(K[1][0] * err[0] + K[1][1] * err[1] + K[1][2] * err[2] + K[1][3] * err[3])
         u = ControlInput(accel=a_ff + a_fb, steer_rate=sr_ff + sr_fb)
-        cur = bicycle_step(cur, u, dt, lim.wheelbase, lim)
+        cur = bicycle_step(cur, u, dt, lim)
         out.append(cur)
 
     return Trajectory(dt=dt, states=tuple(out), frame=reference.frame)

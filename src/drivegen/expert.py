@@ -9,7 +9,7 @@ centerline-offset proposals in reactive simulation and returns the best one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -18,13 +18,15 @@ from .control import VehicleLimits
 from .errors import RolloutError, ValidationError
 from .geometry import (
     PolylineOps,
+    _cached_ops,
     angle_diff,
     global_to_local,
     offset_polyline,
     polyline_ops,
 )
 from .metrics import (
-    MetricWeights,
+    ALL_METRICS,
+    PENALTY_METRICS,
     SimContext,
     aggregate_epdms,
     compute_submetrics,
@@ -96,18 +98,10 @@ def recovery_target(perturbed: VehicleState, logged_end: VehicleState) -> Matchi
 
 
 _ANGLE_COMPONENTS = np.array([False, False, True, False, False, True])
-_MATRIX_CACHE: dict[int, tuple[Vocabulary, np.ndarray]] = {}
 
 
 def _matching_matrix(vocab: Vocabulary) -> np.ndarray:
-    cached = _MATRIX_CACHE.get(id(vocab))
-    if cached is not None and cached[0] is vocab:
-        return cached[1]
-    M = np.stack([build_matching_vector(e).as_array() for e in vocab.entries])
-    if len(_MATRIX_CACHE) > 4:
-        _MATRIX_CACHE.clear()
-    _MATRIX_CACHE[id(vocab)] = (vocab, M)
-    return M
+    return np.stack([build_matching_vector(e).as_array() for e in vocab.entries])
 
 
 def recovery_retrieve(target: MatchingVector, vocab: Vocabulary) -> Trajectory:
@@ -116,7 +110,7 @@ def recovery_retrieve(target: MatchingVector, vocab: Vocabulary) -> Trajectory:
     Angle components use wrapped differences. The distance is plain L1 over
     mixed units.
     """
-    M = _matching_matrix(vocab)
+    M = _cached_ops(vocab, _matching_matrix)
     diff = M - target.as_array()[None, :]
     wrapped = np.remainder(diff[:, _ANGLE_COMPONENTS] + math.pi, 2.0 * math.pi) - math.pi
     d = np.abs(diff)
@@ -133,8 +127,6 @@ def recovery_retrieve(target: MatchingVector, vocab: Vocabulary) -> Trajectory:
 class PlannerParams:
     speed_fractions: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     lateral_offsets: tuple[float, ...] = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    horizon: int | None = None  # defaults to the scenario horizon
-    weights: MetricWeights = field(default_factory=MetricWeights)
 
     def __post_init__(self):
         if not self.speed_fractions or not self.lateral_offsets:
@@ -215,15 +207,15 @@ def privileged_plan(
     """Best-scoring proposal of a rule-based planner with ground-truth access.
 
     Proposals are the cross product of speed fractions and lateral offsets;
-    each is simulated reactively from frame t in the world of `ctx` and
-    scored with the metric aggregate under the planner's own weights.
-    Returns the winning reference trajectory (ties go to the lower proposal
-    index). `ego_start` / `agent_init` plan from perturbed rather than
-    logged states.
+    each is simulated reactively over the scenario horizon from frame t in
+    the world of `ctx` and scored with the metric aggregate under
+    `ctx.weights`. Returns the winning reference trajectory (ties go to the
+    lower proposal index). `ego_start` / `agent_init` plan from perturbed
+    rather than logged states.
     """
     p = p or PlannerParams()
     ctx = ctx or SimContext()
-    horizon = p.horizon if p.horizon is not None else scenario.t_horizon
+    horizon = scenario.t_horizon
     if t < 0 or t + horizon > scenario.frame_count - 1:
         raise RolloutError(f"planning window [{t}, {t + horizon}] outside scenario")
     start = ego_start if ego_start is not None else scenario.ego_log[t]
@@ -258,7 +250,7 @@ def privileged_plan(
             simulable += 1
             executed = Trajectory(dt=scenario.dt, states=states.ego, frame=FRAME_GLOBAL)
             sub = compute_submetrics(states, scenario, executed, ctx)
-            score = aggregate_epdms(sub, p.weights)
+            score = aggregate_epdms(sub, ctx.weights)
             if score > best_score:
                 best_score = score
                 best = proposal
@@ -279,6 +271,11 @@ class ExpertFilterSpec:
     ep_min: float = 0.5
 
     def __post_init__(self):
+        if not set(PENALTY_METRICS) <= self.required_ones <= set(ALL_METRICS):
+            raise ValidationError(
+                f"required_ones must include {', '.join(PENALTY_METRICS)} and name only "
+                f"metrics from {', '.join(ALL_METRICS)}, got {sorted(self.required_ones)}"
+            )
         if not (0.0 <= self.ep_min <= 1.0):
             raise ValidationError("ep_min must lie in [0, 1]")
 

@@ -69,10 +69,6 @@ class CameraPoseTrack:
 class SensorPoseTrack:
     cameras: tuple[CameraPoseTrack, ...]
 
-    @property
-    def frame_count(self) -> int:
-        return len(self.cameras[0].poses) if self.cameras else 0
-
 
 @dataclass(frozen=True, slots=True)
 class SimSample:
@@ -446,8 +442,8 @@ def stats_csv_text(stats: Sequence[RoundStats]) -> str:
 def export_dataset(
     samples: Sequence[SimSample],
     path: str | Path,
-    stats: Sequence[RoundStats] = (),
-    config: PipelineConfig | None = None,
+    stats: Sequence[RoundStats],
+    config: PipelineConfig,
     corpus_ids: Sequence[str] = (),
 ) -> list[Path]:
     """Write dataset.jsonl, stats.csv and manifest.json into a directory.
@@ -455,7 +451,7 @@ def export_dataset(
     Re-exporting the same inputs produces byte-identical files.
     """
     # the expert-filter guarantee is re-asserted at the export boundary
-    ep_min = config.expert_filter.ep_min if config is not None else 0.5
+    ep_min = config.expert_filter.ep_min
     for s in samples:
         sub = s.reward.submetrics
         if not (sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0 and sub.ep > ep_min):
@@ -475,11 +471,11 @@ def export_dataset(
 
     manifest_path = out_dir / "manifest.json"
     manifest = {
-        "config_hash": config_hash(config) if config is not None else "",
+        "config_hash": config_hash(config),
         "tool_version": __version__,
-        "master_seed": config.master_seed if config is not None else 0,
-        "reactive": config.reactive if config is not None else True,
-        "expert_kind": config.expert_kind if config is not None else "",
+        "master_seed": config.master_seed,
+        "reactive": config.reactive,
+        "expert_kind": config.expert_kind,
         "corpus_ids": sorted(corpus_ids),
     }
     manifest_path.write_text(dump_json_canonical(manifest), encoding="utf-8")

@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from .control import DEFAULT_STEER_MAX, LqrParams, VehicleLimits, lqr_track
+from .control import DEFAULT_STEER_MAX, lqr_track
 from .errors import RolloutError
 from .geometry import PolylineOps, _cached_ops, polyline_ops, wrap_angle
 from .scenario import (
-    DEFAULT_EGO_LENGTH,
+    FRAME_GLOBAL,
     Lane,
     MapModel,
     Pose2D,
@@ -204,26 +204,24 @@ def rollout(
             f"[0, {scenario.frame_count - 1}]"
         )
     if ctx is None:
-        idm, lqr, lim, b_hard, ego_length = (
-            IdmParams(), LqrParams(), VehicleLimits(), DEFAULT_B_HARD, DEFAULT_EGO_LENGTH
-        )
-    else:
-        idm, lqr, lim, b_hard, ego_length = (
-            ctx.idm, ctx.lqr, ctx.limits, ctx.b_hard, ctx.ego_length
-        )
+        from .metrics import SimContext
+
+        ctx = SimContext()
     t_end = t_start + horizon
 
     # --- ego
     if mode == MODE_LOG_REPLAY_EGO:
         ego_states = scenario.ego_log.states[t_start : t_end + 1]
     else:
+        if ego_plan.frame != FRAME_GLOBAL:
+            raise RolloutError(f"ego_plan is in frame '{ego_plan.frame}', needs '{FRAME_GLOBAL}'")
         if len(ego_plan) < horizon + 1:
             raise RolloutError(
                 f"ego_plan has {len(ego_plan)} states, needs at least {horizon + 1}"
             )
         reference = ego_plan.segment(0, horizon)
         start = ego_start if ego_start is not None else scenario.ego_log[t_start]
-        ego_states = lqr_track(reference, start, lqr, lim.wheelbase, lim).states
+        ego_states = lqr_track(reference, start, ctx.lqr, ctx.limits).states
 
     # --- agents
     ordered = sorted(scenario.agents, key=lambda a: a.id)
@@ -239,7 +237,7 @@ def rollout(
             tracks[a.id] = [current[a.id]]
 
         for k in range(horizon):
-            snapshot: dict[str, tuple[VehicleState, float]] = {"ego": (ego_states[k], ego_length)}
+            snapshot: dict[str, tuple[VehicleState, float]] = {"ego": (ego_states[k], ctx.ego_length)}
             for a in ordered:
                 snapshot[a.id] = (current[a.id], a.length)
 
@@ -251,7 +249,7 @@ def rollout(
                     continue
                 position = lane_position(st, scenario.map)
                 leader = select_leader(a.id, snapshot, scenario.map, position)
-                accel = idm_accel(st.vel_lon, leader, idm, b_hard)
+                accel = idm_accel(st.vel_lon, leader, ctx.idm, ctx.b_hard)
 
                 _, ops, s_self = position
                 wheelbase = 0.6 * a.length

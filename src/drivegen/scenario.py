@@ -20,10 +20,8 @@ from .geometry import (
     OrientedBox,
     points_in_any_polygon,
     polygon_is_simple,
-    wrap_angle,
 )
 
-# Canonical simulation rate. Outputs at 2 Hz are stride-5 subsamples of this.
 SIM_DT = 0.1
 
 # Ego footprint used by validation and metrics (not part of the file schema).
@@ -45,9 +43,6 @@ class Pose2D:
     x: float
     y: float
     theta: float  # radians in (-pi, pi]
-
-    def normalized(self) -> "Pose2D":
-        return Pose2D(self.x, self.y, wrap_angle(self.theta))
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,15 +78,6 @@ class Trajectory:
     def segment(self, start: int, end: int) -> "Trajectory":
         """Sub-trajectory covering state indices [start, end] inclusive."""
         return Trajectory(self.dt, self.states[start : end + 1], self.frame)
-
-    def subsample(self, stride: int) -> "Trajectory":
-        """Every stride-th state (keeping the first); dt scales accordingly.
-
-        The canonical 10 Hz simulation becomes a 2 Hz output at stride 5.
-        """
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        return Trajectory(self.dt * stride, self.states[::stride], self.frame)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,8 +143,8 @@ class Scenario:
         """
         return self.t_history - 1
 
-    def ego_box(self, state: VehicleState, length: float = DEFAULT_EGO_LENGTH, width: float = DEFAULT_EGO_WIDTH) -> OrientedBox:
-        return OrientedBox(state.pose.x, state.pose.y, state.pose.theta, length, width)
+    def ego_box(self, state: VehicleState) -> OrientedBox:
+        return OrientedBox(state.pose.x, state.pose.y, state.pose.theta, DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH)
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +387,10 @@ def trajectory_consistency_errors(traj: Trajectory, tol: float = KINEMATIC_CONSI
     return errs
 
 
-def validate_scenario(
-    s: Scenario,
-    ego_length: float = DEFAULT_EGO_LENGTH,
-    ego_width: float = DEFAULT_EGO_WIDTH,
-    steer_max: float = 0.55,
-) -> list[str]:
+def validate_scenario(s: Scenario) -> list[str]:
     """Check all Scenario invariants; returns one diagnostic per violation."""
+    from .control import DEFAULT_STEER_MAX  # control imports this module
+
     diags: list[str] = []
 
     expected = s.t_history + 2 * s.t_horizon
@@ -428,15 +411,13 @@ def validate_scenario(
         if not (-math.pi < st.pose.theta <= math.pi + 1e-12):
             diags.append(f"ego theta not normalized to (-pi, pi] at frame {k}")
             break
-        if abs(st.steering) > steer_max + 1e-9:
-            diags.append(f"ego steering exceeds the configured maximum at frame {k}")
+        if abs(st.steering) > DEFAULT_STEER_MAX + 1e-9:
+            diags.append(f"ego steering exceeds the steering limit at frame {k}")
             break
 
     # footprint containment, named by frame
     if s.map.drivable_area:
-        corners = np.array(
-            [c for st in s.ego_log.states for c in s.ego_box(st, ego_length, ego_width).corners()]
-        )
+        corners = np.array([c for st in s.ego_log.states for c in s.ego_box(st).corners()])
         inside = points_in_any_polygon(corners[:, 0], corners[:, 1], s.map.drivable_area)
         if not inside.all():
             frame = int(np.argmin(inside)) // 4

@@ -85,7 +85,7 @@ def _integrate_ego(
     states = [start]
     cur = start
     for accel, steer_rate in controls:
-        cur = bicycle_step(cur, ControlInput(accel, steer_rate), dt, limits.wheelbase, limits)
+        cur = bicycle_step(cur, ControlInput(accel, steer_rate), dt, limits)
         states.append(cur)
     return states
 

@@ -39,9 +39,6 @@ from .scenario import (
 )
 from .seeding import mix64
 
-PROVENANCE_CLUSTERED = "clustered"
-PROVENANCE_RAW = "raw-human"
-
 STATUS_PENDING = "pending"
 STATUS_THRESHOLD_REJECTED = "threshold-rejected"
 STATUS_GRID_DROPPED = "grid-dropped"
@@ -54,7 +51,6 @@ STATUS_CLEARED_REACTIVE = "cleared-reactive"
 @dataclass(frozen=True, slots=True)
 class Vocabulary:
     entries: tuple[Trajectory, ...]
-    provenance: str = PROVENANCE_CLUSTERED
 
     def __post_init__(self):
         if not self.entries:
@@ -135,6 +131,10 @@ def synthesize_maneuvers(
     Each maneuver is integrated with the kinematic bicycle, so entries are
     realizable trajectories. Deterministic in (count, horizon, dt, seed).
     """
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
+    if horizon < 2:
+        raise ValidationError(f"horizon must be >= 2, got {horizon}")
     rng = random.Random(mix64(seed, "maneuvers", count, horizon))
     limits = VehicleLimits()
     out = []
@@ -160,7 +160,7 @@ def synthesize_maneuvers(
         for k in range(horizon):
             target = d1 if k < switch else d2
             rate = max(-0.4, min(0.4, (target - delta) / dt))
-            cur = bicycle_step(cur, ControlInput(accel, rate), dt, limits.wheelbase, limits)
+            cur = bicycle_step(cur, ControlInput(accel, rate), dt, limits)
             delta = cur.steering
             states.append(cur)
         out.append(Trajectory(dt=dt, states=tuple(states), frame=FRAME_EGO_LOCAL))
@@ -221,7 +221,7 @@ def build_vocabulary(samples: Sequence[Trajectory], k: int, seed: int) -> Vocabu
     for c in range(k):
         d2c = np.sum((X - centers[c]) ** 2, axis=1)
         entries.append(samples[int(np.argmin(d2c))])
-    return Vocabulary(entries=tuple(entries), provenance=PROVENANCE_CLUSTERED)
+    return Vocabulary(entries=tuple(entries))
 
 
 def default_vocabulary(
@@ -268,7 +268,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
                 frame=FRAME_EGO_LOCAL,
             )
         )
-    return Vocabulary(entries=tuple(entries), provenance=PROVENANCE_RAW)
+    return Vocabulary(entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------

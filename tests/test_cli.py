@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from drivegen.cli import main
+from drivegen.metrics import PENALTY_METRICS
 from drivegen.scenario import load_scenario, scenario_to_dict
 from drivegen.vocab import load_vocabulary, save_vocabulary
 
@@ -294,3 +295,97 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+_CAMERA = {"id": "c", "dx": 1.0, "dy": 0.0, "dyaw": 0.0, "intrinsics": {"fx": 1545.0}}
+
+
+@pytest.mark.parametrize(
+    "config, names",
+    [
+        ({"rounds": "5"}, "config.rounds"),
+        ({"rounds": True}, "config.rounds"),
+        ({"per_round": 2.5}, "config.per_round"),
+        ({"reactive": 1}, "config.reactive"),
+        ({"b_hard": float("inf")}, "config.b_hard"),
+        ({"perturb": {"r_lon": "x"}}, "config.perturb.r_lon"),
+        ({"perturb": 3}, "config.perturb: expected an object"),
+        ({"idm": {"v_desired": "fast"}}, "config.idm.v_desired"),
+        ({"lqr": {"state_weights": [1, 2]}}, "config.lqr.state_weights: expected 4 values"),
+        ({"lqr": {"control_weights": 0.2}}, "config.lqr.control_weights: expected an array"),
+        ({"limits": {"wheelbase": 0}}, "config.limits: wheelbase must be positive"),
+        ({"planner": {"weights": 3}}, "config.planner: unknown key 'weights'"),
+        ({"planner": {"horizon": 40}}, "config.planner: unknown key 'horizon'"),
+        ({"planner": {"speed_fractions": [0.5, None]}}, "config.planner.speed_fractions[1]"),
+        ([], "config: expected an object"),
+        ({"cameras": [{"id": "c"}]}, "config.cameras[0]: missing key 'dx'"),
+        ({"cameras": [{**_CAMERA, "intrinsics": {"fx": float("nan")}}]},
+         "config.cameras[0].intrinsics.fx"),
+        ({"expert_filter": {"required_ones": [*PENALTY_METRICS, "zz"]}}, "config.expert_filter"),
+        ({"expert_filter": {"required_ones": ["nc", "dac", "ddc"]}}, "config.expert_filter"),
+    ],
+    ids=[
+        "string-int", "bool-int", "float-int", "int-bool", "inf", "string-float", "section-number",
+        "idm-string", "tuple-length", "tuple-scalar", "wheelbase-zero", "planner-weights",
+        "planner-horizon", "null-in-list", "top-level-array", "camera-missing-key",
+        "nan-intrinsics", "required-unknown", "required-without-tlc",
+    ],
+)
+def test_generate_bad_config_value_one_error_line(
+    tmp_path, corpus_dir, vocab_file, capsys, config, names
+):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    rc = main([
+        "generate", "--corpus", str(corpus_dir), "--out", str(tmp_path / "ds"),
+        "--vocab", str(vocab_file), "--config", str(config_path),
+    ])
+    assert rc == 1
+    assert names in _one_error_line(capsys)
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("frame", ["ego-local-at-start", "banana"])
+def test_eval_refuses_a_plan_that_is_not_global(tmp_path, corpus_dir, small_vocab, capsys, frame):
+    from drivegen.scenario import _state_to_json
+
+    scenario_path = sorted(corpus_dir.glob("*.json"))[0]
+    entry = small_vocab.entries[0]
+    traj_path = tmp_path / "entry.json"
+    traj_path.write_text(json.dumps(
+        {"dt": entry.dt, "frame": frame, "states": [_state_to_json(s) for s in entry.states]}
+    ))
+    rc = main(["eval", "--scenario", str(scenario_path), "--trajectory", str(traj_path)])
+    assert rc == 1
+    assert frame in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "flags, names",
+    [(["--dt", "0"], "dt"), (["--dt", "-0.1"], "dt"), (["--dt", "inf"], "dt"),
+     (["--horizon", "0"], "horizon"), (["--horizon", "1"], "horizon")],
+)
+def test_build_vocab_bad_step_one_error_line(tmp_path, capsys, flags, names):
+    rc = main([
+        "build-vocab", "--k", "4", "--samples", "16", "--out", str(tmp_path / "v.json"), *flags,
+    ])
+    assert rc == 1
+    assert names in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "manifest, names",
+    [("{not json", "malformed JSON"), ('{"tool_version": "0.1.0"}', "missing field 'config_hash'"),
+     ("[]", "expected an object")],
+    ids=["malformed", "missing-key", "not-an-object"],
+)
+def test_stats_bad_manifest_one_error_line(tmp_path, capsys, manifest, names):
+    (tmp_path / "manifest.json").write_text(manifest)
+    assert main(["stats", "--dataset", str(tmp_path)]) == 1
+    assert names in _one_error_line(capsys)

@@ -38,7 +38,7 @@ def test_bicycle_no_reverse():
 def test_bicycle_yaw_rate_formula():
     # oracle: yaw increment = dt * v * tan(delta) / wheelbase
     expected = 0.1 * 10.0 * math.tan(0.1) / 2.7
-    s = bicycle_step(make_state(v=10.0, steering=0.1), ControlInput(0.0, 0.0), dt=0.1, wheelbase=2.7)
+    s = bicycle_step(make_state(v=10.0, steering=0.1), ControlInput(0.0, 0.0), dt=0.1, limits=VehicleLimits(wheelbase=2.7))
     assert s.pose.theta == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.03717, abs=1e-5)
 

@@ -16,7 +16,9 @@ from drivegen.expert import (
     privileged_plan,
     recovery_retrieve,
 )
-from drivegen.metrics import SimContext, aggregate_epdms, compute_submetrics
+from drivegen.metrics import (
+    MetricWeights, SimContext, SubMetricVector, aggregate_epdms, compute_submetrics,
+)
 from drivegen.reactive import rollout
 from drivegen.scenario import AgentTrack, Scenario, Trajectory
 from drivegen.vocab import Vocabulary, synthesize_maneuvers
@@ -52,7 +54,7 @@ def test_matching_vector_arc_against_scripted_extraction():
     cur = make_state(v=v, steering=delta)
     states = [cur]
     for _ in range(40):
-        cur = bicycle_step(cur, ControlInput(0.0, 0.0), dt, L)
+        cur = bicycle_step(cur, ControlInput(0.0, 0.0), dt, limits=VehicleLimits(wheelbase=L))
         states.append(cur)
     traj = Trajectory(dt=dt, states=tuple(states))
     m = build_matching_vector(traj)
@@ -216,7 +218,7 @@ def test_privileged_plan_argmax_dominates_all_proposals(benign_scenario):
     best_states = rollout(s, best, anchor, s.t_horizon, mode="reactive")
     best_score = aggregate_epdms(
         compute_submetrics(best_states, s, Trajectory(dt=s.dt, states=best_states.ego)),
-        p.weights,
+        MetricWeights(),
     )
     # re-score every proposal independently
     for frac in p.speed_fractions:
@@ -225,7 +227,7 @@ def test_privileged_plan_argmax_dominates_all_proposals(benign_scenario):
             prop = privileged_plan(s, anchor, single)
             st = rollout(s, prop, anchor, s.t_horizon, mode="reactive")
             score = aggregate_epdms(
-                compute_submetrics(st, s, Trajectory(dt=s.dt, states=st.ego)), p.weights
+                compute_submetrics(st, s, Trajectory(dt=s.dt, states=st.ego)), MetricWeights()
             )
             assert best_score >= score - 1e-12
 
@@ -307,9 +309,11 @@ def test_expert_filter_kinematics_rejection(benign_scenario):
     states = SceneStates(
         dt=dt, t_start=anchor, t_end=anchor + s.t_horizon, ego=tuple(sts), agents={}
     )
-    # relax everything else so the kinematic check is the one that fires
-    spec = ExpertFilterSpec(required_ones=frozenset(), ep_min=0.0)
-    accepted, reason = expert_filter(states, s, traj, spec, SimContext(limits=lim))
+    # every sub-metric passes, so the kinematic check is the one that fires
+    ones = SubMetricVector(*[1.0] * 9)
+    accepted, reason = expert_filter(
+        states, s, traj, ExpertFilterSpec(), SimContext(limits=lim), precomputed=ones
+    )
     assert not accepted
     assert reason == "kinematics"
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ from drivegen.reactive import (
     rollout,
     select_leader,
 )
-from drivegen.scenario import Trajectory
+from drivegen.scenario import FRAME_EGO_LOCAL, Trajectory
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 
 from conftest import make_state
@@ -280,6 +281,17 @@ def test_rollout_window_errors(benign_scenario):
         rollout(s, bad_plan, 0, 10, "reactive")
     with pytest.raises(RolloutError):
         rollout(s, plan, 0, 10, "warp-drive")
+
+
+def test_rollout_executes_only_global_plans(benign_scenario):
+    s = benign_scenario
+    anchor = s.anchor_frame
+    local = replace(s.ego_log.segment(anchor, anchor + s.t_horizon), frame=FRAME_EGO_LOCAL)
+    for mode in ("reactive", "nonreactive"):
+        with pytest.raises(RolloutError, match=FRAME_EGO_LOCAL):
+            rollout(s, local, anchor, s.t_horizon, mode)
+    replayed = rollout(s, local, anchor, s.t_horizon, "log-replay-ego")  # the plan is not executed
+    assert replayed.ego == s.ego_log.states[anchor : anchor + s.t_horizon + 1]
 
 
 def test_scene_states_shape_validation():

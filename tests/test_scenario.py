@@ -242,13 +242,3 @@ def test_validate_steering_bound():
     d["ego_log"][3]["steering"] = 0.9
     s = scenario_from_dict(d)
     assert any("steering" in x and "frame 3" in x for x in validate_scenario(s))
-
-
-def test_trajectory_subsample_stride():
-    s = scenario_from_dict(minimal_scenario_dict(t_history=20, t_horizon=20))
-    coarse = s.ego_log.subsample(5)
-    assert coarse.dt == pytest.approx(0.5)
-    assert len(coarse) == 12
-    assert coarse.states[1] == s.ego_log.states[5]
-    with pytest.raises(ValueError):
-        s.ego_log.subsample(0)
