@@ -198,6 +198,7 @@ def cmd_fit_scaling(args: argparse.Namespace) -> int:
 
 
 _MANIFEST_KEYS = {"config_hash", "corpus_ids", "expert_kind", "master_seed", "reactive", "tool_version"}
+_STATS_COLUMNS = {"round", "attempted", "accepted", "cumulative_accepted"}
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -212,8 +213,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"config_hash:   {manifest['config_hash']}")
     print(f"master_seed:   {manifest['master_seed']}")
     print(f"scenarios:     {len(_array(manifest['corpus_ids'], 'corpus_ids'))}")
-    with open(dataset_dir / "stats.csv", newline="", encoding="utf-8") as f:
-        rows = list(csv.DictReader(f))
+    stats_path = dataset_dir / "stats.csv"
+    with open(stats_path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        missing = sorted(_STATS_COLUMNS - set(reader.fieldnames or ()))
+        if missing:
+            raise SchemaError(f"{stats_path}: missing column '{missing[0]}'")
+        rows = list(reader)
     for row in rows:
         print(
             f"round {row['round']}: attempted={row['attempted']} "

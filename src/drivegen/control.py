@@ -52,6 +52,18 @@ class LqrParams:
     control_weights: tuple[float, float] = (0.2, 0.2)
     horizon: int = 10
 
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+        if any(not w >= 0 for w in self.state_weights):
+            raise ValidationError(
+                f"state_weights must be non-negative, got {list(self.state_weights)}"
+            )
+        if any(not w > 0 for w in self.control_weights):
+            raise ValidationError(
+                f"control_weights must be positive, got {list(self.control_weights)}"
+            )
+
 
 def _clamp(v: float, lo: float, hi: float) -> float:
     return lo if v < lo else (hi if v > hi else v)

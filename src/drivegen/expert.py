@@ -9,11 +9,12 @@ centerline-offset proposals in reactive simulation and returns the best one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
+from .batch import StateBatch, _bound, rollout_batch, submetrics_batch
 from .control import VehicleLimits
 from .errors import RolloutError, ValidationError
 from .geometry import (
@@ -22,17 +23,21 @@ from .geometry import (
     angle_diff,
     global_to_local,
     offset_polyline,
+    per_element,
     polyline_ops,
+    wrap_angle_many,
 )
 from .metrics import (
     ALL_METRICS,
     PENALTY_METRICS,
     SimContext,
+    SubMetricVector,
     aggregate_epdms,
     compute_submetrics,
 )
-from .reactive import IdmParams, SceneStates, idm_accel, rollout
-from .scenario import FRAME_GLOBAL, Pose2D, Scenario, Trajectory, VehicleState
+# `rollout` stays bound here: perfbench/tracer.py wraps `expert.rollout` by name
+from .reactive import IdmParams, SceneStates, idm_accel, rollout  # noqa: F401
+from .scenario import Scenario, Trajectory, VehicleState
 from .vocab import Vocabulary
 
 EXPERT_RECOVERY = "recovery"
@@ -135,65 +140,103 @@ class PlannerParams:
             raise ValidationError("speed fractions must lie in [0, 1]")
 
 
-def _proposal_trajectory(
-    scenario: Scenario,
-    start: VehicleState,
-    lateral_offset: float,
-    v_target: float,
-    horizon: int,
-    idm: IdmParams,
-    limits: VehicleLimits,
-) -> Trajectory:
-    """Reference that follows the laterally shifted route with an IDM profile."""
-    if lateral_offset != 0.0:
-        ops = PolylineOps(offset_polyline(scenario.map.route, lateral_offset))
-    else:
-        ops = polyline_ops(scenario.map.route)
-    dt = scenario.dt
-    s0, _, _ = ops.project(start.pose.x, start.pose.y)
-
-    speeds = [start.vel_lon]
+def _speed_profile(
+    v0: float, v_target: float, horizon: int, dt: float, idm: IdmParams
+) -> list[float]:
+    """Free-road IDM speeds toward `v_target`; below 0.1 m/s, comfortable braking to rest."""
+    target = replace(idm, v_desired=v_target) if v_target >= 0.1 else None
+    speeds = [v0]
     for _ in range(horizon):
         v = speeds[-1]
-        if v_target < 0.1:
+        if target is None:
             a = -idm.b_comf if v > 0.0 else 0.0
         else:
-            a = idm_accel(v, None, IdmParams(
-                v_desired=v_target,
-                headway=idm.headway,
-                s0=idm.s0,
-                a_max=idm.a_max,
-                b_comf=idm.b_comf,
-                delta=idm.delta,
-            ))
+            a = idm_accel(v, None, target)
         speeds.append(max(0.0, v + dt * a))
+    return speeds
 
-    arcs = [s0]
+
+def _proposal_references(
+    scenario: Scenario, start: VehicleState, p: PlannerParams, horizon: int, ctx: SimContext
+) -> StateBatch:
+    """(P, horizon + 1) references of all proposals, speed fraction major.
+
+    Each follows the laterally shifted route from the start's projection on
+    it with an IDM speed profile; steering comes from the heading change per
+    arclength, clamped to the steering limit.
+    """
+    dt, lim = scenario.dt, ctx.limits
+    routes = [
+        PolylineOps(offset_polyline(scenario.map.route, o)) if o != 0.0
+        else polyline_ops(scenario.map.route)
+        for o in p.lateral_offsets
+    ]
+    n_off = len(routes)
+    v = np.repeat(
+        [_speed_profile(start.vel_lon, f * ctx.idm.v_desired, horizon, dt, ctx.idm)
+         for f in p.speed_fractions],
+        n_off,
+        axis=0,
+    )
+    arcs = np.empty_like(v)
+    starts = [ops.project(start.pose.x, start.pose.y)[0] for ops in routes]
+    arcs[:, 0] = np.tile(starts, len(p.speed_fractions))
     for k in range(horizon):
-        arcs.append(arcs[-1] + dt * speeds[k])
+        arcs[:, k + 1] = arcs[:, k] + dt * v[:, k]
+    x, y, heading = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+    for i, ops in enumerate(routes):
+        x[i::n_off], y[i::n_off], heading[i::n_off] = ops.point_at_many(arcs[i::n_off])
 
-    poses = [ops.point_at(s) for s in arcs]
-    states = []
-    for k in range(horizon + 1):
-        x, y, heading = poses[k]
-        if k < horizon:
-            ds = max(1e-6, arcs[k + 1] - arcs[k])
-            dtheta = angle_diff(poses[k + 1][2], heading)
-            steering = math.atan(limits.wheelbase * dtheta / ds)
-        else:
-            steering = states[-1].steering if states else 0.0
-        steering = max(-limits.steer_max, min(limits.steer_max, steering))
-        accel = (speeds[k + 1] - speeds[k]) / dt if k < horizon else 0.0
-        states.append(
-            VehicleState(
-                pose=Pose2D(x, y, heading),
-                vel_lon=speeds[k],
-                vel_lat=0.0,
-                accel=accel,
-                steering=steering,
-            )
+    ds = arcs[:, 1:] - arcs[:, :-1]
+    dtheta = wrap_angle_many(heading[:, 1:] - heading[:, :-1])
+    steer = _bound(
+        per_element(math.atan, lim.wheelbase * dtheta / np.where(ds > 1e-6, ds, 1e-6)),
+        lim.steer_max,
+    )
+    return StateBatch.of(
+        x=x,
+        y=y,
+        theta=heading,
+        v=v,
+        v_lat=np.zeros_like(v),
+        accel=np.concatenate([(v[:, 1:] - v[:, :-1]) / dt, np.zeros((len(v), 1))], axis=1),
+        steering=np.concatenate([steer, steer[:, -1:]], axis=1),
+    )
+
+
+def score_proposals(
+    scenario: Scenario,
+    t: int,
+    p: PlannerParams | None = None,
+    ego_start: VehicleState | None = None,
+    agent_init: Mapping[str, VehicleState] | None = None,
+    ctx: SimContext | None = None,
+) -> tuple[StateBatch, np.ndarray, list[float]]:
+    """Every planner proposal simulated and scored in one batched rollout.
+
+    Returns the (P, H + 1) proposal references (speed fraction major), their
+    (P, 9) sub-metrics in `ALL_METRICS` order and the aggregate scores under
+    `ctx.weights`. Row p equals a scalar reactive `rollout` of proposal p
+    scored by `compute_submetrics` on its executed window.
+    """
+    p = p or PlannerParams()
+    ctx = ctx or SimContext()
+    horizon = scenario.t_horizon
+    if t < 0 or horizon < 1 or t + horizon > scenario.frame_count - 1:
+        raise RolloutError(f"planning window [{t}, {t + horizon}] outside scenario")
+    start = ego_start if ego_start is not None else scenario.ego_log[t]
+
+    max_offset = 0.5 * max(l.width for l in scenario.map.lanes) + 1.0
+    if any(abs(o) > max_offset for o in p.lateral_offsets):
+        raise ValidationError(
+            f"lateral offsets must stay within half lane width + 1 m ({max_offset:.2f})"
         )
-    return Trajectory(dt=dt, states=tuple(states), frame=FRAME_GLOBAL)
+
+    refs = _proposal_references(scenario, start, p, horizon, ctx)
+    scene = rollout_batch(scenario, refs, t, horizon, ctx, ego_start=start, agent_init=agent_init)
+    sub = submetrics_batch(scene, scenario, ctx)
+    scores = [aggregate_epdms(SubMetricVector(*row), ctx.weights) for row in sub.tolist()]
+    return refs, sub, scores
 
 
 def privileged_plan(
@@ -207,56 +250,15 @@ def privileged_plan(
     """Best-scoring proposal of a rule-based planner with ground-truth access.
 
     Proposals are the cross product of speed fractions and lateral offsets;
-    each is simulated reactively over the scenario horizon from frame t in
-    the world of `ctx` and scored with the metric aggregate under
-    `ctx.weights`. Returns the winning reference trajectory (ties go to the
-    lower proposal index). `ego_start` / `agent_init` plan from perturbed
-    rather than logged states.
+    all of them are simulated reactively over the scenario horizon from
+    frame t in the world of `ctx`, in one batched rollout, and scored with
+    the metric aggregate under `ctx.weights`. Returns the winning reference
+    trajectory (ties go to the lower proposal index). `ego_start` /
+    `agent_init` plan from perturbed rather than logged states.
     """
-    p = p or PlannerParams()
-    ctx = ctx or SimContext()
-    horizon = scenario.t_horizon
-    if t < 0 or t + horizon > scenario.frame_count - 1:
-        raise RolloutError(f"planning window [{t}, {t + horizon}] outside scenario")
-    start = ego_start if ego_start is not None else scenario.ego_log[t]
-
-    max_offset = 0.5 * max(l.width for l in scenario.map.lanes) + 1.0
-    if any(abs(o) > max_offset for o in p.lateral_offsets):
-        raise ValidationError(
-            f"lateral offsets must stay within half lane width + 1 m ({max_offset:.2f})"
-        )
-
-    best_score = -1.0
-    best: Trajectory | None = None
-    simulable = 0
-    for frac in p.speed_fractions:
-        for offset in p.lateral_offsets:
-            proposal = _proposal_trajectory(
-                scenario, start, offset, frac * ctx.idm.v_desired, horizon, ctx.idm, ctx.limits
-            )
-            try:
-                states = rollout(
-                    scenario,
-                    proposal,
-                    t,
-                    horizon,
-                    mode="reactive",
-                    ctx=ctx,
-                    ego_start=start,
-                    agent_init=agent_init,
-                )
-            except RolloutError:
-                continue
-            simulable += 1
-            executed = Trajectory(dt=scenario.dt, states=states.ego, frame=FRAME_GLOBAL)
-            sub = compute_submetrics(states, scenario, executed, ctx)
-            score = aggregate_epdms(sub, ctx.weights)
-            if score > best_score:
-                best_score = score
-                best = proposal
-    if best is None or simulable == 0:
-        raise RolloutError("no planner proposal was simulable")
-    return best
+    refs, _, scores = score_proposals(scenario, t, p, ego_start, agent_init, ctx)
+    best = max(range(len(scores)), key=scores.__getitem__)  # first of equal maxima
+    return refs.trajectory(best, scenario.dt)
 
 
 # ---------------------------------------------------------------------------

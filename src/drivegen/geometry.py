@@ -7,6 +7,7 @@ polyline/polygon object.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -29,6 +30,36 @@ def wrap_angle(theta: float) -> float:
 def angle_diff(a: float, b: float) -> float:
     """Wrapped difference a - b in (-pi, pi]."""
     return wrap_angle(a - b)
+
+
+def wrap_angle_many(theta: np.ndarray) -> np.ndarray:
+    """`wrap_angle` per element, bit for bit.
+
+    For |theta| <= 4 pi, `math.remainder` takes 0, 1 or 2 whole turns off
+    theta (ties to the even count) and each such subtraction is exact
+    (Sterbenz), so it runs in numpy; larger angles go through `wrap_angle`.
+    """
+    a = np.abs(theta)
+    turns = np.where(a <= math.pi, 0.0, np.where(a - TWO_PI < math.pi, TWO_PI, 2.0 * TWO_PI))
+    r = theta - np.copysign(turns, theta)
+    r = np.where(r == 0.0, np.copysign(0.0, theta), r)  # a zero remainder keeps theta's sign
+    r = np.where(r <= -math.pi, r + TWO_PI, r)
+    far = ~(a <= 2.0 * TWO_PI)
+    if far.any():
+        r[far] = per_element(wrap_angle, theta[far])
+    return r
+
+
+def per_element(fn, *arrays: np.ndarray) -> np.ndarray:
+    """`fn` applied with Python floats to each element of equal-shaped arrays.
+
+    numpy's tan, arctan, arctan2, hypot and power can differ from `math` in
+    the last bit, so batched kernels that must reproduce the scalar code bit
+    for bit evaluate transcendental functions this way.
+    """
+    shape = np.shape(arrays[0])
+    flat = [np.asarray(a, dtype=float).ravel().tolist() for a in arrays]
+    return np.fromiter(map(fn, *flat), dtype=float, count=len(flat[0])).reshape(shape)
 
 
 def rotate(x: float, y: float, theta: float) -> Point:
@@ -80,6 +111,39 @@ def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     if d4 == 0 and on_segment(p1, p2, q2):
         return True
     return False
+
+
+def segments_intersect_many(
+    p1x: np.ndarray, p1y: np.ndarray, p2x: np.ndarray, p2y: np.ndarray, q1: Point, q2: Point
+) -> np.ndarray:
+    """`segments_intersect` of many segments [p1, p2] against one [q1, q2]."""
+
+    def orient(ax, ay, bx, by, cx, cy):
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+    def on_segment(ax, ay, bx, by, cx, cy):
+        return (
+            (np.minimum(ax, bx) - 1e-12 <= cx)
+            & (cx <= np.maximum(ax, bx) + 1e-12)
+            & (np.minimum(ay, by) - 1e-12 <= cy)
+            & (cy <= np.maximum(ay, by) + 1e-12)
+        )
+
+    (q1x, q1y), (q2x, q2y) = q1, q2
+    d1 = orient(q1x, q1y, q2x, q2y, p1x, p1y)
+    d2 = orient(q1x, q1y, q2x, q2y, p2x, p2y)
+    d3 = orient(p1x, p1y, p2x, p2y, q1x, q1y)
+    d4 = orient(p1x, p1y, p2x, p2y, q2x, q2y)
+    proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
+        ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
+    )
+    return (
+        proper
+        | ((d1 == 0) & on_segment(q1x, q1y, q2x, q2y, p1x, p1y))
+        | ((d2 == 0) & on_segment(q1x, q1y, q2x, q2y, p2x, p2y))
+        | ((d3 == 0) & on_segment(p1x, p1y, p2x, p2y, q1x, q1y))
+        | ((d4 == 0) & on_segment(p1x, p1y, p2x, p2y, q2x, q2y))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +329,45 @@ class PolylineOps:
             float(self.heading[i]),
         )
 
+    def point_at_many(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorized `point_at`: (x, y, heading) arrays."""
+        i = np.minimum(np.searchsorted(self.cum_s, s, side="right") - 1, len(self.seg_len) - 1)
+        t = np.minimum(1.0, (s - self.cum_s[i]) / np.maximum(self.seg_len[i], 1e-300))
+        start = s <= 0.0
+        return (
+            np.where(start, self.ax[0], self.ax[i] + t * self.ex[i]),
+            np.where(start, self.ay[0], self.ay[i] + t * self.ey[i]),
+            np.where(start, self.heading[0], self.heading[i]),
+        )
+
+
+class PolylineSetOps:
+    """Segments of several polylines side by side, for nearest-polyline queries."""
+
+    __slots__ = ("ax", "ay", "ex", "ey", "len2", "starts")
+
+    def __init__(self, polylines: Sequence[Sequence[Point]]):
+        ops = [polyline_ops(p) for p in polylines]
+        self.ax, self.ay, self.ex, self.ey, self.len2 = (
+            np.concatenate([getattr(o, name) for o in ops])
+            for name in ("ax", "ay", "ex", "ey", "len2")
+        )
+        self.starts = np.cumsum([0] + [len(o.ax) for o in ops[:-1]])
+
+    def nearest_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Index of the polyline each point is closest to, the first on ties:
+        `PolylineOps.min_dist2` compared in order, in one broadcast."""
+        if len(self.starts) == 1:
+            return np.zeros(len(xs), dtype=int)
+        t = np.clip(
+            ((xs[:, None] - self.ax) * self.ex + (ys[:, None] - self.ay) * self.ey) / self.len2,
+            0.0,
+            1.0,
+        )
+        dx = xs[:, None] - (self.ax + t * self.ex)
+        dy = ys[:, None] - (self.ay + t * self.ey)
+        return np.argmin(np.minimum.reduceat(dx * dx + dy * dy, self.starts, axis=1), axis=1)
+
 
 class PolygonOps:
     """Precomputed edges for vectorized containment (boundary inclusive)."""
@@ -283,20 +386,23 @@ class PolygonOps:
         self.edges = (ex, ey, np.maximum(ex * ex + ey * ey, 1e-300))
 
     def contains_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        px = xs[:, None]
-        py = ys[:, None]
-        cond = (self.yi > py) != (self.yj > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = self.xi + (py - self.yi) * (self.xj - self.xi) / (self.yj - self.yi)
-        crossing = np.where(cond, px < x_cross, False)
-        inside = np.sum(crossing, axis=1) % 2 == 1
+        # ray casting over the (point, edge) pairs whose edge spans the point's y
+        rows, e = np.nonzero((self.yi > ys[:, None]) != (self.yj > ys[:, None]))
+        x_cross = self.xi[e] + (ys[rows] - self.yi[e]) * (self.xj[e] - self.xi[e]) / (
+            self.yj[e] - self.yi[e]
+        )
+        inside = np.bincount(rows[xs[rows] < x_cross], minlength=len(xs)) % 2 == 1
 
-        ex, ey, len2 = self.edges
-        t = np.clip(((px - self.xi) * ex + (py - self.yi) * ey) / len2, 0.0, 1.0)
-        dx = px - (self.xi + t * ex)
-        dy = py - (self.yi + t * ey)
-        on_edge = np.min(dx * dx + dy * dy, axis=1) < 1e-18
-        return inside | on_edge
+        # boundary points count as inside; only points outside need the test
+        out = np.flatnonzero(~inside)
+        if out.size:
+            px, py = xs[out, None], ys[out, None]
+            ex, ey, len2 = self.edges
+            t = np.clip(((px - self.xi) * ex + (py - self.yi) * ey) / len2, 0.0, 1.0)
+            dx = px - (self.xi + t * ex)
+            dy = py - (self.yi + t * ey)
+            inside[out] = np.min(dx * dx + dy * dy, axis=1) < 1e-18
+        return inside
 
 
 _OPS_CACHE: dict[int, tuple[object, object]] = {}
@@ -396,3 +502,69 @@ def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
         if amax < bmin or bmax < amin:
             return False
     return True
+
+
+@dataclass(frozen=True, slots=True)
+class BoxArrays:
+    """Many rectangles of one extent: center arrays and the cos/sin of each
+    heading and of heading + pi/2 (the SAT axes), broadcastable together."""
+
+    x: np.ndarray
+    y: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    cos90: np.ndarray
+    sin90: np.ndarray
+    length: float
+    width: float
+
+    @classmethod
+    def of(
+        cls, x: np.ndarray, y: np.ndarray, heading: np.ndarray, length: float, width: float
+    ) -> "BoxArrays":
+        normal = heading + 0.5 * math.pi
+        return cls(
+            x,
+            y,
+            per_element(math.cos, heading),
+            per_element(math.sin, heading),
+            per_element(math.cos, normal),
+            per_element(math.sin, normal),
+            length,
+            width,
+        )
+
+    def corners(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return box_corners(self.x, self.y, self.cos, self.sin, self.length, self.width)
+
+
+def box_corners(
+    x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray, length: float, width: float
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """FL, FR, RR, RL corner arrays of boxes whose headings have cosine `c`
+    and sine `s`, computed as `OrientedBox.corners`."""
+    hl, hw = 0.5 * length, 0.5 * width
+    return (
+        (x + c * hl - s * hw, y + s * hl + c * hw),
+        (x + c * hl + s * hw, y + s * hl - c * hw),
+        (x - c * hl + s * hw, y - s * hl - c * hw),
+        (x - c * hl - s * hw, y - s * hl + c * hw),
+    )
+
+
+def boxes_overlap_many(a: BoxArrays, b: BoxArrays) -> np.ndarray:
+    """Elementwise `boxes_overlap` of two broadcastable box arrays."""
+    dx, dy = b.x - a.x, b.y - a.y
+    ra = 0.5 * math.hypot(a.length, a.width)
+    rb = 0.5 * math.hypot(b.length, b.width)
+    near = ~(dx * dx + dy * dy > (ra + rb) * (ra + rb))
+
+    ca, cb = a.corners(), b.corners()
+    apart = np.zeros(near.shape, dtype=bool)
+    for axx, axy in ((a.cos, a.sin), (a.cos90, a.sin90), (b.cos, b.sin), (b.cos90, b.sin90)):
+        pa = [px * axx + py * axy for px, py in ca]
+        pb = [px * axx + py * axy for px, py in cb]
+        amin, amax = functools.reduce(np.minimum, pa), functools.reduce(np.maximum, pa)
+        bmin, bmax = functools.reduce(np.minimum, pb), functools.reduce(np.maximum, pb)
+        apart |= (amax < bmin) | (bmax < amin)
+    return near & ~apart

@@ -18,19 +18,22 @@ from .errors import ValidationError
 from .geometry import (
     OrientedBox,
     angle_diff,
+    box_corners,
     boxes_overlap,
     global_to_local,
+    per_element,
     points_in_any_polygon,
     polyline_ops,
     segments_intersect,
 )
 from .control import LqrParams, VehicleLimits
-from .reactive import DEFAULT_B_HARD, IdmParams, SceneStates
+from .reactive import DEFAULT_B_HARD, IdmParams, SceneStates, assign_lanes
 from .scenario import (
     DEFAULT_EGO_LENGTH,
     DEFAULT_EGO_WIDTH,
     Scenario,
     Trajectory,
+    VehicleState,
 )
 
 PENALTY_METRICS = ("nc", "dac", "ddc", "tlc")
@@ -313,6 +316,73 @@ def _extended_comfort(
     return 1.0
 
 
+def pose_arrays(states: Sequence[VehicleState]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, theta) arrays of a state sequence."""
+    return (
+        np.array([s.pose.x for s in states]),
+        np.array([s.pose.y for s in states]),
+        np.array([s.pose.theta for s in states]),
+    )
+
+
+def drivable_area_compliance(
+    xs: np.ndarray, ys: np.ndarray, thetas: np.ndarray, scenario: Scenario, ctx: SimContext
+) -> np.ndarray:
+    """DAC of ego poses of shape (..., n): 1.0 where every footprint corner of
+    all n poses lies inside the drivable union, else 0.0; shape (...)."""
+    c, s = per_element(math.cos, thetas), per_element(math.sin, thetas)
+    corners = box_corners(xs, ys, c, s, *ctx.ego_extent)
+    cx = np.stack([x for x, _ in corners], axis=-1)
+    cy = np.stack([y for _, y in corners], axis=-1)
+    inside = points_in_any_polygon(cx.ravel(), cy.ravel(), scenario.map.drivable_area)
+    return np.where(inside.reshape(cx.shape).all(axis=(-2, -1)), 1.0, 0.0)
+
+
+def lane_compliance(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    thetas: np.ndarray,
+    scenario: Scenario,
+    th: MetricThresholds,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """DDC and LK of ego poses of shape (..., n); each of shape (...).
+
+    Both read the per-frame lane assignment (nearest centerline). DDC fails
+    when the heading deviates from the lane direction by more than 90 degrees
+    for longer than `ddc_max_seconds`; LK when fewer than `lk_min_fraction`
+    of the frames stay within half a lane width plus `lk_margin`.
+    """
+    shape = np.shape(xs)
+    xs, ys, thetas = np.ravel(xs), np.ravel(ys), np.ravel(thetas)
+    assigned = assign_lanes(xs, ys, scenario.map.lanes)
+
+    lat = np.empty(xs.size)
+    deviation = np.empty(xs.size)
+    lk_limit = np.empty(xs.size)
+    for li, lane in enumerate(scenario.map.lanes):
+        mask = assigned == li
+        if not np.any(mask):
+            continue
+        _, lat_l, tangent = polyline_ops(lane.polyline).project_many(xs[mask], ys[mask])
+        heading = tangent if lane.direction >= 0 else tangent + math.pi
+        dev = np.abs(np.remainder(thetas[mask] - heading + math.pi, 2.0 * math.pi) - math.pi)
+        lat[mask] = lat_l
+        deviation[mask] = dev
+        lk_limit[mask] = 0.5 * lane.width + th.lk_margin
+
+    n = shape[-1]
+    frame = np.arange(n)
+    violating = (deviation > 0.5 * math.pi).reshape(shape)
+    # a violating run ending at frame k started after the last compliant frame
+    last_ok = np.maximum.accumulate(np.where(violating, -1, frame), axis=-1)
+    max_run = np.max(frame - last_ok, axis=-1)
+    ddc = np.where(max_run * dt <= th.ddc_max_seconds, 1.0, 0.0)
+    kept = np.sum((np.abs(lat) <= lk_limit).reshape(shape), axis=-1)
+    lk = np.where(kept >= th.lk_min_fraction * n, 1.0, 0.0)
+    return ddc, lk
+
+
 def _route_progress(scenario: Scenario, x0: float, y0: float, x1: float, y1: float) -> float:
     ops = polyline_ops(scenario.map.route)
     s0, _, _ = ops.project(x0, y0)
@@ -360,41 +430,10 @@ def compute_submetrics(
     )
     nc = 0.0 if (event is not None and event.at_fault) else 1.0
 
-    # DAC: every footprint corner inside the drivable union, batched
-    corners = np.array([c for box in ego_boxes for c in box.corners()])
-    inside = points_in_any_polygon(corners[:, 0], corners[:, 1], scenario.map.drivable_area)
-    dac = 1.0 if bool(inside.all()) else 0.0
+    xs, ys, thetas = pose_arrays(states.ego)
+    dac = float(drivable_area_compliance(xs, ys, thetas, scenario, ctx))
 
-    # DDC and LK share the per-frame lane assignment (nearest centerline)
-    xs = np.array([s.pose.x for s in states.ego])
-    ys = np.array([s.pose.y for s in states.ego])
-    thetas = np.array([s.pose.theta for s in states.ego])
-    dists = np.stack(
-        [polyline_ops(lane.polyline).min_dist2_many(xs, ys) for lane in scenario.map.lanes]
-    )
-    assigned = np.argmin(dists, axis=0)
-
-    lat = np.empty(n)
-    deviation = np.empty(n)
-    lk_limit = np.empty(n)
-    for li, lane in enumerate(scenario.map.lanes):
-        mask = assigned == li
-        if not np.any(mask):
-            continue
-        _, lat_l, tangent = polyline_ops(lane.polyline).project_many(xs[mask], ys[mask])
-        heading = tangent if lane.direction >= 0 else tangent + math.pi
-        dev = np.abs(np.remainder(thetas[mask] - heading + math.pi, 2.0 * math.pi) - math.pi)
-        lat[mask] = lat_l
-        deviation[mask] = dev
-        lk_limit[mask] = 0.5 * lane.width + th.lk_margin
-
-    max_run = 0
-    run = 0
-    for violating in deviation > 0.5 * math.pi:
-        run = run + 1 if violating else 0
-        max_run = max(max_run, run)
-    ddc = 1.0 if max_run * states.dt <= th.ddc_max_seconds else 0.0
-    lk = 1.0 if int(np.sum(np.abs(lat) <= lk_limit)) >= th.lk_min_fraction * n else 0.0
+    ddc, lk = (float(v) for v in lane_compliance(xs, ys, thetas, scenario, th, states.dt))
 
     # TLC: crossing a stop line while its light is red
     tlc = 1.0

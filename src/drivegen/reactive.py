@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+import numpy as np
 
 from .control import DEFAULT_STEER_MAX, lqr_track
-from .errors import RolloutError
-from .geometry import PolylineOps, _cached_ops, polyline_ops, wrap_angle
+from .errors import RolloutError, ValidationError
+from .geometry import PolylineOps, PolylineSetOps, _cached_ops, polyline_ops, wrap_angle
 from .scenario import (
     FRAME_GLOBAL,
     Lane,
@@ -46,6 +48,14 @@ class IdmParams:
     a_max: float = 1.5
     b_comf: float = 2.0
     delta: float = 4.0
+
+    def __post_init__(self):
+        for name in ("v_desired", "a_max", "b_comf", "delta"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("headway", "s0"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +119,12 @@ def assign_lane(x: float, y: float, map_model: MapModel) -> int:
         if d < best_d:
             best_i, best_d = i, d
     return best_i
+
+
+def assign_lanes(xs: np.ndarray, ys: np.ndarray, lanes: Sequence[Lane]) -> np.ndarray:
+    """`assign_lane` of many points, for the lanes of a map."""
+    ops = _cached_ops(lanes, lambda ls: PolylineSetOps([l.polyline for l in ls]))
+    return ops.nearest_many(xs, ys)
 
 
 def lane_position(state: VehicleState, map_model: MapModel) -> tuple[Lane, PolylineOps, float]:

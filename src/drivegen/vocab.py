@@ -27,6 +27,8 @@ from .metrics import (
     aggregate_epdms,
     check_collision,
     compute_submetrics,
+    drivable_area_compliance,
+    pose_arrays,
 )
 from .reactive import SceneStates, rollout
 from .scenario import (
@@ -378,8 +380,10 @@ def feasibility_filter(
     Non-reactive checks run on pending candidates; reactive checks require a
     prior non-reactive clearance (the cheap filter always runs first), and
     an unplaced candidate is placed at the anchor state before its rollout.
-    Infeasibility reasons: "collision", "off-road", or "reward". A cleared
-    candidate keeps the states and sub-metrics of this rollout.
+    Infeasibility reasons, tested in this order: "collision", "off-road" (a
+    footprint corner leaves the drivable area; decided before the other
+    sub-metrics are computed), or "reward". A cleared candidate keeps the
+    states and sub-metrics of this rollout.
     """
     if mode == "nonreactive":
         if cand.status != STATUS_PENDING:
@@ -410,14 +414,14 @@ def feasibility_filter(
     }
     if check_collision(ego_boxes, agent_boxes) is not None:
         return replace(failed, reason="collision")
+    if drivable_area_compliance(*pose_arrays(states.ego), scenario, ctx) == 0.0:
+        return replace(failed, reason="off-road")
 
     history = scenario.ego_log.segment(0, anchor)
     combined = Trajectory(
         dt=scenario.dt, states=history.states + states.ego[1:], frame=FRAME_GLOBAL
     )
     sub = compute_submetrics(states, scenario, combined, ctx)
-    if sub.dac == 0.0:
-        return replace(failed, reason="off-road")
     if aggregate_epdms(sub, ctx.weights) < epdms_min:
         return replace(failed, reason="reward")
     return replace(

@@ -329,12 +329,25 @@ _CAMERA = {"id": "c", "dx": 1.0, "dy": 0.0, "dyaw": 0.0, "intrinsics": {"fx": 15
          "config.cameras[0].intrinsics.fx"),
         ({"expert_filter": {"required_ones": [*PENALTY_METRICS, "zz"]}}, "config.expert_filter"),
         ({"expert_filter": {"required_ones": ["nc", "dac", "ddc"]}}, "config.expert_filter"),
+        ({"idm": {"v_desired": 0}}, "config.idm: v_desired must be positive"),
+        ({"idm": {"a_max": -1}}, "config.idm: a_max must be positive"),
+        ({"idm": {"b_comf": 0}}, "config.idm: b_comf must be positive"),
+        ({"idm": {"delta": -4}}, "config.idm: delta must be positive"),
+        ({"idm": {"s0": -1}}, "config.idm: s0 must be non-negative"),
+        ({"lqr": {"horizon": -3}}, "config.lqr: horizon must be >= 1"),
+        ({"lqr": {"horizon": 0}}, "config.lqr: horizon must be >= 1"),
+        ({"lqr": {"control_weights": [0.2, 0]}}, "config.lqr: control_weights must be positive"),
+        ({"lqr": {"state_weights": [1, -2, 0.5, 0.1]}},
+         "config.lqr: state_weights must be non-negative"),
     ],
     ids=[
         "string-int", "bool-int", "float-int", "int-bool", "inf", "string-float", "section-number",
         "idm-string", "tuple-length", "tuple-scalar", "wheelbase-zero", "planner-weights",
         "planner-horizon", "null-in-list", "top-level-array", "camera-missing-key",
         "nan-intrinsics", "required-unknown", "required-without-tlc",
+        "idm-v-desired-zero", "idm-a-max-negative", "idm-b-comf-zero", "idm-delta-negative",
+        "idm-s0-negative", "lqr-horizon-negative", "lqr-horizon-zero", "lqr-control-weight-zero",
+        "lqr-state-weight-negative",
     ],
 )
 def test_generate_bad_config_value_one_error_line(
@@ -389,3 +402,16 @@ def test_stats_bad_manifest_one_error_line(tmp_path, capsys, manifest, names):
     (tmp_path / "manifest.json").write_text(manifest)
     assert main(["stats", "--dataset", str(tmp_path)]) == 1
     assert names in _one_error_line(capsys)
+
+
+def test_stats_missing_column_one_error_line(tmp_path, corpus_dir, vocab_file, capsys):
+    out = tmp_path / "ds"
+    assert main([
+        "generate", "--corpus", str(corpus_dir), "--out", str(out),
+        "--vocab", str(vocab_file), "--rounds", "1", "--expert", "recovery",
+    ]) == 0
+    stats = out / "stats.csv"
+    stats.write_text(stats.read_text().replace("round,", "rnd,", 1))
+    capsys.readouterr()
+    assert main(["stats", "--dataset", str(out)]) == 1
+    assert "stats.csv: missing column 'round'" in _one_error_line(capsys)

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from drivegen.geometry import (
+    TWO_PI,
+    BoxArrays,
     OrientedBox,
     PolylineOps,
+    PolylineSetOps,
     boxes_overlap,
+    boxes_overlap_many,
     corridor_polygon,
     point_in_polygon,
     points_in_any_polygon,
@@ -15,7 +19,9 @@ from drivegen.geometry import (
     polyline_ops,
     project_to_polyline,
     segments_intersect,
+    segments_intersect_many,
     wrap_angle,
+    wrap_angle_many,
 )
 
 
@@ -150,3 +156,86 @@ def test_corridor_polygon_contains_centerline():
     assert polygon_is_simple(poly)
     for x, y in pts:
         assert point_in_polygon(x, y, poly)
+
+
+# --- batched twins: bit for bit against the scalar functions
+
+
+def _same_bits(a, b):
+    bits = lambda v: np.asarray(v, dtype=float).view(np.int64).tolist()
+    return bits(a) == bits(b)
+
+
+def test_wrap_angle_many_is_bit_identical():
+    rng = np.random.default_rng(3)
+    edges = np.array([
+        0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI, 1.5 * TWO_PI, -1.5 * TWO_PI,
+        2 * TWO_PI, -2 * TWO_PI, 3 * math.pi, -3 * math.pi, 1e300, -1e-300, 7 * TWO_PI,
+    ])
+    theta = np.concatenate([
+        rng.uniform(-15.0, 15.0, 200_000),
+        rng.uniform(-math.pi, math.pi, 50_000) - rng.uniform(-math.pi, math.pi, 50_000),
+        edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+    ])
+    assert _same_bits(wrap_angle_many(theta), [wrap_angle(v) for v in theta.tolist()])
+
+
+def _random_boxes(rng, n, spread):
+    return [
+        (rng.uniform(-spread, spread), rng.uniform(-spread, spread), rng.uniform(-4.0, 4.0))
+        for _ in range(n)
+    ]
+
+
+def test_boxes_overlap_many_matches_scalar():
+    rng = random.Random(8)
+    a = _random_boxes(rng, 3000, 4.0)
+    b = _random_boxes(rng, 3000, 4.0)
+    b[:50] = a[:50]  # identical poses
+    a[50:100] = [(x, y, 0.0) for x, y, _ in a[50:100]]
+    b[50:100] = [(x + 4.55, y, 0.0) for x, y, _ in a[50:100]]  # bumpers touch, up to rounding
+    arr = lambda boxes, L, W: BoxArrays.of(*(np.array(c) for c in zip(*boxes)), L, W)
+    got = boxes_overlap_many(arr(a, 4.6, 1.9), arr(b, 4.5, 2.1))
+    expected = [
+        boxes_overlap(OrientedBox(*p, 4.6, 1.9), OrientedBox(*q, 4.5, 2.1)) for p, q in zip(a, b)
+    ]
+    assert got.tolist() == expected
+    assert 0 < sum(expected) < len(expected)
+
+
+def test_segments_intersect_many_matches_scalar():
+    rng = random.Random(4)
+    q1, q2 = (0.0, -2.0), (0.0, 2.0)
+    segs = [((rng.uniform(-3, 3), rng.uniform(-3, 3)), (rng.uniform(-3, 3), rng.uniform(-3, 3)))
+            for _ in range(2000)]
+    segs += [((-1.0, 0.0), (0.0, 0.0)), ((0.0, 2.0), (1.0, 3.0)), ((0.0, -3.0), (0.0, -2.5)),
+             ((-1.0, 1.0), (1.0, 1.0)), ((0.0, 3.0), (0.0, 1.0))]  # touching and collinear cases
+    p1x, p1y, p2x, p2y = (np.array(c) for c in zip(*[(*p, *q) for p, q in segs]))
+    got = segments_intersect_many(p1x, p1y, p2x, p2y, q1, q2)
+    assert got.tolist() == [segments_intersect(p, q, q1, q2) for p, q in segs]
+
+
+def test_point_at_many_and_nearest_polyline_match_scalar():
+    rng = random.Random(12)
+    pts = [(0.0, 0.0)]
+    heading = 0.0
+    for _ in range(12):
+        heading += rng.uniform(-0.4, 0.4)
+        pts.append((pts[-1][0] + 5 * math.cos(heading), pts[-1][1] + 5 * math.sin(heading)))
+    ops = PolylineOps(pts)
+    s = np.array([-1.0, 0.0, 1e-9, float(ops.cum_s[3]), float(ops.cum_s[-1]), 1e3]
+                 + [rng.uniform(-5, 70) for _ in range(500)])
+    x, y, h = ops.point_at_many(s)
+    expected = [ops.point_at(v) for v in s.tolist()]
+    assert _same_bits(x, [e[0] for e in expected])
+    assert _same_bits(y, [e[1] for e in expected])
+    assert _same_bits(h, [e[2] for e in expected])
+
+    other = tuple((px, py + 3.5) for px, py in pts)
+    lines = (tuple(pts), other, tuple(pts))  # the repeated line never wins a tie
+    xs = np.array([rng.uniform(-5, 60) for _ in range(500)] + [pts[4][0]])
+    ys = np.array([rng.uniform(-5, 10) for _ in range(500)] + [pts[4][1] + 1.75])
+    got = PolylineSetOps(lines).nearest_many(xs, ys)
+    for i, (px, py) in enumerate(zip(xs.tolist(), ys.tolist())):
+        d = [polyline_ops(line).min_dist2(px, py) for line in lines]
+        assert got[i] == d.index(min(d))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import drivegen.batch
 import drivegen.expert
 import drivegen.pipeline
 import drivegen.reactive
@@ -203,10 +204,13 @@ def test_screen_simulates_the_configured_world(small_corpus, small_vocab, monkey
     assert checked > 0
     assert ego_lengths == {6.0}
 
+    # the planner's batched rollout simulates the same world
     contexts = []
-    _spy(monkeypatch, drivegen.expert, "rollout",
-         lambda args, kwargs: contexts.append(kwargs["ctx"]))
+    _spy(monkeypatch, drivegen.expert, "rollout_batch",
+         lambda args, kwargs: contexts.append(args[4]))
     ego_lengths.clear()
+    _spy(monkeypatch, drivegen.batch, "select_leaders",
+         lambda args, kwargs: ego_lengths.add(args[1]["ego"][1]))
     s = next(x for x in small_corpus if x.agents)
     privileged_plan(s, s.anchor_frame, config.planner, ctx=ctx)
     assert contexts and all(c is ctx for c in contexts)
