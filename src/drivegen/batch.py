@@ -1,111 +1,41 @@
-"""Lockstep batched simulation and scoring of many ego plans in one scene.
+"""Lockstep batched simulation of many ego plans in one scene.
 
 `rollout_batch` steps P ego reference plans together as (P, ·) numpy arrays:
 LQR tracking of the ego and, for each agent, lane assignment, projection,
-leader choice, IDM and pure pursuit, vectorized over the P rows.
-`submetrics_batch` scores every row with the nine sub-metrics.
+leader choice, IDM and pure pursuit, vectorized over the P rows;
+`metrics.submetrics_batch` scores the resulting scene.
 
-Both reproduce the scalar `reactive.rollout` (reactive mode) and
-`metrics.compute_submetrics` bit for bit: elementary arithmetic runs in numpy
-in the scalar code's order, comparisons and clamps keep its tie and
-signed-zero behaviour, angles wrap through the exact `geometry.wrap_angle_many`,
-and transcendental functions run per element through `math`
-(`geometry.per_element`). So every binary decision (collision, lane keeping,
-comfort and TTC thresholds, lane and leader choice) comes out as the scalar
-oracle's.
+It reproduces the scalar `reactive.rollout` (reactive mode) bit for bit:
+elementary arithmetic runs in numpy in the scalar code's order, comparisons
+and clamps keep its tie and signed-zero behaviour, angles wrap through the
+exact `geometry.wrap_angle_many`, and transcendental functions run per element
+through `math` (`geometry.per_element`). So every lane and leader choice comes
+out as the scalar oracle's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .control import DEFAULT_STEER_MAX, GAIN_DELTA_STEP, GAIN_V_STEP, _tracking_gain
 from .errors import RolloutError
-from .geometry import (
-    BoxArrays,
-    OrientedBox,
-    boxes_overlap_many,
-    per_element,
-    polyline_ops,
-    segments_intersect_many,
-    wrap_angle,
-    wrap_angle_many,
-)
-from .metrics import (
-    SimContext,
-    _route_progress,
-    check_collision,
-    drivable_area_compliance,
-    lane_compliance,
-)
+from .geometry import per_element, wrap_angle, wrap_angle_many
 from .reactive import (
     LEADER_LOOKAHEAD,
     PURE_PURSUIT_LOOKAHEAD,
+    SceneBatch,
+    StateBatch,
     assign_lanes,
     idm_accel,
     lane_centerline_ops,
 )
-from .scenario import FRAME_GLOBAL, Lane, Pose2D, Scenario, Trajectory, VehicleState
+from .scenario import Lane, Scenario, VehicleState
 
-
-@dataclass(frozen=True, slots=True)
-class StateBatch:
-    """The seven `VehicleState` fields stacked on axis 0 of one array: (7, P)
-    for one frame of P rows, (7, P, n) for P tracks of n frames."""
-
-    data: np.ndarray
-
-    x = property(lambda self: self.data[0])
-    y = property(lambda self: self.data[1])
-    theta = property(lambda self: self.data[2])
-    v = property(lambda self: self.data[3])  # vel_lon
-    v_lat = property(lambda self: self.data[4])
-    accel = property(lambda self: self.data[5])
-    steering = property(lambda self: self.data[6])
-
-    @classmethod
-    def of(cls, x, y, theta, v, v_lat, accel, steering) -> "StateBatch":
-        return cls(np.stack([x, y, theta, v, v_lat, accel, steering]))
-
-    @classmethod
-    def full(cls, state: VehicleState, rows: int) -> "StateBatch":
-        p = state.pose
-        values = [p.x, p.y, p.theta, state.vel_lon, state.vel_lat, state.accel, state.steering]
-        return cls(np.repeat(np.array(values)[:, None], rows, axis=1))
-
-    @classmethod
-    def stack(cls, frames: Sequence["StateBatch"]) -> "StateBatch":
-        """(7, P, n) tracks from n per-frame batches."""
-        return cls(np.stack([f.data for f in frames], axis=-1))
-
-    def at(self, k: int) -> "StateBatch":
-        return StateBatch(self.data[:, :, k])
-
-    def trajectory(self, row: int, dt: float) -> Trajectory:
-        """The global-frame trajectory of one row of tracks."""
-        return Trajectory(
-            dt=dt,
-            states=tuple(
-                VehicleState(Pose2D(x, y, th), v, v_lat, a, st)
-                for x, y, th, v, v_lat, a, st in self.data[:, row, :].T.tolist()
-            ),
-            frame=FRAME_GLOBAL,
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class SceneBatch:
-    """P simulated versions of one frame window: the batched `SceneStates`."""
-
-    dt: float
-    t_start: int
-    t_end: int
-    ego: StateBatch
-    agents: Mapping[str, StateBatch]  # ascending id
+if TYPE_CHECKING:  # metrics scores what this module simulates; neither imports the other
+    from .metrics import SimContext
 
 
 def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -337,179 +267,4 @@ def rollout_batch(
         t_end=t_start + horizon,
         ego=ego,
         agents={aid: StateBatch.stack(frames) for aid, frames in tracks.items()},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Scoring
-
-
-def _no_collision(
-    scene: SceneBatch, scenario: Scenario, ctx: SimContext, ego_boxes, agent_boxes
-) -> np.ndarray:
-    """NC per row: the first overlap decides, and `check_collision` judges its fault."""
-    nc = np.ones(scene.ego.x.shape[0])
-    hits = np.stack(
-        [boxes_overlap_many(ego_boxes, agent_boxes[aid]) for aid in scene.agents], axis=-1
-    )
-    extents = {a.id: (a.length, a.width) for a in scenario.agents}
-    static_ids = {a.id for a in scenario.agents if a.kind == "static"}
-
-    def box(track: StateBatch, p: int, k: int, extent) -> list[OrientedBox]:
-        return [OrientedBox(*track.data[:3, p, k].tolist(), *extent)]
-
-    ego = scene.ego
-    for p in np.flatnonzero(hits.any(axis=(1, 2))).tolist():
-        k = int(np.argmax(hits[p].any(axis=1)))
-        # the scalar check on frame k alone finds the same first agent and rules on it
-        event = check_collision(
-            box(ego, p, k, ctx.ego_extent),
-            {aid: box(t, p, k, extents[aid]) for aid, t in scene.agents.items()},
-            ego_speeds=[float(ego.v[p, k])],
-            static_ids=static_ids,
-            moving_speed=ctx.thresholds.moving_speed,
-        )
-        if event.at_fault:
-            nc[p] = 0.0
-    return nc
-
-
-def _traffic_light_compliance(scene: SceneBatch, scenario: Scenario) -> np.ndarray:
-    """TLC per row: 0 when the ego crosses a stop line while its light is red."""
-    ego = scene.ego
-    tlc = np.ones(ego.x.shape[0])
-    for light in scenario.map.traffic_lights:
-        red = [
-            k
-            for k in range(ego.x.shape[1] - 1)
-            if light.state_at((scene.t_start + k) * scene.dt) == "red"
-        ]
-        if not red:
-            continue
-        after = [k + 1 for k in red]
-        crossed = segments_intersect_many(
-            ego.x[:, red], ego.y[:, red], ego.x[:, after], ego.y[:, after], *light.stop_line
-        )
-        tlc[crossed.any(axis=1)] = 0.0
-    return tlc
-
-
-def _progress(scene: SceneBatch, scenario: Scenario, ctx: SimContext) -> np.ndarray:
-    """EP per row: route progress over the logged human progress of the window."""
-    ego, th = scene.ego, ctx.thresholds
-    ops = polyline_ops(scenario.map.route)
-    s0, _, _ = ops.project_many(ego.x[:, 0], ego.y[:, 0])
-    s1, _, _ = ops.project_many(ego.x[:, -1], ego.y[:, -1])
-    log_a, log_b = scenario.ego_log[scene.t_start], scenario.ego_log[scene.t_end]
-    reference = _route_progress(scenario, log_a.pose.x, log_a.pose.y, log_b.pose.x, log_b.pose.y)
-    if reference < th.ep_min_reference:
-        return np.ones(ego.x.shape[0])
-    ratio = _floor0(_floor0(s1 - s0) / reference)
-    return np.where(ratio < 1.0, ratio, 1.0)
-
-
-def _swept(states: StateBatch, boxes: BoxArrays, vx, vy, cells, taus: np.ndarray) -> BoxArrays:
-    """The boxes at `cells` ((rows, frame) indices) moved at velocity
-    (vx, vy) for each time in `taus`: shape (rows, taus)."""
-    return BoxArrays(
-        states.x[cells][:, None] + vx[cells][:, None] * taus,
-        states.y[cells][:, None] + vy[cells][:, None] * taus,
-        boxes.cos[cells][:, None],
-        boxes.sin[cells][:, None],
-        boxes.cos90[cells][:, None],
-        boxes.sin90[cells][:, None],
-        boxes.length,
-        boxes.width,
-    )
-
-
-def _time_to_collision(
-    scene: SceneBatch, scenario: Scenario, ctx: SimContext, ego_boxes, agent_boxes
-) -> np.ndarray:
-    """`metrics.time_to_collision` per row, frame by frame in the scalar order,
-    since its quick reject reads the running minimum."""
-    th, ego, dt = ctx.thresholds, scene.ego, scene.dt
-    horizon = th.ttc_horizon
-    taus = np.arange(int(round(horizon / dt)) + 1) * dt
-    best = np.full(ego.x.shape[0], math.inf)
-    evx = ego_boxes.cos * ego.v - ego_boxes.sin * ego.v_lat
-    evy = ego_boxes.sin * ego.v + ego_boxes.cos * ego.v_lat
-    moving = ego.v > th.ttc_min_ego_speed
-    extents = {a.id: (a.length, a.width) for a in scenario.agents}
-    others = []
-    for aid, t in scene.agents.items():
-        b = agent_boxes[aid]
-        radii = 0.5 * math.hypot(*ctx.ego_extent) + 0.5 * math.hypot(*extents[aid])
-        others.append((t, b, b.cos * t.v - b.sin * t.v_lat, b.sin * t.v + b.cos * t.v_lat, radii))
-
-    for k in range(ego.x.shape[1]):
-        if not moving[:, k].any():
-            continue
-        for t, b, avx, avy, radii in others:
-            rvx, rvy = evx[:, k] - avx[:, k], evy[:, k] - avy[:, k]
-            dist = per_element(math.hypot, t.x[:, k] - ego.x[:, k], t.y[:, k] - ego.y[:, k])
-            reach = per_element(math.hypot, rvx, rvy) * np.where(best < horizon, best, horizon)
-            rows = np.flatnonzero(moving[:, k] & ~(dist - reach > radii))
-            if not rows.size:
-                continue
-            hit = boxes_overlap_many(
-                _swept(ego, ego_boxes, evx, evy, (rows, k), taus),
-                _swept(t, b, avx, avy, (rows, k), taus),
-            )
-            hit &= taus < best[rows][:, None]
-            first = np.argmax(hit, axis=1)
-            has = hit.any(axis=1)
-            best[rows[has]] = taus[first[has]]
-    return best
-
-
-def _history_comfort(ego: StateBatch, dt: float, ctx: SimContext) -> np.ndarray:
-    """HC per row: accel, jerk, yaw rate and yaw acceleration within bounds."""
-    th = ctx.thresholds
-    accel = (ego.v[:, 1:] - ego.v[:, :-1]) / dt
-    jerk = (accel[:, 1:] - accel[:, :-1]) / dt
-    yaw_rate = wrap_angle_many(ego.theta[:, 1:] - ego.theta[:, :-1]) / dt
-    yaw_accel = (yaw_rate[:, 1:] - yaw_rate[:, :-1]) / dt
-    ok = (
-        np.all(np.abs(accel) <= th.hc_accel_max, axis=1)
-        & np.all(np.abs(jerk) <= th.hc_jerk_max, axis=1)
-        & np.all(np.abs(yaw_rate) <= th.hc_yaw_rate_max, axis=1)
-        & np.all(np.abs(yaw_accel) <= th.hc_yaw_accel_max, axis=1)
-    )
-    return np.where(ok, 1.0, 0.0)
-
-
-def submetrics_batch(scene: SceneBatch, scenario: Scenario, ctx: SimContext) -> np.ndarray:
-    """(P, 9) sub-metrics in `metrics.ALL_METRICS` order, one row per plan.
-
-    Each row equals `compute_submetrics(states, scenario, executed, ctx)` of
-    that row's `SceneStates`, with comfort judged on the simulated window
-    itself (`executed`) and no stage-1 features, so extended comfort is 1.
-    """
-    ego, th = scene.ego, ctx.thresholds
-    rows = ego.x.shape[0]
-    if scene.agents:
-        ego_boxes = BoxArrays.of(ego.x, ego.y, ego.theta, *ctx.ego_extent)
-        extents = {a.id: (a.length, a.width) for a in scenario.agents}
-        agent_boxes = {
-            aid: BoxArrays.of(t.x, t.y, t.theta, *extents[aid]) for aid, t in scene.agents.items()
-        }
-        nc = _no_collision(scene, scenario, ctx, ego_boxes, agent_boxes)
-        min_ttc = _time_to_collision(scene, scenario, ctx, ego_boxes, agent_boxes)
-    else:
-        nc, min_ttc = np.ones(rows), np.full(rows, math.inf)
-    ddc, lk = lane_compliance(ego.x, ego.y, ego.theta, scenario, th, scene.dt)
-    return np.stack(
-        [
-            nc,
-            drivable_area_compliance(ego.x, ego.y, ego.theta, scenario, ctx),
-            ddc,
-            _traffic_light_compliance(scene, scenario),
-            _progress(scene, scenario, ctx),
-            np.where(min_ttc >= th.ttc_min, 1.0, 0.0),
-            lk,
-            _history_comfort(ego, scene.dt, ctx),
-            np.ones(rows),
-        ],
-        axis=1,
     )

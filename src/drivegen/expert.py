@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .batch import StateBatch, _bound, rollout_batch, submetrics_batch
+from .batch import _bound, rollout_batch
 from .control import VehicleLimits
 from .errors import RolloutError, ValidationError
 from .geometry import (
@@ -34,9 +34,10 @@ from .metrics import (
     SubMetricVector,
     aggregate_epdms,
     compute_submetrics,
+    submetrics_batch,
 )
 # `rollout` stays bound here: perfbench/tracer.py wraps `expert.rollout` by name
-from .reactive import IdmParams, SceneStates, idm_accel, rollout  # noqa: F401
+from .reactive import IdmParams, SceneStates, StateBatch, idm_accel, rollout  # noqa: F401
 from .scenario import Scenario, Trajectory, VehicleState
 from .vocab import Vocabulary
 

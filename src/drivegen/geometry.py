@@ -306,16 +306,6 @@ class PolylineOps:
         dy = y - (self.ay + t * self.ey)
         return float(np.min(dx * dx + dy * dy))
 
-    def min_dist2_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        t = np.clip(
-            ((xs[:, None] - self.ax) * self.ex + (ys[:, None] - self.ay) * self.ey) / self.len2,
-            0.0,
-            1.0,
-        )
-        dx = xs[:, None] - (self.ax + t * self.ex)
-        dy = ys[:, None] - (self.ay + t * self.ey)
-        return np.min(dx * dx + dy * dy, axis=1)
-
     def point_at(self, s: float) -> tuple[float, float, float]:
         if s <= 0.0:
             return float(self.ax[0]), float(self.ay[0]), float(self.heading[0])

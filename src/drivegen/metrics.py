@@ -16,18 +16,28 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import (
+    BoxArrays,
     OrientedBox,
     angle_diff,
     box_corners,
     boxes_overlap,
+    boxes_overlap_many,
     global_to_local,
     per_element,
     points_in_any_polygon,
     polyline_ops,
-    segments_intersect,
+    segments_intersect_many,
+    wrap_angle_many,
 )
 from .control import LqrParams, VehicleLimits
-from .reactive import DEFAULT_B_HARD, IdmParams, SceneStates, assign_lanes
+from .reactive import (
+    DEFAULT_B_HARD,
+    IdmParams,
+    SceneBatch,
+    SceneStates,
+    StateBatch,
+    assign_lanes,
+)
 from .scenario import (
     DEFAULT_EGO_LENGTH,
     DEFAULT_EGO_WIDTH,
@@ -79,6 +89,14 @@ class MetricWeights:
     w_hc: float = 2.0
     w_ec: float = 2.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            w = getattr(self, f.name)
+            if not w >= 0:
+                raise ValidationError(f"{f.name} must be non-negative, got {w}")
+        if not self.total() > 0:
+            raise ValidationError("metric weight sum must be positive")
+
     def total(self) -> float:
         return self.w_ep + self.w_ttc + self.w_lk + self.w_hc + self.w_ec
 
@@ -100,6 +118,18 @@ class MetricThresholds:
     hc_yaw_rate_max: float = 0.95  # rad/s
     hc_yaw_accel_max: float = 1.9  # rad/s^2
     ec_rel_tol: float = 0.3
+
+    def __post_init__(self):
+        if not self.ttc_horizon > 0:
+            raise ValidationError(f"ttc_horizon must be positive, got {self.ttc_horizon}")
+        v = self.lk_min_fraction
+        if not 0 <= v <= 1:
+            raise ValidationError(f"lk_min_fraction must lie in [0, 1], got {v}")
+        # speeds, durations and the comfort tolerance
+        for name in ("moving_speed", "ttc_min_ego_speed", "ttc_min", "ddc_max_seconds", "ec_rel_tol"):
+            v = getattr(self, name)
+            if not v >= 0:
+                raise ValidationError(f"{name} must be non-negative, got {v}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,8 +177,6 @@ class CollisionEvent:
 def aggregate_epdms(s: SubMetricVector, w: MetricWeights) -> float:
     """Penalty product times the weighted average of the graded group."""
     total = w.total()
-    if total <= 0.0:
-        raise ValueError("metric weight sum must be positive")
     penalties = s.nc * s.dac * s.ddc * s.tlc
     avg = (
         w.w_ep * s.ep + w.w_ttc * s.ttc + w.w_lk * s.lk + w.w_hc * s.hc + w.w_ec * s.ec
@@ -207,63 +235,6 @@ def check_collision(
     return None
 
 
-def time_to_collision(
-    states: SceneStates,
-    ego_extent: tuple[float, float] = (DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH),
-    agent_extents: Mapping[str, tuple[float, float]] | None = None,
-    horizon: float = 3.0,
-    min_ego_speed: float = 0.0,
-) -> float:
-    """Minimum constant-velocity projected time to collision over all frames.
-
-    Entities are extrapolated at their instantaneous velocity for up to
-    `horizon` seconds in steps of dt; the earliest projected overlap gives
-    the per-frame TTC. Frames where the ego is at or below `min_ego_speed`
-    are skipped. Returns +inf when no projected overlap exists.
-    """
-    if agent_extents is None:
-        agent_extents = {}
-    dt = states.dt
-    steps = int(round(horizon / dt))
-    best = math.inf
-
-    for k in range(states.frame_count):
-        ego = states.ego[k]
-        if ego.vel_lon <= min_ego_speed:
-            continue
-        c, s = math.cos(ego.pose.theta), math.sin(ego.pose.theta)
-        evx = c * ego.vel_lon - s * ego.vel_lat
-        evy = s * ego.vel_lon + c * ego.vel_lat
-        for aid, track in states.agents.items():
-            ag = track[k]
-            le, we = agent_extents.get(aid, (4.5, 1.9))
-            ca, sa = math.cos(ag.pose.theta), math.sin(ag.pose.theta)
-            avx = ca * ag.vel_lon - sa * ag.vel_lat
-            avy = sa * ag.vel_lon + ca * ag.vel_lat
-            rvx, rvy = evx - avx, evy - avy
-            # quick reject: relative displacement can never close the gap
-            dist = math.hypot(ag.pose.x - ego.pose.x, ag.pose.y - ego.pose.y)
-            reach = math.hypot(rvx, rvy) * min(horizon, best if best < math.inf else horizon)
-            radii = 0.5 * math.hypot(*ego_extent) + 0.5 * math.hypot(le, we)
-            if dist - reach > radii:
-                continue
-            for j in range(steps + 1):
-                tau = j * dt
-                if tau >= best:
-                    break
-                eb = OrientedBox(
-                    ego.pose.x + evx * tau, ego.pose.y + evy * tau, ego.pose.theta, *ego_extent
-                )
-                ab = OrientedBox(
-                    ag.pose.x + avx * tau, ag.pose.y + avy * tau, ag.pose.theta, le, we
-                )
-                if boxes_overlap(eb, ab):
-                    if tau < best:
-                        best = tau
-                    break
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Sub-metric computation
 
@@ -288,17 +259,6 @@ def comfort_features(traj: Trajectory) -> tuple[float, float, float]:
         max((abs(j) for j in jerk), default=0.0),
         max((abs(r) for r in yaw_rate), default=0.0),
     )
-
-
-def _history_comfort(traj: Trajectory, th: MetricThresholds) -> float:
-    accel, jerk, yaw_rate, yaw_accel = comfort_profile(traj)
-    ok = (
-        all(abs(a) <= th.hc_accel_max for a in accel)
-        and all(abs(j) <= th.hc_jerk_max for j in jerk)
-        and all(abs(r) <= th.hc_yaw_rate_max for r in yaw_rate)
-        and all(abs(r) <= th.hc_yaw_accel_max for r in yaw_accel)
-    )
-    return 1.0 if ok else 0.0
 
 
 def _extended_comfort(
@@ -383,11 +343,204 @@ def lane_compliance(
     return ddc, lk
 
 
-def _route_progress(scenario: Scenario, x0: float, y0: float, x1: float, y1: float) -> float:
-    ops = polyline_ops(scenario.map.route)
-    s0, _, _ = ops.project(x0, y0)
-    s1, _, _ = ops.project(x1, y1)
-    return max(0.0, s1 - s0)
+# ---------------------------------------------------------------------------
+# The scoring kernel: every sub-metric over (rows, frames) arrays
+
+
+def _no_collision(
+    scene: SceneBatch, scenario: Scenario, ctx: SimContext, ego_boxes, agent_boxes
+) -> np.ndarray:
+    """NC per row: the first overlap decides, and `check_collision` judges its fault."""
+    nc = np.ones(scene.ego.x.shape[0])
+    hits = np.stack(
+        [boxes_overlap_many(ego_boxes, agent_boxes[aid]) for aid in scene.agents], axis=-1
+    )
+    extents = {a.id: (a.length, a.width) for a in scenario.agents}
+    static_ids = {a.id for a in scenario.agents if a.kind == "static"}
+
+    def box(track: StateBatch, p: int, k: int, extent) -> list[OrientedBox]:
+        return [OrientedBox(*track.data[:3, p, k].tolist(), *extent)]
+
+    ego = scene.ego
+    for p in np.flatnonzero(hits.any(axis=(1, 2))).tolist():
+        k = int(np.argmax(hits[p].any(axis=1)))
+        # the check on frame k alone finds the first agent in contact and rules on it
+        event = check_collision(
+            box(ego, p, k, ctx.ego_extent),
+            {aid: box(t, p, k, extents[aid]) for aid, t in scene.agents.items()},
+            ego_speeds=[float(ego.v[p, k])],
+            static_ids=static_ids,
+            moving_speed=ctx.thresholds.moving_speed,
+        )
+        if event.at_fault:
+            nc[p] = 0.0
+    return nc
+
+
+def _traffic_light_compliance(scene: SceneBatch, scenario: Scenario) -> np.ndarray:
+    """TLC per row: 0 when the ego crosses a stop line while its light is red."""
+    ego = scene.ego
+    tlc = np.ones(ego.x.shape[0])
+    for light in scenario.map.traffic_lights:
+        red = [
+            k
+            for k in range(ego.x.shape[1] - 1)
+            if light.state_at((scene.t_start + k) * scene.dt) == "red"
+        ]
+        if not red:
+            continue
+        after = [k + 1 for k in red]
+        crossed = segments_intersect_many(
+            ego.x[:, red], ego.y[:, red], ego.x[:, after], ego.y[:, after], *light.stop_line
+        )
+        tlc[crossed.any(axis=1)] = 0.0
+    return tlc
+
+
+def _progress(scene: SceneBatch, scenario: Scenario, th: MetricThresholds) -> np.ndarray:
+    """EP per row: route progress over the logged human progress of the window."""
+    ego = scene.ego
+    rows = ego.x.shape[0]
+    log_a, log_b = scenario.ego_log[scene.t_start], scenario.ego_log[scene.t_end]
+    s, _, _ = polyline_ops(scenario.map.route).project_many(
+        np.concatenate([ego.x[:, 0], ego.x[:, -1], [log_a.pose.x, log_b.pose.x]]),
+        np.concatenate([ego.y[:, 0], ego.y[:, -1], [log_a.pose.y, log_b.pose.y]]),
+    )
+    reference = max(0.0, s[-1] - s[-2])
+    if reference < th.ep_min_reference:
+        return np.ones(rows)
+    progress = s[rows : 2 * rows] - s[:rows]
+    ratio = np.where(progress > 0.0, progress, 0.0) / reference
+    ratio = np.where(ratio > 0.0, ratio, 0.0)
+    return np.where(ratio < 1.0, ratio, 1.0)
+
+
+def _swept(states: StateBatch, boxes: BoxArrays, vx, vy, cells, taus: np.ndarray) -> BoxArrays:
+    """The boxes at `cells` ((rows, frame) indices) moved at velocity
+    (vx, vy) for each time in `taus`: shape (rows, taus)."""
+    return BoxArrays(
+        states.x[cells][:, None] + vx[cells][:, None] * taus,
+        states.y[cells][:, None] + vy[cells][:, None] * taus,
+        boxes.cos[cells][:, None],
+        boxes.sin[cells][:, None],
+        boxes.cos90[cells][:, None],
+        boxes.sin90[cells][:, None],
+        boxes.length,
+        boxes.width,
+    )
+
+
+def time_to_collision(
+    scene: SceneBatch,
+    ego_boxes: BoxArrays,
+    agent_boxes: Mapping[str, BoxArrays],
+    horizon: float = 3.0,
+    min_ego_speed: float = 0.0,
+) -> np.ndarray:
+    """Minimum constant-velocity projected time to collision per row, over all frames.
+
+    Each entity, a box of `ego_boxes` or `agent_boxes` (its frames of the
+    scene), is extrapolated at its instantaneous velocity for up to `horizon`
+    seconds in steps of dt; the earliest projected overlap gives a frame's TTC.
+    Frames where the ego is at or below `min_ego_speed` are skipped. +inf
+    where no projected overlap exists.
+
+    The quick reject of a (frame, agent) pair reads the running minimum, so
+    pairs are judged frame by frame, agents in scene order: a pair is skipped
+    when its distance exceeds both circumradii plus its relative reach within
+    the minimum (at most `horizon`). A pair skipped at the full horizon is
+    skipped under every minimum (fl(a * b) is monotone in b for a >= 0), so
+    all other pairs are swept at once; only those that overlap can lower the
+    minimum, and they are replayed in that order.
+    """
+    ego, dt = scene.ego, scene.dt
+    taus = np.arange(int(round(horizon / dt)) + 1) * dt
+    best = np.full(ego.x.shape[0], math.inf)
+    evx = ego_boxes.cos * ego.v - ego_boxes.sin * ego.v_lat
+    evy = ego_boxes.sin * ego.v + ego_boxes.cos * ego.v_lat
+    moving = ego.v > min_ego_speed
+    pairs = []
+    for aid, t in scene.agents.items():
+        b = agent_boxes[aid]
+        avx, avy = b.cos * t.v - b.sin * t.v_lat, b.sin * t.v + b.cos * t.v_lat
+        dist = per_element(math.hypot, t.x - ego.x, t.y - ego.y)
+        speed = per_element(math.hypot, evx - avx, evy - avy)
+        radii = 0.5 * math.hypot(ego_boxes.length, ego_boxes.width) + 0.5 * math.hypot(
+            b.length, b.width
+        )
+        cells = np.nonzero(moving & ~(dist - speed * horizon > radii))
+        if not cells[0].size:
+            continue
+        hit = boxes_overlap_many(
+            _swept(ego, ego_boxes, evx, evy, cells, taus), _swept(t, b, avx, avy, cells, taus)
+        )
+        first = np.full(dist.shape, math.inf)  # earliest overlap of each (row, frame)
+        first[cells] = np.where(hit.any(axis=1), taus[np.argmax(hit, axis=1)], math.inf)
+        pairs.append((dist, speed, radii, first))
+
+    frames = set()
+    for *_, first in pairs:
+        frames.update(np.flatnonzero((first < math.inf).any(axis=0)).tolist())
+    for k in sorted(frames):
+        for dist, speed, radii, first in pairs:
+            reach = speed[:, k] * np.where(best < horizon, best, horizon)
+            swept = ~(dist[:, k] - reach > radii)
+            best = np.where(swept & (first[:, k] < best), first[:, k], best)
+    return best
+
+
+def _history_comfort(ego: StateBatch, dt: float, th: MetricThresholds) -> np.ndarray:
+    """HC per row: accel, jerk, yaw rate and yaw acceleration within bounds."""
+    accel = (ego.v[:, 1:] - ego.v[:, :-1]) / dt
+    jerk = (accel[:, 1:] - accel[:, :-1]) / dt
+    yaw_rate = wrap_angle_many(ego.theta[:, 1:] - ego.theta[:, :-1]) / dt
+    yaw_accel = (yaw_rate[:, 1:] - yaw_rate[:, :-1]) / dt
+    ok = (
+        np.all(np.abs(accel) <= th.hc_accel_max, axis=1)
+        & np.all(np.abs(jerk) <= th.hc_jerk_max, axis=1)
+        & np.all(np.abs(yaw_rate) <= th.hc_yaw_rate_max, axis=1)
+        & np.all(np.abs(yaw_accel) <= th.hc_yaw_accel_max, axis=1)
+    )
+    return np.where(ok, 1.0, 0.0)
+
+
+def submetrics_batch(
+    scene: SceneBatch, scenario: Scenario, ctx: SimContext, comfort: StateBatch | None = None
+) -> np.ndarray:
+    """(P, 9) sub-metrics in `ALL_METRICS` order, one row per simulated window.
+
+    History comfort is judged on `comfort`, (7, P, m) ego tracks at the
+    scene's dt, by default the simulated window itself. Extended comfort is
+    left at 1; `compute_submetrics` sets it.
+    """
+    ego, th = scene.ego, ctx.thresholds
+    rows = ego.x.shape[0]
+    nc, min_ttc = np.ones(rows), np.full(rows, math.inf)
+    if scene.agents:
+        ego_boxes = BoxArrays.of(ego.x, ego.y, ego.theta, *ctx.ego_extent)
+        extents = {a.id: (a.length, a.width) for a in scenario.agents}
+        agent_boxes = {
+            aid: BoxArrays.of(t.x, t.y, t.theta, *extents[aid]) for aid, t in scene.agents.items()
+        }
+        nc = _no_collision(scene, scenario, ctx, ego_boxes, agent_boxes)
+        min_ttc = time_to_collision(
+            scene, ego_boxes, agent_boxes, th.ttc_horizon, th.ttc_min_ego_speed
+        )
+    ddc, lk = lane_compliance(ego.x, ego.y, ego.theta, scenario, th, scene.dt)
+    return np.stack(
+        [
+            nc,
+            drivable_area_compliance(ego.x, ego.y, ego.theta, scenario, ctx),
+            ddc,
+            _traffic_light_compliance(scene, scenario),
+            _progress(scene, scenario, th),
+            np.where(min_ttc >= th.ttc_min, 1.0, 0.0),
+            lk,
+            _history_comfort(comfort if comfort is not None else ego, scene.dt, th),
+            np.ones(rows),
+        ],
+        axis=1,
+    )
 
 
 def compute_submetrics(
@@ -399,81 +552,19 @@ def compute_submetrics(
 ) -> SubMetricVector:
     """Score a simulated window in the world of `ctx` (default: SimContext()).
 
-    `states` covers the scored window; `ego_traj` is the trajectory judged
-    for comfort (conventionally history + plan, so junction dynamics count).
+    `states` covers the scored window, scored as the one row of
+    `submetrics_batch`; `ego_traj` is the trajectory judged for comfort
+    (conventionally history + plan, so junction dynamics count).
     `stage1_features` switches extended comfort to two-stage comparison.
     """
     ctx = ctx or SimContext()
-    th = ctx.thresholds
-    ego_extent = ctx.ego_extent
-    n = states.frame_count
-    if n < 2:
+    if states.frame_count < 2:
         raise ValueError("scored window must contain at least 2 frames")
-
-    ego_boxes = [
-        OrientedBox(s.pose.x, s.pose.y, s.pose.theta, *ego_extent) for s in states.ego
-    ]
-    extents = {a.id: (a.length, a.width) for a in scenario.agents}
-    agent_boxes = {
-        aid: [OrientedBox(s.pose.x, s.pose.y, s.pose.theta, *extents[aid]) for s in track]
-        for aid, track in states.agents.items()
-    }
-    static_ids = {a.id for a in scenario.agents if a.kind == "static"}
-
-    # NC
-    event = check_collision(
-        ego_boxes,
-        agent_boxes,
-        ego_speeds=[s.vel_lon for s in states.ego],
-        static_ids=static_ids,
-        moving_speed=th.moving_speed,
-    )
-    nc = 0.0 if (event is not None and event.at_fault) else 1.0
-
-    xs, ys, thetas = pose_arrays(states.ego)
-    dac = float(drivable_area_compliance(xs, ys, thetas, scenario, ctx))
-
-    ddc, lk = (float(v) for v in lane_compliance(xs, ys, thetas, scenario, th, states.dt))
-
-    # TLC: crossing a stop line while its light is red
-    tlc = 1.0
-    for light in scenario.map.traffic_lights:
-        for k in range(n - 1):
-            a, b = states.ego[k], states.ego[k + 1]
-            if segments_intersect(
-                (a.pose.x, a.pose.y), (b.pose.x, b.pose.y), light.stop_line[0], light.stop_line[1]
-            ):
-                t_abs = (states.t_start + k) * states.dt
-                if light.state_at(t_abs) == "red":
-                    tlc = 0.0
-        if tlc == 0.0:
-            break
-
-    # EP against the logged human progress over the same window
-    progress = _route_progress(
-        scenario,
-        states.ego[0].pose.x,
-        states.ego[0].pose.y,
-        states.ego[-1].pose.x,
-        states.ego[-1].pose.y,
-    )
-    log_a = scenario.ego_log[states.t_start]
-    log_b = scenario.ego_log[states.t_end]
-    reference = _route_progress(
-        scenario, log_a.pose.x, log_a.pose.y, log_b.pose.x, log_b.pose.y
-    )
-    if reference < th.ep_min_reference:
-        ep = 1.0
-    else:
-        ep = min(1.0, max(0.0, progress / reference))
-
-    # TTC
-    min_ttc = time_to_collision(
-        states, ego_extent, extents, th.ttc_horizon, th.ttc_min_ego_speed
-    )
-    ttc = 1.0 if min_ttc >= th.ttc_min else 0.0
-
-    hc = _history_comfort(ego_traj, th)
-    ec = _extended_comfort(stage1_features, ego_traj, th)
-
-    return SubMetricVector(nc=nc, dac=dac, ddc=ddc, tlc=tlc, ep=ep, ttc=ttc, lk=lk, hc=hc, ec=ec)
+    if ego_traj.dt != states.dt:
+        raise ValueError(f"ego_traj dt {ego_traj.dt} does not match the window's {states.dt}")
+    row = submetrics_batch(
+        SceneBatch.of(states), scenario, ctx, comfort=StateBatch.track(ego_traj.states)
+    )[0]
+    sub = dict(zip(ALL_METRICS, row.tolist()))
+    sub["ec"] = _extended_comfort(stage1_features, ego_traj, ctx.thresholds)
+    return SubMetricVector(**sub)

@@ -81,6 +81,82 @@ class SceneStates:
         return self.t_end - self.t_start + 1
 
 
+@dataclass(frozen=True, slots=True)
+class StateBatch:
+    """The seven `VehicleState` fields stacked on axis 0 of one array: (7, P)
+    for one frame of P rows, (7, P, n) for P tracks of n frames."""
+
+    data: np.ndarray
+
+    x = property(lambda self: self.data[0])
+    y = property(lambda self: self.data[1])
+    theta = property(lambda self: self.data[2])
+    v = property(lambda self: self.data[3])  # vel_lon
+    v_lat = property(lambda self: self.data[4])
+    accel = property(lambda self: self.data[5])
+    steering = property(lambda self: self.data[6])
+
+    @classmethod
+    def of(cls, x, y, theta, v, v_lat, accel, steering) -> "StateBatch":
+        return cls(np.stack([x, y, theta, v, v_lat, accel, steering]))
+
+    @classmethod
+    def full(cls, state: VehicleState, rows: int) -> "StateBatch":
+        p = state.pose
+        values = [p.x, p.y, p.theta, state.vel_lon, state.vel_lat, state.accel, state.steering]
+        return cls(np.repeat(np.array(values)[:, None], rows, axis=1))
+
+    @classmethod
+    def track(cls, states: Sequence[VehicleState]) -> "StateBatch":
+        """(7, 1, n): one row holding the n states of a track."""
+        values = [
+            (s.pose.x, s.pose.y, s.pose.theta, s.vel_lon, s.vel_lat, s.accel, s.steering)
+            for s in states
+        ]
+        return cls(np.ascontiguousarray(np.array(values, dtype=float).reshape(-1, 7).T[:, None]))
+
+    @classmethod
+    def stack(cls, frames: Sequence["StateBatch"]) -> "StateBatch":
+        """(7, P, n) tracks from n per-frame batches."""
+        return cls(np.stack([f.data for f in frames], axis=-1))
+
+    def at(self, k: int) -> "StateBatch":
+        return StateBatch(self.data[:, :, k])
+
+    def trajectory(self, row: int, dt: float) -> Trajectory:
+        """The global-frame trajectory of one row of tracks."""
+        return Trajectory(
+            dt=dt,
+            states=tuple(
+                VehicleState(Pose2D(x, y, th), v, v_lat, a, st)
+                for x, y, th, v, v_lat, a, st in self.data[:, row, :].T.tolist()
+            ),
+            frame=FRAME_GLOBAL,
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class SceneBatch:
+    """P simulated versions of one frame window: the batched `SceneStates`."""
+
+    dt: float
+    t_start: int
+    t_end: int
+    ego: StateBatch
+    agents: Mapping[str, StateBatch]
+
+    @classmethod
+    def of(cls, states: SceneStates) -> "SceneBatch":
+        """The one-row scene of a simulated window, agents in its order."""
+        return cls(
+            states.dt,
+            states.t_start,
+            states.t_end,
+            StateBatch.track(states.ego),
+            {aid: StateBatch.track(track) for aid, track in states.agents.items()},
+        )
+
+
 def idm_accel(
     v: float,
     leader: tuple[float, float] | None,

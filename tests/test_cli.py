@@ -339,6 +339,25 @@ _CAMERA = {"id": "c", "dx": 1.0, "dy": 0.0, "dyaw": 0.0, "intrinsics": {"fx": 15
         ({"lqr": {"control_weights": [0.2, 0]}}, "config.lqr: control_weights must be positive"),
         ({"lqr": {"state_weights": [1, -2, 0.5, 0.1]}},
          "config.lqr: state_weights must be non-negative"),
+        ({"weights": {"w_ep": 0, "w_ttc": 0, "w_lk": 0, "w_hc": 0, "w_ec": 0}},
+         "config.weights: metric weight sum must be positive"),
+        ({"weights": {"w_ep": -5}}, "config.weights: w_ep must be non-negative"),
+        ({"metric_thresholds": {"ttc_horizon": -1}},
+         "config.metric_thresholds: ttc_horizon must be positive"),
+        ({"metric_thresholds": {"ttc_horizon": 0}},
+         "config.metric_thresholds: ttc_horizon must be positive"),
+        ({"metric_thresholds": {"lk_min_fraction": 7}},
+         "config.metric_thresholds: lk_min_fraction must lie in [0, 1]"),
+        ({"metric_thresholds": {"lk_min_fraction": -0.5}},
+         "config.metric_thresholds: lk_min_fraction must lie in [0, 1]"),
+        ({"metric_thresholds": {"ec_rel_tol": -1}},
+         "config.metric_thresholds: ec_rel_tol must be non-negative"),
+        ({"metric_thresholds": {"moving_speed": -0.1}},
+         "config.metric_thresholds: moving_speed must be non-negative"),
+        ({"metric_thresholds": {"ttc_min": -1}},
+         "config.metric_thresholds: ttc_min must be non-negative"),
+        ({"metric_thresholds": {"ddc_max_seconds": -2}},
+         "config.metric_thresholds: ddc_max_seconds must be non-negative"),
     ],
     ids=[
         "string-int", "bool-int", "float-int", "int-bool", "inf", "string-float", "section-number",
@@ -347,7 +366,10 @@ _CAMERA = {"id": "c", "dx": 1.0, "dy": 0.0, "dyaw": 0.0, "intrinsics": {"fx": 15
         "nan-intrinsics", "required-unknown", "required-without-tlc",
         "idm-v-desired-zero", "idm-a-max-negative", "idm-b-comf-zero", "idm-delta-negative",
         "idm-s0-negative", "lqr-horizon-negative", "lqr-horizon-zero", "lqr-control-weight-zero",
-        "lqr-state-weight-negative",
+        "lqr-state-weight-negative", "weights-all-zero", "weight-negative",
+        "ttc-horizon-negative", "ttc-horizon-zero", "lk-fraction-above-one",
+        "lk-fraction-negative", "ec-tol-negative", "moving-speed-negative", "ttc-min-negative",
+        "ddc-seconds-negative",
     ],
 )
 def test_generate_bad_config_value_one_error_line(

@@ -3,11 +3,15 @@ import random
 
 import pytest
 
+import drivegen.pipeline
+import drivegen.vocab
+from drivegen.config import PipelineConfig
 from drivegen.errors import ValidationError
-from drivegen.geometry import OrientedBox
+from drivegen.geometry import BoxArrays, OrientedBox
 from drivegen.metrics import (
     MetricWeights,
     RewardRecord,
+    SimContext,
     SubMetricVector,
     aggregate_epdms,
     check_collision,
@@ -15,10 +19,12 @@ from drivegen.metrics import (
     compute_submetrics,
     time_to_collision,
 )
-from drivegen.reactive import SceneStates, rollout
-from drivegen.scenario import Trajectory
+from drivegen.pipeline import run_generation
+from drivegen.reactive import SceneBatch, SceneStates, rollout
+from drivegen.scenario import DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH, Trajectory
 
 from conftest import make_state
+from oracle import oracle_submetrics, oracle_time_to_collision
 from test_geometry import oracle_boxes_overlap
 
 
@@ -70,7 +76,7 @@ def test_aggregate_weight_scale_invariance():
 
 
 def test_aggregate_zero_weights_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="weight sum must be positive"):
         aggregate_epdms(ones(), MetricWeights(0, 0, 0, 0, 0))
 
 
@@ -147,27 +153,71 @@ def _ttc_scene(ego_v, leader_gap, leader_v, n=5, dt=0.1):
     return SceneStates(dt=dt, t_start=0, t_end=n - 1, ego=ego, agents={"lead": lead})
 
 
+def _ttc(
+    states,
+    ego_extent=(DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH),
+    agent_extents=None,
+    horizon=3.0,
+    min_ego_speed=0.0,
+):
+    """`time_to_collision` of the one-row scene of `states`, as a float."""
+    scene = SceneBatch.of(states)
+    ego = scene.ego
+    agent_boxes = {
+        aid: BoxArrays.of(t.x, t.y, t.theta, *agent_extents[aid]) for aid, t in scene.agents.items()
+    }
+    ego_boxes = BoxArrays.of(ego.x, ego.y, ego.theta, *ego_extent)
+    (ttc,) = time_to_collision(scene, ego_boxes, agent_boxes, horizon, min_ego_speed).tolist()
+    return ttc
+
+
 def test_ttc_stopped_leader_derived():
     # oracle: gap / closing speed = 20 / 10 = 2.0 s
     states = _ttc_scene(ego_v=10.0, leader_gap=20.0, leader_v=0.0, n=1)
-    ttc = time_to_collision(states, (4.6, 1.9), {"lead": (4.5, 1.9)}, horizon=3.0)
+    ttc = _ttc(states, (4.6, 1.9), {"lead": (4.5, 1.9)}, horizon=3.0)
     assert ttc == pytest.approx(2.0, abs=1e-9)
     # with the scene itself advancing toward the parked leader, the min
     # over frames comes from the latest frame
     states = _ttc_scene(ego_v=10.0, leader_gap=20.0, leader_v=0.0, n=2)
-    ttc = time_to_collision(states, (4.6, 1.9), {"lead": (4.5, 1.9)}, horizon=3.0)
+    ttc = _ttc(states, (4.6, 1.9), {"lead": (4.5, 1.9)}, horizon=3.0)
     assert ttc == pytest.approx(1.9, abs=1e-9)
 
 
 def test_ttc_no_agents_infinite():
     ego = tuple(make_state(x=k, v=10.0) for k in range(3))
     states = SceneStates(dt=0.1, t_start=0, t_end=2, ego=ego, agents={})
-    assert time_to_collision(states) == math.inf
+    assert _ttc(states) == math.inf
 
 
 def test_ttc_diverging_infinite():
     states = _ttc_scene(ego_v=5.0, leader_gap=10.0, leader_v=9.0, n=4)
-    assert time_to_collision(states, (4.6, 1.9), {"lead": (4.5, 1.9)}) == math.inf
+    assert _ttc(states, (4.6, 1.9), {"lead": (4.5, 1.9)}) == math.inf
+
+
+def test_ttc_late_approach_after_an_early_running_minimum():
+    """An agent parked 12 m ahead sets the running minimum (1.0 s by frame
+    2), then pulls 25 m ahead: within reach at the full 3 s horizon, out of
+    reach under the minimum. A second agent is out of reach until it cuts in
+    6 m ahead at frame 6 and comes to 3 m by frame 9."""
+    dt, n = 0.1, 10
+    ego = tuple(make_state(x=10.0 * k * dt, v=10.0) for k in range(n))
+    front = 0.5 * 4.6 + 0.5 * 4.5  # center offset of bumpers that touch
+    early = tuple(
+        make_state(x=front + 12.0 if k < 3 else ego[k].pose.x + front + 25.0) for k in range(n)
+    )
+    late = tuple(make_state(x=front + 12.0, y=-40.0 if k < 6 else 0.0) for k in range(n))
+    extents = {"early": (4.5, 1.9), "late": (4.5, 1.9)}
+    states = SceneStates(dt=dt, t_start=0, t_end=n - 1, ego=ego,
+                         agents={"early": early, "late": late})
+    ttc = _ttc(states, (4.6, 1.9), extents)
+    assert ttc == oracle_time_to_collision(states, (4.6, 1.9), extents, 3.0)
+    assert ttc == pytest.approx(0.3, abs=1e-9)
+    # without the late agent the early minimum stands
+    alone = SceneStates(dt=dt, t_start=0, t_end=n - 1, ego=ego, agents={"early": early})
+    assert _ttc(alone, (4.6, 1.9), extents) == oracle_time_to_collision(
+        alone, (4.6, 1.9), extents, 3.0
+    )
+    assert _ttc(alone, (4.6, 1.9), extents) == pytest.approx(1.0, abs=1e-9)
 
 
 # --- full sub-metric computation
@@ -331,3 +381,57 @@ def test_reward_record_dict_roundtrip():
     d = r.as_dict()
     assert d["stage_scores"] == [0.9, 0.8]
     assert SubMetricVector.from_dict(d["submetrics"]) == sub
+
+
+# --- the scoring kernel against the scalar oracle
+
+
+def test_scoring_kernel_matches_the_scalar_oracle_on_a_generated_corpus(
+    corpus_100, small_vocab, monkeypatch
+):
+    """Every `compute_submetrics` call of the screen (both modes) and of
+    stage 2, in a recovery and a planner generation over 100 scenarios,
+    equals the scalar oracle field by field and bit for bit, and so does
+    the kernel's minimum TTC, +inf included."""
+    calls = {"vocab": 0, "pipeline": 0}
+    seen = {"finite_ttc": 0, "ttc": set(), "hc": set(), "ep_graded": 0}
+
+    def checked(module):
+        real = module.compute_submetrics
+
+        def scorer(states, scenario, ego_traj, ctx=None, stage1_features=None):
+            got = real(states, scenario, ego_traj, ctx, stage1_features)
+            want = oracle_submetrics(states, scenario, ego_traj, ctx, stage1_features)
+            assert {k: v.hex() for k, v in got.as_dict().items()} == {
+                k: v.hex() for k, v in want.as_dict().items()
+            }, (scenario.id, states.t_start)
+            world = ctx or SimContext()
+            th = world.thresholds
+            extents = {a.id: (a.length, a.width) for a in scenario.agents}
+            args = (world.ego_extent, extents, th.ttc_horizon, th.ttc_min_ego_speed)
+            ttc = _ttc(states, *args)
+            assert ttc.hex() == oracle_time_to_collision(states, *args).hex(), scenario.id
+            calls[module.__name__.split(".")[-1]] += 1
+            seen["finite_ttc"] += ttc < math.inf
+            seen["ep_graded"] += 0.0 < got.ep < 1.0
+            for name in ("ttc", "hc"):
+                seen[name].add(getattr(got, name))
+            return got
+
+        monkeypatch.setattr(module, "compute_submetrics", scorer)
+
+    checked(drivegen.vocab)
+    checked(drivegen.pipeline)
+    for expert in ("recovery", "planner"):
+        config = PipelineConfig(
+            vocab_size=256, vocab_source_count=2048, master_seed=11, expert_kind=expert,
+            rounds=1, per_round=1,
+        )
+        samples, _ = run_generation(corpus_100, config, rounds=1, vocab=small_vocab, workers=1)
+        assert samples
+    assert calls["vocab"] >= 1000 and calls["pipeline"] >= 100, calls
+    # the corpus reaches both sides of the TTC and comfort decisions (the
+    # screen rejects any contact before scoring, so NC stays 1 here; the
+    # hand-built scenes of test_planner_batch.py reach NC and TLC)
+    assert seen["ttc"] == seen["hc"] == {0.0, 1.0}, seen
+    assert seen["finite_ttc"] and seen["ep_graded"], seen

@@ -2,7 +2,8 @@
 
 The oracle simulates each proposal on its own: its reference is built step by
 step as below, rolled out with the scalar reactive `rollout` and scored with
-`compute_submetrics`; the winner is the first proposal of maximal score.
+the scalar `oracle_submetrics`; the winner is the first proposal of maximal
+score.
 """
 
 import math
@@ -12,13 +13,13 @@ import numpy as np
 import pytest
 
 import drivegen.pipeline
-from drivegen.batch import StateBatch, rollout_batch, select_leaders
+from drivegen.batch import rollout_batch, select_leaders
 from drivegen.config import PipelineConfig
 from drivegen.expert import PlannerParams, privileged_plan, score_proposals
 from drivegen.geometry import PolylineOps, angle_diff, offset_polyline, polyline_ops
-from drivegen.metrics import ALL_METRICS, SimContext, aggregate_epdms, compute_submetrics
+from drivegen.metrics import ALL_METRICS, SimContext, aggregate_epdms
 from drivegen.pipeline import run_generation
-from drivegen.reactive import IdmParams, idm_accel, rollout, select_leader
+from drivegen.reactive import IdmParams, StateBatch, idm_accel, rollout, select_leader
 from drivegen.scenario import (
     AgentTrack,
     Lane,
@@ -31,6 +32,7 @@ from drivegen.scenario import (
 )
 
 from conftest import make_state
+from oracle import oracle_submetrics
 
 BINARY = ("nc", "dac", "ddc", "tlc", "ttc", "lk", "hc", "ec")
 
@@ -90,7 +92,7 @@ def oracle_plan(scenario, t, p, ego_start=None, agent_init=None, ctx=None):
             states = rollout(scenario, ref, t, horizon, mode="reactive", ctx=ctx,
                              ego_start=start, agent_init=agent_init)
             executed = Trajectory(dt=scenario.dt, states=states.ego)
-            sub = compute_submetrics(states, scenario, executed, ctx)
+            sub = oracle_submetrics(states, scenario, executed, ctx)
             refs.append(ref)
             rollouts.append(states)
             subs.append(sub)
@@ -124,8 +126,8 @@ def check_against_oracle(
         row = dict(zip(ALL_METRICS, sub[i].tolist()))
         for name in BINARY:
             assert row[name] == getattr(o_sub, name), (scenario.id, t, i, name)
-        assert row["ep"] == pytest.approx(o_sub.ep, abs=1e-9)
-        assert scores[i] == pytest.approx(o_scores[i], abs=1e-9)
+        assert float(row["ep"]).hex() == o_sub.ep.hex(), (scenario.id, t, i)
+        assert scores[i] == o_scores[i], (scenario.id, t, i)
         got = refs.trajectory(i, scenario.dt)
         assert [_bits(_state_tuple(s)) for s in got.states] == [
             _bits(_state_tuple(s)) for s in o_refs[i].states
@@ -213,7 +215,7 @@ NON_DEFAULT_WORLD = PipelineConfig(ego_length=6.0, b_hard=2.0).sim_context
 @pytest.mark.parametrize("ctx", [None, NON_DEFAULT_WORLD], ids=["default-world", "ego-6m-bhard-2"])
 def test_hand_built_scene_matches_oracle(scenario, ctx):
     """Every proposal's ego and agent tracks equal the scalar rollout bit for
-    bit, every sub-metric equals compute_submetrics, and the winner is the
+    bit, every sub-metric equals the scalar oracle's, and the winner is the
     oracle's, at the anchor and from a perturbed stage-2 start."""
     subs = check_against_oracle(scenario, scenario.anchor_frame, ctx=ctx, states=True)
     t2 = scenario.anchor_frame + scenario.t_horizon
