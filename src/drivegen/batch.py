@@ -5,7 +5,8 @@ LQR tracking of the ego and, for each agent, lane assignment, projection,
 leader choice, IDM and pure pursuit, vectorized over the P rows;
 `metrics.submetrics_batch` scores the resulting scene.
 
-It reproduces the scalar `reactive.rollout` (reactive mode) bit for bit:
+It reproduces the scalar `reactive.rollout` (reactive and non-reactive
+modes) bit for bit, each row as if simulated alone:
 elementary arithmetic runs in numpy in the scalar code's order, comparisons
 and clamps keep its tie and signed-zero behaviour, angles wrap through the
 exact `geometry.wrap_angle_many`, and transcendental functions run per element
@@ -25,6 +26,8 @@ from .errors import RolloutError
 from .geometry import per_element, wrap_angle, wrap_angle_many
 from .reactive import (
     LEADER_LOOKAHEAD,
+    MODE_NONREACTIVE,
+    MODE_REACTIVE,
     PURE_PURSUIT_LOOKAHEAD,
     SceneBatch,
     StateBatch,
@@ -32,7 +35,7 @@ from .reactive import (
     idm_accel,
     lane_centerline_ops,
 )
-from .scenario import Lane, Scenario, VehicleState
+from .scenario import FRAME_GLOBAL, Lane, Scenario, Trajectory, VehicleState
 
 if TYPE_CHECKING:  # metrics scores what this module simulates; neither imports the other
     from .metrics import SimContext
@@ -83,18 +86,17 @@ _SPEED_STEERING = [3, 6]  # rows of vel_lon and steering in StateBatch.data
 
 
 def _lqr_track_batch(
-    ref: StateBatch, start: VehicleState, horizon: int, dt: float, ctx: SimContext
+    ref: StateBatch, start: StateBatch, horizon: int, dt: float, ctx: SimContext
 ) -> StateBatch:
-    """`control.lqr_track` of every reference row from one start state."""
+    """`control.lqr_track` of every reference row from its row of `start`."""
     lqr, lim = ctx.lqr, ctx.limits
-    rows = ref.x.shape[0]
     cos_neg = per_element(math.cos, -ref.theta[:, :horizon])
     sin_neg = per_element(math.sin, -ref.theta[:, :horizon])
     gain_steps = np.array([[GAIN_V_STEP], [GAIN_DELTA_STEP]])
     command_max = np.array([[lim.accel_max], [lim.steer_rate_max]])
     gain_rows: dict[tuple[float, float], int] = {}  # quantized (v, delta) -> row of `gains`
     gains = np.zeros((1, 4, 2))  # K transposed; row 0 serves verbatim steps, which ignore it
-    cur = StateBatch.full(start, rows)
+    cur = start
     out = [cur]
     for k in range(horizon):
         rk, rn = ref.at(k), ref.at(k + 1)
@@ -216,21 +218,38 @@ def _agent_step_batch(
     return _advance(st, accel, steering, dt, wheelbase, steering)
 
 
+def plan_batch(plans: Sequence[Trajectory], scenario: Scenario, horizon: int) -> StateBatch:
+    """(7, P, horizon + 1) references from P plans, each checked as `rollout` checks its plan."""
+    for plan in plans:
+        if plan.dt != scenario.dt:
+            raise RolloutError(f"ego_plan dt {plan.dt} does not match scenario dt {scenario.dt}")
+        if plan.frame != FRAME_GLOBAL:
+            raise RolloutError(f"ego_plan is in frame '{plan.frame}', needs '{FRAME_GLOBAL}'")
+        if len(plan) < horizon + 1:
+            raise RolloutError(f"ego_plan has {len(plan)} states, needs at least {horizon + 1}")
+    return StateBatch.tracks([plan.states[: horizon + 1] for plan in plans])
+
+
 def rollout_batch(
     scenario: Scenario,
     plans: StateBatch,
     t_start: int,
     horizon: int,
     ctx: SimContext,
-    ego_start: VehicleState | None = None,
-    agent_init: Mapping[str, VehicleState] | None = None,
+    ego_start: VehicleState | StateBatch | None = None,
+    agent_init: Mapping[str, VehicleState | StateBatch] | None = None,
+    mode: str = MODE_REACTIVE,
 ) -> SceneBatch:
-    """Reactive `rollout` of every row of `plans` (global-frame references of
-    at least horizon + 1 states at the scenario's dt) over one frame window.
+    """`rollout` of every row of `plans` (global-frame references of at least
+    horizon + 1 states at the scenario's dt) over one frame window.
 
-    All rows start from the same ego and agent states; agents update
-    synchronously from the previous frame, in ascending id order.
+    A start state (`ego_start`, each `agent_init` entry) is one state for
+    every row or a (7, P) batch of one state per row. In reactive mode agents
+    update synchronously from the previous frame, in ascending id order; in
+    non-reactive mode they replay the log and `agent_init` is ignored.
     """
+    if mode not in (MODE_REACTIVE, MODE_NONREACTIVE):
+        raise RolloutError(f"unknown batched rollout mode '{mode}'")
     if t_start < 0 or horizon < 1 or t_start + horizon > scenario.frame_count - 1:
         raise RolloutError(
             f"window [{t_start}, {t_start + horizon}] outside scenario frames "
@@ -238,14 +257,28 @@ def rollout_batch(
         )
     rows = plans.x.shape[0]
     dt = scenario.dt
+    t_end = t_start + horizon
+
+    def per_row(state: VehicleState | StateBatch) -> StateBatch:
+        return state if isinstance(state, StateBatch) else StateBatch.full(state, rows)
+
     start = ego_start if ego_start is not None else scenario.ego_log[t_start]
-    ego = _lqr_track_batch(plans, start, horizon, dt, ctx)
+    ego = _lqr_track_batch(plans, per_row(start), horizon, dt, ctx)
 
     ordered = sorted(scenario.agents, key=lambda a: a.id)
+    if mode == MODE_NONREACTIVE:
+        agents = {
+            a.id: StateBatch(np.broadcast_to(
+                StateBatch.track(a.states[t_start : t_end + 1]).data, (7, rows, horizon + 1)
+            ))
+            for a in ordered
+        }
+        return SceneBatch(dt=dt, t_start=t_start, t_end=t_end, ego=ego, agents=agents)
+
     current = {}
     for a in ordered:
         init = agent_init.get(a.id) if agent_init else None
-        current[a.id] = StateBatch.full(init if init is not None else a.states[t_start], rows)
+        current[a.id] = per_row(init if init is not None else a.states[t_start])
     tracks = {a.id: [current[a.id]] for a in ordered}
     lanes = scenario.map.lanes
     for k in range(horizon):
@@ -264,7 +297,7 @@ def rollout_batch(
     return SceneBatch(
         dt=dt,
         t_start=t_start,
-        t_end=t_start + horizon,
+        t_end=t_end,
         ego=ego,
         agents={aid: StateBatch.stack(frames) for aid, frames in tracks.items()},
     )

@@ -119,12 +119,12 @@ def _load_trajectory(path: str) -> Trajectory:
         raise SchemaError(
             f"{path}: frame: expected '{FRAME_GLOBAL}' or '{FRAME_EGO_LOCAL}', got {frame!r}"
         )
+    states = _array(data.get("states"), "states")
+    if len(states) < 2:
+        raise SchemaError(f"{path}: states: expected at least 2 states, got {len(states)}")
     return Trajectory(
         dt=_number(data.get("dt"), "dt"),
-        states=tuple(
-            _state_from_json(s, f"states[{i}]")
-            for i, s in enumerate(_array(data.get("states"), "states"))
-        ),
+        states=tuple(_state_from_json(s, f"states[{i}]") for i, s in enumerate(states)),
         frame=frame,
     )
 

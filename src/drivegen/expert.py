@@ -37,7 +37,7 @@ from .metrics import (
     submetrics_batch,
 )
 # `rollout` stays bound here: perfbench/tracer.py wraps `expert.rollout` by name
-from .reactive import IdmParams, SceneStates, StateBatch, idm_accel, rollout  # noqa: F401
+from .reactive import IdmParams, SceneBatch, SceneStates, StateBatch, idm_accel, rollout  # noqa: F401
 from .scenario import Scenario, Trajectory, VehicleState
 from .vocab import Vocabulary
 
@@ -212,13 +212,14 @@ def score_proposals(
     ego_start: VehicleState | None = None,
     agent_init: Mapping[str, VehicleState] | None = None,
     ctx: SimContext | None = None,
-) -> tuple[StateBatch, np.ndarray, list[float]]:
+) -> tuple[StateBatch, SceneBatch, np.ndarray, list[float]]:
     """Every planner proposal simulated and scored in one batched rollout.
 
     Returns the (P, H + 1) proposal references (speed fraction major), their
-    (P, 9) sub-metrics in `ALL_METRICS` order and the aggregate scores under
-    `ctx.weights`. Row p equals a scalar reactive `rollout` of proposal p
-    scored by `compute_submetrics` on its executed window.
+    simulated scene, their (P, 9) sub-metrics in `ALL_METRICS` order and the
+    aggregate scores under `ctx.weights`. Row p equals a scalar reactive
+    `rollout` of proposal p scored by `compute_submetrics` on its executed
+    window.
     """
     p = p or PlannerParams()
     ctx = ctx or SimContext()
@@ -237,7 +238,17 @@ def score_proposals(
     scene = rollout_batch(scenario, refs, t, horizon, ctx, ego_start=start, agent_init=agent_init)
     sub = submetrics_batch(scene, scenario, ctx)
     scores = [aggregate_epdms(SubMetricVector(*row), ctx.weights) for row in sub.tolist()]
-    return refs, sub, scores
+    return refs, scene, sub, scores
+
+
+@dataclass(frozen=True, slots=True)
+class Plan:
+    """The planner's winning proposal: its reference trajectory, and the
+    reactive rollout and sub-metrics that scored it."""
+
+    reference: Trajectory
+    states: SceneStates
+    submetrics: SubMetricVector
 
 
 def privileged_plan(
@@ -247,19 +258,25 @@ def privileged_plan(
     ego_start: VehicleState | None = None,
     agent_init: Mapping[str, VehicleState] | None = None,
     ctx: SimContext | None = None,
-) -> Trajectory:
+) -> Plan:
     """Best-scoring proposal of a rule-based planner with ground-truth access.
 
     Proposals are the cross product of speed fractions and lateral offsets;
     all of them are simulated reactively over the scenario horizon from
     frame t in the world of `ctx`, in one batched rollout, and scored with
-    the metric aggregate under `ctx.weights`. Returns the winning reference
-    trajectory (ties go to the lower proposal index). `ego_start` /
-    `agent_init` plan from perturbed rather than logged states.
+    the metric aggregate under `ctx.weights`. Returns the winning proposal
+    (ties go to the lower proposal index) with its rollout, which equals a
+    scalar reactive `rollout` of its reference, and its sub-metrics, scored
+    on that window. `ego_start` / `agent_init` plan from perturbed rather
+    than logged states.
     """
-    refs, _, scores = score_proposals(scenario, t, p, ego_start, agent_init, ctx)
+    refs, scene, sub, scores = score_proposals(scenario, t, p, ego_start, agent_init, ctx)
     best = max(range(len(scores)), key=scores.__getitem__)  # first of equal maxima
-    return refs.trajectory(best, scenario.dt)
+    return Plan(
+        reference=refs.trajectory(best, scenario.dt),
+        states=scene.states(best),
+        submetrics=SubMetricVector(*sub[best].tolist()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -347,14 +347,36 @@ def lane_compliance(
 # The scoring kernel: every sub-metric over (rows, frames) arrays
 
 
+def _boxes(
+    scene: SceneBatch, scenario: Scenario, ctx: SimContext
+) -> tuple[BoxArrays, dict[str, BoxArrays]]:
+    """The footprints of the ego and of each agent at every (row, frame)."""
+    ego = scene.ego
+    extents = {a.id: (a.length, a.width) for a in scenario.agents}
+    return BoxArrays.of(ego.x, ego.y, ego.theta, *ctx.ego_extent), {
+        aid: BoxArrays.of(t.x, t.y, t.theta, *extents[aid]) for aid, t in scene.agents.items()
+    }
+
+
+def _contacts(ego_boxes: BoxArrays, agent_boxes: Mapping[str, BoxArrays]) -> np.ndarray:
+    """(rows, frames, agents) overlaps of the ego with each agent, agents in mapping order."""
+    return np.stack([boxes_overlap_many(ego_boxes, b) for b in agent_boxes.values()], axis=-1)
+
+
+def any_contact(scene: SceneBatch, scenario: Scenario, ctx: SimContext) -> np.ndarray:
+    """Per row: whether the ego box touches any agent box in any frame, at
+    fault or not (the feasibility screen's collision rule)."""
+    if not scene.agents:
+        return np.zeros(scene.ego.x.shape[0], dtype=bool)
+    return _contacts(*_boxes(scene, scenario, ctx)).any(axis=(1, 2))
+
+
 def _no_collision(
     scene: SceneBatch, scenario: Scenario, ctx: SimContext, ego_boxes, agent_boxes
 ) -> np.ndarray:
     """NC per row: the first overlap decides, and `check_collision` judges its fault."""
     nc = np.ones(scene.ego.x.shape[0])
-    hits = np.stack(
-        [boxes_overlap_many(ego_boxes, agent_boxes[aid]) for aid in scene.agents], axis=-1
-    )
+    hits = _contacts(ego_boxes, agent_boxes)
     extents = {a.id: (a.length, a.width) for a in scenario.agents}
     static_ids = {a.id for a in scenario.agents if a.kind == "static"}
 
@@ -517,11 +539,7 @@ def submetrics_batch(
     rows = ego.x.shape[0]
     nc, min_ttc = np.ones(rows), np.full(rows, math.inf)
     if scene.agents:
-        ego_boxes = BoxArrays.of(ego.x, ego.y, ego.theta, *ctx.ego_extent)
-        extents = {a.id: (a.length, a.width) for a in scenario.agents}
-        agent_boxes = {
-            aid: BoxArrays.of(t.x, t.y, t.theta, *extents[aid]) for aid, t in scene.agents.items()
-        }
+        ego_boxes, agent_boxes = _boxes(scene, scenario, ctx)
         nc = _no_collision(scene, scenario, ctx, ego_boxes, agent_boxes)
         min_ttc = time_to_collision(
             scene, ego_boxes, agent_boxes, th.ttc_horizon, th.ttc_min_ego_speed

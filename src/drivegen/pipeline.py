@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
+from .batch import plan_batch, rollout_batch
 from .config import CameraConfig, PipelineConfig, config_hash
 from .errors import ValidationError
 from .expert import (
@@ -30,8 +31,16 @@ from .expert import (
     recovery_target,
 )
 from .geometry import local_to_global, wrap_angle
-from .metrics import RewardRecord, aggregate_epdms, compute_submetrics
-from .reactive import MODE_NONREACTIVE, MODE_REACTIVE, SceneStates, rollout
+# `compute_submetrics`, `rollout` and `feasibility_filter` stay bound here:
+# perfbench/tracer.py wraps them as `pipeline.<name>`
+from .metrics import (  # noqa: F401
+    RewardRecord,
+    SubMetricVector,
+    aggregate_epdms,
+    compute_submetrics,
+    submetrics_batch,
+)
+from .reactive import MODE_NONREACTIVE, MODE_REACTIVE, SceneStates, StateBatch, rollout  # noqa: F401
 from .scenario import (
     FRAME_GLOBAL,
     Pose2D,
@@ -50,7 +59,8 @@ from .vocab import (
     Vocabulary,
     default_vocabulary,
     enumerate_perturbations,
-    feasibility_filter,
+    feasibility_filter,  # noqa: F401
+    feasibility_filter_batch,
     grid_sparsify,
     place_at_state,
 )
@@ -122,21 +132,37 @@ def cleared_status(config: PipelineConfig) -> str:
     return STATUS_CLEARED_REACTIVE if config.reactive else STATUS_CLEARED_NONREACTIVE
 
 
-def screen(
-    cand: PerturbationCandidate, scenario: Scenario, config: PipelineConfig
-) -> PerturbationCandidate:
+def screen_batch(
+    cands: Sequence[PerturbationCandidate], scenario: Scenario, config: PipelineConfig
+) -> list[PerturbationCandidate]:
     """The feasibility screen: non-reactive first, then reactive on its survivors.
 
     Pending candidates take the non-reactive check; in reactive runs those it
     clears take the reactive one. Candidates this config has cleared pass
-    through unchanged, so the screen runs once per candidate.
+    through unchanged, so the screen runs once per candidate. Each check is
+    one batched rollout of every candidate it takes.
     """
     epdms_min, ctx = config.perturb.epdms_min, config.sim_context
-    if cand.status == STATUS_PENDING:
-        cand = feasibility_filter(cand, scenario, MODE_NONREACTIVE, epdms_min, ctx)
-    if config.reactive and cand.status == STATUS_CLEARED_NONREACTIVE:
-        cand = feasibility_filter(cand, scenario, MODE_REACTIVE, epdms_min, ctx)
-    return cand
+    checks = [(STATUS_PENDING, MODE_NONREACTIVE)]
+    if config.reactive:
+        checks.append((STATUS_CLEARED_NONREACTIVE, MODE_REACTIVE))
+    out = list(cands)
+    for status, mode in checks:
+        taken = [i for i, c in enumerate(out) if c.status == status]
+        if taken:
+            checked = feasibility_filter_batch(
+                [out[i] for i in taken], scenario, mode, epdms_min, ctx
+            )
+            for i, cand in zip(taken, checked):
+                out[i] = cand
+    return out
+
+
+def screen(
+    cand: PerturbationCandidate, scenario: Scenario, config: PipelineConfig
+) -> PerturbationCandidate:
+    """`screen_batch` of one candidate."""
+    return screen_batch([cand], scenario, config)[0]
 
 
 def prepare_candidates(
@@ -145,11 +171,11 @@ def prepare_candidates(
     """Threshold and grid-sparsify the full vocabulary; place and screen its grid survivors."""
     cands = enumerate_perturbations(scenario, vocab, config.perturb)
     cands = grid_sparsify(cands, config.grid, mix64(config.master_seed, scenario.id))
-    return [screen(c, scenario, config) for c in cands]
+    return screen_batch(cands, scenario, config)
 
 
 # ---------------------------------------------------------------------------
-# Single-sample simulation
+# Sample simulation
 
 
 def sample_seed(master_seed: int, scenario_id: str, round_idx: int, candidate_index: int) -> int:
@@ -167,56 +193,81 @@ def _reject_bucket(reason: str) -> str:
     return "reward"
 
 
-def _simulate(
+def expert_stage(
     scenario: Scenario,
-    cand: PerturbationCandidate,
+    cands: Sequence[PerturbationCandidate],
     expert_kind: str,
     config: PipelineConfig,
     vocab: Vocabulary,
-    round_idx: int,
-) -> tuple[SimSample | None, str]:
-    mode = MODE_REACTIVE if config.reactive else MODE_NONREACTIVE
-    ctx = config.sim_context
-    anchor = scenario.anchor_frame
-    H = scenario.t_horizon
-    dt = scenario.dt
+) -> list[tuple[SceneStates, SubMetricVector]]:
+    """Stage 2 of screened candidates: the pseudo-expert's demonstration from
+    each perturbed state, simulated in the run's mode and scored.
 
-    # stage 1 is the rollout that cleared the screen; candidates that did not
-    # come through this run's screen are screened here rather than trusted
-    if cand.status == cleared_status(config) and cand.screen_states is None:
-        cand = replace(cand, status=STATUS_PENDING)
-    cand = screen(cand, scenario, config)
-    if cand.status != cleared_status(config):
-        return None, cand.reason or "reward"
-    states1 = cand.screen_states
-    perturbed = states1.ego[-1]
-    agent_finals = {aid: track[-1] for aid, track in states1.agents.items()}
-    epdms1 = aggregate_epdms(cand.screen_submetrics, ctx.weights)
-
-    # stage 2: pseudo-expert demonstration from the perturbed state
-    anchor2 = anchor + H
-    logged_end = scenario.ego_log[anchor2 + H]
-    if expert_kind == EXPERT_RECOVERY:
-        entry = recovery_retrieve(recovery_target(perturbed, logged_end), vocab)
-        plan2 = place_at_state(entry, perturbed)
-    elif expert_kind == EXPERT_PLANNER:
-        plan2 = privileged_plan(
-            scenario, anchor2, config.planner,
-            ego_start=perturbed, agent_init=agent_finals, ctx=ctx,
-        )
-    else:
+    Every demonstration runs in one batched rollout from its own perturbed
+    ego and agent states, except in reactive planner runs: there the
+    planner's winning proposal already is that rollout, so its window and
+    sub-metrics are kept. History comfort is judged on the window alone.
+    """
+    if expert_kind not in (EXPERT_RECOVERY, EXPERT_PLANNER):
         raise ValidationError(f"unknown expert kind '{expert_kind}'")
+    ctx = config.sim_context
+    H = scenario.t_horizon
+    anchor2 = scenario.anchor_frame + H
+    logged_end = scenario.ego_log[anchor2 + H]
+    out: list = [None] * len(cands)
+    simulated, plans, starts, finals = [], [], [], []
+    for i, cand in enumerate(cands):
+        perturbed = cand.screen_states.ego[-1]
+        agent_finals = {aid: track[-1] for aid, track in cand.screen_states.agents.items()}
+        if expert_kind == EXPERT_RECOVERY:
+            entry = recovery_retrieve(recovery_target(perturbed, logged_end), vocab)
+            plan = place_at_state(entry, perturbed)
+        else:
+            chosen = privileged_plan(
+                scenario, anchor2, config.planner,
+                ego_start=perturbed, agent_init=agent_finals, ctx=ctx,
+            )
+            if config.reactive:
+                out[i] = (chosen.states, chosen.submetrics)
+                continue
+            plan = chosen.reference
+        simulated.append(i)
+        plans.append(plan)
+        starts.append(perturbed)
+        finals.append(agent_finals)
+    if simulated:
+        scene = rollout_batch(
+            scenario, plan_batch(plans, scenario, H), anchor2, H, ctx,
+            ego_start=StateBatch.frame(starts),
+            agent_init={aid: StateBatch.frame([f[aid] for f in finals]) for aid in finals[0]},
+            mode=MODE_REACTIVE if config.reactive else MODE_NONREACTIVE,
+        )
+        rows = submetrics_batch(scene, scenario, ctx).tolist()
+        for j, (i, row) in enumerate(zip(simulated, rows)):
+            out[i] = (scene.states(j), SubMetricVector(*row))
+    return out
 
-    states2 = rollout(
-        scenario, plan2, anchor2, H, mode, ctx, ego_start=perturbed, agent_init=agent_finals
-    )
+
+def _sample(
+    scenario: Scenario,
+    cand: PerturbationCandidate,
+    round_idx: int,
+    expert_kind: str,
+    config: PipelineConfig,
+    states2: SceneStates,
+    sub2: SubMetricVector,
+) -> tuple[SimSample | None, str]:
+    """The expert-stage filter on a simulated stage 2, and the sample it accepts."""
+    ctx = config.sim_context
+    dt = scenario.dt
     executed2 = Trajectory(dt=dt, states=states2.ego, frame=FRAME_GLOBAL)
-    sub2 = compute_submetrics(states2, scenario, executed2, ctx)
     accepted, reason = expert_filter(
         states2, scenario, executed2, config.expert_filter, ctx, precomputed=sub2
     )
     if not accepted:
         return None, reason
+    states1 = cand.screen_states
+    epdms1 = aggregate_epdms(cand.screen_submetrics, ctx.weights)
     epdms2 = aggregate_epdms(sub2, ctx.weights)
 
     ego_comb = states1.ego + states2.ego[1:]
@@ -224,7 +275,7 @@ def _simulate(
         aid: states1.agents[aid] + states2.agents[aid][1:] for aid in states1.agents
     }
     states_comb = SceneStates(
-        dt=dt, t_start=anchor, t_end=anchor2 + H, ego=ego_comb, agents=agents_comb
+        dt=dt, t_start=states1.t_start, t_end=states2.t_end, ego=ego_comb, agents=agents_comb
     )
     sample = SimSample(
         scenario_id=scenario.id,
@@ -241,6 +292,34 @@ def _simulate(
     return sample, ""
 
 
+def _simulate_batch(
+    scenario: Scenario,
+    draws: Sequence[tuple[PerturbationCandidate, int]],
+    expert_kind: str,
+    config: PipelineConfig,
+    vocab: Vocabulary,
+) -> list[tuple[SimSample | None, str]]:
+    """(sample or None, reject reason) of each (candidate, round) drawn from one scenario."""
+    cleared = cleared_status(config)
+    # stage 1 is the rollout that cleared the screen; candidates that did not
+    # come through this run's screen are screened here rather than trusted
+    cands = screen_batch(
+        [
+            replace(c, status=STATUS_PENDING)
+            if c.status == cleared and c.screen_states is None else c
+            for c, _ in draws
+        ],
+        scenario,
+        config,
+    )
+    results = [(None, c.reason or "reward") for c in cands]
+    live = [i for i, c in enumerate(cands) if c.status == cleared]
+    stage2 = expert_stage(scenario, [cands[i] for i in live], expert_kind, config, vocab)
+    for i, (states2, sub2) in zip(live, stage2):
+        results[i] = _sample(scenario, cands[i], draws[i][1], expert_kind, config, states2, sub2)
+    return results
+
+
 def simulate_sample(
     scenario: Scenario,
     cand: PerturbationCandidate,
@@ -255,7 +334,7 @@ def simulate_sample(
     that this config's screen has not cleared is screened first. Returns None
     when the screen or the expert-stage filter rejects it.
     """
-    sample, _ = _simulate(scenario, cand, expert_kind, config, vocab, round_idx)
+    (sample, _), = _simulate_batch(scenario, [(cand, round_idx)], expert_kind, config, vocab)
     return sample
 
 
@@ -290,13 +369,12 @@ def _process_scenario_impl(
     draws = _round_draws(
         len(cleared), rounds, config.per_round, config.master_seed, scenario.id
     )
-    results = []
-    for r, indices in enumerate(draws):
-        for i in sorted(indices):
-            cand = cleared[i]
-            sample, reason = _simulate(scenario, cand, config.expert_kind, config, vocab, r)
-            results.append((r, cand.vocab_index, sample, reason))
-    return results
+    drawn = [(cleared[i], r) for r, indices in enumerate(draws) for i in sorted(indices)]
+    outcomes = _simulate_batch(scenario, drawn, config.expert_kind, config, vocab)
+    return [
+        (r, cand.vocab_index, sample, reason)
+        for (cand, r), (sample, reason) in zip(drawn, outcomes)
+    ]
 
 
 def _process_scenario(scenario: Scenario):

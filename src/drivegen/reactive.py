@@ -107,13 +107,25 @@ class StateBatch:
         return cls(np.repeat(np.array(values)[:, None], rows, axis=1))
 
     @classmethod
+    def tracks(cls, tracks: Sequence[Sequence[VehicleState]]) -> "StateBatch":
+        """(7, P, n): P rows holding the n states of a track each."""
+        values = [
+            [(s.pose.x, s.pose.y, s.pose.theta, s.vel_lon, s.vel_lat, s.accel, s.steering)
+             for s in states]
+            for states in tracks
+        ]
+        data = np.array(values, dtype=float).reshape(len(values), -1, 7)
+        return cls(np.ascontiguousarray(data.transpose(2, 0, 1)))
+
+    @classmethod
     def track(cls, states: Sequence[VehicleState]) -> "StateBatch":
         """(7, 1, n): one row holding the n states of a track."""
-        values = [
-            (s.pose.x, s.pose.y, s.pose.theta, s.vel_lon, s.vel_lat, s.accel, s.steering)
-            for s in states
-        ]
-        return cls(np.ascontiguousarray(np.array(values, dtype=float).reshape(-1, 7).T[:, None]))
+        return cls.tracks([states])
+
+    @classmethod
+    def frame(cls, states: Sequence[VehicleState]) -> "StateBatch":
+        """(7, P): one frame of P rows, one state each."""
+        return cls(cls.track(states).data[:, 0])
 
     @classmethod
     def stack(cls, frames: Sequence["StateBatch"]) -> "StateBatch":
@@ -123,16 +135,16 @@ class StateBatch:
     def at(self, k: int) -> "StateBatch":
         return StateBatch(self.data[:, :, k])
 
+    def states(self, row: int) -> tuple[VehicleState, ...]:
+        """The states of one row of tracks."""
+        return tuple(
+            VehicleState(Pose2D(x, y, th), v, v_lat, a, st)
+            for x, y, th, v, v_lat, a, st in self.data[:, row, :].T.tolist()
+        )
+
     def trajectory(self, row: int, dt: float) -> Trajectory:
         """The global-frame trajectory of one row of tracks."""
-        return Trajectory(
-            dt=dt,
-            states=tuple(
-                VehicleState(Pose2D(x, y, th), v, v_lat, a, st)
-                for x, y, th, v, v_lat, a, st in self.data[:, row, :].T.tolist()
-            ),
-            frame=FRAME_GLOBAL,
-        )
+        return Trajectory(dt=dt, states=self.states(row), frame=FRAME_GLOBAL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,6 +166,26 @@ class SceneBatch:
             states.t_end,
             StateBatch.track(states.ego),
             {aid: StateBatch.track(track) for aid, track in states.agents.items()},
+        )
+
+    def take(self, rows: Sequence[int]) -> "SceneBatch":
+        """The scene of the given rows, in their order."""
+        return SceneBatch(
+            self.dt,
+            self.t_start,
+            self.t_end,
+            StateBatch(self.ego.data[:, rows]),
+            {aid: StateBatch(t.data[:, rows]) for aid, t in self.agents.items()},
+        )
+
+    def states(self, row: int) -> SceneStates:
+        """One row as the `SceneStates` of a scalar rollout."""
+        return SceneStates(
+            dt=self.dt,
+            t_start=self.t_start,
+            t_end=self.t_end,
+            ego=self.ego.states(row),
+            agents={aid: t.states(row) for aid, t in self.agents.items()},
         )
 
 

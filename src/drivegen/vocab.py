@@ -18,22 +18,33 @@ from typing import Sequence
 
 import numpy as np
 
+from .batch import plan_batch, rollout_batch
 from .control import ControlInput, VehicleLimits, bicycle_step
 from .errors import SchemaError, ValidationError
-from .geometry import OrientedBox, angle_diff, global_to_local, local_to_global, wrap_angle
-from .metrics import (
+from .geometry import (
+    _cached_ops,
+    angle_diff,
+    global_to_local,
+    local_to_global,
+    wrap_angle,
+    wrap_angle_many,
+)
+# `check_collision`, `compute_submetrics` and `rollout` stay bound here:
+# perfbench/tracer.py wraps `vocab.check_collision`, `vocab.compute_submetrics`
+# and `vocab.rollout` by name
+from .metrics import (  # noqa: F401
     SimContext,
     SubMetricVector,
     aggregate_epdms,
+    any_contact,
     check_collision,
     compute_submetrics,
     drivable_area_compliance,
-    pose_arrays,
+    submetrics_batch,
 )
-from .reactive import SceneStates, rollout
+from .reactive import SceneStates, StateBatch, rollout  # noqa: F401
 from .scenario import (
     FRAME_EGO_LOCAL,
-    FRAME_GLOBAL,
     Pose2D,
     Scenario,
     Trajectory,
@@ -283,12 +294,20 @@ def _place_pose(p: Pose2D, anchor: Pose2D) -> Pose2D:
 
 
 def place_at_state(entry: Trajectory, anchor: VehicleState) -> Trajectory:
-    """Rigidly transform an ego-local entry to start at the anchor pose."""
-    states = tuple(
-        VehicleState(_place_pose(s.pose, anchor.pose), s.vel_lon, s.vel_lat, s.accel, s.steering)
-        for s in entry.states
-    )
-    return Trajectory(dt=entry.dt, states=states, frame=FRAME_GLOBAL)
+    """Rigidly transform an ego-local entry to start at the anchor pose.
+
+    Every state is placed as `_place_pose` places one, in numpy with the same
+    arithmetic.
+    """
+    a = anchor.pose
+    c, s = math.cos(a.theta), math.sin(a.theta)
+    local = StateBatch.track(entry.states).data
+    x, y = local[0], local[1]
+    placed = local.copy()
+    placed[0] = a.x + (c * x - s * y)
+    placed[1] = a.y + (s * x + c * y)
+    placed[2] = wrap_angle_many(local[2] + a.theta)
+    return StateBatch(placed).trajectory(0, entry.dt)
 
 
 def endpoint_offsets(
@@ -368,6 +387,92 @@ def grid_sparsify(
     return out
 
 
+# feasibility mode: (status it takes, status it clears to, status it rejects to, misuse)
+_CHECKS = {
+    "nonreactive": (
+        STATUS_PENDING, STATUS_CLEARED_NONREACTIVE, STATUS_INFEASIBLE_NONREACTIVE,
+        "non-reactive check requires a pending candidate",
+    ),
+    "reactive": (
+        STATUS_CLEARED_NONREACTIVE, STATUS_CLEARED_REACTIVE, STATUS_INFEASIBLE_REACTIVE,
+        "reactive check requires a non-reactively cleared candidate",
+    ),
+}
+
+
+def _history_track(scenario: Scenario) -> StateBatch:
+    """(7, 1, anchor + 1): the logged ego up to the anchor, packed once per scenario."""
+    return StateBatch.track(scenario.ego_log.states[: scenario.anchor_frame + 1])
+
+
+def feasibility_filter_batch(
+    cands: Sequence[PerturbationCandidate],
+    scenario: Scenario,
+    mode: str,
+    epdms_min: float,
+    ctx: SimContext | None = None,
+) -> list[PerturbationCandidate]:
+    """Roll candidates out in the world of `ctx` and mark each cleared or infeasible.
+
+    Non-reactive checks run on pending candidates; reactive checks require a
+    prior non-reactive clearance (the cheap filter always runs first), and
+    an unplaced candidate is placed at the anchor state before its rollout.
+    All candidates are simulated in one batched rollout, and each row comes
+    out as if screened alone. Infeasibility reasons, tested in this order:
+    "collision" (any contact, at fault or not), "off-road" (a footprint
+    corner leaves the drivable area; decided before the other sub-metrics
+    are computed), or "reward" (EPDMS below `epdms_min`, history comfort
+    judged on the logged history plus the window). A cleared candidate keeps
+    the states and sub-metrics of this rollout.
+    """
+    if mode not in _CHECKS:
+        raise ValidationError(f"unknown feasibility mode '{mode}'")
+    required, new_status, fail_status, problem = _CHECKS[mode]
+    for cand in cands:
+        if cand.status != required:
+            raise ValidationError(f"{problem}, got {cand.status}")
+    if not cands:
+        return []
+
+    ctx = ctx or SimContext()
+    anchor = scenario.anchor_frame
+    placed = [  # the one place an enumerated entry is placed
+        c.trajectory if c.trajectory is not None
+        else place_at_state(c.entry, scenario.ego_log[anchor])
+        for c in cands
+    ]
+    H = scenario.t_horizon
+    scene = rollout_batch(scenario, plan_batch(placed, scenario, H), anchor, H, ctx, mode=mode)
+    ego = scene.ego
+    collided = any_contact(scene, scenario, ctx)
+    off_road = drivable_area_compliance(ego.x, ego.y, ego.theta, scenario, ctx) == 0.0
+    reasons = ["collision" if hit else "off-road" for hit in collided.tolist()]
+    cleared: dict[int, tuple[SceneStates, SubMetricVector]] = {}
+
+    scored = np.flatnonzero(~collided & ~off_road).tolist()
+    if scored:
+        window = scene.take(scored)
+        history = _cached_ops(scenario, _history_track).data
+        comfort = StateBatch(np.concatenate(
+            [np.repeat(history, len(scored), axis=1), window.ego.data[:, :, 1:]], axis=2
+        ))
+        rows = submetrics_batch(window, scenario, ctx, comfort=comfort).tolist()
+        for j, (i, row) in enumerate(zip(scored, rows)):
+            sub = SubMetricVector(*row)
+            if aggregate_epdms(sub, ctx.weights) < epdms_min:
+                reasons[i] = "reward"
+            else:
+                cleared[i] = (window.states(j), sub)
+    return [
+        replace(c, trajectory=plan, status=new_status, reason="",
+                screen_states=cleared[i][0], screen_submetrics=cleared[i][1])
+        if i in cleared
+        else replace(c, trajectory=plan, status=fail_status, reason=reasons[i],
+                     screen_states=None, screen_submetrics=None)
+        for i, (c, plan) in enumerate(zip(cands, placed))
+    ]
+
+
 def feasibility_filter(
     cand: PerturbationCandidate,
     scenario: Scenario,
@@ -375,55 +480,5 @@ def feasibility_filter(
     epdms_min: float,
     ctx: SimContext | None = None,
 ) -> PerturbationCandidate:
-    """Roll a candidate out in the world of `ctx` and mark it cleared or infeasible.
-
-    Non-reactive checks run on pending candidates; reactive checks require a
-    prior non-reactive clearance (the cheap filter always runs first), and
-    an unplaced candidate is placed at the anchor state before its rollout.
-    Infeasibility reasons, tested in this order: "collision", "off-road" (a
-    footprint corner leaves the drivable area; decided before the other
-    sub-metrics are computed), or "reward". A cleared candidate keeps the
-    states and sub-metrics of this rollout.
-    """
-    if mode == "nonreactive":
-        if cand.status != STATUS_PENDING:
-            raise ValidationError(f"non-reactive check requires a pending candidate, got {cand.status}")
-        new_status, fail_status = STATUS_CLEARED_NONREACTIVE, STATUS_INFEASIBLE_NONREACTIVE
-    elif mode == "reactive":
-        if cand.status != STATUS_CLEARED_NONREACTIVE:
-            raise ValidationError(
-                f"reactive check requires a non-reactively cleared candidate, got {cand.status}"
-            )
-        new_status, fail_status = STATUS_CLEARED_REACTIVE, STATUS_INFEASIBLE_REACTIVE
-    else:
-        raise ValidationError(f"unknown feasibility mode '{mode}'")
-
-    ctx = ctx or SimContext()
-    anchor = scenario.anchor_frame
-    if cand.trajectory is None:  # the one place an enumerated entry is placed
-        cand = replace(cand, trajectory=place_at_state(cand.entry, scenario.ego_log[anchor]))
-    states = rollout(scenario, cand.trajectory, anchor, scenario.t_horizon, mode=mode, ctx=ctx)
-    failed = replace(cand, status=fail_status, screen_states=None, screen_submetrics=None)
-
-    # any contact at all is infeasible here, at fault or not
-    extents = {a.id: (a.length, a.width) for a in scenario.agents}
-    ego_boxes = [OrientedBox(s.pose.x, s.pose.y, s.pose.theta, *ctx.ego_extent) for s in states.ego]
-    agent_boxes = {
-        aid: [OrientedBox(s.pose.x, s.pose.y, s.pose.theta, *extents[aid]) for s in track]
-        for aid, track in states.agents.items()
-    }
-    if check_collision(ego_boxes, agent_boxes) is not None:
-        return replace(failed, reason="collision")
-    if drivable_area_compliance(*pose_arrays(states.ego), scenario, ctx) == 0.0:
-        return replace(failed, reason="off-road")
-
-    history = scenario.ego_log.segment(0, anchor)
-    combined = Trajectory(
-        dt=scenario.dt, states=history.states + states.ego[1:], frame=FRAME_GLOBAL
-    )
-    sub = compute_submetrics(states, scenario, combined, ctx)
-    if aggregate_epdms(sub, ctx.weights) < epdms_min:
-        return replace(failed, reason="reward")
-    return replace(
-        cand, status=new_status, reason="", screen_states=states, screen_submetrics=sub
-    )
+    """`feasibility_filter_batch` of one candidate."""
+    return feasibility_filter_batch([cand], scenario, mode, epdms_min, ctx)[0]

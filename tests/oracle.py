@@ -1,4 +1,5 @@
-"""Scalar reference scorer: the test oracle of `metrics.submetrics_batch`.
+"""Scalar references: the test oracles of `metrics.submetrics_batch` and of
+the batched feasibility screen (`vocab.feasibility_filter_batch`).
 
 Each sub-metric is computed on Python floats, frame by frame: NC searches per-frame
 `OrientedBox` pairs for the first contact, TLC loops over frame pairs, EP
@@ -12,18 +13,32 @@ from __future__ import annotations
 
 import math
 
+from dataclasses import replace
+
+from drivegen.errors import ValidationError
 from drivegen.geometry import OrientedBox, boxes_overlap, polyline_ops, segments_intersect
 from drivegen.metrics import (
     SimContext,
     SubMetricVector,
     _extended_comfort,
+    aggregate_epdms,
     check_collision,
     comfort_profile,
+    compute_submetrics,
     drivable_area_compliance,
     lane_compliance,
     pose_arrays,
 )
-from drivegen.scenario import DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH
+from drivegen.reactive import rollout
+from drivegen.scenario import DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH, FRAME_GLOBAL, Trajectory
+from drivegen.vocab import (
+    STATUS_CLEARED_NONREACTIVE,
+    STATUS_CLEARED_REACTIVE,
+    STATUS_INFEASIBLE_NONREACTIVE,
+    STATUS_INFEASIBLE_REACTIVE,
+    STATUS_PENDING,
+    place_at_state,
+)
 
 
 def oracle_time_to_collision(
@@ -177,3 +192,51 @@ def oracle_submetrics(states, scenario, ego_traj, ctx=None, stage1_features=None
     ec = _extended_comfort(stage1_features, ego_traj, th)
 
     return SubMetricVector(nc=nc, dac=dac, ddc=ddc, tlc=tlc, ep=ep, ttc=ttc, lk=lk, hc=hc, ec=ec)
+
+
+def oracle_feasibility_filter(cand, scenario, mode, epdms_min, ctx=None):
+    """`vocab.feasibility_filter` one candidate at a time: a scalar `rollout`,
+    a frame-by-frame any-contact search over `OrientedBox` pairs, then DAC
+    and `compute_submetrics` on the logged history plus the window."""
+    if mode == "nonreactive":
+        if cand.status != STATUS_PENDING:
+            raise ValidationError(f"non-reactive check requires a pending candidate, got {cand.status}")
+        new_status, fail_status = STATUS_CLEARED_NONREACTIVE, STATUS_INFEASIBLE_NONREACTIVE
+    elif mode == "reactive":
+        if cand.status != STATUS_CLEARED_NONREACTIVE:
+            raise ValidationError(
+                f"reactive check requires a non-reactively cleared candidate, got {cand.status}"
+            )
+        new_status, fail_status = STATUS_CLEARED_REACTIVE, STATUS_INFEASIBLE_REACTIVE
+    else:
+        raise ValidationError(f"unknown feasibility mode '{mode}'")
+
+    ctx = ctx or SimContext()
+    anchor = scenario.anchor_frame
+    if cand.trajectory is None:
+        cand = replace(cand, trajectory=place_at_state(cand.entry, scenario.ego_log[anchor]))
+    states = rollout(scenario, cand.trajectory, anchor, scenario.t_horizon, mode=mode, ctx=ctx)
+    failed = replace(cand, status=fail_status, screen_states=None, screen_submetrics=None)
+
+    # any contact at all is infeasible here, at fault or not
+    extents = {a.id: (a.length, a.width) for a in scenario.agents}
+    ego_boxes = [OrientedBox(s.pose.x, s.pose.y, s.pose.theta, *ctx.ego_extent) for s in states.ego]
+    agent_boxes = {
+        aid: [OrientedBox(s.pose.x, s.pose.y, s.pose.theta, *extents[aid]) for s in track]
+        for aid, track in states.agents.items()
+    }
+    if check_collision(ego_boxes, agent_boxes) is not None:
+        return replace(failed, reason="collision")
+    if drivable_area_compliance(*pose_arrays(states.ego), scenario, ctx) == 0.0:
+        return replace(failed, reason="off-road")
+
+    history = scenario.ego_log.segment(0, anchor)
+    combined = Trajectory(
+        dt=scenario.dt, states=history.states + states.ego[1:], frame=FRAME_GLOBAL
+    )
+    sub = compute_submetrics(states, scenario, combined, ctx)
+    if aggregate_epdms(sub, ctx.weights) < epdms_min:
+        return replace(failed, reason="reward")
+    return replace(
+        cand, status=new_status, reason="", screen_states=states, screen_submetrics=sub
+    )

@@ -230,6 +230,23 @@ def test_eval_bad_state_value_one_error_line(tmp_path, corpus_dir, capsys, bad):
     assert "states[3].x" in err[0]
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_eval_too_few_states_one_error_line(tmp_path, corpus_dir, capsys, count):
+    """A trajectory needs two states to make a step; fewer is a schema error
+    naming `states`, not a window outside the scenario."""
+    scenario_path = sorted(corpus_dir.glob("*.json"))[0]
+    traj_path = tmp_path / "short.json"
+    _write_logged_trajectory(scenario_path, traj_path)
+    data = json.loads(traj_path.read_text())
+    data["states"] = data["states"][:count]
+    traj_path.write_text(json.dumps(data))
+    rc = main(["eval", "--scenario", str(scenario_path), "--trajectory", str(traj_path)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "states" in err[0] and "window" not in err[0]
+
+
 @pytest.mark.parametrize("bad", ["wide", float("nan")], ids=["non-numeric", "nan"])
 def test_eval_bad_map_number_one_error_line(tmp_path, corpus_dir, capsys, bad):
     scenario_path = sorted(corpus_dir.glob("*.json"))[0]

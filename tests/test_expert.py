@@ -145,11 +145,13 @@ def test_privileged_plan_empty_road_full_progress(benign_scenario):
     s = benign_scenario
     anchor = s.anchor_frame
     plan = privileged_plan(s, anchor)
-    states = rollout(s, plan, anchor, s.t_horizon, mode="reactive")
+    states = rollout(s, plan.reference, anchor, s.t_horizon, mode="reactive")
     executed = Trajectory(dt=s.dt, states=states.ego)
     sub = compute_submetrics(states, s, executed)
     assert sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0
     assert sub.ep == 1.0
+    # the plan carries the rollout and sub-metrics that scored it
+    assert plan.states == states and plan.submetrics == sub
 
 
 def _straight_scenario(v: float, t_history=20, t_horizon=40, agents=()):
@@ -186,7 +188,7 @@ def test_privileged_plan_blocked_lane_avoids_collision():
         states=tuple(make_state(x=stop_x, v=0.0) for _ in range(n)),
     )
     s2 = _straight_scenario(v, agents=(blocker,))
-    plan = privileged_plan(s2, anchor)
+    plan = privileged_plan(s2, anchor).reference
     states = rollout(s2, plan, anchor, s2.t_horizon, mode="reactive")
     # oracle: re-check min gap between ego and blocker footprints over time
     from drivegen.geometry import OrientedBox, boxes_overlap
@@ -205,7 +207,7 @@ def test_privileged_plan_single_proposal_returned_verbatim(benign_scenario):
     plan = privileged_plan(s, s.anchor_frame, p)
     expected = privileged_plan(s, s.anchor_frame, p)
     assert plan == expected
-    assert len(plan) == s.t_horizon + 1
+    assert len(plan.reference) == s.t_horizon + 1
 
 
 def test_privileged_plan_argmax_dominates_all_proposals(benign_scenario):
@@ -214,7 +216,7 @@ def test_privileged_plan_argmax_dominates_all_proposals(benign_scenario):
     p = PlannerParams(
         speed_fractions=(0.25, 0.75, 1.0), lateral_offsets=(-0.5, 0.0, 0.5)
     )
-    best = privileged_plan(s, anchor, p)
+    best = privileged_plan(s, anchor, p).reference
     best_states = rollout(s, best, anchor, s.t_horizon, mode="reactive")
     best_score = aggregate_epdms(
         compute_submetrics(best_states, s, Trajectory(dt=s.dt, states=best_states.ego)),
@@ -224,7 +226,7 @@ def test_privileged_plan_argmax_dominates_all_proposals(benign_scenario):
     for frac in p.speed_fractions:
         for off in p.lateral_offsets:
             single = PlannerParams(speed_fractions=(frac,), lateral_offsets=(off,))
-            prop = privileged_plan(s, anchor, single)
+            prop = privileged_plan(s, anchor, single).reference
             st = rollout(s, prop, anchor, s.t_horizon, mode="reactive")
             score = aggregate_epdms(
                 compute_submetrics(st, s, Trajectory(dt=s.dt, states=st.ego)), MetricWeights()

@@ -9,6 +9,7 @@ from drivegen.config import PipelineConfig
 from drivegen.errors import ValidationError
 from drivegen.geometry import BoxArrays, OrientedBox
 from drivegen.metrics import (
+    MetricThresholds,
     MetricWeights,
     RewardRecord,
     SimContext,
@@ -353,19 +354,34 @@ def test_traffic_light_red_crossing_zero():
     assert sub2.tlc == 0.0  # crossing at t = 3 s happens on red
 
 
-def test_hc_flags_harsh_braking():
-    # accel -5 exceeds the 4.0 m/s^2 comfort bound
+def _braking_window(decel):
+    """21 frames of straight driving from 15 m/s, braking at `decel` m/s^2."""
     dt = 0.1
     states = [make_state(v=15.0)]
     x, v = 0.0, 15.0
     for _ in range(20):
         x += dt * v
-        v = max(0.0, v - dt * 5.0)
+        v = max(0.0, v - dt * decel)
         states.append(make_state(x=x, v=v))
     traj = Trajectory(dt=dt, states=tuple(states))
+    return SceneStates(dt=dt, t_start=0, t_end=20, ego=tuple(states), agents={}), traj
+
+
+def test_hc_flags_harsh_braking(benign_scenario):
+    # accel -5 m/s^2 exceeds the 4.0 m/s^2 comfort bound; jerk and yaw stay 0
+    assert MetricThresholds().hc_accel_max == 4.0
+    scene, traj = _braking_window(5.0)
     feats = comfort_features(traj)
     assert feats[0] == pytest.approx(5.0)
-    scene = SceneStates(dt=dt, t_start=0, t_end=20, ego=tuple(states), agents={})
+    assert compute_submetrics(scene, benign_scenario, traj).hc == 0.0
+
+
+def test_hc_passes_gentle_braking(benign_scenario):
+    # accel -2 m/s^2 is within the 4.0 m/s^2 bound; jerk and yaw stay 0
+    assert MetricThresholds().hc_accel_max == 4.0
+    scene, traj = _braking_window(2.0)
+    assert comfort_features(traj)[0] == pytest.approx(2.0)
+    assert compute_submetrics(scene, benign_scenario, traj).hc == 1.0
 
 
 def test_compute_submetrics_pure(benign_scenario):
@@ -389,39 +405,55 @@ def test_reward_record_dict_roundtrip():
 def test_scoring_kernel_matches_the_scalar_oracle_on_a_generated_corpus(
     corpus_100, small_vocab, monkeypatch
 ):
-    """Every `compute_submetrics` call of the screen (both modes) and of
-    stage 2, in a recovery and a planner generation over 100 scenarios,
-    equals the scalar oracle field by field and bit for bit, and so does
-    the kernel's minimum TTC, +inf included."""
+    """Every row that the screen (both modes) and stage 2 score, in a
+    recovery and a planner generation over 100 scenarios, equals the scalar
+    oracle field by field and bit for bit, and so does the kernel's minimum
+    TTC, +inf included. The planner's stage 2 is its winning proposal's row."""
     calls = {"vocab": 0, "pipeline": 0}
     seen = {"finite_ttc": 0, "ttc": set(), "hc": set(), "ep_graded": 0}
 
-    def checked(module):
-        real = module.compute_submetrics
+    def check(got, states, scenario, ego_traj, ctx, caller):
+        want = oracle_submetrics(states, scenario, ego_traj, ctx)
+        assert {k: v.hex() for k, v in got.as_dict().items()} == {
+            k: v.hex() for k, v in want.as_dict().items()
+        }, (scenario.id, states.t_start)
+        world = ctx or SimContext()
+        th = world.thresholds
+        extents = {a.id: (a.length, a.width) for a in scenario.agents}
+        args = (world.ego_extent, extents, th.ttc_horizon, th.ttc_min_ego_speed)
+        ttc = _ttc(states, *args)
+        assert ttc.hex() == oracle_time_to_collision(states, *args).hex(), scenario.id
+        calls[caller] += 1
+        seen["finite_ttc"] += ttc < math.inf
+        seen["ep_graded"] += 0.0 < got.ep < 1.0
+        for name in ("ttc", "hc"):
+            seen[name].add(getattr(got, name))
 
-        def scorer(states, scenario, ego_traj, ctx=None, stage1_features=None):
-            got = real(states, scenario, ego_traj, ctx, stage1_features)
-            want = oracle_submetrics(states, scenario, ego_traj, ctx, stage1_features)
-            assert {k: v.hex() for k, v in got.as_dict().items()} == {
-                k: v.hex() for k, v in want.as_dict().items()
-            }, (scenario.id, states.t_start)
-            world = ctx or SimContext()
-            th = world.thresholds
-            extents = {a.id: (a.length, a.width) for a in scenario.agents}
-            args = (world.ego_extent, extents, th.ttc_horizon, th.ttc_min_ego_speed)
-            ttc = _ttc(states, *args)
-            assert ttc.hex() == oracle_time_to_collision(states, *args).hex(), scenario.id
-            calls[module.__name__.split(".")[-1]] += 1
-            seen["finite_ttc"] += ttc < math.inf
-            seen["ep_graded"] += 0.0 < got.ep < 1.0
-            for name in ("ttc", "hc"):
-                seen[name].add(getattr(got, name))
+    def checked(module):
+        real = module.submetrics_batch
+        caller = module.__name__.split(".")[-1]
+
+        def scorer(scene, scenario, ctx, comfort=None):
+            got = real(scene, scenario, ctx, comfort)
+            judged = comfort if comfort is not None else scene.ego
+            for row, values in enumerate(got.tolist()):
+                check(SubMetricVector(*values), scene.states(row), scenario,
+                      judged.trajectory(row, scene.dt), ctx, caller)
             return got
 
-        monkeypatch.setattr(module, "compute_submetrics", scorer)
+        monkeypatch.setattr(module, "submetrics_batch", scorer)
 
     checked(drivegen.vocab)
     checked(drivegen.pipeline)
+    real_plan = drivegen.pipeline.privileged_plan
+
+    def checked_plan(scenario, *args, **kwargs):
+        plan = real_plan(scenario, *args, **kwargs)
+        executed = Trajectory(dt=scenario.dt, states=plan.states.ego)
+        check(plan.submetrics, plan.states, scenario, executed, kwargs.get("ctx"), "pipeline")
+        return plan
+
+    monkeypatch.setattr(drivegen.pipeline, "privileged_plan", checked_plan)
     for expert in ("recovery", "planner"):
         config = PipelineConfig(
             vocab_size=256, vocab_source_count=2048, master_seed=11, expert_kind=expert,

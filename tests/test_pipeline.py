@@ -9,7 +9,6 @@ import pytest
 import drivegen.batch
 import drivegen.expert
 import drivegen.pipeline
-import drivegen.reactive
 import drivegen.vocab
 from drivegen.config import CameraConfig, PipelineConfig, config_hash
 from drivegen.errors import ValidationError
@@ -184,7 +183,7 @@ def test_screen_simulates_the_configured_world(small_corpus, small_vocab, monkey
     )
     ctx = config.sim_context
     ego_lengths = set()
-    _spy(monkeypatch, drivegen.reactive, "select_leader",
+    _spy(monkeypatch, drivegen.batch, "select_leaders",
          lambda args, kwargs: ego_lengths.add(args[1]["ego"][1]))
 
     checked = 0
@@ -209,8 +208,6 @@ def test_screen_simulates_the_configured_world(small_corpus, small_vocab, monkey
     _spy(monkeypatch, drivegen.expert, "rollout_batch",
          lambda args, kwargs: contexts.append(args[4]))
     ego_lengths.clear()
-    _spy(monkeypatch, drivegen.batch, "select_leaders",
-         lambda args, kwargs: ego_lengths.add(args[1]["ego"][1]))
     s = next(x for x in small_corpus if x.agents)
     privileged_plan(s, s.anchor_frame, config.planner, ctx=ctx)
     assert contexts and all(c is ctx for c in contexts)
@@ -271,8 +268,8 @@ def test_stage1_is_the_screen_rollout(small_corpus, small_vocab, small_config, p
     """Accepted samples carry the screen's ego track and EPDMS as stage 1, and
     a cleared candidate costs one rollout (stage 2) and no second screen."""
     rollouts, screens = [], []
-    _spy(monkeypatch, drivegen.pipeline, "rollout", lambda a, k: rollouts.append(1))
-    _spy(monkeypatch, drivegen.pipeline, "feasibility_filter", lambda a, k: screens.append(1))
+    _spy(monkeypatch, drivegen.pipeline, "rollout_batch", lambda a, k: rollouts.append(1))
+    _spy(monkeypatch, drivegen.pipeline, "feasibility_filter_batch", lambda a, k: screens.append(1))
     checked = 0
     for s in small_corpus:
         for cand in prepared[s.id]:

@@ -118,7 +118,7 @@ def check_against_oracle(
 ):
     """Assert the batched kernel equals the scalar oracle; returns the oracle's sub-metrics."""
     p = p or PlannerParams()
-    refs, sub, scores = score_proposals(scenario, t, p, ego_start, agent_init, ctx)
+    refs, _, sub, scores = score_proposals(scenario, t, p, ego_start, agent_init, ctx)
     o_refs, o_rollouts, o_subs, o_scores, o_best = oracle_plan(
         scenario, t, p, ego_start, agent_init, ctx
     )
@@ -147,7 +147,7 @@ def check_against_oracle(
                     _bits(_state_tuple(s)) for s in o_states.agents[aid]
                 ]
     plan = privileged_plan(scenario, t, p, ego_start, agent_init, ctx)
-    assert plan == o_refs[o_best]
+    assert plan.reference == o_refs[o_best]
     return o_subs
 
 

@@ -457,11 +457,12 @@ def test_screen_decides_off_road_before_the_other_metrics(
     that computes them all first."""
     import drivegen.vocab
 
-    scored = []
-    original = drivegen.vocab.compute_submetrics
+    scored = []  # rows scored by the screen's kernel call
+    original = drivegen.vocab.submetrics_batch
     monkeypatch.setattr(
-        drivegen.vocab, "compute_submetrics",
-        lambda *args, **kwargs: scored.append(1) or original(*args, **kwargs),
+        drivegen.vocab, "submetrics_batch",
+        lambda scene, *args, **kwargs: scored.append(scene.ego.x.shape[0])
+        or original(scene, *args, **kwargs),
     )
     ctx = small_config.sim_context
     epdms_min = small_config.perturb.epdms_min
@@ -479,7 +480,7 @@ def test_screen_decides_off_road_before_the_other_metrics(
                 reasons.append(cand.reason)
                 assert cand.reason == expected_reason
                 assert cand.screen_submetrics == expected_sub
-                assert len(scored) == (0 if cand.reason in ("collision", "off-road") else 1)
+                assert sum(scored) == (0 if cand.reason in ("collision", "off-road") else 1)
                 if cand.reason:
                     break
     assert "off-road" in reasons and "" in reasons
