@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .control import DEFAULT_STEER_MAX, GAIN_DELTA_STEP, GAIN_V_STEP, _tracking_gain
+from .control import DEFAULT_STEER_MAX, GAIN_DELTA_STEP, GAIN_V_STEP, VehicleLimits, _tracking_gain
 from .errors import RolloutError
 from .geometry import per_element, wrap_angle, wrap_angle_many
 from .reactive import (
@@ -79,6 +79,18 @@ def _advance(
     )
 
 
+def _bicycle_step(
+    s: StateBatch, accel: np.ndarray, steer_rate: np.ndarray, dt: float, lim: VehicleLimits
+) -> StateBatch:
+    """`control.bicycle_step` of every row: commands and steering clamped to
+    `lim`, then one `_advance`."""
+    accel = _clamp(accel, -lim.accel_max, lim.accel_max)
+    steer_rate = _clamp(steer_rate, -lim.steer_rate_max, lim.steer_rate_max)
+    delta = _clamp(s.steering, -lim.steer_max, lim.steer_max)
+    new_delta = _clamp(delta + dt * steer_rate, -lim.steer_max, lim.steer_max)
+    return _advance(s, accel, delta, dt, lim.wheelbase, new_delta)
+
+
 # ---------------------------------------------------------------------------
 # Rollout
 
@@ -93,7 +105,6 @@ def _lqr_track_batch(
     cos_neg = per_element(math.cos, -ref.theta[:, :horizon])
     sin_neg = per_element(math.sin, -ref.theta[:, :horizon])
     gain_steps = np.array([[GAIN_V_STEP], [GAIN_DELTA_STEP]])
-    command_max = np.array([[lim.accel_max], [lim.steer_rate_max]])
     gain_rows: dict[tuple[float, float], int] = {}  # quantized (v, delta) -> row of `gains`
     gains = np.zeros((1, 4, 2))  # K transposed; row 0 serves verbatim steps, which ignore it
     cur = start
@@ -131,10 +142,8 @@ def _lqr_track_batch(
             K[:, 0] * e_lat[:, None] + K[:, 1] * e_theta[:, None]
             + K[:, 2] * e_v[:, None] + K[:, 3] * e_delta[:, None]
         )
-        accel, steer_rate = _clamp((next_vs - ref_vs) / dt + feedback.T, -command_max, command_max)
-        delta = _clamp(cur.steering, -lim.steer_max, lim.steer_max)
-        new_delta = _clamp(delta + dt * steer_rate, -lim.steer_max, lim.steer_max)
-        cur = _advance(cur, accel, delta, dt, lim.wheelbase, new_delta)
+        accel, steer_rate = (next_vs - ref_vs) / dt + feedback.T
+        cur = _bicycle_step(cur, accel, steer_rate, dt, lim)
         if verbatim.any():
             cur = StateBatch(np.where(verbatim, rn.data, cur.data))
         out.append(cur)

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import plan_batch, rollout_batch
-from .control import ControlInput, VehicleLimits, bicycle_step
+from .batch import _bicycle_step, _bound, plan_batch, rollout_batch
+from .control import VehicleLimits
 from .errors import SchemaError, ValidationError
 from .geometry import (
     _cached_ops,
@@ -136,21 +136,42 @@ class PerturbationCandidate:
 # Maneuver synthesis (vocabulary source at desk scale)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Maneuvers(Sequence[Trajectory]):
+    """Ego-local maneuvers of one dt, held as one (7, N, n) `StateBatch`.
+
+    Reading a row builds its `Trajectory`, so a caller that keeps a few rows
+    of a large bank never materializes the rest.
+    """
+
+    dt: float
+    tracks: StateBatch
+
+    def __len__(self) -> int:
+        return self.tracks.data.shape[1]
+
+    def __getitem__(self, row: int) -> Trajectory:
+        return Trajectory(dt=self.dt, states=self.tracks.states(row), frame=FRAME_EGO_LOCAL)
+
+
 def synthesize_maneuvers(
     count: int, horizon: int, dt: float, seed: int, speed_range: tuple[float, float] = (4.0, 14.0)
-) -> list[Trajectory]:
+) -> Maneuvers:
     """Ego-local maneuvers: two-phase steering arcs crossed with speed profiles.
 
     Each maneuver is integrated with the kinematic bicycle, so entries are
-    realizable trajectories. Deterministic in (count, horizon, dt, seed).
+    realizable trajectories. All maneuvers step together, each row exactly as
+    `control.bicycle_step` steps it alone. Deterministic in (count, horizon,
+    dt, seed).
     """
+    if count < 1:
+        raise ValidationError(f"maneuver count must be >= 1, got {count}")
     if not (dt > 0 and math.isfinite(dt)):
         raise ValidationError(f"dt must be positive and finite, got {dt}")
     if horizon < 2:
         raise ValidationError(f"horizon must be >= 2, got {horizon}")
     rng = random.Random(mix64(seed, "maneuvers", count, horizon))
-    limits = VehicleLimits()
-    out = []
+    draws = []
     for _ in range(count):
         v0 = rng.uniform(*speed_range)
         accel = 0.0 if rng.random() < 0.2 else rng.uniform(-1.2, 1.2)
@@ -167,36 +188,124 @@ def synthesize_maneuvers(
             d1 = rng.uniform(-0.06, 0.06)
             d2 = rng.uniform(-0.06, 0.06)
         switch = rng.randrange(horizon // 4, 3 * horizon // 4)
-        cur = VehicleState(Pose2D(0.0, 0.0, 0.0), v0, 0.0, 0.0, 0.0)
-        states = [cur]
-        delta = 0.0
-        for k in range(horizon):
-            target = d1 if k < switch else d2
-            rate = max(-0.4, min(0.4, (target - delta) / dt))
-            cur = bicycle_step(cur, ControlInput(accel, rate), dt, limits)
-            delta = cur.steering
-            states.append(cur)
-        out.append(Trajectory(dt=dt, states=tuple(states), frame=FRAME_EGO_LOCAL))
-    return out
+        draws.append((v0, accel, d1, d2, switch))
+    v0, accel, d1, d2, switch = np.array(draws).T
+
+    limits = VehicleLimits()
+    zero = np.zeros(count)
+    cur = StateBatch.of(zero, zero, zero, v0, zero, zero, zero)
+    frames = [cur]
+    for k in range(horizon):
+        target = np.where(k < switch, d1, d2)
+        rate = _bound((target - cur.steering) / dt, 0.4)
+        cur = _bicycle_step(cur, accel, rate, dt, limits)
+        frames.append(cur)
+    return Maneuvers(dt, StateBatch.stack(frames))
 
 
 # ---------------------------------------------------------------------------
 # Clustering
 
 
-def _flatten(traj: Trajectory) -> np.ndarray:
-    xs = [s.pose.x for s in traj.states]
-    ys = [s.pose.y for s in traj.states]
-    thetas = np.unwrap([s.pose.theta for s in traj.states])
-    return np.concatenate([xs, ys, thetas])
+def _flatten(tracks: StateBatch) -> np.ndarray:
+    """(N, 3n): each track's x, then its y, then its unwrapped heading."""
+    return np.concatenate([tracks.x, tracks.y, np.unwrap(tracks.theta, axis=1)], axis=1)
+
+
+def _sq_distances(X: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(N, k) squared distances as ||x||^2 - 2 x.c + ||c||^2, built in place.
+
+    Bit-identical to evaluating that expression left to right: scaling by
+    -2 is exact and a - b is a + (-b).
+    """
+    d2 = X @ centers.T
+    d2 *= -2.0
+    d2 += xx[:, None]
+    d2 += np.sum(centers * centers, axis=1)
+    return d2
+
+
+def _update_centers(
+    X: np.ndarray, d2: np.ndarray, assign: np.ndarray, centers: np.ndarray
+) -> None:
+    """Move each center, in cluster order, to the mean of its rows.
+
+    An empty cluster is revived with the row farthest from its center under
+    the assignment as it stands; that row leaves the later cluster it was in,
+    and an earlier cluster's mean, already taken, keeps it.
+    """
+    k = len(centers)
+    order = None
+    for c in range(k):
+        if order is None:  # rows by cluster, each cluster's in index order
+            order = np.argsort(assign, kind="stable")
+            bounds = np.searchsorted(assign, np.arange(k + 1), sorter=order)
+        rows = order[bounds[c]:bounds[c + 1]]
+        if len(rows):
+            centers[c] = X[rows].mean(axis=0)
+        else:
+            far = int(np.argmax(d2[np.arange(len(X)), assign]))
+            centers[c] = X[far]
+            assign[far] = c
+            order = None
+
+
+def _lloyd(X: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """The (k, D) centers after plain Lloyd iterations (cap 100) from a seeded
+    choice of k rows."""
+    rng = np.random.Generator(np.random.PCG64(mix64(seed, "kmeans", k)))
+    centers = X[rng.choice(len(X), size=k, replace=False)].copy()
+    xx = np.sum(X * X, axis=1)
+    assign = np.zeros(len(X), dtype=np.int64)
+    for _ in range(100):
+        d2 = _sq_distances(X, xx, centers)
+        new_assign = np.argmin(d2, axis=1)
+        _update_centers(X, d2, new_assign, centers)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return centers
+
+
+def _snap(X: np.ndarray, centers: np.ndarray) -> list[int]:
+    """Index of each center's nearest row by the direct `sum((x - c) ** 2)`,
+    ties to the lowest index.
+
+    Only rows whose matmul distance lies within `margin` of the column's
+    minimum are scored directly. With D = X.shape[1], unit roundoff u =
+    eps / 2 and S = max ||x||^2 + ||c||^2, the standard error bounds (any
+    summation order, FMA or not) give, to first order in u:
+      matmul form: 2 |fl(x.c) - x.c| <= D u S, ||x||^2 and ||c||^2 err by
+        <= D u S together, and the two additions round by <= 5 u S;
+      direct form: each (x - c)^2 errs by <= 3 u relative and the sum by
+        <= (D - 1) u, so <= (D + 2) u ||x - c||^2 <= (2 D + 4) u S.
+    A row beats the matmul minimum's row in the direct form only if its
+    matmul distance exceeds the minimum by at most twice the sum of both
+    bounds, (8 D + 18) u S. The margin doubles that to cover the second
+    order and the rounding of S itself, so every row that can tie or win the
+    direct comparison is a candidate.
+    """
+    xx = np.sum(X * X, axis=1)
+    d2 = _sq_distances(X, xx, centers)
+    margin = (8 * X.shape[1] + 18) * np.finfo(float).eps * (
+        xx.max() + np.sum(centers * centers, axis=1)
+    )
+    cols, rows = np.nonzero(d2.T <= d2.min(axis=0)[:, None] + margin[:, None])
+    bounds = np.searchsorted(cols, np.arange(len(centers) + 1))
+    nearest = []
+    for c, center in enumerate(centers):
+        cand = rows[bounds[c]:bounds[c + 1]]
+        nearest.append(int(cand[np.argmin(np.sum((X[cand] - center) ** 2, axis=1))]))
+    return nearest
 
 
 def build_vocabulary(samples: Sequence[Trajectory], k: int, seed: int) -> Vocabulary:
     """Cluster maneuvers with k-means and snap centers to their nearest sample.
 
     Plain Lloyd iterations (cap 100) with seeded initialization; snapping
-    keeps every entry a realizable trajectory. Deterministic in
-    (samples, k, seed).
+    keeps every entry a realizable trajectory. A `Maneuvers` bank is
+    clustered from its array, and only the k chosen rows become
+    trajectories. Deterministic in (samples, k, seed).
     """
     if not samples:
         raise ValidationError("samples must not be empty")
@@ -205,36 +314,12 @@ def build_vocabulary(samples: Sequence[Trajectory], k: int, seed: int) -> Vocabu
     if k > len(samples):
         raise ValidationError(f"k={k} exceeds sample count {len(samples)}")
 
-    X = np.stack([_flatten(t) for t in samples])
-    rng = np.random.Generator(np.random.PCG64(mix64(seed, "kmeans", k)))
-    centers = X[rng.choice(len(samples), size=k, replace=False)].copy()
-
-    assign = np.zeros(len(samples), dtype=np.int64)
-    for _ in range(100):
-        d2 = (
-            np.sum(X * X, axis=1)[:, None]
-            - 2.0 * (X @ centers.T)
-            + np.sum(centers * centers, axis=1)[None, :]
-        )
-        new_assign = np.argmin(d2, axis=1)
-        for c in range(k):
-            mask = new_assign == c
-            if np.any(mask):
-                centers[c] = X[mask].mean(axis=0)
-            else:
-                # revive an empty cluster with the sample farthest from its center
-                far = int(np.argmax(d2[np.arange(len(samples)), new_assign]))
-                centers[c] = X[far]
-                new_assign[far] = c
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-
-    entries = []
-    for c in range(k):
-        d2c = np.sum((X - centers[c]) ** 2, axis=1)
-        entries.append(samples[int(np.argmin(d2c))])
-    return Vocabulary(entries=tuple(entries))
+    if isinstance(samples, Maneuvers):
+        tracks = samples.tracks
+    else:
+        tracks = StateBatch.tracks([t.states for t in samples])
+    X = _flatten(tracks)
+    return Vocabulary(entries=tuple(samples[i] for i in _snap(X, _lloyd(X, k, seed))))
 
 
 def default_vocabulary(

@@ -1,5 +1,6 @@
-"""Scalar references: the test oracles of `metrics.submetrics_batch` and of
-the batched feasibility screen (`vocab.feasibility_filter_batch`).
+"""Scalar references: the test oracles of `metrics.submetrics_batch`, of
+the batched feasibility screen (`vocab.feasibility_filter_batch`) and of the
+vocabulary build (`vocab.synthesize_maneuvers`, `vocab.build_vocabulary`).
 
 Each sub-metric is computed on Python floats, frame by frame: NC searches per-frame
 `OrientedBox` pairs for the first contact, TLC loops over frame pairs, EP
@@ -12,9 +13,12 @@ no second implementation.
 from __future__ import annotations
 
 import math
-
+import random
 from dataclasses import replace
 
+import numpy as np
+
+from drivegen.control import ControlInput, VehicleLimits, bicycle_step
 from drivegen.errors import ValidationError
 from drivegen.geometry import OrientedBox, boxes_overlap, polyline_ops, segments_intersect
 from drivegen.metrics import (
@@ -30,7 +34,16 @@ from drivegen.metrics import (
     pose_arrays,
 )
 from drivegen.reactive import rollout
-from drivegen.scenario import DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH, FRAME_GLOBAL, Trajectory
+from drivegen.scenario import (
+    DEFAULT_EGO_LENGTH,
+    DEFAULT_EGO_WIDTH,
+    FRAME_EGO_LOCAL,
+    FRAME_GLOBAL,
+    Pose2D,
+    Trajectory,
+    VehicleState,
+)
+from drivegen.seeding import mix64
 from drivegen.vocab import (
     STATUS_CLEARED_NONREACTIVE,
     STATUS_CLEARED_REACTIVE,
@@ -240,3 +253,84 @@ def oracle_feasibility_filter(cand, scenario, mode, epdms_min, ctx=None):
     return replace(
         cand, status=new_status, reason="", screen_states=states, screen_submetrics=sub
     )
+
+
+def oracle_synthesize_maneuvers(count, horizon, dt, seed, speed_range=(4.0, 14.0)):
+    """`vocab.synthesize_maneuvers` one maneuver at a time: scalar `bicycle_step`
+    on `VehicleState`s, returning a list of trajectories."""
+    rng = random.Random(mix64(seed, "maneuvers", count, horizon))
+    limits = VehicleLimits()
+    out = []
+    for _ in range(count):
+        v0 = rng.uniform(*speed_range)
+        accel = 0.0 if rng.random() < 0.2 else rng.uniform(-1.2, 1.2)
+        shape = rng.random()
+        if shape < 0.15:  # straight
+            d1 = d2 = 0.0
+        elif shape < 0.5:  # mirrored S-curve, heading returns to ~0
+            d1 = rng.uniform(-0.06, 0.06)
+            d2 = -d1
+        elif shape < 0.65:  # sustained arc
+            d1 = rng.uniform(-0.05, 0.05)
+            d2 = d1
+        else:  # free two-phase arc
+            d1 = rng.uniform(-0.06, 0.06)
+            d2 = rng.uniform(-0.06, 0.06)
+        switch = rng.randrange(horizon // 4, 3 * horizon // 4)
+        cur = VehicleState(Pose2D(0.0, 0.0, 0.0), v0, 0.0, 0.0, 0.0)
+        states = [cur]
+        delta = 0.0
+        for k in range(horizon):
+            target = d1 if k < switch else d2
+            rate = max(-0.4, min(0.4, (target - delta) / dt))
+            cur = bicycle_step(cur, ControlInput(accel, rate), dt, limits)
+            delta = cur.steering
+            states.append(cur)
+        out.append(Trajectory(dt=dt, states=tuple(states), frame=FRAME_EGO_LOCAL))
+    return out
+
+
+def oracle_flatten(traj):
+    """One trajectory's x, then y, then unwrapped heading."""
+    xs = [s.pose.x for s in traj.states]
+    ys = [s.pose.y for s in traj.states]
+    thetas = np.unwrap([s.pose.theta for s in traj.states])
+    return np.concatenate([xs, ys, thetas])
+
+
+def oracle_build_vocabulary(samples, k, seed):
+    """`vocab.build_vocabulary` with a boolean mask per cluster in the center
+    update and a full pass over the samples per center in the snap.
+
+    Returns the snapped sample indices, the final centers and how many times
+    an empty cluster was revived.
+    """
+    X = np.stack([oracle_flatten(t) for t in samples])
+    rng = np.random.Generator(np.random.PCG64(mix64(seed, "kmeans", k)))
+    centers = X[rng.choice(len(samples), size=k, replace=False)].copy()
+
+    revives = 0
+    assign = np.zeros(len(samples), dtype=np.int64)
+    for _ in range(100):
+        d2 = (
+            np.sum(X * X, axis=1)[:, None]
+            - 2.0 * (X @ centers.T)
+            + np.sum(centers * centers, axis=1)[None, :]
+        )
+        new_assign = np.argmin(d2, axis=1)
+        for c in range(k):
+            mask = new_assign == c
+            if np.any(mask):
+                centers[c] = X[mask].mean(axis=0)
+            else:
+                # revive an empty cluster with the sample farthest from its center
+                far = int(np.argmax(d2[np.arange(len(samples)), new_assign]))
+                centers[c] = X[far]
+                new_assign[far] = c
+                revives += 1
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+
+    nearest = [int(np.argmin(np.sum((X - center) ** 2, axis=1))) for center in centers]
+    return nearest, centers, revives

@@ -308,6 +308,15 @@ def test_fit_scaling_rejects_nonpositive_n(tmp_path, capsys):
     assert "row 3" in err
 
 
+@pytest.mark.parametrize("count", [-5, 0])
+def test_build_vocab_bad_sample_count_one_error_line(tmp_path, capsys, count):
+    out = tmp_path / "vocab.json"
+    rc = main(["build-vocab", "--k", "4", "--samples", str(count), "--out", str(out)])
+    assert rc == 1
+    assert _one_error_line(capsys) == f"error: maneuver count must be >= 1, got {count}"
+    assert not out.exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

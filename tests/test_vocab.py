@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from drivegen import vocab as vocab_module
 from drivegen.errors import SchemaError, ValidationError
 from drivegen.geometry import OrientedBox, angle_diff, global_to_local
 from drivegen.metrics import aggregate_epdms, check_collision, compute_submetrics
-from drivegen.reactive import rollout
+from drivegen.reactive import StateBatch, rollout
 from drivegen.scenario import AgentTrack, Scenario, Trajectory
 from drivegen.seeding import mix64
 from drivegen.vocab import (
@@ -20,6 +21,7 @@ from drivegen.vocab import (
     STATUS_PENDING,
     STATUS_THRESHOLD_REJECTED,
     GridSpec,
+    Maneuvers,
     PerturbThresholds,
     PerturbationCandidate,
     Vocabulary,
@@ -34,6 +36,7 @@ from drivegen.vocab import (
 )
 
 from conftest import make_state, straight_trajectory
+from oracle import oracle_build_vocabulary, oracle_flatten, oracle_synthesize_maneuvers
 
 
 # --- clustering
@@ -101,6 +104,60 @@ def test_synthesize_maneuvers_realizable():
             a, b = e.states[k], e.states[k + 1]
             d = math.hypot(b.pose.x - a.pose.x, b.pose.y - a.pose.y)
             assert abs(d / e.dt - a.vel_lon) <= 0.05
+
+
+@pytest.mark.parametrize(
+    "count, k, seed", [(2048, 256, 3), (512, 64, 0), (512, 64, 5), (512, 64, 11)]
+)
+def test_vocabulary_build_matches_scalar_oracle(count, k, seed, monkeypatch):
+    """The batched bicycle, the array flatten, the in-place k-means and the
+    pruned snap reproduce the one-maneuver-at-a-time build bit for bit, and
+    only the k chosen rows become trajectories."""
+    bank = synthesize_maneuvers(count, horizon=40, dt=0.1, seed=seed)
+    scalar = oracle_synthesize_maneuvers(count, 40, 0.1, seed)
+    assert bank.tracks.data.tobytes() == StateBatch.tracks([t.states for t in scalar]).data.tobytes()
+
+    X = vocab_module._flatten(bank.tracks)
+    assert X.tobytes() == np.stack([oracle_flatten(t) for t in scalar]).tobytes()
+
+    nearest, centers, _ = oracle_build_vocabulary(scalar, k, seed)
+    batched_centers = vocab_module._lloyd(X, k, seed)
+    assert batched_centers.tobytes() == centers.tobytes()
+    assert vocab_module._snap(X, batched_centers) == nearest
+
+    reads = []
+    row = Maneuvers.__getitem__
+    monkeypatch.setattr(Maneuvers, "__getitem__", lambda self, i: reads.append(i) or row(self, i))
+    vocab = build_vocabulary(bank, k, seed)
+    assert reads == nearest
+    assert vocab.entries == tuple(scalar[i] for i in nearest)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_empty_cluster_revive_matches_oracle(seed):
+    """Six maneuvers twice over plus six others, clustered into 16: duplicate
+    centers leave clusters empty. Each revive takes the farthest row under
+    the assignment as it stands; the row leaves a later cluster, while an
+    earlier cluster's mean keeps it."""
+    samples = list(synthesize_maneuvers(6, horizon=10, dt=0.1, seed=seed)) * 2
+    samples += synthesize_maneuvers(6, horizon=10, dt=0.1, seed=seed + 100)
+    nearest, centers, revives = oracle_build_vocabulary(samples, 16, seed)
+    assert revives > 0
+
+    X = vocab_module._flatten(StateBatch.tracks([t.states for t in samples]))
+    batched_centers = vocab_module._lloyd(X, 16, seed)
+    assert batched_centers.tobytes() == centers.tobytes()
+    assert vocab_module._snap(X, batched_centers) == nearest
+
+
+@pytest.mark.parametrize("ys, winner", [((5.0, 1.0, -1.0, -5.0), 1), ((1.0, -1.0), 0), ((-1.0, 1.0), 0)])
+def test_snap_tie_goes_to_lowest_index(ys, winner):
+    """Rows at exactly equal distance from the one center: the lowest index
+    wins, as `np.argmin` over all rows picks it."""
+    samples = [_shifted_trajectory(y) for y in ys]
+    vocab = build_vocabulary(samples, k=1, seed=0)
+    assert vocab.entries[0] is samples[winner]
+    assert oracle_build_vocabulary(samples, 1, 0)[0] == [winner]
 
 
 def test_vocabulary_uniformity_enforced():
