@@ -3,15 +3,17 @@
 `rollout_batch` steps P ego reference plans together as (P, ·) numpy arrays:
 LQR tracking of the ego and, for each agent, lane assignment, projection,
 leader choice, IDM and pure pursuit, vectorized over the P rows;
-`metrics.submetrics_batch` scores the resulting scene.
+`metrics.submetrics_batch` scores the resulting scene. It is the package's
+one simulation engine: `reactive.rollout` and `control.lqr_track` run one
+row through it.
 
-It reproduces the scalar `reactive.rollout` (reactive and non-reactive
-modes) bit for bit, each row as if simulated alone:
-elementary arithmetic runs in numpy in the scalar code's order, comparisons
-and clamps keep its tie and signed-zero behaviour, angles wrap through the
-exact `geometry.wrap_angle_many`, and transcendental functions run per element
-through `math` (`geometry.per_element`). So every lane and leader choice comes
-out as the scalar oracle's.
+Each row comes out as if simulated alone, bit for bit, whichever rows share
+its call: elementary arithmetic runs in numpy in a fixed per-row order,
+comparisons and clamps keep Python's tie and signed-zero behaviour, angles
+wrap through the exact `geometry.wrap_angle_many`, and transcendental
+functions run per element through `math` (`geometry.per_element`). The
+tests check every row against the scalar oracles of `tests/oracle.py`
+(`oracle_rollout`, `oracle_lqr_track`, `oracle_select_leader`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .control import DEFAULT_STEER_MAX, GAIN_DELTA_STEP, GAIN_V_STEP, VehicleLimits, _tracking_gain
+from .control import (
+    DEFAULT_STEER_MAX,
+    GAIN_DELTA_STEP,
+    GAIN_V_STEP,
+    LqrParams,
+    VehicleLimits,
+    _tracking_gain,
+)
 from .errors import RolloutError
 from .geometry import per_element, wrap_angle, wrap_angle_many
 from .reactive import (
@@ -32,6 +41,8 @@ from .reactive import (
     SceneBatch,
     StateBatch,
     assign_lanes,
+    check_plan_dt,
+    check_window,
     idm_accel,
     lane_centerline_ops,
 )
@@ -98,10 +109,11 @@ _SPEED_STEERING = [3, 6]  # rows of vel_lon and steering in StateBatch.data
 
 
 def _lqr_track_batch(
-    ref: StateBatch, start: StateBatch, horizon: int, dt: float, ctx: SimContext
+    ref: StateBatch, start: StateBatch, horizon: int, dt: float, lqr: LqrParams, lim: VehicleLimits
 ) -> StateBatch:
-    """`control.lqr_track` of every reference row from its row of `start`."""
-    lqr, lim = ctx.lqr, ctx.limits
+    """LQR tracking of every reference row from its row of `start` over
+    `horizon` steps, (7, P, horizon + 1): the model and the verbatim-step
+    rule of `control.lqr_track`, gains from `control._tracking_gain`."""
     cos_neg = per_element(math.cos, -ref.theta[:, :horizon])
     sin_neg = per_element(math.sin, -ref.theta[:, :horizon])
     gain_steps = np.array([[GAIN_V_STEP], [GAIN_DELTA_STEP]])
@@ -124,7 +136,8 @@ def _lqr_track_batch(
                 & (np.abs(rn.steering) <= lim.steer_max) & (rn.v >= 0.0)
             )
 
-        # gain lookups as `control._quantize` keys them (+ 0.0 turns -0.0 into 0.0)
+        # gain lookups keyed on the reference rounded to the gain grid, half to
+        # even as Python's round (+ 0.0 turns -0.0 into 0.0)
         keys = list(zip(*(np.round(ref_vs / gain_steps) * gain_steps + 0.0).tolist()))
         wanted = {key for key, skip in zip(keys, verbatim.tolist()) if not skip}
         new = sorted(wanted - gain_rows.keys())
@@ -163,11 +176,15 @@ def select_leaders(
     lanes: Sequence[Lane],
     lane: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`reactive.select_leader` per row for an agent on lane index `lane`.
+    """Nearest entity ahead of an agent along its lane, per row, for an agent
+    on lane index `lane`.
 
     `scene` maps entity id (including "ego") to (per-frame states, body
     length). Returns the agent's arclength on its lane and (has leader,
-    leader speed, bumper-to-bumper gap) arrays.
+    leader speed, bumper-to-bumper gap) arrays. Candidates must sit within
+    half a lane width of the centerline and at most 100 m ahead; ties on
+    distance break by ascending id. Overlapping bumpers give a 0.01 m gap,
+    which forces hard braking.
     """
     own, length = scene[agent_id]
     others = [scene[o] for o in sorted(scene) if o != agent_id]
@@ -201,7 +218,7 @@ def _agent_step_batch(
     dt: float,
     ctx: SimContext,
 ) -> StateBatch:
-    """One IDM + pure-pursuit step of a vehicle agent, as in `rollout`."""
+    """One IDM + pure-pursuit step of a vehicle agent in every row."""
     st = scene[agent_id][0]
     lane = assign_lanes(st.x, st.y, lanes)
     s_self, found, v_lead, gap = select_leaders(agent_id, scene, lanes, lane)
@@ -228,10 +245,10 @@ def _agent_step_batch(
 
 
 def plan_batch(plans: Sequence[Trajectory], scenario: Scenario, horizon: int) -> StateBatch:
-    """(7, P, horizon + 1) references from P plans, each checked as `rollout` checks its plan."""
+    """(7, P, horizon + 1) references from P global-frame plans of at least
+    horizon + 1 states at the scenario's dt."""
     for plan in plans:
-        if plan.dt != scenario.dt:
-            raise RolloutError(f"ego_plan dt {plan.dt} does not match scenario dt {scenario.dt}")
+        check_plan_dt(plan, scenario)
         if plan.frame != FRAME_GLOBAL:
             raise RolloutError(f"ego_plan is in frame '{plan.frame}', needs '{FRAME_GLOBAL}'")
         if len(plan) < horizon + 1:
@@ -249,8 +266,9 @@ def rollout_batch(
     agent_init: Mapping[str, VehicleState | StateBatch] | None = None,
     mode: str = MODE_REACTIVE,
 ) -> SceneBatch:
-    """`rollout` of every row of `plans` (global-frame references of at least
-    horizon + 1 states at the scenario's dt) over one frame window.
+    """Simulate every row of `plans` (global-frame references of at least
+    horizon + 1 states at the scenario's dt) over the frame window
+    [t_start, t_start + horizon] in the world of `ctx`.
 
     A start state (`ego_start`, each `agent_init` entry) is one state for
     every row or a (7, P) batch of one state per row. In reactive mode agents
@@ -259,11 +277,7 @@ def rollout_batch(
     """
     if mode not in (MODE_REACTIVE, MODE_NONREACTIVE):
         raise RolloutError(f"unknown batched rollout mode '{mode}'")
-    if t_start < 0 or horizon < 1 or t_start + horizon > scenario.frame_count - 1:
-        raise RolloutError(
-            f"window [{t_start}, {t_start + horizon}] outside scenario frames "
-            f"[0, {scenario.frame_count - 1}]"
-        )
+    check_window(scenario, t_start, horizon)
     rows = plans.x.shape[0]
     dt = scenario.dt
     t_end = t_start + horizon
@@ -272,7 +286,7 @@ def rollout_batch(
         return state if isinstance(state, StateBatch) else StateBatch.full(state, rows)
 
     start = ego_start if ego_start is not None else scenario.ego_log[t_start]
-    ego = _lqr_track_batch(plans, per_row(start), horizon, dt, ctx)
+    ego = _lqr_track_batch(plans, per_row(start), horizon, dt, ctx.lqr, ctx.limits)
 
     ordered = sorted(scenario.agents, key=lambda a: a.id)
     if mode == MODE_NONREACTIVE:

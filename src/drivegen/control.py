@@ -1,7 +1,9 @@
 """Kinematic bicycle model and the LQR tracking controller.
 
 The ego executes planned trajectories via error-state LQR feedback around a
-per-step linearization of the bicycle model. All functions here are pure.
+per-step linearization of the bicycle model. The tracker itself is
+`batch._lqr_track_batch`; `lqr_track` runs one reference through it, and
+this module supplies its gains. All functions here are pure.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import RiccatiError, RolloutError, ValidationError
-from .geometry import angle_diff, global_to_local, wrap_angle
+from .geometry import wrap_angle
 from .scenario import Pose2D, Trajectory, VehicleState
 
 # Actuation and geometry defaults; all overridable through VehicleLimits.
@@ -174,10 +176,6 @@ GAIN_V_STEP = 0.25
 GAIN_DELTA_STEP = 0.0078125
 
 
-def _quantize(value: float, step: float) -> float:
-    return round(value / step) * step
-
-
 @lru_cache(maxsize=16384)
 def _tracking_gain(
     v_ref: float,
@@ -209,17 +207,6 @@ def _tracking_gain(
     return tuple(tuple(row) for row in K)
 
 
-def tracking_error(state: VehicleState, ref: VehicleState) -> tuple[float, float, float, float]:
-    """Error state of `state` relative to `ref`, in the reference frame."""
-    _, e_lat = global_to_local(
-        state.pose.x, state.pose.y, ref.pose.x, ref.pose.y, ref.pose.theta
-    )
-    e_theta = angle_diff(state.pose.theta, ref.pose.theta)
-    e_v = state.vel_lon - ref.vel_lon
-    e_delta = state.steering - ref.steering
-    return (e_lat, e_theta, e_v, e_delta)
-
-
 def lqr_track(
     reference: Trajectory,
     start: VehicleState,
@@ -231,48 +218,18 @@ def lqr_track(
     The output has the same length and frame tag as the reference. When the
     error state is exactly zero and the next reference state respects the
     actuator limits, that state is taken verbatim: this is the exact
-    feedforward solution and keeps log replay bit-identical.
+    feedforward solution and keeps log replay bit-identical. One row of
+    `batch._lqr_track_batch`.
     """
-    if params is None:
-        params = LqrParams()
+    from .batch import _lqr_track_batch  # batch imports this module
+    from .reactive import StateBatch
+
     if len(reference) < 2:
         raise RolloutError("reference must contain at least 2 states")
-    lim = limits or VehicleLimits()
-    dt = reference.dt
-
-    out = [start]
-    cur = start
-    n = len(reference)
-    for k in range(n - 1):
-        ref_k = reference[k]
-        ref_next = reference[k + 1]
-        err = tracking_error(cur, ref_k)
-        if (
-            err == (0.0, 0.0, 0.0, 0.0)
-            and cur.pose == ref_k.pose
-            and abs(ref_next.steering) <= lim.steer_max
-            and ref_next.vel_lon >= 0.0
-        ):
-            cur = ref_next
-            out.append(cur)
-            continue
-
-        K = _tracking_gain(
-            _quantize(ref_k.vel_lon, GAIN_V_STEP),
-            _quantize(ref_k.steering, GAIN_DELTA_STEP),
-            dt,
-            lim.wheelbase,
-            params.state_weights,
-            params.control_weights,
-            params.horizon,
-        )
-        # feedforward from reference finite differences
-        a_ff = (ref_next.vel_lon - ref_k.vel_lon) / dt
-        sr_ff = (ref_next.steering - ref_k.steering) / dt
-        a_fb = -(K[0][0] * err[0] + K[0][1] * err[1] + K[0][2] * err[2] + K[0][3] * err[3])
-        sr_fb = -(K[1][0] * err[0] + K[1][1] * err[1] + K[1][2] * err[2] + K[1][3] * err[3])
-        u = ControlInput(accel=a_ff + a_fb, steer_rate=sr_ff + sr_fb)
-        cur = bicycle_step(cur, u, dt, lim)
-        out.append(cur)
-
-    return Trajectory(dt=dt, states=tuple(out), frame=reference.frame)
+    if not reference.dt > 0:
+        raise ValueError("dt must be positive")
+    track = _lqr_track_batch(
+        StateBatch.track(reference.states), StateBatch.frame([start]), len(reference) - 1,
+        reference.dt, params or LqrParams(), limits or VehicleLimits(),
+    )
+    return Trajectory(dt=reference.dt, states=track.states(0), frame=reference.frame)

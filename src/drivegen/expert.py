@@ -217,8 +217,8 @@ def score_proposals(
 
     Returns the (P, H + 1) proposal references (speed fraction major), their
     simulated scene, their (P, 9) sub-metrics in `ALL_METRICS` order and the
-    aggregate scores under `ctx.weights`. Row p equals a scalar reactive
-    `rollout` of proposal p scored by `compute_submetrics` on its executed
+    aggregate scores under `ctx.weights`. Row p equals a reactive `rollout`
+    of proposal p alone, scored by `compute_submetrics` on its executed
     window.
     """
     p = p or PlannerParams()
@@ -266,7 +266,7 @@ def privileged_plan(
     frame t in the world of `ctx`, in one batched rollout, and scored with
     the metric aggregate under `ctx.weights`. Returns the winning proposal
     (ties go to the lower proposal index) with its rollout, which equals a
-    scalar reactive `rollout` of its reference, and its sub-metrics, scored
+    reactive `rollout` of its reference alone, and its sub-metrics, scored
     on that window. `ego_start` / `agent_init` plan from perturbed rather
     than logged states.
     """

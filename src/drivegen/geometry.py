@@ -1,7 +1,6 @@
 """Planar geometry helpers: angles, polylines, polygons, oriented boxes.
 
-Simple scalar implementations double as the reference semantics; the hot
-paths (projection, containment) have numpy-vectorized twins cached per
+The hot paths (projection, containment) run numpy-vectorized, cached per
 polyline/polygon object.
 """
 
@@ -54,8 +53,8 @@ def per_element(fn, *arrays: np.ndarray) -> np.ndarray:
     """`fn` applied with Python floats to each element of equal-shaped arrays.
 
     numpy's tan, arctan, arctan2, hypot and power can differ from `math` in
-    the last bit, so batched kernels that must reproduce the scalar code bit
-    for bit evaluate transcendental functions this way.
+    the last bit, so batched kernels that must reproduce Python-float
+    arithmetic bit for bit evaluate transcendental functions this way.
     """
     shape = np.shape(arrays[0])
     flat = [np.asarray(a, dtype=float).ravel().tolist() for a in arrays]
@@ -197,33 +196,6 @@ def polygon_is_simple(polygon: Sequence[Point]) -> bool:
 # Polylines
 
 
-def project_to_polyline(x: float, y: float, points: Sequence[Point]) -> tuple[float, float, float]:
-    """Project a point onto a polyline.
-
-    Returns (arclength s, signed lateral offset, tangent heading). Lateral is
-    positive to the left of the direction of travel.
-    """
-    best = (math.inf, 0.0, 0.0, 0.0)  # (dist2, s, lat, heading)
-    s_acc = 0.0
-    for i in range(len(points) - 1):
-        x1, y1 = points[i]
-        x2, y2 = points[i + 1]
-        ex, ey = x2 - x1, y2 - y1
-        L = math.hypot(ex, ey)
-        if L == 0.0:
-            continue
-        t = ((x - x1) * ex + (y - y1) * ey) / (L * L)
-        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-        px, py = x1 + t * ex, y1 + t * ey
-        dx, dy = x - px, y - py
-        d2 = dx * dx + dy * dy
-        if d2 < best[0]:
-            lat = (ex * dy - ey * dx) / L  # left-positive
-            best = (d2, s_acc + t * L, lat, math.atan2(ey, ex))
-        s_acc += L
-    return best[1], best[2], best[3]
-
-
 def offset_polyline(points: Sequence[Point], offset: float) -> list[Point]:
     """Shift a polyline laterally (left-positive) using averaged vertex normals."""
     n = len(points)
@@ -306,21 +278,8 @@ class PolylineOps:
         dy = y - (self.ay + t * self.ey)
         return float(np.min(dx * dx + dy * dy))
 
-    def point_at(self, s: float) -> tuple[float, float, float]:
-        if s <= 0.0:
-            return float(self.ax[0]), float(self.ay[0]), float(self.heading[0])
-        i = int(np.searchsorted(self.cum_s, s, side="right")) - 1
-        if i >= len(self.seg_len):
-            i = len(self.seg_len) - 1
-        t = min(1.0, (s - self.cum_s[i]) / max(self.seg_len[i], 1e-300))
-        return (
-            float(self.ax[i] + t * self.ex[i]),
-            float(self.ay[i] + t * self.ey[i]),
-            float(self.heading[i]),
-        )
-
     def point_at_many(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized `point_at`: (x, y, heading) arrays."""
+        """(x, y, heading) arrays at arclengths `s`, clamped to the ends."""
         i = np.minimum(np.searchsorted(self.cum_s, s, side="right") - 1, len(self.seg_len) - 1)
         t = np.minimum(1.0, (s - self.cum_s[i]) / np.maximum(self.seg_len[i], 1e-300))
         start = s <= 0.0

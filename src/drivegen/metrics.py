@@ -43,7 +43,6 @@ from .scenario import (
     DEFAULT_EGO_WIDTH,
     Scenario,
     Trajectory,
-    VehicleState,
 )
 
 PENALTY_METRICS = ("nc", "dac", "ddc", "tlc")
@@ -274,15 +273,6 @@ def _extended_comfort(
         if abs(f2 - f1) / denom > th.ec_rel_tol:
             return 0.0
     return 1.0
-
-
-def pose_arrays(states: Sequence[VehicleState]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, y, theta) arrays of a state sequence."""
-    return (
-        np.array([s.pose.x for s in states]),
-        np.array([s.pose.y for s in states]),
-        np.array([s.pose.theta for s in states]),
-    )
 
 
 def drivable_area_compliance(

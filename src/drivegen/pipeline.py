@@ -158,13 +158,6 @@ def screen_batch(
     return out
 
 
-def screen(
-    cand: PerturbationCandidate, scenario: Scenario, config: PipelineConfig
-) -> PerturbationCandidate:
-    """`screen_batch` of one candidate."""
-    return screen_batch([cand], scenario, config)[0]
-
-
 def prepare_candidates(
     scenario: Scenario, vocab: Vocabulary, config: PipelineConfig
 ) -> list[PerturbationCandidate]:

@@ -3,7 +3,8 @@
 A rollout executes the ego plan with the LQR tracker and advances every
 vehicle agent with IDM longitudinal control plus pure-pursuit centerline
 following. Agents update synchronously from the previous frame, in
-ascending id order, so results are independent of scheduling.
+ascending id order, so results are independent of scheduling. The engine is
+`batch.rollout_batch`; `rollout` simulates one plan as its one row.
 """
 
 from __future__ import annotations
@@ -14,18 +15,11 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .control import DEFAULT_STEER_MAX, lqr_track
+# `lqr_track` stays bound here: perfbench/tracer.py wraps it as `reactive.lqr_track`
+from .control import lqr_track  # noqa: F401
 from .errors import RolloutError, ValidationError
-from .geometry import PolylineOps, PolylineSetOps, _cached_ops, polyline_ops, wrap_angle
-from .scenario import (
-    FRAME_GLOBAL,
-    Lane,
-    MapModel,
-    Pose2D,
-    Scenario,
-    Trajectory,
-    VehicleState,
-)
+from .geometry import PolylineOps, PolylineSetOps, _cached_ops
+from .scenario import FRAME_GLOBAL, Lane, Pose2D, Scenario, Trajectory, VehicleState
 
 if TYPE_CHECKING:  # metrics imports this module, so the context type is annotation-only
     from .metrics import SimContext
@@ -179,7 +173,7 @@ class SceneBatch:
         )
 
     def states(self, row: int) -> SceneStates:
-        """One row as the `SceneStates` of a scalar rollout."""
+        """One row as the `SceneStates` of its simulated window."""
         return SceneStates(
             dt=self.dt,
             t_start=self.t_start,
@@ -219,80 +213,27 @@ def lane_centerline_ops(lane: Lane) -> PolylineOps:
     )
 
 
-def assign_lane(x: float, y: float, map_model: MapModel) -> int:
-    """Index of the lane whose centerline is closest to (x, y)."""
-    best_i, best_d = 0, math.inf
-    for i, lane in enumerate(map_model.lanes):
-        d = polyline_ops(lane.polyline).min_dist2(x, y)
-        if d < best_d:
-            best_i, best_d = i, d
-    return best_i
-
-
 def assign_lanes(xs: np.ndarray, ys: np.ndarray, lanes: Sequence[Lane]) -> np.ndarray:
-    """`assign_lane` of many points, for the lanes of a map."""
+    """Index of the lane whose centerline is closest to each point, the first
+    on ties."""
     ops = _cached_ops(lanes, lambda ls: PolylineSetOps([l.polyline for l in ls]))
     return ops.nearest_many(xs, ys)
 
 
-def lane_position(state: VehicleState, map_model: MapModel) -> tuple[Lane, PolylineOps, float]:
-    """Assigned lane, its centerline operator and the arclength along it."""
-    lane = map_model.lanes[assign_lane(state.pose.x, state.pose.y, map_model)]
-    ops = lane_centerline_ops(lane)
-    s, _, _ = ops.project(state.pose.x, state.pose.y)
-    return lane, ops, s
+def check_window(scenario: Scenario, t_start: int, horizon: int) -> None:
+    """Raise RolloutError unless [t_start, t_start + horizon] is a window of
+    at least one step inside the scenario's frames."""
+    if t_start < 0 or horizon < 1 or t_start + horizon > scenario.frame_count - 1:
+        raise RolloutError(
+            f"window [{t_start}, {t_start + horizon}] outside scenario frames "
+            f"[0, {scenario.frame_count - 1}]"
+        )
 
 
-def select_leader(
-    agent_id: str,
-    scene: Mapping[str, tuple[VehicleState, float]],
-    map_model: MapModel,
-    position: tuple[Lane, PolylineOps, float] | None = None,
-) -> tuple[float, float] | None:
-    """Nearest entity ahead of an agent along its lane.
-
-    `scene` maps entity id (including "ego") to (state, body length), and
-    `position` is the agent's `lane_position` when the caller already has it.
-    Returns (leader speed, bumper-to-bumper gap) or None. Candidates must sit
-    within half a lane width of the centerline and at most 100 m ahead; ties
-    on distance break by ascending id. Overlapping bumpers give a 0.01 m gap,
-    which forces hard braking.
-    """
-    state, length = scene[agent_id]
-    lane, ops, s_self = position or lane_position(state, map_model)
-
-    best: tuple[float, float, float] | None = None  # (ds, v, gap)
-    for other_id in sorted(scene.keys()):
-        if other_id == agent_id:
-            continue
-        other, other_len = scene[other_id]
-        s_o, lat_o, _ = ops.project(other.pose.x, other.pose.y)
-        if abs(lat_o) > 0.5 * lane.width:
-            continue
-        ds = s_o - s_self
-        if ds <= 0.0 or ds > LEADER_LOOKAHEAD:
-            continue
-        if best is None or ds < best[0]:
-            best = (ds, other.vel_lon, ds - 0.5 * length - 0.5 * other_len)
-    if best is None:
-        return None
-    _, v_lead, gap = best
-    return (v_lead, gap if gap > 0.0 else 0.01)
-
-
-def _agent_step(state: VehicleState, accel: float, steering: float, dt: float, wheelbase: float) -> VehicleState:
-    v = state.vel_lon
-    x = state.pose.x + dt * v * math.cos(state.pose.theta)
-    y = state.pose.y + dt * v * math.sin(state.pose.theta)
-    theta = wrap_angle(state.pose.theta + dt * v * math.tan(steering) / wheelbase)
-    new_v = max(0.0, v + dt * accel)
-    return VehicleState(
-        pose=Pose2D(x, y, theta),
-        vel_lon=new_v,
-        vel_lat=0.0,
-        accel=(new_v - v) / dt,
-        steering=steering,
-    )
+def check_plan_dt(plan: Trajectory, scenario: Scenario) -> None:
+    """Raise RolloutError unless the plan runs at the scenario's dt."""
+    if plan.dt != scenario.dt:
+        raise RolloutError(f"ego_plan dt {plan.dt} does not match scenario dt {scenario.dt}")
 
 
 def rollout(
@@ -312,88 +253,30 @@ def rollout(
     and log-replay-ego modes, and run IDM + pure pursuit in reactive mode.
     `ego_start` / `agent_init` optionally override the initial states, which
     is how the second simulation stage continues from perturbed states.
-    Without `ctx` the defaults of SimContext apply.
+    Without `ctx` the defaults of SimContext apply. The executing modes are
+    one row of `batch.rollout_batch`.
 
     Deterministic: equal inputs give bitwise-equal outputs.
     """
     if mode not in MODES:
         raise RolloutError(f"unknown mode '{mode}'")
-    if ego_plan.dt != scenario.dt:
-        raise RolloutError(
-            f"ego_plan dt {ego_plan.dt} does not match scenario dt {scenario.dt}"
-        )
-    if t_start < 0 or horizon < 1 or t_start + horizon > scenario.frame_count - 1:
-        raise RolloutError(
-            f"window [{t_start}, {t_start + horizon}] outside scenario frames "
-            f"[0, {scenario.frame_count - 1}]"
-        )
-    if ctx is None:
-        from .metrics import SimContext
-
-        ctx = SimContext()
-    t_end = t_start + horizon
-
-    # --- ego
+    check_plan_dt(ego_plan, scenario)
+    check_window(scenario, t_start, horizon)
     if mode == MODE_LOG_REPLAY_EGO:
-        ego_states = scenario.ego_log.states[t_start : t_end + 1]
-    else:
-        if ego_plan.frame != FRAME_GLOBAL:
-            raise RolloutError(f"ego_plan is in frame '{ego_plan.frame}', needs '{FRAME_GLOBAL}'")
-        if len(ego_plan) < horizon + 1:
-            raise RolloutError(
-                f"ego_plan has {len(ego_plan)} states, needs at least {horizon + 1}"
-            )
-        reference = ego_plan.segment(0, horizon)
-        start = ego_start if ego_start is not None else scenario.ego_log[t_start]
-        ego_states = lqr_track(reference, start, ctx.lqr, ctx.limits).states
+        window = slice(t_start, t_start + horizon + 1)
+        return SceneStates(
+            dt=scenario.dt,
+            t_start=t_start,
+            t_end=t_start + horizon,
+            ego=scenario.ego_log.states[window],
+            agents={a.id: a.states[window] for a in sorted(scenario.agents, key=lambda a: a.id)},
+        )
 
-    # --- agents
-    ordered = sorted(scenario.agents, key=lambda a: a.id)
-    tracks: dict[str, list[VehicleState]] = {}
-    if mode in (MODE_NONREACTIVE, MODE_LOG_REPLAY_EGO):
-        for a in ordered:
-            tracks[a.id] = list(a.states[t_start : t_end + 1])
-    else:
-        current: dict[str, VehicleState] = {}
-        for a in ordered:
-            init = agent_init.get(a.id) if agent_init else None
-            current[a.id] = init if init is not None else a.states[t_start]
-            tracks[a.id] = [current[a.id]]
+    from .batch import plan_batch, rollout_batch  # batch imports this module
+    from .metrics import SimContext
 
-        for k in range(horizon):
-            snapshot: dict[str, tuple[VehicleState, float]] = {"ego": (ego_states[k], ctx.ego_length)}
-            for a in ordered:
-                snapshot[a.id] = (current[a.id], a.length)
-
-            nxt: dict[str, VehicleState] = {}
-            for a in ordered:
-                st = current[a.id]
-                if a.kind == "static":
-                    nxt[a.id] = st
-                    continue
-                position = lane_position(st, scenario.map)
-                leader = select_leader(a.id, snapshot, scenario.map, position)
-                accel = idm_accel(st.vel_lon, leader, ctx.idm, ctx.b_hard)
-
-                _, ops, s_self = position
-                wheelbase = 0.6 * a.length
-                tx, ty, _ = ops.point_at(s_self + PURE_PURSUIT_LOOKAHEAD)
-                alpha = wrap_angle(
-                    math.atan2(ty - st.pose.y, tx - st.pose.x) - st.pose.theta
-                )
-                steering = math.atan2(
-                    2.0 * wheelbase * math.sin(alpha), PURE_PURSUIT_LOOKAHEAD
-                )
-                steering = max(-DEFAULT_STEER_MAX, min(DEFAULT_STEER_MAX, steering))
-                nxt[a.id] = _agent_step(st, accel, steering, scenario.dt, wheelbase)
-            current = nxt
-            for aid, st in current.items():
-                tracks[aid].append(st)
-
-    return SceneStates(
-        dt=scenario.dt,
-        t_start=t_start,
-        t_end=t_end,
-        ego=tuple(ego_states),
-        agents={aid: tuple(st) for aid, st in tracks.items()},
+    scene = rollout_batch(
+        scenario, plan_batch([ego_plan], scenario, horizon), t_start, horizon,
+        ctx or SimContext(), ego_start, agent_init, mode,
     )
+    return scene.states(0)

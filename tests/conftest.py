@@ -25,6 +25,38 @@ def straight_trajectory(v: float, n_states: int, dt: float = 0.1, theta: float =
     return Trajectory(dt=dt, states=tuple(states))
 
 
+def state_bits(s: VehicleState) -> tuple[str, ...]:
+    """A state's seven floats as hex strings, so -0.0 and 0.0 differ."""
+    return tuple(
+        float(v).hex()
+        for v in (s.pose.x, s.pose.y, s.pose.theta, s.vel_lon, s.vel_lat, s.accel, s.steering)
+    )
+
+
+def scene_bits(states):
+    """A simulated window (`SceneStates` or None) with every float as hex."""
+    if states is None:
+        return None
+    return (
+        states.dt, states.t_start, states.t_end,
+        [state_bits(s) for s in states.ego],
+        {aid: [state_bits(s) for s in track] for aid, track in states.agents.items()},
+    )
+
+
+def shifted_plan(plan: Trajectory, lateral: float, speed: float) -> Trajectory:
+    """The plan moved `lateral` m to its left, with its speeds and
+    accelerations scaled by `speed`."""
+    return Trajectory(dt=plan.dt, frame=plan.frame, states=tuple(
+        VehicleState(
+            Pose2D(s.pose.x - lateral * math.sin(s.pose.theta),
+                   s.pose.y + lateral * math.cos(s.pose.theta), s.pose.theta),
+            speed * s.vel_lon, s.vel_lat, speed * s.accel, s.steering,
+        )
+        for s in plan.states
+    ))
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     return generate_synthetic_corpus(corpus_config_for_count(5), seed=7)

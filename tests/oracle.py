@@ -1,6 +1,14 @@
-"""Scalar references: the test oracles of `metrics.submetrics_batch`, of
-the batched feasibility screen (`vocab.feasibility_filter_batch`) and of the
-vocabulary build (`vocab.synthesize_maneuvers`, `vocab.build_vocabulary`).
+"""Scalar references: the test oracles of the simulation kernels in
+`drivegen.batch` (`rollout_batch`, `_lqr_track_batch`, `select_leaders`,
+through which `reactive.rollout` and `control.lqr_track` run one row), of
+`metrics.submetrics_batch`, of the batched feasibility screen
+(`vocab.feasibility_filter_batch`) and of the vocabulary build
+(`vocab.synthesize_maneuvers`, `vocab.build_vocabulary`).
+
+The simulation runs on Python floats, one vehicle and one frame at a time:
+`oracle_lqr_track` tracks with `control.bicycle_step`, agents find their lane
+and leader with the scalar `PolylineOps.project` and step with the scalar
+kinematics of `_agent_step`.
 
 Each sub-metric is computed on Python floats, frame by frame: NC searches per-frame
 `OrientedBox` pairs for the first contact, TLC loops over frame pairs, EP
@@ -18,9 +26,26 @@ from dataclasses import replace
 
 import numpy as np
 
-from drivegen.control import ControlInput, VehicleLimits, bicycle_step
-from drivegen.errors import ValidationError
-from drivegen.geometry import OrientedBox, boxes_overlap, polyline_ops, segments_intersect
+from drivegen.control import (
+    DEFAULT_STEER_MAX,
+    GAIN_DELTA_STEP,
+    GAIN_V_STEP,
+    ControlInput,
+    LqrParams,
+    VehicleLimits,
+    _tracking_gain,
+    bicycle_step,
+)
+from drivegen.errors import RolloutError, ValidationError
+from drivegen.geometry import (
+    OrientedBox,
+    angle_diff,
+    boxes_overlap,
+    global_to_local,
+    polyline_ops,
+    segments_intersect,
+    wrap_angle,
+)
 from drivegen.metrics import (
     SimContext,
     SubMetricVector,
@@ -31,9 +56,17 @@ from drivegen.metrics import (
     compute_submetrics,
     drivable_area_compliance,
     lane_compliance,
-    pose_arrays,
 )
-from drivegen.reactive import rollout
+from drivegen.reactive import (
+    LEADER_LOOKAHEAD,
+    MODE_LOG_REPLAY_EGO,
+    MODE_NONREACTIVE,
+    MODES,
+    PURE_PURSUIT_LOOKAHEAD,
+    SceneStates,
+    idm_accel,
+    lane_centerline_ops,
+)
 from drivegen.scenario import (
     DEFAULT_EGO_LENGTH,
     DEFAULT_EGO_WIDTH,
@@ -52,6 +85,287 @@ from drivegen.vocab import (
     STATUS_PENDING,
     place_at_state,
 )
+
+
+# ---------------------------------------------------------------------------
+# Scalar geometry
+
+
+def point_at(ops, s):
+    """(x, y, heading) at arclength `s` along a `PolylineOps`, clamped to its ends."""
+    if s <= 0.0:
+        return float(ops.ax[0]), float(ops.ay[0]), float(ops.heading[0])
+    i = int(np.searchsorted(ops.cum_s, s, side="right")) - 1
+    if i >= len(ops.seg_len):
+        i = len(ops.seg_len) - 1
+    t = min(1.0, (s - ops.cum_s[i]) / max(ops.seg_len[i], 1e-300))
+    return (
+        float(ops.ax[i] + t * ops.ex[i]),
+        float(ops.ay[i] + t * ops.ey[i]),
+        float(ops.heading[i]),
+    )
+
+
+def project_to_polyline(x, y, points):
+    """Project a point onto a polyline, one segment at a time.
+
+    Returns (arclength s, signed lateral offset, tangent heading). Lateral is
+    positive to the left of the direction of travel.
+    """
+    best = (math.inf, 0.0, 0.0, 0.0)  # (dist2, s, lat, heading)
+    s_acc = 0.0
+    for i in range(len(points) - 1):
+        x1, y1 = points[i]
+        x2, y2 = points[i + 1]
+        ex, ey = x2 - x1, y2 - y1
+        L = math.hypot(ex, ey)
+        if L == 0.0:
+            continue
+        t = ((x - x1) * ex + (y - y1) * ey) / (L * L)
+        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+        px, py = x1 + t * ex, y1 + t * ey
+        dx, dy = x - px, y - py
+        d2 = dx * dx + dy * dy
+        if d2 < best[0]:
+            lat = (ex * dy - ey * dx) / L  # left-positive
+            best = (d2, s_acc + t * L, lat, math.atan2(ey, ex))
+        s_acc += L
+    return best[1], best[2], best[3]
+
+
+def pose_arrays(states):
+    """(x, y, theta) arrays of a state sequence."""
+    return (
+        np.array([s.pose.x for s in states]),
+        np.array([s.pose.y for s in states]),
+        np.array([s.pose.theta for s in states]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Scalar simulation
+
+
+def tracking_error(state, ref):
+    """Error state of `state` relative to `ref`, in the reference frame."""
+    _, e_lat = global_to_local(
+        state.pose.x, state.pose.y, ref.pose.x, ref.pose.y, ref.pose.theta
+    )
+    e_theta = angle_diff(state.pose.theta, ref.pose.theta)
+    e_v = state.vel_lon - ref.vel_lon
+    e_delta = state.steering - ref.steering
+    return (e_lat, e_theta, e_v, e_delta)
+
+
+def _quantize(value, step):
+    return round(value / step) * step
+
+
+def oracle_lqr_track(reference, start, params=None, limits=None):
+    """`control.lqr_track` one step at a time on `VehicleState`s.
+
+    When the error state is exactly zero and the next reference state
+    respects the actuator limits, that state is taken verbatim.
+    """
+    params = params or LqrParams()
+    if len(reference) < 2:
+        raise RolloutError("reference must contain at least 2 states")
+    lim = limits or VehicleLimits()
+    dt = reference.dt
+
+    out = [start]
+    cur = start
+    for k in range(len(reference) - 1):
+        ref_k = reference[k]
+        ref_next = reference[k + 1]
+        err = tracking_error(cur, ref_k)
+        if (
+            err == (0.0, 0.0, 0.0, 0.0)
+            and cur.pose == ref_k.pose
+            and abs(ref_next.steering) <= lim.steer_max
+            and ref_next.vel_lon >= 0.0
+        ):
+            cur = ref_next
+            out.append(cur)
+            continue
+
+        K = _tracking_gain(
+            _quantize(ref_k.vel_lon, GAIN_V_STEP),
+            _quantize(ref_k.steering, GAIN_DELTA_STEP),
+            dt,
+            lim.wheelbase,
+            params.state_weights,
+            params.control_weights,
+            params.horizon,
+        )
+        # feedforward from reference finite differences
+        a_ff = (ref_next.vel_lon - ref_k.vel_lon) / dt
+        sr_ff = (ref_next.steering - ref_k.steering) / dt
+        a_fb = -(K[0][0] * err[0] + K[0][1] * err[1] + K[0][2] * err[2] + K[0][3] * err[3])
+        sr_fb = -(K[1][0] * err[0] + K[1][1] * err[1] + K[1][2] * err[2] + K[1][3] * err[3])
+        u = ControlInput(accel=a_ff + a_fb, steer_rate=sr_ff + sr_fb)
+        cur = bicycle_step(cur, u, dt, lim)
+        out.append(cur)
+
+    return Trajectory(dt=dt, states=tuple(out), frame=reference.frame)
+
+
+def assign_lane(x, y, map_model):
+    """Index of the lane whose centerline is closest to (x, y), the first on ties."""
+    best_i, best_d = 0, math.inf
+    for i, lane in enumerate(map_model.lanes):
+        d = polyline_ops(lane.polyline).min_dist2(x, y)
+        if d < best_d:
+            best_i, best_d = i, d
+    return best_i
+
+
+def lane_position(state, map_model):
+    """Assigned lane, its centerline operator and the arclength along it."""
+    lane = map_model.lanes[assign_lane(state.pose.x, state.pose.y, map_model)]
+    ops = lane_centerline_ops(lane)
+    s, _, _ = ops.project(state.pose.x, state.pose.y)
+    return lane, ops, s
+
+
+def oracle_select_leader(agent_id, scene, map_model, position=None):
+    """Nearest entity ahead of an agent along its lane, one entity at a time.
+
+    `scene` maps entity id (including "ego") to (state, body length), and
+    `position` is the agent's `lane_position` when the caller already has it.
+    Returns (leader speed, bumper-to-bumper gap) or None.
+    """
+    state, length = scene[agent_id]
+    lane, ops, s_self = position or lane_position(state, map_model)
+
+    best = None  # (ds, v, gap)
+    for other_id in sorted(scene.keys()):
+        if other_id == agent_id:
+            continue
+        other, other_len = scene[other_id]
+        s_o, lat_o, _ = ops.project(other.pose.x, other.pose.y)
+        if abs(lat_o) > 0.5 * lane.width:
+            continue
+        ds = s_o - s_self
+        if ds <= 0.0 or ds > LEADER_LOOKAHEAD:
+            continue
+        if best is None or ds < best[0]:
+            best = (ds, other.vel_lon, ds - 0.5 * length - 0.5 * other_len)
+    if best is None:
+        return None
+    _, v_lead, gap = best
+    return (v_lead, gap if gap > 0.0 else 0.01)
+
+
+def _agent_step(state, accel, steering, dt, wheelbase):
+    v = state.vel_lon
+    x = state.pose.x + dt * v * math.cos(state.pose.theta)
+    y = state.pose.y + dt * v * math.sin(state.pose.theta)
+    theta = wrap_angle(state.pose.theta + dt * v * math.tan(steering) / wheelbase)
+    new_v = max(0.0, v + dt * accel)
+    return VehicleState(
+        pose=Pose2D(x, y, theta),
+        vel_lon=new_v,
+        vel_lat=0.0,
+        accel=(new_v - v) / dt,
+        steering=steering,
+    )
+
+
+def oracle_rollout(
+    scenario, ego_plan, t_start, horizon, mode="reactive", ctx=None, ego_start=None,
+    agent_init=None,
+):
+    """`reactive.rollout` one vehicle and one frame at a time.
+
+    The ego executes `ego_plan` through `oracle_lqr_track` (or replays the
+    log in log-replay-ego mode). Agents replay their logged tracks in
+    nonreactive and log-replay-ego modes, and run IDM + pure pursuit in
+    reactive mode, updating synchronously from the previous frame in
+    ascending id order.
+    """
+    if mode not in MODES:
+        raise RolloutError(f"unknown mode '{mode}'")
+    if ego_plan.dt != scenario.dt:
+        raise RolloutError(
+            f"ego_plan dt {ego_plan.dt} does not match scenario dt {scenario.dt}"
+        )
+    if t_start < 0 or horizon < 1 or t_start + horizon > scenario.frame_count - 1:
+        raise RolloutError(
+            f"window [{t_start}, {t_start + horizon}] outside scenario frames "
+            f"[0, {scenario.frame_count - 1}]"
+        )
+    ctx = ctx or SimContext()
+    t_end = t_start + horizon
+
+    # --- ego
+    if mode == MODE_LOG_REPLAY_EGO:
+        ego_states = scenario.ego_log.states[t_start : t_end + 1]
+    else:
+        if ego_plan.frame != FRAME_GLOBAL:
+            raise RolloutError(f"ego_plan is in frame '{ego_plan.frame}', needs '{FRAME_GLOBAL}'")
+        if len(ego_plan) < horizon + 1:
+            raise RolloutError(
+                f"ego_plan has {len(ego_plan)} states, needs at least {horizon + 1}"
+            )
+        reference = ego_plan.segment(0, horizon)
+        start = ego_start if ego_start is not None else scenario.ego_log[t_start]
+        ego_states = oracle_lqr_track(reference, start, ctx.lqr, ctx.limits).states
+
+    # --- agents
+    ordered = sorted(scenario.agents, key=lambda a: a.id)
+    tracks = {}
+    if mode in (MODE_NONREACTIVE, MODE_LOG_REPLAY_EGO):
+        for a in ordered:
+            tracks[a.id] = list(a.states[t_start : t_end + 1])
+    else:
+        current = {}
+        for a in ordered:
+            init = agent_init.get(a.id) if agent_init else None
+            current[a.id] = init if init is not None else a.states[t_start]
+            tracks[a.id] = [current[a.id]]
+
+        for k in range(horizon):
+            snapshot = {"ego": (ego_states[k], ctx.ego_length)}
+            for a in ordered:
+                snapshot[a.id] = (current[a.id], a.length)
+
+            nxt = {}
+            for a in ordered:
+                st = current[a.id]
+                if a.kind == "static":
+                    nxt[a.id] = st
+                    continue
+                position = lane_position(st, scenario.map)
+                leader = oracle_select_leader(a.id, snapshot, scenario.map, position)
+                accel = idm_accel(st.vel_lon, leader, ctx.idm, ctx.b_hard)
+
+                _, ops, s_self = position
+                wheelbase = 0.6 * a.length
+                tx, ty, _ = point_at(ops, s_self + PURE_PURSUIT_LOOKAHEAD)
+                alpha = wrap_angle(
+                    math.atan2(ty - st.pose.y, tx - st.pose.x) - st.pose.theta
+                )
+                steering = math.atan2(
+                    2.0 * wheelbase * math.sin(alpha), PURE_PURSUIT_LOOKAHEAD
+                )
+                steering = max(-DEFAULT_STEER_MAX, min(DEFAULT_STEER_MAX, steering))
+                nxt[a.id] = _agent_step(st, accel, steering, scenario.dt, wheelbase)
+            current = nxt
+            for aid, st in current.items():
+                tracks[aid].append(st)
+
+    return SceneStates(
+        dt=scenario.dt,
+        t_start=t_start,
+        t_end=t_end,
+        ego=tuple(ego_states),
+        agents={aid: tuple(st) for aid, st in tracks.items()},
+    )
+
+
+# ---------------------------------------------------------------------------
+# Scalar scoring and screen
 
 
 def oracle_time_to_collision(
@@ -208,7 +522,7 @@ def oracle_submetrics(states, scenario, ego_traj, ctx=None, stage1_features=None
 
 
 def oracle_feasibility_filter(cand, scenario, mode, epdms_min, ctx=None):
-    """`vocab.feasibility_filter` one candidate at a time: a scalar `rollout`,
+    """`vocab.feasibility_filter` one candidate at a time: `oracle_rollout`,
     a frame-by-frame any-contact search over `OrientedBox` pairs, then DAC
     and `compute_submetrics` on the logged history plus the window."""
     if mode == "nonreactive":
@@ -228,7 +542,9 @@ def oracle_feasibility_filter(cand, scenario, mode, epdms_min, ctx=None):
     anchor = scenario.anchor_frame
     if cand.trajectory is None:
         cand = replace(cand, trajectory=place_at_state(cand.entry, scenario.ego_log[anchor]))
-    states = rollout(scenario, cand.trajectory, anchor, scenario.t_horizon, mode=mode, ctx=ctx)
+    states = oracle_rollout(
+        scenario, cand.trajectory, anchor, scenario.t_horizon, mode=mode, ctx=ctx
+    )
     failed = replace(cand, status=fail_status, screen_states=None, screen_submetrics=None)
 
     # any contact at all is infeasible here, at fault or not

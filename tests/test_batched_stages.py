@@ -1,11 +1,12 @@
 """The batched screen and stage 2 against their scalar oracles.
 
 The screen's oracle checks one candidate at a time
-(`oracle.oracle_feasibility_filter`: a scalar `rollout`, a frame-by-frame
+(`oracle.oracle_feasibility_filter`: `oracle_rollout`, a frame-by-frame
 any-contact search and `compute_submetrics` per candidate). Each stage-2 row
-is checked against a scalar `rollout` of its plan from the same perturbed
-ego and agent states, scored by `compute_submetrics` on its window. Every
-float is compared through `float.hex`, so -0.0 and 0.0 differ.
+is checked against `oracle_rollout` of its plan from the same perturbed ego
+and agent states, scored by `oracle_submetrics` on its window. Every float
+is compared through `float.hex`, so -0.0 and 0.0 differ. The corpus is
+screened once per session and per `reactive` setting (`screened`).
 """
 
 from collections import Counter
@@ -15,37 +16,13 @@ import pytest
 
 import drivegen.pipeline
 from drivegen.expert import recovery_retrieve, recovery_target
-from drivegen.metrics import compute_submetrics
-from drivegen.pipeline import (
-    cleared_status,
-    expert_stage,
-    prepare_candidates,
-    screen,
-    screen_batch,
-)
-from drivegen.reactive import rollout
+from drivegen.pipeline import cleared_status, expert_stage, screen_batch
 from drivegen.scenario import Trajectory
 from drivegen.seeding import mix64
 from drivegen.vocab import STATUS_PENDING, enumerate_perturbations, grid_sparsify, place_at_state
 
-from oracle import oracle_feasibility_filter
-
-
-def _state_bits(s):
-    return tuple(
-        float(v).hex()
-        for v in (s.pose.x, s.pose.y, s.pose.theta, s.vel_lon, s.vel_lat, s.accel, s.steering)
-    )
-
-
-def _scene_bits(states):
-    if states is None:
-        return None
-    return (
-        states.dt, states.t_start, states.t_end,
-        [_state_bits(s) for s in states.ego],
-        {aid: [_state_bits(s) for s in track] for aid, track in states.agents.items()},
-    )
+from conftest import scene_bits
+from oracle import oracle_feasibility_filter, oracle_rollout, oracle_submetrics
 
 
 def _sub_bits(sub):
@@ -53,7 +30,7 @@ def _sub_bits(sub):
 
 
 def _cand_bits(c):
-    return (c.status, c.reason, c.trajectory, _scene_bits(c.screen_states),
+    return (c.status, c.reason, c.trajectory, scene_bits(c.screen_states),
             _sub_bits(c.screen_submetrics))
 
 
@@ -65,17 +42,36 @@ def _grid_survivors(scenario, vocab, config):
     return [c for c in cands if c.status == STATUS_PENDING]
 
 
+@pytest.fixture(scope="session")
+def screened(corpus_100, small_vocab, small_config):
+    """`screened(reactive)`: (scenario, grid survivors, their screened
+    candidates) for each scenario of the corpus, each of the scenario's
+    screens being one `screen_batch` call of all its grid survivors."""
+    cache = {}
+
+    def get(reactive):
+        if reactive not in cache:
+            config = replace(small_config, reactive=reactive)
+            cache[reactive] = [
+                (s, survivors, screen_batch(survivors, s, config))
+                for s in corpus_100
+                for survivors in [_grid_survivors(s, small_vocab, config)]
+            ]
+        return cache[reactive]
+
+    return get
+
+
 @pytest.mark.parametrize("reactive", [True, False], ids=["reactive", "non-reactive"])
-def test_batched_screen_matches_the_scalar_oracle(corpus_100, small_vocab, small_config, reactive):
+def test_batched_screen_matches_the_scalar_oracle(small_config, screened, reactive):
     """Each scenario's grid survivors, screened in one non-reactive and (in
     reactive runs) one reactive batched call, get the status, reason, placed
     plan, screen states and screen sub-metrics of the one-at-a-time screen."""
     config = replace(small_config, reactive=reactive)
     ctx, epdms_min = config.sim_context, config.perturb.epdms_min
     outcomes = Counter()
-    for s in corpus_100:
-        survivors = _grid_survivors(s, small_vocab, config)
-        for cand, got in zip(survivors, screen_batch(survivors, s, config), strict=True):
+    for s, survivors, checked in screened(reactive):
+        for cand, got in zip(survivors, checked, strict=True):
             want = oracle_feasibility_filter(cand, s, "nonreactive", epdms_min, ctx)
             if reactive and want.status == "cleared-nonreactive":
                 want = oracle_feasibility_filter(want, s, "reactive", epdms_min, ctx)
@@ -94,11 +90,11 @@ def test_batched_screen_matches_the_scalar_oracle(corpus_100, small_vocab, small
     ids=["recovery-reactive", "planner-non-reactive", "planner-reactive-winner-row"],
 )
 def test_stage2_rows_match_the_scalar_rollout(
-    corpus_100, small_vocab, small_config, monkeypatch, expert, reactive
+    small_vocab, small_config, screened, monkeypatch, expert, reactive
 ):
-    """Every row of a scenario's stage-2 call equals a scalar `rollout` of
-    its plan from the same perturbed ego and agent states, scored by
-    `compute_submetrics`. In reactive planner runs the row is the planner's
+    """Every row of a scenario's stage-2 call equals `oracle_rollout` of its
+    plan from the same perturbed ego and agent states, scored by
+    `oracle_submetrics`. In reactive planner runs the row is the planner's
     winning proposal, kept from its batched scoring."""
     config = replace(small_config, expert_kind=expert, reactive=reactive)
     ctx = config.sim_context
@@ -112,9 +108,8 @@ def test_stage2_rows_match_the_scalar_rollout(
     # the planner plans every candidate: three per scenario keep the test short
     per_scenario = None if expert == "recovery" else 3
     rows = 0
-    for s in corpus_100:
-        cands = [c for c in prepare_candidates(s, small_vocab, config)
-                 if c.status == cleared_status(config)][:per_scenario]
+    for s, _, checked in screened(reactive):
+        cands = [c for c in checked if c.status == cleared_status(config)][:per_scenario]
         plans.clear()
         got = expert_stage(s, cands, expert, config, small_vocab)
         anchor2 = s.anchor_frame + s.t_horizon
@@ -126,36 +121,34 @@ def test_stage2_rows_match_the_scalar_rollout(
                 plan = place_at_state(recovery_retrieve(target, small_vocab), perturbed)
             else:
                 plan = plans[i].reference
-            want = rollout(s, plan, anchor2, s.t_horizon, mode, ctx,
-                           ego_start=perturbed, agent_init=finals)
-            want_sub = compute_submetrics(want, s, Trajectory(dt=s.dt, states=want.ego), ctx)
-            assert _scene_bits(states2) == _scene_bits(want), (s.id, cand.vocab_index)
+            want = oracle_rollout(s, plan, anchor2, s.t_horizon, mode, ctx,
+                                  ego_start=perturbed, agent_init=finals)
+            want_sub = oracle_submetrics(want, s, Trajectory(dt=s.dt, states=want.ego), ctx)
+            assert scene_bits(states2) == scene_bits(want), (s.id, cand.vocab_index)
             assert _sub_bits(sub2) == _sub_bits(want_sub), (s.id, cand.vocab_index)
             rows += 1
     assert rows >= 150
 
 
 def test_rows_do_not_depend_on_the_candidates_sharing_their_call(
-    corpus_100, small_vocab, small_config
+    small_vocab, small_config, screened
 ):
     """Screening and stage 2 of a subset of a scenario's candidates, in
     reverse order, or of one candidate alone, give each candidate the result
     it gets in the full call."""
     config = small_config
     compared = 0
-    for s in corpus_100:
-        survivors = _grid_survivors(s, small_vocab, config)
-        full = screen_batch(survivors, s, config)
+    for s, survivors, full in screened(config.reactive):
         part = screen_batch(survivors[1::2][::-1], s, config)
         assert [_cand_bits(c) for c in part] == [_cand_bits(c) for c in full[1::2][::-1]], s.id
         for cand, got in zip(survivors[:2], full):
-            assert _cand_bits(screen(cand, s, config)) == _cand_bits(got), s.id
+            assert _cand_bits(screen_batch([cand], s, config)[0]) == _cand_bits(got), s.id
 
         cleared = [c for c in full if c.status == cleared_status(config)]
         full2 = expert_stage(s, cleared, "recovery", config, small_vocab)
         part2 = expert_stage(s, cleared[1::2][::-1], "recovery", config, small_vocab)
-        assert [(_scene_bits(a), _sub_bits(b)) for a, b in part2] == [
-            (_scene_bits(a), _sub_bits(b)) for a, b in full2[1::2][::-1]
+        assert [(scene_bits(a), _sub_bits(b)) for a, b in part2] == [
+            (scene_bits(a), _sub_bits(b)) for a, b in full2[1::2][::-1]
         ], s.id
         compared += len(part) + len(part2)
     assert compared >= 500

@@ -5,9 +5,19 @@ from pathlib import Path
 import pytest
 
 from drivegen.cli import main
-from drivegen.metrics import PENALTY_METRICS
-from drivegen.scenario import load_scenario, scenario_to_dict
+from drivegen.config import PipelineConfig
+from drivegen.metrics import PENALTY_METRICS, aggregate_epdms
+from drivegen.scenario import (
+    Trajectory,
+    _state_to_json,
+    dump_json_canonical,
+    load_scenario,
+    scenario_to_dict,
+)
 from drivegen.vocab import load_vocabulary, save_vocabulary
+
+from conftest import shifted_plan
+from oracle import oracle_rollout, oracle_submetrics
 
 
 def _dir_bytes(d: Path) -> dict:
@@ -132,6 +142,42 @@ def test_eval_logged_ego_golden(tmp_path, corpus_dir, capsys):
     assert report["epdms"] == pytest.approx(1.0, abs=1e-12)
     for name in ("nc", "dac", "ddc", "tlc"):
         assert report["submetrics"][name] == 1.0
+
+
+@pytest.mark.parametrize("mode", ["reactive", "nonreactive", "log-replay-ego"])
+def test_eval_report_equals_the_scalar_oracles(tmp_path, corpus_dir, capsys, mode):
+    """On every bundled scenario, for the logged plan and a plan shifted
+    0.7 m at 0.9x speed, `eval` prints and writes the report built from
+    `oracle_rollout` and `oracle_submetrics`, byte for byte."""
+    ctx = PipelineConfig().sim_context
+    traj_path, out_path = tmp_path / "plan.json", tmp_path / "report.json"
+    for scenario_path in sorted(corpus_dir.glob("*.json")):
+        s = load_scenario(scenario_path)
+        anchor = s.anchor_frame
+        logged = s.ego_log.segment(anchor, anchor + s.t_horizon)
+        for plan in (logged, shifted_plan(logged, 0.7, 0.9)):
+            traj_path.write_text(json.dumps(
+                {"dt": plan.dt, "frame": plan.frame,
+                 "states": [_state_to_json(st) for st in plan.states]}
+            ))
+            states = oracle_rollout(s, plan, anchor, s.t_horizon, mode, ctx)
+            history = s.ego_log.segment(0, anchor)
+            sub = oracle_submetrics(
+                states, s, Trajectory(dt=s.dt, states=history.states + states.ego[1:]), ctx
+            )
+            expected = dump_json_canonical({
+                "scenario_id": s.id,
+                "submetrics": sub.as_dict(),
+                "epdms": aggregate_epdms(sub, ctx.weights),
+                "stage_scores": None,
+            })
+            rc = main([
+                "eval", "--scenario", str(scenario_path), "--trajectory", str(traj_path),
+                "--mode", mode, "--out", str(out_path),
+            ])
+            assert rc == 0
+            assert capsys.readouterr().out == expected, (s.id, mode)
+            assert out_path.read_text(encoding="utf-8") == expected
 
 
 def _parked_car_scenario_file(path: Path) -> None:

@@ -5,17 +5,18 @@ import pytest
 
 from drivegen.control import (
     ControlInput,
+    LqrParams,
     VehicleLimits,
     bicycle_step,
     lqr_track,
     riccati_residual,
     solve_lqr_gain,
-    tracking_error,
 )
-from drivegen.errors import RiccatiError
-from drivegen.scenario import Trajectory
+from drivegen.errors import RiccatiError, RolloutError
+from drivegen.scenario import FRAME_EGO_LOCAL, Trajectory
 
-from conftest import make_state, straight_trajectory
+from conftest import make_state, state_bits, straight_trajectory
+from oracle import oracle_lqr_track, tracking_error
 
 
 # --- bicycle model
@@ -180,3 +181,43 @@ def test_tracking_error_frame_local():
     assert e_theta == pytest.approx(0.0)
     assert e_v == pytest.approx(-1.0)
     assert e_delta == pytest.approx(0.0)
+
+
+def _track_bits(traj):
+    return traj.dt, traj.frame, [state_bits(s) for s in traj.states]
+
+
+def test_lqr_track_matches_the_scalar_oracle(corpus_100):
+    """The one-row batched tracker equals `oracle_lqr_track` bit for bit: on
+    each scenario's logged window from its own start (every step verbatim),
+    from an off-reference start, as an ego-local reference whose frame tag
+    is kept, and with non-default weights and limits."""
+    tuned = (LqrParams(state_weights=(2.0, 1.0, 1.0, 0.5), horizon=6), VehicleLimits(wheelbase=3.1))
+    verbatim = 0
+    for s in corpus_100:
+        anchor = s.anchor_frame
+        ref = s.ego_log.segment(anchor, anchor + s.t_horizon)
+        st = ref.states[0]
+        off = make_state(x=st.pose.x - 0.4, y=st.pose.y + 0.7, theta=st.pose.theta + 0.05,
+                         v=0.9 * st.vel_lon, steering=st.steering + 0.01)
+        local = Trajectory(dt=ref.dt, states=ref.states, frame=FRAME_EGO_LOCAL)
+        for reference, start, args in (
+            (ref, st, ()), (ref, off, ()), (local, off, ()), (ref, off, tuned),
+        ):
+            got = lqr_track(reference, start, *args)
+            assert _track_bits(got) == _track_bits(oracle_lqr_track(reference, start, *args)), s.id
+        verbatim += lqr_track(ref, st) == ref
+    assert verbatim >= 90  # the logged windows replay verbatim
+
+
+def test_lqr_track_rejects_a_one_state_reference():
+    ref = straight_trajectory(v=5.0, n_states=1)
+    with pytest.raises(RolloutError, match="at least 2 states"):
+        lqr_track(ref, ref.states[0])
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+def test_lqr_track_rejects_a_non_positive_dt(dt):
+    ref = straight_trajectory(v=5.0, n_states=5, dt=dt)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        lqr_track(ref, make_state(y=0.5, v=5.0))

@@ -24,6 +24,7 @@ from drivegen.scenario import AgentTrack, Scenario, Trajectory
 from drivegen.vocab import Vocabulary, synthesize_maneuvers
 
 from conftest import make_state, straight_trajectory
+from oracle import oracle_rollout, oracle_submetrics
 
 
 # --- matching vectors
@@ -145,9 +146,9 @@ def test_privileged_plan_empty_road_full_progress(benign_scenario):
     s = benign_scenario
     anchor = s.anchor_frame
     plan = privileged_plan(s, anchor)
-    states = rollout(s, plan.reference, anchor, s.t_horizon, mode="reactive")
+    states = oracle_rollout(s, plan.reference, anchor, s.t_horizon, mode="reactive")
     executed = Trajectory(dt=s.dt, states=states.ego)
-    sub = compute_submetrics(states, s, executed)
+    sub = oracle_submetrics(states, s, executed)
     assert sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0
     assert sub.ep == 1.0
     # the plan carries the rollout and sub-metrics that scored it
@@ -217,19 +218,19 @@ def test_privileged_plan_argmax_dominates_all_proposals(benign_scenario):
         speed_fractions=(0.25, 0.75, 1.0), lateral_offsets=(-0.5, 0.0, 0.5)
     )
     best = privileged_plan(s, anchor, p).reference
-    best_states = rollout(s, best, anchor, s.t_horizon, mode="reactive")
+    best_states = oracle_rollout(s, best, anchor, s.t_horizon, mode="reactive")
     best_score = aggregate_epdms(
-        compute_submetrics(best_states, s, Trajectory(dt=s.dt, states=best_states.ego)),
+        oracle_submetrics(best_states, s, Trajectory(dt=s.dt, states=best_states.ego)),
         MetricWeights(),
     )
-    # re-score every proposal independently
+    # re-score every proposal independently, with the scalar oracles
     for frac in p.speed_fractions:
         for off in p.lateral_offsets:
             single = PlannerParams(speed_fractions=(frac,), lateral_offsets=(off,))
             prop = privileged_plan(s, anchor, single).reference
-            st = rollout(s, prop, anchor, s.t_horizon, mode="reactive")
+            st = oracle_rollout(s, prop, anchor, s.t_horizon, mode="reactive")
             score = aggregate_epdms(
-                compute_submetrics(st, s, Trajectory(dt=s.dt, states=st.ego)), MetricWeights()
+                oracle_submetrics(st, s, Trajectory(dt=s.dt, states=st.ego)), MetricWeights()
             )
             assert best_score >= score - 1e-12
 

@@ -17,12 +17,13 @@ from drivegen.geometry import (
     points_in_any_polygon,
     polygon_is_simple,
     polyline_ops,
-    project_to_polyline,
     segments_intersect,
     segments_intersect_many,
     wrap_angle,
     wrap_angle_many,
 )
+
+from oracle import point_at, project_to_polyline
 
 
 # --- brute-force polygon overlap oracle: vertex containment + edge crossing
@@ -142,12 +143,11 @@ def test_polyline_ops_matches_scalar_reference():
 def test_polyline_ops_point_at_roundtrip():
     pts = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)]
     ops = polyline_ops(tuple(pts))
-    x, y, h = ops.point_at(15.0)
+    (x, x_end), (y, y_end), (h, _) = ops.point_at_many(np.array([15.0, 100.0]))
     assert (x, y) == pytest.approx((10.0, 5.0))
     assert h == pytest.approx(math.pi / 2)
     # clamped past the end
-    x, y, _ = ops.point_at(100.0)
-    assert (x, y) == pytest.approx((10.0, 10.0))
+    assert (x_end, y_end) == pytest.approx((10.0, 10.0))
 
 
 def test_corridor_polygon_contains_centerline():
@@ -226,7 +226,7 @@ def test_point_at_many_and_nearest_polyline_match_scalar():
     s = np.array([-1.0, 0.0, 1e-9, float(ops.cum_s[3]), float(ops.cum_s[-1]), 1e3]
                  + [rng.uniform(-5, 70) for _ in range(500)])
     x, y, h = ops.point_at_many(s)
-    expected = [ops.point_at(v) for v in s.tolist()]
+    expected = [point_at(ops, v) for v in s.tolist()]
     assert _same_bits(x, [e[0] for e in expected])
     assert _same_bits(y, [e[1] for e in expected])
     assert _same_bits(h, [e[2] for e in expected])

@@ -13,7 +13,7 @@ import drivegen.vocab
 from drivegen.config import CameraConfig, PipelineConfig, config_hash
 from drivegen.errors import ValidationError
 from drivegen.expert import privileged_plan
-from drivegen.metrics import aggregate_epdms, compute_submetrics
+from drivegen.metrics import aggregate_epdms
 from drivegen.pipeline import (
     RoundStats,
     cleared_status,
@@ -26,7 +26,7 @@ from drivegen.pipeline import (
     simulate_sample,
     stats_csv_text,
 )
-from drivegen.reactive import SceneStates, rollout
+from drivegen.reactive import SceneStates
 from drivegen.scenario import Trajectory
 from drivegen.seeding import mix64
 from drivegen.vocab import (
@@ -40,6 +40,7 @@ from drivegen.vocab import (
 )
 
 from conftest import make_state
+from oracle import oracle_rollout, oracle_submetrics
 
 
 # --- sensor stub
@@ -193,9 +194,9 @@ def test_screen_simulates_the_configured_world(small_corpus, small_vocab, monkey
         for cand in prepare_candidates(s, small_vocab, config):
             if cand.status != cleared_status(config):
                 continue
-            states = rollout(s, cand.trajectory, anchor, H, "reactive", ctx)
+            states = oracle_rollout(s, cand.trajectory, anchor, H, "reactive", ctx)
             combined = Trajectory(dt=s.dt, states=history.states + states.ego[1:])
-            sub = compute_submetrics(states, s, combined, ctx)
+            sub = oracle_submetrics(states, s, combined, ctx)
             assert cand.screen_states == states
             assert cand.screen_submetrics == sub
             assert aggregate_epdms(sub, ctx.weights) >= config.perturb.epdms_min

@@ -1,9 +1,9 @@
 """The batched planner kernel against its scalar oracle.
 
 The oracle simulates each proposal on its own: its reference is built step by
-step as below, rolled out with the scalar reactive `rollout` and scored with
-the scalar `oracle_submetrics`; the winner is the first proposal of maximal
-score.
+step as below, rolled out with the scalar `oracle_rollout` in reactive mode
+and scored with the scalar `oracle_submetrics`; the winner is the first
+proposal of maximal score.
 """
 
 import math
@@ -19,7 +19,7 @@ from drivegen.expert import PlannerParams, privileged_plan, score_proposals
 from drivegen.geometry import PolylineOps, angle_diff, offset_polyline, polyline_ops
 from drivegen.metrics import ALL_METRICS, SimContext, aggregate_epdms
 from drivegen.pipeline import run_generation
-from drivegen.reactive import IdmParams, StateBatch, idm_accel, rollout, select_leader
+from drivegen.reactive import IdmParams, StateBatch, idm_accel
 from drivegen.scenario import (
     AgentTrack,
     Lane,
@@ -32,7 +32,7 @@ from drivegen.scenario import (
 )
 
 from conftest import make_state
-from oracle import oracle_submetrics
+from oracle import oracle_rollout, oracle_select_leader, oracle_submetrics, point_at
 
 BINARY = ("nc", "dac", "ddc", "tlc", "ttc", "lk", "hc", "ec")
 
@@ -62,7 +62,7 @@ def oracle_reference(scenario, start, lateral_offset, v_target, horizon, idm, li
     for k in range(horizon):
         arcs.append(arcs[-1] + dt * speeds[k])
 
-    poses = [ops.point_at(s) for s in arcs]
+    poses = [point_at(ops, s) for s in arcs]
     states = []
     for k in range(horizon + 1):
         x, y, heading = poses[k]
@@ -89,8 +89,8 @@ def oracle_plan(scenario, t, p, ego_start=None, agent_init=None, ctx=None):
             ref = oracle_reference(
                 scenario, start, offset, frac * ctx.idm.v_desired, horizon, ctx.idm, ctx.limits
             )
-            states = rollout(scenario, ref, t, horizon, mode="reactive", ctx=ctx,
-                             ego_start=start, agent_init=agent_init)
+            states = oracle_rollout(scenario, ref, t, horizon, mode="reactive", ctx=ctx,
+                                    ego_start=start, agent_init=agent_init)
             executed = Trajectory(dt=scenario.dt, states=states.ego)
             sub = oracle_submetrics(states, scenario, executed, ctx)
             refs.append(ref)
@@ -214,7 +214,7 @@ NON_DEFAULT_WORLD = PipelineConfig(ego_length=6.0, b_hard=2.0).sim_context
 )
 @pytest.mark.parametrize("ctx", [None, NON_DEFAULT_WORLD], ids=["default-world", "ego-6m-bhard-2"])
 def test_hand_built_scene_matches_oracle(scenario, ctx):
-    """Every proposal's ego and agent tracks equal the scalar rollout bit for
+    """Every proposal's ego and agent tracks equal `oracle_rollout` bit for
     bit, every sub-metric equals the scalar oracle's, and the winner is the
     oracle's, at the anchor and from a perturbed stage-2 start."""
     subs = check_against_oracle(scenario, scenario.anchor_frame, ctx=ctx, states=True)
@@ -234,8 +234,8 @@ def test_hand_built_scene_matches_oracle(scenario, ctx):
 
 
 def test_select_leaders_tie_goes_to_the_lower_id():
-    """Two leaders at the same distance ahead: like `select_leader`, the
-    kernel takes the one with the lower id (k-twin, the faster one here)."""
+    """Two leaders at the same distance ahead: like `oracle_select_leader`,
+    the kernel takes the one with the lower id (k-twin, the faster one here)."""
     states = {"z-back": (30.0, 9.0, 4.5), "m-twin": (45.0, 4.0, 4.5), "k-twin": (45.0, 7.0, 4.5),
               "ego": (0.0, 10.0, 4.6)}
     scalar = {aid: (make_state(x=x, v=v), length) for aid, (x, v, length) in states.items()}
@@ -244,7 +244,7 @@ def test_select_leaders_tie_goes_to_the_lower_id():
         "z-back", batch, TIED_LEADERS.map.lanes, np.zeros(3, dtype=int)
     )
     assert found.tolist() == [True] * 3
-    assert select_leader("z-back", scalar, TIED_LEADERS.map) == (7.0, 10.5)
+    assert oracle_select_leader("z-back", scalar, TIED_LEADERS.map) == (7.0, 10.5)
     assert v_lead.tolist() == [7.0] * 3 and gap.tolist() == [10.5] * 3
     assert s_self.tolist() == [90.0] * 3
 

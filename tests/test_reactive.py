@@ -3,19 +3,23 @@ from dataclasses import replace
 
 import pytest
 
+from drivegen.batch import select_leaders
 from drivegen.errors import RolloutError
 from drivegen.metrics import SimContext
 from drivegen.reactive import (
+    MODES,
     IdmParams,
     SceneStates,
+    StateBatch,
+    assign_lanes,
     idm_accel,
     rollout,
-    select_leader,
 )
 from drivegen.scenario import FRAME_EGO_LOCAL, Trajectory
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 
-from conftest import make_state
+from conftest import make_state, scene_bits, shifted_plan
+from oracle import oracle_rollout
 
 
 # --- IDM closed form
@@ -54,6 +58,16 @@ def test_idm_clamped_to_hard_braking():
 
 
 # --- leader selection
+
+
+def select_leader(agent_id, scene, map_model):
+    """One row of `batch.select_leaders` for an agent on its assigned lane:
+    (leader speed, bumper-to-bumper gap) or None."""
+    batch = {aid: (StateBatch.frame([state]), length) for aid, (state, length) in scene.items()}
+    own = batch[agent_id][0]
+    lane = assign_lanes(own.x, own.y, map_model.lanes)
+    _, found, v_lead, gap = select_leaders(agent_id, batch, map_model.lanes, lane)
+    return (v_lead[0].item(), gap[0].item()) if found[0] else None
 
 
 def _lead_scene(scenario_like, positions):
@@ -114,7 +128,44 @@ def test_select_leader_overlapping_bumpers_force_braking(benign_scenario):
     assert select_leader("a0", scene, benign_scenario.map) == (5.0, 0.01)
 
 
+def test_select_leader_tie_goes_to_the_lower_id(benign_scenario):
+    # two entities 20 m ahead: "b1" precedes "ego" in id order
+    scene = _lead_scene(
+        benign_scenario,
+        {"a0": (0.0, 10.0, 4.5), "ego": (20.0, 6.0, 4.6), "b1": (20.0, 8.0, 4.0)},
+    )
+    assert select_leader("a0", scene, benign_scenario.map) == (8.0, 20.0 - 0.5 * 4.5 - 0.5 * 4.0)
+
+
 # --- rollout
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rollout_matches_the_scalar_oracle(corpus_100, mode):
+    """`rollout` (one row of the batched engine) equals `oracle_rollout` bit
+    for bit on every scenario of the corpus: the logged plan and a plan
+    shifted 0.7 m at 0.9x speed, at the anchor from the logged states in the
+    default world and, as the second stage continues, from a perturbed ego
+    and perturbed agents in a world with a 5.2 m ego and a 3 m/s^2 braking
+    bound."""
+    world = SimContext(ego_length=5.2, b_hard=3.0)
+    compared = 0
+    for s in corpus_100:
+        t2 = s.anchor_frame + s.t_horizon
+        perturbed = replace(s.ego_log[t2], vel_lon=0.9 * s.ego_log[t2].vel_lon, steering=0.01)
+        agent_init = {a.id: replace(a.states[t2], vel_lon=1.1 * a.states[t2].vel_lon)
+                      for a in s.agents}
+        for t, ctx, starts in (
+            (s.anchor_frame, None, {}),
+            (t2, world, dict(ego_start=perturbed, agent_init=agent_init)),
+        ):
+            logged = s.ego_log.segment(t, t + s.t_horizon)
+            for plan in (logged, shifted_plan(logged, 0.7, 0.9)):
+                got = rollout(s, plan, t, s.t_horizon, mode, ctx, **starts)
+                want = oracle_rollout(s, plan, t, s.t_horizon, mode, ctx, **starts)
+                assert scene_bits(got) == scene_bits(want), (s.id, t)
+                compared += 1
+    assert compared == 4 * len(corpus_100)
 
 
 def test_rollout_nonreactive_replay_identity(benign_scenario):

@@ -8,9 +8,8 @@ import pytest
 
 from drivegen import vocab as vocab_module
 from drivegen.errors import SchemaError, ValidationError
-from drivegen.geometry import OrientedBox, angle_diff, global_to_local
-from drivegen.metrics import aggregate_epdms, check_collision, compute_submetrics
-from drivegen.reactive import StateBatch, rollout
+from drivegen.geometry import angle_diff, global_to_local
+from drivegen.reactive import StateBatch
 from drivegen.scenario import AgentTrack, Scenario, Trajectory
 from drivegen.seeding import mix64
 from drivegen.vocab import (
@@ -36,7 +35,12 @@ from drivegen.vocab import (
 )
 
 from conftest import make_state, straight_trajectory
-from oracle import oracle_build_vocabulary, oracle_flatten, oracle_synthesize_maneuvers
+from oracle import (
+    oracle_build_vocabulary,
+    oracle_feasibility_filter,
+    oracle_flatten,
+    oracle_synthesize_maneuvers,
+)
 
 
 # --- clustering
@@ -484,34 +488,12 @@ def test_feasibility_reward_threshold_monotone(benign_scenario, small_vocab):
     assert accepted_tight <= accepted_loose
 
 
-def _screen_oracle(cand, scenario, mode, epdms_min, ctx):
-    """(reason, sub-metrics) of a screen that scores every sub-metric before it
-    reads DAC: "" for a cleared candidate."""
-    anchor = scenario.anchor_frame
-    placed = cand.trajectory or place_at_state(cand.entry, scenario.ego_log[anchor])
-    states = rollout(scenario, placed, anchor, scenario.t_horizon, mode=mode, ctx=ctx)
-    extents = {a.id: (a.length, a.width) for a in scenario.agents}
-    ego = [OrientedBox(s.pose.x, s.pose.y, s.pose.theta, *ctx.ego_extent) for s in states.ego]
-    agents = {aid: [OrientedBox(s.pose.x, s.pose.y, s.pose.theta, *extents[aid]) for s in track]
-              for aid, track in states.agents.items()}
-    if check_collision(ego, agents) is not None:
-        return "collision", None
-    history = scenario.ego_log.segment(0, anchor)
-    combined = Trajectory(dt=scenario.dt, states=history.states + states.ego[1:])
-    sub = compute_submetrics(states, scenario, combined, ctx)
-    if sub.dac == 0.0:
-        return "off-road", None
-    if aggregate_epdms(sub, ctx.weights) < epdms_min:
-        return "reward", None
-    return "", sub
-
-
 def test_screen_decides_off_road_before_the_other_metrics(
     small_corpus, small_vocab, small_config, monkeypatch
 ):
     """An off-road grid survivor is rejected without computing the other
-    sub-metrics; every status, reason and cleared score equals the screen
-    that computes them all first."""
+    sub-metrics; every reason and cleared score equals the scalar screen's
+    (`oracle_feasibility_filter`)."""
     import drivegen.vocab
 
     scored = []  # rows scored by the screen's kernel call
@@ -532,11 +514,11 @@ def test_screen_decides_off_road_before_the_other_metrics(
         for cand in (c for c in cands if c.status == STATUS_PENDING):
             for mode in ("nonreactive", "reactive"):
                 scored.clear()
-                expected_reason, expected_sub = _screen_oracle(cand, s, mode, epdms_min, ctx)
+                expected = oracle_feasibility_filter(cand, s, mode, epdms_min, ctx)
                 cand = feasibility_filter(cand, s, mode, epdms_min, ctx)
                 reasons.append(cand.reason)
-                assert cand.reason == expected_reason
-                assert cand.screen_submetrics == expected_sub
+                assert cand.reason == expected.reason
+                assert cand.screen_submetrics == expected.screen_submetrics
                 assert sum(scored) == (0 if cand.reason in ("collision", "off-road") else 1)
                 if cand.reason:
                     break
