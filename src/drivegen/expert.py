@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -158,14 +158,25 @@ def _speed_profile(
 
 
 def _proposal_references(
-    scenario: Scenario, start: VehicleState, p: PlannerParams, horizon: int, ctx: SimContext
+    scenario: Scenario,
+    starts: Sequence[VehicleState],
+    p: PlannerParams,
+    horizon: int,
+    ctx: SimContext,
 ) -> StateBatch:
-    """(P, horizon + 1) references of all proposals, speed fraction major.
+    """(S * P, horizon + 1) references of all proposals of S starts, start
+    major, then speed fraction major.
 
     Each follows the laterally shifted route from the start's projection on
     it with an IDM speed profile; steering comes from the heading change per
-    arclength, clamped to the steering limit.
+    arclength, clamped to the steering limit. The routes are built, and the
+    offsets checked, once for all starts.
     """
+    max_offset = 0.5 * max(l.width for l in scenario.map.lanes) + 1.0
+    if any(abs(o) > max_offset for o in p.lateral_offsets):
+        raise ValidationError(
+            f"lateral offsets must stay within half lane width + 1 m ({max_offset:.2f})"
+        )
     dt, lim = scenario.dt, ctx.limits
     routes = [
         PolylineOps(offset_polyline(scenario.map.route, o)) if o != 0.0
@@ -175,13 +186,15 @@ def _proposal_references(
     n_off = len(routes)
     v = np.repeat(
         [_speed_profile(start.vel_lon, f * ctx.idm.v_desired, horizon, dt, ctx.idm)
-         for f in p.speed_fractions],
+         for start in starts for f in p.speed_fractions],
         n_off,
         axis=0,
     )
+    xs = np.array([start.pose.x for start in starts])
+    ys = np.array([start.pose.y for start in starts])
+    on_route = np.stack([ops.project_many(xs, ys)[0] for ops in routes], axis=1)  # (S, n_off)
     arcs = np.empty_like(v)
-    starts = [ops.project(start.pose.x, start.pose.y)[0] for ops in routes]
-    arcs[:, 0] = np.tile(starts, len(p.speed_fractions))
+    arcs[:, 0] = np.repeat(on_route, len(p.speed_fractions), axis=0).ravel()
     for k in range(horizon):
         arcs[:, k + 1] = arcs[:, k] + dt * v[:, k]
     x, y, heading = np.empty_like(v), np.empty_like(v), np.empty_like(v)
@@ -205,6 +218,38 @@ def _proposal_references(
     )
 
 
+# A planning start: the perturbed ego state and agent states to plan from;
+# None (or an agent left out) starts from the log at the planning frame.
+PlanStart = tuple[VehicleState | None, Mapping[str, VehicleState] | None]
+
+
+def _score_starts(
+    scenario: Scenario, t: int, starts: Sequence[PlanStart], p: PlannerParams, ctx: SimContext
+) -> tuple[StateBatch, SceneBatch, np.ndarray, list[float]]:
+    """Every proposal of every start simulated in one batched rollout and
+    scored in one kernel call; rows are start major, P per start."""
+    horizon = scenario.t_horizon
+    if t < 0 or horizon < 1 or t + horizon > scenario.frame_count - 1:
+        raise RolloutError(f"planning window [{t}, {t + horizon}] outside scenario")
+    egos = [ego if ego is not None else scenario.ego_log[t] for ego, _ in starts]
+    refs = _proposal_references(scenario, egos, p, horizon, ctx)
+    n = len(p.speed_fractions) * len(p.lateral_offsets)
+
+    def per_proposal(states: Sequence[VehicleState]) -> StateBatch:
+        return StateBatch(np.repeat(StateBatch.frame(states).data, n, axis=1))
+
+    agent_init = {}
+    for a in scenario.agents:
+        inits = (init.get(a.id) if init else None for _, init in starts)
+        agent_init[a.id] = per_proposal([s if s is not None else a.states[t] for s in inits])
+    scene = rollout_batch(
+        scenario, refs, t, horizon, ctx, ego_start=per_proposal(egos), agent_init=agent_init
+    )
+    sub = submetrics_batch(scene, scenario, ctx)
+    scores = [aggregate_epdms(SubMetricVector(*row), ctx.weights) for row in sub.tolist()]
+    return refs, scene, sub, scores
+
+
 def score_proposals(
     scenario: Scenario,
     t: int,
@@ -221,24 +266,9 @@ def score_proposals(
     of proposal p alone, scored by `compute_submetrics` on its executed
     window.
     """
-    p = p or PlannerParams()
-    ctx = ctx or SimContext()
-    horizon = scenario.t_horizon
-    if t < 0 or horizon < 1 or t + horizon > scenario.frame_count - 1:
-        raise RolloutError(f"planning window [{t}, {t + horizon}] outside scenario")
-    start = ego_start if ego_start is not None else scenario.ego_log[t]
-
-    max_offset = 0.5 * max(l.width for l in scenario.map.lanes) + 1.0
-    if any(abs(o) > max_offset for o in p.lateral_offsets):
-        raise ValidationError(
-            f"lateral offsets must stay within half lane width + 1 m ({max_offset:.2f})"
-        )
-
-    refs = _proposal_references(scenario, start, p, horizon, ctx)
-    scene = rollout_batch(scenario, refs, t, horizon, ctx, ego_start=start, agent_init=agent_init)
-    sub = submetrics_batch(scene, scenario, ctx)
-    scores = [aggregate_epdms(SubMetricVector(*row), ctx.weights) for row in sub.tolist()]
-    return refs, scene, sub, scores
+    return _score_starts(
+        scenario, t, [(ego_start, agent_init)], p or PlannerParams(), ctx or SimContext()
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,6 +279,37 @@ class Plan:
     reference: Trajectory
     states: SceneStates
     submetrics: SubMetricVector
+
+
+def privileged_plans(
+    scenario: Scenario,
+    t: int,
+    starts: Sequence[PlanStart],
+    p: PlannerParams | None = None,
+    ctx: SimContext | None = None,
+) -> list[Plan]:
+    """`privileged_plan` from each of several starts, in one batched call.
+
+    The proposals of every start are simulated together, one row each, in
+    one batched rollout and scored in one kernel call; each start keeps the
+    first of its own equal best-scoring proposals. Rows do not depend on the
+    rows sharing their call, so each plan equals `privileged_plan` from its
+    start alone.
+    """
+    if not starts:
+        return []
+    p = p or PlannerParams()
+    refs, scene, sub, scores = _score_starts(scenario, t, starts, p, ctx or SimContext())
+    n = len(p.speed_fractions) * len(p.lateral_offsets)
+    plans = []
+    for first in range(0, len(scores), n):
+        best = max(range(first, first + n), key=scores.__getitem__)  # first of equal maxima
+        plans.append(Plan(
+            reference=refs.trajectory(best, scenario.dt),
+            states=scene.states(best),
+            submetrics=SubMetricVector(*sub[best].tolist()),
+        ))
+    return plans
 
 
 def privileged_plan(
@@ -270,13 +331,7 @@ def privileged_plan(
     on that window. `ego_start` / `agent_init` plan from perturbed rather
     than logged states.
     """
-    refs, scene, sub, scores = score_proposals(scenario, t, p, ego_start, agent_init, ctx)
-    best = max(range(len(scores)), key=scores.__getitem__)  # first of equal maxima
-    return Plan(
-        reference=refs.trajectory(best, scenario.dt),
-        states=scene.states(best),
-        submetrics=SubMetricVector(*sub[best].tolist()),
-    )
+    return privileged_plans(scenario, t, [(ego_start, agent_init)], p, ctx)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ from .expert import (
     EXPERT_PLANNER,
     EXPERT_RECOVERY,
     expert_filter,
-    privileged_plan,
+    # stays bound here: perfbench/tracer.py wraps `pipeline.privileged_plan`
+    privileged_plan,  # noqa: F401
+    privileged_plans,
     recovery_retrieve,
     recovery_target,
 )
@@ -199,46 +201,37 @@ def expert_stage(
     Every demonstration runs in one batched rollout from its own perturbed
     ego and agent states, except in reactive planner runs: there the
     planner's winning proposal already is that rollout, so its window and
-    sub-metrics are kept. History comfort is judged on the window alone.
+    sub-metrics are kept. The planner plans from every perturbed state in
+    one batched call. History comfort is judged on the window alone.
     """
     if expert_kind not in (EXPERT_RECOVERY, EXPERT_PLANNER):
         raise ValidationError(f"unknown expert kind '{expert_kind}'")
+    if not cands:
+        return []
     ctx = config.sim_context
     H = scenario.t_horizon
     anchor2 = scenario.anchor_frame + H
-    logged_end = scenario.ego_log[anchor2 + H]
-    out: list = [None] * len(cands)
-    simulated, plans, starts, finals = [], [], [], []
-    for i, cand in enumerate(cands):
-        perturbed = cand.screen_states.ego[-1]
-        agent_finals = {aid: track[-1] for aid, track in cand.screen_states.agents.items()}
-        if expert_kind == EXPERT_RECOVERY:
-            entry = recovery_retrieve(recovery_target(perturbed, logged_end), vocab)
-            plan = place_at_state(entry, perturbed)
-        else:
-            chosen = privileged_plan(
-                scenario, anchor2, config.planner,
-                ego_start=perturbed, agent_init=agent_finals, ctx=ctx,
-            )
-            if config.reactive:
-                out[i] = (chosen.states, chosen.submetrics)
-                continue
-            plan = chosen.reference
-        simulated.append(i)
-        plans.append(plan)
-        starts.append(perturbed)
-        finals.append(agent_finals)
-    if simulated:
-        scene = rollout_batch(
-            scenario, plan_batch(plans, scenario, H), anchor2, H, ctx,
-            ego_start=StateBatch.frame(starts),
-            agent_init={aid: StateBatch.frame([f[aid] for f in finals]) for aid in finals[0]},
-            mode=MODE_REACTIVE if config.reactive else MODE_NONREACTIVE,
-        )
-        rows = submetrics_batch(scene, scenario, ctx).tolist()
-        for j, (i, row) in enumerate(zip(simulated, rows)):
-            out[i] = (scene.states(j), SubMetricVector(*row))
-    return out
+    starts = [c.screen_states.ego[-1] for c in cands]
+    finals = [{aid: track[-1] for aid, track in c.screen_states.agents.items()} for c in cands]
+    if expert_kind == EXPERT_RECOVERY:
+        logged_end = scenario.ego_log[anchor2 + H]
+        plans = [
+            place_at_state(recovery_retrieve(recovery_target(s, logged_end), vocab), s)
+            for s in starts
+        ]
+    else:
+        chosen = privileged_plans(scenario, anchor2, list(zip(starts, finals)), config.planner, ctx)
+        if config.reactive:
+            return [(plan.states, plan.submetrics) for plan in chosen]
+        plans = [plan.reference for plan in chosen]
+    scene = rollout_batch(
+        scenario, plan_batch(plans, scenario, H), anchor2, H, ctx,
+        ego_start=StateBatch.frame(starts),
+        agent_init={aid: StateBatch.frame([f[aid] for f in finals]) for aid in finals[0]},
+        mode=MODE_REACTIVE if config.reactive else MODE_NONREACTIVE,
+    )
+    rows = submetrics_batch(scene, scenario, ctx).tolist()
+    return [(scene.states(j), SubMetricVector(*row)) for j, row in enumerate(rows)]
 
 
 def _sample(

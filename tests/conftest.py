@@ -44,6 +44,22 @@ def scene_bits(states):
     )
 
 
+def sub_bits(sub):
+    """A `SubMetricVector` (or None) with every value as hex."""
+    return None if sub is None else {k: v.hex() for k, v in sub.as_dict().items()}
+
+
+def plan_bits(plan):
+    """A planner `Plan` with every float as hex: its reference, its simulated
+    window and its sub-metrics."""
+    ref = plan.reference
+    return (
+        (ref.dt, ref.frame, [state_bits(s) for s in ref.states]),
+        scene_bits(plan.states),
+        sub_bits(plan.submetrics),
+    )
+
+
 def shifted_plan(plan: Trajectory, lateral: float, speed: float) -> Trajectory:
     """The plan moved `lateral` m to its left, with its speeds and
     accelerations scaled by `speed`."""

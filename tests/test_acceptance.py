@@ -9,12 +9,13 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 
 from drivegen.cli import main as cli_main
 from drivegen.config import PipelineConfig
 from drivegen.control import solve_lqr_gain, lqr_track
-from drivegen.geometry import OrientedBox, boxes_overlap
+from drivegen.geometry import BoxArrays, OrientedBox, boxes_overlap, boxes_overlap_many
 from drivegen.metrics import (
     MetricWeights,
     SubMetricVector,
@@ -260,9 +261,18 @@ def _state_from_record(d: dict) -> VehicleState:
 # -- 7 ---------------------------------------------------------------------
 
 
+def _one_box(box: OrientedBox) -> BoxArrays:
+    return BoxArrays.of(
+        np.array([box.x]), np.array([box.y]), np.array([box.heading]), box.length, box.width
+    )
+
+
 def test_criterion_7_collision_kernel_oracle():
+    """Both separating-axis tests, the scalar `boxes_overlap` and the
+    vectorized `boxes_overlap_many` that NC, the screen's any-contact test and
+    TTC use, agree with the brute-force oracle on 1000 random pairs."""
     rng = random.Random(707)
-    agree = 0
+    agree = agree_many = 0
     for _ in range(1000):
         a = OrientedBox(
             rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-math.pi, math.pi),
@@ -272,9 +282,14 @@ def test_criterion_7_collision_kernel_oracle():
             rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-math.pi, math.pi),
             rng.uniform(0.3, 5.0), rng.uniform(0.3, 2.5),
         )
-        agree += boxes_overlap(a, b) == oracle_boxes_overlap(a, b)
-    ok = agree == 1000
-    assert report(7, ok, f"separating-axis vs brute-force oracle: {agree}/1000")
+        want = oracle_boxes_overlap(a, b)
+        agree += boxes_overlap(a, b) == want
+        agree_many += boxes_overlap_many(_one_box(a), _one_box(b)).tolist() == [want]
+    ok = agree == agree_many == 1000
+    assert report(
+        7, ok,
+        f"separating-axis vs brute-force oracle: scalar {agree}/1000, batched {agree_many}/1000",
+    )
 
 
 # -- 8 ---------------------------------------------------------------------

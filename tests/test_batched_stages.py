@@ -15,23 +15,19 @@ from dataclasses import replace
 import pytest
 
 import drivegen.pipeline
-from drivegen.expert import recovery_retrieve, recovery_target
+from drivegen.expert import privileged_plan, privileged_plans, recovery_retrieve, recovery_target
 from drivegen.pipeline import cleared_status, expert_stage, screen_batch
 from drivegen.scenario import Trajectory
 from drivegen.seeding import mix64
 from drivegen.vocab import STATUS_PENDING, enumerate_perturbations, grid_sparsify, place_at_state
 
-from conftest import scene_bits
+from conftest import plan_bits, scene_bits, sub_bits
 from oracle import oracle_feasibility_filter, oracle_rollout, oracle_submetrics
-
-
-def _sub_bits(sub):
-    return None if sub is None else {k: v.hex() for k, v in sub.as_dict().items()}
 
 
 def _cand_bits(c):
     return (c.status, c.reason, c.trajectory, scene_bits(c.screen_states),
-            _sub_bits(c.screen_submetrics))
+            sub_bits(c.screen_submetrics))
 
 
 def _grid_survivors(scenario, vocab, config):
@@ -99,12 +95,15 @@ def test_stage2_rows_match_the_scalar_rollout(
     config = replace(small_config, expert_kind=expert, reactive=reactive)
     ctx = config.sim_context
     mode = "reactive" if reactive else "nonreactive"
-    plans = []  # the planner's choices, in call order
-    real_plan = drivegen.pipeline.privileged_plan
-    monkeypatch.setattr(
-        drivegen.pipeline, "privileged_plan",
-        lambda *args, **kwargs: plans.append(real_plan(*args, **kwargs)) or plans[-1],
-    )
+    plans = []  # the planner's choices, one per planned sample, in call order
+    real_plans = drivegen.pipeline.privileged_plans
+
+    def recorded(*args, **kwargs):
+        chosen = real_plans(*args, **kwargs)
+        plans.extend(chosen)
+        return chosen
+
+    monkeypatch.setattr(drivegen.pipeline, "privileged_plans", recorded)
     # the planner plans every candidate: three per scenario keep the test short
     per_scenario = None if expert == "recovery" else 3
     rows = 0
@@ -125,7 +124,7 @@ def test_stage2_rows_match_the_scalar_rollout(
                                   ego_start=perturbed, agent_init=finals)
             want_sub = oracle_submetrics(want, s, Trajectory(dt=s.dt, states=want.ego), ctx)
             assert scene_bits(states2) == scene_bits(want), (s.id, cand.vocab_index)
-            assert _sub_bits(sub2) == _sub_bits(want_sub), (s.id, cand.vocab_index)
+            assert sub_bits(sub2) == sub_bits(want_sub), (s.id, cand.vocab_index)
             rows += 1
     assert rows >= 150
 
@@ -147,8 +146,43 @@ def test_rows_do_not_depend_on_the_candidates_sharing_their_call(
         cleared = [c for c in full if c.status == cleared_status(config)]
         full2 = expert_stage(s, cleared, "recovery", config, small_vocab)
         part2 = expert_stage(s, cleared[1::2][::-1], "recovery", config, small_vocab)
-        assert [(scene_bits(a), _sub_bits(b)) for a, b in part2] == [
-            (scene_bits(a), _sub_bits(b)) for a, b in full2[1::2][::-1]
+        assert [(scene_bits(a), sub_bits(b)) for a, b in part2] == [
+            (scene_bits(a), sub_bits(b)) for a, b in full2[1::2][::-1]
         ], s.id
         compared += len(part) + len(part2)
     assert compared >= 500
+
+
+def _plan_starts(cands):
+    """The planner's start of each screened candidate: its perturbed ego and agent states."""
+    return [
+        (c.screen_states.ego[-1], {aid: track[-1] for aid, track in c.screen_states.agents.items()})
+        for c in cands
+    ]
+
+
+def test_planned_samples_do_not_depend_on_the_samples_sharing_their_call(
+    small_config, screened
+):
+    """Each sample's plan from one batched planner call equals
+    `privileged_plan` from that sample alone, bit for bit (reference,
+    simulated window and sub-metrics): for a scenario's first four cleared
+    candidates in order, for every other one of them in reverse, and for one
+    alone."""
+    config = replace(small_config, expert_kind="planner")
+    ctx = config.sim_context
+    planned = agentless = 0
+    for s, _, checked in screened(config.reactive):
+        starts = _plan_starts([c for c in checked if c.status == cleared_status(config)][:4])
+        if not starts:
+            continue
+        t = s.anchor_frame + s.t_horizon
+        alone = [
+            plan_bits(privileged_plan(s, t, config.planner, ego, init, ctx)) for ego, init in starts
+        ]
+        for rows in (range(len(starts)), range(len(starts))[1::2][::-1], [len(starts) - 1]):
+            got = privileged_plans(s, t, [starts[i] for i in rows], config.planner, ctx)
+            assert [plan_bits(p) for p in got] == [alone[i] for i in rows], s.id
+        planned += len(starts)
+        agentless += not s.agents
+    assert planned >= 300 and agentless, (planned, agentless)

@@ -445,15 +445,16 @@ def test_scoring_kernel_matches_the_scalar_oracle_on_a_generated_corpus(
 
     checked(drivegen.vocab)
     checked(drivegen.pipeline)
-    real_plan = drivegen.pipeline.privileged_plan
+    real_plans = drivegen.pipeline.privileged_plans
 
-    def checked_plan(scenario, *args, **kwargs):
-        plan = real_plan(scenario, *args, **kwargs)
-        executed = Trajectory(dt=scenario.dt, states=plan.states.ego)
-        check(plan.submetrics, plan.states, scenario, executed, kwargs.get("ctx"), "pipeline")
-        return plan
+    def checked_plans(scenario, t, starts, p=None, ctx=None):
+        plans = real_plans(scenario, t, starts, p, ctx)
+        for plan in plans:
+            executed = Trajectory(dt=scenario.dt, states=plan.states.ego)
+            check(plan.submetrics, plan.states, scenario, executed, ctx, "pipeline")
+        return plans
 
-    monkeypatch.setattr(drivegen.pipeline, "privileged_plan", checked_plan)
+    monkeypatch.setattr(drivegen.pipeline, "privileged_plans", checked_plans)
     for expert in ("recovery", "planner"):
         config = PipelineConfig(
             vocab_size=256, vocab_source_count=2048, master_seed=11, expert_kind=expert,

@@ -15,7 +15,7 @@ import pytest
 import drivegen.pipeline
 from drivegen.batch import rollout_batch, select_leaders
 from drivegen.config import PipelineConfig
-from drivegen.expert import PlannerParams, privileged_plan, score_proposals
+from drivegen.expert import PlannerParams, privileged_plan, privileged_plans, score_proposals
 from drivegen.geometry import PolylineOps, angle_diff, offset_polyline, polyline_ops
 from drivegen.metrics import ALL_METRICS, SimContext, aggregate_epdms
 from drivegen.pipeline import run_generation
@@ -31,7 +31,7 @@ from drivegen.scenario import (
     VehicleState,
 )
 
-from conftest import make_state
+from conftest import make_state, plan_bits, scene_bits, state_bits, sub_bits
 from oracle import oracle_rollout, oracle_select_leader, oracle_submetrics, point_at
 
 BINARY = ("nc", "dac", "ddc", "tlc", "ttc", "lk", "hc", "ec")
@@ -114,9 +114,12 @@ def _bits(values):
 
 
 def check_against_oracle(
-    scenario, t, p=None, ego_start=None, agent_init=None, ctx=None, states=False
+    scenario, t, p=None, ego_start=None, agent_init=None, ctx=None, states=False, plan=None
 ):
-    """Assert the batched kernel equals the scalar oracle; returns the oracle's sub-metrics."""
+    """Assert the batched kernel equals the scalar oracle; returns the oracle's sub-metrics.
+
+    `plan` is the planner's choice to check against the oracle's winner
+    (default: `privileged_plan` of this start)."""
     p = p or PlannerParams()
     refs, _, sub, scores = score_proposals(scenario, t, p, ego_start, agent_init, ctx)
     o_refs, o_rollouts, o_subs, o_scores, o_best = oracle_plan(
@@ -146,8 +149,12 @@ def check_against_oracle(
                 assert [_bits(_state_tuple(s)) for s in got.states] == [
                     _bits(_state_tuple(s)) for s in o_states.agents[aid]
                 ]
-    plan = privileged_plan(scenario, t, p, ego_start, agent_init, ctx)
-    assert plan.reference == o_refs[o_best]
+    plan = plan or privileged_plan(scenario, t, p, ego_start, agent_init, ctx)
+    assert plan_bits(plan) == (
+        (scenario.dt, o_refs[o_best].frame, [state_bits(s) for s in o_refs[o_best].states]),
+        scene_bits(o_rollouts[o_best]),
+        sub_bits(o_subs[o_best]),
+    ), (scenario.id, t, o_best)
     return o_subs
 
 
@@ -206,6 +213,7 @@ RED_LIGHT = _scene("red-light", lights=(
         phases=((0.0, 2.5, "green"), (2.5, 1e9, "red")),
     ),
 ))
+EMPTY_ROAD = _scene("empty-road")
 NON_DEFAULT_WORLD = PipelineConfig(ego_length=6.0, b_hard=2.0).sim_context
 
 
@@ -233,6 +241,29 @@ def test_hand_built_scene_matches_oracle(scenario, ctx):
         assert {s.tlc for s in subs} == {0.0, 1.0}
 
 
+def test_each_planned_sample_keeps_its_own_winner():
+    """Two samples planned in one call on a road without agents win at
+    different proposals, the logged start by a three-way tie that goes to
+    the first: each keeps the oracle's winner, not an argmax over all rows,
+    and equals `privileged_plan` from its start alone. No sample, no plan."""
+    t = EMPTY_ROAD.anchor_frame
+    side_lane = make_state(x=EMPTY_ROAD.ego_log[t].pose.x + 10.0, y=3.5, v=3.0)
+    starts = [(side_lane, None), (None, {})]
+    plans = privileged_plans(EMPTY_ROAD, t, starts)
+    winners = []
+    for (ego_start, agent_init), plan in zip(starts, plans, strict=True):
+        subs = check_against_oracle(
+            EMPTY_ROAD, t, ego_start=ego_start, agent_init=agent_init, plan=plan
+        )
+        assert plan_bits(plan) == plan_bits(
+            privileged_plan(EMPTY_ROAD, t, ego_start=ego_start, agent_init=agent_init)
+        )
+        scores = [aggregate_epdms(sub, SimContext().weights) for sub in subs]
+        winners.append((scores.index(max(scores)), scores.count(max(scores))))
+    assert winners == [(9, 1), (21, 3)]
+    assert privileged_plans(EMPTY_ROAD, t, []) == []
+
+
 def test_select_leaders_tie_goes_to_the_lower_id():
     """Two leaders at the same distance ahead: like `oracle_select_leader`,
     the kernel takes the one with the lower id (k-twin, the faster one here)."""
@@ -252,22 +283,25 @@ def test_select_leaders_tie_goes_to_the_lower_id():
 def test_planner_matches_the_scalar_oracle_on_a_generated_corpus(
     corpus_100, small_vocab, monkeypatch
 ):
-    """Every privileged_plan call of a planner-arm generation over 100
-    scenarios (stage-2 starts, perturbed ego and agents), plus a plan from
-    each scenario's anchor, equals the scalar oracle proposal by proposal."""
+    """Every sample that a planner-arm generation over 100 scenarios plans
+    (stage-2 starts, perturbed ego and agents), plus a plan from each
+    scenario's anchor, equals the scalar oracle proposal by proposal, and
+    the plan the batched call chose for it is the oracle's winner."""
     config = PipelineConfig(
         vocab_size=256, vocab_source_count=2048, master_seed=11, expert_kind="planner",
         rounds=1, per_round=1,
     )
-    real = drivegen.pipeline.privileged_plan
+    real = drivegen.pipeline.privileged_plans
     calls = []
 
-    def checked_plan(*args, **kwargs):
-        calls.append(args[0].id)
-        check_against_oracle(*args, **kwargs)
-        return real(*args, **kwargs)
+    def checked_plans(scenario, t, starts, p=None, ctx=None):
+        plans = real(scenario, t, starts, p, ctx)
+        for (ego_start, agent_init), plan in zip(starts, plans, strict=True):
+            calls.append(scenario.id)
+            check_against_oracle(scenario, t, p, ego_start, agent_init, ctx, plan=plan)
+        return plans
 
-    monkeypatch.setattr(drivegen.pipeline, "privileged_plan", checked_plan)
+    monkeypatch.setattr(drivegen.pipeline, "privileged_plans", checked_plans)
     samples, _ = run_generation(corpus_100, config, rounds=1, vocab=small_vocab, workers=1)
     assert len(calls) >= 50 and samples
     for s in corpus_100:
