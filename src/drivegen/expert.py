@@ -67,17 +67,7 @@ def build_matching_vector(traj: Trajectory) -> MatchingVector:
     """Summarize a maneuver for retrieval; frame-local, so globally invariant."""
     if len(traj) < 2:
         raise ValidationError("matching vector requires a trajectory of length >= 2")
-    s0 = traj.states[0]
-    end = traj.states[-1]
-    ex, ey = global_to_local(end.pose.x, end.pose.y, s0.pose.x, s0.pose.y, s0.pose.theta)
-    return MatchingVector(
-        v_x=s0.vel_lon,
-        v_y=s0.vel_lat,
-        theta0=0.0,
-        x_end=ex,
-        y_end=ey,
-        theta_end=angle_diff(end.pose.theta, s0.pose.theta),
-    )
+    return MatchingVector(*_matching_matrix(Vocabulary.of([traj]))[0].tolist())
 
 
 def recovery_target(perturbed: VehicleState, logged_end: VehicleState) -> MatchingVector:
@@ -107,11 +97,21 @@ _ANGLE_COMPONENTS = np.array([False, False, True, False, False, True])
 
 
 def _matching_matrix(vocab: Vocabulary) -> np.ndarray:
-    return np.stack([build_matching_vector(e).as_array() for e in vocab.entries])
+    """(N, 6) matching vectors of the bank's entries from their first and
+    last frames: start velocity, then the end pose in the start frame, with
+    `math` cos and sin per entry."""
+    first, last = vocab.tracks.data[:, :, 0], vocab.tracks.data[:, :, -1]
+    c, s = per_element(math.cos, -first[2]), per_element(math.sin, -first[2])
+    dx, dy = last[0] - first[0], last[1] - first[1]
+    return np.stack([
+        first[3], first[4], np.zeros(len(vocab)), c * dx - s * dy, s * dx + c * dy,
+        wrap_angle_many(last[2] - first[2]),
+    ], axis=1)
 
 
-def recovery_retrieve(target: MatchingVector, vocab: Vocabulary) -> Trajectory:
-    """Entry minimizing the L1 matching distance; ties break to lowest index.
+def recovery_retrieve(target: MatchingVector, vocab: Vocabulary) -> int:
+    """Index of the entry minimizing the L1 matching distance; ties break to
+    the lowest index.
 
     Angle components use wrapped differences. The distance is plain L1 over
     mixed units.
@@ -122,7 +122,7 @@ def recovery_retrieve(target: MatchingVector, vocab: Vocabulary) -> Trajectory:
     d = np.abs(diff)
     d[:, _ANGLE_COMPONENTS] = np.abs(wrapped)
     # summed by a matmul: sum(axis=1) rounds differently and can flip near-ties
-    return vocab.entries[int(np.argmin(d @ np.ones(d.shape[1])))]
+    return int(np.argmin(d @ np.ones(d.shape[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -248,27 +248,6 @@ def _score_starts(
     sub = submetrics_batch(scene, scenario, ctx)
     scores = [aggregate_epdms(SubMetricVector(*row), ctx.weights) for row in sub.tolist()]
     return refs, scene, sub, scores
-
-
-def score_proposals(
-    scenario: Scenario,
-    t: int,
-    p: PlannerParams | None = None,
-    ego_start: VehicleState | None = None,
-    agent_init: Mapping[str, VehicleState] | None = None,
-    ctx: SimContext | None = None,
-) -> tuple[StateBatch, SceneBatch, np.ndarray, list[float]]:
-    """Every planner proposal simulated and scored in one batched rollout.
-
-    Returns the (P, H + 1) proposal references (speed fraction major), their
-    simulated scene, their (P, 9) sub-metrics in `ALL_METRICS` order and the
-    aggregate scores under `ctx.weights`. Row p equals a reactive `rollout`
-    of proposal p alone, scored by `compute_submetrics` on its executed
-    window.
-    """
-    return _score_starts(
-        scenario, t, [(ego_start, agent_init)], p or PlannerParams(), ctx or SimContext()
-    )
 
 
 @dataclass(frozen=True, slots=True)

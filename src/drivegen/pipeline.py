@@ -59,12 +59,13 @@ from .vocab import (
     STATUS_PENDING,
     PerturbationCandidate,
     Vocabulary,
+    check_vocabulary,
     default_vocabulary,
     enumerate_perturbations,
     feasibility_filter,  # noqa: F401
     feasibility_filter_batch,
     grid_sparsify,
-    place_at_state,
+    place_tracks,
 )
 
 REJECT_BUCKETS = ("collision", "offroad", "reward", "kinematics")
@@ -142,7 +143,8 @@ def screen_batch(
     Pending candidates take the non-reactive check; in reactive runs those it
     clears take the reactive one. Candidates this config has cleared pass
     through unchanged, so the screen runs once per candidate. Each check is
-    one batched rollout of every candidate it takes.
+    one batched rollout of every candidate it takes; only the run's last
+    check keeps the states and sub-metrics of those it clears.
     """
     epdms_min, ctx = config.perturb.epdms_min, config.sim_context
     checks = [(STATUS_PENDING, MODE_NONREACTIVE)]
@@ -153,7 +155,8 @@ def screen_batch(
         taken = [i for i, c in enumerate(out) if c.status == status]
         if taken:
             checked = feasibility_filter_batch(
-                [out[i] for i in taken], scenario, mode, epdms_min, ctx
+                [out[i] for i in taken], scenario, mode, epdms_min, ctx,
+                keep_states=mode == checks[-1][1],
             )
             for i, cand in zip(taken, checked):
                 out[i] = cand
@@ -201,8 +204,9 @@ def expert_stage(
     Every demonstration runs in one batched rollout from its own perturbed
     ego and agent states, except in reactive planner runs: there the
     planner's winning proposal already is that rollout, so its window and
-    sub-metrics are kept. The planner plans from every perturbed state in
-    one batched call. History comfort is judged on the window alone.
+    sub-metrics are kept. The retrieved rows are placed, and the planner
+    plans, for every perturbed state in one call. History comfort is judged
+    on the window alone.
     """
     if expert_kind not in (EXPERT_RECOVERY, EXPERT_PLANNER):
         raise ValidationError(f"unknown expert kind '{expert_kind}'")
@@ -213,20 +217,20 @@ def expert_stage(
     anchor2 = scenario.anchor_frame + H
     starts = [c.screen_states.ego[-1] for c in cands]
     finals = [{aid: track[-1] for aid, track in c.screen_states.agents.items()} for c in cands]
+    ego_start = StateBatch.frame(starts)
     if expert_kind == EXPERT_RECOVERY:
+        check_vocabulary(vocab, scenario)
         logged_end = scenario.ego_log[anchor2 + H]
-        plans = [
-            place_at_state(recovery_retrieve(recovery_target(s, logged_end), vocab), s)
-            for s in starts
-        ]
+        rows = [recovery_retrieve(recovery_target(s, logged_end), vocab) for s in starts]
+        plans = place_tracks(vocab.tracks.data[:, rows], ego_start)
     else:
         chosen = privileged_plans(scenario, anchor2, list(zip(starts, finals)), config.planner, ctx)
         if config.reactive:
             return [(plan.states, plan.submetrics) for plan in chosen]
-        plans = [plan.reference for plan in chosen]
+        plans = plan_batch([plan.reference for plan in chosen], scenario, H)
     scene = rollout_batch(
-        scenario, plan_batch(plans, scenario, H), anchor2, H, ctx,
-        ego_start=StateBatch.frame(starts),
+        scenario, plans, anchor2, H, ctx,
+        ego_start=ego_start,
         agent_init={aid: StateBatch.frame([f[aid] for f in finals]) for aid in finals[0]},
         mode=MODE_REACTIVE if config.reactive else MODE_NONREACTIVE,
     )

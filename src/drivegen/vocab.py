@@ -1,18 +1,23 @@
 """Trajectory vocabulary and perturbation sampling.
 
-The vocabulary is a clustered bank of short ego-local maneuvers. Perturbation
-sampling thresholds where each entry would end at the scenario anchor state,
-spreads survivors over an interleaved endpoint grid, and places and filters
-only the grid survivors by simulation (non-reactive first, reactive on the
-sparse set only, since reactive rollouts cost the most).
+The vocabulary is a clustered bank of short ego-local maneuvers, one
+(7, N, H + 1) `StateBatch` from file or k-means to the simulator. Per
+scenario, whole-array passes over the bank threshold where each entry would
+end at the anchor state, spread survivors over an interleaved endpoint grid,
+and place only the grid survivors, straight into the batched rollouts that
+filter them (non-reactive first, reactive on the sparse set only, since
+reactive rollouts cost the most). Each pass is the scalar per-entry
+arithmetic bit for bit: `math` cos and sin, `geometry.wrap_angle_many`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -21,14 +26,7 @@ import numpy as np
 from .batch import _bicycle_step, _bound, plan_batch, rollout_batch
 from .control import VehicleLimits
 from .errors import SchemaError, ValidationError
-from .geometry import (
-    _cached_ops,
-    angle_diff,
-    global_to_local,
-    local_to_global,
-    wrap_angle,
-    wrap_angle_many,
-)
+from .geometry import _cached_ops, per_element, wrap_angle_many
 # `check_collision`, `compute_submetrics` and `rollout` stay bound here:
 # perfbench/tracer.py wraps `vocab.check_collision`, `vocab.compute_submetrics`
 # and `vocab.rollout` by name
@@ -44,11 +42,8 @@ from .metrics import (  # noqa: F401
 )
 from .reactive import SceneStates, StateBatch, rollout  # noqa: F401
 from .scenario import (
-    FRAME_EGO_LOCAL,
-    Pose2D,
-    Scenario,
-    Trajectory,
-    VehicleState,
+    _STATE_FIELDS, _STATE_KEYS, FRAME_EGO_LOCAL, Scenario, Trajectory, _array, _number,
+    _state_from_json, dump_json_canonical,
 )
 from .seeding import mix64
 
@@ -61,30 +56,56 @@ STATUS_CLEARED_NONREACTIVE = "cleared-nonreactive"
 STATUS_CLEARED_REACTIVE = "cleared-reactive"
 
 
-@dataclass(frozen=True, slots=True)
-class Vocabulary:
-    entries: tuple[Trajectory, ...]
+@dataclass(frozen=True, slots=True, eq=False)
+class Vocabulary(Sequence[Trajectory]):
+    """Ego-local maneuvers of one dt and horizon, held as one (7, N, H + 1)
+    `StateBatch` bank.
+
+    Reading an entry builds its `Trajectory`, so a caller that reads a few
+    entries of a large bank never materializes the rest.
+    """
+
+    dt: float
+    tracks: StateBatch
 
     def __post_init__(self):
-        if not self.entries:
+        if self.tracks.data.shape[1] == 0:
             raise ValidationError("vocabulary must not be empty")
-        h = self.entries[0].horizon
-        dt = self.entries[0].dt
-        for i, e in enumerate(self.entries):
-            if e.horizon != h or e.dt != dt:
-                raise ValidationError(f"vocabulary entry {i} has mismatched horizon or dt")
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
+    @classmethod
+    def of(cls, entries: Sequence[Trajectory]) -> "Vocabulary":
+        """The bank of trajectories that share one horizon and dt."""
+        tracks = [StateBatch.track(e.states).data[:, 0] for e in entries]
+        return _bank([e.dt for e in entries], tracks)
 
-    @property
-    def horizon(self) -> int:
-        return self.entries[0].horizon
+    def __len__(self) -> int:
+        return self.tracks.data.shape[1]
 
-    @property
-    def dt(self) -> float:
-        return self.entries[0].dt
+    def __getitem__(self, i: int) -> Trajectory:
+        return Trajectory(dt=self.dt, states=self.tracks.states(i), frame=FRAME_EGO_LOCAL)
+
+    entries = property(lambda self: self)  # the trajectories, each built when read
+    size = property(__len__)
+    horizon = property(lambda self: self.tracks.data.shape[2] - 1)
+
+
+def _bank(dts: Sequence[float], tracks: Sequence[np.ndarray]) -> Vocabulary:
+    """The vocabulary of (7, n) ego-local tracks, which must share one n and dt."""
+    if not tracks:
+        raise ValidationError("vocabulary must not be empty")
+    for i, (dt, track) in enumerate(zip(dts, tracks)):
+        if track.shape != tracks[0].shape or dt != dts[0]:
+            raise ValidationError(f"vocabulary entry {i} has mismatched horizon or dt")
+    return Vocabulary(dts[0], StateBatch(np.stack(tracks, axis=1)))
+
+
+def check_vocabulary(vocab: Vocabulary, scenario: Scenario) -> None:
+    """Raise ValidationError unless the vocabulary runs at the scenario's horizon and dt."""
+    for name, have, want in (
+        ("horizon", vocab.horizon, scenario.t_horizon), ("dt", vocab.dt, scenario.dt)
+    ):
+        if have != want:
+            raise ValidationError(f"vocabulary {name} {have} != scenario {name} {want}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,20 +132,23 @@ class GridSpec:
         if self.step_lon <= 0 or self.step_lat <= 0:
             raise ValidationError("grid steps must be positive")
 
-    def cell(self, lon: float, lat: float) -> tuple[int, int]:
-        i_lon = math.floor(lon / self.step_lon)
-        shift = 0.5 * self.step_lat if (self.interleave and i_lon % 2 != 0) else 0.0
-        i_lat = math.floor((lat - shift) / self.step_lat)
-        return (i_lon, i_lat)
+    def cells(self, lon: np.ndarray, lat: np.ndarray) -> list[tuple[int, int]]:
+        """The (i_lon, i_lat) cell of each endpoint offset; with interleave, odd
+        lon rows shift their lat bins by half a step."""
+        i_lon = np.floor(lon / self.step_lon)
+        shift = np.where(self.interleave & (i_lon % 2 != 0), 0.5 * self.step_lat, 0.0)
+        i_lat = np.floor((lat - shift) / self.step_lat)
+        return list(zip(map(int, i_lon.tolist()), map(int, i_lat.tolist())))
 
 
 @dataclass(frozen=True, slots=True)
 class PerturbationCandidate:
-    trajectory: Trajectory | None  # global frame at the anchor; None until a check places it
+    trajectory: Trajectory | None  # a global-frame plan to screen; None for a vocabulary entry
     offsets: tuple[float, float, float]  # (lon, lat, dtheta) vs logged endpoint
     status: str
     vocab_index: int
-    entry: Trajectory | None = None  # the ego-local vocabulary entry behind an unplaced candidate
+    # the entry's ego-local (7, H + 1) bank row, placed at the anchor by each screen
+    entry: np.ndarray | None = field(default=None, compare=False)
     endpoint_cell: tuple[int, int] | None = None
     reason: str = ""
     # what the clearing screen simulated and scored; None until cleared
@@ -136,27 +160,9 @@ class PerturbationCandidate:
 # Maneuver synthesis (vocabulary source at desk scale)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Maneuvers(Sequence[Trajectory]):
-    """Ego-local maneuvers of one dt, held as one (7, N, n) `StateBatch`.
-
-    Reading a row builds its `Trajectory`, so a caller that keeps a few rows
-    of a large bank never materializes the rest.
-    """
-
-    dt: float
-    tracks: StateBatch
-
-    def __len__(self) -> int:
-        return self.tracks.data.shape[1]
-
-    def __getitem__(self, row: int) -> Trajectory:
-        return Trajectory(dt=self.dt, states=self.tracks.states(row), frame=FRAME_EGO_LOCAL)
-
-
 def synthesize_maneuvers(
     count: int, horizon: int, dt: float, seed: int, speed_range: tuple[float, float] = (4.0, 14.0)
-) -> Maneuvers:
+) -> Vocabulary:
     """Ego-local maneuvers: two-phase steering arcs crossed with speed profiles.
 
     Each maneuver is integrated with the kinematic bicycle, so entries are
@@ -200,7 +206,7 @@ def synthesize_maneuvers(
         rate = _bound((target - cur.steering) / dt, 0.4)
         cur = _bicycle_step(cur, accel, rate, dt, limits)
         frames.append(cur)
-    return Maneuvers(dt, StateBatch.stack(frames))
+    return Vocabulary(dt, StateBatch.stack(frames))
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +218,27 @@ def _flatten(tracks: StateBatch) -> np.ndarray:
     return np.concatenate([tracks.x, tracks.y, np.unwrap(tracks.theta, axis=1)], axis=1)
 
 
-def _sq_distances(X: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(N, k) squared distances as ||x||^2 - 2 x.c + ||c||^2, built in place.
+_BLOCK_ROWS = 64  # rows of the distance matrix per cache-sized block
 
-    Bit-identical to evaluating that expression left to right: scaling by
-    -2 is exact and a - b is a + (-b).
+
+def _sq_distances(X: np.ndarray, xx: np.ndarray, centers: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Fill the (N, k) buffer `d2` with the squared distances ||x||^2 - 2 x.c
+    + ||c||^2 and return each row's argmin.
+
+    The matmul writes the whole buffer; the other passes and the argmin run
+    on cache-sized blocks of rows. Bit-identical to evaluating the expression
+    left to right: scaling by -2 is exact and a - b is a + (-b).
     """
-    d2 = X @ centers.T
-    d2 *= -2.0
-    d2 += xx[:, None]
-    d2 += np.sum(centers * centers, axis=1)
-    return d2
+    np.matmul(X, centers.T, out=d2)
+    cc = np.sum(centers * centers, axis=1)
+    nearest = np.empty(len(X), dtype=np.int64)
+    for r in range(0, len(X), _BLOCK_ROWS):
+        block = d2[r:r + _BLOCK_ROWS]
+        block *= -2.0
+        block += xx[r:r + _BLOCK_ROWS, None]
+        block += cc
+        nearest[r:r + _BLOCK_ROWS] = np.argmin(block, axis=1)
+    return nearest
 
 
 def _update_centers(
@@ -252,14 +268,14 @@ def _update_centers(
 
 def _lloyd(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     """The (k, D) centers after plain Lloyd iterations (cap 100) from a seeded
-    choice of k rows."""
+    choice of k rows; every iteration reuses one distance buffer."""
     rng = np.random.Generator(np.random.PCG64(mix64(seed, "kmeans", k)))
     centers = X[rng.choice(len(X), size=k, replace=False)].copy()
     xx = np.sum(X * X, axis=1)
+    d2 = np.empty((len(X), k))
     assign = np.zeros(len(X), dtype=np.int64)
     for _ in range(100):
-        d2 = _sq_distances(X, xx, centers)
-        new_assign = np.argmin(d2, axis=1)
+        new_assign = _sq_distances(X, xx, centers, d2)
         _update_centers(X, d2, new_assign, centers)
         if np.array_equal(new_assign, assign):
             break
@@ -286,7 +302,8 @@ def _snap(X: np.ndarray, centers: np.ndarray) -> list[int]:
     direct comparison is a candidate.
     """
     xx = np.sum(X * X, axis=1)
-    d2 = _sq_distances(X, xx, centers)
+    d2 = np.empty((len(X), len(centers)))
+    _sq_distances(X, xx, centers, d2)
     margin = (8 * X.shape[1] + 18) * np.finfo(float).eps * (
         xx.max() + np.sum(centers * centers, axis=1)
     )
@@ -303,9 +320,9 @@ def build_vocabulary(samples: Sequence[Trajectory], k: int, seed: int) -> Vocabu
     """Cluster maneuvers with k-means and snap centers to their nearest sample.
 
     Plain Lloyd iterations (cap 100) with seeded initialization; snapping
-    keeps every entry a realizable trajectory. A `Maneuvers` bank is
-    clustered from its array, and only the k chosen rows become
-    trajectories. Deterministic in (samples, k, seed).
+    keeps every entry a realizable trajectory. A `Vocabulary` bank is
+    clustered from its array and the k chosen rows are taken from it, so no
+    trajectory is built. Deterministic in (samples, k, seed).
     """
     if not samples:
         raise ValidationError("samples must not be empty")
@@ -314,12 +331,9 @@ def build_vocabulary(samples: Sequence[Trajectory], k: int, seed: int) -> Vocabu
     if k > len(samples):
         raise ValidationError(f"k={k} exceeds sample count {len(samples)}")
 
-    if isinstance(samples, Maneuvers):
-        tracks = samples.tracks
-    else:
-        tracks = StateBatch.tracks([t.states for t in samples])
-    X = _flatten(tracks)
-    return Vocabulary(entries=tuple(samples[i] for i in _snap(X, _lloyd(X, k, seed))))
+    bank = samples if isinstance(samples, Vocabulary) else Vocabulary.of(samples)
+    X = _flatten(bank.tracks)
+    return Vocabulary(bank.dt, StateBatch(bank.tracks.data[:, _snap(X, _lloyd(X, k, seed))]))
 
 
 def default_vocabulary(
@@ -338,72 +352,66 @@ def default_vocabulary(
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    from .scenario import _state_to_json, dump_json_canonical
-
     payload = [
-        {"dt": e.dt, "states": [_state_to_json(s) for s in e.states]} for e in vocab.entries
+        {"dt": vocab.dt, "states": [dict(zip(_STATE_FIELDS, s)) for s in track]}
+        for track in vocab.tracks.data.transpose(1, 2, 0).tolist()
     ]
     Path(path).write_text(dump_json_canonical(payload), encoding="utf-8")
 
 
-def load_vocabulary(path: str | Path) -> Vocabulary:
-    from .scenario import _array, _number, _state_from_json
+_STATE_VALUES = operator.itemgetter(*_STATE_FIELDS)
 
+
+def _track_values(states: list, where: str) -> np.ndarray:
+    """(7, n) values of an entry's JSON states.
+
+    Finite floats under exactly the state keys are taken in bulk; any other
+    entry is parsed state by state, which names its first bad field.
+    """
+    if all(type(s) is dict and s.keys() == _STATE_KEYS for s in states):
+        rows = list(map(_STATE_VALUES, states))
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {float}:
+            track = np.array(rows).reshape(-1, 7).T
+            if np.isfinite(track).all():
+                return track
+    parsed = [_state_from_json(s, f"{where}[{j}]") for j, s in enumerate(states)]
+    return StateBatch.track(parsed).data[:, 0]
+
+
+def load_vocabulary(path: str | Path) -> Vocabulary:
+    """The vocabulary file parsed straight into the bank."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list):
         raise SchemaError("vocabulary: expected a JSON array of trajectories")
-    entries = []
+    dts, tracks = [], []
     for i, item in enumerate(data):
         if not isinstance(item, dict) or set(item) != {"dt", "states"}:
             raise SchemaError(f"vocabulary[{i}]: expected fields dt, states")
-        entries.append(
-            Trajectory(
-                dt=_number(item["dt"], f"vocabulary[{i}].dt"),
-                states=tuple(
-                    _state_from_json(s, f"vocabulary[{i}].states[{j}]")
-                    for j, s in enumerate(_array(item["states"], f"vocabulary[{i}].states"))
-                ),
-                frame=FRAME_EGO_LOCAL,
-            )
-        )
-    return Vocabulary(entries=tuple(entries))
+        dts.append(_number(item["dt"], f"vocabulary[{i}].dt"))
+        where = f"vocabulary[{i}].states"
+        tracks.append(_track_values(_array(item["states"], where), where))
+    return _bank(dts, tracks)
 
 
 # ---------------------------------------------------------------------------
 # Perturbation sampling
 
 
-def _place_pose(p: Pose2D, anchor: Pose2D) -> Pose2D:
-    gx, gy = local_to_global(p.x, p.y, anchor.x, anchor.y, anchor.theta)
-    return Pose2D(gx, gy, wrap_angle(p.theta + anchor.theta))
-
-
-def place_at_state(entry: Trajectory, anchor: VehicleState) -> Trajectory:
-    """Rigidly transform an ego-local entry to start at the anchor pose.
-
-    Every state is placed as `_place_pose` places one, in numpy with the same
-    arithmetic.
-    """
-    a = anchor.pose
-    c, s = math.cos(a.theta), math.sin(a.theta)
-    local = StateBatch.track(entry.states).data
+def place_tracks(local: np.ndarray, start: StateBatch) -> StateBatch:
+    """(7, P, n) ego-local tracks, each rigidly moved to start at its row's
+    pose in the (7, P) `start`; each row turns by `math` cos and sin of its
+    start heading, so every state is placed as with Python floats."""
+    x0, y0, theta0 = (v[:, None] for v in start.data[:3])
+    c, s = per_element(math.cos, theta0), per_element(math.sin, theta0)
     x, y = local[0], local[1]
     placed = local.copy()
-    placed[0] = a.x + (c * x - s * y)
-    placed[1] = a.y + (s * x + c * y)
-    placed[2] = wrap_angle_many(local[2] + a.theta)
-    return StateBatch(placed).trajectory(0, entry.dt)
+    placed[0] = x0 + (c * x - s * y)
+    placed[1] = y0 + (s * x + c * y)
+    placed[2] = wrap_angle_many(local[2] + theta0)
+    return StateBatch(placed)
 
 
-def endpoint_offsets(
-    end: VehicleState, anchor: VehicleState, logged_end: VehicleState
-) -> tuple[float, float, float]:
-    """Shift of an ego-local endpoint placed at the anchor, in the logged endpoint's
-    frame (lon ahead, lat left); bit-identical to measuring `place_at_state`'s last state."""
-    p = _place_pose(end.pose, anchor.pose)
-    ref = logged_end.pose
-    lon, lat = global_to_local(p.x, p.y, ref.x, ref.y, ref.theta)
-    return (lon, lat, angle_diff(p.theta, ref.theta))
+_THRESHOLD_REASONS = ("", "lon", "lat", "heading")
 
 
 def enumerate_perturbations(
@@ -412,36 +420,29 @@ def enumerate_perturbations(
     """Threshold every vocabulary entry by where it would end at the anchor state.
 
     Offsets are measured against the logged ego pose at the end of the first
-    simulation window (anchor + horizon). Candidates are left unplaced.
+    simulation window (anchor + horizon), in its frame (lon ahead, lat left),
+    on every entry's last state placed at the anchor in one array pass.
+    Candidates are left unplaced, each holding its bank row.
     """
-    if vocab.horizon != scenario.t_horizon:
-        raise ValidationError(
-            f"vocabulary horizon {vocab.horizon} != scenario horizon {scenario.t_horizon}"
+    check_vocabulary(vocab, scenario)
+    anchor = StateBatch.full(scenario.ego_log[scenario.anchor_frame], len(vocab))
+    end = place_tracks(vocab.tracks.data[:, :, -1:], anchor).data[:, :, 0]
+    ref = scenario.ego_log[scenario.anchor_frame + scenario.t_horizon].pose
+    c, s = math.cos(-ref.theta), math.sin(-ref.theta)
+    dx, dy = end[0] - ref.x, end[1] - ref.y
+    lon, lat = c * dx - s * dy, s * dx + c * dy
+    dtheta = wrap_angle_many(end[2] - ref.theta)
+    bad = [np.abs(lon) > th.r_lon, np.abs(lat) > th.r_lat, np.abs(dtheta) > th.dtheta_max]
+    reason = np.select(bad, [1, 2, 3])
+    offsets = zip(lon.tolist(), lat.tolist(), dtheta.tolist())
+    rows = vocab.tracks.data.transpose(1, 0, 2)
+    return [
+        PerturbationCandidate(
+            None, off, STATUS_THRESHOLD_REJECTED if r else STATUS_PENDING, i, row, None,
+            _THRESHOLD_REASONS[r],
         )
-    anchor = scenario.ego_log[scenario.anchor_frame]
-    logged_end = scenario.ego_log[scenario.anchor_frame + scenario.t_horizon]
-
-    out = []
-    for idx, entry in enumerate(vocab.entries):
-        lon, lat, dtheta = endpoint_offsets(entry.states[-1], anchor, logged_end)
-        status, reason = STATUS_PENDING, ""
-        if abs(lon) > th.r_lon:
-            status, reason = STATUS_THRESHOLD_REJECTED, "lon"
-        elif abs(lat) > th.r_lat:
-            status, reason = STATUS_THRESHOLD_REJECTED, "lat"
-        elif abs(dtheta) > th.dtheta_max:
-            status, reason = STATUS_THRESHOLD_REJECTED, "heading"
-        out.append(
-            PerturbationCandidate(
-                trajectory=None,
-                offsets=(lon, lat, dtheta),
-                status=status,
-                vocab_index=idx,
-                entry=entry,
-                reason=reason,
-            )
-        )
-    return out
+        for i, (off, r, row) in enumerate(zip(offsets, reason.tolist(), rows))
+    ]
 
 
 def grid_sparsify(
@@ -450,25 +451,27 @@ def grid_sparsify(
     """Keep one pending candidate per occupied endpoint cell (seeded choice).
 
     Non-pending candidates pass through untouched; dropped candidates are
-    marked grid-dropped. The per-cell choice is keyed by (seed, cell) so it
-    does not depend on list order beyond the membership of the cell.
+    marked grid-dropped. The cells of all pending candidates come from one
+    array pass. The per-cell choice is keyed by (seed, cell) so it does not
+    depend on list order beyond the membership of the cell.
     """
-    cells: dict[tuple[int, int], list[int]] = {}
     out = list(cands)
-    for i, c in enumerate(cands):
-        if c.status != STATUS_PENDING:
-            continue
-        cell = g.cell(c.offsets[0], c.offsets[1])
-        out[i] = replace(c, endpoint_cell=cell)
+    pending = [i for i, c in enumerate(cands) if c.status == STATUS_PENDING]
+    lon, lat = np.array([cands[i].offsets[:2] for i in pending]).reshape(-1, 2).T
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, cell in zip(pending, g.cells(lon, lat)):
         cells.setdefault(cell, []).append(i)
-
     for cell, members in cells.items():
         rng = random.Random(mix64(seed, "grid-cell", cell[0], cell[1]))
-        members_sorted = sorted(members, key=lambda i: cands[i].vocab_index)
-        keep = members_sorted[rng.randrange(len(members_sorted))]
-        for i in members_sorted:
-            if i != keep:
-                out[i] = replace(out[i], status=STATUS_GRID_DROPPED, reason="grid")
+        members.sort(key=lambda i: cands[i].vocab_index)
+        keep = members[rng.randrange(len(members))]
+        for i in members:
+            c = cands[i]
+            status, reason = (c.status, c.reason) if i == keep else (STATUS_GRID_DROPPED, "grid")
+            out[i] = PerturbationCandidate(
+                c.trajectory, c.offsets, status, c.vocab_index, c.entry, cell, reason,
+                c.screen_states, c.screen_submetrics,
+            )
     return out
 
 
@@ -490,25 +493,41 @@ def _history_track(scenario: Scenario) -> StateBatch:
     return StateBatch.track(scenario.ego_log.states[: scenario.anchor_frame + 1])
 
 
+def _screen_plans(cands: Sequence[PerturbationCandidate], scenario: Scenario) -> StateBatch:
+    """(7, P, H + 1) references: each candidate's own plan, or its bank row
+    placed at the anchor state, all bank rows in one `place_tracks` call."""
+    H = scenario.t_horizon
+    data = np.empty((7, len(cands), H + 1))
+    own = [i for i, c in enumerate(cands) if c.trajectory is not None]
+    if own:
+        data[:, own] = plan_batch([cands[i].trajectory for i in own], scenario, H).data
+    rows = [i for i, c in enumerate(cands) if c.trajectory is None]
+    if rows:
+        local = np.stack([cands[i].entry[:, : H + 1] for i in rows], axis=1)
+        anchor = StateBatch.full(scenario.ego_log[scenario.anchor_frame], len(rows))
+        data[:, rows] = place_tracks(local, anchor).data
+    return StateBatch(data)
+
+
 def feasibility_filter_batch(
     cands: Sequence[PerturbationCandidate],
     scenario: Scenario,
     mode: str,
     epdms_min: float,
     ctx: SimContext | None = None,
+    keep_states: bool = True,
 ) -> list[PerturbationCandidate]:
     """Roll candidates out in the world of `ctx` and mark each cleared or infeasible.
 
     Non-reactive checks run on pending candidates; reactive checks require a
-    prior non-reactive clearance (the cheap filter always runs first), and
-    an unplaced candidate is placed at the anchor state before its rollout.
-    All candidates are simulated in one batched rollout, and each row comes
-    out as if screened alone. Infeasibility reasons, tested in this order:
+    prior non-reactive clearance (the cheap filter always runs first). All
+    candidates are simulated in one batched rollout, and each row comes out
+    as if screened alone. Infeasibility reasons, tested in this order:
     "collision" (any contact, at fault or not), "off-road" (a footprint
     corner leaves the drivable area; decided before the other sub-metrics
     are computed), or "reward" (EPDMS below `epdms_min`, history comfort
-    judged on the logged history plus the window). A cleared candidate keeps
-    the states and sub-metrics of this rollout.
+    judged on the logged history plus the window). A cleared candidate
+    keeps the states and sub-metrics of this rollout if `keep_states`.
     """
     if mode not in _CHECKS:
         raise ValidationError(f"unknown feasibility mode '{mode}'")
@@ -520,19 +539,15 @@ def feasibility_filter_batch(
         return []
 
     ctx = ctx or SimContext()
-    anchor = scenario.anchor_frame
-    placed = [  # the one place an enumerated entry is placed
-        c.trajectory if c.trajectory is not None
-        else place_at_state(c.entry, scenario.ego_log[anchor])
-        for c in cands
-    ]
     H = scenario.t_horizon
-    scene = rollout_batch(scenario, plan_batch(placed, scenario, H), anchor, H, ctx, mode=mode)
+    scene = rollout_batch(
+        scenario, _screen_plans(cands, scenario), scenario.anchor_frame, H, ctx, mode=mode
+    )
     ego = scene.ego
     collided = any_contact(scene, scenario, ctx)
     off_road = drivable_area_compliance(ego.x, ego.y, ego.theta, scenario, ctx) == 0.0
     reasons = ["collision" if hit else "off-road" for hit in collided.tolist()]
-    cleared: dict[int, tuple[SceneStates, SubMetricVector]] = {}
+    cleared: dict[int, tuple[SceneStates | None, SubMetricVector | None]] = {}
 
     scored = np.flatnonzero(~collided & ~off_road).tolist()
     if scored:
@@ -547,14 +562,14 @@ def feasibility_filter_batch(
             if aggregate_epdms(sub, ctx.weights) < epdms_min:
                 reasons[i] = "reward"
             else:
-                cleared[i] = (window.states(j), sub)
+                cleared[i] = (window.states(j), sub) if keep_states else (None, None)
     return [
-        replace(c, trajectory=plan, status=new_status, reason="",
+        replace(c, status=new_status, reason="",
                 screen_states=cleared[i][0], screen_submetrics=cleared[i][1])
         if i in cleared
-        else replace(c, trajectory=plan, status=fail_status, reason=reasons[i],
+        else replace(c, status=fail_status, reason=reasons[i],
                      screen_states=None, screen_submetrics=None)
-        for i, (c, plan) in enumerate(zip(cands, placed))
+        for i, c in enumerate(cands)
     ]
 
 

@@ -2,8 +2,10 @@
 `drivegen.batch` (`rollout_batch`, `_lqr_track_batch`, `select_leaders`,
 through which `reactive.rollout` and `control.lqr_track` run one row), of
 `metrics.submetrics_batch`, of the batched feasibility screen
-(`vocab.feasibility_filter_batch`) and of the vocabulary build
-(`vocab.synthesize_maneuvers`, `vocab.build_vocabulary`).
+(`vocab.feasibility_filter_batch`), of the whole-array perturbation passes
+(`vocab.enumerate_perturbations`, `GridSpec.cells`, `vocab.place_tracks`)
+and of the vocabulary build (`vocab.synthesize_maneuvers`,
+`vocab.build_vocabulary`).
 
 The simulation runs on Python floats, one vehicle and one frame at a time:
 `oracle_lqr_track` tracks with `control.bicycle_step`, agents find their lane
@@ -42,6 +44,7 @@ from drivegen.geometry import (
     angle_diff,
     boxes_overlap,
     global_to_local,
+    local_to_global,
     polyline_ops,
     segments_intersect,
     wrap_angle,
@@ -64,6 +67,7 @@ from drivegen.reactive import (
     MODES,
     PURE_PURSUIT_LOOKAHEAD,
     SceneStates,
+    StateBatch,
     idm_accel,
     lane_centerline_ops,
 )
@@ -83,7 +87,6 @@ from drivegen.vocab import (
     STATUS_INFEASIBLE_NONREACTIVE,
     STATUS_INFEASIBLE_REACTIVE,
     STATUS_PENDING,
-    place_at_state,
 )
 
 
@@ -521,6 +524,81 @@ def oracle_submetrics(states, scenario, ego_traj, ctx=None, stage1_features=None
     return SubMetricVector(nc=nc, dac=dac, ddc=ddc, tlc=tlc, ep=ep, ttc=ttc, lk=lk, hc=hc, ec=ec)
 
 
+# ---------------------------------------------------------------------------
+# Perturbation sampling, one entry at a time
+
+
+def entry_trajectory(row, dt):
+    """The ego-local trajectory of one (7, n) vocabulary bank row."""
+    return Trajectory(dt=dt, states=StateBatch(row[:, None]).states(0), frame=FRAME_EGO_LOCAL)
+
+
+def oracle_place_at_state(entry, anchor):
+    """An ego-local entry rigidly moved to start at the anchor pose, one state
+    at a time with Python floats."""
+    a = anchor.pose
+    states = []
+    for st in entry.states:
+        x, y = local_to_global(st.pose.x, st.pose.y, a.x, a.y, a.theta)
+        pose = Pose2D(x, y, wrap_angle(st.pose.theta + a.theta))
+        states.append(VehicleState(pose, st.vel_lon, st.vel_lat, st.accel, st.steering))
+    return Trajectory(dt=entry.dt, states=tuple(states), frame=FRAME_GLOBAL)
+
+
+def oracle_endpoint_offsets(end, anchor, logged_end):
+    """(lon, lat, dtheta): an ego-local endpoint placed at the anchor, in the
+    logged endpoint's frame (lon ahead, lat left)."""
+    a, ref = anchor.pose, logged_end.pose
+    x, y = local_to_global(end.pose.x, end.pose.y, a.x, a.y, a.theta)
+    lon, lat = global_to_local(x, y, ref.x, ref.y, ref.theta)
+    return (lon, lat, angle_diff(wrap_angle(end.pose.theta + a.theta), ref.theta))
+
+
+def oracle_cell(grid, lon, lat):
+    """The (i_lon, i_lat) endpoint cell of one offset under a `GridSpec`."""
+    i_lon = math.floor(lon / grid.step_lon)
+    shift = 0.5 * grid.step_lat if (grid.interleave and i_lon % 2 != 0) else 0.0
+    return (i_lon, math.floor((lat - shift) / grid.step_lat))
+
+
+def oracle_threshold_and_grid(scenario, ends, th, grid, seed):
+    """(offsets, status, reason, cell) of each vocabulary entry, given the
+    last state of each: thresholded by `oracle_endpoint_offsets`, then one
+    seeded pick per occupied `oracle_cell` among the pending entries."""
+    anchor = scenario.ego_log[scenario.anchor_frame]
+    logged_end = scenario.ego_log[scenario.anchor_frame + scenario.t_horizon]
+    out = []
+    for end in ends:
+        lon, lat, dtheta = oracle_endpoint_offsets(end, anchor, logged_end)
+        status, reason = STATUS_PENDING, ""
+        if abs(lon) > th.r_lon:
+            status, reason = "threshold-rejected", "lon"
+        elif abs(lat) > th.r_lat:
+            status, reason = "threshold-rejected", "lat"
+        elif abs(dtheta) > th.dtheta_max:
+            status, reason = "threshold-rejected", "heading"
+        out.append([(lon, lat, dtheta), status, reason, None])
+    cells = {}
+    for i, row in enumerate(out):
+        if row[1] == STATUS_PENDING:
+            row[3] = oracle_cell(grid, row[0][0], row[0][1])
+            cells.setdefault(row[3], []).append(i)
+    for cell, members in cells.items():
+        keep = members[random.Random(mix64(seed, "grid-cell", *cell)).randrange(len(members))]
+        for i in members:
+            if i != keep:
+                out[i][1:3] = ["grid-dropped", "grid"]
+    return [tuple(row) for row in out]
+
+
+def oracle_matching_vector(traj):
+    """`expert.build_matching_vector` on Python floats: start velocity and the
+    end pose in the start frame."""
+    s0, end = traj.states[0], traj.states[-1]
+    ex, ey = global_to_local(end.pose.x, end.pose.y, s0.pose.x, s0.pose.y, s0.pose.theta)
+    return (s0.vel_lon, s0.vel_lat, 0.0, ex, ey, angle_diff(end.pose.theta, s0.pose.theta))
+
+
 def oracle_feasibility_filter(cand, scenario, mode, epdms_min, ctx=None):
     """`vocab.feasibility_filter` one candidate at a time: `oracle_rollout`,
     a frame-by-frame any-contact search over `OrientedBox` pairs, then DAC
@@ -540,11 +618,11 @@ def oracle_feasibility_filter(cand, scenario, mode, epdms_min, ctx=None):
 
     ctx = ctx or SimContext()
     anchor = scenario.anchor_frame
-    if cand.trajectory is None:
-        cand = replace(cand, trajectory=place_at_state(cand.entry, scenario.ego_log[anchor]))
-    states = oracle_rollout(
-        scenario, cand.trajectory, anchor, scenario.t_horizon, mode=mode, ctx=ctx
-    )
+    plan = cand.trajectory
+    if plan is None:
+        entry = entry_trajectory(cand.entry, scenario.dt)
+        plan = oracle_place_at_state(entry, scenario.ego_log[anchor])
+    states = oracle_rollout(scenario, plan, anchor, scenario.t_horizon, mode=mode, ctx=ctx)
     failed = replace(cand, status=fail_status, screen_states=None, screen_submetrics=None)
 
     # any contact at all is infeasible here, at fault or not

@@ -27,7 +27,7 @@ from drivegen.reactive import IdmParams, SceneStates, idm_accel
 from drivegen.scaling import ScalingPoint, fit_log_quadratic
 from drivegen.scenario import Pose2D, Trajectory, VehicleState
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
-from drivegen.vocab import STATUS_CLEARED_REACTIVE, Vocabulary, default_vocabulary
+from drivegen.vocab import STATUS_CLEARED_REACTIVE, default_vocabulary
 from drivegen.expert import MatchingVector, recovery_retrieve
 
 from conftest import make_state, straight_trajectory
@@ -150,7 +150,8 @@ def test_criterion_3_lqr():
 def test_criterion_4_retrieval_oracle():
     from drivegen.vocab import synthesize_maneuvers
 
-    vocab = Vocabulary(entries=tuple(synthesize_maneuvers(512, 40, 0.1, seed=404)))
+    vocab = synthesize_maneuvers(512, 40, 0.1, seed=404)
+    entries = list(vocab.entries)
     rng = random.Random(404)
     t0 = time.perf_counter()
     agree = 0
@@ -164,7 +165,7 @@ def test_criterion_4_retrieval_oracle():
             theta_end=rng.uniform(-1.2, 1.2),
         )
         got = recovery_retrieve(target, vocab)
-        agree += got is vocab.entries[oracle_scan(target, vocab)]
+        agree += got == oracle_scan(target, entries)
     elapsed = time.perf_counter() - t0
     ok = agree == 1000 and elapsed < 5.0
     assert report(4, ok, f"retrieval agreement {agree}/1000 in {elapsed:.2f} s")

@@ -19,10 +19,12 @@ from drivegen.expert import privileged_plan, privileged_plans, recovery_retrieve
 from drivegen.pipeline import cleared_status, expert_stage, screen_batch
 from drivegen.scenario import Trajectory
 from drivegen.seeding import mix64
-from drivegen.vocab import STATUS_PENDING, enumerate_perturbations, grid_sparsify, place_at_state
+from drivegen.vocab import STATUS_PENDING, enumerate_perturbations, grid_sparsify
 
 from conftest import plan_bits, scene_bits, sub_bits
-from oracle import oracle_feasibility_filter, oracle_rollout, oracle_submetrics
+from oracle import (
+    oracle_feasibility_filter, oracle_place_at_state, oracle_rollout, oracle_submetrics,
+)
 
 
 def _cand_bits(c):
@@ -61,8 +63,8 @@ def screened(corpus_100, small_vocab, small_config):
 @pytest.mark.parametrize("reactive", [True, False], ids=["reactive", "non-reactive"])
 def test_batched_screen_matches_the_scalar_oracle(small_config, screened, reactive):
     """Each scenario's grid survivors, screened in one non-reactive and (in
-    reactive runs) one reactive batched call, get the status, reason, placed
-    plan, screen states and screen sub-metrics of the one-at-a-time screen."""
+    reactive runs) one reactive batched call, get the status, reason, screen
+    states and screen sub-metrics of the one-at-a-time screen."""
     config = replace(small_config, reactive=reactive)
     ctx, epdms_min = config.sim_context, config.perturb.epdms_min
     outcomes = Counter()
@@ -117,7 +119,8 @@ def test_stage2_rows_match_the_scalar_rollout(
             finals = {aid: track[-1] for aid, track in cand.screen_states.agents.items()}
             if expert == "recovery":
                 target = recovery_target(perturbed, s.ego_log[anchor2 + s.t_horizon])
-                plan = place_at_state(recovery_retrieve(target, small_vocab), perturbed)
+                entry = small_vocab.entries[recovery_retrieve(target, small_vocab)]
+                plan = oracle_place_at_state(entry, perturbed)
             else:
                 plan = plans[i].reference
             want = oracle_rollout(s, plan, anchor2, s.t_horizon, mode, ctx,

@@ -509,3 +509,67 @@ def test_stats_missing_column_one_error_line(tmp_path, corpus_dir, vocab_file, c
     capsys.readouterr()
     assert main(["stats", "--dataset", str(out)]) == 1
     assert "stats.csv: missing column 'round'" in _one_error_line(capsys)
+
+
+def _set(i, j, key, value):
+    def breaks(data):
+        data[i]["states"][j][key] = value
+    return breaks
+
+
+def _drop(i, j, key):
+    def breaks(data):
+        del data[i]["states"][j][key]
+    return breaks
+
+
+def _shorten(data):
+    data[3]["states"].pop()
+
+
+def _retime(data):
+    data[4]["dt"] = 0.2
+
+
+def _bad_value_after_short_entry(data):
+    _shorten(data)
+    data[6]["states"][0]["x"] = "a"
+
+
+def _wrap(data):
+    return {"entries": data}
+
+
+@pytest.mark.parametrize(
+    "breaks, message",
+    [
+        (_set(2, 5, "y", "1.0"), "vocabulary[2].states[5].y: expected a number, got '1.0'"),
+        (_set(2, 5, "theta", True), "vocabulary[2].states[5].theta: expected a number, got True"),
+        (_set(2, 5, "x", float("nan")), "vocabulary[2].states[5].x: not a finite float: nan"),
+        (_drop(2, 5, "v_lat"), "vocabulary[2].states[5]: missing field 'v_lat'"),
+        (_set(2, 5, "extra", 1.0), "vocabulary[2].states[5]: unknown field 'extra'"),
+        (_shorten, "vocabulary entry 3 has mismatched horizon or dt"),
+        (_retime, "vocabulary entry 4 has mismatched horizon or dt"),
+        (_bad_value_after_short_entry, "vocabulary[6].states[0].x: expected a number, got 'a'"),
+        (_wrap, "vocabulary: expected a JSON array of trajectories"),
+    ],
+    ids=["string", "bool", "nan", "missing-key", "unknown-key", "unequal-length",
+         "mismatched-dt", "schema-before-shape", "not-an-array"],
+)
+def test_generate_bad_vocabulary_one_error_line(
+    tmp_path, corpus_dir, vocab_file, capsys, breaks, message
+):
+    """A broken vocabulary file stops `generate` with exit code 1 and one
+    `error:` line naming the first fault in file order; a field fault wins
+    over a shape mismatch found only once every entry is read."""
+    data = json.loads(vocab_file.read_text())
+    data = breaks(data) or data
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps(data))
+    rc = main([
+        "generate", "--corpus", str(corpus_dir), "--out", str(tmp_path / "ds"),
+        "--vocab", str(path),
+    ])
+    assert rc == 1
+    assert _one_error_line(capsys) == f"error: {message}"
+    assert not (tmp_path / "ds").exists()

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from drivegen.control import ControlInput, VehicleLimits, bicycle_step
@@ -10,6 +11,7 @@ from drivegen.expert import (
     ExpertFilterSpec,
     MatchingVector,
     PlannerParams,
+    _matching_matrix,
     build_matching_vector,
     expert_filter,
     kinematic_limit_violation,
@@ -23,8 +25,8 @@ from drivegen.reactive import rollout
 from drivegen.scenario import AgentTrack, Scenario, Trajectory
 from drivegen.vocab import Vocabulary, synthesize_maneuvers
 
-from conftest import make_state, straight_trajectory
-from oracle import oracle_rollout, oracle_submetrics
+from conftest import make_state, shifted_plan, straight_trajectory
+from oracle import oracle_matching_vector, oracle_rollout, oracle_submetrics
 
 
 # --- matching vectors
@@ -80,27 +82,43 @@ def test_matching_vector_requires_two_states():
 
 
 def _vocab(n=32, seed=0):
-    return Vocabulary(entries=tuple(synthesize_maneuvers(n, 40, 0.1, seed)))
+    return synthesize_maneuvers(n, 40, 0.1, seed)
 
 
 def test_retrieve_exact_entry():
     vocab = _vocab(16)
     target = build_matching_vector(vocab.entries[7])
-    assert recovery_retrieve(target, vocab) is vocab.entries[7]
+    assert recovery_retrieve(target, vocab) == 7
+
+
+def test_matching_matrix_matches_the_per_entry_vectors():
+    """The bank's matching matrix, built from its first and last frames, and
+    `build_matching_vector` of each entry are the scalar oracle's vectors bit
+    for bit, also for entries that do not start at the origin."""
+    rng = random.Random(5)
+    shifted = [
+        shifted_plan(straight_trajectory(rng.uniform(2, 12), 41, theta=rng.uniform(-3.1, 3.1)),
+                     rng.uniform(-5, 5), 1.0)
+        for _ in range(40)
+    ]
+    for vocab in (_vocab(64, seed=2), Vocabulary.of(shifted)):
+        want = np.array([oracle_matching_vector(e) for e in vocab.entries])
+        assert _matching_matrix(vocab).tobytes() == want.tobytes()
+        for e, row in zip(vocab.entries, want):
+            assert build_matching_vector(e).as_array().tobytes() == row.tobytes()
 
 
 def test_retrieve_tie_breaks_to_lower_index():
     e = straight_trajectory(5.0, 41)
-    vocab = Vocabulary(entries=(e, e))
-    got = recovery_retrieve(build_matching_vector(e), vocab)
-    assert got is vocab.entries[0]
+    vocab = Vocabulary.of([e, e])
+    assert recovery_retrieve(build_matching_vector(e), vocab) == 0
 
 
-def oracle_scan(target: MatchingVector, vocab: Vocabulary) -> int:
+def oracle_scan(target: MatchingVector, entries) -> int:
     """Exhaustive linear scan with independently-written distance math."""
     t = (target.v_x, target.v_y, target.theta0, target.x_end, target.y_end, target.theta_end)
     best_i, best_d = 0, float("inf")
-    for i, e in enumerate(vocab.entries):
+    for i, e in enumerate(entries):
         s0, s_end = e.states[0], e.states[-1]
         c, s = math.cos(-s0.pose.theta), math.sin(-s0.pose.theta)
         dx, dy = s_end.pose.x - s0.pose.x, s_end.pose.y - s0.pose.y
@@ -120,6 +138,7 @@ def oracle_scan(target: MatchingVector, vocab: Vocabulary) -> int:
 
 def test_retrieval_matches_exhaustive_oracle_on_random_targets():
     vocab = _vocab(128, seed=4)
+    entries = list(vocab.entries)
     rng = random.Random(17)
     for _ in range(300):
         target = MatchingVector(
@@ -131,12 +150,12 @@ def test_retrieval_matches_exhaustive_oracle_on_random_targets():
             theta_end=rng.uniform(-1.0, 1.0),
         )
         got = recovery_retrieve(target, vocab)
-        assert got is vocab.entries[oracle_scan(target, vocab)]
+        assert got == oracle_scan(target, entries)
 
 
 def test_retrieve_rejects_empty_vocab():
     with pytest.raises(ValidationError):
-        Vocabulary(entries=())
+        Vocabulary.of([])
 
 
 # --- privileged planner

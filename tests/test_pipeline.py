@@ -1,6 +1,5 @@
 import json
 import math
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,21 +25,24 @@ from drivegen.pipeline import (
     simulate_sample,
     stats_csv_text,
 )
-from drivegen.reactive import SceneStates
+from drivegen.reactive import SceneBatch, SceneStates, StateBatch
 from drivegen.scenario import Trajectory
 from drivegen.seeding import mix64
 from drivegen.vocab import (
+    STATUS_CLEARED_REACTIVE,
     STATUS_GRID_DROPPED,
+    STATUS_INFEASIBLE_REACTIVE,
     STATUS_PENDING,
     STATUS_THRESHOLD_REJECTED,
     PerturbationCandidate,
     enumerate_perturbations,
     grid_sparsify,
-    place_at_state,
+    load_vocabulary,
+    save_vocabulary,
 )
 
 from conftest import make_state
-from oracle import oracle_rollout, oracle_submetrics
+from oracle import entry_trajectory, oracle_place_at_state, oracle_rollout, oracle_submetrics
 
 
 # --- sensor stub
@@ -194,7 +196,8 @@ def test_screen_simulates_the_configured_world(small_corpus, small_vocab, monkey
         for cand in prepare_candidates(s, small_vocab, config):
             if cand.status != cleared_status(config):
                 continue
-            states = oracle_rollout(s, cand.trajectory, anchor, H, "reactive", ctx)
+            plan = oracle_place_at_state(entry_trajectory(cand.entry, s.dt), s.ego_log[anchor])
+            states = oracle_rollout(s, plan, anchor, H, "reactive", ctx)
             combined = Trajectory(dt=s.dt, states=history.states + states.ego[1:])
             sub = oracle_submetrics(states, s, combined, ctx)
             assert cand.screen_states == states
@@ -216,22 +219,67 @@ def test_screen_simulates_the_configured_world(small_corpus, small_vocab, monkey
 
 
 def test_only_grid_survivors_are_placed(small_corpus, small_vocab, small_config, monkeypatch):
-    """The screen places each grid survivor once (the reactive check reuses
-    that placement); threshold-rejected and grid-dropped entries never are."""
+    """Enumeration places every entry's endpoint only. Each check of the
+    screen then places the bank rows of exactly the candidates it takes, in
+    one call: the non-reactive check every grid survivor, the reactive check
+    those the first clears. Threshold-rejected and grid-dropped entries are
+    never placed whole, and no candidate gets a trajectory."""
     placed = []
-    _spy(monkeypatch, drivegen.vocab, "place_at_state", lambda args, kwargs: placed.append(args[0]))
+    _spy(monkeypatch, drivegen.vocab, "place_tracks", lambda args, kwargs: placed.append(args[0]))
     checked = 0
     for s in small_corpus:
         placed.clear()
         cands = prepare_candidates(s, small_vocab, small_config)
         unscreened = (STATUS_THRESHOLD_REJECTED, STATUS_GRID_DROPPED)
-        survivors = [c for c in cands if c.status not in unscreened]
-        assert Counter(map(id, placed)) == Counter(
-            id(small_vocab.entries[c.vocab_index]) for c in survivors
-        )
-        assert all(c.trajectory is None for c in cands if c.status in unscreened)
+        survivors = [c.vocab_index for c in cands if c.status not in unscreened]
+        reactive = [c.vocab_index for c in cands
+                    if c.status in (STATUS_CLEARED_REACTIVE, STATUS_INFEASIBLE_REACTIVE)]
+        assert [p.tobytes() for p in placed] == [small_vocab.tracks.data[:, :, -1:].tobytes()] + [
+            small_vocab.tracks.data[:, rows].tobytes() for rows in (survivors, reactive) if rows
+        ]
+        assert all(c.trajectory is None for c in cands)
         checked += len(survivors)
     assert checked > 0
+
+
+def test_only_the_last_check_builds_screen_states(
+    small_corpus, small_vocab, small_config, monkeypatch
+):
+    """A run's last check builds the simulated window of each candidate it
+    clears, kept on the candidate; in reactive runs the non-reactive check
+    before it builds none."""
+    built = []
+    _spy(monkeypatch, SceneBatch, "states", lambda args, kwargs: built.append(1))
+    checked = 0
+    for config in (small_config, replace(small_config, reactive=False)):
+        for s in small_corpus:
+            built.clear()
+            cands = prepare_candidates(s, small_vocab, config)
+            cleared = [c for c in cands if c.status == cleared_status(config)]
+            assert len(built) == len(cleared), s.id
+            assert all(c.screen_states is not None for c in cleared)
+            checked += len(cleared)
+    assert checked > 0
+
+
+def test_no_state_objects_between_the_vocabulary_file_and_the_screen(
+    tmp_path, small_corpus, small_vocab, small_config, monkeypatch
+):
+    """From a loaded vocabulary file to the screen's first rollout, the
+    candidate path stays in arrays: no state is parsed into a `VehicleState`
+    and no bank row is unpacked into states."""
+    path = tmp_path / "vocab.json"
+    save_vocabulary(small_vocab, path)
+    calls = []
+    _spy(monkeypatch, drivegen.vocab, "_state_from_json", lambda a, k: calls.append("parse"))
+    _spy(monkeypatch, StateBatch, "states", lambda a, k: calls.append("states"))
+    _spy(monkeypatch, drivegen.vocab, "rollout_batch", lambda a, k: calls.append("rollout"))
+    vocab = load_vocabulary(path)
+    for s in small_corpus:
+        calls.clear()
+        prepare_candidates(s, vocab, small_config)
+        assert calls and calls[0] == "rollout", (s.id, calls[:3])
+        assert "parse" not in calls
 
 
 def test_simulate_sample_places_a_raw_pending_candidate(small_corpus, small_vocab, small_config):
@@ -253,15 +301,29 @@ def test_simulate_sample_places_a_raw_pending_candidate(small_corpus, small_voca
     )
 
 
-def test_cleared_candidates_carry_the_placed_entry(corpus_100, small_vocab, small_config):
+def test_cleared_candidates_carry_the_placed_entry(
+    corpus_100, small_vocab, small_config, monkeypatch
+):
+    """Every screened candidate, cleared or not, holds its own bank row, and
+    the screen's one rollout simulated that row placed at the anchor, bit for
+    bit as `oracle_place_at_state` places the entry."""
     config = replace(small_config, reactive=False)
+    plans = []
+    _spy(monkeypatch, drivegen.vocab, "rollout_batch", lambda args, kwargs: plans.append(args[1]))
+    entries = list(small_vocab.entries)
     cleared = 0
     for s in corpus_100:
+        plans.clear()
         anchor = s.ego_log[s.anchor_frame]
-        for c in prepare_candidates(s, small_vocab, config):
-            if c.status == cleared_status(config):
-                assert c.trajectory == place_at_state(small_vocab.entries[c.vocab_index], anchor)
-                cleared += 1
+        cands = prepare_candidates(s, small_vocab, config)
+        unscreened = (STATUS_THRESHOLD_REJECTED, STATUS_GRID_DROPPED)
+        screened = [c for c in cands if c.status not in unscreened]
+        assert len(plans) == 1 and plans[0].data.shape[1] == len(screened)
+        for j, c in enumerate(screened):
+            assert c.entry.tobytes() == small_vocab.tracks.data[:, c.vocab_index].tobytes()
+            want = StateBatch.track(oracle_place_at_state(entries[c.vocab_index], anchor).states)
+            assert plans[0].data[:, j:j + 1].tobytes() == want.data.tobytes()
+            cleared += c.status == cleared_status(config)
     assert cleared > 0
 
 

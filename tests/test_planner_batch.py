@@ -15,7 +15,7 @@ import pytest
 import drivegen.pipeline
 from drivegen.batch import rollout_batch, select_leaders
 from drivegen.config import PipelineConfig
-from drivegen.expert import PlannerParams, privileged_plan, privileged_plans, score_proposals
+from drivegen.expert import PlannerParams, _score_starts, privileged_plan, privileged_plans
 from drivegen.geometry import PolylineOps, angle_diff, offset_polyline, polyline_ops
 from drivegen.metrics import ALL_METRICS, SimContext, aggregate_epdms
 from drivegen.pipeline import run_generation
@@ -121,7 +121,9 @@ def check_against_oracle(
     `plan` is the planner's choice to check against the oracle's winner
     (default: `privileged_plan` of this start)."""
     p = p or PlannerParams()
-    refs, _, sub, scores = score_proposals(scenario, t, p, ego_start, agent_init, ctx)
+    refs, _, sub, scores = _score_starts(
+        scenario, t, [(ego_start, agent_init)], p, ctx or SimContext()
+    )
     o_refs, o_rollouts, o_subs, o_scores, o_best = oracle_plan(
         scenario, t, p, ego_start, agent_init, ctx
     )

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 
 from drivegen import vocab as vocab_module
 from drivegen.errors import SchemaError, ValidationError
-from drivegen.geometry import angle_diff, global_to_local
+from drivegen.geometry import wrap_angle
 from drivegen.reactive import StateBatch
-from drivegen.scenario import AgentTrack, Scenario, Trajectory
+from drivegen.scenario import AgentTrack, Pose2D, Scenario, Trajectory
 from drivegen.seeding import mix64
+from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 from drivegen.vocab import (
     STATUS_CLEARED_NONREACTIVE,
     STATUS_CLEARED_REACTIVE,
@@ -20,7 +22,6 @@ from drivegen.vocab import (
     STATUS_PENDING,
     STATUS_THRESHOLD_REJECTED,
     GridSpec,
-    Maneuvers,
     PerturbThresholds,
     PerturbationCandidate,
     Vocabulary,
@@ -29,7 +30,7 @@ from drivegen.vocab import (
     feasibility_filter,
     grid_sparsify,
     load_vocabulary,
-    place_at_state,
+    place_tracks,
     save_vocabulary,
     synthesize_maneuvers,
 )
@@ -37,9 +38,12 @@ from drivegen.vocab import (
 from conftest import make_state, straight_trajectory
 from oracle import (
     oracle_build_vocabulary,
+    oracle_cell,
     oracle_feasibility_filter,
     oracle_flatten,
+    oracle_place_at_state,
     oracle_synthesize_maneuvers,
+    oracle_threshold_and_grid,
 )
 
 
@@ -83,9 +87,8 @@ def test_build_vocabulary_deterministic():
     samples = synthesize_maneuvers(64, horizon=10, dt=0.1, seed=5)
     a = build_vocabulary(samples, k=8, seed=9)
     b = build_vocabulary(samples, k=8, seed=9)
-    assert a == b
-    c = build_vocabulary(samples, k=8, seed=10)
-    assert a != c or a.entries == c.entries  # different seed may still coincide
+    assert (a.dt, a.tracks.data.tobytes()) == (b.dt, b.tracks.data.tobytes())
+    assert list(a.entries) == list(b.entries)
 
 
 def test_build_vocabulary_errors():
@@ -116,7 +119,7 @@ def test_synthesize_maneuvers_realizable():
 def test_vocabulary_build_matches_scalar_oracle(count, k, seed, monkeypatch):
     """The batched bicycle, the array flatten, the in-place k-means and the
     pruned snap reproduce the one-maneuver-at-a-time build bit for bit, and
-    only the k chosen rows become trajectories."""
+    the k chosen rows are taken from the bank without building a trajectory."""
     bank = synthesize_maneuvers(count, horizon=40, dt=0.1, seed=seed)
     scalar = oracle_synthesize_maneuvers(count, 40, 0.1, seed)
     assert bank.tracks.data.tobytes() == StateBatch.tracks([t.states for t in scalar]).data.tobytes()
@@ -130,11 +133,12 @@ def test_vocabulary_build_matches_scalar_oracle(count, k, seed, monkeypatch):
     assert vocab_module._snap(X, batched_centers) == nearest
 
     reads = []
-    row = Maneuvers.__getitem__
-    monkeypatch.setattr(Maneuvers, "__getitem__", lambda self, i: reads.append(i) or row(self, i))
+    row = Vocabulary.__getitem__
+    monkeypatch.setattr(Vocabulary, "__getitem__", lambda self, i: reads.append(i) or row(self, i))
     vocab = build_vocabulary(bank, k, seed)
-    assert reads == nearest
-    assert vocab.entries == tuple(scalar[i] for i in nearest)
+    assert reads == []
+    assert vocab.tracks.data.tobytes() == bank.tracks.data[:, nearest].tobytes()
+    assert list(vocab.entries) == [scalar[i] for i in nearest]
 
 
 @pytest.mark.parametrize("seed", [2, 3, 5])
@@ -160,13 +164,13 @@ def test_snap_tie_goes_to_lowest_index(ys, winner):
     wins, as `np.argmin` over all rows picks it."""
     samples = [_shifted_trajectory(y) for y in ys]
     vocab = build_vocabulary(samples, k=1, seed=0)
-    assert vocab.entries[0] is samples[winner]
+    assert vocab.size == 1 and vocab.entries[0] == samples[winner]
     assert oracle_build_vocabulary(samples, 1, 0)[0] == [winner]
 
 
 def test_vocabulary_uniformity_enforced():
     with pytest.raises(ValidationError):
-        Vocabulary(entries=(_shifted_trajectory(0.0, n=11), _shifted_trajectory(0.0, n=12)))
+        Vocabulary.of([_shifted_trajectory(0.0, n=11), _shifted_trajectory(0.0, n=12)])
 
 
 def test_vocabulary_save_load_roundtrip(tmp_path, small_vocab):
@@ -174,7 +178,9 @@ def test_vocabulary_save_load_roundtrip(tmp_path, small_vocab):
     save_vocabulary(small_vocab, path)
     loaded = load_vocabulary(path)
     assert loaded.size == small_vocab.size
-    assert loaded.entries == small_vocab.entries
+    assert loaded.dt == small_vocab.dt
+    assert loaded.tracks.data.tobytes() == small_vocab.tracks.data.tobytes()
+    assert list(loaded.entries) == list(small_vocab.entries)
 
 
 @pytest.mark.parametrize(
@@ -188,6 +194,19 @@ def test_load_vocabulary_names_a_bad_field(tmp_path, item, named):
     path.write_text(json.dumps([item]))
     with pytest.raises(SchemaError, match=re.escape(named) + ":"):
         load_vocabulary(path)
+
+
+def test_load_vocabulary_takes_integer_numbers(tmp_path, small_vocab):
+    """States written with JSON integers go through the state-by-state parse
+    and load as the same floats."""
+    path = tmp_path / "vocab.json"
+    save_vocabulary(small_vocab, path)
+    data = json.loads(path.read_text())
+    for key in ("x", "y", "theta"):
+        assert data[1]["states"][0][key] == 0.0
+        data[1]["states"][0][key] = 0
+    path.write_text(json.dumps(data))
+    assert load_vocabulary(path).tracks.data.tobytes() == small_vocab.tracks.data.tobytes()
 
 
 # --- enumeration and thresholds
@@ -213,7 +232,7 @@ def test_enumerate_identity_perturbation_zero_offsets(benign_scenario, small_voc
             )
         )
     identity = Trajectory(dt=s.dt, states=tuple(local_states), frame="ego-local-at-start")
-    vocab = Vocabulary(entries=(identity,) + small_vocab.entries[:3])
+    vocab = Vocabulary.of([identity] + [small_vocab.entries[i] for i in range(3)])
 
     cands = enumerate_perturbations(s, vocab, PerturbThresholds())
     lon, lat, dtheta = cands[0].offsets
@@ -233,7 +252,7 @@ def test_enumerate_heading_rejection(benign_scenario):
         states.append(make_state(x=v * 0.1 * k, y=0.0, theta=theta_end * u, v=v))
     # fix positions so the consistency is irrelevant here; only endpoints matter
     entry = Trajectory(dt=s.dt, states=tuple(states), frame="ego-local-at-start")
-    cands = enumerate_perturbations(s, Vocabulary(entries=(entry,)), PerturbThresholds())
+    cands = enumerate_perturbations(s, Vocabulary.of([entry]), PerturbThresholds())
     assert cands[0].status == STATUS_THRESHOLD_REJECTED
     assert cands[0].reason == "heading"
 
@@ -255,7 +274,7 @@ def test_enumerate_in_range_offsets_pending(benign_scenario):
         for k in range(n)
     ]
     entry = Trajectory(dt=s.dt, states=tuple(states), frame="ego-local-at-start")
-    cands = enumerate_perturbations(s, Vocabulary(entries=(entry,)), PerturbThresholds())
+    cands = enumerate_perturbations(s, Vocabulary.of([entry]), PerturbThresholds())
     assert cands[0].status == STATUS_PENDING
     lon, lat, dtheta = cands[0].offsets
     assert lon == pytest.approx(10.0, abs=0.5)
@@ -265,7 +284,7 @@ def test_enumerate_in_range_offsets_pending(benign_scenario):
 
 def test_enumerate_horizon_mismatch(benign_scenario):
     entry = straight_trajectory(10.0, benign_scenario.t_horizon + 5)
-    vocab = Vocabulary(entries=(replace(entry, frame="ego-local-at-start"),))
+    vocab = Vocabulary.of([replace(entry, frame="ego-local-at-start")])
     with pytest.raises(ValidationError):
         enumerate_perturbations(benign_scenario, vocab, PerturbThresholds())
 
@@ -292,49 +311,84 @@ def test_threshold_monotonicity(benign_scenario, small_vocab):
     assert tight_ok <= loose_ok
 
 
-def _placed_oracle(scenario, vocab, th):
-    """Enumeration by the scalar oracle: place every entry at the anchor,
-    then measure the last state of the placed trajectory."""
-    anchor = scenario.ego_log[scenario.anchor_frame]
-    ref = scenario.ego_log[scenario.anchor_frame + scenario.t_horizon].pose
-    out = []
-    for idx, entry in enumerate(vocab.entries):
-        placed = place_at_state(entry, anchor)
-        end = placed.states[-1].pose
-        lon, lat = global_to_local(end.x, end.y, ref.x, ref.y, ref.theta)
-        dtheta = angle_diff(end.theta, ref.theta)
-        status, reason = STATUS_PENDING, ""
-        if abs(lon) > th.r_lon:
-            status, reason = STATUS_THRESHOLD_REJECTED, "lon"
-        elif abs(lat) > th.r_lat:
-            status, reason = STATUS_THRESHOLD_REJECTED, "lat"
-        elif abs(dtheta) > th.dtheta_max:
-            status, reason = STATUS_THRESHOLD_REJECTED, "heading"
-        out.append(PerturbationCandidate(
-            trajectory=placed, offsets=(lon, lat, dtheta), status=status,
-            vocab_index=idx, reason=reason,
-        ))
-    return out
+@pytest.fixture(scope="module")
+def corpora(corpus_100):
+    """The 100-scenario corpus at seeds 2026 and 7."""
+    return {2026: corpus_100, 7: generate_synthetic_corpus(corpus_config_for_count(100), seed=7)}
 
 
-def test_endpoint_enumeration_matches_placed_oracle(corpus_100, small_vocab):
-    """Offsets measured from the endpoint alone are bit-identical to the
-    placed oracle's, so every threshold decision and grid cell is too."""
-    th, g = PerturbThresholds(), GridSpec()
-    pending = 0
-    for s in corpus_100:
-        seed = mix64(11, s.id)
-        lazy = grid_sparsify(enumerate_perturbations(s, small_vocab, th), g, seed)
-        oracle = grid_sparsify(_placed_oracle(s, small_vocab, th), g, seed)
-        assert len(lazy) == len(oracle) == small_vocab.size
-        for a, b in zip(lazy, oracle):
-            assert [x.hex() for x in a.offsets] == [x.hex() for x in b.offsets]
-            assert (a.vocab_index, a.status, a.reason, a.endpoint_cell) == (
-                b.vocab_index, b.status, b.reason, b.endpoint_cell
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _turned(s, angle):
+    """The scenario with its logged ego turned by `angle` about the origin."""
+    c, sn = math.cos(angle), math.sin(angle)
+    states = tuple(
+        replace(st, pose=Pose2D(c * st.pose.x - sn * st.pose.y, sn * st.pose.x + c * st.pose.y,
+                                wrap_angle(st.pose.theta + angle)))
+        for st in s.ego_log.states
+    )
+    return replace(s, ego_log=replace(s.ego_log, states=states))
+
+
+def test_endpoint_enumeration_matches_placed_oracle(corpora, small_vocab, small_config):
+    """The whole-array offsets, threshold statuses and reasons, grid cells
+    and kept entries are bit-identical to the one-entry-at-a-time oracle at
+    both corpus seeds, also with the log turned to head near +-pi, where
+    headings wrap."""
+    th, g = small_config.perturb, small_config.grid
+    ends = [e.states[-1] for e in small_vocab.entries]
+    seen = Counter()
+    for corpus in corpora.values():
+        for s in list(corpus) + [_turned(s, math.pi - 0.05) for s in corpus[:20]]:
+            seed = mix64(small_config.master_seed, s.id)
+            got = grid_sparsify(enumerate_perturbations(s, small_vocab, th), g, seed)
+            want = oracle_threshold_and_grid(s, ends, th, g, seed)
+            assert len(got) == len(want) == small_vocab.size
+            for i, (c, (offsets, status, reason, cell)) in enumerate(zip(got, want)):
+                assert c.vocab_index == i
+                assert _hex(c.offsets) == _hex(offsets), (s.id, i)
+                assert (c.status, c.reason, c.endpoint_cell) == (status, reason, cell), (s.id, i)
+                assert c.trajectory is None
+                assert c.entry.tobytes() == small_vocab.tracks.data[:, i].tobytes()
+                seen[c.status, c.reason] += 1
+    for outcome in [(STATUS_PENDING, ""), (STATUS_GRID_DROPPED, "grid")] + [
+        (STATUS_THRESHOLD_REJECTED, r) for r in ("lon", "lat", "heading")
+    ]:
+        assert seen[outcome] > 0, seen
+
+
+def test_placement_matches_the_scalar_oracle(corpora, small_vocab, small_config):
+    """Bank rows placed by `place_tracks`, at the anchor as the screen places
+    its grid survivors and at per-row starts as stage 2 places retrieved
+    rows, equal `oracle_place_at_state` bit for bit."""
+    entries = list(small_vocab.entries)
+    placed = 0
+    for corpus in corpora.values():
+        for s in corpus:
+            cands = grid_sparsify(
+                enumerate_perturbations(s, small_vocab, small_config.perturb),
+                small_config.grid, mix64(small_config.master_seed, s.id),
             )
-            assert a.trajectory is None and a.entry is small_vocab.entries[a.vocab_index]
-            pending += a.status == STATUS_PENDING
-    assert pending > 0
+            rows = [c.vocab_index for c in cands if c.status == STATUS_PENDING]
+            anchor = s.ego_log[s.anchor_frame]
+            # stage-2 starts: logged states after the anchor, every other one
+            # turned to a heading round the circle
+            starts = []
+            for k in range(len(rows)):
+                st = s.ego_log[s.anchor_frame + k % (s.t_horizon + 1)]
+                if k % 2:
+                    st = replace(st, pose=replace(st.pose, theta=(math.pi, -3.0, 2.5, -1.5)[k % 4]))
+                starts.append(st)
+            for batch, at in ((StateBatch.full(anchor, len(rows)), [anchor] * len(rows)),
+                              (StateBatch.frame(starts), starts)):
+                got = place_tracks(small_vocab.tracks.data[:, rows], batch).data
+                for j, row in enumerate(rows):
+                    want = StateBatch.track(oracle_place_at_state(entries[row], at[j]).states)
+                    assert got[:, j:j + 1].tobytes() == want.data.tobytes(), (s.id, row)
+                    placed += 1
+    assert placed > 1000
 
 
 # --- grid sparsification
@@ -371,12 +425,11 @@ def test_grid_idempotent_when_one_per_cell():
 
 def test_grid_interleave_shifts_odd_rows():
     g = GridSpec(step_lon=5.0, step_lat=0.5, interleave=True)
-    # even lon row: no shift
-    assert g.cell(1.0, 0.1) == (0, 0)
-    # odd lon row: lat bins shift by half a step
-    assert g.cell(6.0, 0.1) == (1, -1 + 1)[0:1] + (g.cell(6.0, 0.1)[1],)
-    assert g.cell(6.0, 0.3)[1] == 0  # 0.3 - 0.25 -> bin 0
-    assert g.cell(6.0, 0.1)[1] == -1  # 0.1 - 0.25 -> bin -1
+    lon = np.array([1.0, 6.0, 6.0, -4.0, -4.0])
+    lat = np.array([0.1, 0.1, 0.3, 0.1, 0.3])
+    # even lon row: no shift; odd lon rows (1 and -1): lat bins shift by half a step
+    assert g.cells(lon, lat) == [(0, 0), (1, -1), (1, 0), (-1, -1), (-1, 0)]
+    assert g.cells(lon, lat) == [oracle_cell(g, a, b) for a, b in zip(lon.tolist(), lat.tolist())]
 
 
 def test_grid_exclusivity_property(benign_scenario, small_vocab):
