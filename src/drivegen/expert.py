@@ -16,7 +16,7 @@ import numpy as np
 
 from .batch import _bound, rollout_batch
 from .control import VehicleLimits
-from .errors import RolloutError, ValidationError
+from .errors import ValidationError
 from .geometry import (
     PolylineOps,
     _cached_ops,
@@ -36,8 +36,9 @@ from .metrics import (
     compute_submetrics,
     submetrics_batch,
 )
+from .reactive import IdmParams, SceneBatch, SceneStates, StateBatch, check_window, idm_accel
 # `rollout` stays bound here: perfbench/tracer.py wraps `expert.rollout` by name
-from .reactive import IdmParams, SceneBatch, SceneStates, StateBatch, idm_accel, rollout  # noqa: F401
+from .reactive import rollout  # noqa: F401
 from .scenario import Scenario, Trajectory, VehicleState
 from .vocab import Vocabulary
 
@@ -229,8 +230,7 @@ def _score_starts(
     """Every proposal of every start simulated in one batched rollout and
     scored in one kernel call; rows are start major, P per start."""
     horizon = scenario.t_horizon
-    if t < 0 or horizon < 1 or t + horizon > scenario.frame_count - 1:
-        raise RolloutError(f"planning window [{t}, {t + horizon}] outside scenario")
+    check_window(scenario, t, horizon)
     egos = [ego if ego is not None else scenario.ego_log[t] for ego, _ in starts]
     refs = _proposal_references(scenario, egos, p, horizon, ctx)
     n = len(p.speed_fractions) * len(p.lateral_offsets)

@@ -81,41 +81,14 @@ def local_to_global(px: float, py: float, ox: float, oy: float, otheta: float) -
 # Segments
 
 
-def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """True if closed segments [p1,p2] and [q1,q2] intersect (incl. touching)."""
-
-    def orient(a: Point, b: Point, c: Point) -> float:
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    def on_segment(a: Point, b: Point, c: Point) -> bool:
-        return (
-            min(a[0], b[0]) - 1e-12 <= c[0] <= max(a[0], b[0]) + 1e-12
-            and min(a[1], b[1]) - 1e-12 <= c[1] <= max(a[1], b[1]) + 1e-12
-        )
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and on_segment(q1, q2, p1):
-        return True
-    if d2 == 0 and on_segment(q1, q2, p2):
-        return True
-    if d3 == 0 and on_segment(p1, p2, q1):
-        return True
-    if d4 == 0 and on_segment(p1, p2, q2):
-        return True
-    return False
-
-
 def segments_intersect_many(
-    p1x: np.ndarray, p1y: np.ndarray, p2x: np.ndarray, p2y: np.ndarray, q1: Point, q2: Point
+    p1x: np.ndarray, p1y: np.ndarray, p2x: np.ndarray, p2y: np.ndarray,
+    q1: Point | tuple[np.ndarray, np.ndarray], q2: Point | tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """`segments_intersect` of many segments [p1, p2] against one [q1, q2]."""
+    """Whether each closed segment [p1, p2] meets [q1, q2], whose ends are
+    points or (x, y) arrays broadcastable with p's: each one's ends lie
+    strictly on opposite sides of the other's line, or an end of one is
+    collinear with the other and within 1e-12 of its bounding box."""
 
     def orient(ax, ay, bx, by, cx, cy):
         return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
@@ -149,46 +122,21 @@ def segments_intersect_many(
 # Polygons
 
 
-def point_in_polygon(x: float, y: float, polygon: Sequence[Point]) -> bool:
-    """Ray-casting containment test; boundary points count as inside."""
-    n = len(polygon)
-    inside = False
-    j = n - 1
-    for i in range(n):
-        xi, yi = polygon[i]
-        xj, yj = polygon[j]
-        # boundary tolerance: distance to edge below 1e-9 counts as inside
-        ex, ey = xj - xi, yj - yi
-        L2 = ex * ex + ey * ey
-        if L2 > 0.0:
-            t = ((x - xi) * ex + (y - yi) * ey) / L2
-            t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-            dx, dy = x - (xi + t * ex), y - (yi + t * ey)
-            if dx * dx + dy * dy < 1e-18:
-                return True
-        elif (x - xi) ** 2 + (y - yi) ** 2 < 1e-18:
-            return True
-        if (yi > y) != (yj > y):
-            x_cross = xi + (y - yi) * (xj - xi) / (yj - yi)
-            if x < x_cross:
-                inside = not inside
-        j = i
-    return inside
-
-
 def polygon_is_simple(polygon: Sequence[Point]) -> bool:
-    """True if no two non-adjacent edges intersect (O(n^2); fine at desk scale)."""
+    """True if no two non-adjacent edges intersect, touching included; the
+    edges are tested against all others 32 at a time (`segments_intersect_many`)."""
     n = len(polygon)
     if n < 3:
         return False
-    for i in range(n):
-        a1, a2 = polygon[i], polygon[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            b1, b2 = polygon[j], polygon[(j + 1) % n]
-            if segments_intersect(a1, a2, b1, b2):
-                return False
+    a = np.asarray(polygon, dtype=float)
+    b = np.roll(a, -1, axis=0)  # edge k runs from a[k] to b[k]
+    j = np.arange(n)
+    for lo in range(0, n, 32):
+        i = np.arange(lo, min(lo + 32, n))[:, None]
+        later = (j > i + 1) & ~((i == 0) & (j == n - 1))  # the last edge meets the first
+        q1, q2 = (a[i, 0], a[i, 1]), (b[i, 0], b[i, 1])
+        if (later & segments_intersect_many(a[:, 0], a[:, 1], b[:, 0], b[:, 1], q1, q2)).any():
+            return False
     return True
 
 
@@ -406,52 +354,6 @@ class OrientedBox:
     length: float
     width: float
 
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        """FL, FR, RR, RL corners in global coordinates."""
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        hl, hw = 0.5 * self.length, 0.5 * self.width
-        return (
-            (self.x + c * hl - s * hw, self.y + s * hl + c * hw),
-            (self.x + c * hl + s * hw, self.y + s * hl - c * hw),
-            (self.x - c * hl + s * hw, self.y - s * hl - c * hw),
-            (self.x - c * hl - s * hw, self.y - s * hl + c * hw),
-        )
-
-
-def boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
-    """Separating-axis overlap test for two oriented rectangles.
-
-    Touching boxes count as overlapping (non-strict interval comparison).
-    """
-    # cheap circle rejection first
-    dx, dy = b.x - a.x, b.y - a.y
-    ra = 0.5 * math.hypot(a.length, a.width)
-    rb = 0.5 * math.hypot(b.length, b.width)
-    if dx * dx + dy * dy > (ra + rb) * (ra + rb):
-        return False
-
-    ca = a.corners()
-    cb = b.corners()
-    for theta in (a.heading, a.heading + 0.5 * math.pi, b.heading, b.heading + 0.5 * math.pi):
-        axx, axy = math.cos(theta), math.sin(theta)
-        amin = amax = ca[0][0] * axx + ca[0][1] * axy
-        for px, py in ca[1:]:
-            p = px * axx + py * axy
-            if p < amin:
-                amin = p
-            elif p > amax:
-                amax = p
-        bmin = bmax = cb[0][0] * axx + cb[0][1] * axy
-        for px, py in cb[1:]:
-            p = px * axx + py * axy
-            if p < bmin:
-                bmin = p
-            elif p > bmax:
-                bmax = p
-        if amax < bmin or bmax < amin:
-            return False
-    return True
-
 
 @dataclass(frozen=True, slots=True)
 class BoxArrays:
@@ -486,12 +388,17 @@ class BoxArrays:
     def corners(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         return box_corners(self.x, self.y, self.cos, self.sin, self.length, self.width)
 
+    def at(self, index) -> "BoxArrays":
+        """The boxes at `index` of center and axis arrays of one shape."""
+        fields = (self.x, self.y, self.cos, self.sin, self.cos90, self.sin90)
+        return BoxArrays(*(f[index] for f in fields), self.length, self.width)
+
 
 def box_corners(
     x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray, length: float, width: float
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """FL, FR, RR, RL corner arrays of boxes whose headings have cosine `c`
-    and sine `s`, computed as `OrientedBox.corners`."""
+    and sine `s`."""
     hl, hw = 0.5 * length, 0.5 * width
     return (
         (x + c * hl - s * hw, y + s * hl + c * hw),
@@ -501,8 +408,18 @@ def box_corners(
     )
 
 
+def stack_corners(corners: tuple[tuple[np.ndarray, np.ndarray], ...]) -> tuple[np.ndarray, ...]:
+    """The x and the y of `box_corners`' four corners, on a new last axis."""
+    return np.stack([x for x, _ in corners], axis=-1), np.stack([y for _, y in corners], axis=-1)
+
+
 def boxes_overlap_many(a: BoxArrays, b: BoxArrays) -> np.ndarray:
-    """Elementwise `boxes_overlap` of two broadcastable box arrays."""
+    """Separating-axis overlap of two broadcastable box arrays, elementwise.
+
+    Touching boxes count as overlapping (non-strict interval comparison).
+    Pairs whose centers lie farther apart than the sum of their circumradii
+    are rejected without the axis tests.
+    """
     dx, dy = b.x - a.x, b.y - a.y
     ra = 0.5 * math.hypot(a.length, a.width)
     rb = 0.5 * math.hypot(b.length, b.width)

@@ -9,8 +9,8 @@ configurable through MetricThresholds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Mapping, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -20,13 +20,12 @@ from .geometry import (
     OrientedBox,
     angle_diff,
     box_corners,
-    boxes_overlap,
     boxes_overlap_many,
-    global_to_local,
     per_element,
     points_in_any_polygon,
     polyline_ops,
     segments_intersect_many,
+    stack_corners,
     wrap_angle_many,
 )
 from .control import LqrParams, VehicleLimits
@@ -187,51 +186,118 @@ def aggregate_epdms(s: SubMetricVector, w: MetricWeights) -> float:
 # Collision kernel
 
 
-def _contact_point(a: OrientedBox, b: OrientedBox) -> tuple[float, float]:
-    from .geometry import point_in_polygon
+def _contacts(ego_boxes: BoxArrays, agent_boxes: Mapping[str, BoxArrays]) -> np.ndarray:
+    """(rows, frames, agents) overlaps of the ego with each agent, agents in id order."""
+    return np.stack(
+        [boxes_overlap_many(ego_boxes, agent_boxes[aid]) for aid in sorted(agent_boxes)], axis=-1
+    )
 
-    pts = []
-    ca, cb = a.corners(), b.corners()
-    for px, py in cb:
-        if point_in_polygon(px, py, ca):
-            pts.append((px, py))
-    for px, py in ca:
-        if point_in_polygon(px, py, cb):
-            pts.append((px, py))
-    if not pts:
-        return (0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
-    return (sum(p[0] for p in pts) / len(pts), sum(p[1] for p in pts) / len(pts))
+
+def _corners_inside(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
+    """(n, 4): whether each corner (px, py) lies in the quadrilateral with
+    corners (qx, qy) of its row, all (n, 4): a ray from it crosses the edges
+    an odd number of times, or it lies within 1e-9 of an edge."""
+    x, y = px[:, :, None], py[:, :, None]
+    xi, yi = qx[:, None, :], qy[:, None, :]
+    xj, yj = np.roll(xi, 1, axis=2), np.roll(yi, 1, axis=2)  # edge i runs to corner i - 1
+    ex, ey = xj - xi, yj - yi
+    len2 = ex * ex + ey * ey
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(len2 > 0.0, np.clip(((x - xi) * ex + (y - yi) * ey) / len2, 0.0, 1.0), 0.0)
+        x_cross = xi + (y - yi) * ex / ey
+    dx, dy = x - (xi + t * ex), y - (yi + t * ey)
+    crossings = (((yi > y) != (yj > y)) & (x < x_cross)).sum(axis=2)
+    return (dx * dx + dy * dy < 1e-18).any(axis=2) | (crossings % 2 == 1)
+
+
+def _contact_lon(a: BoxArrays, heading: np.ndarray, b: BoxArrays) -> np.ndarray:
+    """How far ahead of boxes `a` (headings `heading`) each contact point with
+    boxes `b` lies, all of shape (n,). The contact point is the mean of the
+    corners of either box that lie in the other, b's first, added one at a
+    time; with no such corner it is the midpoint of the two centers."""
+    ca, cb = stack_corners(a.corners()), stack_corners(b.corners())
+    sx = sy = count = np.zeros(a.x.shape)
+    for (px, py), quad in ((cb, ca), (ca, cb)):
+        inside = _corners_inside(px, py, *quad)
+        for c in range(4):
+            sx = np.where(inside[:, c], sx + px[:, c], sx)
+            sy = np.where(inside[:, c], sy + py[:, c], sy)
+            count = count + inside[:, c]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cx = np.where(count > 0, sx / count, 0.5 * (a.x + b.x))
+        cy = np.where(count > 0, sy / count, 0.5 * (a.y + b.y))
+    c, s = per_element(math.cos, -heading), per_element(math.sin, -heading)
+    return c * (cx - a.x) - s * (cy - a.y)
+
+
+def _first_contacts(
+    ego: BoxArrays,
+    ego_heading: np.ndarray,
+    ego_speed: np.ndarray,
+    agents: Mapping[str, BoxArrays],
+    static_ids: Collection[str],
+    moving_speed: float,
+) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray]:
+    """The first contact of each row that has one, ruled on fault.
+
+    Boxes, headings and speeds are (rows, frames). Returns the rows with a
+    contact and, for each, the first frame with one, the agent that counts
+    (the lowest id in contact then) and whether the ego is at fault: when it
+    moves faster than `moving_speed` and the contact point (`_contact_lon`)
+    lies ahead of its center, or when the agent is static. Being hit from
+    behind while in lane is therefore not at fault.
+    """
+    ids = sorted(agents)
+    hits = _contacts(ego, agents)
+    rows = np.flatnonzero(hits.any(axis=(1, 2)))
+    cells = (rows, np.argmax(hits[rows].any(axis=2), axis=1))
+    which = np.argmax(hits[cells], axis=1)
+    lon = [_contact_lon(ego.at(cells), ego_heading[cells], agents[aid].at(cells)) for aid in ids]
+    ahead = np.stack(lon)[which, np.arange(rows.size)] > 0.0
+    static = np.array([aid in static_ids for aid in ids])[which]
+    at_fault = ((ego_speed[cells] > moving_speed) & ahead) | static
+    return rows, cells[1], [ids[i] for i in which.tolist()], at_fault
 
 
 def check_collision(
     ego_boxes: Sequence[OrientedBox],
     agent_boxes: Mapping[str, Sequence[OrientedBox]],
     ego_speeds: Sequence[float] | None = None,
-    static_ids: frozenset[str] | set[str] = frozenset(),
+    static_ids: Collection[str] = frozenset(),
     moving_speed: float = 0.1,
 ) -> CollisionEvent | None:
-    """First frame at which the ego box overlaps any agent box.
+    """First frame at which the ego box overlaps any agent box, ruled on
+    fault as the one row of `_first_contacts`.
 
-    At-fault rule: the collision is at fault when the ego is moving and the
-    contact point falls in the ego's front half, or when the struck entity is
-    static. Being hit from behind while in lane is therefore not at fault.
+    The boxes of one entity share one extent. `ego_speeds` holds the ego's
+    speed per frame; without it the ego stands still.
     """
-    for aid, boxes in agent_boxes.items():
-        if len(boxes) != len(ego_boxes):
-            raise ValueError(f"agent {aid}: frame count mismatch with ego")
     n = len(ego_boxes)
-    for k in range(n):
-        ego = ego_boxes[k]
-        for aid in sorted(agent_boxes.keys()):
-            other = agent_boxes[aid][k]
-            if not boxes_overlap(ego, other):
-                continue
-            cx, cy = _contact_point(ego, other)
-            lon, _ = global_to_local(cx, cy, ego.x, ego.y, ego.heading)
-            moving = (ego_speeds[k] if ego_speeds is not None else 0.0) > moving_speed
-            at_fault = (moving and lon > 0.0) or (aid in static_ids)
-            return CollisionEvent(frame=k, agent_id=aid, at_fault=at_fault)
-    return None
+    for aid, boxes in agent_boxes.items():
+        if len(boxes) != n:
+            raise ValueError(f"agent {aid}: frame count mismatch with ego")
+    if ego_speeds is not None and len(ego_speeds) < n:
+        raise ValueError(f"ego_speeds has {len(ego_speeds)} entries for {n} ego frames")
+    if n == 0:
+        return None
+
+    def one_row(name: str, boxes: Sequence[OrientedBox]) -> tuple[BoxArrays, np.ndarray]:
+        if len({(b.length, b.width) for b in boxes}) > 1:
+            raise ValueError(f"{name}: boxes of mixed extents")
+        x, y, heading = np.array([[(b.x, b.y, b.heading) for b in boxes]]).transpose(2, 0, 1)
+        return BoxArrays.of(x, y, heading, boxes[0].length, boxes[0].width), heading
+
+    ego, heading = one_row("ego", ego_boxes)
+    agents = {aid: one_row(f"agent {aid}", boxes)[0] for aid, boxes in agent_boxes.items()}
+    if not agents:
+        return None
+    speeds = np.zeros((1, n)) if ego_speeds is None else np.array([ego_speeds[:n]], dtype=float)
+    rows, frames, ids, at_fault = _first_contacts(
+        ego, heading, speeds, agents, static_ids, moving_speed
+    )
+    if not rows.size:
+        return None
+    return CollisionEvent(frame=int(frames[0]), agent_id=ids[0], at_fault=bool(at_fault[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +347,7 @@ def drivable_area_compliance(
     """DAC of ego poses of shape (..., n): 1.0 where every footprint corner of
     all n poses lies inside the drivable union, else 0.0; shape (...)."""
     c, s = per_element(math.cos, thetas), per_element(math.sin, thetas)
-    corners = box_corners(xs, ys, c, s, *ctx.ego_extent)
-    cx = np.stack([x for x, _ in corners], axis=-1)
-    cy = np.stack([y for _, y in corners], axis=-1)
+    cx, cy = stack_corners(box_corners(xs, ys, c, s, *ctx.ego_extent))
     inside = points_in_any_polygon(cx.ravel(), cy.ravel(), scenario.map.drivable_area)
     return np.where(inside.reshape(cx.shape).all(axis=(-2, -1)), 1.0, 0.0)
 
@@ -348,45 +412,12 @@ def _boxes(
     }
 
 
-def _contacts(ego_boxes: BoxArrays, agent_boxes: Mapping[str, BoxArrays]) -> np.ndarray:
-    """(rows, frames, agents) overlaps of the ego with each agent, agents in mapping order."""
-    return np.stack([boxes_overlap_many(ego_boxes, b) for b in agent_boxes.values()], axis=-1)
-
-
 def any_contact(scene: SceneBatch, scenario: Scenario, ctx: SimContext) -> np.ndarray:
     """Per row: whether the ego box touches any agent box in any frame, at
     fault or not (the feasibility screen's collision rule)."""
     if not scene.agents:
         return np.zeros(scene.ego.x.shape[0], dtype=bool)
     return _contacts(*_boxes(scene, scenario, ctx)).any(axis=(1, 2))
-
-
-def _no_collision(
-    scene: SceneBatch, scenario: Scenario, ctx: SimContext, ego_boxes, agent_boxes
-) -> np.ndarray:
-    """NC per row: the first overlap decides, and `check_collision` judges its fault."""
-    nc = np.ones(scene.ego.x.shape[0])
-    hits = _contacts(ego_boxes, agent_boxes)
-    extents = {a.id: (a.length, a.width) for a in scenario.agents}
-    static_ids = {a.id for a in scenario.agents if a.kind == "static"}
-
-    def box(track: StateBatch, p: int, k: int, extent) -> list[OrientedBox]:
-        return [OrientedBox(*track.data[:3, p, k].tolist(), *extent)]
-
-    ego = scene.ego
-    for p in np.flatnonzero(hits.any(axis=(1, 2))).tolist():
-        k = int(np.argmax(hits[p].any(axis=1)))
-        # the check on frame k alone finds the first agent in contact and rules on it
-        event = check_collision(
-            box(ego, p, k, ctx.ego_extent),
-            {aid: box(t, p, k, extents[aid]) for aid, t in scene.agents.items()},
-            ego_speeds=[float(ego.v[p, k])],
-            static_ids=static_ids,
-            moving_speed=ctx.thresholds.moving_speed,
-        )
-        if event.at_fault:
-            nc[p] = 0.0
-    return nc
 
 
 def _traffic_light_compliance(scene: SceneBatch, scenario: Scenario) -> np.ndarray:
@@ -427,19 +458,11 @@ def _progress(scene: SceneBatch, scenario: Scenario, th: MetricThresholds) -> np
     return np.where(ratio < 1.0, ratio, 1.0)
 
 
-def _swept(states: StateBatch, boxes: BoxArrays, vx, vy, cells, taus: np.ndarray) -> BoxArrays:
+def _swept(boxes: BoxArrays, vx, vy, cells, taus: np.ndarray) -> BoxArrays:
     """The boxes at `cells` ((rows, frame) indices) moved at velocity
     (vx, vy) for each time in `taus`: shape (rows, taus)."""
-    return BoxArrays(
-        states.x[cells][:, None] + vx[cells][:, None] * taus,
-        states.y[cells][:, None] + vy[cells][:, None] * taus,
-        boxes.cos[cells][:, None],
-        boxes.sin[cells][:, None],
-        boxes.cos90[cells][:, None],
-        boxes.sin90[cells][:, None],
-        boxes.length,
-        boxes.width,
-    )
+    at = boxes.at(cells + (None,))
+    return replace(at, x=at.x + vx[cells][:, None] * taus, y=at.y + vy[cells][:, None] * taus)
 
 
 def time_to_collision(
@@ -484,7 +507,7 @@ def time_to_collision(
         if not cells[0].size:
             continue
         hit = boxes_overlap_many(
-            _swept(ego, ego_boxes, evx, evy, cells, taus), _swept(t, b, avx, avy, cells, taus)
+            _swept(ego_boxes, evx, evy, cells, taus), _swept(b, avx, avy, cells, taus)
         )
         first = np.full(dist.shape, math.inf)  # earliest overlap of each (row, frame)
         first[cells] = np.where(hit.any(axis=1), taus[np.argmax(hit, axis=1)], math.inf)
@@ -530,7 +553,11 @@ def submetrics_batch(
     nc, min_ttc = np.ones(rows), np.full(rows, math.inf)
     if scene.agents:
         ego_boxes, agent_boxes = _boxes(scene, scenario, ctx)
-        nc = _no_collision(scene, scenario, ctx, ego_boxes, agent_boxes)
+        static_ids = {a.id for a in scenario.agents if a.kind == "static"}
+        hit, _, _, at_fault = _first_contacts(
+            ego_boxes, ego.theta, ego.v, agent_boxes, static_ids, th.moving_speed
+        )
+        nc[hit[at_fault]] = 0.0  # NC: the ego at fault for the row's first contact
         min_ttc = time_to_collision(
             scene, ego_boxes, agent_boxes, th.ttc_horizon, th.ttc_min_ego_speed
         )

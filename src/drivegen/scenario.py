@@ -17,9 +17,11 @@ import numpy as np
 
 from .errors import ParseError, SchemaError, ValidationError
 from .geometry import (
-    OrientedBox,
+    box_corners,
+    per_element,
     points_in_any_polygon,
     polygon_is_simple,
+    stack_corners,
 )
 
 SIM_DT = 0.1
@@ -142,9 +144,6 @@ class Scenario:
         H steps and ending exactly at the final logged frame.
         """
         return self.t_history - 1
-
-    def ego_box(self, state: VehicleState) -> OrientedBox:
-        return OrientedBox(state.pose.x, state.pose.y, state.pose.theta, DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +416,11 @@ def validate_scenario(s: Scenario) -> list[str]:
 
     # footprint containment, named by frame
     if s.map.drivable_area:
-        corners = np.array([c for st in s.ego_log.states for c in s.ego_box(st).corners()])
-        inside = points_in_any_polygon(corners[:, 0], corners[:, 1], s.map.drivable_area)
+        poses = [(st.pose.x, st.pose.y, st.pose.theta) for st in s.ego_log.states]
+        x, y, theta = np.array(poses).reshape(-1, 3).T
+        c, sn = per_element(math.cos, theta), per_element(math.sin, theta)
+        cx, cy = stack_corners(box_corners(x, y, c, sn, DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH))
+        inside = points_in_any_polygon(cx.ravel(), cy.ravel(), s.map.drivable_area)
         if not inside.all():
             frame = int(np.argmin(inside)) // 4
             diags.append(f"ego footprint outside drivable area at frame {frame}")

@@ -13,11 +13,18 @@ and leader with the scalar `PolylineOps.project` and step with the scalar
 kinematics of `_agent_step`.
 
 Each sub-metric is computed on Python floats, frame by frame: NC searches per-frame
-`OrientedBox` pairs for the first contact, TLC loops over frame pairs, EP
-projects with the scalar `PolylineOps.project`, TTC sweeps every frame with a
-running-minimum quick reject, and HC reads the scalar comfort profile. DAC,
-DDC/LK, the fault ruling and EC reuse the package's own functions, which have
-no second implementation.
+`OrientedBox` pairs for the first contact and rules on its fault with its own
+scalar contact point (`oracle_check_collision`), TLC loops over frame pairs,
+EP projects with the scalar `PolylineOps.project`, TTC sweeps every frame with
+a running-minimum quick reject, and HC reads the scalar comfort profile. DAC,
+DDC/LK and EC reuse the package's own functions, which have no second
+implementation.
+
+The scalar geometry lives here too: `segments_intersect`, `point_in_polygon`,
+`oracle_polygon_is_simple`, the `corners` of an `OrientedBox`, the
+separating-axis `boxes_overlap` and the fault ruling's `contact_point`, the
+references of `geometry.segments_intersect_many`, `geometry.polygon_is_simple`,
+`geometry.boxes_overlap_many` and `metrics._contact_lon`.
 """
 
 from __future__ import annotations
@@ -42,19 +49,17 @@ from drivegen.errors import RolloutError, ValidationError
 from drivegen.geometry import (
     OrientedBox,
     angle_diff,
-    boxes_overlap,
     global_to_local,
     local_to_global,
     polyline_ops,
-    segments_intersect,
     wrap_angle,
 )
 from drivegen.metrics import (
+    CollisionEvent,
     SimContext,
     SubMetricVector,
     _extended_comfort,
     aggregate_epdms,
-    check_collision,
     comfort_profile,
     compute_submetrics,
     drivable_area_compliance,
@@ -92,6 +97,166 @@ from drivegen.vocab import (
 
 # ---------------------------------------------------------------------------
 # Scalar geometry
+
+
+def segments_intersect(p1, p2, q1, q2):
+    """True if closed segments [p1,p2] and [q1,q2] intersect (incl. touching)."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def on_segment(a, b, c):
+        return (
+            min(a[0], b[0]) - 1e-12 <= c[0] <= max(a[0], b[0]) + 1e-12
+            and min(a[1], b[1]) - 1e-12 <= c[1] <= max(a[1], b[1]) + 1e-12
+        )
+
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return True
+    if d1 == 0 and on_segment(q1, q2, p1):
+        return True
+    if d2 == 0 and on_segment(q1, q2, p2):
+        return True
+    if d3 == 0 and on_segment(p1, p2, q1):
+        return True
+    if d4 == 0 and on_segment(p1, p2, q2):
+        return True
+    return False
+
+
+def oracle_polygon_is_simple(polygon):
+    """`geometry.polygon_is_simple` one pair of non-adjacent edges at a time."""
+    n = len(polygon)
+    if n < 3:
+        return False
+    for i in range(n):
+        a1, a2 = polygon[i], polygon[(i + 1) % n]
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            b1, b2 = polygon[j], polygon[(j + 1) % n]
+            if segments_intersect(a1, a2, b1, b2):
+                return False
+    return True
+
+
+def point_in_polygon(x, y, polygon):
+    """Ray-casting containment test; boundary points count as inside."""
+    n = len(polygon)
+    inside = False
+    j = n - 1
+    for i in range(n):
+        xi, yi = polygon[i]
+        xj, yj = polygon[j]
+        # boundary tolerance: distance to edge below 1e-9 counts as inside
+        ex, ey = xj - xi, yj - yi
+        L2 = ex * ex + ey * ey
+        if L2 > 0.0:
+            t = ((x - xi) * ex + (y - yi) * ey) / L2
+            t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+            dx, dy = x - (xi + t * ex), y - (yi + t * ey)
+            if dx * dx + dy * dy < 1e-18:
+                return True
+        elif (x - xi) ** 2 + (y - yi) ** 2 < 1e-18:
+            return True
+        if (yi > y) != (yj > y):
+            x_cross = xi + (y - yi) * (xj - xi) / (yj - yi)
+            if x < x_cross:
+                inside = not inside
+        j = i
+    return inside
+
+
+def corners(box):
+    """FL, FR, RR, RL corners of an `OrientedBox` in global coordinates."""
+    c, s = math.cos(box.heading), math.sin(box.heading)
+    hl, hw = 0.5 * box.length, 0.5 * box.width
+    return (
+        (box.x + c * hl - s * hw, box.y + s * hl + c * hw),
+        (box.x + c * hl + s * hw, box.y + s * hl - c * hw),
+        (box.x - c * hl + s * hw, box.y - s * hl - c * hw),
+        (box.x - c * hl - s * hw, box.y - s * hl + c * hw),
+    )
+
+
+def boxes_overlap(a, b):
+    """Separating-axis overlap test for two `OrientedBox`es.
+
+    Touching boxes count as overlapping (non-strict interval comparison).
+    """
+    # cheap circle rejection first
+    dx, dy = b.x - a.x, b.y - a.y
+    ra = 0.5 * math.hypot(a.length, a.width)
+    rb = 0.5 * math.hypot(b.length, b.width)
+    if dx * dx + dy * dy > (ra + rb) * (ra + rb):
+        return False
+
+    ca = corners(a)
+    cb = corners(b)
+    for theta in (a.heading, a.heading + 0.5 * math.pi, b.heading, b.heading + 0.5 * math.pi):
+        axx, axy = math.cos(theta), math.sin(theta)
+        amin = amax = ca[0][0] * axx + ca[0][1] * axy
+        for px, py in ca[1:]:
+            p = px * axx + py * axy
+            if p < amin:
+                amin = p
+            elif p > amax:
+                amax = p
+        bmin = bmax = cb[0][0] * axx + cb[0][1] * axy
+        for px, py in cb[1:]:
+            p = px * axx + py * axy
+            if p < bmin:
+                bmin = p
+            elif p > bmax:
+                bmax = p
+        if amax < bmin or bmax < amin:
+            return False
+    return True
+
+
+def contact_point(a, b):
+    """Mean of the corners of either box that lie in the other, b's first,
+    added one at a time; the midpoint of the centers when none does."""
+    ca, cb = corners(a), corners(b)
+    pts = [p for p in cb if point_in_polygon(*p, ca)] + [p for p in ca if point_in_polygon(*p, cb)]
+    if not pts:
+        return (0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
+    sx = sy = 0.0
+    for px, py in pts:
+        sx += px
+        sy += py
+    return (sx / len(pts), sy / len(pts))
+
+
+def oracle_check_collision(
+    ego_boxes, agent_boxes, ego_speeds=None, static_ids=frozenset(), moving_speed=0.1
+):
+    """`metrics.check_collision` one frame and one agent at a time.
+
+    The first overlap found, frames in order and agents in id order, is
+    ruled on: at fault when the ego is moving and the contact point falls
+    ahead of its center, or when the struck entity is static.
+    """
+    for aid, boxes in agent_boxes.items():
+        if len(boxes) != len(ego_boxes):
+            raise ValueError(f"agent {aid}: frame count mismatch with ego")
+    for k, ego in enumerate(ego_boxes):
+        for aid in sorted(agent_boxes):
+            other = agent_boxes[aid][k]
+            if not boxes_overlap(ego, other):
+                continue
+            cx, cy = contact_point(ego, other)
+            lon, _ = global_to_local(cx, cy, ego.x, ego.y, ego.heading)
+            moving = (ego_speeds[k] if ego_speeds is not None else 0.0) > moving_speed
+            at_fault = (moving and lon > 0.0) or (aid in static_ids)
+            return CollisionEvent(frame=k, agent_id=aid, at_fault=at_fault)
+    return None
 
 
 def point_at(ops, s):
@@ -466,7 +631,7 @@ def oracle_submetrics(states, scenario, ego_traj, ctx=None, stage1_features=None
     static_ids = {a.id for a in scenario.agents if a.kind == "static"}
 
     # NC
-    event = check_collision(
+    event = oracle_check_collision(
         ego_boxes,
         agent_boxes,
         ego_speeds=[s.vel_lon for s in states.ego],
@@ -632,7 +797,7 @@ def oracle_feasibility_filter(cand, scenario, mode, epdms_min, ctx=None):
         aid: [OrientedBox(s.pose.x, s.pose.y, s.pose.theta, *extents[aid]) for s in track]
         for aid, track in states.agents.items()
     }
-    if check_collision(ego_boxes, agent_boxes) is not None:
+    if oracle_check_collision(ego_boxes, agent_boxes) is not None:
         return replace(failed, reason="collision")
     if drivable_area_compliance(*pose_arrays(states.ego), scenario, ctx) == 0.0:
         return replace(failed, reason="off-road")

@@ -15,7 +15,7 @@ import pytest
 from drivegen.cli import main as cli_main
 from drivegen.config import PipelineConfig
 from drivegen.control import solve_lqr_gain, lqr_track
-from drivegen.geometry import BoxArrays, OrientedBox, boxes_overlap, boxes_overlap_many
+from drivegen.geometry import BoxArrays, OrientedBox, boxes_overlap_many
 from drivegen.metrics import (
     MetricWeights,
     SubMetricVector,
@@ -32,6 +32,7 @@ from drivegen.expert import MatchingVector, recovery_retrieve
 
 from conftest import make_state, straight_trajectory
 from test_expert import oracle_scan
+from oracle import boxes_overlap
 from test_geometry import oracle_boxes_overlap
 
 BUNDLED_COUNT = 100
@@ -269,9 +270,10 @@ def _one_box(box: OrientedBox) -> BoxArrays:
 
 
 def test_criterion_7_collision_kernel_oracle():
-    """Both separating-axis tests, the scalar `boxes_overlap` and the
-    vectorized `boxes_overlap_many` that NC, the screen's any-contact test and
-    TTC use, agree with the brute-force oracle on 1000 random pairs."""
+    """Both separating-axis tests, the scalar `boxes_overlap` of
+    `tests/oracle.py` and the vectorized `boxes_overlap_many` that NC, the
+    screen's any-contact test and TTC use, agree with the brute-force oracle
+    on 1000 random pairs."""
     rng = random.Random(707)
     agree = agree_many = 0
     for _ in range(1000):

@@ -211,7 +211,8 @@ def test_privileged_plan_blocked_lane_avoids_collision():
     plan = privileged_plan(s2, anchor).reference
     states = rollout(s2, plan, anchor, s2.t_horizon, mode="reactive")
     # oracle: re-check min gap between ego and blocker footprints over time
-    from drivegen.geometry import OrientedBox, boxes_overlap
+    from drivegen.geometry import OrientedBox
+    from oracle import boxes_overlap
 
     for k in range(states.frame_count):
         e = states.ego[k]
@@ -255,7 +256,7 @@ def test_privileged_plan_argmax_dominates_all_proposals(benign_scenario):
 
 
 def test_privileged_plan_window_error(benign_scenario):
-    with pytest.raises(RolloutError):
+    with pytest.raises(RolloutError, match=r"^window \[\d+, \d+\] outside scenario frames"):
         privileged_plan(benign_scenario, benign_scenario.frame_count - 3)
 
 

@@ -10,20 +10,25 @@ from drivegen.geometry import (
     OrientedBox,
     PolylineOps,
     PolylineSetOps,
-    boxes_overlap,
     boxes_overlap_many,
     corridor_polygon,
-    point_in_polygon,
     points_in_any_polygon,
     polygon_is_simple,
     polyline_ops,
-    segments_intersect,
     segments_intersect_many,
     wrap_angle,
     wrap_angle_many,
 )
 
-from oracle import point_at, project_to_polyline
+from oracle import (
+    boxes_overlap,
+    corners,
+    oracle_polygon_is_simple,
+    point_at,
+    point_in_polygon,
+    project_to_polyline,
+    segments_intersect,
+)
 
 
 # --- brute-force polygon overlap oracle: vertex containment + edge crossing
@@ -45,7 +50,7 @@ def _oracle_polygons_overlap(pa, pb):
 
 
 def oracle_boxes_overlap(a: OrientedBox, b: OrientedBox) -> bool:
-    return _oracle_polygons_overlap(a.corners(), b.corners())
+    return _oracle_polygons_overlap(corners(a), corners(b))
 
 
 def test_wrap_angle_range():
@@ -111,6 +116,39 @@ def test_points_in_any_polygon_matches_scalar():
 def test_polygon_is_simple():
     assert polygon_is_simple([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert not polygon_is_simple([(0, 0), (1, 1), (1, 0), (0, 1)])  # bowtie
+
+
+def test_polygon_is_simple_matches_scalar(corpus_100):
+    """The batched pair test gives the scalar pair loop's answer: on the
+    corpus's drivable areas, on seeded random polygons (grid vertices make
+    collinear and touching edges common), on a bowtie, on edges that touch or
+    overlap end to end along one line, and on an 80-gon with one crossing at
+    either side of a 32-edge block boundary."""
+    polygons = [poly for s in corpus_100 for poly in s.map.drivable_area]
+    rng = random.Random(21)
+    for _ in range(1500):
+        n = rng.randint(1, 9)
+        if rng.random() < 0.5:
+            polygons.append([(rng.randint(0, 3) * 1.0, rng.randint(0, 3) * 1.0) for _ in range(n)])
+        else:
+            polygons.append([(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)])
+    polygons += [
+        [(0, 0), (1, 1), (1, 0), (0, 1)],  # bowtie
+        [(0, 0), (4, 0), (4, 1), (2, 0), (0, 1)],  # a vertex on a non-adjacent edge
+        [(0, 0), (3, 0), (3, 1), (2, 1), (2, 0), (1, 0), (1, 1), (0, 1)],  # collinear overlap
+        [(0, 0), (2, 0), (2, 1), (3, 1), (3, 0), (5, 0), (5, 2), (0, 2)],  # collinear, apart
+        [(0, 0), (2, 0), (2, 1), (3, 1), (2, 0), (4, 0), (4, 2), (0, 2)],  # ends meet on a line
+    ]
+    circle = [(math.cos(k * TWO_PI / 80), math.sin(k * TWO_PI / 80)) for k in range(80)]
+    polygons.append(circle)
+    for k in (31, 32, 63):  # edges k and k + 2 cross
+        bent = list(circle)
+        bent[k + 1], bent[k + 2] = bent[k + 2], bent[k + 1]
+        polygons.append(bent)
+    results = [polygon_is_simple(p) for p in polygons]
+    assert results == [oracle_polygon_is_simple(p) for p in polygons]
+    assert results[-9:] == [False, False, False, True, False, True, False, False, False]
+    assert 0 < sum(results) < len(results)
 
 
 def test_project_to_polyline_basics():

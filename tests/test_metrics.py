@@ -1,31 +1,43 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import drivegen.pipeline
 import drivegen.vocab
 from drivegen.config import PipelineConfig
 from drivegen.errors import ValidationError
-from drivegen.geometry import BoxArrays, OrientedBox
+from drivegen.geometry import BoxArrays, OrientedBox, global_to_local
 from drivegen.metrics import (
+    ALL_METRICS,
     MetricThresholds,
     MetricWeights,
     RewardRecord,
     SimContext,
     SubMetricVector,
+    _contact_lon,
     aggregate_epdms,
     check_collision,
     comfort_features,
     compute_submetrics,
+    submetrics_batch,
     time_to_collision,
 )
 from drivegen.pipeline import run_generation
-from drivegen.reactive import SceneBatch, SceneStates, rollout
-from drivegen.scenario import DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH, Trajectory
+from drivegen.reactive import SceneBatch, SceneStates, StateBatch, rollout
+from drivegen.scenario import (
+    DEFAULT_EGO_LENGTH,
+    DEFAULT_EGO_WIDTH,
+    AgentTrack,
+    Lane,
+    MapModel,
+    Scenario,
+    Trajectory,
+)
 
 from conftest import make_state
-from oracle import oracle_submetrics, oracle_time_to_collision
+from oracle import contact_point, oracle_submetrics, oracle_time_to_collision
 from test_geometry import oracle_boxes_overlap
 
 
@@ -137,10 +149,116 @@ def test_check_collision_at_fault_rules():
 
 
 def test_check_collision_frame_count_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="frame count mismatch"):
         check_collision(
             [OrientedBox(0, 0, 0, 1, 1)], {"x": [OrientedBox(0, 0, 0, 1, 1)] * 2}
         )
+    two = [OrientedBox(0, 0, 0, 1, 1)] * 2
+    with pytest.raises(ValueError, match="ego_speeds has 1 entries for 2 ego frames"):
+        check_collision(two, {"x": two}, ego_speeds=[1.0])
+    mixed = [OrientedBox(0, 0, 0, 1, 1), OrientedBox(0, 0, 0, 2, 1)]
+    with pytest.raises(ValueError, match="agent x: boxes of mixed extents"):
+        check_collision(two, {"x": mixed})
+    with pytest.raises(ValueError, match="ego: boxes of mixed extents"):
+        check_collision(mixed, {"x": two})
+
+
+def test_contact_point_matches_the_scalar_oracle():
+    """How far ahead of box a its contact point with box b lies equals the
+    oracle's contact point in a's frame, bit for bit: random pairs, boxes
+    crossing with no corner inside the other (the midpoint counts), and
+    corners exactly on the other box's edge, on both sides."""
+    rng = random.Random(5)
+    for (la, wa), (lb, wb) in (((4.6, 1.9), (4.5, 2.1)), ((4.0, 2.0), (1.0, 6.0))):
+        pairs = [
+            (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-4, 4),
+             rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-4, 4))
+            for _ in range(500)
+        ]
+        pairs += [(0.0, 0.0, 0.0, dx, 0.0, 0.0) for dx in (-2.5, 2.5, -4.25, 4.25, 0.0)]
+        ax, ay, ah, bx, by, bh = (np.array(c) for c in zip(*pairs))
+        got = _contact_lon(BoxArrays.of(ax, ay, ah, la, wa), ah, BoxArrays.of(bx, by, bh, lb, wb))
+        for (x, y, h, *b), lon in zip(pairs, got.tolist()):
+            a = OrientedBox(x, y, h, la, wa)
+            want, _ = global_to_local(*contact_point(a, OrientedBox(*b, lb, wb)), x, y, h)
+            assert lon.hex() == want.hex(), (x, y, h, b)
+
+
+def _contact_rows():
+    """Rows of 5 frames for the fault ruling: the ego (4 m x 2 m) drives along
+    its heading at its speed; each listed agent sits at an offset from it in
+    the given frames, or 100 m to the side. Returns (ego speed, ego heading,
+    {agent: (dx, dy, heading, frames)}, expected NC or None) per row."""
+    rows = [
+        (5.0, 0.0, {"a": (4.0, 0.0, 0.0, range(5))}, 0.0),  # front contact, moving
+        (5.0, 0.0, {"a": (-4.0, 0.0, 0.0, range(5))}, 1.0),  # rear contact
+        (0.0, 0.0, {"a": (4.0, 0.0, 0.0, range(5))}, 1.0),  # the ego stands still
+        (0.0, 0.0, {"s": (-3.9, 0.0, 0.0, range(5))}, 0.0),  # a static agent
+        # the first contact decides: not at fault, then at fault
+        (5.0, 0.0, {"a": (-4.0, 0.0, 0.0, range(2)), "b": (4.0, 0.0, 0.0, range(3, 5))}, 1.0),
+        # both touch in the first frame, listed b before a: the lower id decides
+        (5.0, 0.0, {"a": (-4.0, 0.0, 0.0, range(5)), "b": (4.0, 0.0, 0.0, range(5))}, 1.0),
+        (5.0, 0.0, {"a": (4.0, 0.0, 0.0, range(5)), "b": (-4.0, 0.0, 0.0, range(5))}, 0.0),
+        # the bumpers touch exactly: a corner of each box lies on the other's edge
+        (5.0, 0.0, {"a": (-4.25, 0.5, 0.0, range(5))}, 1.0),
+        (5.0, 0.0, {"a": (4.25, 0.5, 0.0, range(5))}, 0.0),
+        (5.0, 0.7, {"a": (0.0, 0.0, 2.0, range(5))}, None),  # crossing, same center
+    ]
+    rng = random.Random(31)
+    for _ in range(30):
+        offset = (rng.uniform(-5, 5), rng.uniform(-2.5, 2.5), rng.uniform(-math.pi, math.pi))
+        first = rng.randrange(5)
+        rows.append((rng.choice([0.0, 0.05, 5.0]), rng.uniform(-math.pi, math.pi),
+                     {rng.choice("abs"): (*offset, range(first, 5))}, None))
+    return rows
+
+
+def test_fault_ruling_matches_the_scalar_oracle_row_by_row():
+    """NC of hand-built rows through `submetrics_batch` equals the scalar
+    oracle's bit for bit, as do the other sub-metrics, and reaches both
+    values; the hand-made rows also get the NC their comment says."""
+    dt, n = 0.1, 5
+    ctx = SimContext(ego_length=4.0, ego_width=2.0)
+    far = tuple(make_state(y=100.0) for _ in range(n))
+    extents = {"a": (4.5, 1.9, "vehicle"), "b": (4.5, 1.9, "vehicle"), "s": (4.0, 2.0, "static")}
+    lane = ((-100.0, 0.0), (100.0, 0.0))
+    scenario = Scenario(
+        id="contacts",
+        map=MapModel(
+            lanes=(Lane(polyline=lane, width=3.5, direction=1),),
+            drivable_area=(((-100.0, -50.0), (100.0, -50.0), (100.0, 150.0), (-100.0, 150.0)),),
+            route=lane,
+            traffic_lights=(),
+        ),
+        ego_log=Trajectory(dt=dt, states=tuple(make_state(x=k, v=10.0) for k in range(n))),
+        agents=tuple(AgentTrack(aid, l, w, kind, far) for aid, (l, w, kind) in extents.items()),
+        t_history=1,
+        t_horizon=2,
+    )
+    rows = _contact_rows()
+    egos, tracks = [], {aid: [] for aid in ("b", "a", "s")}  # out of id order
+    for v, theta, placed, _ in rows:
+        c, s = math.cos(theta), math.sin(theta)
+        ego = [make_state(x=v * k * dt * c, y=v * k * dt * s, theta=theta, v=v) for k in range(n)]
+        egos.append(ego)
+        for aid, track in tracks.items():
+            dx, dy, heading, frames = placed.get(aid, (0.0, 0.0, 0.0, ()))
+            track.append([
+                make_state(x=e.pose.x + dx, y=e.pose.y + dy, theta=heading)
+                if k in frames else far[k]
+                for k, e in enumerate(ego)
+            ])
+    agents = {aid: StateBatch.tracks(t) for aid, t in tracks.items()}
+    scene = SceneBatch(dt, 0, n - 1, StateBatch.tracks(egos), agents)
+    got = submetrics_batch(scene, scenario, ctx)
+    for p, (*_, expected) in enumerate(rows):
+        states = scene.states(p)
+        want = oracle_submetrics(states, scenario, Trajectory(dt=dt, states=states.ego), ctx)
+        assert [v.hex() for v in got[p].tolist()] == [
+            getattr(want, m).hex() for m in ALL_METRICS
+        ], p
+        assert expected is None or got[p, 0] == expected, p
+    assert set(got[:, 0].tolist()) == {0.0, 1.0}
 
 
 # --- time to collision
@@ -238,7 +356,7 @@ def _window(scenario):
 def oracle_benign_checks(scenario, states):
     """Independent per-frame geometric oracle for the binary penalties."""
     from test_geometry import oracle_boxes_overlap as overlap
-    from drivegen.geometry import point_in_polygon
+    from oracle import corners, point_in_polygon
 
     extents = {a.id: (a.length, a.width) for a in scenario.agents}
     for k in range(states.frame_count):
@@ -248,7 +366,7 @@ def oracle_benign_checks(scenario, states):
             o = track[k]
             obox = OrientedBox(o.pose.x, o.pose.y, o.pose.theta, *extents[aid])
             assert not overlap(ebox, obox), f"collision at {k}"
-        for cx, cy in ebox.corners():
+        for cx, cy in corners(ebox):
             assert any(
                 point_in_polygon(cx, cy, poly) for poly in scenario.map.drivable_area
             ), f"off-road at {k}"

@@ -4,7 +4,6 @@ import math
 import pytest
 
 from drivegen.errors import ParseError, SchemaError, ValidationError
-from drivegen.geometry import point_in_polygon
 from drivegen.scenario import (
     load_scenario,
     scenario_from_dict,
@@ -15,6 +14,7 @@ from drivegen.scenario import (
 from drivegen.synth import CorpusConfig, corpus_config_for_count, generate_synthetic_corpus
 from drivegen.errors import ConfigError
 
+from oracle import point_in_polygon
 
 
 def minimal_scenario_dict(t_history=2, t_horizon=4, n_agents=0, v=10.0):
