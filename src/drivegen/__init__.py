@@ -62,6 +62,5 @@ from .pipeline import (  # noqa: F401
     export_dataset,
     run_generation,
     sensor_stub,
-    simulate_sample,
 )
 from .scaling import FitResult, ScalingPoint, compare_fits, emit_curve, fit_log_quadratic  # noqa: F401

@@ -14,7 +14,7 @@ import io
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,7 +23,6 @@ from .batch import plan_batch, rollout_batch
 from .config import CameraConfig, PipelineConfig, config_hash
 from .errors import ValidationError
 from .expert import (
-    EXPERT_PLANNER,
     EXPERT_RECOVERY,
     expert_filter,
     # stays bound here: perfbench/tracer.py wraps `pipeline.privileged_plan`
@@ -141,10 +140,10 @@ def screen_batch(
     """The feasibility screen: non-reactive first, then reactive on its survivors.
 
     Pending candidates take the non-reactive check; in reactive runs those it
-    clears take the reactive one. Candidates this config has cleared pass
-    through unchanged, so the screen runs once per candidate. Each check is
-    one batched rollout of every candidate it takes; only the run's last
-    check keeps the states and sub-metrics of those it clears.
+    clears take the reactive one. Candidates of any other status pass through
+    unchanged. Each check is one batched rollout of every candidate it takes;
+    only the run's last check keeps the states and sub-metrics of those it
+    clears.
     """
     epdms_min, ctx = config.perturb.epdms_min, config.sim_context
     checks = [(STATUS_PENDING, MODE_NONREACTIVE)]
@@ -182,19 +181,13 @@ def sample_seed(master_seed: int, scenario_id: str, round_idx: int, candidate_in
 
 
 def _reject_bucket(reason: str) -> str:
-    if reason in ("nc", "collision"):
-        return "collision"
-    if reason in ("dac", "off-road"):
-        return "offroad"
-    if reason == "kinematics":
-        return "kinematics"
-    return "reward"
+    """The `stats.csv` bucket of an `expert_filter` reject reason."""
+    return {"nc": "collision", "dac": "offroad", "kinematics": "kinematics"}.get(reason, "reward")
 
 
 def expert_stage(
     scenario: Scenario,
     cands: Sequence[PerturbationCandidate],
-    expert_kind: str,
     config: PipelineConfig,
     vocab: Vocabulary,
 ) -> list[tuple[SceneStates, SubMetricVector]]:
@@ -208,8 +201,6 @@ def expert_stage(
     plans, for every perturbed state in one call. History comfort is judged
     on the window alone.
     """
-    if expert_kind not in (EXPERT_RECOVERY, EXPERT_PLANNER):
-        raise ValidationError(f"unknown expert kind '{expert_kind}'")
     if not cands:
         return []
     ctx = config.sim_context
@@ -218,7 +209,7 @@ def expert_stage(
     starts = [c.screen_states.ego[-1] for c in cands]
     finals = [{aid: track[-1] for aid, track in c.screen_states.agents.items()} for c in cands]
     ego_start = StateBatch.frame(starts)
-    if expert_kind == EXPERT_RECOVERY:
+    if config.expert_kind == EXPERT_RECOVERY:
         check_vocabulary(vocab, scenario)
         logged_end = scenario.ego_log[anchor2 + H]
         rows = [recovery_retrieve(recovery_target(s, logged_end), vocab) for s in starts]
@@ -242,12 +233,12 @@ def _sample(
     scenario: Scenario,
     cand: PerturbationCandidate,
     round_idx: int,
-    expert_kind: str,
     config: PipelineConfig,
     states2: SceneStates,
     sub2: SubMetricVector,
 ) -> tuple[SimSample | None, str]:
-    """The expert-stage filter on a simulated stage 2, and the sample it accepts."""
+    """The expert-stage filter on a screened candidate's simulated stage 2,
+    and the sample it accepts; stage 1 is the rollout that cleared the screen."""
     ctx = config.sim_context
     dt = scenario.dt
     executed2 = Trajectory(dt=dt, states=states2.ego, frame=FRAME_GLOBAL)
@@ -270,7 +261,7 @@ def _sample(
     sample = SimSample(
         scenario_id=scenario.id,
         round=round_idx,
-        expert_kind=expert_kind,
+        expert_kind=config.expert_kind,
         perturbed_history=Trajectory(dt=dt, states=states1.ego, frame=FRAME_GLOBAL),
         expert_future=executed2,
         states=states_comb,
@@ -280,52 +271,6 @@ def _sample(
         candidate_index=cand.vocab_index,
     )
     return sample, ""
-
-
-def _simulate_batch(
-    scenario: Scenario,
-    draws: Sequence[tuple[PerturbationCandidate, int]],
-    expert_kind: str,
-    config: PipelineConfig,
-    vocab: Vocabulary,
-) -> list[tuple[SimSample | None, str]]:
-    """(sample or None, reject reason) of each (candidate, round) drawn from one scenario."""
-    cleared = cleared_status(config)
-    # stage 1 is the rollout that cleared the screen; candidates that did not
-    # come through this run's screen are screened here rather than trusted
-    cands = screen_batch(
-        [
-            replace(c, status=STATUS_PENDING)
-            if c.status == cleared and c.screen_states is None else c
-            for c, _ in draws
-        ],
-        scenario,
-        config,
-    )
-    results = [(None, c.reason or "reward") for c in cands]
-    live = [i for i, c in enumerate(cands) if c.status == cleared]
-    stage2 = expert_stage(scenario, [cands[i] for i in live], expert_kind, config, vocab)
-    for i, (states2, sub2) in zip(live, stage2):
-        results[i] = _sample(scenario, cands[i], draws[i][1], expert_kind, config, states2, sub2)
-    return results
-
-
-def simulate_sample(
-    scenario: Scenario,
-    cand: PerturbationCandidate,
-    expert_kind: str,
-    config: PipelineConfig,
-    vocab: Vocabulary,
-    round_idx: int = 0,
-) -> SimSample | None:
-    """Run the two-stage simulation for one candidate.
-
-    Stage 1 reuses the screen's rollout of a cleared candidate; a candidate
-    that this config's screen has not cleared is screened first. Returns None
-    when the screen or the expert-stage filter rejects it.
-    """
-    (sample, _), = _simulate_batch(scenario, [(cand, round_idx)], expert_kind, config, vocab)
-    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +297,19 @@ def _round_draws(
 
 def _process_scenario_impl(
     scenario: Scenario, vocab: Vocabulary, config: PipelineConfig, rounds: int
-) -> list[tuple[int, int, SimSample | None, str]]:
+) -> list[tuple[int, SimSample | None, str]]:
+    """(round, sample or None, reject reason) of each candidate the scenario draws."""
     cands = prepare_candidates(scenario, vocab, config)
+    # the screen keeps enumeration order, so the cleared list is in vocabulary index order
     cleared = [c for c in cands if c.status == cleared_status(config)]
-    cleared.sort(key=lambda c: c.vocab_index)
     draws = _round_draws(
         len(cleared), rounds, config.per_round, config.master_seed, scenario.id
     )
     drawn = [(cleared[i], r) for r, indices in enumerate(draws) for i in sorted(indices)]
-    outcomes = _simulate_batch(scenario, drawn, config.expert_kind, config, vocab)
+    stage2 = expert_stage(scenario, [cand for cand, _ in drawn], config, vocab)
     return [
-        (r, cand.vocab_index, sample, reason)
-        for (cand, r), (sample, reason) in zip(drawn, outcomes)
+        (r, *_sample(scenario, cand, r, config, states2, sub2))
+        for (cand, r), (states2, sub2) in zip(drawn, stage2)
     ]
 
 
@@ -391,6 +337,8 @@ def run_generation(
     rounds = rounds if rounds is not None else config.rounds
     if rounds < 1:
         raise ValidationError("rounds must be >= 1")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     dups = corpus_id_collisions(corpus)
     if dups:
         raise ValidationError(f"duplicate scenario id in corpus: {dups[0]}")
@@ -404,7 +352,9 @@ def run_generation(
         )
 
     ordered = sorted(corpus, key=lambda s: s.id)
-    if workers <= 1:
+    # no more worker processes than scenarios: each forks and unpickles the vocabulary
+    workers = min(workers, len(ordered))
+    if workers == 1:
         per_scenario = [_process_scenario_impl(s, vocab, config, rounds) for s in ordered]
     else:
         with ProcessPoolExecutor(
@@ -417,7 +367,7 @@ def run_generation(
     accepted = [0] * rounds
     rejects = [{b: 0 for b in REJECT_BUCKETS} for _ in range(rounds)]
     for scenario_results in per_scenario:
-        for r, _cand_idx, sample, reason in scenario_results:
+        for r, sample, reason in scenario_results:
             attempted[r] += 1
             if sample is not None:
                 accepted[r] += 1

@@ -400,12 +400,14 @@ def validate_scenario(s: Scenario) -> list[str]:
     if s.ego_log.dt <= 0:
         diags.append("ego_log dt must be positive")
 
+    finite = True
     for k, st in enumerate(s.ego_log.states):
         if not all(
             math.isfinite(v)
             for v in (st.pose.x, st.pose.y, st.pose.theta, st.vel_lon, st.vel_lat, st.accel, st.steering)
         ):
             diags.append(f"non-finite ego state at frame {k}")
+            finite = False
             break
         if not (-math.pi < st.pose.theta <= math.pi + 1e-12):
             diags.append(f"ego theta not normalized to (-pi, pi] at frame {k}")
@@ -414,8 +416,8 @@ def validate_scenario(s: Scenario) -> list[str]:
             diags.append(f"ego steering exceeds the steering limit at frame {k}")
             break
 
-    # footprint containment, named by frame
-    if s.map.drivable_area:
+    # footprint containment, named by frame; a non-finite state has no footprint
+    if s.map.drivable_area and finite:
         poses = [(st.pose.x, st.pose.y, st.pose.theta) for st in s.ego_log.states]
         x, y, theta = np.array(poses).reshape(-1, 3).T
         c, sn = per_element(math.cos, theta), per_element(math.sin, theta)
@@ -424,7 +426,7 @@ def validate_scenario(s: Scenario) -> list[str]:
         if not inside.all():
             frame = int(np.argmin(inside)) // 4
             diags.append(f"ego footprint outside drivable area at frame {frame}")
-    else:
+    elif not s.map.drivable_area:
         diags.append("drivable_area is empty")
 
     diags.extend(trajectory_consistency_errors(s.ego_log))

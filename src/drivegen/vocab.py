@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import _bicycle_step, _bound, plan_batch, rollout_batch
+from .batch import _bicycle_step, _bound, rollout_batch
 from .control import VehicleLimits
 from .errors import SchemaError, ValidationError
 from .geometry import _cached_ops, per_element, wrap_angle_many
@@ -143,7 +143,6 @@ class GridSpec:
 
 @dataclass(frozen=True, slots=True)
 class PerturbationCandidate:
-    trajectory: Trajectory | None  # a global-frame plan to screen; None for a vocabulary entry
     offsets: tuple[float, float, float]  # (lon, lat, dtheta) vs logged endpoint
     status: str
     vocab_index: int
@@ -159,10 +158,10 @@ class PerturbationCandidate:
 # ---------------------------------------------------------------------------
 # Maneuver synthesis (vocabulary source at desk scale)
 
+_SPEED_RANGE = (4.0, 14.0)  # m/s, each maneuver's uniformly drawn start speed
 
-def synthesize_maneuvers(
-    count: int, horizon: int, dt: float, seed: int, speed_range: tuple[float, float] = (4.0, 14.0)
-) -> Vocabulary:
+
+def synthesize_maneuvers(count: int, horizon: int, dt: float, seed: int) -> Vocabulary:
     """Ego-local maneuvers: two-phase steering arcs crossed with speed profiles.
 
     Each maneuver is integrated with the kinematic bicycle, so entries are
@@ -179,7 +178,7 @@ def synthesize_maneuvers(
     rng = random.Random(mix64(seed, "maneuvers", count, horizon))
     draws = []
     for _ in range(count):
-        v0 = rng.uniform(*speed_range)
+        v0 = rng.uniform(*_SPEED_RANGE)
         accel = 0.0 if rng.random() < 0.2 else rng.uniform(-1.2, 1.2)
         shape = rng.random()
         if shape < 0.15:  # straight
@@ -438,7 +437,7 @@ def enumerate_perturbations(
     rows = vocab.tracks.data.transpose(1, 0, 2)
     return [
         PerturbationCandidate(
-            None, off, STATUS_THRESHOLD_REJECTED if r else STATUS_PENDING, i, row, None,
+            off, STATUS_THRESHOLD_REJECTED if r else STATUS_PENDING, i, row, None,
             _THRESHOLD_REASONS[r],
         )
         for i, (off, r, row) in enumerate(zip(offsets, reason.tolist(), rows))
@@ -469,7 +468,7 @@ def grid_sparsify(
             c = cands[i]
             status, reason = (c.status, c.reason) if i == keep else (STATUS_GRID_DROPPED, "grid")
             out[i] = PerturbationCandidate(
-                c.trajectory, c.offsets, status, c.vocab_index, c.entry, cell, reason,
+                c.offsets, status, c.vocab_index, c.entry, cell, reason,
                 c.screen_states, c.screen_submetrics,
             )
     return out
@@ -494,19 +493,10 @@ def _history_track(scenario: Scenario) -> StateBatch:
 
 
 def _screen_plans(cands: Sequence[PerturbationCandidate], scenario: Scenario) -> StateBatch:
-    """(7, P, H + 1) references: each candidate's own plan, or its bank row
-    placed at the anchor state, all bank rows in one `place_tracks` call."""
-    H = scenario.t_horizon
-    data = np.empty((7, len(cands), H + 1))
-    own = [i for i, c in enumerate(cands) if c.trajectory is not None]
-    if own:
-        data[:, own] = plan_batch([cands[i].trajectory for i in own], scenario, H).data
-    rows = [i for i, c in enumerate(cands) if c.trajectory is None]
-    if rows:
-        local = np.stack([cands[i].entry[:, : H + 1] for i in rows], axis=1)
-        anchor = StateBatch.full(scenario.ego_log[scenario.anchor_frame], len(rows))
-        data[:, rows] = place_tracks(local, anchor).data
-    return StateBatch(data)
+    """(7, P, H + 1) references: each candidate's bank row placed at the
+    anchor state, all in one `place_tracks` call."""
+    local = np.stack([c.entry[:, : scenario.t_horizon + 1] for c in cands], axis=1)
+    return place_tracks(local, StateBatch.full(scenario.ego_log[scenario.anchor_frame], len(cands)))
 
 
 def feasibility_filter_batch(

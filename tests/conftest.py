@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from drivegen.config import PipelineConfig
+from drivegen.geometry import global_to_local, wrap_angle
 from drivegen.scenario import Pose2D, Trajectory, VehicleState
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
-from drivegen.vocab import default_vocabulary
+from drivegen.vocab import STATUS_PENDING, PerturbationCandidate, default_vocabulary
 
 
 def make_state(x=0.0, y=0.0, theta=0.0, v=0.0, steering=0.0, accel=0.0):
@@ -23,6 +25,19 @@ def straight_trajectory(v: float, n_states: int, dt: float = 0.1, theta: float =
                        theta=theta, v=v)
         )
     return Trajectory(dt=dt, states=tuple(states))
+
+
+def plan_candidate(scenario, plan: Trajectory, vocab_index: int = 0) -> PerturbationCandidate:
+    """A pending candidate whose ego-local entry is the global `plan` taken
+    relative to the scenario's anchor state, so the screen places it back
+    onto the plan."""
+    a = scenario.ego_log[scenario.anchor_frame].pose
+    entry = np.array([
+        (*global_to_local(s.pose.x, s.pose.y, a.x, a.y, a.theta),
+         wrap_angle(s.pose.theta - a.theta), s.vel_lon, s.vel_lat, s.accel, s.steering)
+        for s in plan.states
+    ]).T
+    return PerturbationCandidate((0.0, 0.0, 0.0), STATUS_PENDING, vocab_index, entry)
 
 
 def state_bits(s: VehicleState) -> tuple[str, ...]:

@@ -783,10 +783,8 @@ def oracle_feasibility_filter(cand, scenario, mode, epdms_min, ctx=None):
 
     ctx = ctx or SimContext()
     anchor = scenario.anchor_frame
-    plan = cand.trajectory
-    if plan is None:
-        entry = entry_trajectory(cand.entry, scenario.dt)
-        plan = oracle_place_at_state(entry, scenario.ego_log[anchor])
+    entry = entry_trajectory(cand.entry, scenario.dt)
+    plan = oracle_place_at_state(entry, scenario.ego_log[anchor])
     states = oracle_rollout(scenario, plan, anchor, scenario.t_horizon, mode=mode, ctx=ctx)
     failed = replace(cand, status=fail_status, screen_states=None, screen_submetrics=None)
 
@@ -814,14 +812,14 @@ def oracle_feasibility_filter(cand, scenario, mode, epdms_min, ctx=None):
     )
 
 
-def oracle_synthesize_maneuvers(count, horizon, dt, seed, speed_range=(4.0, 14.0)):
+def oracle_synthesize_maneuvers(count, horizon, dt, seed):
     """`vocab.synthesize_maneuvers` one maneuver at a time: scalar `bicycle_step`
     on `VehicleState`s, returning a list of trajectories."""
     rng = random.Random(mix64(seed, "maneuvers", count, horizon))
     limits = VehicleLimits()
     out = []
     for _ in range(count):
-        v0 = rng.uniform(*speed_range)
+        v0 = rng.uniform(4.0, 14.0)
         accel = 0.0 if rng.random() < 0.2 else rng.uniform(-1.2, 1.2)
         shape = rng.random()
         if shape < 0.15:  # straight

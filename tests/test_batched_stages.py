@@ -28,8 +28,7 @@ from oracle import (
 
 
 def _cand_bits(c):
-    return (c.status, c.reason, c.trajectory, scene_bits(c.screen_states),
-            sub_bits(c.screen_submetrics))
+    return (c.status, c.reason, scene_bits(c.screen_states), sub_bits(c.screen_submetrics))
 
 
 def _grid_survivors(scenario, vocab, config):
@@ -112,7 +111,7 @@ def test_stage2_rows_match_the_scalar_rollout(
     for s, _, checked in screened(reactive):
         cands = [c for c in checked if c.status == cleared_status(config)][:per_scenario]
         plans.clear()
-        got = expert_stage(s, cands, expert, config, small_vocab)
+        got = expert_stage(s, cands, config, small_vocab)
         anchor2 = s.anchor_frame + s.t_horizon
         for i, (cand, (states2, sub2)) in enumerate(zip(cands, got, strict=True)):
             perturbed = cand.screen_states.ego[-1]
@@ -147,8 +146,8 @@ def test_rows_do_not_depend_on_the_candidates_sharing_their_call(
             assert _cand_bits(screen_batch([cand], s, config)[0]) == _cand_bits(got), s.id
 
         cleared = [c for c in full if c.status == cleared_status(config)]
-        full2 = expert_stage(s, cleared, "recovery", config, small_vocab)
-        part2 = expert_stage(s, cleared[1::2][::-1], "recovery", config, small_vocab)
+        full2 = expert_stage(s, cleared, config, small_vocab)
+        part2 = expert_stage(s, cleared[1::2][::-1], config, small_vocab)
         assert [(scene_bits(a), sub_bits(b)) for a, b in part2] == [
             (scene_bits(a), sub_bits(b)) for a, b in full2[1::2][::-1]
         ], s.id

@@ -120,6 +120,20 @@ def test_generate_worker_count_invariance(tmp_path, corpus_dir, vocab_file):
     assert _dir_bytes(outs[0]) == _dir_bytes(outs[1])
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_generate_rejects_a_worker_count_below_one(
+    tmp_path, capsys, corpus_dir, vocab_file, workers
+):
+    out = tmp_path / "out"
+    rc = main([
+        "generate", "--corpus", str(corpus_dir), "--out", str(out),
+        "--vocab", str(vocab_file), "--workers", workers,
+    ])
+    assert rc == 1
+    assert _one_error_line(capsys) == f"error: workers must be >= 1, got {workers}"
+    assert not out.exists()
+
+
 def _write_logged_trajectory(scenario_path: Path, out_path: Path) -> None:
     s = load_scenario(scenario_path)
     d = scenario_to_dict(s)

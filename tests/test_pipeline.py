@@ -15,33 +15,30 @@ from drivegen.expert import privileged_plan
 from drivegen.metrics import aggregate_epdms
 from drivegen.pipeline import (
     RoundStats,
+    _sample,
     cleared_status,
+    expert_stage,
     export_dataset,
     prepare_candidates,
     run_generation,
     sample_seed,
     sample_to_dict,
+    screen_batch,
     sensor_stub,
-    simulate_sample,
     stats_csv_text,
 )
 from drivegen.reactive import SceneBatch, SceneStates, StateBatch
 from drivegen.scenario import Trajectory
-from drivegen.seeding import mix64
 from drivegen.vocab import (
     STATUS_CLEARED_REACTIVE,
     STATUS_GRID_DROPPED,
     STATUS_INFEASIBLE_REACTIVE,
-    STATUS_PENDING,
     STATUS_THRESHOLD_REJECTED,
-    PerturbationCandidate,
-    enumerate_perturbations,
-    grid_sparsify,
     load_vocabulary,
     save_vocabulary,
 )
 
-from conftest import make_state
+from conftest import make_state, plan_candidate
 from oracle import entry_trajectory, oracle_place_at_state, oracle_rollout, oracle_submetrics
 
 
@@ -97,15 +94,21 @@ def prepared(small_corpus, small_vocab, small_config):
     return by_scenario
 
 
+def _simulate(scenario, cand, config, vocab, round_idx=0):
+    """A generate run's draw-to-sample step on one screened candidate: its
+    stage 2, then the expert filter; the accepted sample or None."""
+    (states2, sub2), = expert_stage(scenario, [cand], config, vocab)
+    return _sample(scenario, cand, round_idx, config, states2, sub2)[0]
+
+
 def test_simulate_sample_identity_recovery_endpoint(small_corpus, small_vocab, small_config):
     """Identity-like perturbation: the recovery expert ends near the log end."""
     s = small_corpus[0]
     anchor = s.anchor_frame
     logged = s.ego_log.segment(anchor, anchor + s.t_horizon)
-    cand = PerturbationCandidate(
-        trajectory=logged, offsets=(0.0, 0.0, 0.0), status=STATUS_PENDING, vocab_index=9999
-    )
-    sample = simulate_sample(s, cand, "recovery", small_config, small_vocab)
+    cand, = screen_batch([plan_candidate(s, logged, vocab_index=9999)], s, small_config)
+    assert cand.status == cleared_status(small_config), cand.reason
+    sample = _simulate(s, cand, small_config, small_vocab)
     assert sample is not None
     end = sample.expert_future.states[-1].pose
     log_end = s.ego_log[anchor + 2 * s.t_horizon].pose
@@ -113,36 +116,13 @@ def test_simulate_sample_identity_recovery_endpoint(small_corpus, small_vocab, s
     assert dist < 2.0
 
 
-def test_simulate_sample_rejects_uncleared_collision_candidate(small_corpus, small_vocab, small_config):
-    from drivegen.scenario import AgentTrack, Scenario
-
-    s = small_corpus[0]
-    anchor = s.anchor_frame
-    hit_x = s.ego_log[anchor + 20].pose.x
-    blocker = AgentTrack(
-        id="wall", length=4.5, width=1.9, kind="static",
-        states=tuple(make_state(x=hit_x, v=0.0) for _ in range(s.frame_count)),
-    )
-    s2 = Scenario(
-        id="crash2", map=s.map, ego_log=s.ego_log, agents=(blocker,),
-        t_history=s.t_history, t_horizon=s.t_horizon,
-    )
-    cand = PerturbationCandidate(
-        trajectory=s2.ego_log.segment(anchor, anchor + s2.t_horizon),
-        offsets=(0.0, 0.0, 0.0),
-        status=STATUS_PENDING,
-        vocab_index=1,
-    )
-    assert simulate_sample(s2, cand, "recovery", small_config, small_vocab) is None
-
-
 def test_simulate_sample_deterministic(small_corpus, small_vocab, small_config, prepared):
     s = small_corpus[0]
     cleared = prepared[s.id]
     if not cleared:
         pytest.skip("no cleared candidate on this template")
-    a = simulate_sample(s, cleared[0], "recovery", small_config, small_vocab, round_idx=2)
-    b = simulate_sample(s, cleared[0], "recovery", small_config, small_vocab, round_idx=2)
+    a = _simulate(s, cleared[0], small_config, small_vocab, round_idx=2)
+    b = _simulate(s, cleared[0], small_config, small_vocab, round_idx=2)
     assert (a is None) == (b is None)
     if a is not None:
         assert sample_to_dict(a) == sample_to_dict(b)
@@ -153,7 +133,7 @@ def test_sample_continuity_and_safety(small_corpus, small_vocab, small_config, p
     checked = 0
     for s in small_corpus:
         for cand in prepared[s.id][:3]:
-            sample = simulate_sample(s, cand, "recovery", small_config, small_vocab)
+            sample = _simulate(s, cand, small_config, small_vocab)
             if sample is None:
                 continue
             checked += 1
@@ -223,7 +203,7 @@ def test_only_grid_survivors_are_placed(small_corpus, small_vocab, small_config,
     screen then places the bank rows of exactly the candidates it takes, in
     one call: the non-reactive check every grid survivor, the reactive check
     those the first clears. Threshold-rejected and grid-dropped entries are
-    never placed whole, and no candidate gets a trajectory."""
+    never placed whole."""
     placed = []
     _spy(monkeypatch, drivegen.vocab, "place_tracks", lambda args, kwargs: placed.append(args[0]))
     checked = 0
@@ -237,7 +217,6 @@ def test_only_grid_survivors_are_placed(small_corpus, small_vocab, small_config,
         assert [p.tobytes() for p in placed] == [small_vocab.tracks.data[:, :, -1:].tobytes()] + [
             small_vocab.tracks.data[:, rows].tobytes() for rows in (survivors, reactive) if rows
         ]
-        assert all(c.trajectory is None for c in cands)
         checked += len(survivors)
     assert checked > 0
 
@@ -282,25 +261,6 @@ def test_no_state_objects_between_the_vocabulary_file_and_the_screen(
         assert "parse" not in calls
 
 
-def test_simulate_sample_places_a_raw_pending_candidate(small_corpus, small_vocab, small_config):
-    """An unplaced grid survivor is placed by the screen inside simulate_sample
-    and gives the same sample as its prepared, cleared counterpart."""
-    s = small_corpus[0]
-    raw = grid_sparsify(
-        enumerate_perturbations(s, small_vocab, small_config.perturb),
-        small_config.grid, mix64(small_config.master_seed, s.id),
-    )
-    by_index = {c.vocab_index: c for c in raw}
-    cleared = [c for c in prepare_candidates(s, small_vocab, small_config)
-               if c.status == cleared_status(small_config)]
-    assert cleared
-    cand = by_index[cleared[0].vocab_index]
-    assert cand.status == STATUS_PENDING and cand.trajectory is None
-    assert simulate_sample(s, cand, "recovery", small_config, small_vocab) == simulate_sample(
-        s, cleared[0], "recovery", small_config, small_vocab
-    )
-
-
 def test_cleared_candidates_carry_the_placed_entry(
     corpus_100, small_vocab, small_config, monkeypatch
 ):
@@ -337,7 +297,7 @@ def test_stage1_is_the_screen_rollout(small_corpus, small_vocab, small_config, p
     for s in small_corpus:
         for cand in prepared[s.id]:
             rollouts.clear()
-            sample = simulate_sample(s, cand, "recovery", small_config, small_vocab)
+            sample = _simulate(s, cand, small_config, small_vocab)
             assert len(rollouts) == 1
             if sample is None:
                 continue
@@ -348,6 +308,76 @@ def test_stage1_is_the_screen_rollout(small_corpus, small_vocab, small_config, p
             )
     assert checked > 0
     assert screens == []
+
+
+def test_each_scenario_is_screened_once_and_simulated_once(
+    small_corpus, small_vocab, small_config, monkeypatch
+):
+    """A reactive recovery run screens each scenario in one `screen_batch`
+    call, of one non-reactive and then at most one reactive check, and
+    simulates the stage 2 of all its drawn candidates in one rollout."""
+    calls = []
+    _spy(monkeypatch, drivegen.pipeline, "screen_batch",
+         lambda a, k: calls.append((a[1].id, "screen")))
+    _spy(monkeypatch, drivegen.pipeline, "feasibility_filter_batch",
+         lambda a, k: calls.append((a[1].id, a[2])))
+    _spy(monkeypatch, drivegen.pipeline, "rollout_batch",
+         lambda a, k: calls.append((a[0].id, "stage 2")))
+    config = replace(small_config, expert_kind="recovery", reactive=True)
+    _, stats = run_generation(small_corpus, config, vocab=small_vocab)
+    assert sum(st.attempted for st in stats) > 0
+    for s in small_corpus:
+        seen = [what for sid, what in calls if sid == s.id]
+        assert seen == ["screen", "nonreactive", "reactive", "stage 2"], (s.id, seen)
+
+
+class _InProcessPool:
+    """A stand-in for `ProcessPoolExecutor` that records the pool size it is
+    asked for and maps in this process."""
+
+    def __init__(self, sizes, max_workers, initializer, initargs):
+        sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+def test_run_generation_caps_the_pool_at_the_scenario_count(
+    small_corpus, small_vocab, small_config, monkeypatch
+):
+    """No more workers than scenarios are asked for, one scenario runs in
+    this process, and the output does not depend on the worker count."""
+    sizes = []
+    monkeypatch.setattr(
+        drivegen.pipeline, "ProcessPoolExecutor",
+        lambda **kwargs: _InProcessPool(sizes, **kwargs),
+    )
+    monkeypatch.setattr(drivegen.pipeline, "_WORKER_STATE", {})
+    config = replace(small_config, rounds=2)
+    corpus = small_corpus[:3]
+    serial = run_generation(corpus, config, vocab=small_vocab, workers=1)
+    for workers, pool in ((2, 2), (3, 3), (64, 3)):
+        sizes.clear()
+        assert run_generation(corpus, config, vocab=small_vocab, workers=workers) == serial
+        assert sizes == [pool], workers
+    sizes.clear()
+    run_generation(corpus[:1], config, vocab=small_vocab, workers=64)
+    assert sizes == []
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_generation_rejects_a_worker_count_below_one(
+    small_corpus, small_vocab, small_config, workers
+):
+    with pytest.raises(ValidationError, match="workers must be >= 1"):
+        run_generation(small_corpus, small_config, vocab=small_vocab, workers=workers)
 
 
 def test_sample_seed_mixing_documented():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -242,3 +243,16 @@ def test_validate_steering_bound():
     d["ego_log"][3]["steering"] = 0.9
     s = scenario_from_dict(d)
     assert any("steering" in x and "frame 3" in x for x in validate_scenario(s))
+
+
+@pytest.mark.parametrize("field", ["theta", "x"])
+def test_validate_reports_a_non_finite_ego_state(small_corpus, field):
+    """An infinite ego pose gets its diagnostic, not a math error from the
+    footprint check, which a non-finite state skips."""
+    s = small_corpus[1]
+    states = list(s.ego_log.states)
+    states[30] = replace(states[30], pose=replace(states[30].pose, **{field: math.inf}))
+    s = replace(s, ego_log=replace(s.ego_log, states=tuple(states)))
+    diags = validate_scenario(s)
+    assert "non-finite ego state at frame 30" in diags
+    assert not any("footprint" in x for x in diags)

@@ -35,7 +35,7 @@ from drivegen.vocab import (
     synthesize_maneuvers,
 )
 
-from conftest import make_state, straight_trajectory
+from conftest import make_state, plan_candidate, straight_trajectory
 from oracle import (
     oracle_build_vocabulary,
     oracle_cell,
@@ -350,7 +350,6 @@ def test_endpoint_enumeration_matches_placed_oracle(corpora, small_vocab, small_
                 assert c.vocab_index == i
                 assert _hex(c.offsets) == _hex(offsets), (s.id, i)
                 assert (c.status, c.reason, c.endpoint_cell) == (status, reason, cell), (s.id, i)
-                assert c.trajectory is None
                 assert c.entry.tobytes() == small_vocab.tracks.data[:, i].tobytes()
                 seen[c.status, c.reason] += 1
     for outcome in [(STATUS_PENDING, ""), (STATUS_GRID_DROPPED, "grid")] + [
@@ -395,10 +394,7 @@ def test_placement_matches_the_scalar_oracle(corpora, small_vocab, small_config)
 
 
 def _cand(lon, lat, idx, status=STATUS_PENDING):
-    traj = straight_trajectory(5.0, 3)
-    return PerturbationCandidate(
-        trajectory=traj, offsets=(lon, lat, 0.0), status=status, vocab_index=idx
-    )
+    return PerturbationCandidate(offsets=(lon, lat, 0.0), status=status, vocab_index=idx)
 
 
 def test_grid_empty_input():
@@ -450,13 +446,10 @@ def test_grid_choice_deterministic():
 
 
 def _pending_identity(scenario):
-    anchor_state = scenario.ego_log[scenario.anchor_frame]
     logged = scenario.ego_log.segment(
         scenario.anchor_frame, scenario.anchor_frame + scenario.t_horizon
     )
-    return PerturbationCandidate(
-        trajectory=logged, offsets=(0.0, 0.0, 0.0), status=STATUS_PENDING, vocab_index=0
-    )
+    return plan_candidate(scenario, logged)
 
 
 def test_feasibility_identity_clears_both_passes(benign_scenario):
@@ -505,12 +498,7 @@ def test_feasibility_offroad_detected(benign_scenario):
                 v=v,
             )
         )
-    cand = PerturbationCandidate(
-        trajectory=Trajectory(dt=s.dt, states=tuple(states)),
-        offsets=(0.0, 0.0, 0.0),
-        status=STATUS_PENDING,
-        vocab_index=0,
-    )
+    cand = plan_candidate(s, Trajectory(dt=s.dt, states=tuple(states)))
     c = feasibility_filter(cand, s, "nonreactive", 0.8)
     assert c.status == STATUS_INFEASIBLE_NONREACTIVE
     assert c.reason == "off-road"
