@@ -5,7 +5,9 @@ LQR tracking of the ego and, for each agent, lane assignment, projection,
 leader choice, IDM and pure pursuit, vectorized over the P rows;
 `metrics.submetrics_batch` scores the resulting scene. It is the package's
 one simulation engine: `reactive.rollout` and `control.lqr_track` run one
-row through it.
+row through it. The ego is tracked in one place, `_lqr_track_batch`, whose
+gains come from one batched solve per call; `rollout_agents` steps the
+agents against an ego already tracked, so the screen tracks each plan once.
 
 Each row comes out as if simulated alone, bit for bit, whichever rows share
 its call: elementary arithmetic runs in numpy in a fixed per-row order,
@@ -69,29 +71,27 @@ def _floor0(v: np.ndarray) -> np.ndarray:
 
 
 def _advance(
-    s: StateBatch,
-    accel: np.ndarray,
-    delta: np.ndarray,
-    dt: float,
-    wheelbase: float,
-    steering: np.ndarray,
+    s: StateBatch, accel: np.ndarray, delta: np.ndarray, dt: float, wheelbase: float,
+    steering: np.ndarray, out: np.ndarray | None = None,
 ) -> StateBatch:
     """Forward-Euler kinematic bicycle step: yaw from steering angle `delta`;
-    the new state's steering is `steering`."""
-    cos, sin, tan = np.array([
-        (math.cos(th), math.sin(th), math.tan(d))
-        for th, d in zip(s.theta.tolist(), delta.tolist())
-    ]).T
+    the new state's steering is `steering`. Written into the (7, P) `out` if given."""
+    cos, sin = per_element(math.cos, s.theta), per_element(math.sin, s.theta)
+    tan = per_element(math.tan, delta)
     step = dt * s.v
-    theta = wrap_angle_many(s.theta + step * tan / wheelbase)
     v = _floor0(s.v + dt * accel)
-    return StateBatch.of(
-        s.x + step * cos, s.y + step * sin, theta, v, np.zeros_like(v), (v - s.v) / dt, steering
-    )
+    out = np.empty_like(s.data) if out is None else out
+    out[0] = s.x + step * cos
+    out[1] = s.y + step * sin
+    out[2] = wrap_angle_many(s.theta + step * tan / wheelbase)
+    out[5] = (v - s.v) / dt
+    out[3], out[4], out[6] = v, 0.0, steering
+    return StateBatch(out)
 
 
 def _bicycle_step(
-    s: StateBatch, accel: np.ndarray, steer_rate: np.ndarray, dt: float, lim: VehicleLimits
+    s: StateBatch, accel: np.ndarray, steer_rate: np.ndarray, dt: float, lim: VehicleLimits,
+    out: np.ndarray | None = None,
 ) -> StateBatch:
     """`control.bicycle_step` of every row: commands and steering clamped to
     `lim`, then one `_advance`."""
@@ -99,7 +99,7 @@ def _bicycle_step(
     steer_rate = _clamp(steer_rate, -lim.steer_rate_max, lim.steer_rate_max)
     delta = _clamp(s.steering, -lim.steer_max, lim.steer_max)
     new_delta = _clamp(delta + dt * steer_rate, -lim.steer_max, lim.steer_max)
-    return _advance(s, accel, delta, dt, lim.wheelbase, new_delta)
+    return _advance(s, accel, delta, dt, lim.wheelbase, new_delta, out)
 
 
 # ---------------------------------------------------------------------------
@@ -113,54 +113,43 @@ def _lqr_track_batch(
 ) -> StateBatch:
     """LQR tracking of every reference row from its row of `start` over
     `horizon` steps, (7, P, horizon + 1): the model and the verbatim-step
-    rule of `control.lqr_track`, gains from `control._tracking_gain`."""
-    cos_neg = per_element(math.cos, -ref.theta[:, :horizon])
-    sin_neg = per_element(math.sin, -ref.theta[:, :horizon])
-    gain_steps = np.array([[GAIN_V_STEP], [GAIN_DELTA_STEP]])
-    gain_rows: dict[tuple[float, float], int] = {}  # quantized (v, delta) -> row of `gains`
-    gains = np.zeros((1, 4, 2))  # K transposed; row 0 serves verbatim steps, which ignore it
-    cur = start
-    out = [cur]
+    rule of `control.lqr_track`.
+
+    What depends on the reference alone is done once, before the steps: the
+    feedforward, the heading rotation, the gain keys (reference speed and
+    steering rounded to the gain grid, half to even as Python's round) and
+    the gains of all of them from one `control._tracking_gain` call. Each
+    step writes its states into one preallocated track.
+    """
+    now, nxt = ref.data[:, :, :horizon], ref.data[:, :, 1 : horizon + 1]
+    cos_neg, sin_neg = per_element(math.cos, -now[2]), per_element(math.sin, -now[2])
+    feedforward = (nxt[_SPEED_STEERING] - now[_SPEED_STEERING]) / dt
+    grid = np.array([GAIN_V_STEP, GAIN_DELTA_STEP])[:, None, None]
+    keys = np.round(now[_SPEED_STEERING] / grid) * grid
+    K = _tracking_gain(
+        *keys, dt, lim.wheelbase, lqr.state_weights, lqr.control_weights, lqr.horizon
+    ).transpose(1, 3, 2, 0)  # (step, error, control, row)
+    track = np.empty((7, ref.data.shape[1], horizon + 1))
+    track[:, :, 0] = start.data
     for k in range(horizon):
-        rk, rn = ref.at(k), ref.at(k + 1)
-        ref_vs, next_vs = rk.data[_SPEED_STEERING], rn.data[_SPEED_STEERING]
-        dx, dy = cur.x - rk.x, cur.y - rk.y
-        e_lat = sin_neg[:, k] * dx + cos_neg[:, k] * dy
-        e_theta = wrap_angle_many(cur.theta - rk.theta)
-        e_v, e_delta = cur.data[_SPEED_STEERING] - ref_vs
+        cur, rk = StateBatch(track[:, :, k]), now[:, :, k]
+        e_lat = sin_neg[:, k] * (cur.x - rk[0]) + cos_neg[:, k] * (cur.y - rk[1])
+        e_theta = wrap_angle_many(cur.theta - rk[2])
+        e_v, e_delta = cur.data[_SPEED_STEERING] - rk[_SPEED_STEERING]
         # on the reference with zero error, its next state is taken verbatim
-        verbatim = (cur.data[:3] == rk.data[:3]).all(axis=0)
+        verbatim = (cur.data[:3] == rk[:3]).all(axis=0)
         if verbatim.any():
             verbatim &= (
                 (e_lat == 0.0) & (e_theta == 0.0) & (e_v == 0.0) & (e_delta == 0.0)
-                & (np.abs(rn.steering) <= lim.steer_max) & (rn.v >= 0.0)
+                & (np.abs(nxt[6, :, k]) <= lim.steer_max) & (nxt[3, :, k] >= 0.0)
             )
-
-        # gain lookups keyed on the reference rounded to the gain grid, half to
-        # even as Python's round (+ 0.0 turns -0.0 into 0.0)
-        keys = list(zip(*(np.round(ref_vs / gain_steps) * gain_steps + 0.0).tolist()))
-        wanted = {key for key, skip in zip(keys, verbatim.tolist()) if not skip}
-        new = sorted(wanted - gain_rows.keys())
-        if new:
-            for key in new:
-                gain_rows[key] = len(gain_rows) + 1
-            gains = np.concatenate([gains, [
-                np.transpose(_tracking_gain(
-                    *key, dt, lim.wheelbase, lqr.state_weights, lqr.control_weights, lqr.horizon
-                ))
-                for key in new
-            ]])
-        K = gains[[gain_rows.get(key, 0) for key in keys]]
-        feedback = -(
-            K[:, 0] * e_lat[:, None] + K[:, 1] * e_theta[:, None]
-            + K[:, 2] * e_v[:, None] + K[:, 3] * e_delta[:, None]
-        )
-        accel, steer_rate = (next_vs - ref_vs) / dt + feedback.T
-        cur = _bicycle_step(cur, accel, steer_rate, dt, lim)
+        Kk = K[k]
+        fb = Kk[0] * e_lat + Kk[1] * e_theta + Kk[2] * e_v + Kk[3] * e_delta
+        accel, steer_rate = feedforward[:, :, k] - fb
+        _bicycle_step(cur, accel, steer_rate, dt, lim, track[:, :, k + 1])
         if verbatim.any():
-            cur = StateBatch(np.where(verbatim, rn.data, cur.data))
-        out.append(cur)
-    return StateBatch.stack(out)
+            track[:, verbatim, k + 1] = nxt[:, verbatim, k]
+    return StateBatch(track)
 
 
 def _lane_groups(lane: np.ndarray) -> list[tuple[int, slice | np.ndarray]]:
@@ -256,6 +245,10 @@ def plan_batch(plans: Sequence[Trajectory], scenario: Scenario, horizon: int) ->
     return StateBatch.tracks([plan.states[: horizon + 1] for plan in plans])
 
 
+def _per_row(state: VehicleState | StateBatch, rows: int) -> StateBatch:
+    return state if isinstance(state, StateBatch) else StateBatch.full(state, rows)
+
+
 def rollout_batch(
     scenario: Scenario,
     plans: StateBatch,
@@ -268,25 +261,38 @@ def rollout_batch(
 ) -> SceneBatch:
     """Simulate every row of `plans` (global-frame references of at least
     horizon + 1 states at the scenario's dt) over the frame window
-    [t_start, t_start + horizon] in the world of `ctx`.
+    [t_start, t_start + horizon] in the world of `ctx`: the ego tracks each
+    plan, then `rollout_agents` steps the agents against that track (the ego
+    tracks its plan whatever the agents do). A start state (`ego_start`, each
+    `agent_init` entry) is one state for every row or a (7, P) batch.
+    """
+    check_window(scenario, t_start, horizon)
+    start = ego_start if ego_start is not None else scenario.ego_log[t_start]
+    ego = _lqr_track_batch(
+        plans, _per_row(start, plans.x.shape[0]), horizon, scenario.dt, ctx.lqr, ctx.limits
+    )
+    return rollout_agents(scenario, ego, t_start, ctx, agent_init, mode)
 
-    A start state (`ego_start`, each `agent_init` entry) is one state for
-    every row or a (7, P) batch of one state per row. In reactive mode agents
-    update synchronously from the previous frame, in ascending id order; in
+
+def rollout_agents(
+    scenario: Scenario,
+    ego: StateBatch,
+    t_start: int,
+    ctx: SimContext,
+    agent_init: Mapping[str, VehicleState | StateBatch] | None = None,
+    mode: str = MODE_REACTIVE,
+) -> SceneBatch:
+    """The scene of P ego rows already tracked, (7, P, H + 1), over the frame
+    window [t_start, t_start + H]: in reactive mode agents update
+    synchronously from the previous frame, in ascending id order; in
     non-reactive mode they replay the log and `agent_init` is ignored.
     """
     if mode not in (MODE_REACTIVE, MODE_NONREACTIVE):
         raise RolloutError(f"unknown batched rollout mode '{mode}'")
+    rows, horizon = ego.x.shape[0], ego.x.shape[1] - 1
     check_window(scenario, t_start, horizon)
-    rows = plans.x.shape[0]
     dt = scenario.dt
     t_end = t_start + horizon
-
-    def per_row(state: VehicleState | StateBatch) -> StateBatch:
-        return state if isinstance(state, StateBatch) else StateBatch.full(state, rows)
-
-    start = ego_start if ego_start is not None else scenario.ego_log[t_start]
-    ego = _lqr_track_batch(plans, per_row(start), horizon, dt, ctx.lqr, ctx.limits)
 
     ordered = sorted(scenario.agents, key=lambda a: a.id)
     if mode == MODE_NONREACTIVE:
@@ -301,7 +307,7 @@ def rollout_batch(
     current = {}
     for a in ordered:
         init = agent_init.get(a.id) if agent_init else None
-        current[a.id] = per_row(init if init is not None else a.states[t_start])
+        current[a.id] = _per_row(init if init is not None else a.states[t_start], rows)
     tracks = {a.id: [current[a.id]] for a in ordered}
     lanes = scenario.map.lanes
     for k in range(horizon):

@@ -3,14 +3,15 @@
 The ego executes planned trajectories via error-state LQR feedback around a
 per-step linearization of the bicycle model. The tracker itself is
 `batch._lqr_track_batch`; `lqr_track` runs one reference through it, and
-this module supplies its gains. All functions here are pure.
+this module supplies its gains, solved for a call's new keys in one stacked
+Riccati recursion and kept in a per-process table (the one impure part).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -156,55 +157,68 @@ def solve_lqr_gain(
     raise RiccatiError(residual=riccati_residual(P, A, B, Q, R), iterations=max_iter)
 
 
-def finite_horizon_gain(
-    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, horizon: int
-) -> np.ndarray:
-    """First-step gain of the finite-horizon backward Riccati recursion."""
-    P = Q.copy()
-    K = np.zeros((B.shape[1], A.shape[0]))
-    for _ in range(horizon):
-        BtPB = R + B.T @ P @ B
-        K = np.linalg.solve(BtPB, B.T @ P @ A)
-        P = Q + A.T @ P @ (A - B @ K)
-    return K
-
-
-# Gain-schedule quantization: gains vary smoothly in (v, delta), so keying
-# the cache on a coarse grid changes nothing discernible and makes the
-# per-step lookup O(1) in practice. Both steps are exact powers of two.
+# Gain-schedule quantization: gains vary smoothly in (v, delta), so the table
+# keys them on a coarse grid, which bounds the solves; both steps are powers of two.
 GAIN_V_STEP = 0.25
 GAIN_DELTA_STEP = 0.0078125
 
+_GainInfo = namedtuple("GainInfo", "hits misses maxsize currsize")
 
-@lru_cache(maxsize=16384)
-def _tracking_gain(
-    v_ref: float,
-    delta_ref: float,
-    dt: float,
-    wheelbase: float,
-    state_weights: tuple[float, float, float, float],
-    control_weights: tuple[float, float],
-    horizon: int,
-) -> tuple[tuple[float, ...], ...]:
-    """Feedback gain for the error state, linearized about one reference step.
 
-    Error state: (lateral offset, heading error, speed error, steering error);
-    controls: (accel delta, steer-rate delta).
-    """
-    sec2 = 1.0 / (math.cos(delta_ref) ** 2)
-    A = np.array(
-        [
-            [1.0, dt * v_ref, 0.0, 0.0],
-            [0.0, 1.0, dt * math.tan(delta_ref) / wheelbase, dt * v_ref * sec2 / wheelbase],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+def _solve_gains(keys, dt, wheelbase, state_weights, control_weights, horizon) -> np.ndarray:
+    """(n, 2, 4) first-step gains of the finite-horizon backward Riccati
+    recursion, linearized about each (v_ref, delta_ref) key, for the error
+    state (lateral offset, heading, speed, steering) and the controls (accel,
+    steer rate). The n recursions run stacked, each product and solve on the
+    operands and layout of one 2-D recursion, so each gain is bit for bit
+    that of its key solved alone."""
+    A = np.repeat(np.eye(4)[None], len(keys), axis=0)
+    A[:, 0, 1] = [dt * v for v, _ in keys]
+    A[:, 1, 2] = [dt * math.tan(d) / wheelbase for _, d in keys]
+    A[:, 1, 3] = [dt * v * (1.0 / (math.cos(d) ** 2)) / wheelbase for v, d in keys]
     B = np.array([[0.0, 0.0], [0.0, 0.0], [dt, 0.0], [0.0, dt]])
     Q = np.diag(state_weights).astype(float)
     R = np.diag(control_weights).astype(float)
-    K = finite_horizon_gain(A, B, Q, R, horizon)
-    return tuple(tuple(row) for row in K)
+    P = np.repeat(Q[None], len(keys), axis=0)
+    for _ in range(horizon):
+        BtP = B.T @ P
+        K = np.linalg.solve(R + BtP @ B, BtP @ A)
+        P = Q + np.swapaxes(A, 1, 2) @ P @ (A - B @ K)
+    return K
+
+
+class _GainTable:
+    """The gains this process has solved, by tracker setting and quantized
+    (v_ref, delta_ref) key; `cache_info` counts hits and misses per distinct
+    key of a call, as on an `lru_cache`."""
+
+    def __init__(self):
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._gains, self._hits, self._misses = {}, 0, 0
+
+    def cache_info(self) -> _GainInfo:
+        return _GainInfo(self._hits, self._misses, None, sum(map(len, self._gains.values())))
+
+    def __call__(self, v_ref, delta_ref, *setting) -> np.ndarray:
+        """(*v_ref.shape, 2, 4) gains of equal-shaped key arrays at `setting`
+        (dt, wheelbase, state and control weights, horizon); the keys new to
+        the table are solved in one `_solve_gains` call."""
+        gains = self._gains.setdefault(setting, {})
+        # distinct keys as v + i delta; + 0.0 turns a -0.0 into the 0.0 it equals
+        unique, inverse = np.unique(np.ravel(v_ref) + 1j * np.ravel(delta_ref), return_inverse=True)
+        keys = list(zip((unique.real + 0.0).tolist(), (unique.imag + 0.0).tolist()))
+        new = [key for key in keys if key not in gains]
+        if new:
+            gains.update(zip(new, _solve_gains(new, *setting)))
+        self._hits += len(keys) - len(new)
+        self._misses += len(new)
+        K = np.stack([gains[key] for key in keys])[inverse.reshape(-1)]
+        return K.reshape(np.shape(v_ref) + (2, 4))
+
+
+_tracking_gain = _GainTable()
 
 
 def lqr_track(

@@ -39,6 +39,8 @@ def wrap_angle_many(theta: np.ndarray) -> np.ndarray:
     (Sterbenz), so it runs in numpy; larger angles go through `wrap_angle`.
     """
     a = np.abs(theta)
+    if a.max(initial=0.0) < math.pi:  # within (-pi, pi) every angle is its own wrap
+        return theta.copy()
     turns = np.where(a <= math.pi, 0.0, np.where(a - TWO_PI < math.pi, TWO_PI, 2.0 * TWO_PI))
     r = theta - np.copysign(turns, theta)
     r = np.where(r == 0.0, np.copysign(0.0, theta), r)  # a zero remainder keeps theta's sign

@@ -4,10 +4,11 @@ The vocabulary is a clustered bank of short ego-local maneuvers, one
 (7, N, H + 1) `StateBatch` from file or k-means to the simulator. Per
 scenario, whole-array passes over the bank threshold where each entry would
 end at the anchor state, spread survivors over an interleaved endpoint grid,
-and place only the grid survivors, straight into the batched rollouts that
-filter them (non-reactive first, reactive on the sparse set only, since
-reactive rollouts cost the most). Each pass is the scalar per-entry
-arithmetic bit for bit: `math` cos and sin, `geometry.wrap_angle_many`.
+and place and track only the grid survivors, straight into the batched
+rollouts that filter them (non-reactive first, reactive on the sparse set
+only, against the same ego track, since reactive rollouts cost the most).
+Each pass is the scalar per-entry arithmetic bit for bit: `math` cos and
+sin, `geometry.wrap_angle_many`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import _bicycle_step, _bound, rollout_batch
+from .batch import _bicycle_step, _bound, rollout_agents, rollout_batch
 from .control import VehicleLimits
 from .errors import SchemaError, ValidationError
 from .geometry import _cached_ops, per_element, wrap_angle_many
@@ -153,6 +154,8 @@ class PerturbationCandidate:
     # what the clearing screen simulated and scored; None until cleared
     screen_states: SceneStates | None = None
     screen_submetrics: SubMetricVector | None = None
+    # the (7, H + 1) ego track of the check that cleared it, for a later check
+    screen_ego: np.ndarray | None = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +495,6 @@ def _history_track(scenario: Scenario) -> StateBatch:
     return StateBatch.track(scenario.ego_log.states[: scenario.anchor_frame + 1])
 
 
-def _screen_plans(cands: Sequence[PerturbationCandidate], scenario: Scenario) -> StateBatch:
-    """(7, P, H + 1) references: each candidate's bank row placed at the
-    anchor state, all in one `place_tracks` call."""
-    local = np.stack([c.entry[:, : scenario.t_horizon + 1] for c in cands], axis=1)
-    return place_tracks(local, StateBatch.full(scenario.ego_log[scenario.anchor_frame], len(cands)))
-
-
 def feasibility_filter_batch(
     cands: Sequence[PerturbationCandidate],
     scenario: Scenario,
@@ -517,22 +513,34 @@ def feasibility_filter_batch(
     corner leaves the drivable area; decided before the other sub-metrics
     are computed), or "reward" (EPDMS below `epdms_min`, history comfort
     judged on the logged history plus the window). A cleared candidate
-    keeps the states and sub-metrics of this rollout if `keep_states`.
+    keeps its ego track, and the states and sub-metrics of this rollout if
+    `keep_states`; a check of candidates that all hold an earlier check's
+    ego track (the reactive after the non-reactive) steps only the agents.
     """
     if mode not in _CHECKS:
         raise ValidationError(f"unknown feasibility mode '{mode}'")
     required, new_status, fail_status, problem = _CHECKS[mode]
+    t, H = scenario.anchor_frame, scenario.t_horizon
     for cand in cands:
         if cand.status != required:
             raise ValidationError(f"{problem}, got {cand.status}")
+        e = cand.entry
+        if not (isinstance(e, np.ndarray) and e.ndim == 2 and e.shape[0] == 7 and e.shape[1] > H):
+            got = e.shape if isinstance(e, np.ndarray) else type(e).__name__
+            raise ValidationError(
+                f"candidate {cand.vocab_index}: entry must be a (7, >= {H + 1}) array, got {got}"
+            )
     if not cands:
         return []
 
     ctx = ctx or SimContext()
-    H = scenario.t_horizon
-    scene = rollout_batch(
-        scenario, _screen_plans(cands, scenario), scenario.anchor_frame, H, ctx, mode=mode
-    )
+    if all(c.screen_ego is not None for c in cands):
+        ego = StateBatch(np.stack([c.screen_ego for c in cands], axis=1))
+        scene = rollout_agents(scenario, ego, t, ctx, mode=mode)
+    else:  # each bank row placed at the anchor state, all in one call
+        local = np.stack([c.entry[:, : H + 1] for c in cands], axis=1)
+        plans = place_tracks(local, StateBatch.full(scenario.ego_log[t], len(cands)))
+        scene = rollout_batch(scenario, plans, t, H, ctx, mode=mode)
     ego = scene.ego
     collided = any_contact(scene, scenario, ctx)
     off_road = drivable_area_compliance(ego.x, ego.y, ego.theta, scenario, ctx) == 0.0
@@ -554,11 +562,11 @@ def feasibility_filter_batch(
             else:
                 cleared[i] = (window.states(j), sub) if keep_states else (None, None)
     return [
-        replace(c, status=new_status, reason="",
-                screen_states=cleared[i][0], screen_submetrics=cleared[i][1])
+        replace(c, status=new_status, reason="", screen_states=cleared[i][0],
+                screen_submetrics=cleared[i][1], screen_ego=ego.data[:, i])
         if i in cleared
         else replace(c, status=fail_status, reason=reasons[i],
-                     screen_states=None, screen_submetrics=None)
+                     screen_states=None, screen_submetrics=None, screen_ego=None)
         for i, c in enumerate(cands)
     ]
 

@@ -8,7 +8,9 @@ and of the vocabulary build (`vocab.synthesize_maneuvers`,
 `vocab.build_vocabulary`).
 
 The simulation runs on Python floats, one vehicle and one frame at a time:
-`oracle_lqr_track` tracks with `control.bicycle_step`, agents find their lane
+`oracle_lqr_track` tracks with `control.bicycle_step` and the gain of each
+step's key solved alone (`oracle_tracking_gain`, the reference of the batched
+gain table `control._tracking_gain`), agents find their lane
 and leader with the scalar `PolylineOps.project` and step with the scalar
 kinematics of `_agent_step`.
 
@@ -29,6 +31,7 @@ references of `geometry.segments_intersect_many`, `geometry.polygon_is_simple`,
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import replace
@@ -42,7 +45,6 @@ from drivegen.control import (
     ControlInput,
     LqrParams,
     VehicleLimits,
-    _tracking_gain,
     bicycle_step,
 )
 from drivegen.errors import RolloutError, ValidationError
@@ -329,6 +331,40 @@ def _quantize(value, step):
     return round(value / step) * step
 
 
+def finite_horizon_gain(A, B, Q, R, horizon):
+    """First-step gain of the finite-horizon backward Riccati recursion."""
+    P = Q.copy()
+    K = np.zeros((B.shape[1], A.shape[0]))
+    for _ in range(horizon):
+        BtPB = R + B.T @ P @ B
+        K = np.linalg.solve(BtPB, B.T @ P @ A)
+        P = Q + A.T @ P @ (A - B @ K)
+    return K
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_tracking_gain(v_ref, delta_ref, dt, wheelbase, state_weights, control_weights, horizon):
+    """The (2, 4) feedback gain of one reference key, solved alone, as nested
+    tuples: the reference of `control._tracking_gain`.
+
+    Error state: (lateral offset, heading error, speed error, steering error);
+    controls: (accel delta, steer-rate delta).
+    """
+    sec2 = 1.0 / (math.cos(delta_ref) ** 2)
+    A = np.array(
+        [
+            [1.0, dt * v_ref, 0.0, 0.0],
+            [0.0, 1.0, dt * math.tan(delta_ref) / wheelbase, dt * v_ref * sec2 / wheelbase],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    B = np.array([[0.0, 0.0], [0.0, 0.0], [dt, 0.0], [0.0, dt]])
+    Q = np.diag(state_weights).astype(float)
+    R = np.diag(control_weights).astype(float)
+    return tuple(map(tuple, finite_horizon_gain(A, B, Q, R, horizon).tolist()))
+
+
 def oracle_lqr_track(reference, start, params=None, limits=None):
     """`control.lqr_track` one step at a time on `VehicleState`s.
 
@@ -357,7 +393,7 @@ def oracle_lqr_track(reference, start, params=None, limits=None):
             out.append(cur)
             continue
 
-        K = _tracking_gain(
+        K = oracle_tracking_gain(
             _quantize(ref_k.vel_lon, GAIN_V_STEP),
             _quantize(ref_k.steering, GAIN_DELTA_STEP),
             dt,

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from drivegen.control import (
+    GAIN_DELTA_STEP,
+    GAIN_V_STEP,
     ControlInput,
     LqrParams,
     VehicleLimits,
+    _tracking_gain,
     bicycle_step,
     lqr_track,
     riccati_residual,
@@ -16,7 +19,7 @@ from drivegen.errors import RiccatiError, RolloutError
 from drivegen.scenario import FRAME_EGO_LOCAL, Trajectory
 
 from conftest import make_state, state_bits, straight_trajectory
-from oracle import oracle_lqr_track, tracking_error
+from oracle import oracle_lqr_track, oracle_tracking_gain, tracking_error
 
 
 # --- bicycle model
@@ -208,6 +211,39 @@ def test_lqr_track_matches_the_scalar_oracle(corpus_100):
             assert _track_bits(got) == _track_bits(oracle_lqr_track(reference, start, *args)), s.id
         verbatim += lqr_track(ref, st) == ref
     assert verbatim >= 90  # the logged windows replay verbatim
+
+
+def _gain_hex(K):
+    return [float.hex(float(k)) for k in np.ravel(K)]
+
+
+@pytest.mark.parametrize("setting", [
+    (0.1, 2.7, (1.0, 2.0, 0.5, 0.1), (0.2, 0.2), 10),
+    (0.05, 3.1, (2.0, 1.0, 1.0, 0.5), (0.3, 0.1), 6),
+])
+def test_gain_table_matches_the_scalar_gain(setting):
+    """Every gain of the table's stacked Riccati solve equals the oracle's
+    scalar solve of its key alone, bit for bit: over a dense key grid (v from
+    0 to 30 m/s in gain steps, steering across +-steer_max in gain steps, -0.0
+    keys included), at default and non-default dt, wheelbase, weights and
+    horizon. A key's gain does not depend on the keys that share its solve."""
+    v = np.arange(0.0, 30.0 + GAIN_V_STEP, GAIN_V_STEP)
+    n = int(VehicleLimits().steer_max / GAIN_DELTA_STEP)
+    delta = np.arange(-n, n + 1) * GAIN_DELTA_STEP
+    v_keys, delta_keys = (a.ravel() for a in np.meshgrid(v, delta, indexing="ij"))
+    v_keys = np.concatenate([v_keys, [-0.0, -0.0, 5.0]])
+    delta_keys = np.concatenate([delta_keys, [0.0, -0.0, -0.0]])
+    _tracking_gain.cache_clear()
+    gains = _tracking_gain(v_keys, delta_keys, *setting)
+    assert gains.shape == (len(v_keys), 2, 4)
+    for vk, dk, K in zip(v_keys.tolist(), delta_keys.tolist(), gains):
+        assert _gain_hex(K) == _gain_hex(oracle_tracking_gain(vk, dk, *setting)), (vk, dk)
+
+    # a subset in reverse order, solved cold in one call of its own
+    _tracking_gain.cache_clear()
+    subset = slice(None, None, -7)
+    again = _tracking_gain(v_keys[subset], delta_keys[subset], *setting)
+    assert [_gain_hex(K) for K in again] == [_gain_hex(K) for K in gains[subset]]
 
 
 def test_lqr_track_rejects_a_one_state_reference():

@@ -216,6 +216,13 @@ def test_wrap_angle_many_is_bit_identical():
         edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
     ])
     assert _same_bits(wrap_angle_many(theta), [wrap_angle(v) for v in theta.tolist()])
+    # an array wholly inside (-pi, pi), which returns without the turn arithmetic
+    inside = np.concatenate([
+        rng.uniform(-math.pi, math.pi, 1000), [0.0, -0.0, -1e-300],
+        np.nextafter([math.pi, -math.pi], 0.0),
+    ])
+    assert _same_bits(wrap_angle_many(inside), [wrap_angle(v) for v in inside.tolist()])
+    assert wrap_angle_many(inside) is not inside
 
 
 def _random_boxes(rng, n, spread):

@@ -199,26 +199,57 @@ def test_screen_simulates_the_configured_world(small_corpus, small_vocab, monkey
 
 
 def test_only_grid_survivors_are_placed(small_corpus, small_vocab, small_config, monkeypatch):
-    """Enumeration places every entry's endpoint only. Each check of the
-    screen then places the bank rows of exactly the candidates it takes, in
-    one call: the non-reactive check every grid survivor, the reactive check
-    those the first clears. Threshold-rejected and grid-dropped entries are
-    never placed whole."""
+    """Enumeration places every entry's endpoint only. The screen then places
+    the bank rows of every grid survivor in one call, for the non-reactive
+    check; the reactive check places nothing, as it reuses the non-reactive
+    check's ego track. Threshold-rejected and grid-dropped entries are never
+    placed whole."""
     placed = []
     _spy(monkeypatch, drivegen.vocab, "place_tracks", lambda args, kwargs: placed.append(args[0]))
-    checked = 0
+    checked = reactive = 0
     for s in small_corpus:
         placed.clear()
         cands = prepare_candidates(s, small_vocab, small_config)
         unscreened = (STATUS_THRESHOLD_REJECTED, STATUS_GRID_DROPPED)
         survivors = [c.vocab_index for c in cands if c.status not in unscreened]
-        reactive = [c.vocab_index for c in cands
-                    if c.status in (STATUS_CLEARED_REACTIVE, STATUS_INFEASIBLE_REACTIVE)]
         assert [p.tobytes() for p in placed] == [small_vocab.tracks.data[:, :, -1:].tobytes()] + [
-            small_vocab.tracks.data[:, rows].tobytes() for rows in (survivors, reactive) if rows
+            small_vocab.tracks.data[:, rows].tobytes() for rows in (survivors,) if rows
         ]
         checked += len(survivors)
-    assert checked > 0
+        reactive += sum(c.status in (STATUS_CLEARED_REACTIVE, STATUS_INFEASIBLE_REACTIVE)
+                        for c in cands)
+    assert checked > 0 and reactive > 0
+
+
+def test_each_screened_plan_is_tracked_once(small_corpus, small_vocab, small_config, monkeypatch):
+    """A reactive recovery run calls the ego tracker twice per scenario: the
+    screen tracks every grid survivor, and its reactive check steps the
+    agents against the cleared rows of that track; stage 2 then tracks every
+    drawn candidate."""
+    tracked, expected, current = [], {}, []
+    _spy(monkeypatch, drivegen.batch, "_lqr_track_batch",
+         lambda a, k: tracked.append((current[-1], a[0].x.shape[0])))
+    screen, process = drivegen.pipeline.screen_batch, drivegen.pipeline._process_scenario_impl
+
+    def screened(cands, scenario, config):
+        out = screen(cands, scenario, config)
+        unscreened = (STATUS_THRESHOLD_REJECTED, STATUS_GRID_DROPPED)
+        expected[scenario.id] = [sum(c.status not in unscreened for c in out)]
+        return out
+
+    def processed(scenario, *args):
+        current.append(scenario.id)
+        results = process(scenario, *args)
+        expected[scenario.id].append(len(results))  # the drawn candidates
+        return results
+
+    monkeypatch.setattr(drivegen.pipeline, "screen_batch", screened)
+    monkeypatch.setattr(drivegen.pipeline, "_process_scenario_impl", processed)
+    config = replace(small_config, expert_kind="recovery", reactive=True)
+    run_generation(small_corpus, config, vocab=small_vocab)
+    for s in small_corpus:
+        assert all(expected[s.id]), (s.id, expected[s.id])
+        assert [rows for sid, rows in tracked if sid == s.id] == expected[s.id], s.id
 
 
 def test_only_the_last_check_builds_screen_states(

@@ -7,6 +7,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from drivegen.control import _tracking_gain, lqr_track
+
+from conftest import make_state, straight_trajectory
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -28,3 +32,20 @@ def test_every_tracer_binding_resolves_in_drivegen():
             owner = getattr(owner, attr)
         assert callable(owner), path
         assert hook is None or hasattr(tracer.Tracer, f"_observe_{hook}"), path
+
+
+def test_gain_table_counts_hits_and_misses_for_the_tracer():
+    """The tracer reads `control._tracking_gain.cache_info()` around every
+    scenario for its `control.gain_cache.*` metrics: the table counts a
+    first solve of a key as a miss and a later lookup of it as a hit."""
+    info = _tracking_gain.cache_info()
+    assert hasattr(info, "hits") and hasattr(info, "misses")
+    _tracking_gain.cache_clear()
+    ref = straight_trajectory(v=7.0, n_states=5)
+    start = make_state(y=0.4, v=6.5)
+    lqr_track(ref, start)
+    first = _tracking_gain.cache_info()
+    assert first.misses > 0 and first.hits == 0
+    lqr_track(ref, start)
+    again = _tracking_gain.cache_info()
+    assert again.misses == first.misses and again.hits > first.hits

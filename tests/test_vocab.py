@@ -513,6 +513,25 @@ def test_feasibility_requires_correct_prior_status(benign_scenario):
         feasibility_filter(cleared, benign_scenario, "nonreactive", 0.8)
 
 
+@pytest.mark.parametrize("entry, got", [
+    (None, "NoneType"), (np.zeros((7, 3)), r"\(7, 3\)"), (np.zeros(7), r"\(7,\)"),
+    (np.zeros((6, 41)), r"\(6, 41\)"), ([[0.0] * 41] * 7, "list"),
+])
+def test_feasibility_rejects_a_candidate_without_a_full_entry(benign_scenario, entry, got):
+    """A candidate whose entry is not a (7, >= H + 1) bank row is refused at
+    the screen's boundary with a ValidationError that names it, in either
+    check."""
+    H = benign_scenario.t_horizon
+    c = PerturbationCandidate((0.0, 0.0, 0.0), STATUS_PENDING, 5, entry)
+    want = rf"candidate 5: entry must be a \(7, >= {H + 1}\) array, got {got}"
+    with pytest.raises(ValidationError, match=want):
+        feasibility_filter(c, benign_scenario, "nonreactive", 0.8)
+    with pytest.raises(ValidationError, match=want):
+        feasibility_filter(
+            replace(c, status=STATUS_CLEARED_NONREACTIVE), benign_scenario, "reactive", 0.8
+        )
+
+
 def test_feasibility_reward_threshold_monotone(benign_scenario, small_vocab):
     cands = enumerate_perturbations(benign_scenario, small_vocab, PerturbThresholds())
     pending = [c for c in cands if c.status == STATUS_PENDING]
