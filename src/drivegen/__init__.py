@@ -23,7 +23,7 @@ from .scenario import (  # noqa: F401
 )
 from .synth import CorpusConfig, corpus_config_for_count, generate_synthetic_corpus  # noqa: F401
 from .control import ControlInput, LqrParams, VehicleLimits, bicycle_step, lqr_track, solve_lqr_gain  # noqa: F401
-from .reactive import IdmParams, SceneStates, idm_accel, rollout  # noqa: F401
+from .reactive import IdmParams, idm_accel, rollout  # noqa: F401
 from .metrics import (  # noqa: F401
     MetricThresholds,
     MetricWeights,
@@ -57,7 +57,6 @@ from .expert import (  # noqa: F401
 from .config import PipelineConfig, config_hash, load_config, save_config  # noqa: F401
 from .pipeline import (  # noqa: F401
     RoundStats,
-    SensorPoseTrack,
     SimSample,
     export_dataset,
     run_generation,

@@ -136,12 +136,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     t_start = args.t_start if args.t_start is not None else scenario.anchor_frame
     horizon = min(scenario.t_horizon, len(traj) - 1)
     ctx = config.sim_context
-    states = rollout(scenario, traj, t_start, horizon, mode=args.mode, ctx=ctx)
+    scene = rollout(scenario, traj, t_start, horizon, mode=args.mode, ctx=ctx)
     history = scenario.ego_log.segment(0, t_start)
     combined = Trajectory(
-        dt=scenario.dt, states=history.states + states.ego[1:], frame=FRAME_GLOBAL
+        dt=scenario.dt, states=history.states + scene.ego.states(0)[1:], frame=FRAME_GLOBAL
     )
-    sub = compute_submetrics(states, scenario, combined, ctx)
+    sub = compute_submetrics(scene, scenario, combined, ctx)
     report = {
         "scenario_id": scenario.id,
         "submetrics": sub.as_dict(),

@@ -9,7 +9,7 @@ centerline-offset proposals in reactive simulation and returns the best one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from .metrics import (
     compute_submetrics,
     submetrics_batch,
 )
-from .reactive import IdmParams, SceneBatch, SceneStates, StateBatch, check_window, idm_accel
+from .reactive import IdmParams, SceneBatch, StateBatch, check_window, idm_accel
 # `rollout` stays bound here: perfbench/tracer.py wraps `expert.rollout` by name
 from .reactive import rollout  # noqa: F401
 from .scenario import Scenario, Trajectory, VehicleState
@@ -256,7 +256,7 @@ class Plan:
     reactive rollout and sub-metrics that scored it."""
 
     reference: Trajectory
-    states: SceneStates
+    states: SceneBatch = field(compare=False)  # one row; arrays have no truth value
     submetrics: SubMetricVector
 
 
@@ -285,7 +285,7 @@ def privileged_plans(
         best = max(range(first, first + n), key=scores.__getitem__)  # first of equal maxima
         plans.append(Plan(
             reference=refs.trajectory(best, scenario.dt),
-            states=scene.states(best),
+            states=scene.take([best]),
             submetrics=SubMetricVector(*sub[best].tolist()),
         ))
     return plans
@@ -352,7 +352,7 @@ def kinematic_limit_violation(traj: Trajectory, limits: VehicleLimits) -> str | 
 
 
 def expert_filter(
-    states: SceneStates,
+    states: SceneBatch,
     scenario: Scenario,
     traj: Trajectory,
     spec: ExpertFilterSpec | None = None,

@@ -33,7 +33,6 @@ from .reactive import (
     DEFAULT_B_HARD,
     IdmParams,
     SceneBatch,
-    SceneStates,
     StateBatch,
     assign_lanes,
 )
@@ -579,7 +578,7 @@ def submetrics_batch(
 
 
 def compute_submetrics(
-    states: SceneStates,
+    states: SceneBatch,
     scenario: Scenario,
     ego_traj: Trajectory,
     ctx: SimContext | None = None,
@@ -587,19 +586,20 @@ def compute_submetrics(
 ) -> SubMetricVector:
     """Score a simulated window in the world of `ctx` (default: SimContext()).
 
-    `states` covers the scored window, scored as the one row of
-    `submetrics_batch`; `ego_traj` is the trajectory judged for comfort
+    `states` is the one-row scene of the scored window, scored as the one row
+    of `submetrics_batch`; `ego_traj` is the trajectory judged for comfort
     (conventionally history + plan, so junction dynamics count).
     `stage1_features` switches extended comfort to two-stage comparison.
     """
     ctx = ctx or SimContext()
-    if states.frame_count < 2:
+    rows = states.ego.data.shape[1]
+    if rows != 1:
+        raise ValueError(f"scored window must be a one-row scene, got {rows} rows")
+    if states.t_end - states.t_start < 1:
         raise ValueError("scored window must contain at least 2 frames")
     if ego_traj.dt != states.dt:
         raise ValueError(f"ego_traj dt {ego_traj.dt} does not match the window's {states.dt}")
-    row = submetrics_batch(
-        SceneBatch.of(states), scenario, ctx, comfort=StateBatch.track(ego_traj.states)
-    )[0]
+    row = submetrics_batch(states, scenario, ctx, comfort=StateBatch.track(ego_traj.states))[0]
     sub = dict(zip(ALL_METRICS, row.tolist()))
     sub["ec"] = _extended_comfort(stage1_features, ego_traj, ctx.thresholds)
     return SubMetricVector(**sub)

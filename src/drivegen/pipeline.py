@@ -14,9 +14,11 @@ import io
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import __version__
 from .batch import plan_batch, rollout_batch
@@ -31,7 +33,7 @@ from .expert import (
     recovery_retrieve,
     recovery_target,
 )
-from .geometry import local_to_global, wrap_angle
+from .geometry import per_element, wrap_angle_many
 # `compute_submetrics`, `rollout` and `feasibility_filter` stay bound here:
 # perfbench/tracer.py wraps them as `pipeline.<name>`
 from .metrics import (  # noqa: F401
@@ -41,16 +43,8 @@ from .metrics import (  # noqa: F401
     compute_submetrics,
     submetrics_batch,
 )
-from .reactive import MODE_NONREACTIVE, MODE_REACTIVE, SceneStates, StateBatch, rollout  # noqa: F401
-from .scenario import (
-    FRAME_GLOBAL,
-    Pose2D,
-    Scenario,
-    Trajectory,
-    corpus_id_collisions,
-    dump_json_canonical,
-    _state_to_json,
-)
+from .reactive import MODE_NONREACTIVE, MODE_REACTIVE, SceneBatch, StateBatch, rollout  # noqa: F401
+from .scenario import _STATE_FIELDS, Scenario, corpus_id_collisions, dump_json_canonical
 from .seeding import mix64
 from .vocab import (
     STATUS_CLEARED_NONREACTIVE,
@@ -71,34 +65,27 @@ REJECT_BUCKETS = ("collision", "offroad", "reward", "kinematics")
 
 
 @dataclass(frozen=True, slots=True)
-class CameraPoseTrack:
-    id: str
-    poses: tuple[Pose2D, ...]
-    intrinsics: Mapping
-
-
-@dataclass(frozen=True, slots=True)
-class SensorPoseTrack:
-    cameras: tuple[CameraPoseTrack, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class SimSample:
+    """An accepted sample: the one-row scenes of its two simulated windows,
+    stage 1 (the perturbation rollout that cleared the screen) and stage 2
+    (the expert's continuation from its last frame), and the camera poses
+    of `sensor_stub` over the combined ego track. Arrays have no truth
+    value, so those fields are not compared."""
+
     scenario_id: str
     round: int
     expert_kind: str
-    perturbed_history: Trajectory
-    expert_future: Trajectory
-    states: SceneStates
+    stage1: SceneBatch = field(compare=False)
+    stage2: SceneBatch = field(compare=False)
     reward: RewardRecord
-    sensors: SensorPoseTrack
+    sensors: np.ndarray = field(compare=False)  # (cameras, frames, 3): x, y, theta
     seed: int
     candidate_index: int
 
     def __post_init__(self):
-        a = self.perturbed_history.states[-1].pose
-        b = self.expert_future.states[0].pose
-        if math.hypot(a.x - b.x, a.y - b.y) > 0.05:
+        ax, ay = self.stage1.ego.data[:2, 0, -1].tolist()
+        bx, by = self.stage2.ego.data[:2, 0, 0].tolist()
+        if math.hypot(ax - bx, ay - by) > 0.05:
             raise ValidationError("history and future are not contiguous at the handoff frame")
 
 
@@ -112,18 +99,21 @@ class RoundStats:
     rejects: Mapping[str, int]
 
 
-def sensor_stub(states: SceneStates, camera_rig: Sequence[CameraConfig]) -> SensorPoseTrack:
-    """Compose each camera's fixed ego-to-camera transform with the ego track."""
+def sensor_stub(ego: StateBatch, camera_rig: Sequence[CameraConfig]) -> np.ndarray:
+    """Compose each camera's fixed ego-to-camera transform with a one-row
+    (7, 1, n) ego track: the (cameras, n, 3) poses x, y, theta. Each pose
+    turns by `math` cos and sin of its heading, as with Python floats."""
     if not camera_rig:
         raise ValidationError("camera rig must not be empty")
-    cams = []
-    for cam in camera_rig:
-        poses = []
-        for s in states.ego:
-            x, y = local_to_global(cam.dx, cam.dy, s.pose.x, s.pose.y, s.pose.theta)
-            poses.append(Pose2D(x, y, wrap_angle(s.pose.theta + cam.dyaw)))
-        cams.append(CameraPoseTrack(cam.id, tuple(poses), cam.intrinsics))
-    return SensorPoseTrack(tuple(cams))
+    x, y, theta = ego.data[:3, 0]
+    c, s = per_element(math.cos, theta), per_element(math.sin, theta)
+    return np.stack([
+        np.stack([
+            x + (c * cam.dx - s * cam.dy), y + (s * cam.dx + c * cam.dy),
+            wrap_angle_many(theta + cam.dyaw),
+        ], axis=-1)
+        for cam in camera_rig
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +131,8 @@ def screen_batch(
 
     Pending candidates take the non-reactive check; in reactive runs those it
     clears take the reactive one. Candidates of any other status pass through
-    unchanged. Each check is one batched rollout of every candidate it takes;
-    only the run's last check keeps the states and sub-metrics of those it
-    clears.
+    unchanged. Each check is one batched rollout of every candidate it takes,
+    and keeps the scene rows and sub-metrics of those it clears.
     """
     epdms_min, ctx = config.perturb.epdms_min, config.sim_context
     checks = [(STATUS_PENDING, MODE_NONREACTIVE)]
@@ -154,8 +143,7 @@ def screen_batch(
         taken = [i for i, c in enumerate(out) if c.status == status]
         if taken:
             checked = feasibility_filter_batch(
-                [out[i] for i in taken], scenario, mode, epdms_min, ctx,
-                keep_states=mode == checks[-1][1],
+                [out[i] for i in taken], scenario, mode, epdms_min, ctx
             )
             for i, cand in zip(taken, checked):
                 out[i] = cand
@@ -185,48 +173,55 @@ def _reject_bucket(reason: str) -> str:
     return {"nc": "collision", "dac": "offroad", "kinematics": "kinematics"}.get(reason, "reward")
 
 
+def _last_frame(tracks: Sequence[StateBatch]) -> StateBatch:
+    """(7, P): the last state of each of P one-row tracks."""
+    return StateBatch(np.concatenate([t.data[:, :, -1] for t in tracks], axis=1))
+
+
 def expert_stage(
     scenario: Scenario,
     cands: Sequence[PerturbationCandidate],
     config: PipelineConfig,
     vocab: Vocabulary,
-) -> list[tuple[SceneStates, SubMetricVector]]:
+) -> list[tuple[SceneBatch, SubMetricVector]]:
     """Stage 2 of screened candidates: the pseudo-expert's demonstration from
-    each perturbed state, simulated in the run's mode and scored.
+    each perturbed state, simulated in the run's mode and scored; one
+    one-row scene and its sub-metrics per candidate.
 
     Every demonstration runs in one batched rollout from its own perturbed
-    ego and agent states, except in reactive planner runs: there the
-    planner's winning proposal already is that rollout, so its window and
-    sub-metrics are kept. The retrieved rows are placed, and the planner
-    plans, for every perturbed state in one call. History comfort is judged
-    on the window alone.
+    ego and agent states, stacked from the last frame of its screen row,
+    except in reactive planner runs: there the planner's winning proposal
+    already is that rollout, so its window and sub-metrics are kept. The
+    retrieved rows are placed, and the planner plans, for every perturbed
+    state in one call. History comfort is judged on the window alone.
     """
     if not cands:
         return []
     ctx = config.sim_context
     H = scenario.t_horizon
     anchor2 = scenario.anchor_frame + H
-    starts = [c.screen_states.ego[-1] for c in cands]
-    finals = [{aid: track[-1] for aid, track in c.screen_states.agents.items()} for c in cands]
-    ego_start = StateBatch.frame(starts)
+    rows = [c.screen_states for c in cands]
+    ego_start = _last_frame([r.ego for r in rows])
+    agent_init = {aid: _last_frame([r.agents[aid] for r in rows]) for aid in rows[0].agents}
+    starts = StateBatch(ego_start.data[:, None]).states(0)  # read by retrieval and the planner
     if config.expert_kind == EXPERT_RECOVERY:
         check_vocabulary(vocab, scenario)
         logged_end = scenario.ego_log[anchor2 + H]
-        rows = [recovery_retrieve(recovery_target(s, logged_end), vocab) for s in starts]
-        plans = place_tracks(vocab.tracks.data[:, rows], ego_start)
+        chosen = [recovery_retrieve(recovery_target(s, logged_end), vocab) for s in starts]
+        plans = place_tracks(vocab.tracks.data[:, chosen], ego_start)
     else:
-        chosen = privileged_plans(scenario, anchor2, list(zip(starts, finals)), config.planner, ctx)
+        finals = {aid: StateBatch(f.data[:, None]).states(0) for aid, f in agent_init.items()}
+        plan_starts = [(s, {aid: f[j] for aid, f in finals.items()}) for j, s in enumerate(starts)]
+        chosen = privileged_plans(scenario, anchor2, plan_starts, config.planner, ctx)
         if config.reactive:
             return [(plan.states, plan.submetrics) for plan in chosen]
         plans = plan_batch([plan.reference for plan in chosen], scenario, H)
     scene = rollout_batch(
-        scenario, plans, anchor2, H, ctx,
-        ego_start=ego_start,
-        agent_init={aid: StateBatch.frame([f[aid] for f in finals]) for aid in finals[0]},
+        scenario, plans, anchor2, H, ctx, ego_start=ego_start, agent_init=agent_init,
         mode=MODE_REACTIVE if config.reactive else MODE_NONREACTIVE,
     )
-    rows = submetrics_batch(scene, scenario, ctx).tolist()
-    return [(scene.states(j), SubMetricVector(*row)) for j, row in enumerate(rows)]
+    sub = submetrics_batch(scene, scenario, ctx).tolist()
+    return [(scene.take(slice(j, j + 1)), SubMetricVector(*row)) for j, row in enumerate(sub)]
 
 
 def _sample(
@@ -234,39 +229,30 @@ def _sample(
     cand: PerturbationCandidate,
     round_idx: int,
     config: PipelineConfig,
-    states2: SceneStates,
+    stage2: SceneBatch,
     sub2: SubMetricVector,
 ) -> tuple[SimSample | None, str]:
     """The expert-stage filter on a screened candidate's simulated stage 2,
-    and the sample it accepts; stage 1 is the rollout that cleared the screen."""
+    and the sample it accepts; stage 1 is the row that cleared the screen."""
     ctx = config.sim_context
-    dt = scenario.dt
-    executed2 = Trajectory(dt=dt, states=states2.ego, frame=FRAME_GLOBAL)
     accepted, reason = expert_filter(
-        states2, scenario, executed2, config.expert_filter, ctx, precomputed=sub2
+        stage2, scenario, stage2.ego.trajectory(0, scenario.dt), config.expert_filter, ctx,
+        precomputed=sub2,
     )
     if not accepted:
         return None, reason
-    states1 = cand.screen_states
+    stage1 = cand.screen_states
     epdms1 = aggregate_epdms(cand.screen_submetrics, ctx.weights)
     epdms2 = aggregate_epdms(sub2, ctx.weights)
-
-    ego_comb = states1.ego + states2.ego[1:]
-    agents_comb = {
-        aid: states1.agents[aid] + states2.agents[aid][1:] for aid in states1.agents
-    }
-    states_comb = SceneStates(
-        dt=dt, t_start=states1.t_start, t_end=states2.t_end, ego=ego_comb, agents=agents_comb
-    )
+    ego = StateBatch(np.concatenate([stage1.ego.data, stage2.ego.data[:, :, 1:]], axis=2))
     sample = SimSample(
         scenario_id=scenario.id,
         round=round_idx,
         expert_kind=config.expert_kind,
-        perturbed_history=Trajectory(dt=dt, states=states1.ego, frame=FRAME_GLOBAL),
-        expert_future=executed2,
-        states=states_comb,
+        stage1=stage1,
+        stage2=stage2,
         reward=RewardRecord(submetrics=sub2, epdms=epdms2, stage_scores=(epdms1, epdms2)),
-        sensors=sensor_stub(states_comb, config.cameras),
+        sensors=sensor_stub(ego, config.cameras),
         seed=sample_seed(config.master_seed, scenario.id, round_idx, cand.vocab_index),
         candidate_index=cand.vocab_index,
     )
@@ -397,28 +383,34 @@ def run_generation(
 # Export
 
 
-def sample_to_dict(sample: SimSample) -> dict:
+def _states_json(track: np.ndarray) -> list[dict]:
+    """The JSON states of one (7, n) track."""
+    return [dict(zip(_STATE_FIELDS, s)) for s in track.T.tolist()]
+
+
+def sample_to_dict(sample: SimSample, cameras: Sequence[CameraConfig]) -> dict:
+    """The export record of a sample; camera ids and intrinsics come from
+    the rig that `sensor_stub` posed."""
+    stage1, stage2 = sample.stage1, sample.stage2
     return {
         "scenario_id": sample.scenario_id,
         "round": sample.round,
         "expert_kind": sample.expert_kind,
         "seed": sample.seed,
         "candidate_index": sample.candidate_index,
-        "history": [_state_to_json(s) for s in sample.perturbed_history.states],
-        "expert_future": [_state_to_json(s) for s in sample.expert_future.states],
+        "history": _states_json(stage1.ego.data[:, 0]),
+        "expert_future": _states_json(stage2.ego.data[:, 0]),
         "agents_sim": [
-            {"id": aid, "states": [_state_to_json(s) for s in track]}
-            for aid, track in sorted(sample.states.agents.items())
+            {"id": aid, "states": _states_json(np.concatenate(
+                [track.data[:, 0], stage2.agents[aid].data[:, 0, 1:]], axis=1
+            ))}
+            for aid, track in sorted(stage1.agents.items())
         ],
         "reward": sample.reward.as_dict(),
         "sensors": {
             "cameras": [
-                {
-                    "id": cam.id,
-                    "poses": [[p.x, p.y, p.theta] for p in cam.poses],
-                    "intrinsics": dict(cam.intrinsics),
-                }
-                for cam in sample.sensors.cameras
+                {"id": cam.id, "poses": poses, "intrinsics": dict(cam.intrinsics)}
+                for cam, poses in zip(cameras, sample.sensors.tolist())
             ]
         },
     }
@@ -481,7 +473,7 @@ def export_dataset(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     dataset_path = out_dir / "dataset.jsonl"
-    lines = [dump_json_canonical(sample_to_dict(s)) for s in samples]
+    lines = [dump_json_canonical(sample_to_dict(s, config.cameras)) for s in samples]
     dataset_path.write_text("".join(lines), encoding="utf-8")
 
     stats_path = out_dir / "stats.csv"

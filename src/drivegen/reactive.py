@@ -5,6 +5,11 @@ vehicle agent with IDM longitudinal control plus pure-pursuit centerline
 following. Agents update synchronously from the previous frame, in
 ascending id order, so results are independent of scheduling. The engine is
 `batch.rollout_batch`; `rollout` simulates one plan as its one row.
+
+States live in arrays: a `StateBatch` stacks the seven `VehicleState` fields
+of P rows, and a `SceneBatch` holds P simulated versions of one frame
+window. A simulated window is a one-row `SceneBatch` from the screen to the
+export.
 """
 
 from __future__ import annotations
@@ -50,29 +55,6 @@ class IdmParams:
         for name in ("headway", "s0"):
             if not getattr(self, name) >= 0:
                 raise ValidationError(f"{name} must be non-negative, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True, slots=True)
-class SceneStates:
-    """Per-frame states of the ego and every agent over a frame window."""
-
-    dt: float
-    t_start: int
-    t_end: int
-    ego: tuple[VehicleState, ...]
-    agents: Mapping[str, tuple[VehicleState, ...]]
-
-    def __post_init__(self):
-        n = self.t_end - self.t_start + 1
-        if len(self.ego) != n:
-            raise ValueError("ego state count does not match frame range")
-        for aid, states in self.agents.items():
-            if len(states) != n:
-                raise ValueError(f"agent {aid} state count does not match frame range")
-
-    @property
-    def frame_count(self) -> int:
-        return self.t_end - self.t_start + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +125,9 @@ class StateBatch:
 
 @dataclass(frozen=True, slots=True)
 class SceneBatch:
-    """P simulated versions of one frame window: the batched `SceneStates`."""
+    """P simulated versions of one frame window [t_start, t_end]: the ego and
+    every agent, in ascending id order, as (7, P, n) tracks. One simulated
+    window is its one-row scene."""
 
     dt: float
     t_start: int
@@ -151,35 +135,14 @@ class SceneBatch:
     ego: StateBatch
     agents: Mapping[str, StateBatch]
 
-    @classmethod
-    def of(cls, states: SceneStates) -> "SceneBatch":
-        """The one-row scene of a simulated window, agents in its order."""
-        return cls(
-            states.dt,
-            states.t_start,
-            states.t_end,
-            StateBatch.track(states.ego),
-            {aid: StateBatch.track(track) for aid, track in states.agents.items()},
-        )
-
-    def take(self, rows: Sequence[int]) -> "SceneBatch":
-        """The scene of the given rows, in their order."""
+    def take(self, rows: Sequence[int] | slice) -> "SceneBatch":
+        """The scene of the given rows, in their order; a slice keeps views."""
         return SceneBatch(
             self.dt,
             self.t_start,
             self.t_end,
             StateBatch(self.ego.data[:, rows]),
             {aid: StateBatch(t.data[:, rows]) for aid, t in self.agents.items()},
-        )
-
-    def states(self, row: int) -> SceneStates:
-        """One row as the `SceneStates` of its simulated window."""
-        return SceneStates(
-            dt=self.dt,
-            t_start=self.t_start,
-            t_end=self.t_end,
-            ego=self.ego.states(row),
-            agents={aid: t.states(row) for aid, t in self.agents.items()},
         )
 
 
@@ -245,7 +208,7 @@ def rollout(
     ctx: SimContext | None = None,
     ego_start: VehicleState | None = None,
     agent_init: Mapping[str, VehicleState] | None = None,
-) -> SceneStates:
+) -> SceneBatch:
     """Simulate a frame window [t_start, t_start + horizon] in the world of `ctx`.
 
     The ego executes `ego_plan` through the LQR tracker (or replays the log
@@ -253,8 +216,8 @@ def rollout(
     and log-replay-ego modes, and run IDM + pure pursuit in reactive mode.
     `ego_start` / `agent_init` optionally override the initial states, which
     is how the second simulation stage continues from perturbed states.
-    Without `ctx` the defaults of SimContext apply. The executing modes are
-    one row of `batch.rollout_batch`.
+    Without `ctx` the defaults of SimContext apply. Returns the window as a
+    one-row scene; the executing modes are one row of `batch.rollout_batch`.
 
     Deterministic: equal inputs give bitwise-equal outputs.
     """
@@ -264,19 +227,21 @@ def rollout(
     check_window(scenario, t_start, horizon)
     if mode == MODE_LOG_REPLAY_EGO:
         window = slice(t_start, t_start + horizon + 1)
-        return SceneStates(
+        return SceneBatch(
             dt=scenario.dt,
             t_start=t_start,
             t_end=t_start + horizon,
-            ego=scenario.ego_log.states[window],
-            agents={a.id: a.states[window] for a in sorted(scenario.agents, key=lambda a: a.id)},
+            ego=StateBatch.track(scenario.ego_log.states[window]),
+            agents={
+                a.id: StateBatch.track(a.states[window])
+                for a in sorted(scenario.agents, key=lambda a: a.id)
+            },
         )
 
     from .batch import plan_batch, rollout_batch  # batch imports this module
     from .metrics import SimContext
 
-    scene = rollout_batch(
+    return rollout_batch(
         scenario, plan_batch([ego_plan], scenario, horizon), t_start, horizon,
         ctx or SimContext(), ego_start, agent_init, mode,
     )
-    return scene.states(0)

@@ -41,7 +41,7 @@ from .metrics import (  # noqa: F401
     drivable_area_compliance,
     submetrics_batch,
 )
-from .reactive import SceneStates, StateBatch, rollout  # noqa: F401
+from .reactive import SceneBatch, StateBatch, rollout  # noqa: F401
 from .scenario import (
     _STATE_FIELDS, _STATE_KEYS, FRAME_EGO_LOCAL, Scenario, Trajectory, _array, _number,
     _state_from_json, dump_json_canonical,
@@ -151,11 +151,10 @@ class PerturbationCandidate:
     entry: np.ndarray | None = field(default=None, compare=False)
     endpoint_cell: tuple[int, int] | None = None
     reason: str = ""
-    # what the clearing screen simulated and scored; None until cleared
-    screen_states: SceneStates | None = None
+    # the one-row scene the clearing check simulated, and its sub-metrics;
+    # None until cleared (arrays have no truth value, so the scene is not compared)
+    screen_states: SceneBatch | None = field(default=None, compare=False)
     screen_submetrics: SubMetricVector | None = None
-    # the (7, H + 1) ego track of the check that cleared it, for a later check
-    screen_ego: np.ndarray | None = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +500,6 @@ def feasibility_filter_batch(
     mode: str,
     epdms_min: float,
     ctx: SimContext | None = None,
-    keep_states: bool = True,
 ) -> list[PerturbationCandidate]:
     """Roll candidates out in the world of `ctx` and mark each cleared or infeasible.
 
@@ -513,9 +511,9 @@ def feasibility_filter_batch(
     corner leaves the drivable area; decided before the other sub-metrics
     are computed), or "reward" (EPDMS below `epdms_min`, history comfort
     judged on the logged history plus the window). A cleared candidate
-    keeps its ego track, and the states and sub-metrics of this rollout if
-    `keep_states`; a check of candidates that all hold an earlier check's
-    ego track (the reactive after the non-reactive) steps only the agents.
+    keeps its row of this rollout's scene, as views, and its sub-metrics; a
+    check of candidates that all hold an earlier check's row (the reactive
+    after the non-reactive) steps only the agents against that ego track.
     """
     if mode not in _CHECKS:
         raise ValidationError(f"unknown feasibility mode '{mode}'")
@@ -534,8 +532,8 @@ def feasibility_filter_batch(
         return []
 
     ctx = ctx or SimContext()
-    if all(c.screen_ego is not None for c in cands):
-        ego = StateBatch(np.stack([c.screen_ego for c in cands], axis=1))
+    if all(c.screen_states is not None for c in cands):
+        ego = StateBatch(np.concatenate([c.screen_states.ego.data for c in cands], axis=1))
         scene = rollout_agents(scenario, ego, t, ctx, mode=mode)
     else:  # each bank row placed at the anchor state, all in one call
         local = np.stack([c.entry[:, : H + 1] for c in cands], axis=1)
@@ -545,7 +543,7 @@ def feasibility_filter_batch(
     collided = any_contact(scene, scenario, ctx)
     off_road = drivable_area_compliance(ego.x, ego.y, ego.theta, scenario, ctx) == 0.0
     reasons = ["collision" if hit else "off-road" for hit in collided.tolist()]
-    cleared: dict[int, tuple[SceneStates | None, SubMetricVector | None]] = {}
+    cleared: dict[int, SubMetricVector] = {}
 
     scored = np.flatnonzero(~collided & ~off_road).tolist()
     if scored:
@@ -555,18 +553,18 @@ def feasibility_filter_batch(
             [np.repeat(history, len(scored), axis=1), window.ego.data[:, :, 1:]], axis=2
         ))
         rows = submetrics_batch(window, scenario, ctx, comfort=comfort).tolist()
-        for j, (i, row) in enumerate(zip(scored, rows)):
+        for i, row in zip(scored, rows):
             sub = SubMetricVector(*row)
             if aggregate_epdms(sub, ctx.weights) < epdms_min:
                 reasons[i] = "reward"
             else:
-                cleared[i] = (window.states(j), sub) if keep_states else (None, None)
+                cleared[i] = sub
     return [
-        replace(c, status=new_status, reason="", screen_states=cleared[i][0],
-                screen_submetrics=cleared[i][1], screen_ego=ego.data[:, i])
+        replace(c, status=new_status, reason="", screen_states=scene.take(slice(i, i + 1)),
+                screen_submetrics=cleared[i])
         if i in cleared
         else replace(c, status=fail_status, reason=reasons[i],
-                     screen_states=None, screen_submetrics=None, screen_ego=None)
+                     screen_states=None, screen_submetrics=None)
         for i, c in enumerate(cands)
     ]
 

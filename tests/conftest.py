@@ -5,9 +5,12 @@ import pytest
 
 from drivegen.config import PipelineConfig
 from drivegen.geometry import global_to_local, wrap_angle
+from drivegen.reactive import SceneBatch
 from drivegen.scenario import Pose2D, Trajectory, VehicleState
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 from drivegen.vocab import STATUS_PENDING, PerturbationCandidate, default_vocabulary
+
+from oracle import SceneStates
 
 
 def make_state(x=0.0, y=0.0, theta=0.0, v=0.0, steering=0.0, accel=0.0):
@@ -48,14 +51,27 @@ def state_bits(s: VehicleState) -> tuple[str, ...]:
     )
 
 
-def scene_bits(states):
-    """A simulated window (`SceneStates` or None) with every float as hex."""
-    if states is None:
+def scene_states(ego, agents=None, dt=0.1, t_start=0):
+    """The `SceneStates` of a window from the ego's states and each agent's,
+    by id; its `batch()` is the package's one-row scene of it."""
+    return SceneStates(
+        dt, t_start, t_start + len(ego) - 1, tuple(ego),
+        {aid: tuple(track) for aid, track in (agents or {}).items()},
+    )
+
+
+def scene_bits(scene):
+    """A simulated window (a one-row `SceneBatch`, a `SceneStates` or None)
+    with every float as hex."""
+    if scene is None:
         return None
+    if isinstance(scene, SceneBatch):
+        assert scene.ego.data.shape[1] == 1, "a simulated window is one row"
+        scene = SceneStates.of(scene)
     return (
-        states.dt, states.t_start, states.t_end,
-        [state_bits(s) for s in states.ego],
-        {aid: [state_bits(s) for s in track] for aid, track in states.agents.items()},
+        scene.dt, scene.t_start, scene.t_end,
+        [state_bits(s) for s in scene.ego],
+        {aid: [state_bits(s) for s in track] for aid, track in scene.agents.items()},
     )
 
 

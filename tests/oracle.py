@@ -3,9 +3,15 @@
 through which `reactive.rollout` and `control.lqr_track` run one row), of
 `metrics.submetrics_batch`, of the batched feasibility screen
 (`vocab.feasibility_filter_batch`), of the whole-array perturbation passes
-(`vocab.enumerate_perturbations`, `GridSpec.cells`, `vocab.place_tracks`)
-and of the vocabulary build (`vocab.synthesize_maneuvers`,
-`vocab.build_vocabulary`).
+(`vocab.enumerate_perturbations`, `GridSpec.cells`, `vocab.place_tracks`),
+of the camera poses (`pipeline.sensor_stub`) and of the vocabulary build
+(`vocab.synthesize_maneuvers`, `vocab.build_vocabulary`).
+
+A simulated window is a one-row `SceneBatch` in the package. The oracles
+hold it as `SceneStates`, tuples of `VehicleState` per vehicle: the record
+`oracle_rollout` returns and the scalar scorers read. `SceneStates.of`
+turns a scene row into one, and `SceneStates.batch` turns one back into
+the package's one-row scene.
 
 The simulation runs on Python floats, one vehicle and one frame at a time:
 `oracle_lqr_track` tracks with `control.bicycle_step` and the gain of each
@@ -34,7 +40,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -73,7 +80,7 @@ from drivegen.reactive import (
     MODE_NONREACTIVE,
     MODES,
     PURE_PURSUIT_LOOKAHEAD,
-    SceneStates,
+    SceneBatch,
     StateBatch,
     idm_accel,
     lane_centerline_ops,
@@ -95,6 +102,47 @@ from drivegen.vocab import (
     STATUS_INFEASIBLE_REACTIVE,
     STATUS_PENDING,
 )
+
+
+@dataclass(frozen=True, slots=True)
+class SceneStates:
+    """Per-frame states of the ego and every agent over a frame window, as
+    `VehicleState` tuples: what `oracle_rollout` returns and the scalar
+    scorers read. `of` reads one row of a `SceneBatch`; `batch` is the
+    package's one-row scene of the window."""
+
+    dt: float
+    t_start: int
+    t_end: int
+    ego: tuple[VehicleState, ...]
+    agents: Mapping[str, tuple[VehicleState, ...]]
+
+    def __post_init__(self):
+        n = self.t_end - self.t_start + 1
+        if len(self.ego) != n:
+            raise ValueError("ego state count does not match frame range")
+        for aid, states in self.agents.items():
+            if len(states) != n:
+                raise ValueError(f"agent {aid} state count does not match frame range")
+
+    @property
+    def frame_count(self) -> int:
+        return self.t_end - self.t_start + 1
+
+    @classmethod
+    def of(cls, scene: SceneBatch, row: int = 0) -> "SceneStates":
+        """One row of a scene as states."""
+        return cls(
+            scene.dt, scene.t_start, scene.t_end, scene.ego.states(row),
+            {aid: t.states(row) for aid, t in scene.agents.items()},
+        )
+
+    def batch(self) -> SceneBatch:
+        """The one-row scene of this window, agents in its order."""
+        return SceneBatch(
+            self.dt, self.t_start, self.t_end, StateBatch.track(self.ego),
+            {aid: StateBatch.track(track) for aid, track in self.agents.items()},
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -840,12 +888,25 @@ def oracle_feasibility_filter(cand, scenario, mode, epdms_min, ctx=None):
     combined = Trajectory(
         dt=scenario.dt, states=history.states + states.ego[1:], frame=FRAME_GLOBAL
     )
-    sub = compute_submetrics(states, scenario, combined, ctx)
+    sub = compute_submetrics(states.batch(), scenario, combined, ctx)
     if aggregate_epdms(sub, ctx.weights) < epdms_min:
         return replace(failed, reason="reward")
     return replace(
         cand, status=new_status, reason="", screen_states=states, screen_submetrics=sub
     )
+
+
+def oracle_sensor_stub(ego, camera_rig):
+    """`pipeline.sensor_stub` one pose at a time: each camera's (x, y, theta)
+    poses along the ego states, by `local_to_global` and `wrap_angle`."""
+    return [
+        [
+            [*local_to_global(cam.dx, cam.dy, s.pose.x, s.pose.y, s.pose.theta),
+             wrap_angle(s.pose.theta + cam.dyaw)]
+            for s in ego
+        ]
+        for cam in camera_rig
+    ]
 
 
 def oracle_synthesize_maneuvers(count, horizon, dt, seed):

@@ -23,14 +23,14 @@ from drivegen.metrics import (
     compute_submetrics,
 )
 from drivegen.pipeline import export_dataset, prepare_candidates, run_generation
-from drivegen.reactive import IdmParams, SceneStates, idm_accel
+from drivegen.reactive import IdmParams, idm_accel
 from drivegen.scaling import ScalingPoint, fit_log_quadratic
 from drivegen.scenario import Pose2D, Trajectory, VehicleState
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 from drivegen.vocab import STATUS_CLEARED_REACTIVE, default_vocabulary
 from drivegen.expert import MatchingVector, recovery_retrieve
 
-from conftest import make_state, straight_trajectory
+from conftest import make_state, scene_states, straight_trajectory
 from test_expert import oracle_scan
 from oracle import boxes_overlap
 from test_geometry import oracle_boxes_overlap
@@ -231,15 +231,9 @@ def test_criterion_6_export_safety_guarantee(bundled_corpus, recovery_run, tmp_p
                 a["id"]: tuple(_state_from_record(x) for x in a["states"][s.t_horizon:])
                 for a in rec["agents_sim"]
             }
-            scene = SceneStates(
-                dt=s.dt,
-                t_start=anchor2,
-                t_end=anchor2 + s.t_horizon,
-                ego=tuple(states),
-                agents=agents,
-            )
+            scene = scene_states(states, agents, s.dt, anchor2)
             traj = Trajectory(dt=s.dt, states=tuple(states))
-            sub = compute_submetrics(scene, s, traj, config.sim_context)
+            sub = compute_submetrics(scene.batch(), s, traj, config.sim_context)
             n_checked += 1
             if (
                 sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0

@@ -23,7 +23,8 @@ from drivegen.vocab import STATUS_PENDING, enumerate_perturbations, grid_sparsif
 
 from conftest import plan_bits, scene_bits, sub_bits
 from oracle import (
-    oracle_feasibility_filter, oracle_place_at_state, oracle_rollout, oracle_submetrics,
+    SceneStates, oracle_feasibility_filter, oracle_place_at_state, oracle_rollout,
+    oracle_submetrics,
 )
 
 
@@ -114,8 +115,7 @@ def test_stage2_rows_match_the_scalar_rollout(
         got = expert_stage(s, cands, config, small_vocab)
         anchor2 = s.anchor_frame + s.t_horizon
         for i, (cand, (states2, sub2)) in enumerate(zip(cands, got, strict=True)):
-            perturbed = cand.screen_states.ego[-1]
-            finals = {aid: track[-1] for aid, track in cand.screen_states.agents.items()}
+            (perturbed, finals), = _plan_starts([cand])
             if expert == "recovery":
                 target = recovery_target(perturbed, s.ego_log[anchor2 + s.t_horizon])
                 entry = small_vocab.entries[recovery_retrieve(target, small_vocab)]
@@ -157,10 +157,8 @@ def test_rows_do_not_depend_on_the_candidates_sharing_their_call(
 
 def _plan_starts(cands):
     """The planner's start of each screened candidate: its perturbed ego and agent states."""
-    return [
-        (c.screen_states.ego[-1], {aid: track[-1] for aid, track in c.screen_states.agents.items()})
-        for c in cands
-    ]
+    rows = [SceneStates.of(c.screen_states) for c in cands]
+    return [(r.ego[-1], {aid: track[-1] for aid, track in r.agents.items()}) for r in rows]
 
 
 def test_planned_samples_do_not_depend_on_the_samples_sharing_their_call(

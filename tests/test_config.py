@@ -1,7 +1,10 @@
 import json
+import types
 from dataclasses import fields, replace
 
 import pytest
+
+import drivegen
 
 from drivegen.config import (
     CameraConfig,
@@ -162,6 +165,32 @@ CONFIG_SURFACE = [
 
 def test_config_surface_is_pinned():
     assert sorted(_leaves(config_to_dict(PipelineConfig()))) == CONFIG_SURFACE
+
+
+PUBLIC_NAMES = [
+    "AgentTrack", "ControlInput", "CorpusConfig", "ExpertFilterSpec", "FitResult", "GridSpec",
+    "IdmParams", "Lane", "LqrParams", "MapModel", "MatchingVector", "MetricThresholds",
+    "MetricWeights", "PerturbThresholds", "PerturbationCandidate", "PipelineConfig",
+    "PlannerParams", "Pose2D", "RewardRecord", "RoundStats", "ScalingPoint", "Scenario",
+    "SimContext", "SimSample", "SubMetricVector", "TrafficLight", "Trajectory", "VehicleLimits",
+    "VehicleState", "Vocabulary", "aggregate_epdms", "bicycle_step", "build_matching_vector",
+    "build_vocabulary", "check_collision", "compare_fits", "compute_submetrics", "config_hash",
+    "corpus_config_for_count", "emit_curve", "enumerate_perturbations", "expert_filter",
+    "export_dataset", "feasibility_filter", "fit_log_quadratic", "generate_synthetic_corpus",
+    "grid_sparsify", "idm_accel", "load_config", "load_scenario", "lqr_track",
+    "privileged_plan", "recovery_retrieve", "rollout", "run_generation", "save_config",
+    "sensor_stub", "solve_lqr_gain", "time_to_collision", "validate_scenario", "write_scenario",
+]
+
+
+def test_public_names_are_pinned():
+    """The package's public names, as the CI step lists them: a change to the
+    surface must change this list too."""
+    names = sorted(
+        n for n, v in vars(drivegen).items()
+        if not n.startswith("_") and not isinstance(v, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES
 
 
 def _halved(section):

@@ -25,8 +25,10 @@ from drivegen.reactive import rollout
 from drivegen.scenario import AgentTrack, Scenario, Trajectory
 from drivegen.vocab import Vocabulary, synthesize_maneuvers
 
-from conftest import make_state, shifted_plan, straight_trajectory
-from oracle import oracle_matching_vector, oracle_rollout, oracle_submetrics
+from conftest import (
+    make_state, plan_bits, scene_bits, scene_states, shifted_plan, straight_trajectory,
+)
+from oracle import SceneStates, oracle_matching_vector, oracle_rollout, oracle_submetrics
 
 
 # --- matching vectors
@@ -171,7 +173,7 @@ def test_privileged_plan_empty_road_full_progress(benign_scenario):
     assert sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0
     assert sub.ep == 1.0
     # the plan carries the rollout and sub-metrics that scored it
-    assert plan.states == states and plan.submetrics == sub
+    assert scene_bits(plan.states) == scene_bits(states) and plan.submetrics == sub
 
 
 def _straight_scenario(v: float, t_history=20, t_horizon=40, agents=()):
@@ -209,7 +211,7 @@ def test_privileged_plan_blocked_lane_avoids_collision():
     )
     s2 = _straight_scenario(v, agents=(blocker,))
     plan = privileged_plan(s2, anchor).reference
-    states = rollout(s2, plan, anchor, s2.t_horizon, mode="reactive")
+    states = SceneStates.of(rollout(s2, plan, anchor, s2.t_horizon, mode="reactive"))
     # oracle: re-check min gap between ego and blocker footprints over time
     from drivegen.geometry import OrientedBox
     from oracle import boxes_overlap
@@ -227,7 +229,7 @@ def test_privileged_plan_single_proposal_returned_verbatim(benign_scenario):
     p = PlannerParams(speed_fractions=(0.75,), lateral_offsets=(0.0,))
     plan = privileged_plan(s, s.anchor_frame, p)
     expected = privileged_plan(s, s.anchor_frame, p)
-    assert plan == expected
+    assert plan_bits(plan) == plan_bits(expected)
     assert len(plan.reference) == s.t_horizon + 1
 
 
@@ -273,8 +275,8 @@ def test_planner_params_validation():
 def _stage2_setup(scenario):
     anchor = scenario.anchor_frame
     plan = scenario.ego_log.segment(anchor, anchor + scenario.t_horizon)
-    states = rollout(scenario, plan, anchor, scenario.t_horizon, mode="reactive")
-    return states, Trajectory(dt=scenario.dt, states=states.ego)
+    scene = rollout(scenario, plan, anchor, scenario.t_horizon, mode="reactive")
+    return scene, scene.ego.trajectory(0, scenario.dt)
 
 
 def test_expert_filter_accepts_benign(benign_scenario):
@@ -294,11 +296,7 @@ def test_expert_filter_ep_relaxation_bound(benign_scenario):
     states_list = tuple(
         make_state(x=start.pose.x + crawl * s.dt * k, v=crawl) for k in range(n)
     )
-    from drivegen.reactive import SceneStates
-
-    states = SceneStates(
-        dt=s.dt, t_start=anchor, t_end=anchor + s.t_horizon, ego=states_list, agents={}
-    )
+    states = scene_states(states_list, dt=s.dt, t_start=anchor).batch()
     traj = Trajectory(dt=s.dt, states=states_list)
     sub = compute_submetrics(states, s, traj)
     assert sub.ep == pytest.approx(0.35, abs=0.02)
@@ -327,11 +325,7 @@ def test_expert_filter_kinematics_rejection(benign_scenario):
             theta += dt * v * curv
     traj = Trajectory(dt=dt, states=tuple(sts))
     assert kinematic_limit_violation(traj, lim) is not None
-    from drivegen.reactive import SceneStates
-
-    states = SceneStates(
-        dt=dt, t_start=anchor, t_end=anchor + s.t_horizon, ego=tuple(sts), agents={}
-    )
+    states = scene_states(sts, dt=dt, t_start=anchor).batch()
     # every sub-metric passes, so the kinematic check is the one that fires
     ones = SubMetricVector(*[1.0] * 9)
     accepted, reason = expert_filter(
@@ -354,7 +348,7 @@ def test_expert_filter_scores_in_the_context_world(benign_scenario):
     anchor = s2.anchor_frame
     plan = s2.ego_log.segment(anchor, anchor + s2.t_horizon)
     states = rollout(s2, plan, anchor, s2.t_horizon, mode="nonreactive")
-    traj = Trajectory(dt=s2.dt, states=states.ego)
+    traj = states.ego.trajectory(0, s2.dt)
     assert expert_filter(states, s2, traj) == (True, "")
     assert expert_filter(states, s2, traj, ctx=SimContext(ego_length=6.0)) == (False, "nc")
 

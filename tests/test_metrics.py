@@ -25,7 +25,7 @@ from drivegen.metrics import (
     time_to_collision,
 )
 from drivegen.pipeline import run_generation
-from drivegen.reactive import SceneBatch, SceneStates, StateBatch, rollout
+from drivegen.reactive import SceneBatch, StateBatch, rollout
 from drivegen.scenario import (
     DEFAULT_EGO_LENGTH,
     DEFAULT_EGO_WIDTH,
@@ -36,8 +36,8 @@ from drivegen.scenario import (
     Trajectory,
 )
 
-from conftest import make_state
-from oracle import contact_point, oracle_submetrics, oracle_time_to_collision
+from conftest import make_state, scene_states
+from oracle import SceneStates, contact_point, oracle_submetrics, oracle_time_to_collision
 from test_geometry import oracle_boxes_overlap
 
 
@@ -252,7 +252,7 @@ def test_fault_ruling_matches_the_scalar_oracle_row_by_row():
     scene = SceneBatch(dt, 0, n - 1, StateBatch.tracks(egos), agents)
     got = submetrics_batch(scene, scenario, ctx)
     for p, (*_, expected) in enumerate(rows):
-        states = scene.states(p)
+        states = SceneStates.of(scene, p)
         want = oracle_submetrics(states, scenario, Trajectory(dt=dt, states=states.ego), ctx)
         assert [v.hex() for v in got[p].tolist()] == [
             getattr(want, m).hex() for m in ALL_METRICS
@@ -269,7 +269,7 @@ def _ttc_scene(ego_v, leader_gap, leader_v, n=5, dt=0.1):
     ego = tuple(make_state(x=ego_v * k * dt, v=ego_v) for k in range(n))
     lead_x0 = 0.5 * ego_len + leader_gap + 0.5 * agent_len
     lead = tuple(make_state(x=lead_x0 + leader_v * k * dt, v=leader_v) for k in range(n))
-    return SceneStates(dt=dt, t_start=0, t_end=n - 1, ego=ego, agents={"lead": lead})
+    return scene_states(ego, {"lead": lead}, dt)
 
 
 def _ttc(
@@ -280,7 +280,7 @@ def _ttc(
     min_ego_speed=0.0,
 ):
     """`time_to_collision` of the one-row scene of `states`, as a float."""
-    scene = SceneBatch.of(states)
+    scene = states.batch()
     ego = scene.ego
     agent_boxes = {
         aid: BoxArrays.of(t.x, t.y, t.theta, *agent_extents[aid]) for aid, t in scene.agents.items()
@@ -304,7 +304,7 @@ def test_ttc_stopped_leader_derived():
 
 def test_ttc_no_agents_infinite():
     ego = tuple(make_state(x=k, v=10.0) for k in range(3))
-    states = SceneStates(dt=0.1, t_start=0, t_end=2, ego=ego, agents={})
+    states = scene_states(ego)
     assert _ttc(states) == math.inf
 
 
@@ -326,13 +326,12 @@ def test_ttc_late_approach_after_an_early_running_minimum():
     )
     late = tuple(make_state(x=front + 12.0, y=-40.0 if k < 6 else 0.0) for k in range(n))
     extents = {"early": (4.5, 1.9), "late": (4.5, 1.9)}
-    states = SceneStates(dt=dt, t_start=0, t_end=n - 1, ego=ego,
-                         agents={"early": early, "late": late})
+    states = scene_states(ego, {"early": early, "late": late}, dt)
     ttc = _ttc(states, (4.6, 1.9), extents)
     assert ttc == oracle_time_to_collision(states, (4.6, 1.9), extents, 3.0)
     assert ttc == pytest.approx(0.3, abs=1e-9)
     # without the late agent the early minimum stands
-    alone = SceneStates(dt=dt, t_start=0, t_end=n - 1, ego=ego, agents={"early": early})
+    alone = scene_states(ego, {"early": early}, dt)
     assert _ttc(alone, (4.6, 1.9), extents) == oracle_time_to_collision(
         alone, (4.6, 1.9), extents, 3.0
     )
@@ -345,12 +344,12 @@ def test_ttc_late_approach_after_an_early_running_minimum():
 def _window(scenario):
     anchor = scenario.anchor_frame
     plan = scenario.ego_log.segment(anchor, anchor + scenario.t_horizon)
-    states = rollout(scenario, plan, anchor, scenario.t_horizon, mode="nonreactive")
+    scene = rollout(scenario, plan, anchor, scenario.t_horizon, mode="nonreactive")
     history = scenario.ego_log.segment(0, anchor)
     combined = Trajectory(
-        dt=scenario.dt, states=history.states + states.ego[1:], frame="global"
+        dt=scenario.dt, states=history.states + scene.ego.states(0)[1:], frame="global"
     )
-    return states, combined
+    return scene, combined
 
 
 def oracle_benign_checks(scenario, states):
@@ -375,7 +374,7 @@ def oracle_benign_checks(scenario, states):
 def test_benign_log_penalties_all_one(small_corpus):
     for scenario in small_corpus:
         states, combined = _window(scenario)
-        oracle_benign_checks(scenario, states)  # oracle first
+        oracle_benign_checks(scenario, SceneStates.of(states))  # oracle first
         sub = compute_submetrics(states, scenario, combined)
         assert sub.nc == 1.0
         assert sub.dac == 1.0
@@ -415,11 +414,9 @@ def test_stationary_ego_zero_progress(benign_scenario):
     frozen = tuple(
         make_state(x=pose0.x, y=pose0.y, theta=pose0.theta, v=0.0) for _ in range(n)
     )
-    states = SceneStates(
-        dt=s.dt, t_start=anchor, t_end=anchor + s.t_horizon, ego=frozen, agents={}
-    )
+    states = scene_states(frozen, dt=s.dt, t_start=anchor)
     traj = Trajectory(dt=s.dt, states=frozen)
-    sub = compute_submetrics(states, s, traj)
+    sub = compute_submetrics(states.batch(), s, traj)
     assert sub.ep == 0.0  # log advances ~40 m; the ego does not
 
 
@@ -482,7 +479,7 @@ def _braking_window(decel):
         v = max(0.0, v - dt * decel)
         states.append(make_state(x=x, v=v))
     traj = Trajectory(dt=dt, states=tuple(states))
-    return SceneStates(dt=dt, t_start=0, t_end=20, ego=tuple(states), agents={}), traj
+    return scene_states(states, dt=dt).batch(), traj
 
 
 def test_hc_flags_harsh_braking(benign_scenario):
@@ -507,6 +504,13 @@ def test_compute_submetrics_pure(benign_scenario):
     a = compute_submetrics(states, benign_scenario, combined)
     b = compute_submetrics(states, benign_scenario, combined)
     assert a == b
+
+
+def test_compute_submetrics_scores_a_one_row_scene(benign_scenario):
+    scene, combined = _window(benign_scenario)
+    for rows in ([], [0, 0]):
+        with pytest.raises(ValueError, match="one-row scene"):
+            compute_submetrics(scene.take(rows), benign_scenario, combined)
 
 
 def test_reward_record_dict_roundtrip():
@@ -555,7 +559,7 @@ def test_scoring_kernel_matches_the_scalar_oracle_on_a_generated_corpus(
             got = real(scene, scenario, ctx, comfort)
             judged = comfort if comfort is not None else scene.ego
             for row, values in enumerate(got.tolist()):
-                check(SubMetricVector(*values), scene.states(row), scenario,
+                check(SubMetricVector(*values), SceneStates.of(scene, row), scenario,
                       judged.trajectory(row, scene.dt), ctx, caller)
             return got
 
@@ -568,8 +572,9 @@ def test_scoring_kernel_matches_the_scalar_oracle_on_a_generated_corpus(
     def checked_plans(scenario, t, starts, p=None, ctx=None):
         plans = real_plans(scenario, t, starts, p, ctx)
         for plan in plans:
-            executed = Trajectory(dt=scenario.dt, states=plan.states.ego)
-            check(plan.submetrics, plan.states, scenario, executed, ctx, "pipeline")
+            states = SceneStates.of(plan.states)
+            executed = Trajectory(dt=scenario.dt, states=states.ego)
+            check(plan.submetrics, states, scenario, executed, ctx, "pipeline")
         return plans
 
     monkeypatch.setattr(drivegen.pipeline, "privileged_plans", checked_plans)

@@ -27,7 +27,7 @@ from drivegen.pipeline import (
     sensor_stub,
     stats_csv_text,
 )
-from drivegen.reactive import SceneBatch, SceneStates, StateBatch
+from drivegen.reactive import StateBatch
 from drivegen.scenario import Trajectory
 from drivegen.vocab import (
     STATUS_CLEARED_REACTIVE,
@@ -38,45 +38,74 @@ from drivegen.vocab import (
     save_vocabulary,
 )
 
-from conftest import make_state, plan_candidate
-from oracle import entry_trajectory, oracle_place_at_state, oracle_rollout, oracle_submetrics
+from conftest import make_state, plan_candidate, scene_bits
+from oracle import (
+    SceneStates, entry_trajectory, oracle_place_at_state, oracle_rollout, oracle_sensor_stub,
+    oracle_submetrics,
+)
 
 
 # --- sensor stub
 
 
-def _scene_of(states_list):
-    return SceneStates(
-        dt=0.1, t_start=0, t_end=len(states_list) - 1, ego=tuple(states_list), agents={}
-    )
-
-
 def test_sensor_stub_identity_rig():
-    states = _scene_of([make_state(x=3.0, y=4.0, theta=0.3)])
-    track = sensor_stub(states, [CameraConfig("c", 0.0, 0.0, 0.0)])
-    p = track.cameras[0].poses[0]
-    assert (p.x, p.y, p.theta) == pytest.approx((3.0, 4.0, 0.3))
+    ego = StateBatch.track([make_state(x=3.0, y=4.0, theta=0.3)])
+    poses = sensor_stub(ego, [CameraConfig("c", 0.0, 0.0, 0.0)])
+    assert poses.shape == (1, 1, 3)
+    assert poses[0, 0].tolist() == pytest.approx([3.0, 4.0, 0.3])
 
 
 def test_sensor_stub_forward_offset():
-    states = _scene_of([make_state(x=0.0, y=0.0, theta=0.0)])
-    track = sensor_stub(states, [CameraConfig("c", 2.0, 0.0, 0.0)])
-    p = track.cameras[0].poses[0]
-    assert (p.x, p.y) == pytest.approx((2.0, 0.0))
+    ego = StateBatch.track([make_state(x=0.0, y=0.0, theta=0.0)])
+    x, y, _ = sensor_stub(ego, [CameraConfig("c", 2.0, 0.0, 0.0)])[0, 0].tolist()
+    assert (x, y) == pytest.approx((2.0, 0.0))
 
 
 def test_sensor_stub_rotation_composition():
     # oracle: R(90 deg) @ [2, 0] = [0, 2]
-    states = _scene_of([make_state(x=0.0, y=0.0, theta=math.pi / 2)])
-    track = sensor_stub(states, [CameraConfig("c", 2.0, 0.0, 0.1)])
-    p = track.cameras[0].poses[0]
-    assert (p.x, p.y) == pytest.approx((0.0, 2.0), abs=1e-12)
-    assert p.theta == pytest.approx(math.pi / 2 + 0.1)
+    ego = StateBatch.track([make_state(x=0.0, y=0.0, theta=math.pi / 2)])
+    x, y, theta = sensor_stub(ego, [CameraConfig("c", 2.0, 0.0, 0.1)])[0, 0].tolist()
+    assert (x, y) == pytest.approx((0.0, 2.0), abs=1e-12)
+    assert theta == pytest.approx(math.pi / 2 + 0.1)
 
 
 def test_sensor_stub_empty_rig_rejected():
     with pytest.raises(ValidationError):
-        sensor_stub(_scene_of([make_state()]), [])
+        sensor_stub(StateBatch.track([make_state()]), [])
+
+
+def _pose_bits(poses):
+    return [[[v.hex() for v in pose] for pose in track] for track in poses]
+
+
+def _sample_ego(sample):
+    """The states of a sample's combined ego track: stage 1, then stage 2 after the handoff."""
+    return SceneStates.of(sample.stage1).ego + SceneStates.of(sample.stage2).ego[1:]
+
+
+@pytest.mark.parametrize("expert", ["recovery", "planner"])
+def test_sensor_stub_matches_the_scalar_loop(small_corpus, small_vocab, small_config, expert):
+    """The camera poses of every sample of a generation equal the scalar
+    loop's bit for bit, for the configured rig and for a rig whose offsets
+    are all nonzero and whose yaws carry headings across +-pi."""
+    config = replace(small_config, expert_kind=expert, rounds=1)
+    samples, _ = run_generation(small_corpus, config, vocab=small_vocab)
+    assert samples
+    rig = [CameraConfig("rear", -2.1, 0.4, math.pi), CameraConfig("rear-left", 1.3, -0.7, -3.1)]
+    crossed = set()
+    for sample in samples:
+        ego = _sample_ego(sample)
+        assert sample.sensors.shape == (len(config.cameras), len(ego), 3)
+        assert _pose_bits(sample.sensors.tolist()) == _pose_bits(
+            oracle_sensor_stub(ego, config.cameras)
+        )
+        got = sensor_stub(StateBatch.track(ego), rig)
+        assert _pose_bits(got.tolist()) == _pose_bits(oracle_sensor_stub(ego, rig))
+        for cam in rig:
+            crossed.update(
+                math.copysign(1.0, cam.dyaw) for s in ego if abs(s.pose.theta + cam.dyaw) > math.pi
+            )
+    assert crossed == {1.0, -1.0}
 
 
 # --- single samples
@@ -110,9 +139,9 @@ def test_simulate_sample_identity_recovery_endpoint(small_corpus, small_vocab, s
     assert cand.status == cleared_status(small_config), cand.reason
     sample = _simulate(s, cand, small_config, small_vocab)
     assert sample is not None
-    end = sample.expert_future.states[-1].pose
+    end_x, end_y = sample.stage2.ego.data[:2, 0, -1].tolist()
     log_end = s.ego_log[anchor + 2 * s.t_horizon].pose
-    dist = math.hypot(end.x - log_end.x, end.y - log_end.y)
+    dist = math.hypot(end_x - log_end.x, end_y - log_end.y)
     assert dist < 2.0
 
 
@@ -125,7 +154,8 @@ def test_simulate_sample_deterministic(small_corpus, small_vocab, small_config, 
     b = _simulate(s, cleared[0], small_config, small_vocab, round_idx=2)
     assert (a is None) == (b is None)
     if a is not None:
-        assert sample_to_dict(a) == sample_to_dict(b)
+        cameras = small_config.cameras
+        assert sample_to_dict(a, cameras) == sample_to_dict(b, cameras)
         assert a == b
 
 
@@ -137,14 +167,29 @@ def test_sample_continuity_and_safety(small_corpus, small_vocab, small_config, p
             if sample is None:
                 continue
             checked += 1
-            a = sample.perturbed_history.states[-1]
-            b = sample.expert_future.states[0]
+            a = SceneStates.of(sample.stage1).ego[-1]
+            b = SceneStates.of(sample.stage2).ego[0]
             assert math.hypot(a.pose.x - b.pose.x, a.pose.y - b.pose.y) < 0.05
             assert abs(a.pose.theta - b.pose.theta) < 0.02
             sub = sample.reward.submetrics
             assert sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0
             assert sub.ep > small_config.expert_filter.ep_min
     assert checked > 0
+
+
+def test_sample_requires_stage2_to_start_where_stage1_ended(gen_run):
+    """A sample's stage 2 starts at stage 1's last state: exactly in a run,
+    and a stage 2 starting 0.1 m off it is refused."""
+    _, (samples, _) = gen_run
+    sample = samples[0]
+    assert (sample.stage2.ego.data[:, 0, 0].tobytes()
+            == sample.stage1.ego.data[:, 0, -1].tobytes())
+    assert replace(sample, stage2=sample.stage2).stage2 is sample.stage2
+    off = sample.stage2.ego.data.copy()
+    off[1] += 0.1
+    shifted = replace(sample.stage2, ego=StateBatch(off))
+    with pytest.raises(ValidationError, match="not contiguous at the handoff frame"):
+        replace(sample, stage2=shifted)
 
 
 def _spy(monkeypatch, module, name, record):
@@ -180,7 +225,7 @@ def test_screen_simulates_the_configured_world(small_corpus, small_vocab, monkey
             states = oracle_rollout(s, plan, anchor, H, "reactive", ctx)
             combined = Trajectory(dt=s.dt, states=history.states + states.ego[1:])
             sub = oracle_submetrics(states, s, combined, ctx)
-            assert cand.screen_states == states
+            assert scene_bits(cand.screen_states) == scene_bits(states)
             assert cand.screen_submetrics == sub
             assert aggregate_epdms(sub, ctx.weights) >= config.perturb.epdms_min
             checked += 1
@@ -252,24 +297,48 @@ def test_each_screened_plan_is_tracked_once(small_corpus, small_vocab, small_con
         assert [rows for sid, rows in tracked if sid == s.id] == expected[s.id], s.id
 
 
-def test_only_the_last_check_builds_screen_states(
+def test_each_check_keeps_the_rows_it_clears(
     small_corpus, small_vocab, small_config, monkeypatch
 ):
-    """A run's last check builds the simulated window of each candidate it
-    clears, kept on the candidate; in reactive runs the non-reactive check
-    before it builds none."""
-    built = []
-    _spy(monkeypatch, SceneBatch, "states", lambda args, kwargs: built.append(1))
-    checked = 0
-    for config in (small_config, replace(small_config, reactive=False)):
-        for s in small_corpus:
-            built.clear()
-            cands = prepare_candidates(s, small_vocab, config)
-            cleared = [c for c in cands if c.status == cleared_status(config)]
-            assert len(built) == len(cleared), s.id
-            assert all(c.screen_states is not None for c in cleared)
-            checked += len(cleared)
-    assert checked > 0
+    """In a reactive run each check keeps, on every candidate it clears, that
+    candidate's row of the check's scene, bit for bit, and nothing on those
+    it rejects; the reactive check's ego rows are the non-reactive check's,
+    byte for byte."""
+    scenes, checks = [], []
+    for name in ("rollout_batch", "rollout_agents"):
+        def simulated(*args, _real=getattr(drivegen.vocab, name), **kwargs):
+            scenes.append(_real(*args, **kwargs))
+            return scenes[-1]
+
+        monkeypatch.setattr(drivegen.vocab, name, simulated)
+    real_filter = drivegen.pipeline.feasibility_filter_batch
+
+    def filtered(cands, *args):
+        out = real_filter(cands, *args)
+        checks.append((cands, out, scenes[-1]))
+        return out
+
+    monkeypatch.setattr(drivegen.pipeline, "feasibility_filter_batch", filtered)
+    config = replace(small_config, reactive=True)
+    kept = reactive = 0
+    for s in small_corpus:
+        checks.clear()
+        prepare_candidates(s, small_vocab, config)
+        for _, out, scene in checks:
+            for i, c in enumerate(out):
+                if c.status.startswith("cleared"):
+                    assert scene_bits(c.screen_states) == scene_bits(SceneStates.of(scene, i))
+                    kept += 1
+                else:
+                    assert c.screen_states is None and c.screen_submetrics is None
+        if len(checks) == 2:
+            (_, first, nonreactive), (taken, _, scene) = checks
+            row = {c.vocab_index: i for i, c in enumerate(first)}
+            for j, c in enumerate(taken):
+                want = nonreactive.ego.data[:, row[c.vocab_index]]
+                assert scene.ego.data[:, j].tobytes() == want.tobytes(), (s.id, c.vocab_index)
+                reactive += 1
+    assert kept > 0 and reactive > 0
 
 
 def test_no_state_objects_between_the_vocabulary_file_and_the_screen(
@@ -333,7 +402,7 @@ def test_stage1_is_the_screen_rollout(small_corpus, small_vocab, small_config, p
             if sample is None:
                 continue
             checked += 1
-            assert sample.perturbed_history.states == cand.screen_states.ego
+            assert scene_bits(sample.stage1) == scene_bits(cand.screen_states)
             assert sample.reward.stage_scores[0] == aggregate_epdms(
                 cand.screen_submetrics, small_config.weights
             )
@@ -393,10 +462,15 @@ def test_run_generation_caps_the_pool_at_the_scenario_count(
     monkeypatch.setattr(drivegen.pipeline, "_WORKER_STATE", {})
     config = replace(small_config, rounds=2)
     corpus = small_corpus[:3]
-    serial = run_generation(corpus, config, vocab=small_vocab, workers=1)
+
+    def records(workers):
+        samples, stats = run_generation(corpus, config, vocab=small_vocab, workers=workers)
+        return [sample_to_dict(s, config.cameras) for s in samples], stats
+
+    serial = records(1)
     for workers, pool in ((2, 2), (3, 3), (64, 3)):
         sizes.clear()
-        assert run_generation(corpus, config, vocab=small_vocab, workers=workers) == serial
+        assert records(workers) == serial
         assert sizes == [pool], workers
     sizes.clear()
     run_generation(corpus[:1], config, vocab=small_vocab, workers=64)

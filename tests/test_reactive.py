@@ -9,7 +9,6 @@ from drivegen.metrics import SimContext
 from drivegen.reactive import (
     MODES,
     IdmParams,
-    SceneStates,
     StateBatch,
     assign_lanes,
     idm_accel,
@@ -19,7 +18,7 @@ from drivegen.scenario import FRAME_EGO_LOCAL, Trajectory
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 
 from conftest import make_state, scene_bits, shifted_plan
-from oracle import oracle_rollout
+from oracle import SceneStates, oracle_rollout
 
 
 # --- IDM closed form
@@ -172,7 +171,7 @@ def test_rollout_nonreactive_replay_identity(benign_scenario):
     s = benign_scenario
     anchor = s.anchor_frame
     plan = s.ego_log.segment(anchor, anchor + s.t_horizon)
-    states = rollout(s, plan, anchor, s.t_horizon, mode="nonreactive")
+    states = SceneStates.of(rollout(s, plan, anchor, s.t_horizon, mode="nonreactive"))
     assert states.ego == s.ego_log.states[anchor : anchor + s.t_horizon + 1]
 
 
@@ -180,7 +179,7 @@ def test_rollout_log_replay_mode(small_corpus):
     s = next(x for x in small_corpus if x.agents)
     anchor = s.anchor_frame
     plan = s.ego_log.segment(anchor, anchor + s.t_horizon)
-    states = rollout(s, plan, anchor, s.t_horizon, mode="log-replay-ego")
+    states = SceneStates.of(rollout(s, plan, anchor, s.t_horizon, mode="log-replay-ego"))
     assert states.ego == s.ego_log.states[anchor : anchor + s.t_horizon + 1]
     for a in s.agents:
         assert states.agents[a.id] == a.states[anchor : anchor + s.t_horizon + 1]
@@ -218,7 +217,7 @@ def _check_follower_oracle(ctx, ego_length, b_hard):
         t_history=s.t_history,
         t_horizon=s.t_horizon,
     )
-    out = rollout(s2, plan, anchor, s2.t_horizon, mode="reactive", ctx=ctx)
+    out = SceneStates.of(rollout(s2, plan, anchor, s2.t_horizon, mode="reactive", ctx=ctx))
     track = out.agents["f00"]
     assert track[-1].vel_lon < track[0].vel_lon  # follower decelerated
 
@@ -257,7 +256,7 @@ def test_rollout_default_context_is_simcontext(small_corpus):
     plan = s.ego_log.segment(s.anchor_frame, s.anchor_frame + s.t_horizon)
     a = rollout(s, plan, s.anchor_frame, s.t_horizon, "reactive")
     b = rollout(s, plan, s.anchor_frame, s.t_horizon, "reactive", SimContext())
-    assert a == b
+    assert scene_bits(a) == scene_bits(b)
 
 
 def test_rollout_deterministic(small_corpus, small_vocab):
@@ -266,7 +265,7 @@ def test_rollout_deterministic(small_corpus, small_vocab):
     plan = s.ego_log.segment(anchor, anchor + s.t_horizon)
     a = rollout(s, plan, anchor, s.t_horizon, mode="reactive")
     b = rollout(s, plan, anchor, s.t_horizon, mode="reactive")
-    assert a == b
+    assert scene_bits(a) == scene_bits(b)
 
 
 def test_rollout_idm_acceleration_bounded(small_corpus):
@@ -275,7 +274,7 @@ def test_rollout_idm_acceleration_bounded(small_corpus):
             continue
         anchor = s.anchor_frame
         plan = s.ego_log.segment(anchor, anchor + s.t_horizon)
-        out = rollout(s, plan, anchor, s.t_horizon, mode="reactive")
+        out = SceneStates.of(rollout(s, plan, anchor, s.t_horizon, mode="reactive"))
         p = IdmParams()
         for track in out.agents.values():
             for st in track:
@@ -312,7 +311,8 @@ def test_rollout_reactivity_monotone():
             x += dt * v
             v = max(0.0, v - dt * brake)
             sts.append(make_state(x=x, v=v))
-        out = rollout(s2, Trajectory(dt=dt, states=tuple(sts)), anchor, s2.t_horizon, "reactive")
+        plan = Trajectory(dt=dt, states=tuple(sts))
+        out = SceneStates.of(rollout(s2, plan, anchor, s2.t_horizon, "reactive"))
         gaps = [
             out.ego[k].pose.x - out.agents["f00"][k].pose.x for k in range(out.frame_count)
         ]
@@ -341,7 +341,8 @@ def test_rollout_executes_only_global_plans(benign_scenario):
     for mode in ("reactive", "nonreactive"):
         with pytest.raises(RolloutError, match=FRAME_EGO_LOCAL):
             rollout(s, local, anchor, s.t_horizon, mode)
-    replayed = rollout(s, local, anchor, s.t_horizon, "log-replay-ego")  # the plan is not executed
+    # the plan is not executed
+    replayed = SceneStates.of(rollout(s, local, anchor, s.t_horizon, "log-replay-ego"))
     assert replayed.ego == s.ego_log.states[anchor : anchor + s.t_horizon + 1]
 
 
