@@ -47,9 +47,7 @@ from .vocab import (  # noqa: F401
 )
 from .expert import (  # noqa: F401
     ExpertFilterSpec,
-    MatchingVector,
     PlannerParams,
-    build_matching_vector,
     expert_filter,
     privileged_plan,
     recovery_retrieve,

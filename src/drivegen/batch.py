@@ -13,9 +13,10 @@ Each row comes out as if simulated alone, bit for bit, whichever rows share
 its call: elementary arithmetic runs in numpy in a fixed per-row order,
 comparisons and clamps keep Python's tie and signed-zero behaviour, angles
 wrap through the exact `geometry.wrap_angle_many`, and transcendental
-functions run per element through `math` (`geometry.per_element`). The
-tests check every row against the scalar oracles of `tests/oracle.py`
-(`oracle_rollout`, `oracle_lqr_track`, `oracle_select_leader`).
+functions and powers run per element through `math` and Python's `pow`
+(`geometry.per_element`). The tests check every row against the scalar
+oracles of `tests/oracle.py` (`oracle_rollout`, `oracle_lqr_track`,
+`oracle_select_leader`, `oracle_idm_accel`).
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ from .reactive import (
     SceneBatch,
     StateBatch,
     assign_lanes,
-    check_plan_dt,
     check_window,
     idm_accel,
     lane_centerline_ops,
 )
-from .scenario import FRAME_GLOBAL, Lane, Scenario, Trajectory, VehicleState
+from .scenario import Lane, Scenario, VehicleState
 
 if TYPE_CHECKING:  # metrics scores what this module simulates; neither imports the other
     from .metrics import SimContext
@@ -211,12 +211,7 @@ def _agent_step_batch(
     st = scene[agent_id][0]
     lane = assign_lanes(st.x, st.y, lanes)
     s_self, found, v_lead, gap = select_leaders(agent_id, scene, lanes, lane)
-    accel = np.array(
-        [
-            idm_accel(v, (vl, g) if f else None, ctx.idm, ctx.b_hard)
-            for v, f, vl, g in zip(st.v.tolist(), found.tolist(), v_lead.tolist(), gap.tolist())
-        ]
-    )
+    accel = idm_accel(st.v, (v_lead, np.where(found, gap, math.inf)), ctx.idm, ctx.b_hard)
 
     wheelbase = 0.6 * length
     tx, ty = np.empty(len(lane)), np.empty(len(lane))
@@ -231,18 +226,6 @@ def _agent_step_batch(
 
     steering = _bound(per_element(pursuit, ty - st.y, tx - st.x, st.theta), DEFAULT_STEER_MAX)
     return _advance(st, accel, steering, dt, wheelbase, steering)
-
-
-def plan_batch(plans: Sequence[Trajectory], scenario: Scenario, horizon: int) -> StateBatch:
-    """(7, P, horizon + 1) references from P global-frame plans of at least
-    horizon + 1 states at the scenario's dt."""
-    for plan in plans:
-        check_plan_dt(plan, scenario)
-        if plan.frame != FRAME_GLOBAL:
-            raise RolloutError(f"ego_plan is in frame '{plan.frame}', needs '{FRAME_GLOBAL}'")
-        if len(plan) < horizon + 1:
-            raise RolloutError(f"ego_plan has {len(plan)} states, needs at least {horizon + 1}")
-    return StateBatch.tracks([plan.states[: horizon + 1] for plan in plans])
 
 
 def _per_row(state: VehicleState | StateBatch, rows: int) -> StateBatch:

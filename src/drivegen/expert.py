@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .batch import _bound, rollout_batch
+from .batch import _bound, _floor0, rollout_batch
 from .control import VehicleLimits
 from .errors import ValidationError
 from .geometry import (
     PolylineOps,
     _cached_ops,
-    angle_diff,
-    global_to_local,
     offset_polyline,
     per_element,
     polyline_ops,
@@ -47,78 +45,44 @@ EXPERT_PLANNER = "planner"
 EXPERT_KINDS = (EXPERT_RECOVERY, EXPERT_PLANNER)
 
 
-@dataclass(frozen=True, slots=True)
-class MatchingVector:
-    """Start velocity/heading and end pose of a maneuver, in its start frame."""
-
-    v_x: float
-    v_y: float
-    theta0: float
-    x_end: float
-    y_end: float
-    theta_end: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.v_x, self.v_y, self.theta0, self.x_end, self.y_end, self.theta_end]
-        )
+def _matching_rows(start: np.ndarray, end_x, end_y, end_theta) -> np.ndarray:
+    """(P, 6) matching vectors of P (7, P) start states and their end poses:
+    start velocity, then the end pose in the start frame, with `math` cos and
+    sin per row. Frame-local, so globally invariant."""
+    c, s = per_element(math.cos, -start[2]), per_element(math.sin, -start[2])
+    dx, dy = end_x - start[0], end_y - start[1]
+    return np.stack([
+        start[3], start[4], np.zeros(start.shape[1]), c * dx - s * dy, s * dx + c * dy,
+        wrap_angle_many(end_theta - start[2]),
+    ], axis=1)
 
 
-def build_matching_vector(traj: Trajectory) -> MatchingVector:
-    """Summarize a maneuver for retrieval; frame-local, so globally invariant."""
-    if len(traj) < 2:
-        raise ValidationError("matching vector requires a trajectory of length >= 2")
-    return MatchingVector(*_matching_matrix(Vocabulary.of([traj]))[0].tolist())
+def _matching_matrix(vocab: Vocabulary) -> np.ndarray:
+    """(N, 6) matching vectors of the bank's entries, from their first and last frames."""
+    first, last = vocab.tracks.data[:, :, 0], vocab.tracks.data[:, :, -1]
+    return _matching_rows(first, last[0], last[1], last[2])
 
 
-def recovery_target(perturbed: VehicleState, logged_end: VehicleState) -> MatchingVector:
-    """Target vector: perturbed start velocity, logged endpoint as the goal.
-
-    Expressed in the perturbed state's frame, so retrieval steers back toward
-    the human log.
-    """
-    ex, ey = global_to_local(
-        logged_end.pose.x,
-        logged_end.pose.y,
-        perturbed.pose.x,
-        perturbed.pose.y,
-        perturbed.pose.theta,
-    )
-    return MatchingVector(
-        v_x=perturbed.vel_lon,
-        v_y=perturbed.vel_lat,
-        theta0=0.0,
-        x_end=ex,
-        y_end=ey,
-        theta_end=angle_diff(logged_end.pose.theta, perturbed.pose.theta),
-    )
+def recovery_targets(starts: StateBatch, logged_end: VehicleState) -> np.ndarray:
+    """(P, 6) retrieval targets of P perturbed starts, (7, P): each start's
+    velocity with the logged endpoint as the goal, in the start's frame, so
+    retrieval steers back toward the human log."""
+    end = logged_end.pose
+    return _matching_rows(starts.data, end.x, end.y, end.theta)
 
 
 _ANGLE_COMPONENTS = np.array([False, False, True, False, False, True])
 
 
-def _matching_matrix(vocab: Vocabulary) -> np.ndarray:
-    """(N, 6) matching vectors of the bank's entries from their first and
-    last frames: start velocity, then the end pose in the start frame, with
-    `math` cos and sin per entry."""
-    first, last = vocab.tracks.data[:, :, 0], vocab.tracks.data[:, :, -1]
-    c, s = per_element(math.cos, -first[2]), per_element(math.sin, -first[2])
-    dx, dy = last[0] - first[0], last[1] - first[1]
-    return np.stack([
-        first[3], first[4], np.zeros(len(vocab)), c * dx - s * dy, s * dx + c * dy,
-        wrap_angle_many(last[2] - first[2]),
-    ], axis=1)
-
-
-def recovery_retrieve(target: MatchingVector, vocab: Vocabulary) -> int:
-    """Index of the entry minimizing the L1 matching distance; ties break to
-    the lowest index.
+def recovery_retrieve(target: np.ndarray, vocab: Vocabulary) -> int:
+    """Index of the entry minimizing the L1 matching distance to a (6,)
+    target row; ties break to the lowest index.
 
     Angle components use wrapped differences. The distance is plain L1 over
     mixed units.
     """
     M = _cached_ops(vocab, _matching_matrix)
-    diff = M - target.as_array()[None, :]
+    diff = M - target[None, :]
     wrapped = np.remainder(diff[:, _ANGLE_COMPONENTS] + math.pi, 2.0 * math.pi) - math.pi
     d = np.abs(diff)
     d[:, _ANGLE_COMPONENTS] = np.abs(wrapped)
@@ -142,31 +106,36 @@ class PlannerParams:
             raise ValidationError("speed fractions must lie in [0, 1]")
 
 
-def _speed_profile(
-    v0: float, v_target: float, horizon: int, dt: float, idm: IdmParams
-) -> list[float]:
-    """Free-road IDM speeds toward `v_target`; below 0.1 m/s, comfortable braking to rest."""
-    target = replace(idm, v_desired=v_target) if v_target >= 0.1 else None
-    speeds = [v0]
-    for _ in range(horizon):
-        v = speeds[-1]
-        if target is None:
-            a = -idm.b_comf if v > 0.0 else 0.0
-        else:
-            a = idm_accel(v, None, target)
-        speeds.append(max(0.0, v + dt * a))
-    return speeds
+def _speed_profiles(
+    v0: np.ndarray, p: PlannerParams, horizon: int, dt: float, idm: IdmParams
+) -> np.ndarray:
+    """(S * F, horizon + 1) free-road IDM speeds of S starts toward each of
+    the F speed fractions of `idm.v_desired`, start major; below a 0.1 m/s
+    target, comfortable braking to rest. All starts step together."""
+    speeds = np.empty((len(p.speed_fractions), len(v0), horizon + 1))
+    for profile, f in zip(speeds, p.speed_fractions):
+        v_target = f * idm.v_desired
+        target = replace(idm, v_desired=v_target) if v_target >= 0.1 else None
+        profile[:, 0] = v0
+        for k in range(horizon):
+            v = profile[:, k]
+            if target is None:
+                a = np.where(v > 0.0, -idm.b_comf, 0.0)
+            else:
+                a = idm_accel(v, None, target)
+            profile[:, k + 1] = _floor0(v + dt * a)
+    return speeds.transpose(1, 0, 2).reshape(-1, horizon + 1)
 
 
 def _proposal_references(
     scenario: Scenario,
-    starts: Sequence[VehicleState],
+    starts: StateBatch,
     p: PlannerParams,
     horizon: int,
     ctx: SimContext,
 ) -> StateBatch:
-    """(S * P, horizon + 1) references of all proposals of S starts, start
-    major, then speed fraction major.
+    """(S * P, horizon + 1) references of all proposals of S (7, S) starts,
+    start major, then speed fraction major.
 
     Each follows the laterally shifted route from the start's projection on
     it with an IDM speed profile; steering comes from the heading change per
@@ -185,15 +154,10 @@ def _proposal_references(
         for o in p.lateral_offsets
     ]
     n_off = len(routes)
-    v = np.repeat(
-        [_speed_profile(start.vel_lon, f * ctx.idm.v_desired, horizon, dt, ctx.idm)
-         for start in starts for f in p.speed_fractions],
-        n_off,
-        axis=0,
-    )
-    xs = np.array([start.pose.x for start in starts])
-    ys = np.array([start.pose.y for start in starts])
-    on_route = np.stack([ops.project_many(xs, ys)[0] for ops in routes], axis=1)  # (S, n_off)
+    v = np.repeat(_speed_profiles(starts.v, p, horizon, dt, ctx.idm), n_off, axis=0)
+    on_route = np.stack(
+        [ops.project_many(starts.x, starts.y)[0] for ops in routes], axis=1
+    )  # (S, n_off)
     arcs = np.empty_like(v)
     arcs[:, 0] = np.repeat(on_route, len(p.speed_fractions), axis=0).ravel()
     for k in range(horizon):
@@ -219,31 +183,29 @@ def _proposal_references(
     )
 
 
-# A planning start: the perturbed ego state and agent states to plan from;
-# None (or an agent left out) starts from the log at the planning frame.
-PlanStart = tuple[VehicleState | None, Mapping[str, VehicleState] | None]
-
-
 def _score_starts(
-    scenario: Scenario, t: int, starts: Sequence[PlanStart], p: PlannerParams, ctx: SimContext
+    scenario: Scenario,
+    t: int,
+    ego_start: StateBatch,
+    agent_init: Mapping[str, StateBatch],
+    p: PlannerParams,
+    ctx: SimContext,
 ) -> tuple[StateBatch, SceneBatch, np.ndarray, list[float]]:
-    """Every proposal of every start simulated in one batched rollout and
-    scored in one kernel call; rows are start major, P per start."""
+    """Every proposal of S starts, the (7, S) `ego_start` and the (7, S)
+    `agent_init` entries (an agent left out starts from the log at frame t),
+    simulated in one batched rollout and scored in one kernel call; rows are
+    start major, P per start."""
     horizon = scenario.t_horizon
     check_window(scenario, t, horizon)
-    egos = [ego if ego is not None else scenario.ego_log[t] for ego, _ in starts]
-    refs = _proposal_references(scenario, egos, p, horizon, ctx)
+    refs = _proposal_references(scenario, ego_start, p, horizon, ctx)
     n = len(p.speed_fractions) * len(p.lateral_offsets)
 
-    def per_proposal(states: Sequence[VehicleState]) -> StateBatch:
-        return StateBatch(np.repeat(StateBatch.frame(states).data, n, axis=1))
+    def per_proposal(start: StateBatch) -> StateBatch:
+        return StateBatch(np.repeat(start.data, n, axis=1))
 
-    agent_init = {}
-    for a in scenario.agents:
-        inits = (init.get(a.id) if init else None for _, init in starts)
-        agent_init[a.id] = per_proposal([s if s is not None else a.states[t] for s in inits])
     scene = rollout_batch(
-        scenario, refs, t, horizon, ctx, ego_start=per_proposal(egos), agent_init=agent_init
+        scenario, refs, t, horizon, ctx, ego_start=per_proposal(ego_start),
+        agent_init={aid: per_proposal(init) for aid, init in agent_init.items()},
     )
     sub = submetrics_batch(scene, scenario, ctx)
     scores = [aggregate_epdms(SubMetricVector(*row), ctx.weights) for row in sub.tolist()]
@@ -263,32 +225,37 @@ class Plan:
 def privileged_plans(
     scenario: Scenario,
     t: int,
-    starts: Sequence[PlanStart],
+    ego_start: StateBatch,
+    agent_init: Mapping[str, StateBatch],
     p: PlannerParams | None = None,
     ctx: SimContext | None = None,
-) -> list[Plan]:
-    """`privileged_plan` from each of several starts, in one batched call.
+) -> tuple[StateBatch, SceneBatch, np.ndarray]:
+    """`privileged_plan` from each of S starts, in one batched call: the
+    winners' (7, S, horizon + 1) references, their S-row scene and their
+    (S, 9) sub-metrics.
 
-    The proposals of every start are simulated together, one row each, in
-    one batched rollout and scored in one kernel call; each start keeps the
+    The starts are the (7, S) `ego_start` and `agent_init` entries. The
+    proposals of every start are simulated together, one row each, in one
+    batched rollout and scored in one kernel call; each start keeps the
     first of its own equal best-scoring proposals. Rows do not depend on the
-    rows sharing their call, so each plan equals `privileged_plan` from its
-    start alone.
+    rows sharing their call, so each winner equals `privileged_plan` from
+    its start alone. No start, no winner: zero rows come back.
     """
-    if not starts:
-        return []
+    if not ego_start.x.shape[0]:
+        h = scenario.t_horizon
+        none = StateBatch(np.empty((7, 0, h + 1)))
+        agents = {a.id: none for a in sorted(scenario.agents, key=lambda a: a.id)}
+        scene = SceneBatch(scenario.dt, t, t + h, none, agents)
+        return none, scene, np.empty((0, len(ALL_METRICS)))
     p = p or PlannerParams()
-    refs, scene, sub, scores = _score_starts(scenario, t, starts, p, ctx or SimContext())
+    refs, scene, sub, scores = _score_starts(
+        scenario, t, ego_start, agent_init, p, ctx or SimContext()
+    )
     n = len(p.speed_fractions) * len(p.lateral_offsets)
-    plans = []
-    for first in range(0, len(scores), n):
-        best = max(range(first, first + n), key=scores.__getitem__)  # first of equal maxima
-        plans.append(Plan(
-            reference=refs.trajectory(best, scenario.dt),
-            states=scene.take([best]),
-            submetrics=SubMetricVector(*sub[best].tolist()),
-        ))
-    return plans
+    best = [  # the first of equal maxima of each start
+        max(range(first, first + n), key=scores.__getitem__) for first in range(0, len(scores), n)
+    ]
+    return StateBatch(refs.data[:, best]), scene.take(best), sub[best]
 
 
 def privileged_plan(
@@ -310,7 +277,10 @@ def privileged_plan(
     on that window. `ego_start` / `agent_init` plan from perturbed rather
     than logged states.
     """
-    return privileged_plans(scenario, t, [(ego_start, agent_init)], p, ctx)[0]
+    ego = StateBatch.full(ego_start if ego_start is not None else scenario.ego_log[t], 1)
+    agents = {aid: StateBatch.full(s, 1) for aid, s in (agent_init or {}).items()}
+    refs, scene, sub = privileged_plans(scenario, t, ego, agents, p, ctx)
+    return Plan(refs.trajectory(0, scenario.dt), scene, SubMetricVector(*sub[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -334,47 +304,40 @@ class ExpertFilterSpec:
             raise ValidationError("ep_min must lie in [0, 1]")
 
 
-def kinematic_limit_violation(traj: Trajectory, limits: VehicleLimits) -> str | None:
-    """None if the trajectory respects curvature and acceleration limits."""
-    max_curv = limits.max_curvature() + 1e-9
-    dt = traj.dt
-    for k in range(len(traj) - 1):
-        a, b = traj.states[k], traj.states[k + 1]
-        ds = math.hypot(b.pose.x - a.pose.x, b.pose.y - a.pose.y)
-        if ds > 0.05:
-            curv = abs(angle_diff(b.pose.theta, a.pose.theta)) / ds
-            if curv > max_curv:
-                return f"curvature {curv:.3f} exceeds limit at step {k}"
-        accel = (b.vel_lon - a.vel_lon) / dt
-        if abs(accel) > limits.accel_max + 1e-9:
-            return f"acceleration {accel:.2f} exceeds limit at step {k}"
-    return None
+def kinematic_limit_violation(ego: StateBatch, dt: float, limits: VehicleLimits) -> bool:
+    """Whether a one-row (7, 1, n) ego track at step `dt` breaks the
+    curvature limit on a step of more than 5 cm, or the acceleration limit."""
+    x, y, theta, v = ego.data[:4, 0]
+    ds = per_element(math.hypot, np.diff(x), np.diff(y))
+    moved = ds > 0.05
+    curv = np.abs(wrap_angle_many(np.diff(theta))) / np.where(moved, ds, 1.0)
+    bends = moved & (curv > limits.max_curvature() + 1e-9)
+    return bool(bends.any() or (np.abs(np.diff(v) / dt) > limits.accel_max + 1e-9).any())
 
 
 def expert_filter(
     states: SceneBatch,
     scenario: Scenario,
-    traj: Trajectory,
     spec: ExpertFilterSpec | None = None,
     ctx: SimContext | None = None,
     precomputed=None,
 ) -> tuple[bool, str]:
-    """Strict demonstration gate: all required sub-metrics at 1, relaxed EP,
-    and the hard kinematic limits of `ctx`. Returns (accepted, reason of
-    first failure). `precomputed` skips the metric evaluation (in the world
-    of `ctx`) when the caller already has it.
+    """Strict demonstration gate on a simulated window: all required
+    sub-metrics at 1, relaxed EP, and the hard kinematic limits of `ctx` on
+    its ego track. Returns (accepted, reason of first failure). The window
+    is scored in the world of `ctx`, comfort judged on its own ego track,
+    unless the caller passes the sub-metrics as `precomputed`.
     """
     spec = spec or ExpertFilterSpec()
     ctx = ctx or SimContext()
     sub = precomputed if precomputed is not None else compute_submetrics(
-        states, scenario, traj, ctx
+        states, scenario, states.ego.trajectory(0, states.dt), ctx
     )
     for name in ("nc", "dac", "ddc", "tlc", "ep", "ttc", "lk", "hc", "ec"):
         if name in spec.required_ones and getattr(sub, name) != 1.0:
             return False, name
     if sub.ep <= spec.ep_min:
         return False, "EP"
-    violation = kinematic_limit_violation(traj, ctx.limits)
-    if violation is not None:
+    if kinematic_limit_violation(states.ego, states.dt, ctx.limits):
         return False, "kinematics"
     return True, ""

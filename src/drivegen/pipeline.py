@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .batch import plan_batch, rollout_batch
+from .batch import rollout_batch
 from .config import CameraConfig, PipelineConfig, config_hash
 from .errors import ValidationError
 from .expert import (
@@ -31,7 +31,7 @@ from .expert import (
     privileged_plan,  # noqa: F401
     privileged_plans,
     recovery_retrieve,
-    recovery_target,
+    recovery_targets,
 )
 from .geometry import per_element, wrap_angle_many
 # `compute_submetrics`, `rollout` and `feasibility_filter` stay bound here:
@@ -192,6 +192,7 @@ def expert_stage(
     ego and agent states, stacked from the last frame of its screen row,
     except in reactive planner runs: there the planner's winning proposal
     already is that rollout, so its window and sub-metrics are kept. The
+    retrieval targets are read off the stacked start frame, and the
     retrieved rows are placed, and the planner plans, for every perturbed
     state in one call. History comfort is judged on the window alone.
     """
@@ -203,25 +204,29 @@ def expert_stage(
     rows = [c.screen_states for c in cands]
     ego_start = _last_frame([r.ego for r in rows])
     agent_init = {aid: _last_frame([r.agents[aid] for r in rows]) for aid in rows[0].agents}
-    starts = StateBatch(ego_start.data[:, None]).states(0)  # read by retrieval and the planner
     if config.expert_kind == EXPERT_RECOVERY:
         check_vocabulary(vocab, scenario)
-        logged_end = scenario.ego_log[anchor2 + H]
-        chosen = [recovery_retrieve(recovery_target(s, logged_end), vocab) for s in starts]
+        targets = recovery_targets(ego_start, scenario.ego_log[anchor2 + H])
+        chosen = [recovery_retrieve(target, vocab) for target in targets]
         plans = place_tracks(vocab.tracks.data[:, chosen], ego_start)
     else:
-        finals = {aid: StateBatch(f.data[:, None]).states(0) for aid, f in agent_init.items()}
-        plan_starts = [(s, {aid: f[j] for aid, f in finals.items()}) for j, s in enumerate(starts)]
-        chosen = privileged_plans(scenario, anchor2, plan_starts, config.planner, ctx)
+        plans, scene, sub = privileged_plans(
+            scenario, anchor2, ego_start, agent_init, config.planner, ctx
+        )
         if config.reactive:
-            return [(plan.states, plan.submetrics) for plan in chosen]
-        plans = plan_batch([plan.reference for plan in chosen], scenario, H)
+            return _scene_rows(scene, sub)
     scene = rollout_batch(
         scenario, plans, anchor2, H, ctx, ego_start=ego_start, agent_init=agent_init,
         mode=MODE_REACTIVE if config.reactive else MODE_NONREACTIVE,
     )
-    sub = submetrics_batch(scene, scenario, ctx).tolist()
-    return [(scene.take(slice(j, j + 1)), SubMetricVector(*row)) for j, row in enumerate(sub)]
+    return _scene_rows(scene, submetrics_batch(scene, scenario, ctx))
+
+
+def _scene_rows(scene: SceneBatch, sub: np.ndarray) -> list[tuple[SceneBatch, SubMetricVector]]:
+    """Each row of a scene as a one-row scene, with its sub-metrics."""
+    return [
+        (scene.take(slice(j, j + 1)), SubMetricVector(*row)) for j, row in enumerate(sub.tolist())
+    ]
 
 
 def _sample(
@@ -235,10 +240,7 @@ def _sample(
     """The expert-stage filter on a screened candidate's simulated stage 2,
     and the sample it accepts; stage 1 is the row that cleared the screen."""
     ctx = config.sim_context
-    accepted, reason = expert_filter(
-        stage2, scenario, stage2.ego.trajectory(0, scenario.dt), config.expert_filter, ctx,
-        precomputed=sub2,
-    )
+    accepted, reason = expert_filter(stage2, scenario, config.expert_filter, ctx, precomputed=sub2)
     if not accepted:
         return None, reason
     stage1 = cand.screen_states

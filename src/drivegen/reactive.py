@@ -23,7 +23,7 @@ import numpy as np
 # `lqr_track` stays bound here: perfbench/tracer.py wraps it as `reactive.lqr_track`
 from .control import lqr_track  # noqa: F401
 from .errors import RolloutError, ValidationError
-from .geometry import PolylineOps, PolylineSetOps, _cached_ops
+from .geometry import PolylineOps, PolylineSetOps, _cached_ops, per_element
 from .scenario import FRAME_GLOBAL, Lane, Pose2D, Scenario, Trajectory, VehicleState
 
 if TYPE_CHECKING:  # metrics imports this module, so the context type is annotation-only
@@ -146,26 +146,27 @@ class SceneBatch:
         )
 
 
-def idm_accel(
-    v: float,
-    leader: tuple[float, float] | None,
-    p: IdmParams,
-    b_hard: float = DEFAULT_B_HARD,
-) -> float:
-    """IDM longitudinal acceleration, clamped to [-b_hard, a_max].
+def idm_accel(v, leader, p: IdmParams, b_hard: float = DEFAULT_B_HARD):
+    """IDM longitudinal acceleration, clamped to [-b_hard, a_max], of one
+    speed (a float comes back) or of every element of an array of speeds.
 
-    `leader` is (leader speed, bumper-to-bumper gap) or None on a free road.
+    `leader` is (leader speed, bumper-to-bumper gap), floats or arrays, or
+    None on a free road; an infinite gap is a free road too, its interaction
+    term being 0.0. The terms are evaluated as with Python floats: both
+    powers run per element through Python's `pow` (numpy's `x ** 2` can
+    round differently), and the clamps keep Python's choice among equals.
     """
-    free = (v / p.v_desired) ** p.delta
-    if leader is None:
-        a = p.a_max * (1.0 - free)
-    else:
-        v_lead, gap = leader
-        s_star = p.s0 + max(
-            0.0, v * p.headway + v * (v - v_lead) / (2.0 * math.sqrt(p.a_max * p.b_comf))
-        )
-        a = p.a_max * (1.0 - free - (s_star / gap) ** 2)
-    return max(-b_hard, min(p.a_max, a))
+    v = np.asarray(v, dtype=float)
+    v_lead, gap = leader if leader is not None else (v, math.inf)
+    closing = v * p.headway + v * (v - v_lead) / (2.0 * math.sqrt(p.a_max * p.b_comf))
+    s_star = p.s0 + np.where(closing > 0.0, closing, 0.0)
+    base = np.stack(np.broadcast_arrays(v / p.v_desired, s_star / gap))
+    exponent = np.empty_like(base)
+    exponent[0], exponent[1] = p.delta, 2.0
+    free, interaction = per_element(pow, base, exponent)
+    a = p.a_max * (1.0 - free - interaction)
+    capped = np.where(a < p.a_max, a, p.a_max)
+    return np.where(capped > -b_hard, capped, -b_hard)[()]
 
 
 def lane_centerline_ops(lane: Lane) -> PolylineOps:
@@ -193,12 +194,6 @@ def check_window(scenario: Scenario, t_start: int, horizon: int) -> None:
         )
 
 
-def check_plan_dt(plan: Trajectory, scenario: Scenario) -> None:
-    """Raise RolloutError unless the plan runs at the scenario's dt."""
-    if plan.dt != scenario.dt:
-        raise RolloutError(f"ego_plan dt {plan.dt} does not match scenario dt {scenario.dt}")
-
-
 def rollout(
     scenario: Scenario,
     ego_plan: Trajectory,
@@ -223,7 +218,8 @@ def rollout(
     """
     if mode not in MODES:
         raise RolloutError(f"unknown mode '{mode}'")
-    check_plan_dt(ego_plan, scenario)
+    if ego_plan.dt != scenario.dt:
+        raise RolloutError(f"ego_plan dt {ego_plan.dt} does not match scenario dt {scenario.dt}")
     check_window(scenario, t_start, horizon)
     if mode == MODE_LOG_REPLAY_EGO:
         window = slice(t_start, t_start + horizon + 1)
@@ -238,10 +234,14 @@ def rollout(
             },
         )
 
-    from .batch import plan_batch, rollout_batch  # batch imports this module
+    if ego_plan.frame != FRAME_GLOBAL:
+        raise RolloutError(f"ego_plan is in frame '{ego_plan.frame}', needs '{FRAME_GLOBAL}'")
+    if len(ego_plan) < horizon + 1:
+        raise RolloutError(f"ego_plan has {len(ego_plan)} states, needs at least {horizon + 1}")
+    from .batch import rollout_batch  # batch imports this module
     from .metrics import SimContext
 
     return rollout_batch(
-        scenario, plan_batch([ego_plan], scenario, horizon), t_start, horizon,
+        scenario, StateBatch.track(ego_plan.states[: horizon + 1]), t_start, horizon,
         ctx or SimContext(), ego_start, agent_init, mode,
     )

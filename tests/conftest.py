@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from drivegen.config import PipelineConfig
-from drivegen.geometry import global_to_local, wrap_angle
-from drivegen.reactive import SceneBatch
-from drivegen.scenario import Pose2D, Trajectory, VehicleState
-from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
+from drivegen.expert import Plan
+from drivegen.geometry import global_to_local, offset_polyline, polyline_ops, wrap_angle
+from drivegen.metrics import SubMetricVector
+from drivegen.reactive import SceneBatch, StateBatch
+from drivegen.scenario import AgentTrack, Lane, Pose2D, Trajectory, VehicleState
+from drivegen.synth import TEMPLATES, corpus_config_for_count, generate_synthetic_corpus
 from drivegen.vocab import STATUS_PENDING, PerturbationCandidate, default_vocabulary
 
 from oracle import SceneStates
@@ -91,6 +94,34 @@ def plan_bits(plan):
     )
 
 
+def start_frames(starts):
+    """The (7, S) ego and per-agent start frames of S planning starts, each
+    an (ego state, {agent id: state}) pair; every start names the same agents."""
+    if not starts:
+        return StateBatch(np.empty((7, 0))), {}
+    ego = StateBatch.frame([e for e, _ in starts])
+    return ego, {aid: StateBatch.frame([init[aid] for _, init in starts]) for aid in starts[0][1]}
+
+
+def start_states(ego_start, agent_init):
+    """The planning starts of (7, S) ego and per-agent start frames, as
+    (ego state, {agent id: state}) pairs."""
+    agents = {aid: StateBatch(f.data[:, None]).states(0) for aid, f in agent_init.items()}
+    return [
+        (ego, {aid: states[j] for aid, states in agents.items()})
+        for j, ego in enumerate(StateBatch(ego_start.data[:, None]).states(0))
+    ]
+
+
+def winning_plans(result, dt):
+    """The `Plan` of each start of a `privileged_plans` result."""
+    refs, scene, sub = result
+    return [
+        Plan(refs.trajectory(j, dt), scene.take([j]), SubMetricVector(*row))
+        for j, row in enumerate(sub.tolist())
+    ]
+
+
 def shifted_plan(plan: Trajectory, lateral: float, speed: float) -> Trajectory:
     """The plan moved `lateral` m to its left, with its speeds and
     accelerations scaled by `speed`."""
@@ -112,6 +143,46 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def corpus_100():
     return generate_synthetic_corpus(corpus_config_for_count(100), seed=2026)
+
+
+def route_track(scenario, agent_id, ahead, speed_factor, lateral=0.0, kind="vehicle"):
+    """A 4.5 m agent along the scenario's route, `lateral` m to its left:
+    `ahead` m ahead of the ego's first logged position (behind if negative)
+    and at `speed_factor` times the ego's first logged speed throughout."""
+    ops = polyline_ops(scenario.map.route)
+    first = scenario.ego_log[0]
+    speed = speed_factor * first.vel_lon
+    s0 = ops.project(first.pose.x, first.pose.y)[0] + ahead
+    arcs = s0 + speed * scenario.dt * np.arange(scenario.frame_count)
+    states = tuple(
+        make_state(x=x - lateral * math.sin(h), y=y + lateral * math.cos(h), theta=h, v=speed)
+        for x, y, h in zip(*(a.tolist() for a in ops.point_at_many(arcs)))
+    )
+    return AgentTrack(agent_id, 4.5, 1.9, kind, states)
+
+
+@pytest.fixture(scope="session")
+def multi_agent_corpus(corpus_100):
+    """The first scene of each corpus template with four agents added along
+    its route: a slower lead, a follower whose nearest leader is the ego, a
+    car parked at the right edge of the lane and a neighbour driving close
+    alongside on the left, in a left lane (added where the template has
+    none) that keeps it from merging. Ego plans that stray sideways hit the
+    parked car or the neighbour; plans that keep their lane clear them."""
+    crowded = []
+    for s in (next(s for s in corpus_100 if s.id.startswith(t)) for t in TEMPLATES):
+        lanes = s.map.lanes
+        if not s.id.startswith("cut-in"):  # a left lane for the neighbour to keep
+            lanes += (Lane(offset_polyline(s.map.route, lanes[0].width), lanes[0].width, 1),)
+        crowded.append(replace(
+            s, id=f"{s.id}-crowded", map=replace(s.map, lanes=lanes), agents=s.agents + (
+                route_track(s, "f-follower", -16.0, 1.0),
+                route_track(s, "m-slow-lead", 40.0, 0.8),
+                route_track(s, "n-neighbour", 3.0, 1.0, lateral=3.2),
+                route_track(s, "p-parked", 60.0, 0.0, lateral=-2.9, kind="static"),
+            ),
+        ))
+    return crowded
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,10 @@ through which `reactive.rollout` and `control.lqr_track` run one row), of
 `metrics.submetrics_batch`, of the batched feasibility screen
 (`vocab.feasibility_filter_batch`), of the whole-array perturbation passes
 (`vocab.enumerate_perturbations`, `GridSpec.cells`, `vocab.place_tracks`),
-of the camera poses (`pipeline.sensor_stub`) and of the vocabulary build
-(`vocab.synthesize_maneuvers`, `vocab.build_vocabulary`).
+of the camera poses (`pipeline.sensor_stub`), of the expert stage's array
+passes (`expert.recovery_targets`, `expert.kinematic_limit_violation`) and
+of the vocabulary build (`vocab.synthesize_maneuvers`,
+`vocab.build_vocabulary`).
 
 A simulated window is a one-row `SceneBatch` in the package. The oracles
 hold it as `SceneStates`, tuples of `VehicleState` per vehicle: the record
@@ -17,8 +19,8 @@ The simulation runs on Python floats, one vehicle and one frame at a time:
 `oracle_lqr_track` tracks with `control.bicycle_step` and the gain of each
 step's key solved alone (`oracle_tracking_gain`, the reference of the batched
 gain table `control._tracking_gain`), agents find their lane
-and leader with the scalar `PolylineOps.project` and step with the scalar
-kinematics of `_agent_step`.
+and leader with the scalar `PolylineOps.project`, accelerate by the scalar
+IDM `oracle_idm_accel` and step with the scalar kinematics of `_agent_step`.
 
 Each sub-metric is computed on Python floats, frame by frame: NC searches per-frame
 `OrientedBox` pairs for the first contact and rules on its fault with its own
@@ -75,6 +77,7 @@ from drivegen.metrics import (
     lane_compliance,
 )
 from drivegen.reactive import (
+    DEFAULT_B_HARD,
     LEADER_LOOKAHEAD,
     MODE_LOG_REPLAY_EGO,
     MODE_NONREACTIVE,
@@ -82,7 +85,6 @@ from drivegen.reactive import (
     PURE_PURSUIT_LOOKAHEAD,
     SceneBatch,
     StateBatch,
-    idm_accel,
     lane_centerline_ops,
 )
 from drivegen.scenario import (
@@ -524,6 +526,22 @@ def _agent_step(state, accel, steering, dt, wheelbase):
     )
 
 
+def oracle_idm_accel(v, leader, p, b_hard=DEFAULT_B_HARD):
+    """`reactive.idm_accel` of one speed on Python floats, clamped to
+    [-b_hard, a_max]; `leader` is (leader speed, bumper-to-bumper gap) or
+    None on a free road."""
+    free = (v / p.v_desired) ** p.delta
+    if leader is None:
+        a = p.a_max * (1.0 - free)
+    else:
+        v_lead, gap = leader
+        s_star = p.s0 + max(
+            0.0, v * p.headway + v * (v - v_lead) / (2.0 * math.sqrt(p.a_max * p.b_comf))
+        )
+        a = p.a_max * (1.0 - free - (s_star / gap) ** 2)
+    return max(-b_hard, min(p.a_max, a))
+
+
 def oracle_rollout(
     scenario, ego_plan, t_start, horizon, mode="reactive", ctx=None, ego_start=None,
     agent_init=None,
@@ -590,7 +608,7 @@ def oracle_rollout(
                     continue
                 position = lane_position(st, scenario.map)
                 leader = oracle_select_leader(a.id, snapshot, scenario.map, position)
-                accel = idm_accel(st.vel_lon, leader, ctx.idm, ctx.b_hard)
+                accel = oracle_idm_accel(st.vel_lon, leader, ctx.idm, ctx.b_hard)
 
                 _, ops, s_self = position
                 wheelbase = 0.6 * a.length
@@ -841,11 +859,28 @@ def oracle_threshold_and_grid(scenario, ends, th, grid, seed):
 
 
 def oracle_matching_vector(traj):
-    """`expert.build_matching_vector` on Python floats: start velocity and the
-    end pose in the start frame."""
+    """The matching vector of a trajectory's first and last states on Python
+    floats: start velocity and the end pose in the start frame. A vocabulary
+    entry's is its row of `expert._matching_matrix`; the two-state path from
+    a perturbed start to the logged endpoint gives the start's row of
+    `expert.recovery_targets`."""
     s0, end = traj.states[0], traj.states[-1]
     ex, ey = global_to_local(end.pose.x, end.pose.y, s0.pose.x, s0.pose.y, s0.pose.theta)
     return (s0.vel_lon, s0.vel_lat, 0.0, ex, ey, angle_diff(end.pose.theta, s0.pose.theta))
+
+
+def oracle_kinematic_limit_violation(traj, limits):
+    """`expert.kinematic_limit_violation` one step at a time: whether the
+    trajectory breaks the curvature limit on a step of more than 5 cm, or
+    the acceleration limit."""
+    max_curv = limits.max_curvature() + 1e-9
+    for a, b in zip(traj.states, traj.states[1:]):
+        ds = math.hypot(b.pose.x - a.pose.x, b.pose.y - a.pose.y)
+        if ds > 0.05 and abs(angle_diff(b.pose.theta, a.pose.theta)) / ds > max_curv:
+            return True
+        if abs((b.vel_lon - a.vel_lon) / traj.dt) > limits.accel_max + 1e-9:
+            return True
+    return False
 
 
 def oracle_feasibility_filter(cand, scenario, mode, epdms_min, ctx=None):

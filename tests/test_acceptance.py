@@ -28,7 +28,7 @@ from drivegen.scaling import ScalingPoint, fit_log_quadratic
 from drivegen.scenario import Pose2D, Trajectory, VehicleState
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 from drivegen.vocab import STATUS_CLEARED_REACTIVE, default_vocabulary
-from drivegen.expert import MatchingVector, recovery_retrieve
+from drivegen.expert import recovery_retrieve
 
 from conftest import make_state, scene_states, straight_trajectory
 from test_expert import oracle_scan
@@ -157,14 +157,14 @@ def test_criterion_4_retrieval_oracle():
     t0 = time.perf_counter()
     agree = 0
     for _ in range(1000):
-        target = MatchingVector(
-            v_x=rng.uniform(0.0, 16.0),
-            v_y=rng.uniform(-0.5, 0.5),
-            theta0=0.0,
-            x_end=rng.uniform(-10.0, 70.0),
-            y_end=rng.uniform(-20.0, 20.0),
-            theta_end=rng.uniform(-1.2, 1.2),
-        )
+        target = np.array([  # v_x, v_y, theta0, then the end pose x, y, theta
+            rng.uniform(0.0, 16.0),
+            rng.uniform(-0.5, 0.5),
+            0.0,
+            rng.uniform(-10.0, 70.0),
+            rng.uniform(-20.0, 20.0),
+            rng.uniform(-1.2, 1.2),
+        ])
         got = recovery_retrieve(target, vocab)
         agree += got == oracle_scan(target, entries)
     elapsed = time.perf_counter() - t0

@@ -15,16 +15,18 @@ from dataclasses import replace
 import pytest
 
 import drivegen.pipeline
-from drivegen.expert import privileged_plan, privileged_plans, recovery_retrieve, recovery_target
+import numpy as np
+
+from drivegen.expert import privileged_plan, privileged_plans, recovery_retrieve
 from drivegen.pipeline import cleared_status, expert_stage, screen_batch
 from drivegen.scenario import Trajectory
 from drivegen.seeding import mix64
 from drivegen.vocab import STATUS_PENDING, enumerate_perturbations, grid_sparsify
 
-from conftest import plan_bits, scene_bits, sub_bits
+from conftest import plan_bits, scene_bits, start_frames, sub_bits, winning_plans
 from oracle import (
-    SceneStates, oracle_feasibility_filter, oracle_place_at_state, oracle_rollout,
-    oracle_submetrics,
+    SceneStates, oracle_feasibility_filter, oracle_matching_vector, oracle_place_at_state,
+    oracle_rollout, oracle_submetrics,
 )
 
 
@@ -97,12 +99,13 @@ def test_stage2_rows_match_the_scalar_rollout(
     config = replace(small_config, expert_kind=expert, reactive=reactive)
     ctx = config.sim_context
     mode = "reactive" if reactive else "nonreactive"
-    plans = []  # the planner's choices, one per planned sample, in call order
+    plans = []  # the planner's references, one per planned sample, in call order
     real_plans = drivegen.pipeline.privileged_plans
 
     def recorded(*args, **kwargs):
         chosen = real_plans(*args, **kwargs)
-        plans.extend(chosen)
+        refs, dt = chosen[0], args[0].dt
+        plans.extend(refs.trajectory(j, dt) for j in range(refs.x.shape[0]))
         return chosen
 
     monkeypatch.setattr(drivegen.pipeline, "privileged_plans", recorded)
@@ -117,11 +120,12 @@ def test_stage2_rows_match_the_scalar_rollout(
         for i, (cand, (states2, sub2)) in enumerate(zip(cands, got, strict=True)):
             (perturbed, finals), = _plan_starts([cand])
             if expert == "recovery":
-                target = recovery_target(perturbed, s.ego_log[anchor2 + s.t_horizon])
-                entry = small_vocab.entries[recovery_retrieve(target, small_vocab)]
+                logged_end = s.ego_log[anchor2 + s.t_horizon]
+                target = oracle_matching_vector(Trajectory(s.dt, (perturbed, logged_end)))
+                entry = small_vocab.entries[recovery_retrieve(np.array(target), small_vocab)]
                 plan = oracle_place_at_state(entry, perturbed)
             else:
-                plan = plans[i].reference
+                plan = plans[i]
             want = oracle_rollout(s, plan, anchor2, s.t_horizon, mode, ctx,
                                   ego_start=perturbed, agent_init=finals)
             want_sub = oracle_submetrics(want, s, Trajectory(dt=s.dt, states=want.ego), ctx)
@@ -181,7 +185,8 @@ def test_planned_samples_do_not_depend_on_the_samples_sharing_their_call(
             plan_bits(privileged_plan(s, t, config.planner, ego, init, ctx)) for ego, init in starts
         ]
         for rows in (range(len(starts)), range(len(starts))[1::2][::-1], [len(starts) - 1]):
-            got = privileged_plans(s, t, [starts[i] for i in rows], config.planner, ctx)
+            frames = start_frames([starts[i] for i in rows])
+            got = winning_plans(privileged_plans(s, t, *frames, config.planner, ctx), s.dt)
             assert [plan_bits(p) for p in got] == [alone[i] for i in rows], s.id
         planned += len(starts)
         agentless += not s.agents

@@ -9,48 +9,54 @@ from drivegen.control import ControlInput, VehicleLimits, bicycle_step
 from drivegen.errors import RolloutError, ValidationError
 from drivegen.expert import (
     ExpertFilterSpec,
-    MatchingVector,
     PlannerParams,
     _matching_matrix,
-    build_matching_vector,
     expert_filter,
     kinematic_limit_violation,
     privileged_plan,
     recovery_retrieve,
+    recovery_targets,
 )
 from drivegen.metrics import (
     MetricWeights, SimContext, SubMetricVector, aggregate_epdms, compute_submetrics,
 )
-from drivegen.reactive import rollout
+from drivegen.reactive import StateBatch, rollout
 from drivegen.scenario import AgentTrack, Scenario, Trajectory
 from drivegen.vocab import Vocabulary, synthesize_maneuvers
 
 from conftest import (
     make_state, plan_bits, scene_bits, scene_states, shifted_plan, straight_trajectory,
 )
-from oracle import SceneStates, oracle_matching_vector, oracle_rollout, oracle_submetrics
+from oracle import (
+    SceneStates, oracle_kinematic_limit_violation, oracle_matching_vector, oracle_rollout,
+    oracle_submetrics,
+)
 
 
 # --- matching vectors
 
 
+def matching_vector(traj):
+    """The (6,) matching vector of one trajectory: its row of a one-entry bank."""
+    return _matching_matrix(Vocabulary.of([traj]))[0]
+
+
 def test_matching_vector_straight_example():
     # 4 s at 5 m/s: endpoint 20 m ahead in the start frame
     traj = straight_trajectory(v=5.0, n_states=41)
-    m = build_matching_vector(traj)
-    assert m.v_x == pytest.approx(5.0)
-    assert m.v_y == pytest.approx(0.0)
-    assert m.theta0 == 0.0
-    assert m.x_end == pytest.approx(20.0, abs=1e-9)
-    assert m.y_end == pytest.approx(0.0, abs=1e-9)
-    assert m.theta_end == pytest.approx(0.0, abs=1e-12)
+    v_x, v_y, theta0, x_end, y_end, theta_end = matching_vector(traj)
+    assert v_x == pytest.approx(5.0)
+    assert v_y == pytest.approx(0.0)
+    assert theta0 == 0.0
+    assert x_end == pytest.approx(20.0, abs=1e-9)
+    assert y_end == pytest.approx(0.0, abs=1e-9)
+    assert theta_end == pytest.approx(0.0, abs=1e-12)
 
 
 def test_matching_vector_global_rotation_invariance():
     a = straight_trajectory(v=5.0, n_states=41, theta=0.0)
     b = straight_trajectory(v=5.0, n_states=41, theta=math.pi / 2)
-    ma, mb = build_matching_vector(a), build_matching_vector(b)
-    assert ma.as_array() == pytest.approx(mb.as_array(), abs=1e-9)
+    assert matching_vector(a) == pytest.approx(matching_vector(b), abs=1e-9)
 
 
 def test_matching_vector_arc_against_scripted_extraction():
@@ -62,7 +68,7 @@ def test_matching_vector_arc_against_scripted_extraction():
         cur = bicycle_step(cur, ControlInput(0.0, 0.0), dt, limits=VehicleLimits(wheelbase=L))
         states.append(cur)
     traj = Trajectory(dt=dt, states=tuple(states))
-    m = build_matching_vector(traj)
+    *_, x_end, y_end, theta_end = matching_vector(traj)
 
     # oracle: scripted pose accumulation in the start frame
     x = y = theta = 0.0
@@ -70,14 +76,9 @@ def test_matching_vector_arc_against_scripted_extraction():
         x += dt * v * math.cos(theta)
         y += dt * v * math.sin(theta)
         theta += dt * v * math.tan(delta) / L
-    assert m.x_end == pytest.approx(x, abs=1e-9)
-    assert m.y_end == pytest.approx(y, abs=1e-9)
-    assert m.theta_end == pytest.approx(theta, abs=1e-9)
-
-
-def test_matching_vector_requires_two_states():
-    with pytest.raises(ValidationError):
-        build_matching_vector(straight_trajectory(5.0, 1))
+    assert x_end == pytest.approx(x, abs=1e-9)
+    assert y_end == pytest.approx(y, abs=1e-9)
+    assert theta_end == pytest.approx(theta, abs=1e-9)
 
 
 # --- retrieval
@@ -89,14 +90,13 @@ def _vocab(n=32, seed=0):
 
 def test_retrieve_exact_entry():
     vocab = _vocab(16)
-    target = build_matching_vector(vocab.entries[7])
-    assert recovery_retrieve(target, vocab) == 7
+    assert recovery_retrieve(matching_vector(vocab.entries[7]), vocab) == 7
 
 
 def test_matching_matrix_matches_the_per_entry_vectors():
-    """The bank's matching matrix, built from its first and last frames, and
-    `build_matching_vector` of each entry are the scalar oracle's vectors bit
-    for bit, also for entries that do not start at the origin."""
+    """The bank's matching matrix, built from its first and last frames, is
+    the scalar oracle's vectors bit for bit, also for entries that do not
+    start at the origin."""
     rng = random.Random(5)
     shifted = [
         shifted_plan(straight_trajectory(rng.uniform(2, 12), 41, theta=rng.uniform(-3.1, 3.1)),
@@ -106,19 +106,36 @@ def test_matching_matrix_matches_the_per_entry_vectors():
     for vocab in (_vocab(64, seed=2), Vocabulary.of(shifted)):
         want = np.array([oracle_matching_vector(e) for e in vocab.entries])
         assert _matching_matrix(vocab).tobytes() == want.tobytes()
-        for e, row in zip(vocab.entries, want):
-            assert build_matching_vector(e).as_array().tobytes() == row.tobytes()
+
+
+def test_recovery_targets_match_the_scalar_oracle():
+    """The retrieval targets of a (7, P) start frame, read off in one array
+    pass, are each start's matching vector toward the logged endpoint on
+    Python floats, bit for bit, for headings all around the circle."""
+    rng = random.Random(9)
+    starts = StateBatch(np.array([
+        [rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-math.pi, math.pi),
+         rng.uniform(0, 15), rng.uniform(-0.5, 0.5), rng.uniform(-3, 3), rng.uniform(-0.5, 0.5)]
+        for _ in range(200)
+    ]).T)
+    for end_theta in (0.0, 3.0, -3.1):
+        logged_end = make_state(x=rng.uniform(-60, 60), y=rng.uniform(-60, 60), theta=end_theta)
+        want = np.array([
+            oracle_matching_vector(Trajectory(dt=0.1, states=(start, logged_end)))
+            for start in StateBatch(starts.data[:, None]).states(0)
+        ])
+        assert recovery_targets(starts, logged_end).tobytes() == want.tobytes()
 
 
 def test_retrieve_tie_breaks_to_lower_index():
     e = straight_trajectory(5.0, 41)
     vocab = Vocabulary.of([e, e])
-    assert recovery_retrieve(build_matching_vector(e), vocab) == 0
+    assert recovery_retrieve(matching_vector(e), vocab) == 0
 
 
-def oracle_scan(target: MatchingVector, entries) -> int:
-    """Exhaustive linear scan with independently-written distance math."""
-    t = (target.v_x, target.v_y, target.theta0, target.x_end, target.y_end, target.theta_end)
+def oracle_scan(t, entries) -> int:
+    """Exhaustive linear scan with independently-written distance math, to
+    the six values of a target `t`."""
     best_i, best_d = 0, float("inf")
     for i, e in enumerate(entries):
         s0, s_end = e.states[0], e.states[-1]
@@ -143,14 +160,10 @@ def test_retrieval_matches_exhaustive_oracle_on_random_targets():
     entries = list(vocab.entries)
     rng = random.Random(17)
     for _ in range(300):
-        target = MatchingVector(
-            v_x=rng.uniform(0, 15),
-            v_y=0.0,
-            theta0=0.0,
-            x_end=rng.uniform(-10, 60),
-            y_end=rng.uniform(-15, 15),
-            theta_end=rng.uniform(-1.0, 1.0),
-        )
+        target = np.array([
+            rng.uniform(0, 15), 0.0, 0.0, rng.uniform(-10, 60), rng.uniform(-15, 15),
+            rng.uniform(-1.0, 1.0),
+        ])
         got = recovery_retrieve(target, vocab)
         assert got == oracle_scan(target, entries)
 
@@ -275,13 +288,11 @@ def test_planner_params_validation():
 def _stage2_setup(scenario):
     anchor = scenario.anchor_frame
     plan = scenario.ego_log.segment(anchor, anchor + scenario.t_horizon)
-    scene = rollout(scenario, plan, anchor, scenario.t_horizon, mode="reactive")
-    return scene, scene.ego.trajectory(0, scenario.dt)
+    return rollout(scenario, plan, anchor, scenario.t_horizon, mode="reactive")
 
 
 def test_expert_filter_accepts_benign(benign_scenario):
-    states, traj = _stage2_setup(benign_scenario)
-    accepted, reason = expert_filter(states, benign_scenario, traj)
+    accepted, reason = expert_filter(_stage2_setup(benign_scenario), benign_scenario)
     assert accepted, reason
 
 
@@ -300,7 +311,7 @@ def test_expert_filter_ep_relaxation_bound(benign_scenario):
     traj = Trajectory(dt=s.dt, states=states_list)
     sub = compute_submetrics(states, s, traj)
     assert sub.ep == pytest.approx(0.35, abs=0.02)
-    accepted, reason = expert_filter(states, s, traj, ExpertFilterSpec(ep_min=0.5))
+    accepted, reason = expert_filter(states, s, ExpertFilterSpec(ep_min=0.5))
     assert not accepted
     assert reason == "EP"
 
@@ -323,13 +334,13 @@ def test_expert_filter_kinematics_rejection(benign_scenario):
         y += dt * v * math.sin(theta)
         if k == 10:
             theta += dt * v * curv
-    traj = Trajectory(dt=dt, states=tuple(sts))
-    assert kinematic_limit_violation(traj, lim) is not None
     states = scene_states(sts, dt=dt, t_start=anchor).batch()
+    assert kinematic_limit_violation(states.ego, dt, lim)
+    assert oracle_kinematic_limit_violation(Trajectory(dt=dt, states=tuple(sts)), lim)
     # every sub-metric passes, so the kinematic check is the one that fires
     ones = SubMetricVector(*[1.0] * 9)
     accepted, reason = expert_filter(
-        states, s, traj, ExpertFilterSpec(), SimContext(limits=lim), precomputed=ones
+        states, s, ExpertFilterSpec(), SimContext(limits=lim), precomputed=ones
     )
     assert not accepted
     assert reason == "kinematics"
@@ -348,16 +359,39 @@ def test_expert_filter_scores_in_the_context_world(benign_scenario):
     anchor = s2.anchor_frame
     plan = s2.ego_log.segment(anchor, anchor + s2.t_horizon)
     states = rollout(s2, plan, anchor, s2.t_horizon, mode="nonreactive")
-    traj = states.ego.trajectory(0, s2.dt)
-    assert expert_filter(states, s2, traj) == (True, "")
-    assert expert_filter(states, s2, traj, ctx=SimContext(ego_length=6.0)) == (False, "nc")
+    assert expert_filter(states, s2) == (True, "")
+    assert expert_filter(states, s2, ctx=SimContext(ego_length=6.0)) == (False, "nc")
 
 
 def test_expert_filter_guarantee_property(benign_scenario, small_vocab, small_config):
     """Anything accepted has all penalties at 1 and EP above the bound."""
-    states, traj = _stage2_setup(benign_scenario)
-    sub = compute_submetrics(states, benign_scenario, traj)
-    accepted, _ = expert_filter(states, benign_scenario, traj, precomputed=sub)
+    states = _stage2_setup(benign_scenario)
+    sub = compute_submetrics(states, benign_scenario, states.ego.trajectory(0, states.dt))
+    accepted, _ = expert_filter(states, benign_scenario, precomputed=sub)
     if accepted:
         assert sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0
         assert sub.ep > 0.5
+
+
+def test_kinematic_gate_matches_the_scalar_oracle():
+    """The array kinematic gate of a one-row ego track gives the scalar
+    loop's verdict on random tracks whose steps bend and accelerate around
+    the limits, some of them too short (5 cm or less) to judge curvature."""
+    rng = random.Random(23)
+    lim, dt = VehicleLimits(), 0.1
+    verdicts = []
+    for _ in range(400):
+        x = y = 0.0
+        theta, v = rng.uniform(-math.pi, math.pi), rng.choice([0.3, rng.uniform(0.0, 15.0)])
+        sts = []
+        for _ in range(41):
+            sts.append(make_state(x=x, y=y, theta=theta, v=v))
+            step = dt * v
+            x, y = x + step * math.cos(theta), y + step * math.sin(theta)
+            theta += step * lim.max_curvature() * rng.uniform(-1.01, 1.01) ** 9
+            v = max(0.0, v + dt * lim.accel_max * rng.uniform(-1.01, 1.01) ** 9)
+        want = oracle_kinematic_limit_violation(Trajectory(dt=dt, states=tuple(sts)), lim)
+        got = kinematic_limit_violation(StateBatch.track(sts), dt, lim)
+        assert got is want
+        verdicts.append(want)
+    assert 50 <= sum(verdicts) <= 350, sum(verdicts)

@@ -6,6 +6,7 @@ import pytest
 
 import drivegen.pipeline
 import drivegen.vocab
+from drivegen.batch import rollout_batch
 from drivegen.config import PipelineConfig
 from drivegen.errors import ValidationError
 from drivegen.geometry import BoxArrays, OrientedBox, global_to_local
@@ -36,7 +37,7 @@ from drivegen.scenario import (
     Trajectory,
 )
 
-from conftest import make_state, scene_states
+from conftest import make_state, scene_states, shifted_plan
 from oracle import SceneStates, contact_point, oracle_submetrics, oracle_time_to_collision
 from test_geometry import oracle_boxes_overlap
 
@@ -569,13 +570,14 @@ def test_scoring_kernel_matches_the_scalar_oracle_on_a_generated_corpus(
     checked(drivegen.pipeline)
     real_plans = drivegen.pipeline.privileged_plans
 
-    def checked_plans(scenario, t, starts, p=None, ctx=None):
-        plans = real_plans(scenario, t, starts, p, ctx)
-        for plan in plans:
-            states = SceneStates.of(plan.states)
+    def checked_plans(scenario, t, ego_start, agent_init, p=None, ctx=None):
+        result = real_plans(scenario, t, ego_start, agent_init, p, ctx)
+        _, scene, sub = result
+        for row, values in enumerate(sub.tolist()):
+            states = SceneStates.of(scene, row)
             executed = Trajectory(dt=scenario.dt, states=states.ego)
-            check(plan.submetrics, states, scenario, executed, ctx, "pipeline")
-        return plans
+            check(SubMetricVector(*values), states, scenario, executed, ctx, "pipeline")
+        return result
 
     monkeypatch.setattr(drivegen.pipeline, "privileged_plans", checked_plans)
     for expert in ("recovery", "planner"):
@@ -591,3 +593,38 @@ def test_scoring_kernel_matches_the_scalar_oracle_on_a_generated_corpus(
     # hand-built scenes of test_planner_batch.py reach NC and TLC)
     assert seen["ttc"] == seen["hc"] == {0.0, 1.0}, seen
     assert seen["finite_ttc"] and seen["ep_graded"], seen
+
+
+def test_scoring_kernel_matches_the_scalar_oracle_with_several_agents(multi_agent_corpus):
+    """On scenes with a slower lead, a follower, a parked car and a close
+    neighbour, every reactive row of fifteen plans (shifted up to 1.6 m
+    either way, at 0.8x to 1.15x speed) from the anchor and from the second
+    stage's start scores as the scalar oracle does, bit for bit, with its
+    minimum TTC. Sideways plans hit the parked car or the neighbour, so the
+    contact ruling picks among several agents; plans in lane clear them."""
+    ctx = SimContext()
+    th = ctx.thresholds
+    seen = {name: set() for name in ("nc", "ttc", "dac")}
+    cleared = 0
+    for s in multi_agent_corpus:
+        extents = {a.id: (a.length, a.width) for a in s.agents}
+        for t in (s.anchor_frame, s.anchor_frame + s.t_horizon):
+            logged = s.ego_log.segment(t, t + s.t_horizon)
+            plans = StateBatch.tracks([
+                shifted_plan(logged, lateral, speed).states
+                for lateral in (-1.6, -0.8, 0.0, 0.8, 1.6) for speed in (0.8, 1.0, 1.15)
+            ])
+            scene = rollout_batch(s, plans, t, s.t_horizon, ctx)
+            for row, values in enumerate(submetrics_batch(scene, s, ctx).tolist()):
+                states = SceneStates.of(scene, row)
+                want = oracle_submetrics(states, s, Trajectory(s.dt, states.ego), ctx)
+                assert [v.hex() for v in values] == [
+                    getattr(want, name).hex() for name in ALL_METRICS
+                ], (s.id, t, row)
+                args = (ctx.ego_extent, extents, th.ttc_horizon, th.ttc_min_ego_speed)
+                assert _ttc(states, *args).hex() == oracle_time_to_collision(states, *args).hex()
+                for name in seen:
+                    seen[name].add(getattr(want, name))
+                cleared += want.nc == want.ttc == want.dac == 1.0
+    assert all(values == {0.0, 1.0} for values in seen.values()), seen
+    assert cleared >= 30, cleared

@@ -1,16 +1,25 @@
 """Byte-identity guard: the exported files of a small default-config run are
 pinned by SHA-256, so a refactor that changes any output bit fails here.
+The same runs guard the sample path's arrays: `run_generation` builds no
+`VehicleState`, `Pose2D` or `Trajectory`.
 
-The vocabulary comes straight from `synthesize_maneuvers`, without k-means,
-whose matmul is the one step that may round differently on another machine.
+The vocabulary comes straight from `synthesize_maneuvers`, without the
+k-means matmul of `build_vocabulary`. The digests still depend on the
+machine. The tracker's gain solve (`control._solve_gains`: OpenBLAS 4x4
+products and a LAPACK solve) and recovery retrieval's `d @ np.ones` sum
+round as the OpenBLAS kernel picked for the CPU does: under the Haswell and
+Zen kernels both planner cases fail, under Prescott all four. Every `math`
+function and `pow` call rounds as the C math library does.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
 from drivegen.config import PipelineConfig
 from drivegen.pipeline import export_dataset, run_generation
+from drivegen.scenario import Pose2D, Trajectory, VehicleState
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 from drivegen.vocab import synthesize_maneuvers
 
@@ -45,11 +54,20 @@ def corpus_and_vocab():
 
 
 @pytest.mark.parametrize("expert, reactive", sorted(DIGESTS), ids=lambda v: str(v))
-def test_exported_bytes_are_pinned(tmp_path, corpus_and_vocab, expert, reactive):
+def test_exported_bytes_are_pinned(tmp_path, corpus_and_vocab, monkeypatch, expert, reactive):
     corpus, vocab = corpus_and_vocab
     config = PipelineConfig(master_seed=2026, expert_kind=expert, reactive=reactive)
+    built = Counter()
+    for cls in (Pose2D, VehicleState, Trajectory):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
     samples, stats = run_generation(corpus, config, vocab=vocab)
+    monkeypatch.undo()
     assert samples
+    assert not built, f"the sample path built {dict(built)}"
     files = export_dataset(samples, tmp_path, stats, config, corpus_ids=[s.id for s in corpus])
     assert [f.name for f in files] == ["dataset.jsonl", "stats.csv", "manifest.json"]
     got = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)

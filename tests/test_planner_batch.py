@@ -19,7 +19,7 @@ from drivegen.expert import PlannerParams, _score_starts, privileged_plan, privi
 from drivegen.geometry import PolylineOps, angle_diff, offset_polyline, polyline_ops
 from drivegen.metrics import ALL_METRICS, SimContext, aggregate_epdms
 from drivegen.pipeline import run_generation
-from drivegen.reactive import IdmParams, StateBatch, idm_accel
+from drivegen.reactive import IdmParams, StateBatch
 from drivegen.scenario import (
     AgentTrack,
     Lane,
@@ -31,8 +31,13 @@ from drivegen.scenario import (
     VehicleState,
 )
 
-from conftest import make_state, plan_bits, scene_bits, state_bits, sub_bits
-from oracle import oracle_rollout, oracle_select_leader, oracle_submetrics, point_at
+from conftest import (
+    make_state, plan_bits, scene_bits, start_frames, start_states, state_bits, sub_bits,
+    winning_plans,
+)
+from oracle import (
+    oracle_idm_accel, oracle_rollout, oracle_select_leader, oracle_submetrics, point_at,
+)
 
 BINARY = ("nc", "dac", "ddc", "tlc", "ttc", "lk", "hc", "ec")
 
@@ -52,7 +57,7 @@ def oracle_reference(scenario, start, lateral_offset, v_target, horizon, idm, li
         if v_target < 0.1:
             a = -idm.b_comf if v > 0.0 else 0.0
         else:
-            a = idm_accel(v, None, IdmParams(
+            a = oracle_idm_accel(v, None, IdmParams(
                 v_desired=v_target, headway=idm.headway, s0=idm.s0,
                 a_max=idm.a_max, b_comf=idm.b_comf, delta=idm.delta,
             ))
@@ -121,9 +126,9 @@ def check_against_oracle(
     `plan` is the planner's choice to check against the oracle's winner
     (default: `privileged_plan` of this start)."""
     p = p or PlannerParams()
-    refs, _, sub, scores = _score_starts(
-        scenario, t, [(ego_start, agent_init)], p, ctx or SimContext()
-    )
+    ego = StateBatch.full(ego_start if ego_start is not None else scenario.ego_log[t], 1)
+    agents = {aid: StateBatch.full(s, 1) for aid, s in (agent_init or {}).items()}
+    refs, _, sub, scores = _score_starts(scenario, t, ego, agents, p, ctx or SimContext())
     o_refs, o_rollouts, o_subs, o_scores, o_best = oracle_plan(
         scenario, t, p, ego_start, agent_init, ctx
     )
@@ -243,6 +248,26 @@ def test_hand_built_scene_matches_oracle(scenario, ctx):
         assert {s.tlc for s in subs} == {0.0, 1.0}
 
 
+def test_planner_matches_the_scalar_oracle_with_several_agents(multi_agent_corpus):
+    """On corpus scenes with a slower lead, a follower, a parked car and a
+    close neighbour, six proposals from the anchor and from a perturbed
+    second-stage start (agents a little faster than logged) equal the
+    scalar oracle, tracks included, and the winner is the oracle's; some
+    proposals hit an agent and some clear them all."""
+    p = PlannerParams(speed_fractions=(0.5, 1.0), lateral_offsets=(-1.0, 0.0, 1.0))
+    subs = []
+    for s in multi_agent_corpus:
+        subs += check_against_oracle(s, s.anchor_frame, p, states=True)
+        t2 = s.anchor_frame + s.t_horizon
+        logged = s.ego_log[t2]
+        perturbed = replace(logged, vel_lon=0.9 * logged.vel_lon, steering=0.01)
+        agent_init = {a.id: replace(a.states[t2], vel_lon=1.1 * a.states[t2].vel_lon)
+                      for a in s.agents}
+        subs += check_against_oracle(s, t2, p, perturbed, agent_init, states=True)
+    assert {sub.nc for sub in subs} == {0.0, 1.0}
+    assert sum(sub.nc == sub.ttc == 1.0 for sub in subs) >= 20
+
+
 def test_each_planned_sample_keeps_its_own_winner():
     """Two samples planned in one call on a road without agents win at
     different proposals, the logged start by a three-way tie that goes to
@@ -250,8 +275,8 @@ def test_each_planned_sample_keeps_its_own_winner():
     and equals `privileged_plan` from its start alone. No sample, no plan."""
     t = EMPTY_ROAD.anchor_frame
     side_lane = make_state(x=EMPTY_ROAD.ego_log[t].pose.x + 10.0, y=3.5, v=3.0)
-    starts = [(side_lane, None), (None, {})]
-    plans = privileged_plans(EMPTY_ROAD, t, starts)
+    starts = [(side_lane, {}), (EMPTY_ROAD.ego_log[t], {})]
+    plans = winning_plans(privileged_plans(EMPTY_ROAD, t, *start_frames(starts)), EMPTY_ROAD.dt)
     winners = []
     for (ego_start, agent_init), plan in zip(starts, plans, strict=True):
         subs = check_against_oracle(
@@ -263,7 +288,11 @@ def test_each_planned_sample_keeps_its_own_winner():
         scores = [aggregate_epdms(sub, SimContext().weights) for sub in subs]
         winners.append((scores.index(max(scores)), scores.count(max(scores))))
     assert winners == [(9, 1), (21, 3)]
-    assert privileged_plans(EMPTY_ROAD, t, []) == []
+    refs, scene, sub = privileged_plans(EMPTY_ROAD, t, *start_frames([]))
+    horizon = EMPTY_ROAD.t_horizon
+    assert refs.data.shape == scene.ego.data.shape == (7, 0, horizon + 1)
+    assert (scene.t_start, scene.t_end, scene.agents) == (t, t + horizon, {})
+    assert sub.shape == (0, len(ALL_METRICS))
 
 
 def test_select_leaders_tie_goes_to_the_lower_id():
@@ -296,12 +325,13 @@ def test_planner_matches_the_scalar_oracle_on_a_generated_corpus(
     real = drivegen.pipeline.privileged_plans
     calls = []
 
-    def checked_plans(scenario, t, starts, p=None, ctx=None):
-        plans = real(scenario, t, starts, p, ctx)
-        for (ego_start, agent_init), plan in zip(starts, plans, strict=True):
+    def checked_plans(scenario, t, ego_start, agent_init, p=None, ctx=None):
+        result = real(scenario, t, ego_start, agent_init, p, ctx)
+        starts = start_states(ego_start, agent_init)
+        for (ego, init), plan in zip(starts, winning_plans(result, scenario.dt), strict=True):
             calls.append(scenario.id)
-            check_against_oracle(scenario, t, p, ego_start, agent_init, ctx, plan=plan)
-        return plans
+            check_against_oracle(scenario, t, p, ego, init, ctx, plan=plan)
+        return result
 
     monkeypatch.setattr(drivegen.pipeline, "privileged_plans", checked_plans)
     samples, _ = run_generation(corpus_100, config, rounds=1, vocab=small_vocab, workers=1)

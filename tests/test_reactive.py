@@ -1,6 +1,8 @@
 import math
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from drivegen.batch import select_leaders
@@ -18,7 +20,7 @@ from drivegen.scenario import FRAME_EGO_LOCAL, Trajectory
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 
 from conftest import make_state, scene_bits, shifted_plan
-from oracle import SceneStates, oracle_rollout
+from oracle import SceneStates, oracle_idm_accel, oracle_rollout
 
 
 # --- IDM closed form
@@ -54,6 +56,54 @@ def test_idm_car_following_derived_value():
 def test_idm_clamped_to_hard_braking():
     p = IdmParams()
     assert idm_accel(10.0, (0.0, 0.5), p, b_hard=4.0) == -4.0
+
+
+def _idm_bits(v, v_lead, gap, p, b_hard):
+    """The array IDM of every row and the scalar oracle's, as hex; a row
+    with an infinite gap goes to the oracle as a free road."""
+    got = idm_accel(np.array(v), (np.array(v_lead), np.array(gap)), p, b_hard)
+    want = [
+        oracle_idm_accel(vi, None if gi == math.inf else (li, gi), p, b_hard)
+        for vi, li, gi in zip(v, v_lead, gap)
+    ]
+    return [a.hex() for a in got.tolist()], [a.hex() for a in want]
+
+
+def test_idm_rows_match_the_scalar_oracle():
+    """One array IDM call equals the scalar oracle row by row, bit for bit:
+    free roads (infinite gap, or no leader at all), leaders slower and
+    faster, gaps down to the 0.01 m of overlapping bumpers, and both clamps."""
+    rng = random.Random(31)
+    n = 2000
+    v = [rng.choice([0.0, rng.uniform(0.0, 20.0)]) for _ in range(n)]
+    v_lead = [rng.uniform(0.0, 20.0) for _ in range(n)]
+    gap = [rng.choice([math.inf, 0.01, rng.uniform(0.5, 120.0)]) for _ in range(n)]
+    for p, b_hard in ((IdmParams(), 4.0), (IdmParams(v_desired=8.0, delta=3.0, s0=0.0), 2.0)):
+        got, want = _idm_bits(v, v_lead, gap, p, b_hard)
+        assert got == want
+        assert {p.a_max.hex(), (-b_hard).hex()} <= set(got)
+        free = idm_accel(np.array(v), None, p, b_hard)
+        assert [a.hex() for a in free.tolist()] == [
+            oracle_idm_accel(vi, None, p, b_hard).hex() for vi in v
+        ]
+    assert isinstance(idm_accel(10.0, (8.0, 20.0), IdmParams()), float)
+
+
+def test_idm_powers_round_as_python_pow():
+    """Both IDM powers round as Python's `pow`, not as numpy's `x ** 2`,
+    which differs from it in the last bit on some values and C math
+    libraries (849.9627095213108 among them, on glibc x86-64). The speeds
+    and the desired-gap-to-gap ratios here are such values: with v_desired,
+    s0 and a gap of 1, headway 1 and a leader at the same speed, both
+    powers take the speed itself as their base."""
+    rng = random.Random(2)
+    draw = np.array([rng.uniform(0.0, 1000.0) for _ in range(20000)])
+    differ = [x for x, sq in zip(draw.tolist(), (draw ** 2).tolist()) if x ** 2 != sq]
+    v = [849.9627095213108, *differ]
+    p = IdmParams(v_desired=1.0, headway=1.0, s0=0.0, delta=2.0)
+    for gap in (1.0, math.inf):
+        got, want = _idm_bits(v, v, [gap] * len(v), p, math.inf)
+        assert got == want
 
 
 # --- leader selection
@@ -139,17 +189,12 @@ def test_select_leader_tie_goes_to_the_lower_id(benign_scenario):
 # --- rollout
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_rollout_matches_the_scalar_oracle(corpus_100, mode):
-    """`rollout` (one row of the batched engine) equals `oracle_rollout` bit
-    for bit on every scenario of the corpus: the logged plan and a plan
-    shifted 0.7 m at 0.9x speed, at the anchor from the logged states in the
-    default world and, as the second stage continues, from a perturbed ego
-    and perturbed agents in a world with a 5.2 m ego and a 3 m/s^2 braking
-    bound."""
+def _check_rollouts(corpus, mode):
+    """`rollout` against `oracle_rollout` on every scenario of a corpus, as
+    described below; returns the number of rollouts compared."""
     world = SimContext(ego_length=5.2, b_hard=3.0)
     compared = 0
-    for s in corpus_100:
+    for s in corpus:
         t2 = s.anchor_frame + s.t_horizon
         perturbed = replace(s.ego_log[t2], vel_lon=0.9 * s.ego_log[t2].vel_lon, steering=0.01)
         agent_init = {a.id: replace(a.states[t2], vel_lon=1.1 * a.states[t2].vel_lon)
@@ -164,7 +209,25 @@ def test_rollout_matches_the_scalar_oracle(corpus_100, mode):
                 want = oracle_rollout(s, plan, t, s.t_horizon, mode, ctx, **starts)
                 assert scene_bits(got) == scene_bits(want), (s.id, t)
                 compared += 1
-    assert compared == 4 * len(corpus_100)
+    return compared
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rollout_matches_the_scalar_oracle(corpus_100, mode):
+    """`rollout` (one row of the batched engine) equals `oracle_rollout` bit
+    for bit on every scenario of the corpus: the logged plan and a plan
+    shifted 0.7 m at 0.9x speed, at the anchor from the logged states in the
+    default world and, as the second stage continues, from a perturbed ego
+    and perturbed agents in a world with a 5.2 m ego and a 3 m/s^2 braking
+    bound."""
+    assert _check_rollouts(corpus_100, mode) == 4 * len(corpus_100)
+
+
+def test_rollout_matches_the_scalar_oracle_with_several_agents(multi_agent_corpus):
+    """The same on scenes with a slower lead, a follower, a parked car and a
+    close neighbour, in reactive mode: agents choose among several leaders
+    and keep their gaps to one another."""
+    assert _check_rollouts(multi_agent_corpus, "reactive") == 4 * len(multi_agent_corpus)
 
 
 def test_rollout_nonreactive_replay_identity(benign_scenario):
