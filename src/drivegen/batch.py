@@ -154,7 +154,7 @@ def _lqr_track_batch(
 
 def _lane_groups(lane: np.ndarray) -> list[tuple[int, slice | np.ndarray]]:
     """(lane index, rows on it) for each lane that rows are assigned to."""
-    if (lane == lane[0]).all():
+    if lane.size and (lane == lane[0]).all():
         return [(int(lane[0]), slice(None))]
     return [(int(li), lane == li) for li in np.unique(lane)]
 

@@ -214,7 +214,7 @@ class _GainTable:
             gains.update(zip(new, _solve_gains(new, *setting)))
         self._hits += len(keys) - len(new)
         self._misses += len(new)
-        K = np.stack([gains[key] for key in keys])[inverse.reshape(-1)]
+        K = np.array([gains[key] for key in keys]).reshape(-1, 2, 4)[inverse.reshape(-1)]
         return K.reshape(np.shape(v_ref) + (2, 4))
 
 

@@ -30,7 +30,7 @@ from .metrics import (
     PENALTY_METRICS,
     SimContext,
     SubMetricVector,
-    aggregate_epdms,
+    _epdms_rows,
     compute_submetrics,
     submetrics_batch,
 )
@@ -190,11 +190,12 @@ def _score_starts(
     agent_init: Mapping[str, StateBatch],
     p: PlannerParams,
     ctx: SimContext,
-) -> tuple[StateBatch, SceneBatch, np.ndarray, list[float]]:
+) -> tuple[StateBatch, SceneBatch, np.ndarray, np.ndarray]:
     """Every proposal of S starts, the (7, S) `ego_start` and the (7, S)
     `agent_init` entries (an agent left out starts from the log at frame t),
-    simulated in one batched rollout and scored in one kernel call; rows are
-    start major, P per start."""
+    simulated in one batched rollout and scored in one kernel call: the
+    references, the scene, the sub-metrics and the aggregate of each row;
+    rows are start major, P per start."""
     horizon = scenario.t_horizon
     check_window(scenario, t, horizon)
     refs = _proposal_references(scenario, ego_start, p, horizon, ctx)
@@ -208,8 +209,7 @@ def _score_starts(
         agent_init={aid: per_proposal(init) for aid, init in agent_init.items()},
     )
     sub = submetrics_batch(scene, scenario, ctx)
-    scores = [aggregate_epdms(SubMetricVector(*row), ctx.weights) for row in sub.tolist()]
-    return refs, scene, sub, scores
+    return refs, scene, sub, _epdms_rows(sub, ctx.weights)
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,20 +241,13 @@ def privileged_plans(
     rows sharing their call, so each winner equals `privileged_plan` from
     its start alone. No start, no winner: zero rows come back.
     """
-    if not ego_start.x.shape[0]:
-        h = scenario.t_horizon
-        none = StateBatch(np.empty((7, 0, h + 1)))
-        agents = {a.id: none for a in sorted(scenario.agents, key=lambda a: a.id)}
-        scene = SceneBatch(scenario.dt, t, t + h, none, agents)
-        return none, scene, np.empty((0, len(ALL_METRICS)))
     p = p or PlannerParams()
     refs, scene, sub, scores = _score_starts(
         scenario, t, ego_start, agent_init, p, ctx or SimContext()
     )
     n = len(p.speed_fractions) * len(p.lateral_offsets)
-    best = [  # the first of equal maxima of each start
-        max(range(first, first + n), key=scores.__getitem__) for first in range(0, len(scores), n)
-    ]
+    # argmax takes the first of equal maxima of each start
+    best = np.arange(0, len(scores), n) + np.argmax(scores.reshape(-1, n), axis=1)
     return StateBatch(refs.data[:, best]), scene.take(best), sub[best]
 
 

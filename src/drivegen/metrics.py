@@ -171,14 +171,20 @@ class CollisionEvent:
     at_fault: bool
 
 
+def _epdms_rows(sub: np.ndarray, w: MetricWeights) -> np.ndarray:
+    """The aggregate of (..., 9) sub-metric rows in `ALL_METRICS` order:
+    penalty product times the weighted average of the graded group, one
+    IEEE operation at a time in a fixed order, so every row rounds alike."""
+    nc, dac, ddc, tlc, ep, ttc, lk, hc, ec = np.moveaxis(sub, -1, 0)
+    total = w.total()
+    penalties = nc * dac * ddc * tlc
+    avg = (w.w_ep * ep + w.w_ttc * ttc + w.w_lk * lk + w.w_hc * hc + w.w_ec * ec) / total
+    return penalties * avg
+
+
 def aggregate_epdms(s: SubMetricVector, w: MetricWeights) -> float:
     """Penalty product times the weighted average of the graded group."""
-    total = w.total()
-    penalties = s.nc * s.dac * s.ddc * s.tlc
-    avg = (
-        w.w_ep * s.ep + w.w_ttc * s.ttc + w.w_lk * s.lk + w.w_hc * s.hc + w.w_ec * s.ec
-    ) / total
-    return penalties * avg
+    return float(_epdms_rows(np.array([getattr(s, name) for name in ALL_METRICS]), w))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Each sample runs two simulations of one horizon each: the perturbation stage
 moves the ego to an out-of-distribution state, the expert stage demonstrates
-how to continue from it. Camera poses are stubbed from the ego track (no
-rendering). Everything is deterministic in (corpus, config, master seed),
-including under process-level parallelism.
+how to continue from it. From the screen on, a scenario's candidates are
+rows: the screen returns the vocabulary indices, the scene and the
+sub-metrics of the rows it clears, the rounds draw row numbers, and stage 2
+simulates the drawn rows of that scene in one call. Camera poses are stubbed
+from the ego track (no rendering). Everything is deterministic in (corpus,
+config, master seed), including under process-level parallelism.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .batch import rollout_batch
+from .batch import rollout_agents, rollout_batch
 from .config import CameraConfig, PipelineConfig, config_hash
 from .errors import ValidationError
 from .expert import (
@@ -39,7 +42,7 @@ from .geometry import per_element, wrap_angle_many
 from .metrics import (  # noqa: F401
     RewardRecord,
     SubMetricVector,
-    aggregate_epdms,
+    _epdms_rows,
     compute_submetrics,
     submetrics_batch,
 )
@@ -47,18 +50,15 @@ from .reactive import MODE_NONREACTIVE, MODE_REACTIVE, SceneBatch, StateBatch, r
 from .scenario import _STATE_FIELDS, Scenario, corpus_id_collisions, dump_json_canonical
 from .seeding import mix64
 from .vocab import (
-    STATUS_CLEARED_NONREACTIVE,
-    STATUS_CLEARED_REACTIVE,
     STATUS_PENDING,
-    PerturbationCandidate,
     Vocabulary,
     check_vocabulary,
     default_vocabulary,
     enumerate_perturbations,
     feasibility_filter,  # noqa: F401
-    feasibility_filter_batch,
     grid_sparsify,
     place_tracks,
+    screen_verdicts,
 )
 
 REJECT_BUCKETS = ("collision", "offroad", "reward", "kinematics")
@@ -120,43 +120,34 @@ def sensor_stub(ego: StateBatch, camera_rig: Sequence[CameraConfig]) -> np.ndarr
 # Candidate preparation
 
 
-def cleared_status(config: PipelineConfig) -> str:
-    return STATUS_CLEARED_REACTIVE if config.reactive else STATUS_CLEARED_NONREACTIVE
-
-
-def screen_batch(
-    cands: Sequence[PerturbationCandidate], scenario: Scenario, config: PipelineConfig
-) -> list[PerturbationCandidate]:
-    """The feasibility screen: non-reactive first, then reactive on its survivors.
-
-    Pending candidates take the non-reactive check; in reactive runs those it
-    clears take the reactive one. Candidates of any other status pass through
-    unchanged. Each check is one batched rollout of every candidate it takes,
-    and keeps the scene rows and sub-metrics of those it clears.
-    """
-    epdms_min, ctx = config.perturb.epdms_min, config.sim_context
-    checks = [(STATUS_PENDING, MODE_NONREACTIVE)]
-    if config.reactive:
-        checks.append((STATUS_CLEARED_NONREACTIVE, MODE_REACTIVE))
-    out = list(cands)
-    for status, mode in checks:
-        taken = [i for i, c in enumerate(out) if c.status == status]
-        if taken:
-            checked = feasibility_filter_batch(
-                [out[i] for i in taken], scenario, mode, epdms_min, ctx
-            )
-            for i, cand in zip(taken, checked):
-                out[i] = cand
-    return out
-
-
 def prepare_candidates(
     scenario: Scenario, vocab: Vocabulary, config: PipelineConfig
-) -> list[PerturbationCandidate]:
-    """Threshold and grid-sparsify the full vocabulary; place and screen its grid survivors."""
+) -> tuple[np.ndarray, SceneBatch, np.ndarray]:
+    """The rows of the full vocabulary that clear the feasibility screen:
+    their vocabulary indices, in the order the grid hands them over (index
+    order), the C-row scene that cleared them and their (C, 9) sub-metrics.
+
+    The vocabulary is thresholded and grid-sparsified; the grid survivors'
+    bank rows are placed at the anchor state and simulated in one
+    non-reactive rollout. In reactive runs the agents of the rows it clears
+    are stepped against the same ego track in one more call (the ego tracks
+    its plan whatever the agents do), and those rows are judged again.
+    """
     cands = enumerate_perturbations(scenario, vocab, config.perturb)
     cands = grid_sparsify(cands, config.grid, mix64(config.master_seed, scenario.id))
-    return screen_batch(cands, scenario, config)
+    index = np.array([c.vocab_index for c in cands if c.status == STATUS_PENDING], dtype=int)
+    t, ctx, epdms_min = scenario.anchor_frame, config.sim_context, config.perturb.epdms_min
+    start = StateBatch.full(scenario.ego_log[t], len(index))
+    plans = place_tracks(vocab.tracks.data[:, index], start)
+    scene = rollout_batch(scenario, plans, t, scenario.t_horizon, ctx, mode=MODE_NONREACTIVE)
+    reasons, sub = screen_verdicts(scene, scenario, epdms_min, ctx)
+    if config.reactive:
+        cleared = np.flatnonzero(reasons == "")
+        index, ego = index[cleared], StateBatch(scene.ego.data[:, cleared])
+        scene = rollout_agents(scenario, ego, t, ctx, mode=MODE_REACTIVE)
+        reasons, sub = screen_verdicts(scene, scenario, epdms_min, ctx)
+    cleared = np.flatnonzero(reasons == "")
+    return index[cleared], scene.take(cleared), sub[cleared]
 
 
 # ---------------------------------------------------------------------------
@@ -173,37 +164,26 @@ def _reject_bucket(reason: str) -> str:
     return {"nc": "collision", "dac": "offroad", "kinematics": "kinematics"}.get(reason, "reward")
 
 
-def _last_frame(tracks: Sequence[StateBatch]) -> StateBatch:
-    """(7, P): the last state of each of P one-row tracks."""
-    return StateBatch(np.concatenate([t.data[:, :, -1] for t in tracks], axis=1))
-
-
 def expert_stage(
-    scenario: Scenario,
-    cands: Sequence[PerturbationCandidate],
-    config: PipelineConfig,
-    vocab: Vocabulary,
-) -> list[tuple[SceneBatch, SubMetricVector]]:
-    """Stage 2 of screened candidates: the pseudo-expert's demonstration from
-    each perturbed state, simulated in the run's mode and scored; one
-    one-row scene and its sub-metrics per candidate.
+    scenario: Scenario, stage1: SceneBatch, config: PipelineConfig, vocab: Vocabulary
+) -> tuple[SceneBatch, np.ndarray]:
+    """Stage 2 of P screened rows, the P-row scene `stage1`: the
+    pseudo-expert's demonstration from each perturbed state, simulated in
+    the run's mode and scored; the P-row scene and its (P, 9) sub-metrics.
 
     Every demonstration runs in one batched rollout from its own perturbed
-    ego and agent states, stacked from the last frame of its screen row,
-    except in reactive planner runs: there the planner's winning proposal
-    already is that rollout, so its window and sub-metrics are kept. The
-    retrieval targets are read off the stacked start frame, and the
-    retrieved rows are placed, and the planner plans, for every perturbed
-    state in one call. History comfort is judged on the window alone.
+    ego and agent states, the last frame of its stage-1 row, except in
+    reactive planner runs: there the planner's winning proposal already is
+    that rollout, so its window and sub-metrics are kept. The retrieval
+    targets are read off the start frame, and the retrieved rows are
+    placed, and the planner plans, for every perturbed state in one call.
+    History comfort is judged on the window alone.
     """
-    if not cands:
-        return []
     ctx = config.sim_context
     H = scenario.t_horizon
     anchor2 = scenario.anchor_frame + H
-    rows = [c.screen_states for c in cands]
-    ego_start = _last_frame([r.ego for r in rows])
-    agent_init = {aid: _last_frame([r.agents[aid] for r in rows]) for aid in rows[0].agents}
+    ego_start = StateBatch(stage1.ego.data[:, :, -1])
+    agent_init = {aid: StateBatch(track.data[:, :, -1]) for aid, track in stage1.agents.items()}
     if config.expert_kind == EXPERT_RECOVERY:
         check_vocabulary(vocab, scenario)
         targets = recovery_targets(ego_start, scenario.ego_log[anchor2 + H])
@@ -214,38 +194,36 @@ def expert_stage(
             scenario, anchor2, ego_start, agent_init, config.planner, ctx
         )
         if config.reactive:
-            return _scene_rows(scene, sub)
+            return scene, sub
     scene = rollout_batch(
         scenario, plans, anchor2, H, ctx, ego_start=ego_start, agent_init=agent_init,
         mode=MODE_REACTIVE if config.reactive else MODE_NONREACTIVE,
     )
-    return _scene_rows(scene, submetrics_batch(scene, scenario, ctx))
-
-
-def _scene_rows(scene: SceneBatch, sub: np.ndarray) -> list[tuple[SceneBatch, SubMetricVector]]:
-    """Each row of a scene as a one-row scene, with its sub-metrics."""
-    return [
-        (scene.take(slice(j, j + 1)), SubMetricVector(*row)) for j, row in enumerate(sub.tolist())
-    ]
+    return scene, submetrics_batch(scene, scenario, ctx)
 
 
 def _sample(
     scenario: Scenario,
-    cand: PerturbationCandidate,
+    index: int,
     round_idx: int,
     config: PipelineConfig,
+    stage1: SceneBatch,
+    sub1: np.ndarray,
     stage2: SceneBatch,
-    sub2: SubMetricVector,
+    sub2: np.ndarray,
 ) -> tuple[SimSample | None, str]:
-    """The expert-stage filter on a screened candidate's simulated stage 2,
-    and the sample it accepts; stage 1 is the row that cleared the screen."""
+    """The expert-stage filter on a drawn row's simulated stage 2, and the
+    sample it accepts. `index` is the row's vocabulary entry, `stage1` the
+    one-row scene that cleared the screen and `stage2` its continuation,
+    each with its row of sub-metrics."""
     ctx = config.sim_context
-    accepted, reason = expert_filter(stage2, scenario, config.expert_filter, ctx, precomputed=sub2)
+    reward = SubMetricVector(*sub2.tolist())
+    accepted, reason = expert_filter(
+        stage2, scenario, config.expert_filter, ctx, precomputed=reward
+    )
     if not accepted:
         return None, reason
-    stage1 = cand.screen_states
-    epdms1 = aggregate_epdms(cand.screen_submetrics, ctx.weights)
-    epdms2 = aggregate_epdms(sub2, ctx.weights)
+    epdms1, epdms2 = _epdms_rows(np.stack([sub1, sub2]), ctx.weights).tolist()
     ego = StateBatch(np.concatenate([stage1.ego.data, stage2.ego.data[:, :, 1:]], axis=2))
     sample = SimSample(
         scenario_id=scenario.id,
@@ -253,10 +231,10 @@ def _sample(
         expert_kind=config.expert_kind,
         stage1=stage1,
         stage2=stage2,
-        reward=RewardRecord(submetrics=sub2, epdms=epdms2, stage_scores=(epdms1, epdms2)),
+        reward=RewardRecord(submetrics=reward, epdms=epdms2, stage_scores=(epdms1, epdms2)),
         sensors=sensor_stub(ego, config.cameras),
-        seed=sample_seed(config.master_seed, scenario.id, round_idx, cand.vocab_index),
-        candidate_index=cand.vocab_index,
+        seed=sample_seed(config.master_seed, scenario.id, round_idx, index),
+        candidate_index=index,
     )
     return sample, ""
 
@@ -276,7 +254,7 @@ def _worker_init(vocab: Vocabulary, config: PipelineConfig, rounds: int) -> None
 def _round_draws(
     n_cleared: int, rounds: int, per_round: int | None, master_seed: int, scenario_id: str
 ) -> list[list[int]]:
-    """Disjoint per-round index draws into the cleared-candidate list."""
+    """Disjoint per-round draws of row numbers of the cleared rows."""
     order = list(range(n_cleared))
     random.Random(mix64(master_seed, scenario_id, "round-draw")).shuffle(order)
     size = per_round if per_round is not None else math.ceil(n_cleared / rounds)
@@ -286,18 +264,19 @@ def _round_draws(
 def _process_scenario_impl(
     scenario: Scenario, vocab: Vocabulary, config: PipelineConfig, rounds: int
 ) -> list[tuple[int, SimSample | None, str]]:
-    """(round, sample or None, reject reason) of each candidate the scenario draws."""
-    cands = prepare_candidates(scenario, vocab, config)
-    # the screen keeps enumeration order, so the cleared list is in vocabulary index order
-    cleared = [c for c in cands if c.status == cleared_status(config)]
-    draws = _round_draws(
-        len(cleared), rounds, config.per_round, config.master_seed, scenario.id
-    )
-    drawn = [(cleared[i], r) for r, indices in enumerate(draws) for i in sorted(indices)]
-    stage2 = expert_stage(scenario, [cand for cand, _ in drawn], config, vocab)
+    """(round, sample or None, reject reason) of each cleared row the scenario draws."""
+    index, scene, sub = prepare_candidates(scenario, vocab, config)
+    draws = _round_draws(len(index), rounds, config.per_round, config.master_seed, scenario.id)
+    drawn = [(r, i) for r, rows in enumerate(draws) for i in sorted(rows)]
+    stage1 = scene.take([i for _, i in drawn])
+    stage2, sub2 = expert_stage(scenario, stage1, config, vocab)
+    vocab_index = index.tolist()
     return [
-        (r, *_sample(scenario, cand, r, config, states2, sub2))
-        for (cand, r), (states2, sub2) in zip(drawn, stage2)
+        (r, *_sample(
+            scenario, vocab_index[i], r, config, stage1.take(slice(j, j + 1)), sub[i],
+            stage2.take(slice(j, j + 1)), sub2[j],
+        ))
+        for j, (r, i) in enumerate(drawn)
     ]
 
 

@@ -3,12 +3,11 @@
 The vocabulary is a clustered bank of short ego-local maneuvers, one
 (7, N, H + 1) `StateBatch` from file or k-means to the simulator. Per
 scenario, whole-array passes over the bank threshold where each entry would
-end at the anchor state, spread survivors over an interleaved endpoint grid,
-and place and track only the grid survivors, straight into the batched
-rollouts that filter them (non-reactive first, reactive on the sparse set
-only, against the same ego track, since reactive rollouts cost the most).
-Each pass is the scalar per-entry arithmetic bit for bit: `math` cos and
-sin, `geometry.wrap_angle_many`.
+end at the anchor state and spread survivors over an interleaved endpoint
+grid; only the grid survivors are placed, by the pipeline, straight into the
+batched rollouts that `screen_verdicts` judges row by row. Each pass is the
+scalar per-entry arithmetic bit for bit: `math` cos and sin,
+`geometry.wrap_angle_many`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import _bicycle_step, _bound, rollout_agents, rollout_batch
+from .batch import _bicycle_step, _bound, rollout_batch
 from .control import VehicleLimits
 from .errors import SchemaError, ValidationError
 from .geometry import _cached_ops, per_element, wrap_angle_many
@@ -32,9 +31,9 @@ from .geometry import _cached_ops, per_element, wrap_angle_many
 # perfbench/tracer.py wraps `vocab.check_collision`, `vocab.compute_submetrics`
 # and `vocab.rollout` by name
 from .metrics import (  # noqa: F401
+    ALL_METRICS,
     SimContext,
-    SubMetricVector,
-    aggregate_epdms,
+    _epdms_rows,
     any_contact,
     check_collision,
     compute_submetrics,
@@ -147,14 +146,10 @@ class PerturbationCandidate:
     offsets: tuple[float, float, float]  # (lon, lat, dtheta) vs logged endpoint
     status: str
     vocab_index: int
-    # the entry's ego-local (7, H + 1) bank row, placed at the anchor by each screen
+    # the entry's ego-local (7, H + 1) bank row, placed at the anchor by `feasibility_filter`
     entry: np.ndarray | None = field(default=None, compare=False)
     endpoint_cell: tuple[int, int] | None = None
     reason: str = ""
-    # the one-row scene the clearing check simulated, and its sub-metrics;
-    # None until cleared (arrays have no truth value, so the scene is not compared)
-    screen_states: SceneBatch | None = field(default=None, compare=False)
-    screen_submetrics: SubMetricVector | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +464,7 @@ def grid_sparsify(
         for i in members:
             c = cands[i]
             status, reason = (c.status, c.reason) if i == keep else (STATUS_GRID_DROPPED, "grid")
-            out[i] = PerturbationCandidate(
-                c.offsets, status, c.vocab_index, c.entry, cell, reason,
-                c.screen_states, c.screen_submetrics,
-            )
+            out[i] = PerturbationCandidate(c.offsets, status, c.vocab_index, c.entry, cell, reason)
     return out
 
 
@@ -494,79 +486,32 @@ def _history_track(scenario: Scenario) -> StateBatch:
     return StateBatch.track(scenario.ego_log.states[: scenario.anchor_frame + 1])
 
 
-def feasibility_filter_batch(
-    cands: Sequence[PerturbationCandidate],
-    scenario: Scenario,
-    mode: str,
-    epdms_min: float,
-    ctx: SimContext | None = None,
-) -> list[PerturbationCandidate]:
-    """Roll candidates out in the world of `ctx` and mark each cleared or infeasible.
+def screen_verdicts(
+    scene: SceneBatch, scenario: Scenario, epdms_min: float, ctx: SimContext
+) -> tuple[np.ndarray, np.ndarray]:
+    """The feasibility verdict of every row of a simulated scene: each row's
+    reject reason ("" if the row clears) and the (P, 9) sub-metrics.
 
-    Non-reactive checks run on pending candidates; reactive checks require a
-    prior non-reactive clearance (the cheap filter always runs first). All
-    candidates are simulated in one batched rollout, and each row comes out
-    as if screened alone. Infeasibility reasons, tested in this order:
-    "collision" (any contact, at fault or not), "off-road" (a footprint
-    corner leaves the drivable area; decided before the other sub-metrics
-    are computed), or "reward" (EPDMS below `epdms_min`, history comfort
-    judged on the logged history plus the window). A cleared candidate
-    keeps its row of this rollout's scene, as views, and its sub-metrics; a
-    check of candidates that all hold an earlier check's row (the reactive
-    after the non-reactive) steps only the agents against that ego track.
+    Reasons, tested in this order: "collision" (any contact, at fault or
+    not), "off-road" (a footprint corner leaves the drivable area; decided
+    before the other sub-metrics are computed, so those rows' sub-metrics
+    stay NaN), or "reward" (EPDMS below `epdms_min`, history comfort judged
+    on the logged history plus the window).
     """
-    if mode not in _CHECKS:
-        raise ValidationError(f"unknown feasibility mode '{mode}'")
-    required, new_status, fail_status, problem = _CHECKS[mode]
-    t, H = scenario.anchor_frame, scenario.t_horizon
-    for cand in cands:
-        if cand.status != required:
-            raise ValidationError(f"{problem}, got {cand.status}")
-        e = cand.entry
-        if not (isinstance(e, np.ndarray) and e.ndim == 2 and e.shape[0] == 7 and e.shape[1] > H):
-            got = e.shape if isinstance(e, np.ndarray) else type(e).__name__
-            raise ValidationError(
-                f"candidate {cand.vocab_index}: entry must be a (7, >= {H + 1}) array, got {got}"
-            )
-    if not cands:
-        return []
-
-    ctx = ctx or SimContext()
-    if all(c.screen_states is not None for c in cands):
-        ego = StateBatch(np.concatenate([c.screen_states.ego.data for c in cands], axis=1))
-        scene = rollout_agents(scenario, ego, t, ctx, mode=mode)
-    else:  # each bank row placed at the anchor state, all in one call
-        local = np.stack([c.entry[:, : H + 1] for c in cands], axis=1)
-        plans = place_tracks(local, StateBatch.full(scenario.ego_log[t], len(cands)))
-        scene = rollout_batch(scenario, plans, t, H, ctx, mode=mode)
     ego = scene.ego
     collided = any_contact(scene, scenario, ctx)
     off_road = drivable_area_compliance(ego.x, ego.y, ego.theta, scenario, ctx) == 0.0
-    reasons = ["collision" if hit else "off-road" for hit in collided.tolist()]
-    cleared: dict[int, SubMetricVector] = {}
-
-    scored = np.flatnonzero(~collided & ~off_road).tolist()
-    if scored:
-        window = scene.take(scored)
-        history = _cached_ops(scenario, _history_track).data
-        comfort = StateBatch(np.concatenate(
-            [np.repeat(history, len(scored), axis=1), window.ego.data[:, :, 1:]], axis=2
-        ))
-        rows = submetrics_batch(window, scenario, ctx, comfort=comfort).tolist()
-        for i, row in zip(scored, rows):
-            sub = SubMetricVector(*row)
-            if aggregate_epdms(sub, ctx.weights) < epdms_min:
-                reasons[i] = "reward"
-            else:
-                cleared[i] = sub
-    return [
-        replace(c, status=new_status, reason="", screen_states=scene.take(slice(i, i + 1)),
-                screen_submetrics=cleared[i])
-        if i in cleared
-        else replace(c, status=fail_status, reason=reasons[i],
-                     screen_states=None, screen_submetrics=None)
-        for i, c in enumerate(cands)
-    ]
+    reasons = np.select([collided, off_road], ["collision", "off-road"], "")
+    sub = np.full((len(reasons), len(ALL_METRICS)), np.nan)
+    scored = np.flatnonzero(reasons == "")
+    window = scene.take(scored)
+    history = _cached_ops(scenario, _history_track).data
+    comfort = StateBatch(np.concatenate(
+        [np.repeat(history, len(scored), axis=1), window.ego.data[:, :, 1:]], axis=2
+    ))
+    sub[scored] = submetrics_batch(window, scenario, ctx, comfort=comfort)
+    reasons[scored[_epdms_rows(sub[scored], ctx.weights) < epdms_min]] = "reward"
+    return reasons, sub
 
 
 def feasibility_filter(
@@ -576,5 +521,28 @@ def feasibility_filter(
     epdms_min: float,
     ctx: SimContext | None = None,
 ) -> PerturbationCandidate:
-    """`feasibility_filter_batch` of one candidate."""
-    return feasibility_filter_batch([cand], scenario, mode, epdms_min, ctx)[0]
+    """Roll one candidate out in the world of `ctx` and mark it cleared or infeasible.
+
+    Non-reactive checks run on pending candidates; reactive checks require a
+    prior non-reactive clearance (the cheap filter always runs first). The
+    candidate's bank row is placed at the anchor state, simulated as one
+    row in `mode` and judged by `screen_verdicts`; the ego tracks its plan
+    whatever the agents do, so both checks simulate the same ego track.
+    """
+    if mode not in _CHECKS:
+        raise ValidationError(f"unknown feasibility mode '{mode}'")
+    required, new_status, fail_status, problem = _CHECKS[mode]
+    t, H = scenario.anchor_frame, scenario.t_horizon
+    if cand.status != required:
+        raise ValidationError(f"{problem}, got {cand.status}")
+    e = cand.entry
+    if not (isinstance(e, np.ndarray) and e.ndim == 2 and e.shape[0] == 7 and e.shape[1] > H):
+        got = e.shape if isinstance(e, np.ndarray) else type(e).__name__
+        raise ValidationError(
+            f"candidate {cand.vocab_index}: entry must be a (7, >= {H + 1}) array, got {got}"
+        )
+    ctx = ctx or SimContext()
+    plan = place_tracks(e[:, None, : H + 1], StateBatch.full(scenario.ego_log[t], 1))
+    scene = rollout_batch(scenario, plan, t, H, ctx, mode=mode)
+    reason = str(screen_verdicts(scene, scenario, epdms_min, ctx)[0][0])
+    return replace(cand, status=fail_status if reason else new_status, reason=reason)

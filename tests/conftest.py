@@ -7,7 +7,7 @@ import pytest
 from drivegen.config import PipelineConfig
 from drivegen.expert import Plan
 from drivegen.geometry import global_to_local, offset_polyline, polyline_ops, wrap_angle
-from drivegen.metrics import SubMetricVector
+from drivegen.metrics import ALL_METRICS, SubMetricVector
 from drivegen.reactive import SceneBatch, StateBatch
 from drivegen.scenario import AgentTrack, Lane, Pose2D, Trajectory, VehicleState
 from drivegen.synth import TEMPLATES, corpus_config_for_count, generate_synthetic_corpus
@@ -79,8 +79,12 @@ def scene_bits(scene):
 
 
 def sub_bits(sub):
-    """A `SubMetricVector` (or None) with every value as hex."""
-    return None if sub is None else {k: v.hex() for k, v in sub.as_dict().items()}
+    """Sub-metrics, a `SubMetricVector` or a row in `ALL_METRICS` order (or
+    None), with every value as hex."""
+    if sub is None:
+        return None
+    values = sub.tolist() if isinstance(sub, np.ndarray) else sub.as_dict().values()
+    return dict(zip(ALL_METRICS, map(float.hex, values)))
 
 
 def plan_bits(plan):

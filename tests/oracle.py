@@ -1,13 +1,13 @@
 """Scalar references: the test oracles of the simulation kernels in
 `drivegen.batch` (`rollout_batch`, `_lqr_track_batch`, `select_leaders`,
 through which `reactive.rollout` and `control.lqr_track` run one row), of
-`metrics.submetrics_batch`, of the batched feasibility screen
-(`vocab.feasibility_filter_batch`), of the whole-array perturbation passes
-(`vocab.enumerate_perturbations`, `GridSpec.cells`, `vocab.place_tracks`),
-of the camera poses (`pipeline.sensor_stub`), of the expert stage's array
-passes (`expert.recovery_targets`, `expert.kinematic_limit_violation`) and
-of the vocabulary build (`vocab.synthesize_maneuvers`,
-`vocab.build_vocabulary`).
+`metrics.submetrics_batch` and its aggregate (`metrics._epdms_rows`), of
+the feasibility screen's verdicts (`vocab.screen_verdicts`), of the
+whole-array perturbation passes (`vocab.enumerate_perturbations`,
+`GridSpec.cells`, `vocab.place_tracks`), of the camera poses
+(`pipeline.sensor_stub`), of the expert stage's array passes
+(`expert.recovery_targets`, `expert.kinematic_limit_violation`) and of the
+vocabulary build (`vocab.synthesize_maneuvers`, `vocab.build_vocabulary`).
 
 A simulated window is a one-row `SceneBatch` in the package. The oracles
 hold it as `SceneStates`, tuples of `VehicleState` per vehicle: the record
@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -56,7 +56,7 @@ from drivegen.control import (
     VehicleLimits,
     bicycle_step,
 )
-from drivegen.errors import RolloutError, ValidationError
+from drivegen.errors import RolloutError
 from drivegen.geometry import (
     OrientedBox,
     angle_diff,
@@ -70,7 +70,6 @@ from drivegen.metrics import (
     SimContext,
     SubMetricVector,
     _extended_comfort,
-    aggregate_epdms,
     comfort_profile,
     compute_submetrics,
     drivable_area_compliance,
@@ -97,13 +96,7 @@ from drivegen.scenario import (
     VehicleState,
 )
 from drivegen.seeding import mix64
-from drivegen.vocab import (
-    STATUS_CLEARED_NONREACTIVE,
-    STATUS_CLEARED_REACTIVE,
-    STATUS_INFEASIBLE_NONREACTIVE,
-    STATUS_INFEASIBLE_REACTIVE,
-    STATUS_PENDING,
-)
+from drivegen.vocab import STATUS_PENDING
 
 
 @dataclass(frozen=True, slots=True)
@@ -713,6 +706,17 @@ def _route_progress(scenario, x0, y0, x1, y1):
     return max(0.0, s1 - s0)
 
 
+def oracle_aggregate_epdms(s, w):
+    """`metrics.aggregate_epdms` on Python floats: the penalty product times
+    the weighted average of the graded group."""
+    total = w.total()
+    penalties = s.nc * s.dac * s.ddc * s.tlc
+    avg = (
+        w.w_ep * s.ep + w.w_ttc * s.ttc + w.w_lk * s.lk + w.w_hc * s.hc + w.w_ec * s.ec
+    ) / total
+    return penalties * avg
+
+
 def oracle_submetrics(states, scenario, ego_traj, ctx=None, stage1_features=None):
     """`metrics.compute_submetrics`, one frame and one Python float at a time."""
     ctx = ctx or SimContext()
@@ -883,29 +887,19 @@ def oracle_kinematic_limit_violation(traj, limits):
     return False
 
 
-def oracle_feasibility_filter(cand, scenario, mode, epdms_min, ctx=None):
-    """`vocab.feasibility_filter` one candidate at a time: `oracle_rollout`,
-    a frame-by-frame any-contact search over `OrientedBox` pairs, then DAC
-    and `compute_submetrics` on the logged history plus the window."""
-    if mode == "nonreactive":
-        if cand.status != STATUS_PENDING:
-            raise ValidationError(f"non-reactive check requires a pending candidate, got {cand.status}")
-        new_status, fail_status = STATUS_CLEARED_NONREACTIVE, STATUS_INFEASIBLE_NONREACTIVE
-    elif mode == "reactive":
-        if cand.status != STATUS_CLEARED_NONREACTIVE:
-            raise ValidationError(
-                f"reactive check requires a non-reactively cleared candidate, got {cand.status}"
-            )
-        new_status, fail_status = STATUS_CLEARED_REACTIVE, STATUS_INFEASIBLE_REACTIVE
-    else:
-        raise ValidationError(f"unknown feasibility mode '{mode}'")
+def oracle_feasibility_filter(entry, scenario, mode, epdms_min, ctx=None):
+    """`vocab.screen_verdicts` of one vocabulary bank row placed at the anchor
+    and simulated in `mode`, one row at a time: `oracle_rollout`, a
+    frame-by-frame any-contact search over `OrientedBox` pairs, then DAC and
+    `compute_submetrics` on the logged history plus the window.
 
+    Returns (reason, simulated window, sub-metrics): the reason is "" when
+    the row clears, and the sub-metrics are None for a row rejected before
+    scoring (collision or off-road)."""
     ctx = ctx or SimContext()
     anchor = scenario.anchor_frame
-    entry = entry_trajectory(cand.entry, scenario.dt)
-    plan = oracle_place_at_state(entry, scenario.ego_log[anchor])
+    plan = oracle_place_at_state(entry_trajectory(entry, scenario.dt), scenario.ego_log[anchor])
     states = oracle_rollout(scenario, plan, anchor, scenario.t_horizon, mode=mode, ctx=ctx)
-    failed = replace(cand, status=fail_status, screen_states=None, screen_submetrics=None)
 
     # any contact at all is infeasible here, at fault or not
     extents = {a.id: (a.length, a.width) for a in scenario.agents}
@@ -915,20 +909,16 @@ def oracle_feasibility_filter(cand, scenario, mode, epdms_min, ctx=None):
         for aid, track in states.agents.items()
     }
     if oracle_check_collision(ego_boxes, agent_boxes) is not None:
-        return replace(failed, reason="collision")
+        return "collision", states, None
     if drivable_area_compliance(*pose_arrays(states.ego), scenario, ctx) == 0.0:
-        return replace(failed, reason="off-road")
+        return "off-road", states, None
 
     history = scenario.ego_log.segment(0, anchor)
     combined = Trajectory(
         dt=scenario.dt, states=history.states + states.ego[1:], frame=FRAME_GLOBAL
     )
     sub = compute_submetrics(states.batch(), scenario, combined, ctx)
-    if aggregate_epdms(sub, ctx.weights) < epdms_min:
-        return replace(failed, reason="reward")
-    return replace(
-        cand, status=new_status, reason="", screen_states=states, screen_submetrics=sub
-    )
+    return ("reward" if oracle_aggregate_epdms(sub, ctx.weights) < epdms_min else ""), states, sub
 
 
 def oracle_sensor_stub(ego, camera_rig):

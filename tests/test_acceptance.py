@@ -27,7 +27,8 @@ from drivegen.reactive import IdmParams, idm_accel
 from drivegen.scaling import ScalingPoint, fit_log_quadratic
 from drivegen.scenario import Pose2D, Trajectory, VehicleState
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
-from drivegen.vocab import STATUS_CLEARED_REACTIVE, default_vocabulary
+from drivegen.seeding import mix64
+from drivegen.vocab import STATUS_PENDING, default_vocabulary, enumerate_perturbations, grid_sparsify
 from drivegen.expert import recovery_retrieve
 
 from conftest import make_state, scene_states, straight_trajectory
@@ -182,16 +183,19 @@ def test_criterion_5_perturbation_soundness(bundled_corpus, default_vocab, recov
     violations = 0
     by_scenario: dict[str, list] = {}
     for s in bundled_corpus:
-        cands = prepare_candidates(s, default_vocab, config)
-        cleared = {
-            c.vocab_index: c for c in cands if c.status == STATUS_CLEARED_REACTIVE
-        }
+        index, _, _ = prepare_candidates(s, default_vocab, config)
+        grid = grid_sparsify(
+            enumerate_perturbations(s, default_vocab, th), config.grid,
+            mix64(config.master_seed, s.id),
+        )
+        cleared = {i: grid[i] for i in index.tolist()}  # enumeration is in index order
         by_scenario[s.id] = cleared
         cells = [c.endpoint_cell for c in cleared.values()]
         if len(cells) != len(set(cells)):
             violations += 1
         for c in cleared.values():
             checked += 1
+            violations += c.status != STATUS_PENDING  # every cleared row survived the grid
             lon, lat, dtheta = c.offsets
             if not (
                 abs(lon) <= th.r_lon + 1e-9

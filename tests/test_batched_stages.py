@@ -1,12 +1,13 @@
-"""The batched screen and stage 2 against their scalar oracles.
+"""The screen and stage 2 against their scalar oracles.
 
-The screen's oracle checks one candidate at a time
+The screen's oracle judges one vocabulary row at a time
 (`oracle.oracle_feasibility_filter`: `oracle_rollout`, a frame-by-frame
-any-contact search and `compute_submetrics` per candidate). Each stage-2 row
-is checked against `oracle_rollout` of its plan from the same perturbed ego
-and agent states, scored by `oracle_submetrics` on its window. Every float
-is compared through `float.hex`, so -0.0 and 0.0 differ. The corpus is
-screened once per session and per `reactive` setting (`screened`).
+any-contact search and `compute_submetrics` per row). Each stage-2 row is
+checked against `oracle_rollout` of its plan from the same perturbed ego and
+agent states, scored by `oracle_submetrics` on its window. Every float is
+compared through `float.hex`, so -0.0 and 0.0 differ. Each corpus is
+screened once per session and per `reactive` setting (`screened`), through
+`pipeline.prepare_candidates`, with the verdict of each of its checks.
 """
 
 from collections import Counter
@@ -18,7 +19,7 @@ import drivegen.pipeline
 import numpy as np
 
 from drivegen.expert import privileged_plan, privileged_plans, recovery_retrieve
-from drivegen.pipeline import cleared_status, expert_stage, screen_batch
+from drivegen.pipeline import expert_stage, prepare_candidates
 from drivegen.scenario import Trajectory
 from drivegen.seeding import mix64
 from drivegen.vocab import STATUS_PENDING, enumerate_perturbations, grid_sparsify
@@ -30,10 +31,6 @@ from oracle import (
 )
 
 
-def _cand_bits(c):
-    return (c.status, c.reason, scene_bits(c.screen_states), sub_bits(c.screen_submetrics))
-
-
 def _grid_survivors(scenario, vocab, config):
     cands = grid_sparsify(
         enumerate_perturbations(scenario, vocab, config.perturb),
@@ -43,45 +40,95 @@ def _grid_survivors(scenario, vocab, config):
 
 
 @pytest.fixture(scope="session")
-def screened(corpus_100, small_vocab, small_config):
-    """`screened(reactive)`: (scenario, grid survivors, their screened
-    candidates) for each scenario of the corpus, each of the scenario's
-    screens being one `screen_batch` call of all its grid survivors."""
+def screened(request, small_vocab, small_config):
+    """`screened(reactive, corpus)`: for each scenario of the named corpus
+    fixture, (scenario, grid survivors, the `screen_verdicts` result of each
+    check, the `prepare_candidates` result)."""
     cache = {}
+    real = drivegen.pipeline.screen_verdicts
 
-    def get(reactive):
-        if reactive not in cache:
+    def get(reactive, corpus="corpus_100"):
+        if (reactive, corpus) not in cache:
             config = replace(small_config, reactive=reactive)
-            cache[reactive] = [
-                (s, survivors, screen_batch(survivors, s, config))
-                for s in corpus_100
-                for survivors in [_grid_survivors(s, small_vocab, config)]
-            ]
-        return cache[reactive]
+            rows = []
+            with pytest.MonkeyPatch.context() as mp:
+                for s in request.getfixturevalue(corpus):
+                    checks = []
+
+                    def recorded(*args, _checks=checks):
+                        _checks.append(real(*args))
+                        return _checks[-1]
+
+                    mp.setattr(drivegen.pipeline, "screen_verdicts", recorded)
+                    rows.append((
+                        s, _grid_survivors(s, small_vocab, config), checks,
+                        prepare_candidates(s, small_vocab, config),
+                    ))
+            cache[reactive, corpus] = rows
+        return cache[reactive, corpus]
 
     return get
 
 
-@pytest.mark.parametrize("reactive", [True, False], ids=["reactive", "non-reactive"])
-def test_batched_screen_matches_the_scalar_oracle(small_config, screened, reactive):
-    """Each scenario's grid survivors, screened in one non-reactive and (in
-    reactive runs) one reactive batched call, get the status, reason, screen
-    states and screen sub-metrics of the one-at-a-time screen."""
-    config = replace(small_config, reactive=reactive)
+def _check_screen(screened, config):
+    """Assert that each scenario's grid survivors, judged in one
+    non-reactive and (in reactive runs) one reactive check, get the reason
+    and sub-metrics of the one-row-at-a-time screen (NaN where it rejects
+    before scoring), and that the rows that clear come out in index order
+    with the oracle's window and sub-metrics; returns the count of each
+    (check, reason)."""
     ctx, epdms_min = config.sim_context, config.perturb.epdms_min
     outcomes = Counter()
-    for s, survivors, checked in screened(reactive):
-        for cand, got in zip(survivors, checked, strict=True):
-            want = oracle_feasibility_filter(cand, s, "nonreactive", epdms_min, ctx)
-            if reactive and want.status == "cleared-nonreactive":
-                want = oracle_feasibility_filter(want, s, "reactive", epdms_min, ctx)
-            assert _cand_bits(got) == _cand_bits(want), (s.id, cand.vocab_index)
-            outcomes[got.status, got.reason] += 1
-    # the corpus reaches every outcome of the non-reactive check
-    cleared = "cleared-reactive" if reactive else "cleared-nonreactive"
-    assert outcomes[cleared, ""] >= 100, outcomes
+    for s, survivors, checks, (index, scene, sub) in screened:
+        assert len(checks) == 1 + config.reactive, s.id
+        cleared = [(c, None, None) for c in survivors]
+        for mode, (reasons, got) in zip(("nonreactive", "reactive"), checks):
+            taken, cleared = cleared, []
+            for (c, _, _), reason, row in zip(taken, reasons.tolist(), got, strict=True):
+                want, states, want_sub = oracle_feasibility_filter(c.entry, s, mode, epdms_min, ctx)
+                assert reason == want, (s.id, c.vocab_index, mode)
+                if want_sub is None:
+                    assert np.isnan(row).all(), (s.id, c.vocab_index, mode)
+                else:
+                    assert sub_bits(row) == sub_bits(want_sub), (s.id, c.vocab_index, mode)
+                if not reason:
+                    cleared.append((c, states, want_sub))
+                outcomes[mode, reason] += 1
+        assert index.tolist() == [c.vocab_index for c, _, _ in cleared], s.id
+        for j, (c, states, want_sub) in enumerate(cleared):
+            assert scene_bits(scene.take([j])) == scene_bits(states), (s.id, c.vocab_index)
+            assert sub_bits(sub[j]) == sub_bits(want_sub), (s.id, c.vocab_index)
+    return outcomes
+
+
+@pytest.mark.parametrize("reactive", [True, False], ids=["reactive", "non-reactive"])
+def test_batched_screen_matches_the_scalar_oracle(small_config, screened, reactive):
+    """The screen of every corpus scenario equals the scalar screen
+    (`_check_screen`), and the corpus reaches every outcome of the
+    non-reactive check."""
+    outcomes = _check_screen(screened(reactive), replace(small_config, reactive=reactive))
+    assert outcomes["reactive" if reactive else "nonreactive", ""] >= 100, outcomes
     for reason in ("collision", "off-road", "reward"):
-        assert outcomes["infeasible-nonreactive", reason] > 0, outcomes
+        assert outcomes["nonreactive", reason] > 0, outcomes
+
+
+@pytest.mark.parametrize("reactive", [True, False], ids=["reactive", "non-reactive"])
+def test_batched_screen_matches_the_scalar_oracle_with_several_agents(
+    small_config, screened, reactive
+):
+    """The same on scenes with a slower lead, a follower, a parked car and a
+    close neighbour: rows collide, and some clear every agent."""
+    config = replace(small_config, reactive=reactive)
+    outcomes = _check_screen(screened(reactive, "multi_agent_corpus"), config)
+    assert outcomes["reactive" if reactive else "nonreactive", ""] >= 10, outcomes
+    for reason in ("collision", "off-road", "reward"):
+        assert outcomes["nonreactive", reason] > 0, outcomes
+
+
+def _plan_starts(scene):
+    """The planner's start of each row of a stage-1 scene: its perturbed ego and agent states."""
+    rows = [SceneStates.of(scene, j) for j in range(scene.ego.data.shape[1])]
+    return [(r.ego[-1], {aid: track[-1] for aid, track in r.agents.items()}) for r in rows]
 
 
 @pytest.mark.parametrize(
@@ -109,60 +156,68 @@ def test_stage2_rows_match_the_scalar_rollout(
         return chosen
 
     monkeypatch.setattr(drivegen.pipeline, "privileged_plans", recorded)
-    # the planner plans every candidate: three per scenario keep the test short
-    per_scenario = None if expert == "recovery" else 3
+    # the planner plans every row: three per scenario keep the test short
+    stage1_rows = slice(None if expert == "recovery" else 3)
     rows = 0
-    for s, _, checked in screened(reactive):
-        cands = [c for c in checked if c.status == cleared_status(config)][:per_scenario]
+    for s, _, _, (index, scene, _) in screened(reactive):
+        stage1 = scene.take(stage1_rows)
         plans.clear()
-        got = expert_stage(s, cands, config, small_vocab)
+        scene2, sub2 = expert_stage(s, stage1, config, small_vocab)
         anchor2 = s.anchor_frame + s.t_horizon
-        for i, (cand, (states2, sub2)) in enumerate(zip(cands, got, strict=True)):
-            (perturbed, finals), = _plan_starts([cand])
+        starts = _plan_starts(stage1)
+        assert scene2.ego.data.shape[1] == sub2.shape[0] == len(starts)
+        for j, (perturbed, finals) in enumerate(starts):
             if expert == "recovery":
                 logged_end = s.ego_log[anchor2 + s.t_horizon]
                 target = oracle_matching_vector(Trajectory(s.dt, (perturbed, logged_end)))
                 entry = small_vocab.entries[recovery_retrieve(np.array(target), small_vocab)]
                 plan = oracle_place_at_state(entry, perturbed)
             else:
-                plan = plans[i]
+                plan = plans[j]
             want = oracle_rollout(s, plan, anchor2, s.t_horizon, mode, ctx,
                                   ego_start=perturbed, agent_init=finals)
             want_sub = oracle_submetrics(want, s, Trajectory(dt=s.dt, states=want.ego), ctx)
-            assert scene_bits(states2) == scene_bits(want), (s.id, cand.vocab_index)
-            assert sub_bits(sub2) == sub_bits(want_sub), (s.id, cand.vocab_index)
+            assert scene_bits(scene2.take([j])) == scene_bits(want), (s.id, index[j])
+            assert sub_bits(sub2[j]) == sub_bits(want_sub), (s.id, index[j])
             rows += 1
     assert rows >= 150
 
 
+def _row_bits(index, scene, sub):
+    """{vocabulary index: (window, sub-metrics)} of a screen's or stage 2's rows, as hex."""
+    return {
+        i: (scene_bits(scene.take([j])), sub_bits(sub[j])) for j, i in enumerate(index)
+    }
+
+
 def test_rows_do_not_depend_on_the_candidates_sharing_their_call(
-    small_vocab, small_config, screened
+    small_vocab, small_config, screened, monkeypatch
 ):
-    """Screening and stage 2 of a subset of a scenario's candidates, in
-    reverse order, or of one candidate alone, give each candidate the result
-    it gets in the full call."""
+    """Screening and stage 2 of a subset of a scenario's grid survivors, in
+    reverse order, or of one survivor alone, give each row the result it
+    gets in the full call: the screen takes the survivors in the order the
+    grid hands them over."""
     config = small_config
+    handed = []
+    monkeypatch.setattr(drivegen.pipeline, "grid_sparsify", lambda *args: handed)
     compared = 0
-    for s, survivors, full in screened(config.reactive):
-        part = screen_batch(survivors[1::2][::-1], s, config)
-        assert [_cand_bits(c) for c in part] == [_cand_bits(c) for c in full[1::2][::-1]], s.id
-        for cand, got in zip(survivors[:2], full):
-            assert _cand_bits(screen_batch([cand], s, config)[0]) == _cand_bits(got), s.id
+    for s, survivors, _, (index, scene, sub) in screened(config.reactive):
+        full = _row_bits(index.tolist(), scene, sub)
+        for subset in (survivors[1::2][::-1], survivors[:1], survivors[1:2]):
+            handed[:] = subset
+            part = prepare_candidates(s, small_vocab, config)
+            want = [c.vocab_index for c in subset if c.vocab_index in full]
+            assert part[0].tolist() == want, s.id
+            assert _row_bits(want, *part[1:]) == {i: full[i] for i in want}, s.id
+            compared += len(subset)
 
-        cleared = [c for c in full if c.status == cleared_status(config)]
-        full2 = expert_stage(s, cleared, config, small_vocab)
-        part2 = expert_stage(s, cleared[1::2][::-1], config, small_vocab)
-        assert [(scene_bits(a), sub_bits(b)) for a, b in part2] == [
-            (scene_bits(a), sub_bits(b)) for a, b in full2[1::2][::-1]
-        ], s.id
-        compared += len(part) + len(part2)
+        rows = list(range(len(index)))
+        subset = rows[1::2][::-1]
+        full2 = _row_bits(rows, *expert_stage(s, scene, config, small_vocab))
+        part2 = _row_bits(subset, *expert_stage(s, scene.take(subset), config, small_vocab))
+        assert part2 == {j: full2[j] for j in subset}, s.id
+        compared += len(subset)
     assert compared >= 500
-
-
-def _plan_starts(cands):
-    """The planner's start of each screened candidate: its perturbed ego and agent states."""
-    rows = [SceneStates.of(c.screen_states) for c in cands]
-    return [(r.ego[-1], {aid: track[-1] for aid, track in r.agents.items()}) for r in rows]
 
 
 def test_planned_samples_do_not_depend_on_the_samples_sharing_their_call(
@@ -171,13 +226,13 @@ def test_planned_samples_do_not_depend_on_the_samples_sharing_their_call(
     """Each sample's plan from one batched planner call equals
     `privileged_plan` from that sample alone, bit for bit (reference,
     simulated window and sub-metrics): for a scenario's first four cleared
-    candidates in order, for every other one of them in reverse, and for one
+    rows in order, for every other one of them in reverse, and for one
     alone."""
     config = replace(small_config, expert_kind="planner")
     ctx = config.sim_context
     planned = agentless = 0
-    for s, _, checked in screened(config.reactive):
-        starts = _plan_starts([c for c in checked if c.status == cleared_status(config)][:4])
+    for s, _, _, (_, scene, _) in screened(config.reactive):
+        starts = _plan_starts(scene.take(slice(4)))
         if not starts:
             continue
         t = s.anchor_frame + s.t_horizon

@@ -18,6 +18,7 @@ from drivegen.metrics import (
     SimContext,
     SubMetricVector,
     _contact_lon,
+    _epdms_rows,
     aggregate_epdms,
     check_collision,
     comfort_features,
@@ -38,7 +39,10 @@ from drivegen.scenario import (
 )
 
 from conftest import make_state, scene_states, shifted_plan
-from oracle import SceneStates, contact_point, oracle_submetrics, oracle_time_to_collision
+from oracle import (
+    SceneStates, contact_point, oracle_aggregate_epdms, oracle_submetrics,
+    oracle_time_to_collision,
+)
 from test_geometry import oracle_boxes_overlap
 
 
@@ -87,6 +91,27 @@ def test_aggregate_weight_scale_invariance():
     w1 = MetricWeights(1.0, 2.0, 3.0, 4.0, 5.0)
     w2 = MetricWeights(7.0, 14.0, 21.0, 28.0, 35.0)
     assert abs(aggregate_epdms(s, w1) - aggregate_epdms(s, w2)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "weights", [MetricWeights(), MetricWeights(1.3, 0.7, 2.9, 0.1, 4.4)], ids=["default", "other"]
+)
+def test_epdms_rows_round_as_the_scalar_aggregate(weights):
+    """The aggregate over (..., 9) rows, which the screen, the planner and
+    the samples use, equals the scalar formula (`oracle_aggregate_epdms`)
+    row by row as `float.hex`, on random valid rows; `aggregate_epdms`
+    reads its one row."""
+    rng = np.random.default_rng(17)
+    rows = rng.random((20000, 9))
+    rows[:, :4] = rng.random((20000, 4)) < 0.9  # binary penalties
+    rows[:, 4:][rng.random((20000, 5)) < 0.2] = 1.0  # graded terms often at 1
+    want = [oracle_aggregate_epdms(SubMetricVector(*r), weights).hex() for r in rows.tolist()]
+    got = _epdms_rows(rows.reshape(100, 200, 9), weights)
+    assert got.shape == (100, 200)
+    assert [v.hex() for v in got.ravel().tolist()] == want
+    assert [aggregate_epdms(SubMetricVector(*r), weights).hex() for r in rows[:500].tolist()] == (
+        want[:500]
+    )
 
 
 def test_aggregate_zero_weights_error():

@@ -1,7 +1,8 @@
 """Byte-identity guard: the exported files of a small default-config run are
 pinned by SHA-256, so a refactor that changes any output bit fails here.
 The same runs guard the sample path's arrays: `run_generation` builds no
-`VehicleState`, `Pose2D` or `Trajectory`.
+`VehicleState`, `Pose2D` or `Trajectory`, and no `PerturbationCandidate`
+once a scenario's `grid_sparsify` has returned.
 
 The vocabulary comes straight from `synthesize_maneuvers`, without the
 k-means matmul of `build_vocabulary`. The digests still depend on the
@@ -17,11 +18,12 @@ from collections import Counter
 
 import pytest
 
+import drivegen.pipeline
 from drivegen.config import PipelineConfig
 from drivegen.pipeline import export_dataset, run_generation
 from drivegen.scenario import Pose2D, Trajectory, VehicleState
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
-from drivegen.vocab import synthesize_maneuvers
+from drivegen.vocab import PerturbationCandidate, synthesize_maneuvers
 
 DIGESTS = {
     ("recovery", True): (
@@ -58,12 +60,27 @@ def test_exported_bytes_are_pinned(tmp_path, corpus_and_vocab, monkeypatch, expe
     corpus, vocab = corpus_and_vocab
     config = PipelineConfig(master_seed=2026, expert_kind=expert, reactive=reactive)
     built = Counter()
-    for cls in (Pose2D, VehicleState, Trajectory):
+    stage = [""]  # where the current scenario is: "" until its grid has returned
+    for cls in (Pose2D, VehicleState, Trajectory, PerturbationCandidate):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            built[_name] += 1
+            if _name != "PerturbationCandidate" or stage[0]:
+                built[_name + stage[0]] += 1
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
+    enumerate_, grid = drivegen.pipeline.enumerate_perturbations, drivegen.pipeline.grid_sparsify
+
+    def enumerated(*args):
+        stage[0] = ""
+        return enumerate_(*args)
+
+    def gridded(*args):
+        cands = grid(*args)
+        stage[0] = " after the grid"
+        return cands
+
+    monkeypatch.setattr(drivegen.pipeline, "enumerate_perturbations", enumerated)
+    monkeypatch.setattr(drivegen.pipeline, "grid_sparsify", gridded)
     samples, stats = run_generation(corpus, config, vocab=vocab)
     monkeypatch.undo()
     assert samples

@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import drivegen.batch
@@ -12,36 +13,34 @@ import drivegen.vocab
 from drivegen.config import CameraConfig, PipelineConfig, config_hash
 from drivegen.errors import ValidationError
 from drivegen.expert import privileged_plan
-from drivegen.metrics import aggregate_epdms
+from drivegen.metrics import SubMetricVector, aggregate_epdms
 from drivegen.pipeline import (
     RoundStats,
     _sample,
-    cleared_status,
     expert_stage,
     export_dataset,
     prepare_candidates,
     run_generation,
     sample_seed,
     sample_to_dict,
-    screen_batch,
     sensor_stub,
     stats_csv_text,
 )
 from drivegen.reactive import StateBatch
 from drivegen.scenario import Trajectory
+from drivegen.seeding import mix64
 from drivegen.vocab import (
-    STATUS_CLEARED_REACTIVE,
-    STATUS_GRID_DROPPED,
-    STATUS_INFEASIBLE_REACTIVE,
-    STATUS_THRESHOLD_REJECTED,
+    STATUS_PENDING,
+    Vocabulary,
+    enumerate_perturbations,
+    grid_sparsify,
     load_vocabulary,
     save_vocabulary,
 )
 
-from conftest import make_state, plan_candidate, scene_bits
+from conftest import make_state, plan_candidate, scene_bits, sub_bits
 from oracle import (
-    SceneStates, entry_trajectory, oracle_place_at_state, oracle_rollout, oracle_sensor_stub,
-    oracle_submetrics,
+    SceneStates, oracle_place_at_state, oracle_rollout, oracle_sensor_stub, oracle_submetrics,
 )
 
 
@@ -113,31 +112,31 @@ def test_sensor_stub_matches_the_scalar_loop(small_corpus, small_vocab, small_co
 
 @pytest.fixture(scope="module")
 def prepared(small_corpus, small_vocab, small_config):
-    corpus = small_corpus
-    by_scenario = {}
-    for s in corpus:
-        cands = prepare_candidates(s, small_vocab, small_config)
-        by_scenario[s.id] = [
-            c for c in cands if c.status == cleared_status(small_config)
-        ]
-    return by_scenario
+    """Each scenario's `prepare_candidates` result: the vocabulary indices,
+    scene and sub-metrics of the rows that clear the screen."""
+    return {s.id: prepare_candidates(s, small_vocab, small_config) for s in small_corpus}
 
 
-def _simulate(scenario, cand, config, vocab, round_idx=0):
-    """A generate run's draw-to-sample step on one screened candidate: its
-    stage 2, then the expert filter; the accepted sample or None."""
-    (states2, sub2), = expert_stage(scenario, [cand], config, vocab)
-    return _sample(scenario, cand, round_idx, config, states2, sub2)[0]
+def _simulate(scenario, screened, j, config, vocab, round_idx=0):
+    """A generate run's draw-to-sample step on row j of a screen's result:
+    its stage 2, then the expert filter; the accepted sample or None."""
+    index, scene, sub = screened
+    stage1 = scene.take([j])
+    stage2, sub2 = expert_stage(scenario, stage1, config, vocab)
+    return _sample(scenario, int(index[j]), round_idx, config, stage1, sub[j], stage2, sub2[0])[0]
 
 
 def test_simulate_sample_identity_recovery_endpoint(small_corpus, small_vocab, small_config):
-    """Identity-like perturbation: the recovery expert ends near the log end."""
+    """Identity-like perturbation: the logged window, screened as the one
+    entry of a vocabulary, clears, and the recovery expert ends near the
+    log end."""
     s = small_corpus[0]
     anchor = s.anchor_frame
     logged = s.ego_log.segment(anchor, anchor + s.t_horizon)
-    cand, = screen_batch([plan_candidate(s, logged, vocab_index=9999)], s, small_config)
-    assert cand.status == cleared_status(small_config), cand.reason
-    sample = _simulate(s, cand, small_config, small_vocab)
+    identity = Vocabulary(s.dt, StateBatch(plan_candidate(s, logged).entry[:, None]))
+    screened = prepare_candidates(s, identity, small_config)
+    assert screened[0].tolist() == [0]
+    sample = _simulate(s, screened, 0, small_config, small_vocab)
     assert sample is not None
     end_x, end_y = sample.stage2.ego.data[:2, 0, -1].tolist()
     log_end = s.ego_log[anchor + 2 * s.t_horizon].pose
@@ -147,11 +146,11 @@ def test_simulate_sample_identity_recovery_endpoint(small_corpus, small_vocab, s
 
 def test_simulate_sample_deterministic(small_corpus, small_vocab, small_config, prepared):
     s = small_corpus[0]
-    cleared = prepared[s.id]
-    if not cleared:
+    screened = prepared[s.id]
+    if not len(screened[0]):
         pytest.skip("no cleared candidate on this template")
-    a = _simulate(s, cleared[0], small_config, small_vocab, round_idx=2)
-    b = _simulate(s, cleared[0], small_config, small_vocab, round_idx=2)
+    a = _simulate(s, screened, 0, small_config, small_vocab, round_idx=2)
+    b = _simulate(s, screened, 0, small_config, small_vocab, round_idx=2)
     assert (a is None) == (b is None)
     if a is not None:
         cameras = small_config.cameras
@@ -162,8 +161,8 @@ def test_simulate_sample_deterministic(small_corpus, small_vocab, small_config, 
 def test_sample_continuity_and_safety(small_corpus, small_vocab, small_config, prepared):
     checked = 0
     for s in small_corpus:
-        for cand in prepared[s.id][:3]:
-            sample = _simulate(s, cand, small_config, small_vocab)
+        for j in range(len(prepared[s.id][0]))[:3]:
+            sample = _simulate(s, prepared[s.id], j, small_config, small_vocab)
             if sample is None:
                 continue
             checked += 1
@@ -203,6 +202,15 @@ def _spy(monkeypatch, module, name, record):
     monkeypatch.setattr(module, name, spy)
 
 
+def _grid_survivors(scenario, vocab, config):
+    """The vocabulary indices of a scenario's grid survivors, in index order."""
+    cands = grid_sparsify(
+        enumerate_perturbations(scenario, vocab, config.perturb),
+        config.grid, mix64(config.master_seed, scenario.id),
+    )
+    return [c.vocab_index for c in cands if c.status == STATUS_PENDING]
+
+
 def test_screen_simulates_the_configured_world(small_corpus, small_vocab, monkeypatch):
     """With a non-default ego and braking bound, the screen, the reactive
     agents and the planner all simulate the configured world."""
@@ -218,15 +226,14 @@ def test_screen_simulates_the_configured_world(small_corpus, small_vocab, monkey
     for s in (x for x in small_corpus if x.agents):
         anchor, H = s.anchor_frame, s.t_horizon
         history = s.ego_log.segment(0, anchor)
-        for cand in prepare_candidates(s, small_vocab, config):
-            if cand.status != cleared_status(config):
-                continue
-            plan = oracle_place_at_state(entry_trajectory(cand.entry, s.dt), s.ego_log[anchor])
+        index, scene, screen_sub = prepare_candidates(s, small_vocab, config)
+        for j, i in enumerate(index.tolist()):
+            plan = oracle_place_at_state(small_vocab.entries[i], s.ego_log[anchor])
             states = oracle_rollout(s, plan, anchor, H, "reactive", ctx)
             combined = Trajectory(dt=s.dt, states=history.states + states.ego[1:])
             sub = oracle_submetrics(states, s, combined, ctx)
-            assert scene_bits(cand.screen_states) == scene_bits(states)
-            assert cand.screen_submetrics == sub
+            assert scene_bits(scene.take([j])) == scene_bits(states)
+            assert sub_bits(screen_sub[j]) == sub_bits(sub)
             assert aggregate_epdms(sub, ctx.weights) >= config.perturb.epdms_min
             checked += 1
     assert checked > 0
@@ -250,95 +257,76 @@ def test_only_grid_survivors_are_placed(small_corpus, small_vocab, small_config,
     check's ego track. Threshold-rejected and grid-dropped entries are never
     placed whole."""
     placed = []
-    _spy(monkeypatch, drivegen.vocab, "place_tracks", lambda args, kwargs: placed.append(args[0]))
-    checked = reactive = 0
+    for module in (drivegen.vocab, drivegen.pipeline):
+        _spy(monkeypatch, module, "place_tracks", lambda args, kwargs: placed.append(args[0]))
+    agents_only = []
+    _spy(monkeypatch, drivegen.pipeline, "rollout_agents", lambda a, k: agents_only.append(1))
+    checked = 0
     for s in small_corpus:
+        survivors = _grid_survivors(s, small_vocab, small_config)
         placed.clear()
-        cands = prepare_candidates(s, small_vocab, small_config)
-        unscreened = (STATUS_THRESHOLD_REJECTED, STATUS_GRID_DROPPED)
-        survivors = [c.vocab_index for c in cands if c.status not in unscreened]
-        assert [p.tobytes() for p in placed] == [small_vocab.tracks.data[:, :, -1:].tobytes()] + [
-            small_vocab.tracks.data[:, rows].tobytes() for rows in (survivors,) if rows
+        prepare_candidates(s, small_vocab, small_config)
+        assert [p.tobytes() for p in placed] == [
+            small_vocab.tracks.data[:, :, -1:].tobytes(),
+            small_vocab.tracks.data[:, survivors].tobytes(),
         ]
         checked += len(survivors)
-        reactive += sum(c.status in (STATUS_CLEARED_REACTIVE, STATUS_INFEASIBLE_REACTIVE)
-                        for c in cands)
-    assert checked > 0 and reactive > 0
+    assert checked > 0 and len(agents_only) == len(small_corpus)
 
 
 def test_each_screened_plan_is_tracked_once(small_corpus, small_vocab, small_config, monkeypatch):
     """A reactive recovery run calls the ego tracker twice per scenario: the
     screen tracks every grid survivor, and its reactive check steps the
     agents against the cleared rows of that track; stage 2 then tracks every
-    drawn candidate."""
+    drawn row (none is a normal case: zero rows are tracked)."""
     tracked, expected, current = [], {}, []
     _spy(monkeypatch, drivegen.batch, "_lqr_track_batch",
          lambda a, k: tracked.append((current[-1], a[0].x.shape[0])))
-    screen, process = drivegen.pipeline.screen_batch, drivegen.pipeline._process_scenario_impl
-
-    def screened(cands, scenario, config):
-        out = screen(cands, scenario, config)
-        unscreened = (STATUS_THRESHOLD_REJECTED, STATUS_GRID_DROPPED)
-        expected[scenario.id] = [sum(c.status not in unscreened for c in out)]
-        return out
+    process = drivegen.pipeline._process_scenario_impl
+    config = replace(small_config, expert_kind="recovery", reactive=True)
 
     def processed(scenario, *args):
         current.append(scenario.id)
         results = process(scenario, *args)
-        expected[scenario.id].append(len(results))  # the drawn candidates
+        expected[scenario.id] = [len(_grid_survivors(scenario, small_vocab, config)), len(results)]
         return results
 
-    monkeypatch.setattr(drivegen.pipeline, "screen_batch", screened)
     monkeypatch.setattr(drivegen.pipeline, "_process_scenario_impl", processed)
-    config = replace(small_config, expert_kind="recovery", reactive=True)
     run_generation(small_corpus, config, vocab=small_vocab)
+    assert any(drawn for _, drawn in expected.values())
     for s in small_corpus:
-        assert all(expected[s.id]), (s.id, expected[s.id])
         assert [rows for sid, rows in tracked if sid == s.id] == expected[s.id], s.id
 
 
 def test_each_check_keeps_the_rows_it_clears(
     small_corpus, small_vocab, small_config, monkeypatch
 ):
-    """In a reactive run each check keeps, on every candidate it clears, that
-    candidate's row of the check's scene, bit for bit, and nothing on those
-    it rejects; the reactive check's ego rows are the non-reactive check's,
-    byte for byte."""
-    scenes, checks = [], []
-    for name in ("rollout_batch", "rollout_agents"):
-        def simulated(*args, _real=getattr(drivegen.vocab, name), **kwargs):
-            scenes.append(_real(*args, **kwargs))
-            return scenes[-1]
+    """In a reactive run the non-reactive check's cleared ego rows are the
+    reactive check's ego rows, byte for byte, and the screen returns the
+    rows of the reactive check's scene that it clears, with their
+    sub-metrics, bit for bit."""
+    calls = []
+    for name in ("rollout_batch", "rollout_agents", "screen_verdicts"):
+        def recorded(*args, _real=getattr(drivegen.pipeline, name), **kwargs):
+            calls.append(_real(*args, **kwargs))
+            return calls[-1]
 
-        monkeypatch.setattr(drivegen.vocab, name, simulated)
-    real_filter = drivegen.pipeline.feasibility_filter_batch
-
-    def filtered(cands, *args):
-        out = real_filter(cands, *args)
-        checks.append((cands, out, scenes[-1]))
-        return out
-
-    monkeypatch.setattr(drivegen.pipeline, "feasibility_filter_batch", filtered)
+        monkeypatch.setattr(drivegen.pipeline, name, recorded)
     config = replace(small_config, reactive=True)
-    kept = reactive = 0
+    kept = 0
     for s in small_corpus:
-        checks.clear()
-        prepare_candidates(s, small_vocab, config)
-        for _, out, scene in checks:
-            for i, c in enumerate(out):
-                if c.status.startswith("cleared"):
-                    assert scene_bits(c.screen_states) == scene_bits(SceneStates.of(scene, i))
-                    kept += 1
-                else:
-                    assert c.screen_states is None and c.screen_submetrics is None
-        if len(checks) == 2:
-            (_, first, nonreactive), (taken, _, scene) = checks
-            row = {c.vocab_index: i for i, c in enumerate(first)}
-            for j, c in enumerate(taken):
-                want = nonreactive.ego.data[:, row[c.vocab_index]]
-                assert scene.ego.data[:, j].tobytes() == want.tobytes(), (s.id, c.vocab_index)
-                reactive += 1
-    assert kept > 0 and reactive > 0
+        calls.clear()
+        index, scene, sub = prepare_candidates(s, small_vocab, config)
+        nonreactive, (reasons1, _), agents, (reasons2, sub2) = calls
+        cleared1 = np.flatnonzero(reasons1 == "")
+        assert agents.ego.data.tobytes() == nonreactive.ego.data[:, cleared1].tobytes(), s.id
+        cleared2 = np.flatnonzero(reasons2 == "")
+        assert len(index) == len(cleared2)
+        for j, row in enumerate(cleared2):
+            assert scene_bits(scene.take([j])) == scene_bits(agents.take([row])), s.id
+            assert sub_bits(sub[j]) == sub_bits(sub2[row]), s.id
+        kept += len(index)
+    assert kept > 0
 
 
 def test_no_state_objects_between_the_vocabulary_file_and_the_screen(
@@ -352,7 +340,7 @@ def test_no_state_objects_between_the_vocabulary_file_and_the_screen(
     calls = []
     _spy(monkeypatch, drivegen.vocab, "_state_from_json", lambda a, k: calls.append("parse"))
     _spy(monkeypatch, StateBatch, "states", lambda a, k: calls.append("states"))
-    _spy(monkeypatch, drivegen.vocab, "rollout_batch", lambda a, k: calls.append("rollout"))
+    _spy(monkeypatch, drivegen.pipeline, "rollout_batch", lambda a, k: calls.append("rollout"))
     vocab = load_vocabulary(path)
     for s in small_corpus:
         calls.clear()
@@ -364,47 +352,49 @@ def test_no_state_objects_between_the_vocabulary_file_and_the_screen(
 def test_cleared_candidates_carry_the_placed_entry(
     corpus_100, small_vocab, small_config, monkeypatch
 ):
-    """Every screened candidate, cleared or not, holds its own bank row, and
-    the screen's one rollout simulated that row placed at the anchor, bit for
-    bit as `oracle_place_at_state` places the entry."""
+    """The screen's one rollout simulates the bank row of every grid
+    survivor placed at the anchor, bit for bit as `oracle_place_at_state`
+    places the entry, and the rows that clear keep their vocabulary index."""
     config = replace(small_config, reactive=False)
     plans = []
-    _spy(monkeypatch, drivegen.vocab, "rollout_batch", lambda args, kwargs: plans.append(args[1]))
+    _spy(monkeypatch, drivegen.pipeline, "rollout_batch",
+         lambda args, kwargs: plans.append(args[1]))
     entries = list(small_vocab.entries)
     cleared = 0
     for s in corpus_100:
         plans.clear()
         anchor = s.ego_log[s.anchor_frame]
-        cands = prepare_candidates(s, small_vocab, config)
-        unscreened = (STATUS_THRESHOLD_REJECTED, STATUS_GRID_DROPPED)
-        screened = [c for c in cands if c.status not in unscreened]
-        assert len(plans) == 1 and plans[0].data.shape[1] == len(screened)
-        for j, c in enumerate(screened):
-            assert c.entry.tobytes() == small_vocab.tracks.data[:, c.vocab_index].tobytes()
-            want = StateBatch.track(oracle_place_at_state(entries[c.vocab_index], anchor).states)
+        index, _, _ = prepare_candidates(s, small_vocab, config)
+        survivors = _grid_survivors(s, small_vocab, config)
+        assert len(plans) == 1 and plans[0].data.shape[1] == len(survivors)
+        for j, i in enumerate(survivors):
+            want = StateBatch.track(oracle_place_at_state(entries[i], anchor).states)
             assert plans[0].data[:, j:j + 1].tobytes() == want.data.tobytes()
-            cleared += c.status == cleared_status(config)
+        kept = set(index.tolist())
+        assert index.tolist() == [i for i in survivors if i in kept]
+        cleared += len(kept)
     assert cleared > 0
 
 
 def test_stage1_is_the_screen_rollout(small_corpus, small_vocab, small_config, prepared, monkeypatch):
     """Accepted samples carry the screen's ego track and EPDMS as stage 1, and
-    a cleared candidate costs one rollout (stage 2) and no second screen."""
+    a cleared row costs one rollout (stage 2) and no second screen."""
     rollouts, screens = [], []
     _spy(monkeypatch, drivegen.pipeline, "rollout_batch", lambda a, k: rollouts.append(1))
-    _spy(monkeypatch, drivegen.pipeline, "feasibility_filter_batch", lambda a, k: screens.append(1))
+    _spy(monkeypatch, drivegen.pipeline, "screen_verdicts", lambda a, k: screens.append(1))
     checked = 0
     for s in small_corpus:
-        for cand in prepared[s.id]:
+        index, scene, sub = prepared[s.id]
+        for j in range(len(index)):
             rollouts.clear()
-            sample = _simulate(s, cand, small_config, small_vocab)
+            sample = _simulate(s, prepared[s.id], j, small_config, small_vocab)
             assert len(rollouts) == 1
             if sample is None:
                 continue
             checked += 1
-            assert scene_bits(sample.stage1) == scene_bits(cand.screen_states)
+            assert scene_bits(sample.stage1) == scene_bits(scene.take([j]))
             assert sample.reward.stage_scores[0] == aggregate_epdms(
-                cand.screen_submetrics, small_config.weights
+                SubMetricVector(*sub[j].tolist()), small_config.weights
             )
     assert checked > 0
     assert screens == []
@@ -413,22 +403,25 @@ def test_stage1_is_the_screen_rollout(small_corpus, small_vocab, small_config, p
 def test_each_scenario_is_screened_once_and_simulated_once(
     small_corpus, small_vocab, small_config, monkeypatch
 ):
-    """A reactive recovery run screens each scenario in one `screen_batch`
-    call, of one non-reactive and then at most one reactive check, and
-    simulates the stage 2 of all its drawn candidates in one rollout."""
+    """A reactive recovery run screens each scenario in one non-reactive
+    rollout of every grid survivor and one agents-only call on the rows it
+    clears, each judged once, and simulates the stage 2 of all its drawn
+    rows in one rollout."""
     calls = []
-    _spy(monkeypatch, drivegen.pipeline, "screen_batch",
-         lambda a, k: calls.append((a[1].id, "screen")))
-    _spy(monkeypatch, drivegen.pipeline, "feasibility_filter_batch",
-         lambda a, k: calls.append((a[1].id, a[2])))
     _spy(monkeypatch, drivegen.pipeline, "rollout_batch",
-         lambda a, k: calls.append((a[0].id, "stage 2")))
+         lambda a, k: calls.append((a[0].id, k["mode"])))
+    _spy(monkeypatch, drivegen.pipeline, "rollout_agents",
+         lambda a, k: calls.append((a[0].id, "agents " + k["mode"])))
+    _spy(monkeypatch, drivegen.pipeline, "screen_verdicts",
+         lambda a, k: calls.append((a[1].id, "verdicts")))
     config = replace(small_config, expert_kind="recovery", reactive=True)
     _, stats = run_generation(small_corpus, config, vocab=small_vocab)
     assert sum(st.attempted for st in stats) > 0
     for s in small_corpus:
         seen = [what for sid, what in calls if sid == s.id]
-        assert seen == ["screen", "nonreactive", "reactive", "stage 2"], (s.id, seen)
+        assert seen == [
+            "nonreactive", "verdicts", "agents reactive", "verdicts", "reactive"
+        ], (s.id, seen)
 
 
 class _InProcessPool:

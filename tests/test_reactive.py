@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drivegen.batch import select_leaders
+from drivegen.batch import rollout_batch, select_leaders
 from drivegen.errors import RolloutError
-from drivegen.metrics import SimContext
+from drivegen.metrics import ALL_METRICS, SimContext, any_contact, submetrics_batch
 from drivegen.reactive import (
     MODES,
     IdmParams,
@@ -18,6 +18,7 @@ from drivegen.reactive import (
 )
 from drivegen.scenario import FRAME_EGO_LOCAL, Trajectory
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
+from drivegen.vocab import screen_verdicts
 
 from conftest import make_state, scene_bits, shifted_plan
 from oracle import SceneStates, oracle_idm_accel, oracle_rollout
@@ -228,6 +229,27 @@ def test_rollout_matches_the_scalar_oracle_with_several_agents(multi_agent_corpu
     close neighbour, in reactive mode: agents choose among several leaders
     and keep their gaps to one another."""
     assert _check_rollouts(multi_agent_corpus, "reactive") == 4 * len(multi_agent_corpus)
+
+
+@pytest.mark.parametrize("mode", ["reactive", "nonreactive"])
+def test_zero_rows_are_simulated_and_judged(small_corpus, mode):
+    """No plan is a normal case: a (7, 0, H + 1) plan batch comes back as
+    the zero-row scene of the ego and of every agent, and the contact rule,
+    the scoring kernel and the screen's verdicts return zero rows, on scenes
+    with no agent and with one."""
+    ctx = SimContext()
+    for s in small_corpus:
+        H, empty = s.t_horizon, (7, 0, s.t_horizon + 1)
+        scene = rollout_batch(s, StateBatch(np.empty(empty)), s.anchor_frame, H, ctx, mode=mode)
+        assert scene.ego.data.shape == empty
+        assert {aid: t.data.shape for aid, t in scene.agents.items()} == {
+            a.id: empty for a in s.agents
+        }
+        assert any_contact(scene, s, ctx).shape == (0,)
+        assert submetrics_batch(scene, s, ctx).shape == (0, len(ALL_METRICS))
+        reasons, sub = screen_verdicts(scene, s, 0.8, ctx)
+        assert reasons.shape == (0,) and sub.shape == (0, len(ALL_METRICS))
+    assert {len(s.agents) for s in small_corpus} == {0, 1}
 
 
 def test_rollout_nonreactive_replay_identity(benign_scenario):

@@ -35,7 +35,7 @@ from drivegen.vocab import (
     synthesize_maneuvers,
 )
 
-from conftest import make_state, plan_candidate, straight_trajectory
+from conftest import make_state, plan_candidate, straight_trajectory, sub_bits
 from oracle import (
     oracle_build_vocabulary,
     oracle_cell,
@@ -552,17 +552,18 @@ def test_screen_decides_off_road_before_the_other_metrics(
     small_corpus, small_vocab, small_config, monkeypatch
 ):
     """An off-road grid survivor is rejected without computing the other
-    sub-metrics; every reason and cleared score equals the scalar screen's
-    (`oracle_feasibility_filter`)."""
+    sub-metrics; every reason and score of `feasibility_filter` equals the
+    scalar screen's (`oracle_feasibility_filter`), and its statuses follow."""
     import drivegen.vocab
 
-    scored = []  # rows scored by the screen's kernel call
+    scored = []  # the sub-metrics of each of the screen's kernel calls
     original = drivegen.vocab.submetrics_batch
-    monkeypatch.setattr(
-        drivegen.vocab, "submetrics_batch",
-        lambda scene, *args, **kwargs: scored.append(scene.ego.x.shape[0])
-        or original(scene, *args, **kwargs),
-    )
+
+    def recorded(*args, **kwargs):
+        scored.append(original(*args, **kwargs))
+        return scored[-1]
+
+    monkeypatch.setattr(drivegen.vocab, "submetrics_batch", recorded)
     ctx = small_config.sim_context
     epdms_min = small_config.perturb.epdms_min
     reasons = []
@@ -574,12 +575,13 @@ def test_screen_decides_off_road_before_the_other_metrics(
         for cand in (c for c in cands if c.status == STATUS_PENDING):
             for mode in ("nonreactive", "reactive"):
                 scored.clear()
-                expected = oracle_feasibility_filter(cand, s, mode, epdms_min, ctx)
+                reason, _, sub = oracle_feasibility_filter(cand.entry, s, mode, epdms_min, ctx)
                 cand = feasibility_filter(cand, s, mode, epdms_min, ctx)
                 reasons.append(cand.reason)
-                assert cand.reason == expected.reason
-                assert cand.screen_submetrics == expected.screen_submetrics
-                assert sum(scored) == (0 if cand.reason in ("collision", "off-road") else 1)
+                assert cand.reason == reason
+                assert cand.status == f"{'infeasible' if reason else 'cleared'}-{mode}"
+                rows = [sub_bits(row) for call in scored for row in call]
+                assert rows == ([] if sub is None else [sub_bits(sub)])
                 if cand.reason:
                     break
     assert "off-road" in reasons and "" in reasons
