@@ -26,15 +26,17 @@ Each sub-metric is computed on Python floats, frame by frame: NC searches per-fr
 `OrientedBox` pairs for the first contact and rules on its fault with its own
 scalar contact point (`oracle_check_collision`), TLC loops over frame pairs,
 EP projects with the scalar `PolylineOps.project`, TTC sweeps every frame with
-a running-minimum quick reject, and HC reads the scalar comfort profile. DAC,
-DDC/LK and EC reuse the package's own functions, which have no second
-implementation.
+a running-minimum quick reject, HC reads the scalar comfort profile and DAC
+tests each footprint corner with `point_in_polygon`, stopping at the first
+outside every drivable polygon. DDC/LK and EC reuse the package's own
+functions, which have no second implementation.
 
 The scalar geometry lives here too: `segments_intersect`, `point_in_polygon`,
 `oracle_polygon_is_simple`, the `corners` of an `OrientedBox`, the
 separating-axis `boxes_overlap` and the fault ruling's `contact_point`, the
 references of `geometry.segments_intersect_many`, `geometry.polygon_is_simple`,
-`geometry.boxes_overlap_many` and `metrics._contact_lon`.
+`geometry.points_in_any_polygon`, `geometry.boxes_overlap_many` and
+`metrics._contact_lon`.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ from drivegen.metrics import (
     _extended_comfort,
     comfort_profile,
     compute_submetrics,
-    drivable_area_compliance,
     lane_compliance,
 )
 from drivegen.reactive import (
@@ -192,14 +193,21 @@ def oracle_polygon_is_simple(polygon):
 
 
 def point_in_polygon(x, y, polygon):
-    """Ray-casting containment test; boundary points count as inside."""
+    """Ray-casting containment test; boundary points count as inside. Edge i
+    runs from vertex i to vertex i - 1."""
     n = len(polygon)
     inside = False
-    j = n - 1
     for i in range(n):
-        xi, yi = polygon[i]
-        xj, yj = polygon[j]
-        # boundary tolerance: distance to edge below 1e-9 counts as inside
+        (xi, yi), (xj, yj) = polygon[i], polygon[i - 1]
+        if (yi > y) != (yj > y):
+            x_cross = xi + (y - yi) * (xj - xi) / (yj - yi)
+            if x < x_cross:
+                inside = not inside
+    if inside:
+        return True
+    # boundary tolerance: distance to an edge below 1e-9 counts as inside
+    for i in range(n):
+        (xi, yi), (xj, yj) = polygon[i], polygon[i - 1]
         ex, ey = xj - xi, yj - yi
         L2 = ex * ex + ey * ey
         if L2 > 0.0:
@@ -210,12 +218,7 @@ def point_in_polygon(x, y, polygon):
                 return True
         elif (x - xi) ** 2 + (y - yi) ** 2 < 1e-18:
             return True
-        if (yi > y) != (yj > y):
-            x_cross = xi + (y - yi) * (xj - xi) / (yj - yi)
-            if x < x_cross:
-                inside = not inside
-        j = i
-    return inside
+    return False
 
 
 def corners(box):
@@ -717,6 +720,17 @@ def oracle_aggregate_epdms(s, w):
     return penalties * avg
 
 
+def oracle_drivable_area_compliance(ego_boxes, scenario):
+    """`metrics.drivable_area_compliance` of one window's per-frame ego
+    `OrientedBox`es, one corner at a time: 0.0 at the first `corners` that
+    lie outside every drivable polygon by `point_in_polygon`, else 1.0."""
+    for box in ego_boxes:
+        for x, y in corners(box):
+            if not any(point_in_polygon(x, y, poly) for poly in scenario.map.drivable_area):
+                return 0.0
+    return 1.0
+
+
 def oracle_submetrics(states, scenario, ego_traj, ctx=None, stage1_features=None):
     """`metrics.compute_submetrics`, one frame and one Python float at a time."""
     ctx = ctx or SimContext()
@@ -746,8 +760,8 @@ def oracle_submetrics(states, scenario, ego_traj, ctx=None, stage1_features=None
     )
     nc = 0.0 if (event is not None and event.at_fault) else 1.0
 
+    dac = oracle_drivable_area_compliance(ego_boxes, scenario)
     xs, ys, thetas = pose_arrays(states.ego)
-    dac = float(drivable_area_compliance(xs, ys, thetas, scenario, ctx))
 
     ddc, lk = (float(v) for v in lane_compliance(xs, ys, thetas, scenario, th, states.dt))
 
@@ -890,8 +904,9 @@ def oracle_kinematic_limit_violation(traj, limits):
 def oracle_feasibility_filter(entry, scenario, mode, epdms_min, ctx=None):
     """`vocab.screen_verdicts` of one vocabulary bank row placed at the anchor
     and simulated in `mode`, one row at a time: `oracle_rollout`, a
-    frame-by-frame any-contact search over `OrientedBox` pairs, then DAC and
-    `compute_submetrics` on the logged history plus the window.
+    frame-by-frame any-contact search over `OrientedBox` pairs, then
+    `oracle_drivable_area_compliance` and `compute_submetrics` on the logged
+    history plus the window.
 
     Returns (reason, simulated window, sub-metrics): the reason is "" when
     the row clears, and the sub-metrics are None for a row rejected before
@@ -910,7 +925,7 @@ def oracle_feasibility_filter(entry, scenario, mode, epdms_min, ctx=None):
     }
     if oracle_check_collision(ego_boxes, agent_boxes) is not None:
         return "collision", states, None
-    if drivable_area_compliance(*pose_arrays(states.ego), scenario, ctx) == 0.0:
+    if oracle_drivable_area_compliance(ego_boxes, scenario) == 0.0:
         return "off-road", states, None
 
     history = scenario.ego_log.segment(0, anchor)

@@ -8,6 +8,7 @@ from drivegen.geometry import (
     TWO_PI,
     BoxArrays,
     OrientedBox,
+    PolygonOps,
     PolylineOps,
     PolylineSetOps,
     boxes_overlap_many,
@@ -111,6 +112,91 @@ def test_points_in_any_polygon_matches_scalar():
     for i in range(len(xs)):
         scalar = any(point_in_polygon(xs[i], ys[i], p) for p in polys)
         assert batch[i] == scalar
+
+
+def _containment_queries(polygon, rng):
+    """Points at every place where containment is decided: the vertices and
+    edge midpoints; at each vertex's y, 1 ulp and 1e-6 (1 + |x|) either side
+    of each vertex and of every edge's crossing of that y (edges that end
+    there included); 5e-10 m (inside the 1e-9 boundary) and 2e-9 m (outside
+    it) off each edge's ends and midpoint along its normal; 1 ulp either side
+    of each edge's boundary-table cuts; random points around the polygon and
+    far ones."""
+    n = len(polygon)
+    pts = list(polygon)
+    for k in range(n):
+        (xi, yi), (xj, yj) = polygon[k], polygon[(k + 1) % n]
+        pts.append((0.5 * (xi + xj), 0.5 * (yi + yj)))
+    for v in sorted({y for _, y in polygon}):
+        xs = [x for x, y in polygon if y == v]
+        for k in range(n):
+            (xi, yi), (xj, yj) = polygon[k], polygon[(k + 1) % n]
+            if min(yi, yj) <= v <= max(yi, yj) and yi != yj:
+                xs.append(xi + (v - yi) * (xj - xi) / (yj - yi))
+        for x in xs:
+            d = 1e-6 * (1.0 + abs(x))
+            pts += [(math.nextafter(x, -math.inf), v), (math.nextafter(x, math.inf), v),
+                    (x - d, v), (x + d, v)]
+    margin = 1e-6 * (1.0 + max(abs(c) for p in polygon for c in p))
+    for k in range(n):
+        (xi, yi), (xj, yj) = polygon[k], polygon[(k + 1) % n]
+        length = math.hypot(xj - xi, yj - yi)
+        if length > 0.0:
+            nx, ny = (yi - yj) / length, (xj - xi) / length
+            for t in (0.0, 0.5, 1.0):
+                px, py = xi + t * (xj - xi), yi + t * (yj - yi)
+                pts += [(px + d * nx, py + d * ny) for d in (5e-10, -5e-10, 2e-9, -2e-9)]
+        for x, cut in ((xi if yi <= yj else xj, min(yi, yj) - margin),
+                       (xi if yi >= yj else xj, max(yi, yj) + margin)):
+            pts += [(x, math.nextafter(cut, -math.inf)), (x, cut), (x, math.nextafter(cut, math.inf))]
+    (x0, y0), (x1, y1) = (min(c) for c in zip(*polygon)), (max(c) for c in zip(*polygon))
+    pts += [(rng.uniform(x0 - 5, x1 + 5), rng.uniform(y0 - 5, y1 + 5)) for _ in range(100)]
+    pts += [(x0 - 1e3, y0), (x1 + 1e3, y1), (0.5 * (x0 + x1), y1 + 1e3), (1e150, y0), (-1e150, 1e150)]
+    return pts
+
+
+def test_containment_matches_the_scalar_oracle_at_every_decision(corpus_100):
+    """`points_in_any_polygon` against `point_in_polygon`, point by point, on
+    every drivable polygon of the corpus, on hand-built polygons (horizontal
+    edges and collinear runs, a concave zigzag whose middle slab holds 21
+    edges, a repeated vertex, a corpus polygon shifted by 1e6 m) and on
+    seeded triangles to hexagons with coordinates up to 1e7-1e10 m, where
+    the last bit of a crossing decides points 1 ulp from a vertex. The oracle walks each edge
+    from its second vertex to its first; given the vertices in reverse it
+    walks them as `PolygonOps` does, so the two round alike to the last bit."""
+    polygons = [poly for s in corpus_100 for poly in s.map.drivable_area]
+    polygons += [
+        [(0.0, 0.0), (2.0, 0.0), (4.0, 0.0), (4.0, 1.0), (4.0, 3.0), (2.0, 3.0), (2.0, 2.0), (0.0, 2.0)],
+        [(0.0, 0.0), (20.0, 0.0)] + [(20.0 - k, 1.0 if k % 2 else 10.0) for k in range(21)],
+        [(0.0, 0.0), (3.0, 0.0), (3.0, 0.0), (3.0, 2.0), (0.0, 2.0)],
+        [(x + 1e6, y + 1e6) for x, y in max(polygons, key=len)],
+    ]
+    rng = random.Random(3)
+    for k in range(40):
+        scale = 10.0 ** (7 + k % 4)
+        polygons.append([(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for _ in range(3 + k % 4)])
+    rng = random.Random(7)
+    for poly in polygons:
+        pts = _containment_queries(list(poly), rng)
+        xs, ys = np.array(pts).T
+        expected = [point_in_polygon(x, y, poly[::-1]) for x, y in pts]
+        assert points_in_any_polygon(xs, ys, [poly]).tolist() == expected, poly
+    assert points_in_any_polygon(np.empty(0), np.empty(0), polygons[:2]).shape == (0,)
+
+
+def test_polygon_slab_tables_stay_within_their_bound(corpus_100):
+    """At most (2n + 1) n table entries for n vertices. The corpus's curved
+    46-gons have 39 slabs x 4 edges (ray cast) and 75 x 8 (boundary); its
+    straight ones 3 x 2 and 5 x 24, each side's 23 collinear edges sharing
+    one thin boundary slab."""
+    shapes = set()
+    for poly in (poly for s in corpus_100 for poly in s.map.drivable_area):
+        ops, n = PolygonOps(poly), len(poly)
+        for width, _, slabs in (ops.ray.shape, ops.near.shape):
+            assert width * slabs <= (2 * n + 1) * n
+        if n == 46:
+            shapes.add((ops.ray.shape[2], ops.ray.shape[0], ops.near.shape[2], ops.near.shape[0]))
+    assert shapes == {(39, 4, 75, 8), (3, 2, 5, 24)}
 
 
 def test_polygon_is_simple():
