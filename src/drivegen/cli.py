@@ -91,9 +91,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = _generate_config(args)
     corpus = _load_corpus(args.corpus)
     vocab = load_vocabulary(args.vocab) if args.vocab else None
-    samples, stats = run_generation(
-        corpus, config, rounds=config.rounds, vocab=vocab, workers=args.workers
-    )
+    samples, stats = run_generation(corpus, config, vocab=vocab, workers=args.workers)
     files = export_dataset(
         samples, args.out, stats, config, corpus_ids=[s.id for s in corpus]
     )

@@ -326,7 +326,7 @@ def expert_filter(
     sub = precomputed if precomputed is not None else compute_submetrics(
         states, scenario, states.ego.trajectory(0, states.dt), ctx
     )
-    for name in ("nc", "dac", "ddc", "tlc", "ep", "ttc", "lk", "hc", "ec"):
+    for name in ALL_METRICS:
         if name in spec.required_ones and getattr(sub, name) != 1.0:
             return False, name
     if sub.ep <= spec.ep_min:

@@ -245,10 +245,9 @@ def _sample(
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(vocab: Vocabulary, config: PipelineConfig, rounds: int) -> None:
+def _worker_init(vocab: Vocabulary, config: PipelineConfig) -> None:
     _WORKER_STATE["vocab"] = vocab
     _WORKER_STATE["config"] = config
-    _WORKER_STATE["rounds"] = rounds
 
 
 def _round_draws(
@@ -262,11 +261,13 @@ def _round_draws(
 
 
 def _process_scenario_impl(
-    scenario: Scenario, vocab: Vocabulary, config: PipelineConfig, rounds: int
+    scenario: Scenario, vocab: Vocabulary, config: PipelineConfig
 ) -> list[tuple[int, SimSample | None, str]]:
     """(round, sample or None, reject reason) of each cleared row the scenario draws."""
     index, scene, sub = prepare_candidates(scenario, vocab, config)
-    draws = _round_draws(len(index), rounds, config.per_round, config.master_seed, scenario.id)
+    draws = _round_draws(
+        len(index), config.rounds, config.per_round, config.master_seed, scenario.id
+    )
     drawn = [(r, i) for r, rows in enumerate(draws) for i in sorted(rows)]
     stage1 = scene.take([i for _, i in drawn])
     stage2, sub2 = expert_stage(scenario, stage1, config, vocab)
@@ -281,19 +282,17 @@ def _process_scenario_impl(
 
 
 def _process_scenario(scenario: Scenario):
-    return _process_scenario_impl(
-        scenario, _WORKER_STATE["vocab"], _WORKER_STATE["config"], _WORKER_STATE["rounds"]
-    )
+    return _process_scenario_impl(scenario, _WORKER_STATE["vocab"], _WORKER_STATE["config"])
 
 
 def run_generation(
     corpus: Sequence[Scenario],
     config: PipelineConfig,
-    rounds: int | None = None,
     vocab: Vocabulary | None = None,
     workers: int = 1,
 ) -> tuple[list[SimSample], list[RoundStats]]:
-    """Generate a dataset over a corpus with disjoint per-round draws.
+    """Generate a dataset over a corpus with disjoint draws in each of
+    `config.rounds` rounds.
 
     No candidate is reused across rounds. Output ordering and content are
     independent of `workers`; the merge is done in (scenario id, round,
@@ -301,9 +300,6 @@ def run_generation(
     """
     if not corpus:
         raise ValidationError("corpus is empty")
-    rounds = rounds if rounds is not None else config.rounds
-    if rounds < 1:
-        raise ValidationError("rounds must be >= 1")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     dups = corpus_id_collisions(corpus)
@@ -322,13 +318,14 @@ def run_generation(
     # no more worker processes than scenarios: each forks and unpickles the vocabulary
     workers = min(workers, len(ordered))
     if workers == 1:
-        per_scenario = [_process_scenario_impl(s, vocab, config, rounds) for s in ordered]
+        per_scenario = [_process_scenario_impl(s, vocab, config) for s in ordered]
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(vocab, config, rounds)
+            max_workers=workers, initializer=_worker_init, initargs=(vocab, config)
         ) as pool:
             per_scenario = list(pool.map(_process_scenario, ordered))
 
+    rounds = config.rounds
     samples: list[SimSample] = []
     attempted = [0] * rounds
     accepted = [0] * rounds
@@ -401,31 +398,13 @@ def stats_csv_text(stats: Sequence[RoundStats]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
-        [
-            "round",
-            "expert_kind",
-            "attempted",
-            "accepted",
-            "cumulative_accepted",
-            "reject_collision",
-            "reject_offroad",
-            "reject_reward",
-            "reject_kinematics",
-        ]
+        ["round", "expert_kind", "attempted", "accepted", "cumulative_accepted"]
+        + [f"reject_{b}" for b in REJECT_BUCKETS]
     )
     for row in stats:
         writer.writerow(
-            [
-                row.round,
-                row.expert_kind,
-                row.attempted,
-                row.accepted,
-                row.cumulative_accepted,
-                row.rejects.get("collision", 0),
-                row.rejects.get("offroad", 0),
-                row.rejects.get("reward", 0),
-                row.rejects.get("kinematics", 0),
-            ]
+            [row.round, row.expert_kind, row.attempted, row.accepted, row.cumulative_accepted]
+            + [row.rejects.get(b, 0) for b in REJECT_BUCKETS]
         )
     return buf.getvalue()
 

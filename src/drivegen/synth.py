@@ -44,7 +44,6 @@ class CorpusConfig:
     dt: float = SIM_DT
     lane_width: float = 3.5
     drivable_buffer: float = 0.25
-    speed_limit: float = 13.0
 
     @property
     def count(self) -> int:

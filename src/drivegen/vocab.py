@@ -4,9 +4,12 @@ The vocabulary is a clustered bank of short ego-local maneuvers, one
 (7, N, H + 1) `StateBatch` from file or k-means to the simulator. Per
 scenario, whole-array passes over the bank threshold where each entry would
 end at the anchor state and spread survivors over an interleaved endpoint
-grid; only the grid survivors are placed, by the pipeline, straight into the
-batched rollouts that `screen_verdicts` judges row by row. Each pass is the
-scalar per-entry arithmetic bit for bit: `math` cos and sin,
+grid. Each entry's `PerturbationCandidate` records its vocabulary index,
+status (pending, threshold-rejected or grid-dropped), reason, endpoint
+offsets and cell, not its bank row. Only the grid survivors are placed, by
+the pipeline, straight into the batched rollouts that `screen_verdicts`
+judges row by row; `feasibility_filter` screens one bank row alone. Each
+pass is the scalar per-entry arithmetic bit for bit: `math` cos and sin,
 `geometry.wrap_angle_many`.
 """
 
@@ -17,7 +20,7 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -40,7 +43,9 @@ from .metrics import (  # noqa: F401
     drivable_area_compliance,
     submetrics_batch,
 )
-from .reactive import SceneBatch, StateBatch, rollout  # noqa: F401
+from .reactive import (  # noqa: F401
+    MODE_NONREACTIVE, MODE_REACTIVE, SceneBatch, StateBatch, rollout,
+)
 from .scenario import (
     _STATE_FIELDS, _STATE_KEYS, FRAME_EGO_LOCAL, Scenario, Trajectory, _array, _number,
     _state_from_json, dump_json_canonical,
@@ -50,10 +55,6 @@ from .seeding import mix64
 STATUS_PENDING = "pending"
 STATUS_THRESHOLD_REJECTED = "threshold-rejected"
 STATUS_GRID_DROPPED = "grid-dropped"
-STATUS_INFEASIBLE_NONREACTIVE = "infeasible-nonreactive"
-STATUS_INFEASIBLE_REACTIVE = "infeasible-reactive"
-STATUS_CLEARED_NONREACTIVE = "cleared-nonreactive"
-STATUS_CLEARED_REACTIVE = "cleared-reactive"
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -146,8 +147,6 @@ class PerturbationCandidate:
     offsets: tuple[float, float, float]  # (lon, lat, dtheta) vs logged endpoint
     status: str
     vocab_index: int
-    # the entry's ego-local (7, H + 1) bank row, placed at the anchor by `feasibility_filter`
-    entry: np.ndarray | None = field(default=None, compare=False)
     endpoint_cell: tuple[int, int] | None = None
     reason: str = ""
 
@@ -418,7 +417,7 @@ def enumerate_perturbations(
     Offsets are measured against the logged ego pose at the end of the first
     simulation window (anchor + horizon), in its frame (lon ahead, lat left),
     on every entry's last state placed at the anchor in one array pass.
-    Candidates are left unplaced, each holding its bank row.
+    Candidates are left unplaced; each names its bank row by `vocab_index`.
     """
     check_vocabulary(vocab, scenario)
     anchor = StateBatch.full(scenario.ego_log[scenario.anchor_frame], len(vocab))
@@ -431,13 +430,11 @@ def enumerate_perturbations(
     bad = [np.abs(lon) > th.r_lon, np.abs(lat) > th.r_lat, np.abs(dtheta) > th.dtheta_max]
     reason = np.select(bad, [1, 2, 3])
     offsets = zip(lon.tolist(), lat.tolist(), dtheta.tolist())
-    rows = vocab.tracks.data.transpose(1, 0, 2)
     return [
         PerturbationCandidate(
-            off, STATUS_THRESHOLD_REJECTED if r else STATUS_PENDING, i, row, None,
-            _THRESHOLD_REASONS[r],
+            off, STATUS_THRESHOLD_REJECTED if r else STATUS_PENDING, i, None, _THRESHOLD_REASONS[r]
         )
-        for i, (off, r, row) in enumerate(zip(offsets, reason.tolist(), rows))
+        for i, (off, r) in enumerate(zip(offsets, reason.tolist()))
     ]
 
 
@@ -464,21 +461,8 @@ def grid_sparsify(
         for i in members:
             c = cands[i]
             status, reason = (c.status, c.reason) if i == keep else (STATUS_GRID_DROPPED, "grid")
-            out[i] = PerturbationCandidate(c.offsets, status, c.vocab_index, c.entry, cell, reason)
+            out[i] = PerturbationCandidate(c.offsets, status, c.vocab_index, cell, reason)
     return out
-
-
-# feasibility mode: (status it takes, status it clears to, status it rejects to, misuse)
-_CHECKS = {
-    "nonreactive": (
-        STATUS_PENDING, STATUS_CLEARED_NONREACTIVE, STATUS_INFEASIBLE_NONREACTIVE,
-        "non-reactive check requires a pending candidate",
-    ),
-    "reactive": (
-        STATUS_CLEARED_NONREACTIVE, STATUS_CLEARED_REACTIVE, STATUS_INFEASIBLE_REACTIVE,
-        "reactive check requires a non-reactively cleared candidate",
-    ),
-}
 
 
 def _history_track(scenario: Scenario) -> StateBatch:
@@ -515,34 +499,25 @@ def screen_verdicts(
 
 
 def feasibility_filter(
-    cand: PerturbationCandidate,
+    entry: np.ndarray,
     scenario: Scenario,
     mode: str,
     epdms_min: float,
     ctx: SimContext | None = None,
-) -> PerturbationCandidate:
-    """Roll one candidate out in the world of `ctx` and mark it cleared or infeasible.
-
-    Non-reactive checks run on pending candidates; reactive checks require a
-    prior non-reactive clearance (the cheap filter always runs first). The
-    candidate's bank row is placed at the anchor state, simulated as one
-    row in `mode` and judged by `screen_verdicts`; the ego tracks its plan
-    whatever the agents do, so both checks simulate the same ego track.
+) -> str:
+    """The feasibility verdict of one (7, >= H + 1) vocabulary bank row: its
+    first H + 1 states placed at the anchor state, simulated as one row in
+    `mode` in the world of `ctx` and judged by `screen_verdicts`; the reject
+    reason, "" if the row clears.
     """
-    if mode not in _CHECKS:
+    if mode not in (MODE_NONREACTIVE, MODE_REACTIVE):
         raise ValidationError(f"unknown feasibility mode '{mode}'")
-    required, new_status, fail_status, problem = _CHECKS[mode]
     t, H = scenario.anchor_frame, scenario.t_horizon
-    if cand.status != required:
-        raise ValidationError(f"{problem}, got {cand.status}")
-    e = cand.entry
-    if not (isinstance(e, np.ndarray) and e.ndim == 2 and e.shape[0] == 7 and e.shape[1] > H):
-        got = e.shape if isinstance(e, np.ndarray) else type(e).__name__
-        raise ValidationError(
-            f"candidate {cand.vocab_index}: entry must be a (7, >= {H + 1}) array, got {got}"
-        )
+    if not (isinstance(entry, np.ndarray) and entry.ndim == 2 and entry.shape[0] == 7
+            and entry.shape[1] > H):
+        got = entry.shape if isinstance(entry, np.ndarray) else type(entry).__name__
+        raise ValidationError(f"entry must be a (7, >= {H + 1}) array, got {got}")
     ctx = ctx or SimContext()
-    plan = place_tracks(e[:, None, : H + 1], StateBatch.full(scenario.ego_log[t], 1))
+    plan = place_tracks(entry[:, None, : H + 1], StateBatch.full(scenario.ego_log[t], 1))
     scene = rollout_batch(scenario, plan, t, H, ctx, mode=mode)
-    reason = str(screen_verdicts(scene, scenario, epdms_min, ctx)[0][0])
-    return replace(cand, status=fail_status if reason else new_status, reason=reason)
+    return str(screen_verdicts(scene, scenario, epdms_min, ctx)[0][0])

@@ -11,7 +11,7 @@ from drivegen.metrics import ALL_METRICS, SubMetricVector
 from drivegen.reactive import SceneBatch, StateBatch
 from drivegen.scenario import AgentTrack, Lane, Pose2D, Trajectory, VehicleState
 from drivegen.synth import TEMPLATES, corpus_config_for_count, generate_synthetic_corpus
-from drivegen.vocab import STATUS_PENDING, PerturbationCandidate, default_vocabulary
+from drivegen.vocab import default_vocabulary
 
 from oracle import SceneStates
 
@@ -33,17 +33,15 @@ def straight_trajectory(v: float, n_states: int, dt: float = 0.1, theta: float =
     return Trajectory(dt=dt, states=tuple(states))
 
 
-def plan_candidate(scenario, plan: Trajectory, vocab_index: int = 0) -> PerturbationCandidate:
-    """A pending candidate whose ego-local entry is the global `plan` taken
-    relative to the scenario's anchor state, so the screen places it back
-    onto the plan."""
+def plan_entry(scenario, plan: Trajectory) -> np.ndarray:
+    """The (7, n) ego-local bank row of the global `plan` taken relative to
+    the scenario's anchor state, so the screen places it back onto the plan."""
     a = scenario.ego_log[scenario.anchor_frame].pose
-    entry = np.array([
+    return np.array([
         (*global_to_local(s.pose.x, s.pose.y, a.x, a.y, a.theta),
          wrap_angle(s.pose.theta - a.theta), s.vel_lon, s.vel_lat, s.accel, s.steering)
         for s in plan.states
     ]).T
-    return PerturbationCandidate((0.0, 0.0, 0.0), STATUS_PENDING, vocab_index, entry)
 
 
 def state_bits(s: VehicleState) -> tuple[str, ...]:

@@ -70,7 +70,7 @@ def screened(request, small_vocab, small_config):
     return get
 
 
-def _check_screen(screened, config):
+def _check_screen(screened, config, vocab):
     """Assert that each scenario's grid survivors, judged in one
     non-reactive and (in reactive runs) one reactive check, get the reason
     and sub-metrics of the one-row-at-a-time screen (NaN where it rejects
@@ -85,7 +85,8 @@ def _check_screen(screened, config):
         for mode, (reasons, got) in zip(("nonreactive", "reactive"), checks):
             taken, cleared = cleared, []
             for (c, _, _), reason, row in zip(taken, reasons.tolist(), got, strict=True):
-                want, states, want_sub = oracle_feasibility_filter(c.entry, s, mode, epdms_min, ctx)
+                entry = vocab.tracks.data[:, c.vocab_index]
+                want, states, want_sub = oracle_feasibility_filter(entry, s, mode, epdms_min, ctx)
                 assert reason == want, (s.id, c.vocab_index, mode)
                 if want_sub is None:
                     assert np.isnan(row).all(), (s.id, c.vocab_index, mode)
@@ -102,11 +103,12 @@ def _check_screen(screened, config):
 
 
 @pytest.mark.parametrize("reactive", [True, False], ids=["reactive", "non-reactive"])
-def test_batched_screen_matches_the_scalar_oracle(small_config, screened, reactive):
+def test_batched_screen_matches_the_scalar_oracle(small_config, small_vocab, screened, reactive):
     """The screen of every corpus scenario equals the scalar screen
     (`_check_screen`), and the corpus reaches every outcome of the
     non-reactive check."""
-    outcomes = _check_screen(screened(reactive), replace(small_config, reactive=reactive))
+    config = replace(small_config, reactive=reactive)
+    outcomes = _check_screen(screened(reactive), config, small_vocab)
     assert outcomes["reactive" if reactive else "nonreactive", ""] >= 100, outcomes
     for reason in ("collision", "off-road", "reward"):
         assert outcomes["nonreactive", reason] > 0, outcomes
@@ -114,12 +116,12 @@ def test_batched_screen_matches_the_scalar_oracle(small_config, screened, reacti
 
 @pytest.mark.parametrize("reactive", [True, False], ids=["reactive", "non-reactive"])
 def test_batched_screen_matches_the_scalar_oracle_with_several_agents(
-    small_config, screened, reactive
+    small_config, small_vocab, screened, reactive
 ):
     """The same on scenes with a slower lead, a follower, a parked car and a
     close neighbour: rows collide, and some clear every agent."""
     config = replace(small_config, reactive=reactive)
-    outcomes = _check_screen(screened(reactive, "multi_agent_corpus"), config)
+    outcomes = _check_screen(screened(reactive, "multi_agent_corpus"), config, small_vocab)
     assert outcomes["reactive" if reactive else "nonreactive", ""] >= 10, outcomes
     for reason in ("collision", "off-road", "reward"):
         assert outcomes["nonreactive", reason] > 0, outcomes

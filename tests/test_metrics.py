@@ -610,7 +610,7 @@ def test_scoring_kernel_matches_the_scalar_oracle_on_a_generated_corpus(
             vocab_size=256, vocab_source_count=2048, master_seed=11, expert_kind=expert,
             rounds=1, per_round=1,
         )
-        samples, _ = run_generation(corpus_100, config, rounds=1, vocab=small_vocab, workers=1)
+        samples, _ = run_generation(corpus_100, config, vocab=small_vocab, workers=1)
         assert samples
     assert calls["vocab"] >= 1000 and calls["pipeline"] >= 100, calls
     # the corpus reaches both sides of the TTC and comfort decisions (the

@@ -38,7 +38,7 @@ from drivegen.vocab import (
     save_vocabulary,
 )
 
-from conftest import make_state, plan_candidate, scene_bits, sub_bits
+from conftest import make_state, plan_entry, scene_bits, sub_bits
 from oracle import (
     SceneStates, oracle_place_at_state, oracle_rollout, oracle_sensor_stub, oracle_submetrics,
 )
@@ -133,7 +133,7 @@ def test_simulate_sample_identity_recovery_endpoint(small_corpus, small_vocab, s
     s = small_corpus[0]
     anchor = s.anchor_frame
     logged = s.ego_log.segment(anchor, anchor + s.t_horizon)
-    identity = Vocabulary(s.dt, StateBatch(plan_candidate(s, logged).entry[:, None]))
+    identity = Vocabulary(s.dt, StateBatch(plan_entry(s, logged)[:, None]))
     screened = prepare_candidates(s, identity, small_config)
     assert screened[0].tolist() == [0]
     sample = _simulate(s, screened, 0, small_config, small_vocab)

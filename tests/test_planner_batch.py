@@ -334,7 +334,7 @@ def test_planner_matches_the_scalar_oracle_on_a_generated_corpus(
         return result
 
     monkeypatch.setattr(drivegen.pipeline, "privileged_plans", checked_plans)
-    samples, _ = run_generation(corpus_100, config, rounds=1, vocab=small_vocab, workers=1)
+    samples, _ = run_generation(corpus_100, config, vocab=small_vocab, workers=1)
     assert len(calls) >= 50 and samples
     for s in corpus_100:
         check_against_oracle(s, s.anchor_frame, config.planner, ctx=config.sim_context)

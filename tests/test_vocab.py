@@ -15,10 +15,7 @@ from drivegen.scenario import AgentTrack, Pose2D, Scenario, Trajectory
 from drivegen.seeding import mix64
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 from drivegen.vocab import (
-    STATUS_CLEARED_NONREACTIVE,
-    STATUS_CLEARED_REACTIVE,
     STATUS_GRID_DROPPED,
-    STATUS_INFEASIBLE_NONREACTIVE,
     STATUS_PENDING,
     STATUS_THRESHOLD_REJECTED,
     GridSpec,
@@ -35,7 +32,7 @@ from drivegen.vocab import (
     synthesize_maneuvers,
 )
 
-from conftest import make_state, plan_candidate, straight_trajectory, sub_bits
+from conftest import make_state, plan_entry, straight_trajectory, sub_bits
 from oracle import (
     oracle_build_vocabulary,
     oracle_cell,
@@ -350,7 +347,6 @@ def test_endpoint_enumeration_matches_placed_oracle(corpora, small_vocab, small_
                 assert c.vocab_index == i
                 assert _hex(c.offsets) == _hex(offsets), (s.id, i)
                 assert (c.status, c.reason, c.endpoint_cell) == (status, reason, cell), (s.id, i)
-                assert c.entry.tobytes() == small_vocab.tracks.data[:, i].tobytes()
                 seen[c.status, c.reason] += 1
     for outcome in [(STATUS_PENDING, ""), (STATUS_GRID_DROPPED, "grid")] + [
         (STATUS_THRESHOLD_REJECTED, r) for r in ("lon", "lat", "heading")
@@ -445,19 +441,17 @@ def test_grid_choice_deterministic():
 # --- feasibility
 
 
-def _pending_identity(scenario):
+def _identity_entry(scenario):
     logged = scenario.ego_log.segment(
         scenario.anchor_frame, scenario.anchor_frame + scenario.t_horizon
     )
-    return plan_candidate(scenario, logged)
+    return plan_entry(scenario, logged)
 
 
 def test_feasibility_identity_clears_both_passes(benign_scenario):
-    c = _pending_identity(benign_scenario)
-    c = feasibility_filter(c, benign_scenario, "nonreactive", 0.8)
-    assert c.status == STATUS_CLEARED_NONREACTIVE, c.reason
-    c = feasibility_filter(c, benign_scenario, "reactive", 0.8)
-    assert c.status == STATUS_CLEARED_REACTIVE, c.reason
+    entry = _identity_entry(benign_scenario)
+    for mode in ("nonreactive", "reactive"):
+        assert feasibility_filter(entry, benign_scenario, mode, 0.8) == "", mode
 
 
 def test_feasibility_collision_detected(benign_scenario):
@@ -475,9 +469,7 @@ def test_feasibility_collision_detected(benign_scenario):
         id="blocked", map=s.map, ego_log=s.ego_log, agents=(blocker,),
         t_history=s.t_history, t_horizon=s.t_horizon,
     )
-    c = feasibility_filter(_pending_identity(s2), s2, "nonreactive", 0.8)
-    assert c.status == STATUS_INFEASIBLE_NONREACTIVE
-    assert c.reason == "collision"
+    assert feasibility_filter(_identity_entry(s2), s2, "nonreactive", 0.8) == "collision"
 
 
 def test_feasibility_offroad_detected(benign_scenario):
@@ -498,19 +490,8 @@ def test_feasibility_offroad_detected(benign_scenario):
                 v=v,
             )
         )
-    cand = plan_candidate(s, Trajectory(dt=s.dt, states=tuple(states)))
-    c = feasibility_filter(cand, s, "nonreactive", 0.8)
-    assert c.status == STATUS_INFEASIBLE_NONREACTIVE
-    assert c.reason == "off-road"
-
-
-def test_feasibility_requires_correct_prior_status(benign_scenario):
-    c = _pending_identity(benign_scenario)
-    with pytest.raises(ValidationError):
-        feasibility_filter(c, benign_scenario, "reactive", 0.8)  # not yet cleared
-    cleared = feasibility_filter(c, benign_scenario, "nonreactive", 0.8)
-    with pytest.raises(ValidationError):
-        feasibility_filter(cleared, benign_scenario, "nonreactive", 0.8)
+    entry = plan_entry(s, Trajectory(dt=s.dt, states=tuple(states)))
+    assert feasibility_filter(entry, s, "nonreactive", 0.8) == "off-road"
 
 
 @pytest.mark.parametrize("entry, got", [
@@ -518,42 +499,43 @@ def test_feasibility_requires_correct_prior_status(benign_scenario):
     (np.zeros((6, 41)), r"\(6, 41\)"), ([[0.0] * 41] * 7, "list"),
 ])
 def test_feasibility_rejects_a_candidate_without_a_full_entry(benign_scenario, entry, got):
-    """A candidate whose entry is not a (7, >= H + 1) bank row is refused at
-    the screen's boundary with a ValidationError that names it, in either
-    check."""
+    """An entry that is not a (7, >= H + 1) bank row is refused at the
+    screen's boundary with a ValidationError that names it, in either mode."""
     H = benign_scenario.t_horizon
-    c = PerturbationCandidate((0.0, 0.0, 0.0), STATUS_PENDING, 5, entry)
-    want = rf"candidate 5: entry must be a \(7, >= {H + 1}\) array, got {got}"
-    with pytest.raises(ValidationError, match=want):
-        feasibility_filter(c, benign_scenario, "nonreactive", 0.8)
-    with pytest.raises(ValidationError, match=want):
-        feasibility_filter(
-            replace(c, status=STATUS_CLEARED_NONREACTIVE), benign_scenario, "reactive", 0.8
-        )
+    want = rf"entry must be a \(7, >= {H + 1}\) array, got {got}"
+    for mode in ("nonreactive", "reactive"):
+        with pytest.raises(ValidationError, match=want):
+            feasibility_filter(entry, benign_scenario, mode, 0.8)
+
+
+@pytest.mark.parametrize("mode", ["log-replay-ego", "Reactive", None])
+def test_feasibility_rejects_an_unknown_mode(benign_scenario, mode):
+    with pytest.raises(ValidationError, match="unknown feasibility mode"):
+        feasibility_filter(_identity_entry(benign_scenario), benign_scenario, mode, 0.8)
 
 
 def test_feasibility_reward_threshold_monotone(benign_scenario, small_vocab):
     cands = enumerate_perturbations(benign_scenario, small_vocab, PerturbThresholds())
-    pending = [c for c in cands if c.status == STATUS_PENDING]
-    accepted_loose = {
-        c.vocab_index
-        for c in (feasibility_filter(c, benign_scenario, "nonreactive", 0.5) for c in pending)
-        if c.status == STATUS_CLEARED_NONREACTIVE
-    }
-    accepted_tight = {
-        c.vocab_index
-        for c in (feasibility_filter(c, benign_scenario, "nonreactive", 0.9) for c in pending)
-        if c.status == STATUS_CLEARED_NONREACTIVE
-    }
-    assert accepted_tight <= accepted_loose
+    pending = [c.vocab_index for c in cands if c.status == STATUS_PENDING]
+
+    def cleared(epdms_min):
+        return {
+            i for i in pending if not feasibility_filter(
+                small_vocab.tracks.data[:, i], benign_scenario, "nonreactive", epdms_min
+            )
+        }
+
+    assert cleared(0.9) <= cleared(0.5)
 
 
 def test_screen_decides_off_road_before_the_other_metrics(
-    small_corpus, small_vocab, small_config, monkeypatch
+    benign_scenario, multi_agent_corpus, small_vocab, small_config, monkeypatch
 ):
-    """An off-road grid survivor is rejected without computing the other
-    sub-metrics; every reason and score of `feasibility_filter` equals the
-    scalar screen's (`oracle_feasibility_filter`), and its statuses follow."""
+    """Every bank row of the vocabulary, on an agent-free scene and on a
+    crowded one, in both modes: `feasibility_filter`'s reason equals the
+    scalar screen's (`oracle_feasibility_filter`), and a row rejected for
+    contact or off-road is not scored, so only rows the oracle scores reach
+    the sub-metric kernel, with the oracle's sub-metrics."""
     import drivegen.vocab
 
     scored = []  # the sub-metrics of each of the screen's kernel calls
@@ -566,22 +548,18 @@ def test_screen_decides_off_road_before_the_other_metrics(
     monkeypatch.setattr(drivegen.vocab, "submetrics_batch", recorded)
     ctx = small_config.sim_context
     epdms_min = small_config.perturb.epdms_min
-    reasons = []
-    for s in small_corpus:
-        cands = grid_sparsify(
-            enumerate_perturbations(s, small_vocab, small_config.perturb),
-            small_config.grid, small_config.master_seed,
-        )
-        for cand in (c for c in cands if c.status == STATUS_PENDING):
+    reasons = Counter()
+    scenes = (benign_scenario, multi_agent_corpus[0])
+    for s in scenes:
+        for entry in small_vocab.tracks.data.transpose(1, 0, 2):
             for mode in ("nonreactive", "reactive"):
                 scored.clear()
-                reason, _, sub = oracle_feasibility_filter(cand.entry, s, mode, epdms_min, ctx)
-                cand = feasibility_filter(cand, s, mode, epdms_min, ctx)
-                reasons.append(cand.reason)
-                assert cand.reason == reason
-                assert cand.status == f"{'infeasible' if reason else 'cleared'}-{mode}"
+                want, _, sub = oracle_feasibility_filter(entry, s, mode, epdms_min, ctx)
+                reason = feasibility_filter(entry, s, mode, epdms_min, ctx)
+                assert reason == want, (s.id, mode)
                 rows = [sub_bits(row) for call in scored for row in call]
-                assert rows == ([] if sub is None else [sub_bits(sub)])
-                if cand.reason:
-                    break
-    assert "off-road" in reasons and "" in reasons
+                assert rows == ([] if sub is None else [sub_bits(sub)]), (s.id, mode)
+                reasons[s.id, reason] += 1
+    for s in scenes:
+        assert reasons[s.id, "off-road"] and reasons[s.id, ""] and reasons[s.id, "reward"], reasons
+    assert reasons[multi_agent_corpus[0].id, "collision"], reasons
