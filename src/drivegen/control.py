@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RiccatiError, RolloutError, ValidationError
+from .errors import RolloutError, ValidationError
 from .geometry import wrap_angle
 from .scenario import Pose2D, Trajectory, VehicleState
 
@@ -109,52 +109,6 @@ def bicycle_step(
         accel=applied_accel,
         steering=new_delta,
     )
-
-
-# ---------------------------------------------------------------------------
-# Riccati solvers
-
-
-def riccati_residual(P: np.ndarray, A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> float:
-    BtPB = R + B.T @ P @ B
-    nxt = A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(BtPB, B.T @ P @ A) + Q
-    return float(np.max(np.abs(nxt - P)))
-
-
-def solve_lqr_gain(
-    A: np.ndarray,
-    B: np.ndarray,
-    Q: np.ndarray,
-    R: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> np.ndarray:
-    """Gain K from the discrete algebraic Riccati equation.
-
-    Solved by fixed-point iteration from P = Q; raises RiccatiError with the
-    final residual if it does not converge.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    if np.any(np.linalg.eigvalsh(R) <= 0):
-        raise ValueError("R must be positive definite")
-
-    P = Q.copy()
-    diff = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(max_iter):
-            BtPB = R + B.T @ P @ B
-            K = np.linalg.solve(BtPB, B.T @ P @ A)
-            P_next = A.T @ P @ (A - B @ K) + Q
-            if not np.all(np.isfinite(P_next)):
-                raise RiccatiError(residual=diff, iterations=it)
-            diff = float(np.max(np.abs(P_next - P)))
-            P = P_next
-            if diff < tol:
-                return np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-    raise RiccatiError(residual=riccati_residual(P, A, B, Q, R), iterations=max_iter)
 
 
 # Gain-schedule quantization: gains vary smoothly in (v, delta), so the table

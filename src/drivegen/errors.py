@@ -21,18 +21,6 @@ class ConfigError(DrivegenError):
     """A configuration value is out of its allowed range."""
 
 
-class RiccatiError(DrivegenError):
-    """Riccati fixed-point iteration failed to converge."""
-
-    def __init__(self, residual: float, iterations: int):
-        self.residual = residual
-        self.iterations = iterations
-        super().__init__(
-            f"Riccati iteration did not converge after {iterations} iterations "
-            f"(residual {residual:.3e})"
-        )
-
-
 class RolloutError(DrivegenError):
     """Rollout preconditions violated (dt mismatch, out-of-range window)."""
 

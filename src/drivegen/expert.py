@@ -31,9 +31,10 @@ from .metrics import (
     SimContext,
     SubMetricVector,
     _epdms_rows,
-    compute_submetrics,
     submetrics_batch,
 )
+# `compute_submetrics` stays bound here: perfbench/tracer.py wraps `expert.compute_submetrics`
+from .metrics import compute_submetrics  # noqa: F401
 from .reactive import IdmParams, SceneBatch, StateBatch, check_window, idm_accel
 # `rollout` stays bound here: perfbench/tracer.py wraps `expert.rollout` by name
 from .reactive import rollout  # noqa: F401
@@ -107,7 +108,7 @@ class PlannerParams:
 
 
 def _speed_profiles(
-    v0: np.ndarray, p: PlannerParams, horizon: int, dt: float, idm: IdmParams
+    v0: np.ndarray, p: PlannerParams, horizon: int, dt: float, idm: IdmParams, b_hard: float
 ) -> np.ndarray:
     """(S * F, horizon + 1) free-road IDM speeds of S starts toward each of
     the F speed fractions of `idm.v_desired`, start major; below a 0.1 m/s
@@ -122,7 +123,7 @@ def _speed_profiles(
             if target is None:
                 a = np.where(v > 0.0, -idm.b_comf, 0.0)
             else:
-                a = idm_accel(v, None, target)
+                a = idm_accel(v, None, target, b_hard)
             profile[:, k + 1] = _floor0(v + dt * a)
     return speeds.transpose(1, 0, 2).reshape(-1, horizon + 1)
 
@@ -154,7 +155,7 @@ def _proposal_references(
         for o in p.lateral_offsets
     ]
     n_off = len(routes)
-    v = np.repeat(_speed_profiles(starts.v, p, horizon, dt, ctx.idm), n_off, axis=0)
+    v = np.repeat(_speed_profiles(starts.v, p, horizon, dt, ctx.idm, ctx.b_hard), n_off, axis=0)
     on_route = np.stack(
         [ops.project_many(starts.x, starts.y)[0] for ops in routes], axis=1
     )  # (S, n_off)
@@ -309,28 +310,17 @@ def kinematic_limit_violation(ego: StateBatch, dt: float, limits: VehicleLimits)
 
 
 def expert_filter(
-    states: SceneBatch,
-    scenario: Scenario,
-    spec: ExpertFilterSpec | None = None,
-    ctx: SimContext | None = None,
-    precomputed=None,
+    states: SceneBatch, sub: SubMetricVector, spec: ExpertFilterSpec, limits: VehicleLimits
 ) -> tuple[bool, str]:
-    """Strict demonstration gate on a simulated window: all required
-    sub-metrics at 1, relaxed EP, and the hard kinematic limits of `ctx` on
-    its ego track. Returns (accepted, reason of first failure). The window
-    is scored in the world of `ctx`, comfort judged on its own ego track,
-    unless the caller passes the sub-metrics as `precomputed`.
+    """Strict demonstration gate on a simulated window and its sub-metrics
+    `sub`: all required sub-metrics at 1, relaxed EP, and the hard kinematic
+    `limits` on its ego track. Returns (accepted, reason of first failure).
     """
-    spec = spec or ExpertFilterSpec()
-    ctx = ctx or SimContext()
-    sub = precomputed if precomputed is not None else compute_submetrics(
-        states, scenario, states.ego.trajectory(0, states.dt), ctx
-    )
     for name in ALL_METRICS:
         if name in spec.required_ones and getattr(sub, name) != 1.0:
             return False, name
     if sub.ep <= spec.ep_min:
         return False, "EP"
-    if kinematic_limit_violation(states.ego, states.dt, ctx.limits):
+    if kinematic_limit_violation(states.ego, states.dt, limits):
         return False, "kinematics"
     return True, ""

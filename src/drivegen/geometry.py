@@ -29,11 +29,6 @@ def wrap_angle(theta: float) -> float:
     return r
 
 
-def angle_diff(a: float, b: float) -> float:
-    """Wrapped difference a - b in (-pi, pi]."""
-    return wrap_angle(a - b)
-
-
 def wrap_angle_many(theta: np.ndarray) -> np.ndarray:
     """`wrap_angle` per element, bit for bit.
 
@@ -69,12 +64,6 @@ def per_element(fn, *arrays: np.ndarray) -> np.ndarray:
 def rotate(x: float, y: float, theta: float) -> Point:
     c, s = math.cos(theta), math.sin(theta)
     return (c * x - s * y, s * x + c * y)
-
-
-def global_to_local(px: float, py: float, ox: float, oy: float, otheta: float) -> Point:
-    """Express global point (px, py) in the frame at (ox, oy, otheta)."""
-    dx, dy = px - ox, py - oy
-    return rotate(dx, dy, -otheta)
 
 
 def local_to_global(px: float, py: float, ox: float, oy: float, otheta: float) -> Point:

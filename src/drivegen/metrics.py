@@ -18,7 +18,6 @@ from .errors import ValidationError
 from .geometry import (
     BoxArrays,
     OrientedBox,
-    angle_diff,
     box_corners,
     boxes_overlap_many,
     per_element,
@@ -114,7 +113,7 @@ class MetricThresholds:
     hc_jerk_max: float = 8.0  # m/s^3
     hc_yaw_rate_max: float = 0.95  # rad/s
     hc_yaw_accel_max: float = 1.9  # rad/s^2
-    ec_rel_tol: float = 0.3
+    ec_rel_tol: float = 0.3  # read by nothing while EC is 1; the config hash covers it
 
     def __post_init__(self):
         if not self.ttc_horizon > 0:
@@ -309,43 +308,6 @@ def check_collision(
 # Sub-metric computation
 
 
-def comfort_profile(traj: Trajectory) -> tuple[list[float], list[float], list[float], list[float]]:
-    """Finite-difference accel, jerk, yaw rate and yaw acceleration series."""
-    dt = traj.dt
-    vs = [s.vel_lon for s in traj.states]
-    thetas = [s.pose.theta for s in traj.states]
-    accel = [(vs[k + 1] - vs[k]) / dt for k in range(len(vs) - 1)]
-    jerk = [(accel[k + 1] - accel[k]) / dt for k in range(len(accel) - 1)]
-    yaw_rate = [angle_diff(thetas[k + 1], thetas[k]) / dt for k in range(len(thetas) - 1)]
-    yaw_accel = [(yaw_rate[k + 1] - yaw_rate[k]) / dt for k in range(len(yaw_rate) - 1)]
-    return accel, jerk, yaw_rate, yaw_accel
-
-
-def comfort_features(traj: Trajectory) -> tuple[float, float, float]:
-    """(max |accel|, max |jerk|, max |yaw rate|) of a trajectory."""
-    accel, jerk, yaw_rate, _ = comfort_profile(traj)
-    return (
-        max((abs(a) for a in accel), default=0.0),
-        max((abs(j) for j in jerk), default=0.0),
-        max((abs(r) for r in yaw_rate), default=0.0),
-    )
-
-
-def _extended_comfort(
-    reference_features: tuple[float, float, float] | None,
-    traj: Trajectory,
-    th: MetricThresholds,
-) -> float:
-    if reference_features is None:
-        return 1.0
-    feats = comfort_features(traj)
-    for f1, f2 in zip(reference_features, feats):
-        denom = max(abs(f1), 1e-3)
-        if abs(f2 - f1) / denom > th.ec_rel_tol:
-            return 0.0
-    return 1.0
-
-
 def drivable_area_compliance(
     xs: np.ndarray, ys: np.ndarray, thetas: np.ndarray, scenario: Scenario, ctx: SimContext
 ) -> np.ndarray:
@@ -474,8 +436,8 @@ def time_to_collision(
     scene: SceneBatch,
     ego_boxes: BoxArrays,
     agent_boxes: Mapping[str, BoxArrays],
-    horizon: float = 3.0,
-    min_ego_speed: float = 0.0,
+    horizon: float,
+    min_ego_speed: float,
 ) -> np.ndarray:
     """Minimum constant-velocity projected time to collision per row, over all frames.
 
@@ -551,7 +513,7 @@ def submetrics_batch(
 
     History comfort is judged on `comfort`, (7, P, m) ego tracks at the
     scene's dt, by default the simulated window itself. Extended comfort is
-    left at 1; `compute_submetrics` sets it.
+    1 for every row.
     """
     ego, th = scene.ego, ctx.thresholds
     rows = ego.x.shape[0]
@@ -588,14 +550,12 @@ def compute_submetrics(
     scenario: Scenario,
     ego_traj: Trajectory,
     ctx: SimContext | None = None,
-    stage1_features: tuple[float, float, float] | None = None,
 ) -> SubMetricVector:
     """Score a simulated window in the world of `ctx` (default: SimContext()).
 
     `states` is the one-row scene of the scored window, scored as the one row
     of `submetrics_batch`; `ego_traj` is the trajectory judged for comfort
     (conventionally history + plan, so junction dynamics count).
-    `stage1_features` switches extended comfort to two-stage comparison.
     """
     ctx = ctx or SimContext()
     rows = states.ego.data.shape[1]
@@ -606,6 +566,4 @@ def compute_submetrics(
     if ego_traj.dt != states.dt:
         raise ValueError(f"ego_traj dt {ego_traj.dt} does not match the window's {states.dt}")
     row = submetrics_batch(states, scenario, ctx, comfort=StateBatch.track(ego_traj.states))[0]
-    sub = dict(zip(ALL_METRICS, row.tolist()))
-    sub["ec"] = _extended_comfort(stage1_features, ego_traj, ctx.thresholds)
-    return SubMetricVector(**sub)
+    return SubMetricVector(*row.tolist())

@@ -218,9 +218,7 @@ def _sample(
     each with its row of sub-metrics."""
     ctx = config.sim_context
     reward = SubMetricVector(*sub2.tolist())
-    accepted, reason = expert_filter(
-        stage2, scenario, config.expert_filter, ctx, precomputed=reward
-    )
+    accepted, reason = expert_filter(stage2, reward, config.expert_filter, ctx.limits)
     if not accepted:
         return None, reason
     epdms1, epdms2 = _epdms_rows(np.stack([sub1, sub2]), ctx.weights).tolist()

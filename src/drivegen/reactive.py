@@ -146,7 +146,7 @@ class SceneBatch:
         )
 
 
-def idm_accel(v, leader, p: IdmParams, b_hard: float = DEFAULT_B_HARD):
+def idm_accel(v, leader, p: IdmParams, b_hard: float):
     """IDM longitudinal acceleration, clamped to [-b_hard, a_max], of one
     speed (a float comes back) or of every element of an array of speeds.
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -172,17 +172,25 @@ def _require_keys(obj: dict, keys: set[str], where: str) -> None:
 
 
 _FLOAT_MAX = sys.float_info.max
+# Largest magnitude of a coordinate, speed, extent or time in a scenario,
+# trajectory or vocabulary file: a million kilometres as a coordinate, far
+# beyond any map frame, and small enough that the squares and products the
+# engine forms of two such values stay finite.
+MAX_MAGNITUDE = 1e9
 
 
-def _number(v: Any, where: str, key: str | None = None) -> float:
-    """A finite JSON number as a float; SchemaError naming `where`[.key] otherwise."""
-    if type(v) is float and -_FLOAT_MAX <= v <= _FLOAT_MAX:  # the common case, also false for NaN
+def _number(v: Any, where: str, key: str | None = None, bound: float = _FLOAT_MAX) -> float:
+    """A finite JSON number of magnitude at most `bound` as a float;
+    SchemaError naming `where`[.key] otherwise."""
+    if type(v) is float and -bound <= v <= bound:  # the common case, also false for NaN
         return v
     name = where if key is None else f"{where}.{key}"
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{name}: expected a number, got {v!r}")
     if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
         raise SchemaError(f"{name}: not a finite float: {v}")
+    if not -bound <= v <= bound:
+        raise SchemaError(f"{name}: magnitude above {bound:g}: {v}")
     return float(v)
 
 
@@ -202,16 +210,35 @@ def _array(v: Any, where: str) -> list:
 def _point(p: Any, where: str) -> tuple[float, float]:
     if not isinstance(p, list) or len(p) != 2:
         raise SchemaError(f"{where}: expected an [x, y] point")
-    return (_number(p[0], f"{where}[0]"), _number(p[1], f"{where}[1]"))
+    return (
+        _number(p[0], f"{where}[0]", bound=MAX_MAGNITUDE),
+        _number(p[1], f"{where}[1]", bound=MAX_MAGNITUDE),
+    )
 
 
-def _points(v: Any, where: str) -> tuple[tuple[float, float], ...]:
-    return tuple(_point(p, f"{where}[{i}]") for i, p in enumerate(_array(v, where)))
+def _points(v: Any, where: str, min_count: int = 0) -> tuple[tuple[float, float], ...]:
+    points = tuple(_point(p, f"{where}[{i}]") for i, p in enumerate(_array(v, where)))
+    if len(points) < min_count:
+        raise SchemaError(f"{where}: expected at least {min_count} points, got {len(points)}")
+    return points
+
+
+def _polyline(v: Any, where: str) -> tuple[tuple[float, float], ...]:
+    """At least two points and no segment of zero length, measured as
+    projection measures it (a squared length that underflows is zero): such
+    a segment has no direction to project onto."""
+    points = _points(v, where, 2)
+    for i, ((ax, ay), (bx, by)) in enumerate(zip(points, points[1:])):
+        if (bx - ax) * (bx - ax) + (by - ay) * (by - ay) == 0.0:
+            raise SchemaError(f"{where}: zero-length segment at point {i + 1}")
+    return points
 
 
 def _state_from_json(d: dict, where: str) -> VehicleState:
     _require_keys(d, _STATE_KEYS, where)
-    x, y, theta, v_lon, v_lat, accel, steering = [_number(d[k], where, k) for k in _STATE_FIELDS]
+    x, y, theta, v_lon, v_lat, accel, steering = [
+        _number(d[k], where, k, MAX_MAGNITUDE) for k in _STATE_FIELDS
+    ]
     return VehicleState(Pose2D(x, y, theta), v_lon, v_lat, accel, steering)
 
 
@@ -267,8 +294,10 @@ def scenario_from_dict(d: dict) -> Scenario:
     m = d["map"]
     _require_keys(m, _MAP_KEYS, "map")
 
+    if not _array(m["lanes"], "map.lanes"):
+        raise SchemaError("map.lanes: expected at least one lane")
     lanes = []
-    for i, ln in enumerate(_array(m["lanes"], "map.lanes")):
+    for i, ln in enumerate(m["lanes"]):
         where = f"map.lanes[{i}]"
         _require_keys(ln, _LANE_KEYS, where)
         direction = _integer(ln["direction"], f"{where}.direction")
@@ -276,8 +305,8 @@ def scenario_from_dict(d: dict) -> Scenario:
             raise SchemaError(f"{where}.direction: expected 1 or -1, got {direction}")
         lanes.append(
             Lane(
-                polyline=_points(ln["polyline"], f"{where}.polyline"),
-                width=_number(ln["width"], f"{where}.width"),
+                polyline=_polyline(ln["polyline"], f"{where}.polyline"),
+                width=_number(ln["width"], f"{where}.width", bound=MAX_MAGNITUDE),
                 direction=direction,
             )
         )
@@ -290,14 +319,15 @@ def scenario_from_dict(d: dict) -> Scenario:
         for j, ph in enumerate(_array(tl["phases"], f"{where}.phases")):
             pw = f"{where}.phases[{j}]"
             _require_keys(ph, _PHASE_KEYS, pw)
-            t0, t1 = _number(ph["t0"], f"{pw}.t0"), _number(ph["t1"], f"{pw}.t1")
+            t0 = _number(ph["t0"], f"{pw}.t0", bound=MAX_MAGNITUDE)
+            t1 = _number(ph["t1"], f"{pw}.t1", bound=MAX_MAGNITUDE)
             phases.append((t0, t1, str(ph["state"])))
         stop_line = _points(tl["stop_line"], f"{where}.stop_line")
         if len(stop_line) != 2:
             raise SchemaError(f"{where}.stop_line: expected two points")
         lights.append(TrafficLight(stop_line=stop_line, phases=tuple(phases)))
 
-    dt = _number(d["dt"], "dt")
+    dt = _number(d["dt"], "dt", bound=MAX_MAGNITUDE)
     ego_states = tuple(
         _state_from_json(st, f"ego_log[{i}]")
         for i, st in enumerate(_array(d["ego_log"], "ego_log"))
@@ -310,8 +340,8 @@ def scenario_from_dict(d: dict) -> Scenario:
         agents.append(
             AgentTrack(
                 id=str(ag["id"]),
-                length=_number(ag["length"], f"{where}.length"),
-                width=_number(ag["width"], f"{where}.width"),
+                length=_number(ag["length"], f"{where}.length", bound=MAX_MAGNITUDE),
+                width=_number(ag["width"], f"{where}.width", bound=MAX_MAGNITUDE),
                 kind=str(ag["kind"]),
                 states=tuple(
                     _state_from_json(st, f"{where}.states[{j}]")
@@ -326,9 +356,9 @@ def scenario_from_dict(d: dict) -> Scenario:
         map=MapModel(
             lanes=tuple(lanes),
             drivable_area=tuple(
-                _points(poly, f"map.drivable_area[{i}]") for i, poly in enumerate(drivable)
+                _points(poly, f"map.drivable_area[{i}]", 3) for i, poly in enumerate(drivable)
             ),
-            route=_points(m["route"], "map.route"),
+            route=_polyline(m["route"], "map.route"),
             traffic_lights=tuple(lights),
         ),
         ego_log=Trajectory(dt=dt, states=ego_states, frame=FRAME_GLOBAL),
@@ -429,7 +459,8 @@ def validate_scenario(s: Scenario) -> list[str]:
     elif not s.map.drivable_area:
         diags.append("drivable_area is empty")
 
-    diags.extend(trajectory_consistency_errors(s.ego_log))
+    if s.ego_log.dt > 0:  # the consistency check divides by dt
+        diags.extend(trajectory_consistency_errors(s.ego_log))
 
     for li, lane in enumerate(s.map.lanes):
         if lane.width <= 0:

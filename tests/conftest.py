@@ -6,14 +6,14 @@ import pytest
 
 from drivegen.config import PipelineConfig
 from drivegen.expert import Plan
-from drivegen.geometry import global_to_local, offset_polyline, polyline_ops, wrap_angle
+from drivegen.geometry import offset_polyline, polyline_ops, wrap_angle
 from drivegen.metrics import ALL_METRICS, SubMetricVector
 from drivegen.reactive import SceneBatch, StateBatch
 from drivegen.scenario import AgentTrack, Lane, Pose2D, Trajectory, VehicleState
 from drivegen.synth import TEMPLATES, corpus_config_for_count, generate_synthetic_corpus
 from drivegen.vocab import default_vocabulary
 
-from oracle import SceneStates
+from oracle import SceneStates, global_to_local
 
 
 def make_state(x=0.0, y=0.0, theta=0.0, v=0.0, steering=0.0, accel=0.0):

@@ -26,13 +26,16 @@ Each sub-metric is computed on Python floats, frame by frame: NC searches per-fr
 `OrientedBox` pairs for the first contact and rules on its fault with its own
 scalar contact point (`oracle_check_collision`), TLC loops over frame pairs,
 EP projects with the scalar `PolylineOps.project`, TTC sweeps every frame with
-a running-minimum quick reject, HC reads the scalar comfort profile and DAC
-tests each footprint corner with `point_in_polygon`, stopping at the first
-outside every drivable polygon. DDC/LK and EC reuse the package's own
-functions, which have no second implementation.
+a running-minimum quick reject, HC reads the finite differences of
+`comfort_profile` and DAC tests each footprint corner with
+`point_in_polygon`, stopping at the first outside every drivable polygon.
+DDC/LK reuse the package's own `lane_compliance`, which has no second
+implementation; EC is 1, as in the kernel.
 
-The scalar geometry lives here too: `segments_intersect`, `point_in_polygon`,
-`oracle_polygon_is_simple`, the `corners` of an `OrientedBox`, the
+The scalar geometry lives here too: the frame changes `angle_diff` and
+`global_to_local`, which only the references and tests use,
+`segments_intersect`, `point_in_polygon`, `oracle_polygon_is_simple`, the
+`corners` of an `OrientedBox`, the
 separating-axis `boxes_overlap` and the fault ruling's `contact_point`, the
 references of `geometry.segments_intersect_many`, `geometry.polygon_is_simple`,
 `geometry.points_in_any_polygon`, `geometry.boxes_overlap_many` and
@@ -61,23 +64,19 @@ from drivegen.control import (
 from drivegen.errors import RolloutError
 from drivegen.geometry import (
     OrientedBox,
-    angle_diff,
-    global_to_local,
     local_to_global,
     polyline_ops,
+    rotate,
     wrap_angle,
 )
 from drivegen.metrics import (
     CollisionEvent,
     SimContext,
     SubMetricVector,
-    _extended_comfort,
-    comfort_profile,
     compute_submetrics,
     lane_compliance,
 )
 from drivegen.reactive import (
-    DEFAULT_B_HARD,
     LEADER_LOOKAHEAD,
     MODE_LOG_REPLAY_EGO,
     MODE_NONREACTIVE,
@@ -98,6 +97,28 @@ from drivegen.scenario import (
 )
 from drivegen.seeding import mix64
 from drivegen.vocab import STATUS_PENDING
+
+
+def angle_diff(a, b):
+    """Wrapped difference a - b in (-pi, pi]."""
+    return wrap_angle(a - b)
+
+
+def global_to_local(px, py, ox, oy, otheta):
+    """Express global point (px, py) in the frame at (ox, oy, otheta)."""
+    return rotate(px - ox, py - oy, -otheta)
+
+
+def comfort_profile(traj):
+    """Finite-difference accel, jerk, yaw rate and yaw acceleration series."""
+    dt = traj.dt
+    vs = [s.vel_lon for s in traj.states]
+    thetas = [s.pose.theta for s in traj.states]
+    accel = [(vs[k + 1] - vs[k]) / dt for k in range(len(vs) - 1)]
+    jerk = [(accel[k + 1] - accel[k]) / dt for k in range(len(accel) - 1)]
+    yaw_rate = [angle_diff(thetas[k + 1], thetas[k]) / dt for k in range(len(thetas) - 1)]
+    yaw_accel = [(yaw_rate[k + 1] - yaw_rate[k]) / dt for k in range(len(yaw_rate) - 1)]
+    return accel, jerk, yaw_rate, yaw_accel
 
 
 @dataclass(frozen=True, slots=True)
@@ -522,7 +543,7 @@ def _agent_step(state, accel, steering, dt, wheelbase):
     )
 
 
-def oracle_idm_accel(v, leader, p, b_hard=DEFAULT_B_HARD):
+def oracle_idm_accel(v, leader, p, b_hard):
     """`reactive.idm_accel` of one speed on Python floats, clamped to
     [-b_hard, a_max]; `leader` is (leader speed, bumper-to-bumper gap) or
     None on a free road."""
@@ -731,7 +752,7 @@ def oracle_drivable_area_compliance(ego_boxes, scenario):
     return 1.0
 
 
-def oracle_submetrics(states, scenario, ego_traj, ctx=None, stage1_features=None):
+def oracle_submetrics(states, scenario, ego_traj, ctx=None):
     """`metrics.compute_submetrics`, one frame and one Python float at a time."""
     ctx = ctx or SimContext()
     th = ctx.thresholds
@@ -804,9 +825,8 @@ def oracle_submetrics(states, scenario, ego_traj, ctx=None, stage1_features=None
     ttc = 1.0 if min_ttc >= th.ttc_min else 0.0
 
     hc = _history_comfort(ego_traj, th)
-    ec = _extended_comfort(stage1_features, ego_traj, th)
 
-    return SubMetricVector(nc=nc, dac=dac, ddc=ddc, tlc=tlc, ep=ep, ttc=ttc, lk=lk, hc=hc, ec=ec)
+    return SubMetricVector(nc=nc, dac=dac, ddc=ddc, tlc=tlc, ep=ep, ttc=ttc, lk=lk, hc=hc, ec=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from drivegen.cli import main as cli_main
 from drivegen.config import PipelineConfig
-from drivegen.control import solve_lqr_gain, lqr_track
+from drivegen.control import LqrParams, VehicleLimits, _tracking_gain, lqr_track
 from drivegen.geometry import BoxArrays, OrientedBox, boxes_overlap_many
 from drivegen.metrics import (
     MetricWeights,
@@ -23,9 +23,9 @@ from drivegen.metrics import (
     compute_submetrics,
 )
 from drivegen.pipeline import export_dataset, prepare_candidates, run_generation
-from drivegen.reactive import IdmParams, idm_accel
+from drivegen.reactive import DEFAULT_B_HARD, IdmParams, idm_accel
 from drivegen.scaling import ScalingPoint, fit_log_quadratic
-from drivegen.scenario import Pose2D, Trajectory, VehicleState
+from drivegen.scenario import SIM_DT, Pose2D, Trajectory, VehicleState
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 from drivegen.seeding import mix64
 from drivegen.vocab import STATUS_PENDING, default_vocabulary, enumerate_perturbations, grid_sparsify
@@ -33,7 +33,7 @@ from drivegen.expert import recovery_retrieve
 
 from conftest import make_state, scene_states, straight_trajectory
 from test_expert import oracle_scan
-from oracle import boxes_overlap
+from oracle import boxes_overlap, finite_horizon_gain, oracle_tracking_gain
 from test_geometry import oracle_boxes_overlap
 
 BUNDLED_COUNT = 100
@@ -118,11 +118,11 @@ def test_criterion_1_epdms_algebra():
 
 def test_criterion_2_idm():
     p_eq = IdmParams(v_desired=13.0)
-    a_eq = idm_accel(13.0, None, p_eq)
+    a_eq = idm_accel(13.0, None, p_eq, DEFAULT_B_HARD)
     ok = abs(a_eq) < 1e-9
 
     p = IdmParams(v_desired=15.0, headway=1.5, s0=2.0, a_max=1.5, b_comf=2.0, delta=4.0)
-    got = idm_accel(10.0, (8.0, 20.0), p)
+    got = idm_accel(10.0, (8.0, 20.0), p, DEFAULT_B_HARD)
     s_star = 2.0 + 10.0 * 1.5 + 10.0 * 2.0 / (2.0 * math.sqrt(1.5 * 2.0))
     expected = 1.5 * (1.0 - (10.0 / 15.0) ** 4 - (s_star / 20.0) ** 2)
     ok &= abs(got - expected) < 1e-6
@@ -133,17 +133,24 @@ def test_criterion_2_idm():
 
 
 def test_criterion_3_lqr():
-    import numpy as np
-
-    K = solve_lqr_gain(np.eye(1), np.eye(1), np.eye(1), np.eye(1))[0, 0]
-    P = (1.0 + math.sqrt(5.0)) / 2.0
-    ok = abs(K - P / (1.0 + P)) < 1e-6
+    # the finite-horizon recursion of the tracker's gains, on A = B = Q = R = 1
+    horizon = LqrParams().horizon
+    one = np.eye(1)
+    K = finite_horizon_gain(one, one, one, one, horizon)[0, 0]
+    ok = abs(K - (math.sqrt(5.0) - 1.0) / 2.0) < 1e-6
+    # the gain table the tracker reads is that recursion, bit for bit
+    lim, p = VehicleLimits(), LqrParams()
+    setting = (SIM_DT, lim.wheelbase, p.state_weights, p.control_weights, p.horizon)
+    table = _tracking_gain(np.array([10.0]), np.array([0.0]), *setting)[0]
+    want = oracle_tracking_gain(10.0, 0.0, *setting)
+    ok &= [k.hex() for k in table.ravel().tolist()] == [k.hex() for row in want for k in row]
 
     ref = straight_trajectory(v=10.0, n_states=41)
     out = lqr_track(ref, make_state(x=0.0, y=0.5, v=10.0))
     final_lat = abs(out.states[-1].pose.y)
     ok &= final_lat < 0.05
-    assert report(3, ok, f"Riccati K={K:.6f} (target 0.618034), offset recovery to {final_lat:.4f} m in 4 s")
+    assert report(3, ok, f"Riccati K={K:.6f} at horizon {horizon} (target 0.618034), "
+                         f"offset recovery to {final_lat:.4f} m in 4 s")
 
 
 # -- 4 ---------------------------------------------------------------------

@@ -587,3 +587,75 @@ def test_generate_bad_vocabulary_one_error_line(
     assert rc == 1
     assert _one_error_line(capsys) == f"error: {message}"
     assert not (tmp_path / "ds").exists()
+
+
+def _set_dt(value):
+    def breaks(data):
+        data["dt"] = value
+    return breaks
+
+
+def _set_map(key, value, lane=None):
+    def breaks(data):
+        (data["map"] if lane is None else data["map"]["lanes"][lane])[key] = value
+    return breaks
+
+
+def _repeat_first_point(key, lane=None):
+    def breaks(data):
+        points = (data["map"] if lane is None else data["map"]["lanes"][lane])[key]
+        points[1] = list(points[0])
+    return breaks
+
+
+def _set_polygon(points):
+    def breaks(data):
+        data["map"]["drivable_area"][0] = points
+    return breaks
+
+
+@pytest.mark.parametrize(
+    "breaks, message",
+    [
+        (_set_dt(0), "ego_log dt must be positive"),
+        (_set_dt(0.0), "ego_log dt must be positive"),
+        (_set_dt(-0.0), "ego_log dt must be positive"),
+        (_set_map("lanes", []), "map.lanes: expected at least one lane"),
+        (_set_map("polyline", [], lane=0),
+         "map.lanes[0].polyline: expected at least 2 points, got 0"),
+        (_set_map("polyline", [[0.0, 0.0]], lane=0),
+         "map.lanes[0].polyline: expected at least 2 points, got 1"),
+        (_repeat_first_point("polyline", lane=0),
+         "map.lanes[0].polyline: zero-length segment at point 1"),
+        (_set_map("route", []), "map.route: expected at least 2 points, got 0"),
+        (_set_map("route", [[0.0, 0.0]]), "map.route: expected at least 2 points, got 1"),
+        (_repeat_first_point("route"), "map.route: zero-length segment at point 1"),
+        (_set_polygon([]), "map.drivable_area[0]: expected at least 3 points, got 0"),
+        (_set_polygon([[0.0, 0.0], [50.0, 0.0]]),
+         "map.drivable_area[0]: expected at least 3 points, got 2"),
+        (_set_map("polyline", [[0.0, 0.0], [1e308, 0.0]], lane=0),
+         "map.lanes[0].polyline[1][0]: magnitude above 1e+09: 1e+308"),
+    ],
+    ids=["dt-int-zero", "dt-zero", "dt-negative-zero", "no-lanes", "lane-no-points",
+         "lane-one-point", "lane-repeated-point", "route-no-points", "route-one-point",
+         "route-repeated-point", "empty-polygon", "two-point-polygon", "huge-coordinate"],
+)
+def test_generate_bad_scenario_one_error_line(
+    tmp_path, corpus_dir, vocab_file, capsys, breaks, message
+):
+    """A scenario file whose dt is zero, or whose map geometry cannot be
+    projected onto or tested for containment, stops `generate` with exit
+    code 1 and one `error:` line naming the field, before any output."""
+    path = sorted(corpus_dir.glob("*.json"))[0]
+    data = json.loads(path.read_text())
+    breaks(data)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / path.name).write_text(json.dumps(data))
+    rc = main([
+        "generate", "--corpus", str(corpus), "--out", str(tmp_path / "ds"),
+        "--vocab", str(vocab_file), "--rounds", "1",
+    ])
+    assert rc == 1
+    assert _one_error_line(capsys).endswith(message)
+    assert not (tmp_path / "ds").exists()

@@ -178,7 +178,7 @@ PUBLIC_NAMES = [
     "enumerate_perturbations", "expert_filter", "export_dataset", "feasibility_filter",
     "fit_log_quadratic", "generate_synthetic_corpus", "grid_sparsify", "idm_accel", "load_config",
     "load_scenario", "lqr_track", "privileged_plan", "recovery_retrieve", "rollout",
-    "run_generation", "save_config", "sensor_stub", "solve_lqr_gain", "time_to_collision",
+    "run_generation", "save_config", "sensor_stub", "time_to_collision",
     "validate_scenario", "write_scenario",
 ]
 

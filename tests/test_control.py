@@ -12,14 +12,12 @@ from drivegen.control import (
     _tracking_gain,
     bicycle_step,
     lqr_track,
-    riccati_residual,
-    solve_lqr_gain,
 )
-from drivegen.errors import RiccatiError, RolloutError
+from drivegen.errors import RolloutError, ValidationError
 from drivegen.scenario import FRAME_EGO_LOCAL, Trajectory
 
 from conftest import make_state, state_bits, straight_trajectory
-from oracle import oracle_lqr_track, oracle_tracking_gain, tracking_error
+from oracle import finite_horizon_gain, oracle_lqr_track, oracle_tracking_gain, tracking_error
 
 
 # --- bicycle model
@@ -63,52 +61,26 @@ def test_bicycle_rejects_bad_dt():
 
 
 def test_scalar_riccati_closed_form():
-    # oracle: positive root of P^2 - P - 1 = 0 is the golden ratio
-    P = (1.0 + math.sqrt(5.0)) / 2.0
-    K_expected = P / (1.0 + P)
-    K = solve_lqr_gain(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
-    assert K[0, 0] == pytest.approx(K_expected, abs=1e-9)
+    """The tracker's finite-horizon recursion on A = B = Q = R = 1 at the
+    default horizon: P runs through ratios of Fibonacci numbers toward the
+    golden ratio, so the gain lands on (sqrt(5) - 1) / 2."""
+    one = np.eye(1)
+    K = finite_horizon_gain(one, one, one, one, LqrParams().horizon)
+    assert K[0, 0] == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, abs=1e-6)
     assert K[0, 0] == pytest.approx(0.6180, abs=1e-4)
 
 
 def test_riccati_zero_state_cost():
-    K = solve_lqr_gain(np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]]), np.array([[1.0]]))
-    assert K[0, 0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_riccati_zero_dynamics():
-    K = solve_lqr_gain(np.array([[0.0]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
-    assert K[0, 0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_riccati_residual_small_on_convergence():
-    A = np.array([[1.0, 0.1], [0.0, 1.0]])
-    B = np.array([[0.0], [0.1]])
-    Q = np.diag([1.0, 0.5])
-    R = np.array([[0.2]])
-    K = solve_lqr_gain(A, B, Q, R)
-    # recover P by iterating once more from the solution side:
-    P = Q.copy()
-    for _ in range(20000):
-        Kp = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-        P_next = Q + A.T @ P @ (A - B @ Kp)
-        if np.max(np.abs(P_next - P)) < 1e-14:
-            break
-        P = P_next
-    assert riccati_residual(P, A, B, Q, R) < 1e-8
-    assert np.allclose(K, np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A), atol=1e-6)
+    """With no state cost the recursion keeps P = 0, so every gain is 0."""
+    K = _tracking_gain(np.array([0.0, 5.0, 12.5]), np.array([0.0, 0.0, 0.25]),
+                       0.1, 2.7, (0.0, 0.0, 0.0, 0.0), (0.2, 0.2), 10)
+    assert not K.any()
 
 
 def test_riccati_requires_positive_definite_R():
-    with pytest.raises(ValueError):
-        solve_lqr_gain(np.eye(1), np.eye(1), np.eye(1), np.array([[0.0]]))
-
-
-def test_riccati_nonconvergence_reports_residual():
-    # unstabilizable: A expands, B = 0
-    with pytest.raises(RiccatiError) as exc:
-        solve_lqr_gain(np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
-    assert exc.value.residual > 0
+    """R is the diagonal of the control weights, so a zero weight is refused."""
+    with pytest.raises(ValidationError, match="control_weights must be positive"):
+        LqrParams(control_weights=(0.2, 0.0))
 
 
 # --- tracking

@@ -291,8 +291,15 @@ def _stage2_setup(scenario):
     return rollout(scenario, plan, anchor, scenario.t_horizon, mode="reactive")
 
 
+def _judge(states, scenario, spec=ExpertFilterSpec(), ctx=SimContext()):
+    """The filter's verdict on a window scored first in the world of `ctx`,
+    comfort judged on its own ego track, as a caller does."""
+    sub = compute_submetrics(states, scenario, states.ego.trajectory(0, states.dt), ctx)
+    return expert_filter(states, sub, spec, ctx.limits)
+
+
 def test_expert_filter_accepts_benign(benign_scenario):
-    accepted, reason = expert_filter(_stage2_setup(benign_scenario), benign_scenario)
+    accepted, reason = _judge(_stage2_setup(benign_scenario), benign_scenario)
     assert accepted, reason
 
 
@@ -311,7 +318,7 @@ def test_expert_filter_ep_relaxation_bound(benign_scenario):
     traj = Trajectory(dt=s.dt, states=states_list)
     sub = compute_submetrics(states, s, traj)
     assert sub.ep == pytest.approx(0.35, abs=0.02)
-    accepted, reason = expert_filter(states, s, ExpertFilterSpec(ep_min=0.5))
+    accepted, reason = expert_filter(states, sub, ExpertFilterSpec(ep_min=0.5), VehicleLimits())
     assert not accepted
     assert reason == "EP"
 
@@ -339,16 +346,14 @@ def test_expert_filter_kinematics_rejection(benign_scenario):
     assert oracle_kinematic_limit_violation(Trajectory(dt=dt, states=tuple(sts)), lim)
     # every sub-metric passes, so the kinematic check is the one that fires
     ones = SubMetricVector(*[1.0] * 9)
-    accepted, reason = expert_filter(
-        states, s, ExpertFilterSpec(), SimContext(limits=lim), precomputed=ones
-    )
+    accepted, reason = expert_filter(states, ones, ExpertFilterSpec(), lim)
     assert not accepted
     assert reason == "kinematics"
 
 
 def test_expert_filter_scores_in_the_context_world(benign_scenario):
-    """Without `precomputed`, the filter scores in the world of `ctx`: a lead
-    car 5 m ahead (center to center) clears a 4.6 m ego and hits a 6.0 m one."""
+    """Scored first in the world of `ctx`, a lead car 5 m ahead (center to
+    center) clears a 4.6 m ego and hits a 6.0 m one, and the filter says so."""
     s = benign_scenario
     lead = tuple(
         replace(st, pose=replace(st.pose, x=st.pose.x + 5.0 * math.cos(st.pose.theta),
@@ -359,15 +364,15 @@ def test_expert_filter_scores_in_the_context_world(benign_scenario):
     anchor = s2.anchor_frame
     plan = s2.ego_log.segment(anchor, anchor + s2.t_horizon)
     states = rollout(s2, plan, anchor, s2.t_horizon, mode="nonreactive")
-    assert expert_filter(states, s2) == (True, "")
-    assert expert_filter(states, s2, ctx=SimContext(ego_length=6.0)) == (False, "nc")
+    assert _judge(states, s2) == (True, "")
+    assert _judge(states, s2, ctx=SimContext(ego_length=6.0)) == (False, "nc")
 
 
 def test_expert_filter_guarantee_property(benign_scenario, small_vocab, small_config):
     """Anything accepted has all penalties at 1 and EP above the bound."""
     states = _stage2_setup(benign_scenario)
     sub = compute_submetrics(states, benign_scenario, states.ego.trajectory(0, states.dt))
-    accepted, _ = expert_filter(states, benign_scenario, precomputed=sub)
+    accepted, _ = expert_filter(states, sub, ExpertFilterSpec(), VehicleLimits())
     if accepted:
         assert sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0
         assert sub.ep > 0.5

@@ -9,7 +9,7 @@ import drivegen.vocab
 from drivegen.batch import rollout_batch
 from drivegen.config import PipelineConfig
 from drivegen.errors import ValidationError
-from drivegen.geometry import BoxArrays, OrientedBox, global_to_local
+from drivegen.geometry import BoxArrays, OrientedBox
 from drivegen.metrics import (
     ALL_METRICS,
     MetricThresholds,
@@ -21,7 +21,6 @@ from drivegen.metrics import (
     _epdms_rows,
     aggregate_epdms,
     check_collision,
-    comfort_features,
     compute_submetrics,
     submetrics_batch,
     time_to_collision,
@@ -40,8 +39,8 @@ from drivegen.scenario import (
 
 from conftest import make_state, scene_states, shifted_plan
 from oracle import (
-    SceneStates, contact_point, oracle_aggregate_epdms, oracle_submetrics,
-    oracle_time_to_collision,
+    SceneStates, comfort_profile, contact_point, global_to_local, oracle_aggregate_epdms,
+    oracle_submetrics, oracle_time_to_collision,
 )
 from test_geometry import oracle_boxes_overlap
 
@@ -512,8 +511,8 @@ def test_hc_flags_harsh_braking(benign_scenario):
     # accel -5 m/s^2 exceeds the 4.0 m/s^2 comfort bound; jerk and yaw stay 0
     assert MetricThresholds().hc_accel_max == 4.0
     scene, traj = _braking_window(5.0)
-    feats = comfort_features(traj)
-    assert feats[0] == pytest.approx(5.0)
+    accel, _, _, _ = comfort_profile(traj)
+    assert max(map(abs, accel)) == pytest.approx(5.0)
     assert compute_submetrics(scene, benign_scenario, traj).hc == 0.0
 
 
@@ -521,7 +520,8 @@ def test_hc_passes_gentle_braking(benign_scenario):
     # accel -2 m/s^2 is within the 4.0 m/s^2 bound; jerk and yaw stay 0
     assert MetricThresholds().hc_accel_max == 4.0
     scene, traj = _braking_window(2.0)
-    assert comfort_features(traj)[0] == pytest.approx(2.0)
+    accel, _, _, _ = comfort_profile(traj)
+    assert max(map(abs, accel)) == pytest.approx(2.0)
     assert compute_submetrics(scene, benign_scenario, traj).hc == 1.0
 
 

@@ -15,8 +15,10 @@ import pytest
 import drivegen.pipeline
 from drivegen.batch import rollout_batch, select_leaders
 from drivegen.config import PipelineConfig
-from drivegen.expert import PlannerParams, _score_starts, privileged_plan, privileged_plans
-from drivegen.geometry import PolylineOps, angle_diff, offset_polyline, polyline_ops
+from drivegen.expert import (
+    PlannerParams, _proposal_references, _score_starts, privileged_plan, privileged_plans,
+)
+from drivegen.geometry import PolylineOps, offset_polyline, polyline_ops
 from drivegen.metrics import ALL_METRICS, SimContext, aggregate_epdms
 from drivegen.pipeline import run_generation
 from drivegen.reactive import IdmParams, StateBatch
@@ -36,13 +38,14 @@ from conftest import (
     winning_plans,
 )
 from oracle import (
-    oracle_idm_accel, oracle_rollout, oracle_select_leader, oracle_submetrics, point_at,
+    angle_diff, oracle_idm_accel, oracle_rollout, oracle_select_leader, oracle_submetrics,
+    point_at,
 )
 
 BINARY = ("nc", "dac", "ddc", "tlc", "ttc", "lk", "hc", "ec")
 
 
-def oracle_reference(scenario, start, lateral_offset, v_target, horizon, idm, limits):
+def oracle_reference(scenario, start, lateral_offset, v_target, horizon, idm, limits, b_hard):
     """One proposal's reference: the shifted route with an IDM speed profile."""
     if lateral_offset != 0.0:
         ops = PolylineOps(offset_polyline(scenario.map.route, lateral_offset))
@@ -60,7 +63,7 @@ def oracle_reference(scenario, start, lateral_offset, v_target, horizon, idm, li
             a = oracle_idm_accel(v, None, IdmParams(
                 v_desired=v_target, headway=idm.headway, s0=idm.s0,
                 a_max=idm.a_max, b_comf=idm.b_comf, delta=idm.delta,
-            ))
+            ), b_hard)
         speeds.append(max(0.0, v + dt * a))
 
     arcs = [s0]
@@ -92,7 +95,8 @@ def oracle_plan(scenario, t, p, ego_start=None, agent_init=None, ctx=None):
     for frac in p.speed_fractions:
         for offset in p.lateral_offsets:
             ref = oracle_reference(
-                scenario, start, offset, frac * ctx.idm.v_desired, horizon, ctx.idm, ctx.limits
+                scenario, start, offset, frac * ctx.idm.v_desired, horizon, ctx.idm, ctx.limits,
+                ctx.b_hard,
             )
             states = oracle_rollout(scenario, ref, t, horizon, mode="reactive", ctx=ctx,
                                     ego_start=start, agent_init=agent_init)
@@ -338,3 +342,17 @@ def test_planner_matches_the_scalar_oracle_on_a_generated_corpus(
     assert len(calls) >= 50 and samples
     for s in corpus_100:
         check_against_oracle(s, s.anchor_frame, config.planner, ctx=config.sim_context)
+
+
+def test_proposal_speeds_brake_within_the_run_b_hard(benign_scenario):
+    """A start well above a proposal's target speed brakes at the run's
+    `b_hard`, not at the package default: the references of a world with
+    b_hard = 2 decelerate by at most 2 m/s^2, and that bound binds."""
+    s = benign_scenario
+    ctx = PipelineConfig(b_hard=2.0).sim_context
+    start = StateBatch.frame([replace(s.ego_log[s.anchor_frame], vel_lon=12.0)])
+    p = PlannerParams(speed_fractions=(0.5,), lateral_offsets=(0.0,))
+    refs = _proposal_references(s, start, p, s.t_horizon, ctx)
+    accel = np.diff(refs.v, axis=1) / s.dt
+    assert accel.min() >= -ctx.b_hard - 1e-9
+    assert accel.min() < -0.9 * ctx.b_hard

@@ -9,6 +9,7 @@ from drivegen.batch import rollout_batch, select_leaders
 from drivegen.errors import RolloutError
 from drivegen.metrics import ALL_METRICS, SimContext, any_contact, submetrics_batch
 from drivegen.reactive import (
+    DEFAULT_B_HARD,
     MODES,
     IdmParams,
     StateBatch,
@@ -38,17 +39,17 @@ def oracle_idm(v, v_des, delta, a_max, b_comf, s0, headway, v_lead=None, gap=Non
 
 def test_idm_free_flow_equilibrium_exact():
     p = IdmParams(v_desired=13.0)
-    assert idm_accel(13.0, None, p) == 0.0
+    assert idm_accel(13.0, None, p, DEFAULT_B_HARD) == 0.0
 
 
 def test_idm_standstill_free_road():
     p = IdmParams(a_max=1.5)
-    assert idm_accel(0.0, None, p) == 1.5
+    assert idm_accel(0.0, None, p, DEFAULT_B_HARD) == 1.5
 
 
 def test_idm_car_following_derived_value():
     p = IdmParams(v_desired=15.0, headway=1.5, s0=2.0, a_max=1.5, b_comf=2.0, delta=4.0)
-    got = idm_accel(10.0, (8.0, 20.0), p)
+    got = idm_accel(10.0, (8.0, 20.0), p, DEFAULT_B_HARD)
     expected = oracle_idm(10.0, 15.0, 4.0, 1.5, 2.0, 2.0, 1.5, v_lead=8.0, gap=20.0)
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(-0.7412, abs=1e-4)
@@ -87,7 +88,7 @@ def test_idm_rows_match_the_scalar_oracle():
         assert [a.hex() for a in free.tolist()] == [
             oracle_idm_accel(vi, None, p, b_hard).hex() for vi in v
         ]
-    assert isinstance(idm_accel(10.0, (8.0, 20.0), IdmParams()), float)
+    assert isinstance(idm_accel(10.0, (8.0, 20.0), IdmParams(), DEFAULT_B_HARD), float)
 
 
 def test_idm_powers_round_as_python_pow():

@@ -214,7 +214,7 @@ def test_enumerate_identity_perturbation_zero_offsets(benign_scenario, small_voc
     anchor_state = s.ego_log[s.anchor_frame]
     # vocabulary whose first entry reproduces the logged future exactly
     logged = s.ego_log.segment(s.anchor_frame, s.anchor_frame + s.t_horizon)
-    from drivegen.geometry import global_to_local, angle_diff
+    from oracle import angle_diff, global_to_local
     from drivegen.scenario import Pose2D, VehicleState
 
     local_states = []
