@@ -8,6 +8,7 @@ so it is stable under key reordering.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
@@ -19,7 +20,9 @@ from .errors import ConfigError, SchemaError, ValidationError
 from .expert import EXPERT_KINDS, ExpertFilterSpec, PlannerParams
 from .metrics import MetricThresholds, MetricWeights, SimContext
 from .reactive import DEFAULT_B_HARD, IdmParams
-from .scenario import DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH, _number, dump_json_canonical
+from .scenario import (
+    DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH, MAX_MAGNITUDE, _number, dump_json_canonical,
+)
 from .vocab import GridSpec, PerturbThresholds
 
 
@@ -105,7 +108,12 @@ def config_to_dict(obj: Any) -> Any:
 
 
 def _read(tp: Any, value: Any, where: str) -> Any:
-    """A JSON value as an instance of the field annotation `tp`; ConfigError naming `where`."""
+    """A JSON value as an instance of the field annotation `tp`; ConfigError naming `where`.
+
+    A float is finite, of magnitude at most `scenario.MAX_MAGNITUDE` as in
+    input files, and not subnormal, so that no positive setting is so small
+    that dividing by it overflows.
+    """
     if is_dataclass(tp):
         return _read_dataclass(tp, value, where)
     origin, args = get_origin(tp), get_args(tp)
@@ -118,9 +126,12 @@ def _read(tp: Any, value: Any, where: str) -> Any:
         raise ConfigError(f"{where}: expected {tp}, got {value!r}")
     if tp is float:
         try:
-            return _number(value, where)
+            value = _number(value, where, bound=MAX_MAGNITUDE)
         except SchemaError as e:
             raise ConfigError(str(e)) from e
+        if 0.0 < abs(value) < sys.float_info.min:
+            raise ConfigError(f"{where}: subnormal number: {value!r}")
+        return value
     if origin in (tuple, frozenset):
         if not isinstance(value, list):
             raise ConfigError(f"{where}: expected an array")

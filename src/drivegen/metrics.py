@@ -97,6 +97,9 @@ class MetricWeights:
         return self.w_ep + self.w_ttc + self.w_lk + self.w_hc + self.w_ec
 
 
+TTC_HORIZON_MAX = 10.0  # s; the TTC sweep holds horizon / dt + 1 projected times
+
+
 @dataclass(frozen=True, slots=True)
 class MetricThresholds:
     """Tunable constants behind the pinned sub-metric definitions."""
@@ -118,6 +121,10 @@ class MetricThresholds:
     def __post_init__(self):
         if not self.ttc_horizon > 0:
             raise ValidationError(f"ttc_horizon must be positive, got {self.ttc_horizon}")
+        if self.ttc_horizon > TTC_HORIZON_MAX:
+            raise ValidationError(
+                f"ttc_horizon must be at most {TTC_HORIZON_MAX:g} s, got {self.ttc_horizon}"
+            )
         v = self.lk_min_fraction
         if not 0 <= v <= 1:
             raise ValidationError(f"lk_min_fraction must lie in [0, 1], got {v}")

@@ -193,57 +193,99 @@ def synthesize_maneuvers(count: int, horizon: int, dt: float, seed: int) -> Voca
     v0, accel, d1, d2, switch = np.array(draws).T
 
     limits = VehicleLimits()
-    zero = np.zeros(count)
-    cur = StateBatch.of(zero, zero, zero, v0, zero, zero, zero)
-    frames = [cur]
+    track = np.empty((7, count, horizon + 1))
+    track[:, :, 0] = 0.0
+    track[3, :, 0] = v0
     for k in range(horizon):
+        cur = StateBatch(track[:, :, k])
         target = np.where(k < switch, d1, d2)
         rate = _bound((target - cur.steering) / dt, 0.4)
-        cur = _bicycle_step(cur, accel, rate, dt, limits)
-        frames.append(cur)
-    return Vocabulary(dt, StateBatch.stack(frames))
+        _bicycle_step(cur, accel, rate, dt, limits, track[:, :, k + 1])
+    return Vocabulary(dt, StateBatch(track))
 
 
 # ---------------------------------------------------------------------------
 # Clustering
 
+_BLOCK_ROWS = 256  # rows per block of the k-means distance matrix
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of ceil(n / _BLOCK_ROWS) near-equal blocks of n rows.
+
+    With _BLOCK_ROWS >= 4 no block of n >= 2 rows has a single row: a
+    one-row matmul takes BLAS's gemv path, which can round differently from
+    the gemm that every block of two or more rows shares.
+    """
+    count = -(-n // _BLOCK_ROWS)
+    bounds = [i * n // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
 
 def _flatten(tracks: StateBatch) -> np.ndarray:
-    """(N, 3n): each track's x, then its y, then its unwrapped heading."""
-    return np.concatenate([tracks.x, tracks.y, np.unwrap(tracks.theta, axis=1)], axis=1)
+    """(N, 3n): each track's x, then its y, then its unwrapped heading;
+    unwrapped a block of rows at a time, which is the same per row."""
+    x, y, theta = tracks.data[:3]
+    n = x.shape[1]
+    X = np.empty((len(x), 3 * n))
+    X[:, :n], X[:, n:2 * n] = x, y
+    for r0, r1 in _row_blocks(len(x)):
+        X[r0:r1, 2 * n:] = np.unwrap(theta[r0:r1], axis=1)
+    return X
 
 
-_BLOCK_ROWS = 64  # rows of the distance matrix per cache-sized block
+def _sq_norms(A: np.ndarray) -> np.ndarray:
+    """`np.sum(A * A, axis=1)`, one row block at a time."""
+    out = np.empty(len(A))
+    for r0, r1 in _row_blocks(len(A)):
+        out[r0:r1] = np.sum(A[r0:r1] * A[r0:r1], axis=1)
+    return out
 
 
-def _sq_distances(X: np.ndarray, xx: np.ndarray, centers: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Fill the (N, k) buffer `d2` with the squared distances ||x||^2 - 2 x.c
-    + ||c||^2 and return each row's argmin.
+def _distance_blocks(X: np.ndarray, xx: np.ndarray, centers: np.ndarray):
+    """Yield (start, stop, d2) per row block: the squared distances ||x||^2
+    - 2 x.c + ||c||^2 of rows start:stop of X to every center, in one buffer
+    that the next block overwrites, so the (N, k) matrix is never held.
 
-    The matmul writes the whole buffer; the other passes and the argmin run
-    on cache-sized blocks of rows. Bit-identical to evaluating the expression
-    left to right: scaling by -2 is exact and a - b is a + (-b).
+    Bit-identical to evaluating the expression left to right over all rows
+    at once: scaling by -2 is exact, a - b is a + (-b), and every block of
+    two or more rows gets the same gemm products as the whole matrix.
     """
-    np.matmul(X, centers.T, out=d2)
-    cc = np.sum(centers * centers, axis=1)
+    cc = _sq_norms(centers)
+    blocks = _row_blocks(len(X))
+    buf = np.empty((max(r1 - r0 for r0, r1 in blocks), len(centers)))
+    for r0, r1 in blocks:
+        d2 = buf[: r1 - r0]
+        np.matmul(X[r0:r1], centers.T, out=d2)
+        d2 *= -2.0
+        d2 += xx[r0:r1, None]
+        d2 += cc
+        yield r0, r1, d2
+
+
+def _nearest(X: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest center (ties to the lowest index) and its squared
+    distance to it."""
     nearest = np.empty(len(X), dtype=np.int64)
-    for r in range(0, len(X), _BLOCK_ROWS):
-        block = d2[r:r + _BLOCK_ROWS]
-        block *= -2.0
-        block += xx[r:r + _BLOCK_ROWS, None]
-        block += cc
-        nearest[r:r + _BLOCK_ROWS] = np.argmin(block, axis=1)
-    return nearest
+    dist = np.empty(len(X))
+    for r0, r1, d2 in _distance_blocks(X, xx, centers):
+        nearest[r0:r1] = np.argmin(d2, axis=1)
+        dist[r0:r1] = np.take_along_axis(d2, nearest[r0:r1, None], axis=1)[:, 0]
+    return nearest, dist
 
 
 def _update_centers(
-    X: np.ndarray, d2: np.ndarray, assign: np.ndarray, centers: np.ndarray
+    X: np.ndarray, assign: np.ndarray, dist: np.ndarray, centers: np.ndarray
 ) -> None:
     """Move each center, in cluster order, to the mean of its rows.
 
     An empty cluster is revived with the row farthest from its center under
     the assignment as it stands; that row leaves the later cluster it was in,
-    and an earlier cluster's mean, already taken, keeps it.
+    and an earlier cluster's mean, already taken, keeps it. `dist` holds each
+    row's squared distance to its nearest center. A revived row is at least
+    as far from the center of the cluster it joins as from its nearest, so
+    it stays the first farthest row: every empty cluster of one update takes
+    the row that was farthest after the assignment pass.
     """
     k = len(centers)
     order = None
@@ -255,7 +297,7 @@ def _update_centers(
         if len(rows):
             centers[c] = X[rows].mean(axis=0)
         else:
-            far = int(np.argmax(d2[np.arange(len(X)), assign]))
+            far = int(np.argmax(dist))
             centers[c] = X[far]
             assign[far] = c
             order = None
@@ -263,15 +305,14 @@ def _update_centers(
 
 def _lloyd(X: np.ndarray, k: int, seed: int) -> np.ndarray:
     """The (k, D) centers after plain Lloyd iterations (cap 100) from a seeded
-    choice of k rows; every iteration reuses one distance buffer."""
+    choice of k rows."""
     rng = np.random.Generator(np.random.PCG64(mix64(seed, "kmeans", k)))
     centers = X[rng.choice(len(X), size=k, replace=False)].copy()
-    xx = np.sum(X * X, axis=1)
-    d2 = np.empty((len(X), k))
+    xx = _sq_norms(X)
     assign = np.zeros(len(X), dtype=np.int64)
     for _ in range(100):
-        new_assign = _sq_distances(X, xx, centers, d2)
-        _update_centers(X, d2, new_assign, centers)
+        new_assign, dist = _nearest(X, xx, centers)
+        _update_centers(X, new_assign, dist, centers)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -295,14 +336,23 @@ def _snap(X: np.ndarray, centers: np.ndarray) -> list[int]:
     bounds, (8 D + 18) u S. The margin doubles that to cover the second
     order and the rounding of S itself, so every row that can tie or win the
     direct comparison is a candidate.
+
+    One pass over the row blocks keeps each column's running minimum and
+    every row within `margin` of it; the running minimum only falls, so
+    this is a superset of the candidates, filtered by the final minimum.
     """
-    xx = np.sum(X * X, axis=1)
-    d2 = np.empty((len(X), len(centers)))
-    _sq_distances(X, xx, centers, d2)
-    margin = (8 * X.shape[1] + 18) * np.finfo(float).eps * (
-        xx.max() + np.sum(centers * centers, axis=1)
-    )
-    cols, rows = np.nonzero(d2.T <= d2.min(axis=0)[:, None] + margin[:, None])
+    xx = _sq_norms(X)
+    margin = (8 * X.shape[1] + 18) * np.finfo(float).eps * (xx.max() + _sq_norms(centers))
+    low = np.full(len(centers), np.inf)
+    found = []
+    for r0, r1, d2 in _distance_blocks(X, xx, centers):
+        np.minimum(low, d2.min(axis=0), out=low)
+        cols, rows = np.nonzero(d2.T <= low[:, None] + margin[:, None])
+        found.append((cols, rows + r0, d2[rows, cols]))
+    cols, rows, d = (np.concatenate(a) for a in zip(*found))
+    keep = d <= (low + margin)[cols]
+    order = np.argsort(cols[keep], kind="stable")  # by column, rows in index order
+    cols, rows = cols[keep][order], rows[keep][order]
     bounds = np.searchsorted(cols, np.arange(len(centers) + 1))
     nearest = []
     for c, center in enumerate(centers):

@@ -444,6 +444,14 @@ _CAMERA = {"id": "c", "dx": 1.0, "dy": 0.0, "dyaw": 0.0, "intrinsics": {"fx": 15
          "config.metric_thresholds: ttc_min must be non-negative"),
         ({"metric_thresholds": {"ddc_max_seconds": -2}},
          "config.metric_thresholds: ddc_max_seconds must be non-negative"),
+        ({"metric_thresholds": {"ttc_horizon": 1e308}},
+         "config.metric_thresholds.ttc_horizon: magnitude above 1e+09: 1e+308"),
+        ({"metric_thresholds": {"ttc_horizon": 1e300}},
+         "config.metric_thresholds.ttc_horizon: magnitude above 1e+09: 1e+300"),
+        ({"metric_thresholds": {"ttc_horizon": 11}},
+         "config.metric_thresholds: ttc_horizon must be at most 10 s, got 11.0"),
+        ({"idm": {"v_desired": 1e-320}}, "config.idm.v_desired: subnormal number: 1e-320"),
+        ({"weights": {"w_lk": -1e-310}}, "config.weights.w_lk: subnormal number"),
     ],
     ids=[
         "string-int", "bool-int", "float-int", "int-bool", "inf", "string-float", "section-number",
@@ -455,7 +463,8 @@ _CAMERA = {"id": "c", "dx": 1.0, "dy": 0.0, "dyaw": 0.0, "intrinsics": {"fx": 15
         "lqr-state-weight-negative", "weights-all-zero", "weight-negative",
         "ttc-horizon-negative", "ttc-horizon-zero", "lk-fraction-above-one",
         "lk-fraction-negative", "ec-tol-negative", "moving-speed-negative", "ttc-min-negative",
-        "ddc-seconds-negative",
+        "ddc-seconds-negative", "ttc-horizon-1e308", "ttc-horizon-1e300", "ttc-horizon-above-cap",
+        "idm-v-desired-subnormal", "weight-subnormal",
     ],
 )
 def test_generate_bad_config_value_one_error_line(

@@ -1,14 +1,17 @@
-"""Seeded mutation fuzzing of the scenario boundary.
+"""Seeded mutation fuzzing of the scenario and config boundaries.
 
-Each case changes one or two fields of a scenario file of the bundled corpus
-(100 scenarios, seed 2026), one file per seed: a straight road, an
-intersection with a traffic light, a lead vehicle and a cut-in. It deletes a
-field, swaps its type, sets an edge value (0, -0.0, 1e308, 1e-320), or
-empties or shortens an array. The mutated file goes through
+Each scenario case changes one or two fields of a scenario file of the
+bundled corpus (100 scenarios, seed 2026), one file per seed: a straight
+road, an intersection with a traffic light, a lead vehicle and a cut-in. It
+deletes a field, swaps its type, sets an edge value (0, -0.0, 1e308,
+1e-320), or empties or shortens an array. Each config case edits one or two
+numeric leaves of the default config file: it deletes the leaf, swaps its
+type or sets an edge value. The mutated file goes through
 `drivegen generate` in-process with a 16-entry vocabulary. The CLI contract
 must hold: exit 1 with exactly one `error:` line, or exit 0 with finite
-outputs. Mutations come from stdlib `random` at fixed seeds, so a failure
-names a case that replays.
+outputs and nothing on stderr (a `RuntimeWarning` fails the test too).
+Mutations come from stdlib `random` at fixed seeds, so a failure names a
+case that replays.
 """
 
 import copy
@@ -19,6 +22,7 @@ import random
 import pytest
 
 from drivegen.cli import main
+from drivegen.config import PipelineConfig, config_to_dict
 from drivegen.vocab import default_vocabulary, save_vocabulary
 
 # seed -> bundled scenario it mutates
@@ -84,6 +88,22 @@ def _finite(obj) -> bool:
     return True
 
 
+def _assert_cli_contract(argv, out, capsys, where):
+    """`generate` exits 1 with one `error:` line, or exits 0 with nothing on
+    stderr and finite numbers in every output file."""
+    rc = main([*argv, "--out", str(out), "--rounds", "1"])
+    err = capsys.readouterr().err.splitlines()
+    if rc == 1:
+        assert len(err) == 1 and err[0].startswith("error:"), (where, err)
+        return
+    assert rc == 0 and not err, (where, rc, err)
+    for path in out.iterdir():
+        if path.suffix == ".csv":
+            continue
+        lines = path.read_text().splitlines()
+        assert all(_finite(json.loads(line)) for line in lines), (where, path.name)
+
+
 @pytest.mark.parametrize("seed", sorted(BASES))
 def test_mutated_scenarios_keep_the_cli_contract(tmp_path, capsys, fuzz_inputs, seed):
     """Every mutated file exits 1 with one `error:` line, or exits 0 with
@@ -97,19 +117,59 @@ def test_mutated_scenarios_keep_the_cli_contract(tmp_path, capsys, fuzz_inputs, 
         data = copy.deepcopy(scenario)
         did = [_mutate(rng, data) for _ in range(rng.choice((1, 2)))]
         (corpus / "s.json").write_text(json.dumps(data))
-        out = tmp_path / f"ds{case}"
+        argv = ["generate", "--corpus", str(corpus), "--vocab", str(vocab)]
         where = f"seed {seed} case {case}: {'; '.join(did)}"
-        rc = main([
-            "generate", "--corpus", str(corpus), "--out", str(out), "--vocab", str(vocab),
-            "--rounds", "1",
-        ])
-        err = capsys.readouterr().err.splitlines()
-        if rc == 1:
-            assert len(err) == 1 and err[0].startswith("error:"), (where, err)
-            continue
-        assert rc == 0 and not err, (where, rc, err)
-        for path in out.iterdir():
-            if path.suffix == ".csv":
-                continue
-            lines = path.read_text().splitlines()
-            assert all(_finite(json.loads(line)) for line in lines), (where, path.name)
+        _assert_cli_contract(argv, tmp_path / f"ds{case}", capsys, where)
+
+
+CONFIG_SEEDS = (1, 2)
+CONFIG_CASES_PER_SEED = 100
+
+
+def _numeric_leaves(node, path=()):
+    """Paths of the int and float leaves of parsed JSON."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _numeric_leaves(v, (*path, k))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _numeric_leaves(v, (*path, i))
+    elif type(node) in (int, float):
+        yield path
+
+
+def _mutate_leaf(rng, data, path) -> str:
+    """Delete, swap or set the leaf at `path` in place; returns what it did."""
+    parent = data
+    for k in path[:-1]:
+        parent = parent[k]
+    kind = rng.choice(("delete", "swap", "edge"))
+    if kind == "delete":
+        del parent[path[-1]]
+        return f"delete {path}"
+    parent[path[-1]] = copy.copy(rng.choice(SWAPPED_TYPES if kind == "swap" else EDGE_VALUES))
+    return f"set {path} to {parent[path[-1]]!r}"
+
+
+@pytest.mark.parametrize("seed", CONFIG_SEEDS)
+def test_mutated_configs_keep_the_cli_contract(tmp_path, capsys, fuzz_inputs, seed):
+    """Every config file with one or two numeric leaves edited exits 1 with
+    one `error:` line, or exits 0 with finite outputs and no warning; the
+    corpus is one scenario with a lead vehicle, so time to collision is
+    swept."""
+    scenarios, vocab = fuzz_inputs
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "s.json").write_text(json.dumps(scenarios[BASES[3]]))
+    base = config_to_dict(PipelineConfig())
+    rng = random.Random(seed)
+    for case in range(CONFIG_CASES_PER_SEED):
+        data = copy.deepcopy(base)
+        paths = rng.sample(list(_numeric_leaves(base)), rng.choice((1, 2)))
+        # the later path first, so deleting a list element shifts no other edit
+        did = [_mutate_leaf(rng, data, path) for path in sorted(paths, reverse=True)]
+        config = tmp_path / f"config{case}.json"
+        config.write_text(json.dumps(data))
+        argv = ["generate", "--corpus", str(corpus), "--vocab", str(vocab), "--config", str(config)]
+        where = f"seed {seed} case {case}: {'; '.join(did)}"
+        _assert_cli_contract(argv, tmp_path / f"ds{case}", capsys, where)

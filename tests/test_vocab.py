@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -111,12 +112,17 @@ def test_synthesize_maneuvers_realizable():
 
 
 @pytest.mark.parametrize(
-    "count, k, seed", [(2048, 256, 3), (512, 64, 0), (512, 64, 5), (512, 64, 11)]
+    "count, k, seed, block_rows",
+    [(2048, 256, 3, 300), (512, 64, 0, 100), (512, 64, 5, 64), (512, 64, 11, 4096)],
+    ids=["2048-256-3", "512-64-0", "512-64-5", "512-64-11"],
 )
-def test_vocabulary_build_matches_scalar_oracle(count, k, seed, monkeypatch):
-    """The batched bicycle, the array flatten, the in-place k-means and the
-    pruned snap reproduce the one-maneuver-at-a-time build bit for bit, and
-    the k chosen rows are taken from the bank without building a trajectory."""
+def test_vocabulary_build_matches_scalar_oracle(count, k, seed, block_rows, monkeypatch):
+    """The batched bicycle, the array flatten, the blocked k-means and the
+    pruned snap reproduce the one-maneuver-at-a-time, full-matrix build bit
+    for bit, and the k chosen rows are taken from the bank without building
+    a trajectory. The row blocks are near-equal (2048 rows in 7 blocks of
+    292-293, 512 in 6 of 85-86 or 8 of 64) or one block of all rows."""
+    monkeypatch.setattr(vocab_module, "_BLOCK_ROWS", block_rows)
     bank = synthesize_maneuvers(count, horizon=40, dt=0.1, seed=seed)
     scalar = oracle_synthesize_maneuvers(count, 40, 0.1, seed)
     assert bank.tracks.data.tobytes() == StateBatch.tracks([t.states for t in scalar]).data.tobytes()
@@ -139,20 +145,53 @@ def test_vocabulary_build_matches_scalar_oracle(count, k, seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [2, 3, 5])
-def test_empty_cluster_revive_matches_oracle(seed):
+def test_empty_cluster_revive_matches_oracle(seed, monkeypatch):
     """Six maneuvers twice over plus six others, clustered into 16: duplicate
     centers leave clusters empty. Each revive takes the farthest row under
     the assignment as it stands; the row leaves a later cluster, while an
-    earlier cluster's mean keeps it."""
+    earlier cluster's mean keeps it. The 18 rows run in blocks of 4-5, of 6
+    or in one block; with several blocks, the farthest row's distance comes
+    from a block that is not the first."""
     samples = list(synthesize_maneuvers(6, horizon=10, dt=0.1, seed=seed)) * 2
     samples += synthesize_maneuvers(6, horizon=10, dt=0.1, seed=seed + 100)
     nearest, centers, revives = oracle_build_vocabulary(samples, 16, seed)
     assert revives > 0
 
+    revived = []
+    update = vocab_module._update_centers
+
+    def spy(X, assign, dist, centers):
+        before = assign.copy()
+        update(X, assign, dist, centers)
+        revived.extend(np.flatnonzero(assign != before).tolist())
+
+    monkeypatch.setattr(vocab_module, "_update_centers", spy)
     X = vocab_module._flatten(StateBatch.tracks([t.states for t in samples]))
-    batched_centers = vocab_module._lloyd(X, 16, seed)
-    assert batched_centers.tobytes() == centers.tobytes()
-    assert vocab_module._snap(X, batched_centers) == nearest
+    for block_rows in (5, 8, 64):
+        monkeypatch.setattr(vocab_module, "_BLOCK_ROWS", block_rows)
+        revived.clear()
+        batched_centers = vocab_module._lloyd(X, 16, seed)
+        assert batched_centers.tobytes() == centers.tobytes()
+        assert vocab_module._snap(X, batched_centers) == nearest
+        blocks = vocab_module._row_blocks(len(X))
+        assert len(blocks) == 1 or max(revived) >= blocks[0][1]
+
+
+def test_kmeans_never_holds_the_distance_matrix():
+    """Lloyd and the snap at N = 4096, k = 512 peak well under one (N, k)
+    float64 distance matrix (16 MiB): the distances live in one block-sized
+    buffer."""
+    X = vocab_module._flatten(synthesize_maneuvers(4096, horizon=40, dt=0.1, seed=1).tracks)
+    matrix_bytes = 4096 * 512 * 8
+    runs = (lambda: vocab_module._lloyd(X, 512, 1), lambda: vocab_module._snap(X, X[:512] + 0.01))
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix_bytes / 4
 
 
 @pytest.mark.parametrize("ys, winner", [((5.0, 1.0, -1.0, -5.0), 1), ((1.0, -1.0), 0), ((-1.0, 1.0), 0)])
