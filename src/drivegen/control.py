@@ -42,6 +42,8 @@ class VehicleLimits:
     def __post_init__(self):
         if not self.wheelbase > 0:
             raise ValidationError("wheelbase must be positive")
+        if not 0.5 <= self.wheelbase <= 20.0:
+            raise ValidationError(f"wheelbase must lie in [0.5, 20] m, got {self.wheelbase}")
 
     def max_curvature(self) -> float:
         return math.tan(self.steer_max) / self.wheelbase

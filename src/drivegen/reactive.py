@@ -55,6 +55,10 @@ class IdmParams:
         for name in ("headway", "s0"):
             if not getattr(self, name) >= 0:
                 raise ValidationError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not 0.1 <= self.v_desired <= 100.0:
+            raise ValidationError(f"v_desired must lie in [0.1, 100] m/s, got {self.v_desired}")
+        if not self.delta <= 10.0:
+            raise ValidationError(f"delta must be at most 10, got {self.delta}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,7 +1,12 @@
 """Trajectory vocabulary and perturbation sampling.
 
 The vocabulary is a clustered bank of short ego-local maneuvers, one
-(7, N, H + 1) `StateBatch` from file or k-means to the simulator. Per
+(7, N, H + 1) `StateBatch` from file or k-means to the simulator. The
+k-means runs Lloyd passes that rescore only the rows whose nearest center
+could have changed and re-average only the clusters that gained or lost a
+row. Every distance product has the row count of one of its fixed row
+blocks, so the centers are plain Lloyd's bit for bit; each is snapped to
+its nearest maneuver. Per
 scenario, whole-array passes over the bank threshold where each entry would
 end at the anchor state and spread survivors over an interleaved endpoint
 grid. Each entry's `PerturbationCandidate` records its vocabulary index,
@@ -172,8 +177,8 @@ def synthesize_maneuvers(count: int, horizon: int, dt: float, seed: int) -> Voca
     if horizon < 2:
         raise ValidationError(f"horizon must be >= 2, got {horizon}")
     rng = random.Random(mix64(seed, "maneuvers", count, horizon))
-    draws = []
-    for _ in range(count):
+    draws = np.empty((count, 5))
+    for row in draws:
         v0 = rng.uniform(*_SPEED_RANGE)
         accel = 0.0 if rng.random() < 0.2 else rng.uniform(-1.2, 1.2)
         shape = rng.random()
@@ -189,8 +194,8 @@ def synthesize_maneuvers(count: int, horizon: int, dt: float, seed: int) -> Voca
             d1 = rng.uniform(-0.06, 0.06)
             d2 = rng.uniform(-0.06, 0.06)
         switch = rng.randrange(horizon // 4, 3 * horizon // 4)
-        draws.append((v0, accel, d1, d2, switch))
-    v0, accel, d1, d2, switch = np.array(draws).T
+        row[:] = v0, accel, d1, d2, switch
+    v0, accel, d1, d2, switch = draws.T
 
     limits = VehicleLimits()
     track = np.empty((7, count, horizon + 1))
@@ -207,15 +212,19 @@ def synthesize_maneuvers(count: int, horizon: int, dt: float, seed: int) -> Voca
 # ---------------------------------------------------------------------------
 # Clustering
 
-_BLOCK_ROWS = 256  # rows per block of the k-means distance matrix
+_BLOCK_ROWS = 256  # rows per block of the k-means distance products
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
     """(start, stop) of ceil(n / _BLOCK_ROWS) near-equal blocks of n rows.
 
-    With _BLOCK_ROWS >= 4 no block of n >= 2 rows has a single row: a
-    one-row matmul takes BLAS's gemv path, which can round differently from
-    the gemm that every block of two or more rows shares.
+    The blocks fix the shapes of the k-means distance products. BLAS may
+    round a row's products differently in products of different row counts:
+    a one-row product takes the gemv path, and at small M * k * D OpenBLAS
+    takes a small-matrix kernel that rounds unlike its blocked gemm. So every
+    product has the row count of a block, and the code relies only on this:
+    products of the same shape agree bit for bit on the same rows, wherever
+    those rows sit in them.
     """
     count = -(-n // _BLOCK_ROWS)
     bounds = [i * n // count for i in range(count + 1)]
@@ -242,36 +251,93 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _distance_blocks(X: np.ndarray, xx: np.ndarray, centers: np.ndarray):
-    """Yield (start, stop, d2) per row block: the squared distances ||x||^2
-    - 2 x.c + ||c||^2 of rows start:stop of X to every center, in one buffer
-    that the next block overwrites, so the (N, k) matrix is never held.
+def _sq_dist(
+    X: np.ndarray, xx: np.ndarray, centers: np.ndarray, cc: np.ndarray, buf: np.ndarray
+) -> np.ndarray:
+    """The squared distances ||x||^2 - 2 x.c + ||c||^2 of the rows of X
+    (squared norms `xx`) to the centers (squared norms `cc`), written to the
+    front of the (r, k) buffer `buf` and evaluated left to right: scaling by
+    -2 is exact, and a - b is a + (-b)."""
+    out = buf.reshape(-1)[: len(X) * len(centers)].reshape(len(X), len(centers))
+    np.matmul(X, centers.T, out=out)
+    out *= -2.0
+    out += xx[:, None]
+    out += cc
+    return out
 
-    Bit-identical to evaluating the expression left to right over all rows
-    at once: scaling by -2 is exact, a - b is a + (-b), and every block of
-    two or more rows gets the same gemm products as the whole matrix.
-    """
+
+def _margin(X: np.ndarray, xx: np.ndarray, cc: np.ndarray) -> np.ndarray:
+    """(8 D + 18) eps (max ||x||^2 + ||c||^2) per center of squared norm
+    `cc`. It exceeds how far two matmul-form values of one exact distance
+    can differ, (4 D + 10) u S with u = eps / 2, and how far a matmul-form
+    value and the direct form can differ (see `_snap`)."""
+    return (8 * X.shape[1] + 18) * np.finfo(float).eps * (xx.max() + cc)
+
+
+def _distance_blocks(X: np.ndarray, xx: np.ndarray, centers: np.ndarray):
+    """Yield (start, stop, d2) per row block: the squared distances of rows
+    start:stop of X to every center, in one buffer that the next block
+    overwrites, so the (N, k) matrix is never held."""
     cc = _sq_norms(centers)
     blocks = _row_blocks(len(X))
     buf = np.empty((max(r1 - r0 for r0, r1 in blocks), len(centers)))
     for r0, r1 in blocks:
-        d2 = buf[: r1 - r0]
-        np.matmul(X[r0:r1], centers.T, out=d2)
-        d2 *= -2.0
-        d2 += xx[r0:r1, None]
-        d2 += cc
-        yield r0, r1, d2
+        yield r0, r1, _sq_dist(X[r0:r1], xx[r0:r1], centers, cc, buf)
 
 
-def _nearest(X: np.ndarray, xx: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nearest center (ties to the lowest index) and its squared
-    distance to it."""
-    nearest = np.empty(len(X), dtype=np.int64)
-    dist = np.empty(len(X))
-    for r0, r1, d2 in _distance_blocks(X, xx, centers):
-        nearest[r0:r1] = np.argmin(d2, axis=1)
-        dist[r0:r1] = np.take_along_axis(d2, nearest[r0:r1, None], axis=1)[:, 0]
-    return nearest, dist
+def _gathers(n: int, rows: np.ndarray):
+    """Yield (index, m): the ascending `rows` of n rows in gathers of the
+    row count of the block each row lies in; the last gather of each count
+    is padded to it by repeating its rows, so only its first m are real."""
+    blocks = _row_blocks(n)
+    cuts = np.searchsorted(rows, [r0 for r0, _ in blocks] + [n]).tolist()
+    for s in sorted({r1 - r0 for r0, r1 in blocks}):
+        group = np.concatenate(
+            [rows[a:b] for (r0, r1), a, b in zip(blocks, cuts, cuts[1:]) if r1 - r0 == s]
+        )
+        for i in range(0, len(group), s):
+            index = group[i:i + s]
+            yield np.resize(index, s), len(index)
+
+
+def _lloyd_pass(
+    X: np.ndarray, xx: np.ndarray, centers: np.ndarray, assign: np.ndarray,
+    dist: np.ndarray, moved: np.ndarray | None, buf: np.ndarray,
+) -> None:
+    """One Lloyd assignment pass, in place: `assign` becomes each row's
+    nearest center (ties to the lowest index) and `dist` its squared
+    distance to it, bit for bit what a full pass over the row blocks gives.
+
+    `moved` lists the centers that moved since the last pass, or is None
+    when all may have. A row whose own center stayed is scored against the
+    moved centers alone; unless one comes within `_margin` of its distance,
+    it keeps its center and distance, since every other center is where it
+    was. The rest get the full product, gathered in blocks of the row count
+    of their own block, so each row rounds as in the full pass. With more
+    than half the centers moved every row gets it. `buf` is one (rows, k)
+    block buffer for every product.
+    """
+    k = len(centers)
+    cc = _sq_norms(centers)
+    if moved is None or 2 * len(moved) > k:
+        need = np.ones(len(X), dtype=bool)
+    else:
+        is_moved = np.zeros(k, dtype=bool)
+        is_moved[moved] = True
+        need = is_moved[assign]
+        stays = np.flatnonzero(~need)
+        shifted, shifted_cc = centers[moved], cc[moved]
+        margin = _margin(X, xx, shifted_cc)
+        for i in range(0, len(stays), len(buf)):
+            rows = stays[i:i + len(buf)]
+            d2 = _sq_dist(X[rows], xx[rows], shifted, shifted_cc, buf)
+            d2 -= margin
+            need[rows[d2.min(axis=1) <= dist[rows]]] = True
+    for index, m in _gathers(len(X), np.flatnonzero(need)):
+        d2 = _sq_dist(X[index], xx[index], centers, cc, buf)[:m]
+        near = np.argmin(d2, axis=1)
+        assign[index[:m]] = near
+        dist[index[:m]] = d2[np.arange(m), near]
 
 
 def _update_centers(
@@ -304,18 +370,42 @@ def _update_centers(
 
 
 def _lloyd(X: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """The (k, D) centers after plain Lloyd iterations (cap 100) from a seeded
-    choice of k rows."""
+    """The (k, D) centers after plain Lloyd iterations (cap 100) from a
+    seeded choice of k rows.
+
+    Each pass rescores only the rows whose nearest center could have changed
+    (`_lloyd_pass`). Each update re-averages only the clusters that gained
+    or lost a row: the others hold the same rows in the same order, so their
+    means keep their bits. The first update, and one with an empty cluster
+    to revive, is `_update_centers` over every cluster; the pass after it
+    scores every row, and after a revive the next update is a full one too.
+    """
     rng = np.random.Generator(np.random.PCG64(mix64(seed, "kmeans", k)))
     centers = X[rng.choice(len(X), size=k, replace=False)].copy()
     xx = _sq_norms(X)
     assign = np.zeros(len(X), dtype=np.int64)
+    dist = np.empty(len(X))
+    buf = np.empty((max(r1 - r0 for r0, r1 in _row_blocks(len(X))), k))
+    moved = None  # the centers moved by the last update; None: all of them
+    means = False  # whether each center is the mean of its cluster's rows
     for _ in range(100):
-        new_assign, dist = _nearest(X, xx, centers)
-        _update_centers(X, new_assign, dist, centers)
-        if np.array_equal(new_assign, assign):
+        before = assign.copy()
+        _lloyd_pass(X, xx, centers, assign, dist, moved, buf)
+        counts = np.bincount(assign, minlength=k)
+        if means and counts.all():
+            changed = assign != before
+            moved = np.flatnonzero(
+                np.bincount(before[changed], minlength=k) + np.bincount(assign[changed], minlength=k)
+            )
+            order = np.argsort(assign, kind="stable")  # rows by cluster, in index order
+            bounds = np.concatenate(([0], np.cumsum(counts)))
+            for c in moved.tolist():
+                centers[c] = X[order[bounds[c]:bounds[c + 1]]].mean(axis=0)
+        else:
+            _update_centers(X, assign, dist, centers)
+            moved, means = None, bool(counts.all())
+        if np.array_equal(assign, before):
             break
-        assign = new_assign
     return centers
 
 
@@ -323,7 +413,7 @@ def _snap(X: np.ndarray, centers: np.ndarray) -> list[int]:
     """Index of each center's nearest row by the direct `sum((x - c) ** 2)`,
     ties to the lowest index.
 
-    Only rows whose matmul distance lies within `margin` of the column's
+    Only rows whose matmul distance lies within `_margin` of the column's
     minimum are scored directly. With D = X.shape[1], unit roundoff u =
     eps / 2 and S = max ||x||^2 + ||c||^2, the standard error bounds (any
     summation order, FMA or not) give, to first order in u:
@@ -338,11 +428,11 @@ def _snap(X: np.ndarray, centers: np.ndarray) -> list[int]:
     direct comparison is a candidate.
 
     One pass over the row blocks keeps each column's running minimum and
-    every row within `margin` of it; the running minimum only falls, so
+    every row within `_margin` of it; the running minimum only falls, so
     this is a superset of the candidates, filtered by the final minimum.
     """
     xx = _sq_norms(X)
-    margin = (8 * X.shape[1] + 18) * np.finfo(float).eps * (xx.max() + _sq_norms(centers))
+    margin = _margin(X, xx, _sq_norms(centers))
     low = np.full(len(centers), np.inf)
     found = []
     for r0, r1, d2 in _distance_blocks(X, xx, centers):

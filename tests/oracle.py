@@ -1048,3 +1048,19 @@ def oracle_build_vocabulary(samples, k, seed):
 
     nearest = [int(np.argmin(np.sum((X - center) ** 2, axis=1))) for center in centers]
     return nearest, centers, revives
+
+
+def oracle_lloyd_pass(X, centers, blocks):
+    """One plain Lloyd assignment pass: every row scored against every
+    center, block by block over the (start, stop) row `blocks`.
+
+    Returns each row's nearest center (ties to the lowest index), its squared
+    distance to it and the (N, k) squared distances.
+    """
+    cc = np.sum(centers * centers, axis=1)
+    d2 = np.concatenate([
+        np.sum(X[r0:r1] * X[r0:r1], axis=1)[:, None] - 2.0 * (X[r0:r1] @ centers.T) + cc[None, :]
+        for r0, r1 in blocks
+    ])
+    nearest = np.argmin(d2, axis=1)
+    return nearest, d2[np.arange(len(X)), nearest], d2

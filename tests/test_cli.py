@@ -452,6 +452,12 @@ _CAMERA = {"id": "c", "dx": 1.0, "dy": 0.0, "dyaw": 0.0, "intrinsics": {"fx": 15
          "config.metric_thresholds: ttc_horizon must be at most 10 s, got 11.0"),
         ({"idm": {"v_desired": 1e-320}}, "config.idm.v_desired: subnormal number: 1e-320"),
         ({"weights": {"w_lk": -1e-310}}, "config.weights.w_lk: subnormal number"),
+        ({"idm": {"delta": 1e9}}, "config.idm: delta must be at most 10, got 1000000000.0"),
+        ({"idm": {"v_desired": 1e-300}},
+         "config.idm: v_desired must lie in [0.1, 100] m/s, got 1e-300"),
+        ({"idm": {"v_desired": 101}}, "config.idm: v_desired must lie in [0.1, 100] m/s, got 101.0"),
+        ({"limits": {"wheelbase": 1e-300}},
+         "config.limits: wheelbase must lie in [0.5, 20] m, got 1e-300"),
     ],
     ids=[
         "string-int", "bool-int", "float-int", "int-bool", "inf", "string-float", "section-number",
@@ -464,7 +470,8 @@ _CAMERA = {"id": "c", "dx": 1.0, "dy": 0.0, "dyaw": 0.0, "intrinsics": {"fx": 15
         "ttc-horizon-negative", "ttc-horizon-zero", "lk-fraction-above-one",
         "lk-fraction-negative", "ec-tol-negative", "moving-speed-negative", "ttc-min-negative",
         "ddc-seconds-negative", "ttc-horizon-1e308", "ttc-horizon-1e300", "ttc-horizon-above-cap",
-        "idm-v-desired-subnormal", "weight-subnormal",
+        "idm-v-desired-subnormal", "weight-subnormal", "idm-delta-1e9", "idm-v-desired-1e-300",
+        "idm-v-desired-above-range", "wheelbase-1e-300",
     ],
 )
 def test_generate_bad_config_value_one_error_line(

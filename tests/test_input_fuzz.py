@@ -6,8 +6,8 @@ road, an intersection with a traffic light, a lead vehicle and a cut-in. It
 deletes a field, swaps its type, sets an edge value (0, -0.0, 1e308,
 1e-320), or empties or shortens an array. Each config case edits one or two
 numeric leaves of the default config file: it deletes the leaf, swaps its
-type or sets an edge value. The mutated file goes through
-`drivegen generate` in-process with a 16-entry vocabulary. The CLI contract
+type or sets an edge value (those four, 1e9 or 1e-300). The mutated file
+goes through `drivegen generate` in-process with a 16-entry vocabulary. The CLI contract
 must hold: exit 1 with exactly one `error:` line, or exit 0 with finite
 outputs and nothing on stderr (a `RuntimeWarning` fails the test too).
 Mutations come from stdlib `random` at fixed seeds, so a failure names a
@@ -29,6 +29,7 @@ from drivegen.vocab import default_vocabulary, save_vocabulary
 BASES = {1: "straight-0000", 2: "intersection-0040", 3: "lead-vehicle-0060", 4: "cut-in-0080"}
 CASES_PER_SEED = 200
 EDGE_VALUES = (0, -0.0, 1e308, 1e-320)
+CONFIG_EDGE_VALUES = (*EDGE_VALUES, 1e9, 1e-300)
 SWAPPED_TYPES = ("x", None, True, [], {})
 
 
@@ -147,7 +148,7 @@ def _mutate_leaf(rng, data, path) -> str:
     if kind == "delete":
         del parent[path[-1]]
         return f"delete {path}"
-    parent[path[-1]] = copy.copy(rng.choice(SWAPPED_TYPES if kind == "swap" else EDGE_VALUES))
+    parent[path[-1]] = copy.copy(rng.choice(SWAPPED_TYPES if kind == "swap" else CONFIG_EDGE_VALUES))
     return f"set {path} to {parent[path[-1]]!r}"
 
 

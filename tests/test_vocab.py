@@ -39,6 +39,7 @@ from oracle import (
     oracle_cell,
     oracle_feasibility_filter,
     oracle_flatten,
+    oracle_lloyd_pass,
     oracle_place_at_state,
     oracle_synthesize_maneuvers,
     oracle_threshold_and_grid,
@@ -192,6 +193,98 @@ def test_kmeans_never_holds_the_distance_matrix():
         finally:
             tracemalloc.stop()
         assert peak < matrix_bytes / 4
+
+
+@pytest.mark.parametrize("count, k", [(4096, 16), (4096, 64), (1024, 1024), (200, 16)],
+                         ids=["k16", "k64", "k1024", "one-block"])
+def test_same_shape_products_agree_on_the_same_rows(count, k):
+    """The rule the k-means relies on: a product with a block's row count,
+    gathered from any rows in any order, duplicates included, gives each row
+    the bits its own block gives it. The 256-row blocks at k = 16, and the
+    one 200-row block, take OpenBLAS's small-matrix kernel."""
+    X = vocab_module._flatten(synthesize_maneuvers(count, horizon=40, dt=0.1, seed=k).tracks)
+    rng = np.random.default_rng(k)
+    centers = X[rng.choice(count, size=k, replace=False)] + 0.01
+    xx, cc = vocab_module._sq_norms(X), vocab_module._sq_norms(centers)
+    reference = np.empty((count, k))
+    for r0, r1, d2 in vocab_module._distance_blocks(X, xx, centers):
+        reference[r0:r1] = d2
+    sizes = {r1 - r0 for r0, r1 in vocab_module._row_blocks(count)}
+    assert len(sizes) == 1
+    buf = np.empty((sizes.pop(), k))
+    for _ in range(10):
+        rows = rng.integers(count, size=len(buf))
+        gathered = vocab_module._sq_dist(X[rows], xx[rows], centers, cc, buf)
+        assert gathered.tobytes() == reference[rows].tobytes()
+
+
+# 1-D rows on which a row's center (index 3) stays put in the fourth pass
+# while center 1 moves to exactly its distance: the row goes to center 1
+_TIE_ROWS = [2.0, 1.0, 0.0, 0.0, 3.0, 4.0, 0.0, 7.0, 5.0, 3.0, 6.0, 10.0]
+
+
+@pytest.mark.parametrize(
+    "count, k, seed, block_rows",
+    [(2048, 256, 3, 300), (512, 16, 1, 64), (200, 8, 4, 256), (None, 6, 158, 256)],
+    ids=["2048-256-3", "512-16-1", "200-8-4", "tie"],
+)
+def test_each_lloyd_pass_matches_a_full_pass(count, k, seed, block_rows, monkeypatch):
+    """After every pass, each row's center and squared distance equal a
+    plain pass's over all rows and centers, and some passes screen against
+    the moved centers only. 2048 rows run in blocks of 292 and 293, 512 rows
+    in 64-row blocks of OpenBLAS's small-matrix kernel, 200 rows in one
+    block. In the tie case a row whose center stayed is exactly as far from
+    a moved center of lower index, and takes it as the full pass does."""
+    monkeypatch.setattr(vocab_module, "_BLOCK_ROWS", block_rows)
+    if count is None:
+        X = np.array(_TIE_ROWS)[:, None]
+    else:
+        X = vocab_module._flatten(synthesize_maneuvers(count, horizon=40, dt=0.1, seed=seed).tracks)
+    blocks = vocab_module._row_blocks(len(X))
+    run = vocab_module._lloyd_pass
+    screened, ties = [], []
+
+    def checked(X, xx, centers, assign, dist, moved, buf):
+        before = assign.copy()
+        run(X, xx, centers, assign, dist, moved, buf)
+        nearest, nearest_d2, d2 = oracle_lloyd_pass(X, centers, blocks)
+        assert assign.tolist() == nearest.tolist()
+        assert dist.tobytes() == nearest_d2.tobytes()
+        if moved is not None and 2 * len(moved) <= len(centers):
+            screened.append(len(moved))
+            ties.extend(
+                r for r in np.flatnonzero(assign < before).tolist()
+                if assign[r] in moved and before[r] not in moved
+                and d2[r, assign[r]] == d2[r, before[r]]
+            )
+
+    monkeypatch.setattr(vocab_module, "_lloyd_pass", checked)
+    vocab_module._lloyd(X, k, seed)
+    assert screened
+    if count is None:
+        assert ties == [7]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_kmeans_scores_under_60_percent_of_the_products(seed, monkeypatch):
+    """At N = 4096 and k = 256, the k-means computes under 60% of the
+    row-center products that passes x N x k full passes would."""
+    X = vocab_module._flatten(synthesize_maneuvers(4096, horizon=40, dt=0.1, seed=seed).tracks)
+    sq_dist, run = vocab_module._sq_dist, vocab_module._lloyd_pass
+    products, passes = [], []
+
+    def counted_products(X, xx, centers, cc, buf):
+        products.append(len(X) * len(centers))
+        return sq_dist(X, xx, centers, cc, buf)
+
+    def counted_pass(*args):
+        passes.append(1)
+        run(*args)
+
+    monkeypatch.setattr(vocab_module, "_sq_dist", counted_products)
+    monkeypatch.setattr(vocab_module, "_lloyd_pass", counted_pass)
+    vocab_module._lloyd(X, 256, seed)
+    assert sum(products) < 0.6 * len(passes) * 4096 * 256
 
 
 @pytest.mark.parametrize("ys, winner", [((5.0, 1.0, -1.0, -5.0), 1), ((1.0, -1.0), 0), ((-1.0, 1.0), 0)])
