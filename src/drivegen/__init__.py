@@ -22,7 +22,7 @@ from .scenario import (  # noqa: F401
     write_scenario,
 )
 from .synth import CorpusConfig, corpus_config_for_count, generate_synthetic_corpus  # noqa: F401
-from .control import ControlInput, LqrParams, VehicleLimits, bicycle_step, lqr_track  # noqa: F401
+from .control import LqrParams, VehicleLimits, lqr_track  # noqa: F401
 from .reactive import IdmParams, idm_accel, rollout  # noqa: F401
 from .metrics import (  # noqa: F401
     MetricThresholds,

@@ -22,6 +22,7 @@ oracles of `tests/oracle.py` (`oracle_rollout`, `oracle_lqr_track`,
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from .control import (
     VehicleLimits,
     _tracking_gain,
 )
-from .errors import RolloutError
+from .errors import ConfigError, RolloutError
 from .geometry import per_element, wrap_angle, wrap_angle_many
 from .reactive import (
     LEADER_LOOKAHEAD,
@@ -55,7 +56,7 @@ if TYPE_CHECKING:  # metrics scores what this module simulates; neither imports 
 
 
 def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """`control._clamp`: lo if v < lo, else hi if v > hi, else v."""
+    """lo if v < lo, else hi if v > hi, else v, per element."""
     return np.where(v < lo, lo, np.where(v > hi, hi, v))
 
 
@@ -93,13 +94,35 @@ def _bicycle_step(
     s: StateBatch, accel: np.ndarray, steer_rate: np.ndarray, dt: float, lim: VehicleLimits,
     out: np.ndarray | None = None,
 ) -> StateBatch:
-    """`control.bicycle_step` of every row: commands and steering clamped to
-    `lim`, then one `_advance`."""
+    """The kinematic bicycle step of every row, the package's only one: the
+    commands (accel, steer rate) and the steering are clamped to `lim`, never
+    rejected, then one `_advance`; speed never goes negative."""
     accel = _clamp(accel, -lim.accel_max, lim.accel_max)
     steer_rate = _clamp(steer_rate, -lim.steer_rate_max, lim.steer_rate_max)
     delta = _clamp(s.steering, -lim.steer_max, lim.steer_max)
     new_delta = _clamp(delta + dt * steer_rate, -lim.steer_max, lim.steer_max)
     return _advance(s, accel, delta, dt, lim.wheelbase, new_delta, out)
+
+
+MAX_DT = 1.0  # s, the longest step the synthesized tracks are integrated with
+
+
+def two_phase_tracks(v0, accel, d1, d2, switch, horizon: int, dt: float) -> StateBatch:
+    """(7, P, horizon + 1) tracks of the default bicycle, one row per entry of
+    the P-long arrays: each starts at the origin heading +x at speed `v0`,
+    holds `accel`, and steers toward `d1` before step `switch` and toward
+    `d2` from it, at most 0.4 rad/s. The corpus egos and the vocabulary
+    maneuvers both come from here, so their dt rule is checked here."""
+    if not sys.float_info.min <= dt <= MAX_DT:
+        raise ConfigError(f"dt must lie in (0, {MAX_DT}] s and not be subnormal, got {dt}")
+    limits = VehicleLimits()
+    track = np.zeros((7, len(v0), horizon + 1))
+    track[3, :, 0] = v0
+    for k in range(horizon):
+        cur = StateBatch(track[:, :, k])
+        rate = _bound((np.where(k < switch, d1, d2) - cur.steering) / dt, 0.4)
+        _bicycle_step(cur, accel, rate, dt, limits, track[:, :, k + 1])
+    return StateBatch(track)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +229,10 @@ def _agent_step_batch(
     lanes: Sequence[Lane],
     dt: float,
     ctx: SimContext,
-) -> StateBatch:
-    """One IDM + pure-pursuit step of a vehicle agent in every row."""
+    out: np.ndarray,
+) -> None:
+    """One IDM + pure-pursuit step of a vehicle agent in every row, written
+    into the (7, P) `out`."""
     st = scene[agent_id][0]
     lane = assign_lanes(st.x, st.y, lanes)
     s_self, found, v_lead, gap = select_leaders(agent_id, scene, lanes, lane)
@@ -225,7 +250,7 @@ def _agent_step_batch(
         return math.atan2(2.0 * wheelbase * math.sin(alpha), PURE_PURSUIT_LOOKAHEAD)
 
     steering = _bound(per_element(pursuit, ty - st.y, tx - st.x, st.theta), DEFAULT_STEER_MAX)
-    return _advance(st, accel, steering, dt, wheelbase, steering)
+    _advance(st, accel, steering, dt, wheelbase, steering, out)
 
 
 def _per_row(state: VehicleState | StateBatch, rows: int) -> StateBatch:
@@ -287,29 +312,18 @@ def rollout_agents(
         }
         return SceneBatch(dt=dt, t_start=t_start, t_end=t_end, ego=ego, agents=agents)
 
-    current = {}
+    tracks = {a.id: np.empty((7, rows, horizon + 1)) for a in ordered}
     for a in ordered:
         init = agent_init.get(a.id) if agent_init else None
-        current[a.id] = _per_row(init if init is not None else a.states[t_start], rows)
-    tracks = {a.id: [current[a.id]] for a in ordered}
+        tracks[a.id][:, :, 0] = _per_row(a.states[t_start] if init is None else init, rows).data
     lanes = scenario.map.lanes
     for k in range(horizon):
         scene = {"ego": (ego.at(k), ctx.ego_length)}
-        for a in ordered:
-            scene[a.id] = (current[a.id], a.length)
-        current = {
-            a.id: current[a.id]
-            if a.kind == "static"
-            else _agent_step_batch(a.id, a.length, scene, lanes, dt, ctx)
-            for a in ordered
-        }
-        for aid, st in current.items():
-            tracks[aid].append(st)
-
-    return SceneBatch(
-        dt=dt,
-        t_start=t_start,
-        t_end=t_end,
-        ego=ego,
-        agents={aid: StateBatch.stack(frames) for aid, frames in tracks.items()},
-    )
+        scene.update((a.id, (StateBatch(tracks[a.id][:, :, k]), a.length)) for a in ordered)
+        for a in ordered:  # every agent steps from frame k into frame k + 1
+            if a.kind == "static":
+                tracks[a.id][:, :, k + 1] = tracks[a.id][:, :, k]
+            else:
+                _agent_step_batch(a.id, a.length, scene, lanes, dt, ctx, tracks[a.id][:, :, k + 1])
+    agents = {aid: StateBatch(track) for aid, track in tracks.items()}
+    return SceneBatch(dt=dt, t_start=t_start, t_end=t_end, ego=ego, agents=agents)

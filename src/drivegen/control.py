@@ -1,10 +1,11 @@
-"""Kinematic bicycle model and the LQR tracking controller.
+"""Vehicle limits and the LQR tracking controller.
 
 The ego executes planned trajectories via error-state LQR feedback around a
-per-step linearization of the bicycle model. The tracker itself is
-`batch._lqr_track_batch`; `lqr_track` runs one reference through it, and
-this module supplies its gains, solved for a call's new keys in one stacked
-Riccati recursion and kept in a per-process table (the one impure part).
+per-step linearization of the kinematic bicycle, whose one update is
+`batch._bicycle_step`. The tracker itself is `batch._lqr_track_batch`;
+`lqr_track` runs one reference through it, and this module supplies its
+gains, solved for a call's new keys in one stacked Riccati recursion and
+kept in a per-process table (the one impure part).
 """
 
 from __future__ import annotations
@@ -16,20 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RolloutError, ValidationError
-from .geometry import wrap_angle
-from .scenario import Pose2D, Trajectory, VehicleState
+from .scenario import Trajectory, VehicleState
 
 # Actuation and geometry defaults; all overridable through VehicleLimits.
 DEFAULT_WHEELBASE = 2.7
 DEFAULT_ACCEL_MAX = 3.0
 DEFAULT_STEER_MAX = 0.55
 DEFAULT_STEER_RATE_MAX = 0.5
-
-
-@dataclass(frozen=True, slots=True)
-class ControlInput:
-    accel: float  # m/s^2
-    steer_rate: float  # rad/s
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,49 +62,6 @@ class LqrParams:
             raise ValidationError(
                 f"control_weights must be positive, got {list(self.control_weights)}"
             )
-
-
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return lo if v < lo else (hi if v > hi else v)
-
-
-def bicycle_step(
-    state: VehicleState,
-    u: ControlInput,
-    dt: float,
-    limits: VehicleLimits | None = None,
-) -> VehicleState:
-    """Forward-Euler kinematic bicycle update.
-
-    Speed is clamped to be nonnegative (no reverse), steering to the
-    configured maximum, and theta is renormalized. Commands are clamped,
-    never rejected.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    lim = limits or VehicleLimits()
-
-    accel = _clamp(u.accel, -lim.accel_max, lim.accel_max)
-    steer_rate = _clamp(u.steer_rate, -lim.steer_rate_max, lim.steer_rate_max)
-
-    v = state.vel_lon
-    theta = state.pose.theta
-    delta = _clamp(state.steering, -lim.steer_max, lim.steer_max)
-
-    x = state.pose.x + dt * v * math.cos(theta)
-    y = state.pose.y + dt * v * math.sin(theta)
-    new_theta = wrap_angle(theta + dt * v * math.tan(delta) / lim.wheelbase)
-    new_v = max(0.0, v + dt * accel)
-    new_delta = _clamp(delta + dt * steer_rate, -lim.steer_max, lim.steer_max)
-
-    applied_accel = (new_v - v) / dt  # differs from the command only at the v=0 clamp
-    return VehicleState(
-        pose=Pose2D(x, y, new_theta),
-        vel_lon=new_v,
-        vel_lat=0.0,
-        accel=applied_accel,
-        steering=new_delta,
-    )
 
 
 # Gain-schedule quantization: gains vary smoothly in (v, delta), so the table

@@ -36,7 +36,6 @@ from .expert import (
     recovery_retrieve,
     recovery_targets,
 )
-from .geometry import per_element, wrap_angle_many
 # `compute_submetrics`, `rollout` and `feasibility_filter` stay bound here:
 # perfbench/tracer.py wraps them as `pipeline.<name>`
 from .metrics import (  # noqa: F401
@@ -100,20 +99,15 @@ class RoundStats:
 
 
 def sensor_stub(ego: StateBatch, camera_rig: Sequence[CameraConfig]) -> np.ndarray:
-    """Compose each camera's fixed ego-to-camera transform with a one-row
-    (7, 1, n) ego track: the (cameras, n, 3) poses x, y, theta. Each pose
-    turns by `math` cos and sin of its heading, as with Python floats."""
+    """The (cameras, n, 3) poses x, y, theta of each camera along a one-row
+    (7, 1, n) ego track: the rig's fixed (dx, dy, dyaw) offsets placed at
+    every ego pose by `vocab.place_tracks`."""
     if not camera_rig:
         raise ValidationError("camera rig must not be empty")
-    x, y, theta = ego.data[:3, 0]
-    c, s = per_element(math.cos, theta), per_element(math.sin, theta)
-    return np.stack([
-        np.stack([
-            x + (c * cam.dx - s * cam.dy), y + (s * cam.dx + c * cam.dy),
-            wrap_angle_many(theta + cam.dyaw),
-        ], axis=-1)
-        for cam in camera_rig
-    ])
+    offsets = np.zeros((7, ego.data.shape[2], len(camera_rig)))  # the rig at every pose
+    offsets[:3] = np.array([(cam.dx, cam.dy, cam.dyaw) for cam in camera_rig]).T[:, None]
+    poses = place_tracks(offsets, StateBatch(ego.data[:, 0]))
+    return poses.data[:3].transpose(2, 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -107,11 +107,6 @@ class StateBatch:
         """(7, P): one frame of P rows, one state each."""
         return cls(cls.track(states).data[:, 0])
 
-    @classmethod
-    def stack(cls, frames: Sequence["StateBatch"]) -> "StateBatch":
-        """(7, P, n) tracks from n per-frame batches."""
-        return cls(np.stack([f.data for f in frames], axis=-1))
-
     def at(self, k: int) -> "StateBatch":
         return StateBatch(self.data[:, :, k])
 

@@ -1,10 +1,11 @@
 """Synthetic desk-scale scenario corpus.
 
 Five road templates (straight, curve, intersection, lead-vehicle, cut-in)
-with randomized speeds, geometry and agent placement. Ego logs are produced
-by integrating the same bicycle model the simulator uses, so every log is
+with randomized speeds, geometry and agent placement. Every ego log of a
+corpus is integrated in one `batch.two_phase_tracks` call, the bicycle
+model the simulator and the maneuver vocabulary use, so every log is
 kinematically consistent by construction. Synthesis is a pure function of
-(config, seed).
+(config, seed), and every scenario it returns validates.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .control import ControlInput, VehicleLimits, bicycle_step
-from .errors import ConfigError
+from .batch import two_phase_tracks
+from .control import VehicleLimits
+from .errors import ConfigError, ValidationError
 from .geometry import corridor_polygon, local_to_global
 from .scenario import (
     DEFAULT_T_HISTORY,
@@ -28,6 +30,7 @@ from .scenario import (
     TrafficLight,
     Trajectory,
     VehicleState,
+    validate_scenario,
 )
 from .seeding import mix64
 
@@ -61,8 +64,6 @@ def corpus_config_for_count(total: int, **kwargs) -> CorpusConfig:
 
 
 def _validate_config(config: CorpusConfig) -> None:
-    if config.dt <= 0:
-        raise ConfigError("dt must be positive")
     if config.t_history < 2 or config.t_horizon < 1:
         raise ConfigError("t_history must be >= 2 and t_horizon >= 1")
     for name, c in config.counts.items():
@@ -72,31 +73,6 @@ def _validate_config(config: CorpusConfig) -> None:
             raise ConfigError(f"negative count for template '{name}'")
     if config.lane_width <= 0 or config.drivable_buffer < 0:
         raise ConfigError("lane geometry must be positive")
-
-
-def _integrate_ego(
-    start: VehicleState,
-    controls: list[tuple[float, float]],
-    dt: float,
-) -> list[VehicleState]:
-    """Integrate (accel, steer_rate) commands with the kinematic bicycle."""
-    limits = VehicleLimits()
-    states = [start]
-    cur = start
-    for accel, steer_rate in controls:
-        cur = bicycle_step(cur, ControlInput(accel, steer_rate), dt, limits)
-        states.append(cur)
-    return states
-
-
-def _initial_state(speed: float) -> VehicleState:
-    return VehicleState(
-        pose=Pose2D(0.0, 0.0, 0.0),
-        vel_lon=speed,
-        vel_lat=0.0,
-        accel=0.0,
-        steering=0.0,
-    )
 
 
 def _centerline_from_path(
@@ -146,11 +122,21 @@ def _smoothstep(u: float) -> float:
     return u * u * (3.0 - 2.0 * u)
 
 
-def _build_scenario(template: str, index: int, config: CorpusConfig, seed: int) -> Scenario:
-    rng = random.Random(mix64(seed, "scenario", template, index))
+def _arc_steering(rng: random.Random) -> float:
+    """The steady steering of a curve of random radius, turning either way."""
+    radius = rng.uniform(70.0, 140.0) * rng.choice((-1.0, 1.0))
+    return math.atan(VehicleLimits().wheelbase / abs(radius)) * math.copysign(1.0, radius)
+
+
+def _build_scenario(
+    template: str, index: int, config: CorpusConfig, rng: random.Random,
+    ego_states: tuple[VehicleState, ...],
+) -> Scenario:
+    """The scenario around an integrated ego log; `rng` has drawn its start
+    speed (and a curve's arc) and draws the rest."""
     dt = config.dt
-    n = config.t_history + 2 * config.t_horizon
-    speed = rng.uniform(8.0, 12.0)
+    n = len(ego_states)
+    speed = ego_states[0].vel_lon
     half_corridor = 0.5 * config.lane_width + config.drivable_buffer
 
     agents: list[AgentTrack] = []
@@ -158,29 +144,13 @@ def _build_scenario(template: str, index: int, config: CorpusConfig, seed: int) 
     extra_lanes: list[Lane] = []
     extra_polys: list[tuple[tuple[float, float], ...]] = []
 
-    if template == "curve":
-        radius = rng.uniform(70.0, 140.0) * rng.choice((-1.0, 1.0))
-        delta_target = math.atan(VehicleLimits().wheelbase / abs(radius)) * math.copysign(1.0, radius)
-        ramp_start = config.t_history  # keep the history portion straight
-        controls = []
-        current_delta = 0.0
-        for k in range(n - 1):
-            if k < ramp_start:
-                controls.append((0.0, 0.0))
-            else:
-                rate = max(-0.4, min(0.4, (delta_target - current_delta) / dt))
-                controls.append((0.0, rate))
-                current_delta = current_delta + rate * dt
-        ego_states = _integrate_ego(_initial_state(speed), controls, dt)
-    elif template == "lead-vehicle":
-        ego_states = _integrate_ego(_initial_state(speed), [(0.0, 0.0)] * (n - 1), dt)
+    if template == "lead-vehicle":
         gap0 = rng.uniform(28.0, 40.0)
         lead_speed = max(3.0, speed - rng.uniform(0.8, 1.6))
         agents.append(
             _constant_speed_track("a00-lead", 4.5, 1.9, gap0, 0.0, 0.0, lead_speed, n, dt)
         )
     elif template == "cut-in":
-        ego_states = _integrate_ego(_initial_state(speed), [(0.0, 0.0)] * (n - 1), dt)
         ahead0 = rng.uniform(16.0, 24.0)
         v_agent = speed - rng.uniform(0.0, 0.4)
         t_merge0 = rng.uniform(1.5, 2.5)
@@ -205,8 +175,6 @@ def _build_scenario(template: str, index: int, config: CorpusConfig, seed: int) 
                 )
             )
         agents.append(AgentTrack("a00-cutin", 4.5, 1.9, "vehicle", tuple(states)))
-    else:  # straight / intersection share a straight ego path
-        ego_states = _integrate_ego(_initial_state(speed), [(0.0, 0.0)] * (n - 1), dt)
 
     center = _centerline_from_path(ego_states)
     lanes = [Lane(polyline=tuple(center), width=config.lane_width, direction=1)]
@@ -221,10 +189,13 @@ def _build_scenario(template: str, index: int, config: CorpusConfig, seed: int) 
         extra_polys.append(tuple(corridor_polygon(cross_center, half_corridor)))
         stop_x = x_cross - half_corridor - 2.0
         green_until = t_cross + 1.5
+        red_until = n * dt + 1.0
+        if red_until <= green_until:  # a short log ends before the green does
+            red_until = green_until + 1.0
         lights = (
             TrafficLight(
                 stop_line=((stop_x, -half_corridor), (stop_x, half_corridor)),
-                phases=((0.0, green_until, "green"), (green_until, n * dt + 1.0, "red")),
+                phases=((0.0, green_until, "green"), (green_until, red_until, "red")),
             ),
         )
 
@@ -250,12 +221,30 @@ def _build_scenario(template: str, index: int, config: CorpusConfig, seed: int) 
 
 
 def generate_synthetic_corpus(config: CorpusConfig, seed: int) -> list[Scenario]:
-    """Deterministically synthesize a validated scenario corpus."""
+    """Deterministically synthesize a validated scenario corpus.
+
+    Each scenario draws its start speed, and a curve its arc steering, from
+    its own rng. Every ego log is then integrated in one call, straight
+    through the history and steering toward the arc after it, and each
+    scenario is finished with the rest of its rng's draws. Raises
+    ValidationError naming the first scenario that fails validation and its
+    first diagnostic.
+    """
     _validate_config(config)
-    out: list[Scenario] = []
-    index = 0
+    jobs, speeds, arcs = [], [], []
     for template in TEMPLATES:
         for _ in range(config.counts.get(template, 0)):
-            out.append(_build_scenario(template, index, config, seed))
-            index += 1
+            rng = random.Random(mix64(seed, "scenario", template, len(jobs)))
+            speeds.append(rng.uniform(8.0, 12.0))
+            arcs.append(_arc_steering(rng) if template == "curve" else 0.0)
+            jobs.append((template, len(jobs), rng))
+    n = config.t_history + 2 * config.t_horizon
+    egos = two_phase_tracks(speeds, 0.0, 0.0, arcs, config.t_history, n - 1, config.dt)
+    out: list[Scenario] = []
+    for row, (template, index, rng) in enumerate(jobs):
+        scenario = _build_scenario(template, index, config, rng, egos.states(row))
+        diagnostics = validate_scenario(scenario)
+        if diagnostics:
+            raise ValidationError(f"scenario {scenario.id}: {diagnostics[0]}")
+        out.append(scenario)
     return out

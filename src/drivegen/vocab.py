@@ -31,8 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import _bicycle_step, _bound, rollout_batch
-from .control import VehicleLimits
+from .batch import rollout_batch, two_phase_tracks
 from .errors import SchemaError, ValidationError
 from .geometry import _cached_ops, per_element, wrap_angle_many
 # `check_collision`, `compute_submetrics` and `rollout` stay bound here:
@@ -166,14 +165,12 @@ def synthesize_maneuvers(count: int, horizon: int, dt: float, seed: int) -> Voca
     """Ego-local maneuvers: two-phase steering arcs crossed with speed profiles.
 
     Each maneuver is integrated with the kinematic bicycle, so entries are
-    realizable trajectories. All maneuvers step together, each row exactly as
-    `control.bicycle_step` steps it alone. Deterministic in (count, horizon,
-    dt, seed).
+    realizable trajectories; all of them step together in one
+    `batch.two_phase_tracks` call, which also checks dt. Deterministic in
+    (count, horizon, dt, seed).
     """
     if count < 1:
         raise ValidationError(f"maneuver count must be >= 1, got {count}")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValidationError(f"dt must be positive and finite, got {dt}")
     if horizon < 2:
         raise ValidationError(f"horizon must be >= 2, got {horizon}")
     rng = random.Random(mix64(seed, "maneuvers", count, horizon))
@@ -195,18 +192,7 @@ def synthesize_maneuvers(count: int, horizon: int, dt: float, seed: int) -> Voca
             d2 = rng.uniform(-0.06, 0.06)
         switch = rng.randrange(horizon // 4, 3 * horizon // 4)
         row[:] = v0, accel, d1, d2, switch
-    v0, accel, d1, d2, switch = draws.T
-
-    limits = VehicleLimits()
-    track = np.empty((7, count, horizon + 1))
-    track[:, :, 0] = 0.0
-    track[3, :, 0] = v0
-    for k in range(horizon):
-        cur = StateBatch(track[:, :, k])
-        target = np.where(k < switch, d1, d2)
-        rate = _bound((target - cur.steering) / dt, 0.4)
-        _bicycle_step(cur, accel, rate, dt, limits, track[:, :, k + 1])
-    return Vocabulary(dt, StateBatch(track))
+    return Vocabulary(dt, two_phase_tracks(*draws.T, horizon, dt))
 
 
 # ---------------------------------------------------------------------------

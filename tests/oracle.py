@@ -16,11 +16,13 @@ turns a scene row into one, and `SceneStates.batch` turns one back into
 the package's one-row scene.
 
 The simulation runs on Python floats, one vehicle and one frame at a time:
-`oracle_lqr_track` tracks with `control.bicycle_step` and the gain of each
-step's key solved alone (`oracle_tracking_gain`, the reference of the batched
-gain table `control._tracking_gain`), agents find their lane
-and leader with the scalar `PolylineOps.project`, accelerate by the scalar
-IDM `oracle_idm_accel` and step with the scalar kinematics of `_agent_step`.
+`oracle_lqr_track` and `oracle_synthesize_maneuvers` step with the scalar
+kinematic bicycle `bicycle_step`, the reference of `batch._bicycle_step`,
+the package's one bicycle update. The tracker uses the gain of each step's
+key solved alone (`oracle_tracking_gain`, the reference of the batched gain
+table `control._tracking_gain`); agents find their lane and leader with
+the scalar `PolylineOps.project`, accelerate by the scalar IDM
+`oracle_idm_accel` and step with the scalar kinematics of `_agent_step`.
 
 Each sub-metric is computed on Python floats, frame by frame: NC searches per-frame
 `OrientedBox` pairs for the first contact and rules on its fault with its own
@@ -56,10 +58,8 @@ from drivegen.control import (
     DEFAULT_STEER_MAX,
     GAIN_DELTA_STEP,
     GAIN_V_STEP,
-    ControlInput,
     LqrParams,
     VehicleLimits,
-    bicycle_step,
 )
 from drivegen.errors import RolloutError
 from drivegen.geometry import (
@@ -97,6 +97,48 @@ from drivegen.scenario import (
 )
 from drivegen.seeding import mix64
 from drivegen.vocab import STATUS_PENDING
+
+
+@dataclass(frozen=True, slots=True)
+class ControlInput:
+    accel: float  # m/s^2
+    steer_rate: float  # rad/s
+
+
+def _clamp(v, lo, hi):
+    return lo if v < lo else (hi if v > hi else v)
+
+
+def bicycle_step(state, u, dt, limits=None):
+    """Forward-Euler kinematic bicycle update of one `VehicleState` by a
+    `ControlInput`, on Python floats.
+
+    Speed is clamped to be nonnegative (no reverse), steering to the
+    configured maximum, and theta is renormalized. Commands are clamped,
+    never rejected.
+    """
+    lim = limits or VehicleLimits()
+    accel = _clamp(u.accel, -lim.accel_max, lim.accel_max)
+    steer_rate = _clamp(u.steer_rate, -lim.steer_rate_max, lim.steer_rate_max)
+
+    v = state.vel_lon
+    theta = state.pose.theta
+    delta = _clamp(state.steering, -lim.steer_max, lim.steer_max)
+
+    x = state.pose.x + dt * v * math.cos(theta)
+    y = state.pose.y + dt * v * math.sin(theta)
+    new_theta = wrap_angle(theta + dt * v * math.tan(delta) / lim.wheelbase)
+    new_v = max(0.0, v + dt * accel)
+    new_delta = _clamp(delta + dt * steer_rate, -lim.steer_max, lim.steer_max)
+
+    applied_accel = (new_v - v) / dt  # differs from the command only at the v=0 clamp
+    return VehicleState(
+        pose=Pose2D(x, y, new_theta),
+        vel_lon=new_v,
+        vel_lat=0.0,
+        accel=applied_accel,
+        steering=new_delta,
+    )
 
 
 def angle_diff(a, b):

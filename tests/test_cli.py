@@ -377,6 +377,47 @@ def test_build_vocab_bad_sample_count_one_error_line(tmp_path, capsys, count):
     assert not out.exists()
 
 
+_SET_UP = {"gen-corpus": ["--count", "5"], "build-vocab": ["--k", "4", "--samples", "16"]}
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf", "1e20", "1e300", "1e-320", "0", "-0.1", "1.5"])
+@pytest.mark.parametrize("command", sorted(_SET_UP))
+def test_set_up_commands_refuse_a_bad_dt_one_error_line(tmp_path, capsys, command, dt):
+    """Both set-up commands integrate their tracks in one place, which takes
+    a normal step of at most 1 s and refuses any other with one line."""
+    out = tmp_path / "out"
+    rc = main([command, *_SET_UP[command], "--dt", dt, "--out", str(out)])
+    assert rc == 1
+    assert _one_error_line(capsys) == (
+        f"error: dt must lie in (0, 1.0] s and not be subnormal, got {float(dt)}"
+    )
+    assert not out.exists()
+
+
+def test_gen_corpus_at_a_short_step_writes_scenarios_that_load(tmp_path):
+    """At dt 0.05 the intersection lights' red phase still follows the green
+    one, so every written scenario loads."""
+    out = tmp_path / "corpus"
+    assert main(["gen-corpus", "--count", "50", "--seed", "2026", "--dt", "0.05",
+                 "--out", str(out)]) == 0
+    paths = sorted(out.glob("*.json"))
+    assert len(paths) == 50
+    for path in paths:
+        load_scenario(path)
+
+
+def test_gen_corpus_refuses_a_scenario_that_does_not_validate(tmp_path, capsys):
+    """At dt 0.5 some curves leave their corridor: one error line names the
+    first such scenario and its first diagnostic, and nothing is written."""
+    out = tmp_path / "corpus"
+    rc = main(["gen-corpus", "--count", "50", "--seed", "2026", "--dt", "0.5", "--out", str(out)])
+    assert rc == 1
+    assert _one_error_line(capsys) == (
+        "error: scenario curve-0011: ego footprint outside drivable area at frame 28"
+    )
+    assert not out.exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

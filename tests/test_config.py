@@ -168,12 +168,12 @@ def test_config_surface_is_pinned():
 
 
 PUBLIC_NAMES = [
-    "AgentTrack", "ControlInput", "CorpusConfig", "ExpertFilterSpec", "FitResult", "GridSpec",
+    "AgentTrack", "CorpusConfig", "ExpertFilterSpec", "FitResult", "GridSpec",
     "IdmParams", "Lane", "LqrParams", "MapModel", "MetricThresholds", "MetricWeights",
     "PerturbThresholds", "PerturbationCandidate", "PipelineConfig", "PlannerParams", "Pose2D",
     "RewardRecord", "RoundStats", "ScalingPoint", "Scenario", "SimContext", "SimSample",
     "SubMetricVector", "TrafficLight", "Trajectory", "VehicleLimits", "VehicleState", "Vocabulary",
-    "aggregate_epdms", "bicycle_step", "build_vocabulary", "check_collision", "compare_fits",
+    "aggregate_epdms", "build_vocabulary", "check_collision", "compare_fits",
     "compute_submetrics", "config_hash", "corpus_config_for_count", "emit_curve",
     "enumerate_perturbations", "expert_filter", "export_dataset", "feasibility_filter",
     "fit_log_quadratic", "generate_synthetic_corpus", "grid_sparsify", "idm_accel", "load_config",

@@ -1,30 +1,43 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from drivegen.batch import _bicycle_step
 from drivegen.control import (
     GAIN_DELTA_STEP,
     GAIN_V_STEP,
-    ControlInput,
     LqrParams,
     VehicleLimits,
     _tracking_gain,
-    bicycle_step,
     lqr_track,
 )
 from drivegen.errors import RolloutError, ValidationError
+from drivegen.reactive import StateBatch
 from drivegen.scenario import FRAME_EGO_LOCAL, Trajectory
 
 from conftest import make_state, state_bits, straight_trajectory
-from oracle import finite_horizon_gain, oracle_lqr_track, oracle_tracking_gain, tracking_error
+from oracle import (
+    ControlInput, bicycle_step, finite_horizon_gain, oracle_lqr_track, oracle_tracking_gain,
+    tracking_error,
+)
 
 
-# --- bicycle model
+# --- bicycle model: `batch._bicycle_step`, the package's one bicycle update
+
+
+def _step(state, accel, steer_rate, dt, limits=None):
+    """One `_bicycle_step` of a one-row batch, back as a `VehicleState`."""
+    out = _bicycle_step(
+        StateBatch.frame([state]), np.array([accel]), np.array([steer_rate]), dt,
+        limits or VehicleLimits(),
+    )
+    return StateBatch(out.data[:, :, None]).states(0)[0]
 
 
 def test_bicycle_straight_advance_exact():
-    s = bicycle_step(make_state(v=10.0), ControlInput(0.0, 0.0), dt=0.1)
+    s = _step(make_state(v=10.0), 0.0, 0.0, dt=0.1)
     assert s.pose.x == 1.0
     assert s.pose.y == 0.0
     assert s.pose.theta == 0.0
@@ -32,7 +45,7 @@ def test_bicycle_straight_advance_exact():
 
 
 def test_bicycle_no_reverse():
-    s = bicycle_step(make_state(v=0.0), ControlInput(-2.0, 0.0), dt=0.1)
+    s = _step(make_state(v=0.0), -2.0, 0.0, dt=0.1)
     assert s.vel_lon == 0.0
     assert s.pose.x == 0.0 and s.pose.y == 0.0
 
@@ -40,21 +53,44 @@ def test_bicycle_no_reverse():
 def test_bicycle_yaw_rate_formula():
     # oracle: yaw increment = dt * v * tan(delta) / wheelbase
     expected = 0.1 * 10.0 * math.tan(0.1) / 2.7
-    s = bicycle_step(make_state(v=10.0, steering=0.1), ControlInput(0.0, 0.0), dt=0.1, limits=VehicleLimits(wheelbase=2.7))
+    lim = VehicleLimits(wheelbase=2.7)
+    s = _step(make_state(v=10.0, steering=0.1), 0.0, 0.0, dt=0.1, limits=lim)
     assert s.pose.theta == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.03717, abs=1e-5)
 
 
 def test_bicycle_clamps_steering_and_accel():
     lim = VehicleLimits()
-    s = bicycle_step(make_state(v=5.0, steering=0.5), ControlInput(99.0, 99.0), dt=0.1, limits=lim)
+    s = _step(make_state(v=5.0, steering=0.5), 99.0, 99.0, dt=0.1, limits=lim)
     assert s.steering <= lim.steer_max
     assert s.vel_lon == pytest.approx(5.0 + 0.1 * lim.accel_max)
 
 
-def test_bicycle_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        bicycle_step(make_state(), ControlInput(0, 0), dt=0.0)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bicycle_step_matches_the_scalar_oracle(seed):
+    """Every row of one `_bicycle_step` call equals the scalar `bicycle_step`
+    bit for bit: commands beyond `accel_max` and `steer_rate_max`, steering
+    at and beyond +-`steer_max`, braking from v = 0, headings near +-pi and
+    -0.0 inputs included."""
+    rng = random.Random(seed)
+    lim = VehicleLimits()
+    steerings = [lim.steer_max, -lim.steer_max, 0.7, -0.9, -0.0, 0.0]
+    states, accels, rates = [], [], []
+    for i in range(400):
+        states.append(make_state(
+            x=rng.uniform(-50.0, 50.0), y=rng.uniform(-50.0, 50.0),
+            theta=rng.choice([math.pi, -math.pi + 1e-9, -0.0, rng.uniform(-math.pi, math.pi)]),
+            v=0.0 if i % 5 == 0 else rng.uniform(0.0, 20.0),
+            steering=steerings[i % 8] if i % 8 < len(steerings) else rng.uniform(-0.6, 0.6),
+        ))
+        accels.append(rng.choice([-0.0, -9.0, 7.5, -lim.accel_max, rng.uniform(-4.0, 4.0)]))
+        rates.append(rng.choice([-0.0, 2.0, -lim.steer_rate_max, rng.uniform(-1.0, 1.0)]))
+    for dt in (0.1, 0.05):
+        out = _bicycle_step(StateBatch.frame(states), np.array(accels), np.array(rates), dt, lim)
+        got = StateBatch(out.data[:, :, None])
+        for row, (state, accel, rate) in enumerate(zip(states, accels, rates)):
+            want = bicycle_step(state, ControlInput(accel, rate), dt, lim)
+            assert state_bits(got.states(row)[0]) == state_bits(want), (dt, row)
 
 
 # --- Riccati

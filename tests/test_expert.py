@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drivegen.control import ControlInput, VehicleLimits, bicycle_step
+from drivegen.control import VehicleLimits
 from drivegen.errors import RolloutError, ValidationError
 from drivegen.expert import (
     ExpertFilterSpec,
@@ -28,8 +28,8 @@ from conftest import (
     make_state, plan_bits, scene_bits, scene_states, shifted_plan, straight_trajectory,
 )
 from oracle import (
-    SceneStates, oracle_kinematic_limit_violation, oracle_matching_vector, oracle_rollout,
-    oracle_submetrics,
+    ControlInput, SceneStates, bicycle_step, oracle_kinematic_limit_violation,
+    oracle_matching_vector, oracle_rollout, oracle_submetrics,
 )
 
 

@@ -11,6 +11,10 @@ products and a LAPACK solve) and recovery retrieval's `d @ np.ones` sum
 round as the OpenBLAS kernel picked for the CPU does: under the Haswell and
 Zen kernels both planner cases fail, under Prescott all four. Every `math`
 function and `pow` call rounds as the C math library does.
+
+The `gen-corpus` files are pinned too, at the default window and at a
+longer one: their ego logs come from the batched bicycle integrator that
+also builds the vocabulary maneuvers.
 """
 
 import hashlib
@@ -19,6 +23,7 @@ from collections import Counter
 import pytest
 
 import drivegen.pipeline
+from drivegen.cli import main
 from drivegen.config import PipelineConfig
 from drivegen.pipeline import export_dataset, run_generation
 from drivegen.scenario import Pose2D, Trajectory, VehicleState
@@ -47,6 +52,22 @@ DIGESTS = {
         "c7d798f53d7ac414fcfc57fdb0acd9698308a3f67eaf17c4069063eeb70bf727",
     ),
 }
+
+
+CORPUS_DIGESTS = {
+    ("--count", "100", "--seed", "2026"):
+        "1ec2c543866922f4d66e9ef0702ab492e4a109265c12cb56acdd093bd0d7332a",
+    ("--count", "20", "--seed", "5", "--t-history", "30", "--t-horizon", "50"):
+        "c083d513ef777d3a2089a141c68184ddc3c3012c013acfe43bd789d96920c753",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(CORPUS_DIGESTS), ids=" ".join)
+def test_corpus_bytes_are_pinned(tmp_path, flags):
+    """The SHA-256 of the written scenario files, concatenated in name order."""
+    assert main(["gen-corpus", *flags, "--out", str(tmp_path)]) == 0
+    data = b"".join(p.read_bytes() for p in sorted(tmp_path.glob("*.json")))
+    assert hashlib.sha256(data).hexdigest() == CORPUS_DIGESTS[flags]
 
 
 @pytest.fixture(scope="module")
