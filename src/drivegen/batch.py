@@ -22,7 +22,6 @@ oracles of `tests/oracle.py` (`oracle_rollout`, `oracle_lqr_track`,
 from __future__ import annotations
 
 import math
-import sys
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -104,7 +103,10 @@ def _bicycle_step(
     return _advance(s, accel, delta, dt, lim.wheelbase, new_delta, out)
 
 
-MAX_DT = 1.0  # s, the longest step the synthesized tracks are integrated with
+# s, the steps the synthesized tracks are integrated with; a track at a far
+# shorter step hardly moves (at 1e-15 s a corpus's lane corridors degenerate)
+MIN_DT = 1e-3
+MAX_DT = 1.0
 
 
 def two_phase_tracks(v0, accel, d1, d2, switch, horizon: int, dt: float) -> StateBatch:
@@ -113,8 +115,8 @@ def two_phase_tracks(v0, accel, d1, d2, switch, horizon: int, dt: float) -> Stat
     holds `accel`, and steers toward `d1` before step `switch` and toward
     `d2` from it, at most 0.4 rad/s. The corpus egos and the vocabulary
     maneuvers both come from here, so their dt rule is checked here."""
-    if not sys.float_info.min <= dt <= MAX_DT:
-        raise ConfigError(f"dt must lie in (0, {MAX_DT}] s and not be subnormal, got {dt}")
+    if not MIN_DT <= dt <= MAX_DT:
+        raise ConfigError(f"dt must lie in [{MIN_DT}, {MAX_DT}] s, got {dt}")
     limits = VehicleLimits()
     track = np.zeros((7, len(v0), horizon + 1))
     track[3, :, 0] = v0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import io
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,9 +29,12 @@ from .scenario import (
     _array,
     _number,
     _require_keys,
-    _state_from_json,
     dump_json_canonical,
     load_scenario,
+    read_json,
+    read_text,
+    states_of,
+    track_from_json,
     write_scenario,
 )
 from .synth import corpus_config_for_count, generate_synthetic_corpus
@@ -106,10 +109,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _load_trajectory(path: str) -> Trajectory:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: malformed JSON: {e}") from e
+    data = read_json(path)
     if not isinstance(data, dict) or set(data.keys()) - {"dt", "frame", "states"}:
         raise SchemaError(f"{path}: expected fields dt, frame, states")
     frame = data.get("frame", FRAME_GLOBAL)
@@ -120,11 +120,8 @@ def _load_trajectory(path: str) -> Trajectory:
     states = _array(data.get("states"), "states")
     if len(states) < 2:
         raise SchemaError(f"{path}: states: expected at least 2 states, got {len(states)}")
-    return Trajectory(
-        dt=_number(data.get("dt"), "dt"),
-        states=tuple(_state_from_json(s, f"states[{i}]") for i, s in enumerate(states)),
-        frame=frame,
-    )
+    dt = _number(data.get("dt"), "dt")
+    return Trajectory(dt=dt, states=states_of(track_from_json(states, "states")), frame=frame)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -153,20 +150,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _csv_rows(path: str | Path) -> csv.DictReader:
+    """The rows of a CSV input file, keyed by its header."""
+    return csv.DictReader(io.StringIO(read_text(path)))
+
+
 def _read_points_csv(path: str) -> list[ScalingPoint]:
     points = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not {"n", "s"} <= set(reader.fieldnames):
-            raise FitError(f"{path}: expected a CSV header with columns n,s")
-        for i, row in enumerate(reader, start=2):
-            try:
-                n, s = float(row["n"]), float(row["s"])
-            except (TypeError, ValueError) as e:
-                raise FitError(f"{path}: row {i}: {e}") from e
-            if n <= 0:
-                raise FitError(f"{path}: row {i}: n must be positive, got {n}")
-            points.append(ScalingPoint(n=n, s=s))
+    reader = _csv_rows(path)
+    if reader.fieldnames is None or not {"n", "s"} <= set(reader.fieldnames):
+        raise FitError(f"{path}: expected a CSV header with columns n,s")
+    for i, row in enumerate(reader, start=2):
+        try:
+            n, s = float(row["n"]), float(row["s"])
+        except (TypeError, ValueError) as e:
+            raise FitError(f"{path}: row {i}: {e}") from e
+        if n <= 0:
+            raise FitError(f"{path}: row {i}: n must be positive, got {n}")
+        points.append(ScalingPoint(n=n, s=s))
     return points
 
 
@@ -187,10 +188,9 @@ def cmd_fit_scaling(args: argparse.Namespace) -> int:
         n_min = min(p.n for p in points)
         n_max = max(p.n for p in points)
         rows = emit_curve(fit, (n_min, n_max), args.curve_samples)
-        with open(out / f"curve_{label}.csv", "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["n", "s_fit", "s_lo", "s_hi"])
-            writer.writerows(rows)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([["n", "s_fit", "s_lo", "s_hi"], *rows])
+        (out / f"curve_{label}.csv").write_text(buf.getvalue(), encoding="utf-8")
     sys.stdout.write(dump_json_canonical(report))
     return 0
 
@@ -202,30 +202,26 @@ _STATS_COLUMNS = {"round", "attempted", "accepted", "cumulative_accepted"}
 def cmd_stats(args: argparse.Namespace) -> int:
     dataset_dir = Path(args.dataset)
     manifest_path = dataset_dir / "manifest.json"
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{manifest_path}: malformed JSON: {e}") from e
+    manifest = read_json(manifest_path)
     _require_keys(manifest, _MANIFEST_KEYS, str(manifest_path))
+    corpus_ids = _array(manifest["corpus_ids"], "corpus_ids")
+    stats_path = dataset_dir / "stats.csv"
+    reader = _csv_rows(stats_path)
+    missing = sorted(_STATS_COLUMNS - set(reader.fieldnames or ()))
+    if missing:
+        raise SchemaError(f"{stats_path}: missing column '{missing[0]}'")
+    rows = list(reader)
+    records = read_text(dataset_dir / "dataset.jsonl")
+    n_lines = records.count("\n") + (records[-1:] not in ("", "\n"))  # a last unended line counts
     print(f"tool_version:  {manifest['tool_version']}")
     print(f"config_hash:   {manifest['config_hash']}")
     print(f"master_seed:   {manifest['master_seed']}")
-    print(f"scenarios:     {len(_array(manifest['corpus_ids'], 'corpus_ids'))}")
-    stats_path = dataset_dir / "stats.csv"
-    with open(stats_path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        missing = sorted(_STATS_COLUMNS - set(reader.fieldnames or ()))
-        if missing:
-            raise SchemaError(f"{stats_path}: missing column '{missing[0]}'")
-        rows = list(reader)
+    print(f"scenarios:     {len(corpus_ids)}")
     for row in rows:
         print(
             f"round {row['round']}: attempted={row['attempted']} "
             f"accepted={row['accepted']} cumulative={row['cumulative_accepted']}"
         )
-    n_lines = sum(
-        1 for _ in (dataset_dir / "dataset.jsonl").open(encoding="utf-8")
-    )
     print(f"dataset records: {n_lines}")
     return 0
 
@@ -315,10 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DrivegenError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (DrivegenError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,7 @@ from .expert import EXPERT_KINDS, ExpertFilterSpec, PlannerParams
 from .metrics import MetricThresholds, MetricWeights, SimContext
 from .reactive import DEFAULT_B_HARD, IdmParams
 from .scenario import (
-    DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH, MAX_MAGNITUDE, _number, dump_json_canonical,
+    DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH, _number, dump_json_canonical, read_json,
 )
 from .vocab import GridSpec, PerturbThresholds
 
@@ -126,7 +126,7 @@ def _read(tp: Any, value: Any, where: str) -> Any:
         raise ConfigError(f"{where}: expected {tp}, got {value!r}")
     if tp is float:
         try:
-            value = _number(value, where, bound=MAX_MAGNITUDE)
+            value = _number(value, where)
         except SchemaError as e:
             raise ConfigError(str(e)) from e
         if 0.0 < abs(value) < sys.float_info.min:
@@ -180,13 +180,7 @@ def config_hash(config: PipelineConfig) -> str:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    import json
-
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: malformed JSON: {e}") from e
-    return config_from_dict(data)
+    return config_from_dict(read_json(path))
 
 
 def save_config(config: PipelineConfig, path: str | Path) -> None:

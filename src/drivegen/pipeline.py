@@ -46,7 +46,7 @@ from .metrics import (  # noqa: F401
     submetrics_batch,
 )
 from .reactive import MODE_NONREACTIVE, MODE_REACTIVE, SceneBatch, StateBatch, rollout  # noqa: F401
-from .scenario import _STATE_FIELDS, Scenario, corpus_id_collisions, dump_json_canonical
+from .scenario import Scenario, corpus_id_collisions, dump_json_canonical, track_to_json
 from .seeding import mix64
 from .vocab import (
     STATUS_PENDING,
@@ -353,11 +353,6 @@ def run_generation(
 # Export
 
 
-def _states_json(track: np.ndarray) -> list[dict]:
-    """The JSON states of one (7, n) track."""
-    return [dict(zip(_STATE_FIELDS, s)) for s in track.T.tolist()]
-
-
 def sample_to_dict(sample: SimSample, cameras: Sequence[CameraConfig]) -> dict:
     """The export record of a sample; camera ids and intrinsics come from
     the rig that `sensor_stub` posed."""
@@ -368,10 +363,10 @@ def sample_to_dict(sample: SimSample, cameras: Sequence[CameraConfig]) -> dict:
         "expert_kind": sample.expert_kind,
         "seed": sample.seed,
         "candidate_index": sample.candidate_index,
-        "history": _states_json(stage1.ego.data[:, 0]),
-        "expert_future": _states_json(stage2.ego.data[:, 0]),
+        "history": track_to_json(stage1.ego.data[:, 0]),
+        "expert_future": track_to_json(stage2.ego.data[:, 0]),
         "agents_sim": [
-            {"id": aid, "states": _states_json(np.concatenate(
+            {"id": aid, "states": track_to_json(np.concatenate(
                 [track.data[:, 0], stage2.agents[aid].data[:, 0, 1:]], axis=1
             ))}
             for aid, track in sorted(stage1.agents.items())

@@ -24,7 +24,9 @@ import numpy as np
 from .control import lqr_track  # noqa: F401
 from .errors import RolloutError, ValidationError
 from .geometry import PolylineOps, PolylineSetOps, _cached_ops, per_element
-from .scenario import FRAME_GLOBAL, Lane, Pose2D, Scenario, Trajectory, VehicleState
+from .scenario import (
+    FRAME_GLOBAL, Lane, Scenario, Trajectory, VehicleState, states_of, track_of,
+)
 
 if TYPE_CHECKING:  # metrics imports this module, so the context type is annotation-only
     from .metrics import SimContext
@@ -82,20 +84,12 @@ class StateBatch:
 
     @classmethod
     def full(cls, state: VehicleState, rows: int) -> "StateBatch":
-        p = state.pose
-        values = [p.x, p.y, p.theta, state.vel_lon, state.vel_lat, state.accel, state.steering]
-        return cls(np.repeat(np.array(values)[:, None], rows, axis=1))
+        return cls(np.repeat(track_of([state]), rows, axis=1))
 
     @classmethod
     def tracks(cls, tracks: Sequence[Sequence[VehicleState]]) -> "StateBatch":
         """(7, P, n): P rows holding the n states of a track each."""
-        values = [
-            [(s.pose.x, s.pose.y, s.pose.theta, s.vel_lon, s.vel_lat, s.accel, s.steering)
-             for s in states]
-            for states in tracks
-        ]
-        data = np.array(values, dtype=float).reshape(len(values), -1, 7)
-        return cls(np.ascontiguousarray(data.transpose(2, 0, 1)))
+        return cls(np.stack([track_of(states) for states in tracks], axis=1))
 
     @classmethod
     def track(cls, states: Sequence[VehicleState]) -> "StateBatch":
@@ -112,10 +106,7 @@ class StateBatch:
 
     def states(self, row: int) -> tuple[VehicleState, ...]:
         """The states of one row of tracks."""
-        return tuple(
-            VehicleState(Pose2D(x, y, th), v, v_lat, a, st)
-            for x, y, th, v, v_lat, a, st in self.data[:, row, :].T.tolist()
-        )
+        return states_of(self.data[:, row, :])
 
     def trajectory(self, row: int, dt: float) -> Trajectory:
         """The global-frame trajectory of one row of tracks."""

@@ -1,13 +1,16 @@
 """Scenario data model: poses, trajectories, maps, agents, and JSON I/O.
 
 A Scenario is the unit of all downstream processing. Values are immutable
-after construction and safe to share across workers.
+after construction and safe to share across workers. This module is also the
+input boundary: the one file reader and the one codec of JSON state arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -172,25 +175,25 @@ def _require_keys(obj: dict, keys: set[str], where: str) -> None:
 
 
 _FLOAT_MAX = sys.float_info.max
-# Largest magnitude of a coordinate, speed, extent or time in a scenario,
-# trajectory or vocabulary file: a million kilometres as a coordinate, far
-# beyond any map frame, and small enough that the squares and products the
-# engine forms of two such values stay finite.
+# Largest magnitude of any number in a scenario, trajectory or vocabulary
+# file: a million kilometres as a coordinate, far beyond any map frame, and
+# small enough that the squares and products the engine forms of two such
+# values stay finite.
 MAX_MAGNITUDE = 1e9
 
 
-def _number(v: Any, where: str, key: str | None = None, bound: float = _FLOAT_MAX) -> float:
-    """A finite JSON number of magnitude at most `bound` as a float;
+def _number(v: Any, where: str, key: str | None = None) -> float:
+    """A JSON number of magnitude at most `MAX_MAGNITUDE` as a float;
     SchemaError naming `where`[.key] otherwise."""
-    if type(v) is float and -bound <= v <= bound:  # the common case, also false for NaN
+    if type(v) is float and -MAX_MAGNITUDE <= v <= MAX_MAGNITUDE:  # also false for NaN
         return v
     name = where if key is None else f"{where}.{key}"
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{name}: expected a number, got {v!r}")
     if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
         raise SchemaError(f"{name}: not a finite float: {v}")
-    if not -bound <= v <= bound:
-        raise SchemaError(f"{name}: magnitude above {bound:g}: {v}")
+    if not -MAX_MAGNITUDE <= v <= MAX_MAGNITUDE:
+        raise SchemaError(f"{name}: magnitude above {MAX_MAGNITUDE:g}: {v}")
     return float(v)
 
 
@@ -210,10 +213,7 @@ def _array(v: Any, where: str) -> list:
 def _point(p: Any, where: str) -> tuple[float, float]:
     if not isinstance(p, list) or len(p) != 2:
         raise SchemaError(f"{where}: expected an [x, y] point")
-    return (
-        _number(p[0], f"{where}[0]", bound=MAX_MAGNITUDE),
-        _number(p[1], f"{where}[1]", bound=MAX_MAGNITUDE),
-    )
+    return _number(p[0], f"{where}[0]"), _number(p[1], f"{where}[1]")
 
 
 def _points(v: Any, where: str, min_count: int = 0) -> tuple[tuple[float, float], ...]:
@@ -234,24 +234,48 @@ def _polyline(v: Any, where: str) -> tuple[tuple[float, float], ...]:
     return points
 
 
-def _state_from_json(d: dict, where: str) -> VehicleState:
-    _require_keys(d, _STATE_KEYS, where)
-    x, y, theta, v_lon, v_lat, accel, steering = [
-        _number(d[k], where, k, MAX_MAGNITUDE) for k in _STATE_FIELDS
+def track_from_json(states: Any, where: str) -> np.ndarray:
+    """(7, n) values of a JSON array of n states, the one reader of states.
+
+    Floats within `MAX_MAGNITUDE` under exactly the state keys are taken in
+    bulk; any other array is read state by state, which names its first bad
+    field.
+    """
+    states = _array(states, where)
+    if all(type(s) is dict and s.keys() == _STATE_KEYS for s in states):
+        rows = list(map(operator.itemgetter(*_STATE_FIELDS), states))
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {float}:
+            track = np.array(rows).reshape(-1, 7).T
+            if (np.abs(track) <= MAX_MAGNITUDE).all():  # also false for NaN
+                return track
+    rows = []
+    for j, s in enumerate(states):
+        name = f"{where}[{j}]"
+        _require_keys(s, _STATE_KEYS, name)
+        rows.append([_number(s[k], name, k) for k in _STATE_FIELDS])
+    return np.array(rows, dtype=float).reshape(-1, 7).T
+
+
+def track_to_json(track: np.ndarray) -> list[dict]:
+    """The JSON states of a (7, n) track, the one writer of states."""
+    return [dict(zip(_STATE_FIELDS, s)) for s in track.T.tolist()]
+
+
+def track_of(states: Iterable[VehicleState]) -> np.ndarray:
+    """(7, n) values of n states."""
+    values = [
+        (s.pose.x, s.pose.y, s.pose.theta, s.vel_lon, s.vel_lat, s.accel, s.steering)
+        for s in states
     ]
-    return VehicleState(Pose2D(x, y, theta), v_lon, v_lat, accel, steering)
+    return np.array(values, dtype=float).reshape(-1, 7).T
 
 
-def _state_to_json(s: VehicleState) -> dict:
-    return {
-        "x": s.pose.x,
-        "y": s.pose.y,
-        "theta": s.pose.theta,
-        "v_lon": s.vel_lon,
-        "v_lat": s.vel_lat,
-        "accel": s.accel,
-        "steering": s.steering,
-    }
+def states_of(track: np.ndarray) -> tuple[VehicleState, ...]:
+    """The n states of a (7, n) track."""
+    return tuple(
+        VehicleState(Pose2D(x, y, th), v, v_lat, a, st)
+        for x, y, th, v, v_lat, a, st in track.T.tolist()
+    )
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -275,14 +299,14 @@ def scenario_to_dict(s: Scenario) -> dict:
                 for tl in s.map.traffic_lights
             ],
         },
-        "ego_log": [_state_to_json(st) for st in s.ego_log.states],
+        "ego_log": track_to_json(track_of(s.ego_log.states)),
         "agents": [
             {
                 "id": a.id,
                 "length": a.length,
                 "width": a.width,
                 "kind": a.kind,
-                "states": [_state_to_json(st) for st in a.states],
+                "states": track_to_json(track_of(a.states)),
             }
             for a in s.agents
         ],
@@ -306,7 +330,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         lanes.append(
             Lane(
                 polyline=_polyline(ln["polyline"], f"{where}.polyline"),
-                width=_number(ln["width"], f"{where}.width", bound=MAX_MAGNITUDE),
+                width=_number(ln["width"], f"{where}.width"),
                 direction=direction,
             )
         )
@@ -319,19 +343,16 @@ def scenario_from_dict(d: dict) -> Scenario:
         for j, ph in enumerate(_array(tl["phases"], f"{where}.phases")):
             pw = f"{where}.phases[{j}]"
             _require_keys(ph, _PHASE_KEYS, pw)
-            t0 = _number(ph["t0"], f"{pw}.t0", bound=MAX_MAGNITUDE)
-            t1 = _number(ph["t1"], f"{pw}.t1", bound=MAX_MAGNITUDE)
+            t0 = _number(ph["t0"], f"{pw}.t0")
+            t1 = _number(ph["t1"], f"{pw}.t1")
             phases.append((t0, t1, str(ph["state"])))
         stop_line = _points(tl["stop_line"], f"{where}.stop_line")
         if len(stop_line) != 2:
             raise SchemaError(f"{where}.stop_line: expected two points")
         lights.append(TrafficLight(stop_line=stop_line, phases=tuple(phases)))
 
-    dt = _number(d["dt"], "dt", bound=MAX_MAGNITUDE)
-    ego_states = tuple(
-        _state_from_json(st, f"ego_log[{i}]")
-        for i, st in enumerate(_array(d["ego_log"], "ego_log"))
-    )
+    dt = _number(d["dt"], "dt")
+    ego_states = states_of(track_from_json(d["ego_log"], "ego_log"))
 
     agents = []
     for i, ag in enumerate(_array(d["agents"], "agents")):
@@ -340,13 +361,10 @@ def scenario_from_dict(d: dict) -> Scenario:
         agents.append(
             AgentTrack(
                 id=str(ag["id"]),
-                length=_number(ag["length"], f"{where}.length", bound=MAX_MAGNITUDE),
-                width=_number(ag["width"], f"{where}.width", bound=MAX_MAGNITUDE),
+                length=_number(ag["length"], f"{where}.length"),
+                width=_number(ag["width"], f"{where}.width"),
                 kind=str(ag["kind"]),
-                states=tuple(
-                    _state_from_json(st, f"{where}.states[{j}]")
-                    for j, st in enumerate(_array(ag["states"], f"{where}.states"))
-                ),
+                states=states_of(track_from_json(ag["states"], f"{where}.states")),
             )
         )
 
@@ -377,21 +395,33 @@ def write_scenario(s: Scenario, path: str | Path) -> None:
     Path(path).write_text(dump_json_canonical(scenario_to_dict(s)), encoding="utf-8")
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file, the one place a file is read;
+    ParseError naming the file if it cannot be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {path}: {e}") from e
+
+
+def read_json(path: str | Path) -> Any:
+    """The parsed JSON of an input file; ParseError naming the file if it
+    cannot be read or is not JSON."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: malformed JSON: {e}") from e
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load, schema-check, and validate a scenario file.
 
-    Raises ParseError for malformed JSON, SchemaError for shape problems
-    (naming the offending field) and ValidationError when an invariant fails.
+    Raises ParseError for an unreadable file or malformed JSON, SchemaError
+    for shape problems (naming the offending field) and ValidationError when
+    an invariant fails.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: malformed JSON: {e}") from e
-    scenario = scenario_from_dict(data)
+    scenario = scenario_from_dict(read_json(path))
     diagnostics = validate_scenario(scenario)
     if diagnostics:
         raise ValidationError(f"{path}: {diagnostics[0]}")
@@ -448,8 +478,7 @@ def validate_scenario(s: Scenario) -> list[str]:
 
     # footprint containment, named by frame; a non-finite state has no footprint
     if s.map.drivable_area and finite:
-        poses = [(st.pose.x, st.pose.y, st.pose.theta) for st in s.ego_log.states]
-        x, y, theta = np.array(poses).reshape(-1, 3).T
+        x, y, theta = track_of(s.ego_log.states)[:3]
         c, sn = per_element(math.cos, theta), per_element(math.sin, theta)
         cx, cy = stack_corners(box_corners(x, y, c, sn, DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH))
         inside = points_in_any_polygon(cx.ravel(), cy.ravel(), s.map.drivable_area)

@@ -20,10 +20,7 @@ pass is the scalar per-entry arithmetic bit for bit: `math` cos and sin,
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
-import operator
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,8 +48,8 @@ from .reactive import (  # noqa: F401
     MODE_NONREACTIVE, MODE_REACTIVE, SceneBatch, StateBatch, rollout,
 )
 from .scenario import (
-    _STATE_FIELDS, _STATE_KEYS, FRAME_EGO_LOCAL, Scenario, Trajectory, _array, _number,
-    _state_from_json, dump_json_canonical,
+    FRAME_EGO_LOCAL, Scenario, Trajectory, _number, dump_json_canonical, read_json,
+    track_from_json, track_of, track_to_json,
 )
 from .seeding import mix64
 
@@ -80,8 +77,7 @@ class Vocabulary(Sequence[Trajectory]):
     @classmethod
     def of(cls, entries: Sequence[Trajectory]) -> "Vocabulary":
         """The bank of trajectories that share one horizon and dt."""
-        tracks = [StateBatch.track(e.states).data[:, 0] for e in entries]
-        return _bank([e.dt for e in entries], tracks)
+        return _bank([e.dt for e in entries], [track_of(e.states) for e in entries])
 
     def __len__(self) -> int:
         return self.tracks.data.shape[1]
@@ -474,34 +470,15 @@ def default_vocabulary(
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     payload = [
-        {"dt": vocab.dt, "states": [dict(zip(_STATE_FIELDS, s)) for s in track]}
-        for track in vocab.tracks.data.transpose(1, 2, 0).tolist()
+        {"dt": vocab.dt, "states": track_to_json(track)}
+        for track in vocab.tracks.data.transpose(1, 0, 2)
     ]
     Path(path).write_text(dump_json_canonical(payload), encoding="utf-8")
 
 
-_STATE_VALUES = operator.itemgetter(*_STATE_FIELDS)
-
-
-def _track_values(states: list, where: str) -> np.ndarray:
-    """(7, n) values of an entry's JSON states.
-
-    Finite floats under exactly the state keys are taken in bulk; any other
-    entry is parsed state by state, which names its first bad field.
-    """
-    if all(type(s) is dict and s.keys() == _STATE_KEYS for s in states):
-        rows = list(map(_STATE_VALUES, states))
-        if set(map(type, itertools.chain.from_iterable(rows))) <= {float}:
-            track = np.array(rows).reshape(-1, 7).T
-            if np.isfinite(track).all():
-                return track
-    parsed = [_state_from_json(s, f"{where}[{j}]") for j, s in enumerate(states)]
-    return StateBatch.track(parsed).data[:, 0]
-
-
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """The vocabulary file parsed straight into the bank."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     if not isinstance(data, list):
         raise SchemaError("vocabulary: expected a JSON array of trajectories")
     dts, tracks = [], []
@@ -509,8 +486,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         if not isinstance(item, dict) or set(item) != {"dt", "states"}:
             raise SchemaError(f"vocabulary[{i}]: expected fields dt, states")
         dts.append(_number(item["dt"], f"vocabulary[{i}].dt"))
-        where = f"vocabulary[{i}].states"
-        tracks.append(_track_values(_array(item["states"], where), where))
+        tracks.append(track_from_json(item["states"], f"vocabulary[{i}].states"))
     return _bank(dts, tracks)
 
 

@@ -5,14 +5,15 @@ from pathlib import Path
 import pytest
 
 from drivegen.cli import main
-from drivegen.config import PipelineConfig
+from drivegen.config import PipelineConfig, save_config
 from drivegen.metrics import PENALTY_METRICS, aggregate_epdms
 from drivegen.scenario import (
     Trajectory,
-    _state_to_json,
     dump_json_canonical,
     load_scenario,
     scenario_to_dict,
+    track_of,
+    track_to_json,
 )
 from drivegen.vocab import load_vocabulary, save_vocabulary
 
@@ -172,7 +173,7 @@ def test_eval_report_equals_the_scalar_oracles(tmp_path, corpus_dir, capsys, mod
         for plan in (logged, shifted_plan(logged, 0.7, 0.9)):
             traj_path.write_text(json.dumps(
                 {"dt": plan.dt, "frame": plan.frame,
-                 "states": [_state_to_json(st) for st in plan.states]}
+                 "states": track_to_json(track_of(plan.states))}
             ))
             states = oracle_rollout(s, plan, anchor, s.t_horizon, mode, ctx)
             history = s.ego_log.segment(0, anchor)
@@ -380,16 +381,18 @@ def test_build_vocab_bad_sample_count_one_error_line(tmp_path, capsys, count):
 _SET_UP = {"gen-corpus": ["--count", "5"], "build-vocab": ["--k", "4", "--samples", "16"]}
 
 
-@pytest.mark.parametrize("dt", ["nan", "inf", "1e20", "1e300", "1e-320", "0", "-0.1", "1.5"])
+@pytest.mark.parametrize(
+    "dt", ["nan", "inf", "1e20", "1e300", "1e-4", "1e-15", "1e-320", "0", "-0.1", "1.5"]
+)
 @pytest.mark.parametrize("command", sorted(_SET_UP))
 def test_set_up_commands_refuse_a_bad_dt_one_error_line(tmp_path, capsys, command, dt):
     """Both set-up commands integrate their tracks in one place, which takes
-    a normal step of at most 1 s and refuses any other with one line."""
+    a step of 1 ms to 1 s and refuses any other with one line."""
     out = tmp_path / "out"
     rc = main([command, *_SET_UP[command], "--dt", dt, "--out", str(out)])
     assert rc == 1
     assert _one_error_line(capsys) == (
-        f"error: dt must lie in (0, 1.0] s and not be subnormal, got {float(dt)}"
+        f"error: dt must lie in [0.001, 1.0] s, got {float(dt)}"
     )
     assert not out.exists()
 
@@ -531,13 +534,11 @@ def test_generate_bad_config_value_one_error_line(
 
 @pytest.mark.parametrize("frame", ["ego-local-at-start", "banana"])
 def test_eval_refuses_a_plan_that_is_not_global(tmp_path, corpus_dir, small_vocab, capsys, frame):
-    from drivegen.scenario import _state_to_json
-
     scenario_path = sorted(corpus_dir.glob("*.json"))[0]
     entry = small_vocab.entries[0]
     traj_path = tmp_path / "entry.json"
     traj_path.write_text(json.dumps(
-        {"dt": entry.dt, "frame": frame, "states": [_state_to_json(s) for s in entry.states]}
+        {"dt": entry.dt, "frame": frame, "states": track_to_json(track_of(entry.states))}
     ))
     rc = main(["eval", "--scenario", str(scenario_path), "--trajectory", str(traj_path)])
     assert rc == 1
@@ -580,6 +581,67 @@ def test_stats_missing_column_one_error_line(tmp_path, corpus_dir, vocab_file, c
     capsys.readouterr()
     assert main(["stats", "--dataset", str(out)]) == 1
     assert "stats.csv: missing column 'round'" in _one_error_line(capsys)
+
+
+def _input_files(tmp_path, corpus_dir, vocab_file) -> dict:
+    """A readable copy of each of the eight kinds of input file, by name,
+    and the command line that reads it."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(sorted(corpus_dir.glob("*.json"))[0].read_bytes())
+    trajectory = tmp_path / "trajectory.json"
+    _write_logged_trajectory(scenario, trajectory)
+    vocab = tmp_path / "vocab.json"
+    vocab.write_bytes(vocab_file.read_bytes())
+    config = tmp_path / "config.json"
+    save_config(PipelineConfig(), config)
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    (dataset / "manifest.json").write_text(json.dumps({
+        "config_hash": "0", "corpus_ids": [], "expert_kind": "recovery", "master_seed": 0,
+        "reactive": True, "tool_version": "0",
+    }))
+    (dataset / "stats.csv").write_text("round,attempted,accepted,cumulative_accepted\n0,1,1,1\n")
+    (dataset / "dataset.jsonl").write_text("{}\n")
+    points = tmp_path / "points.csv"
+    _points_csv(points, [(1.0, 2.0), (10.0, 3.0), (100.0, 3.5)])
+    evaluate = ["eval", "--scenario", str(scenario), "--trajectory", str(trajectory)]
+    stats = ["stats", "--dataset", str(dataset)]
+    return {
+        "scenario": (scenario, evaluate),
+        "trajectory": (trajectory, evaluate),
+        "vocabulary": (vocab, [
+            "generate", "--corpus", str(corpus_dir), "--vocab", str(vocab),
+            "--out", str(tmp_path / "ds"), "--rounds", "1",
+        ]),
+        "config": (config, ["show-config", "--config", str(config)]),
+        "manifest": (dataset / "manifest.json", stats),
+        "stats": (dataset / "stats.csv", stats),
+        "dataset": (dataset / "dataset.jsonl", stats),
+        "points": (points, ["fit-scaling", "--points", str(points), "--out", str(tmp_path / "fit")]),
+    }
+
+
+_JSON_INPUTS = ("scenario", "trajectory", "vocabulary", "config", "manifest")
+_ALL_INPUTS = (*_JSON_INPUTS, "stats", "dataset", "points")
+
+
+@pytest.mark.parametrize(
+    "name, damage",
+    [(name, "non-utf8") for name in _ALL_INPUTS] + [(name, "truncated") for name in _JSON_INPUTS],
+)
+def test_every_input_file_that_cannot_be_read_fails_in_one_line(
+    tmp_path, corpus_dir, vocab_file, capsys, name, damage
+):
+    """Each kind of input file, with a byte that is not UTF-8 in it or, for
+    JSON, cut off halfway, stops its command with exit code 1 and one
+    `error:` line that names the file."""
+    path, argv = _input_files(tmp_path, corpus_dir, vocab_file)[name]
+    data = path.read_bytes()
+    path.write_bytes(data[:10] + b"\xff" + data[10:] if damage == "non-utf8" else data[: len(data) // 2])
+    assert main(argv) == 1
+    line = _one_error_line(capsys)
+    assert str(path) in line
+    assert ("malformed JSON" if damage == "truncated" else "can't decode byte 0xff") in line
 
 
 def _set(i, j, key, value):

@@ -9,6 +9,7 @@ import pytest
 import drivegen.batch
 import drivegen.expert
 import drivegen.pipeline
+import drivegen.scenario
 import drivegen.vocab
 from drivegen.config import CameraConfig, PipelineConfig, config_hash
 from drivegen.errors import ValidationError
@@ -338,7 +339,7 @@ def test_no_state_objects_between_the_vocabulary_file_and_the_screen(
     path = tmp_path / "vocab.json"
     save_vocabulary(small_vocab, path)
     calls = []
-    _spy(monkeypatch, drivegen.vocab, "_state_from_json", lambda a, k: calls.append("parse"))
+    _spy(monkeypatch, drivegen.scenario, "_require_keys", lambda a, k: calls.append("parse"))
     _spy(monkeypatch, StateBatch, "states", lambda a, k: calls.append("states"))
     _spy(monkeypatch, drivegen.pipeline, "rollout_batch", lambda a, k: calls.append("rollout"))
     vocab = load_vocabulary(path)

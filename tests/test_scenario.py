@@ -6,6 +6,7 @@ import pytest
 
 from drivegen.errors import ParseError, SchemaError, ValidationError
 from drivegen.scenario import (
+    dump_json_canonical,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -191,6 +192,26 @@ def test_write_load_roundtrip_equality(tmp_path, small_corpus):
         write_scenario(s, path)
         loaded = load_scenario(path)
         assert loaded == s  # field-for-field dataclass equality
+
+
+def test_write_load_reproduces_every_corpus_file_byte_for_byte(tmp_path, corpus_100):
+    """Writing a loaded scenario file gives back its bytes, for each of the
+    100 bundled scenarios and for one whose states hold -0.0, which
+    dataclass equality cannot tell from 0.0: the one state reader and the
+    one state writer keep every float as it is."""
+    path, again = tmp_path / "s.json", tmp_path / "again.json"
+    for s in corpus_100:
+        write_scenario(s, path)
+        write_scenario(load_scenario(path), again)
+        assert again.read_bytes() == path.read_bytes(), s.id
+    d = scenario_to_dict(corpus_100[60])
+    assert d["agents"], "the lead-vehicle scene has an agent"
+    for state in (*d["ego_log"], *d["agents"][0]["states"]):
+        state["v_lat"] = -0.0
+    path.write_text(dump_json_canonical(d), encoding="utf-8")
+    write_scenario(load_scenario(path), again)
+    assert '"v_lat":-0.0' in again.read_text()
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_synthesis_determinism():

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from drivegen import vocab as vocab_module
+from drivegen.cli import main
 from drivegen.errors import SchemaError, ValidationError
 from drivegen.geometry import wrap_angle
 from drivegen.reactive import StateBatch
-from drivegen.scenario import AgentTrack, Pose2D, Scenario, Trajectory
+from drivegen.scenario import AgentTrack, Pose2D, Scenario, Trajectory, dump_json_canonical
 from drivegen.seeding import mix64
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 from drivegen.vocab import (
@@ -323,6 +324,24 @@ def test_load_vocabulary_names_a_bad_field(tmp_path, item, named):
     path.write_text(json.dumps([item]))
     with pytest.raises(SchemaError, match=re.escape(named) + ":"):
         load_vocabulary(path)
+
+
+def test_save_load_reproduces_a_build_vocab_file_byte_for_byte(tmp_path):
+    """Saving a loaded `build-vocab` file gives back its bytes, also once
+    some of its fields hold -0.0, which float equality cannot tell from 0.0."""
+    path, again = tmp_path / "vocab.json", tmp_path / "again.json"
+    assert main([
+        "build-vocab", "--k", "16", "--samples", "64", "--seed", "2", "--out", str(path),
+    ]) == 0
+    save_vocabulary(load_vocabulary(path), again)
+    assert again.read_bytes() == path.read_bytes()
+    data = json.loads(path.read_text())
+    for entry in data:
+        entry["states"][0]["v_lat"] = -0.0
+    path.write_text(dump_json_canonical(data), encoding="utf-8")
+    save_vocabulary(load_vocabulary(path), again)
+    assert again.read_text().count('"v_lat":-0.0') == 16
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_load_vocabulary_takes_integer_numbers(tmp_path, small_vocab):
