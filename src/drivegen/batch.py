@@ -35,7 +35,7 @@ from .control import (
     _tracking_gain,
 )
 from .errors import ConfigError, RolloutError
-from .geometry import per_element, wrap_angle, wrap_angle_many
+from .geometry import distinct, per_element, wrap_angle, wrap_angle_many
 from .reactive import (
     LEADER_LOOKAHEAD,
     MODE_NONREACTIVE,
@@ -181,7 +181,7 @@ def _lane_groups(lane: np.ndarray) -> list[tuple[int, slice | np.ndarray]]:
     """(lane index, rows on it) for each lane that rows are assigned to."""
     if lane.size and (lane == lane[0]).all():
         return [(int(lane[0]), slice(None))]
-    return [(int(li), lane == li) for li in np.unique(lane)]
+    return [(li, lane == li) for li in distinct(lane)[0].tolist()]
 
 
 def select_leaders(

@@ -30,6 +30,7 @@ from .scenario import (
     _number,
     _require_keys,
     dump_json_canonical,
+    load_json,
     load_scenario,
     read_json,
     read_text,
@@ -108,25 +109,22 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_trajectory(path: str) -> Trajectory:
-    data = read_json(path)
+def _trajectory_from_json(data) -> Trajectory:
     if not isinstance(data, dict) or set(data.keys()) - {"dt", "frame", "states"}:
-        raise SchemaError(f"{path}: expected fields dt, frame, states")
+        raise SchemaError("expected fields dt, frame, states")
     frame = data.get("frame", FRAME_GLOBAL)
     if frame not in (FRAME_GLOBAL, FRAME_EGO_LOCAL):
-        raise SchemaError(
-            f"{path}: frame: expected '{FRAME_GLOBAL}' or '{FRAME_EGO_LOCAL}', got {frame!r}"
-        )
+        raise SchemaError(f"frame: expected '{FRAME_GLOBAL}' or '{FRAME_EGO_LOCAL}', got {frame!r}")
     states = _array(data.get("states"), "states")
     if len(states) < 2:
-        raise SchemaError(f"{path}: states: expected at least 2 states, got {len(states)}")
+        raise SchemaError(f"states: expected at least 2 states, got {len(states)}")
     dt = _number(data.get("dt"), "dt")
     return Trajectory(dt=dt, states=states_of(track_from_json(states, "states")), frame=frame)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    traj = _load_trajectory(args.trajectory)
+    traj = load_json(args.trajectory, _trajectory_from_json)
     config = load_config(args.config) if args.config else PipelineConfig()
     t_start = args.t_start if args.t_start is not None else scenario.anchor_frame
     horizon = min(scenario.t_horizon, len(traj) - 1)

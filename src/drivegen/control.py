@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RolloutError, ValidationError
+from .geometry import distinct
 from .scenario import Trajectory, VehicleState
 
 # Actuation and geometry defaults; all overridable through VehicleLimits.
@@ -114,7 +115,7 @@ class _GainTable:
         the table are solved in one `_solve_gains` call."""
         gains = self._gains.setdefault(setting, {})
         # distinct keys as v + i delta; + 0.0 turns a -0.0 into the 0.0 it equals
-        unique, inverse = np.unique(np.ravel(v_ref) + 1j * np.ravel(delta_ref), return_inverse=True)
+        unique, inverse = distinct(np.ravel(v_ref) + 1j * np.ravel(delta_ref))
         keys = list(zip((unique.real + 0.0).tolist(), (unique.imag + 0.0).tolist()))
         new = [key for key in keys if key not in gains]
         if new:

@@ -171,6 +171,17 @@ def corridor_polygon(points: Sequence[Point], half_width: float) -> list[Point]:
 # live on Scenario/MapModel objects, so hits are the common case.
 
 
+# Points per broadcast of `project_many` and `nearest_many` against the
+# segments, which bounds their (points, segments) temporaries. Each point's
+# answer depends on its own row of the broadcast alone, so it is the same
+# whatever the block.
+_POINT_BLOCK = 1024
+
+
+def _point_blocks(n: int) -> list[slice]:
+    return [slice(i, i + _POINT_BLOCK) for i in range(0, n, _POINT_BLOCK)]
+
+
 class PolylineOps:
     """Precomputed segment arrays for fast projection and arclength lookup."""
 
@@ -199,20 +210,20 @@ class PolylineOps:
         return float(self.cum_s[i] + t[i] * self.seg_len[i]), float(lat), float(self.heading[i])
 
     def project_many(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized projection of many points: (s, lat, heading) arrays."""
-        t = np.clip(
-            ((xs[:, None] - self.ax) * self.ex + (ys[:, None] - self.ay) * self.ey) / self.len2,
-            0.0,
-            1.0,
-        )
-        dx = xs[:, None] - (self.ax + t * self.ex)
-        dy = ys[:, None] - (self.ay + t * self.ey)
-        d2 = dx * dx + dy * dy
-        idx = np.argmin(d2, axis=1)
-        rows = np.arange(len(xs))
-        lat = (self.ex[idx] * dy[rows, idx] - self.ey[idx] * dx[rows, idx]) / self.seg_len[idx]
-        s = self.cum_s[idx] + t[rows, idx] * self.seg_len[idx]
-        return s, lat, self.heading[idx]
+        """Vectorized projection of many points: (s, lat, heading) arrays,
+        broadcast against the segments `_POINT_BLOCK` points at a time."""
+        s, lat, heading = np.empty(len(xs)), np.empty(len(xs)), np.empty(len(xs))
+        for b in _point_blocks(len(xs)):
+            x, y = xs[b, None], ys[b, None]
+            t = np.clip(((x - self.ax) * self.ex + (y - self.ay) * self.ey) / self.len2, 0.0, 1.0)
+            dx = x - (self.ax + t * self.ex)
+            dy = y - (self.ay + t * self.ey)
+            idx = np.argmin(dx * dx + dy * dy, axis=1)
+            rows = np.arange(len(idx))
+            lat[b] = (self.ex[idx] * dy[rows, idx] - self.ey[idx] * dx[rows, idx]) / self.seg_len[idx]
+            s[b] = self.cum_s[idx] + t[rows, idx] * self.seg_len[idx]
+            heading[b] = self.heading[idx]
+        return s, lat, heading
 
     def min_dist2(self, x: float, y: float) -> float:
         t = np.clip(((x - self.ax) * self.ex + (y - self.ay) * self.ey) / self.len2, 0.0, 1.0)
@@ -247,17 +258,18 @@ class PolylineSetOps:
 
     def nearest_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Index of the polyline each point is closest to, the first on ties:
-        `PolylineOps.min_dist2` compared in order, in one broadcast."""
+        `PolylineOps.min_dist2` compared in order, broadcast against the
+        segments `_POINT_BLOCK` points at a time."""
+        nearest = np.zeros(len(xs), dtype=np.intp)
         if len(self.starts) == 1:
-            return np.zeros(len(xs), dtype=int)
-        t = np.clip(
-            ((xs[:, None] - self.ax) * self.ex + (ys[:, None] - self.ay) * self.ey) / self.len2,
-            0.0,
-            1.0,
-        )
-        dx = xs[:, None] - (self.ax + t * self.ex)
-        dy = ys[:, None] - (self.ay + t * self.ey)
-        return np.argmin(np.minimum.reduceat(dx * dx + dy * dy, self.starts, axis=1), axis=1)
+            return nearest
+        for b in _point_blocks(len(xs)):
+            x, y = xs[b, None], ys[b, None]
+            t = np.clip(((x - self.ax) * self.ex + (y - self.ay) * self.ey) / self.len2, 0.0, 1.0)
+            dx = x - (self.ax + t * self.ex)
+            dy = y - (self.ay + t * self.ey)
+            nearest[b] = np.argmin(np.minimum.reduceat(dx * dx + dy * dy, self.starts, axis=1), axis=1)
+        return nearest
 
 
 class PolygonOps:
@@ -343,17 +355,27 @@ class PolygonOps:
         return inside
 
 
+def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a 1-D array without NaNs and, for each
+    element, the index of its value among them: `np.unique(values,
+    return_inverse=True)` without the import of numpy.ma (about 1.6 MB
+    resident) that np.unique's first call makes. Of values that compare
+    equal, such as -0.0 and 0.0, the first in `values` is kept."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(ordered), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def _slab_table(edges: np.ndarray, a: np.ndarray, b: np.ndarray):
     """(cuts, edges per slab, table) of the slabs cut at the values of `a`
     and `b`: the table is (width, field, slab), column w of a slab holding
     the `edges` fields of its w-th edge e with [a[e], b[e]) covering it, or
     of the pad edge, the last one."""
-    # the sorted distinct values as np.unique finds them, without the import
-    # of numpy.ma (about 1.6 MB resident) that its first call makes
-    cuts = np.sort(np.concatenate([a, b]))
-    first = np.ones(len(cuts), dtype=bool)
-    first[1:] = cuts[1:] != cuts[:-1]
-    cuts = cuts[first]
+    cuts, _ = distinct(np.concatenate([a, b]))
     k = np.arange(len(cuts) + 1)[:, None]
     member = (np.searchsorted(cuts, a) < k) & (k <= np.searchsorted(cuts, b))
     count = member.sum(axis=1)

@@ -405,7 +405,10 @@ def export_dataset(
 ) -> list[Path]:
     """Write dataset.jsonl, stats.csv and manifest.json into a directory.
 
-    Re-exporting the same inputs produces byte-identical files.
+    Every sample is checked against the export guarantee before any file is
+    written; dataset.jsonl is then written one record at a time, so only one
+    record's text is held. Re-exporting the same inputs produces
+    byte-identical files.
     """
     # the expert-filter guarantee is re-asserted at the export boundary
     ep_min = config.expert_filter.ep_min
@@ -420,8 +423,9 @@ def export_dataset(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     dataset_path = out_dir / "dataset.jsonl"
-    lines = [dump_json_canonical(sample_to_dict(s, config.cameras)) for s in samples]
-    dataset_path.write_text("".join(lines), encoding="utf-8")
+    with dataset_path.open("w", encoding="utf-8") as f:
+        for s in samples:
+            f.write(dump_json_canonical(sample_to_dict(s, config.cameras)))
 
     stats_path = out_dir / "stats.csv"
     stats_path.write_text(stats_csv_text(stats), encoding="utf-8")

@@ -14,7 +14,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -41,6 +41,8 @@ KINEMATIC_CONSISTENCY_TOL = 0.05
 
 FRAME_GLOBAL = "global"
 FRAME_EGO_LOCAL = "ego-local-at-start"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -391,6 +393,18 @@ def dump_json_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def write_json_array(items: Iterable[Any], path: str | Path) -> None:
+    """Write `dump_json_canonical(list(items))` to `path` one item at a time,
+    so that only one item's text is held."""
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.write("[")
+        for i, item in enumerate(items):
+            if i:
+                f.write(",")
+            f.write(dump_json_canonical(item)[:-1])
+        f.write("]\n")
+
+
 def write_scenario(s: Scenario, path: str | Path) -> None:
     Path(path).write_text(dump_json_canonical(scenario_to_dict(s)), encoding="utf-8")
 
@@ -414,14 +428,24 @@ def read_json(path: str | Path) -> Any:
         raise ParseError(f"{path}: malformed JSON: {e}") from e
 
 
+def load_json(path: str | Path, parse: Callable[[Any], T]) -> T:
+    """`parse` of the parsed JSON of an input file; a SchemaError or
+    ValidationError that `parse` raises is raised again naming the file."""
+    data = read_json(path)
+    try:
+        return parse(data)
+    except (SchemaError, ValidationError) as e:
+        raise type(e)(f"{path}: {e}") from e
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load, schema-check, and validate a scenario file.
 
     Raises ParseError for an unreadable file or malformed JSON, SchemaError
-    for shape problems (naming the offending field) and ValidationError when
-    an invariant fails.
+    for shape problems (naming the file and the offending field) and
+    ValidationError when an invariant fails.
     """
-    scenario = scenario_from_dict(read_json(path))
+    scenario = load_json(path, scenario_from_dict)
     diagnostics = validate_scenario(scenario)
     if diagnostics:
         raise ValidationError(f"{path}: {diagnostics[0]}")

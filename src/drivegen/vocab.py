@@ -20,6 +20,7 @@ pass is the scalar per-entry arithmetic bit for bit: `math` cos and sin,
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -48,8 +49,8 @@ from .reactive import (  # noqa: F401
     MODE_NONREACTIVE, MODE_REACTIVE, SceneBatch, StateBatch, rollout,
 )
 from .scenario import (
-    FRAME_EGO_LOCAL, Scenario, Trajectory, _number, dump_json_canonical, read_json,
-    track_from_json, track_of, track_to_json,
+    FRAME_EGO_LOCAL, Scenario, Trajectory, _number, load_json, track_from_json, track_of,
+    track_to_json, write_json_array,
 )
 from .seeding import mix64
 
@@ -88,6 +89,14 @@ class Vocabulary(Sequence[Trajectory]):
     entries = property(lambda self: self)  # the trajectories, each built when read
     size = property(__len__)
     horizon = property(lambda self: self.tracks.data.shape[2] - 1)
+
+    def features(self) -> np.ndarray:
+        """(N, 3n): the k-means features of `build_vocabulary`."""
+        return _flatten(self.tracks)
+
+    def take(self, rows) -> "Vocabulary":
+        """The vocabulary of the entries at `rows`, in their order."""
+        return Vocabulary(self.dt, StateBatch(self.tracks.data[:, rows]))
 
 
 def _bank(dts: Sequence[float], tracks: Sequence[np.ndarray]) -> Vocabulary:
@@ -157,14 +166,12 @@ class PerturbationCandidate:
 _SPEED_RANGE = (4.0, 14.0)  # m/s, each maneuver's uniformly drawn start speed
 
 
-def synthesize_maneuvers(count: int, horizon: int, dt: float, seed: int) -> Vocabulary:
-    """Ego-local maneuvers: two-phase steering arcs crossed with speed profiles.
-
-    Each maneuver is integrated with the kinematic bicycle, so entries are
-    realizable trajectories; all of them step together in one
-    `batch.two_phase_tracks` call, which also checks dt. Deterministic in
-    (count, horizon, dt, seed).
-    """
+@functools.lru_cache(maxsize=1)
+def _maneuver_draws(count: int, horizon: int, seed: int) -> np.ndarray:
+    """(5, count), read-only: each maneuver's start speed, acceleration, the
+    two steering targets and the step it switches at; deterministic in
+    (count, horizon, seed). The last draws are kept, so the blocks of one
+    bank are drawn once."""
     if count < 1:
         raise ValidationError(f"maneuver count must be >= 1, got {count}")
     if horizon < 2:
@@ -188,7 +195,24 @@ def synthesize_maneuvers(count: int, horizon: int, dt: float, seed: int) -> Voca
             d2 = rng.uniform(-0.06, 0.06)
         switch = rng.randrange(horizon // 4, 3 * horizon // 4)
         row[:] = v0, accel, d1, d2, switch
-    return Vocabulary(dt, two_phase_tracks(*draws.T, horizon, dt))
+    draws.flags.writeable = False
+    return draws.T
+
+
+def synthesize_maneuvers(
+    count: int, horizon: int, dt: float, seed: int, rows: slice | Sequence[int] = slice(None)
+) -> Vocabulary:
+    """Ego-local maneuvers: two-phase steering arcs crossed with speed profiles.
+
+    Each maneuver is integrated with the kinematic bicycle, so entries are
+    realizable trajectories; all of them step together in one
+    `batch.two_phase_tracks` call, which also checks dt. Deterministic in
+    (count, horizon, dt, seed). `rows` integrates only those of the `count`
+    maneuvers; each has the bits it has in the whole bank, since
+    `two_phase_tracks` steps every row on its own.
+    """
+    draws = _maneuver_draws(count, horizon, seed)[:, rows]
+    return Vocabulary(dt, two_phase_tracks(*draws, horizon, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +472,43 @@ def build_vocabulary(samples: Sequence[Trajectory], k: int, seed: int) -> Vocabu
     if k > len(samples):
         raise ValidationError(f"k={k} exceeds sample count {len(samples)}")
 
-    bank = samples if isinstance(samples, Vocabulary) else Vocabulary.of(samples)
-    X = _flatten(bank.tracks)
-    return Vocabulary(bank.dt, StateBatch(bank.tracks.data[:, _snap(X, _lloyd(X, k, seed))]))
+    bank = samples if isinstance(samples, (Vocabulary, _ManeuverBank)) else Vocabulary.of(samples)
+    X = bank.features()
+    return bank.take(_snap(X, _lloyd(X, k, seed)))
+
+
+_SYNTH_ROWS = 1024  # maneuvers per `synthesize_maneuvers` call of a `_ManeuverBank`
+
+
+class _ManeuverBank(Sequence[Trajectory]):
+    """`synthesize_maneuvers(count, horizon, dt, seed)` for `build_vocabulary`
+    without its (7, count, horizon + 1) bank: the maneuvers are integrated
+    `_SYNTH_ROWS` at a time and each block is kept only as its k-means
+    features; `take` integrates again just the rows it returns. Every row
+    has the bits it has in the whole bank, and a bad count, horizon or dt
+    raises here as the whole bank raises it. The rows are integrated by
+    calls of the module's `synthesize_maneuvers`, which perfbench/tracer.py
+    wraps by name, so the set-up's spans see that work."""
+
+    def __init__(self, count: int, horizon: int, dt: float, seed: int):
+        self._args = (count, horizon, dt, seed)
+        _maneuver_draws(count, horizon, seed)  # draws once; a bad count or horizon raises
+        self._features = np.empty((count, 3 * (horizon + 1)))
+        for r0 in range(0, count, _SYNTH_ROWS):
+            block = synthesize_maneuvers(*self._args, rows=slice(r0, r0 + _SYNTH_ROWS))
+            self._features[r0:r0 + _SYNTH_ROWS] = block.features()
+
+    def __len__(self) -> int:
+        return len(self._features)
+
+    def __getitem__(self, i: int) -> Trajectory:
+        return self.take([i])[0]
+
+    def features(self) -> np.ndarray:
+        return self._features
+
+    def take(self, rows) -> Vocabulary:
+        return synthesize_maneuvers(*self._args, rows=rows)
 
 
 def default_vocabulary(
@@ -460,8 +518,9 @@ def default_vocabulary(
     size: int = 1024,
     source_count: int = 16384,
 ) -> Vocabulary:
-    samples = synthesize_maneuvers(source_count, horizon, dt, seed)
-    return build_vocabulary(samples, size, seed)
+    """`build_vocabulary(synthesize_maneuvers(source_count, horizon, dt,
+    seed), size, seed)`, bit for bit, without holding the whole bank."""
+    return build_vocabulary(_ManeuverBank(source_count, horizon, dt, seed), size, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +528,21 @@ def default_vocabulary(
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    payload = [
-        {"dt": vocab.dt, "states": track_to_json(track)}
-        for track in vocab.tracks.data.transpose(1, 0, 2)
-    ]
-    Path(path).write_text(dump_json_canonical(payload), encoding="utf-8")
+    """Write the vocabulary file one entry at a time."""
+    write_json_array(
+        ({"dt": vocab.dt, "states": track_to_json(track)}
+         for track in vocab.tracks.data.transpose(1, 0, 2)),
+        path,
+    )
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    """The vocabulary file parsed straight into the bank."""
-    data = read_json(path)
+    """The vocabulary file parsed straight into the bank; an error in its
+    content names the file."""
+    return load_json(path, _vocabulary_from_json)
+
+
+def _vocabulary_from_json(data) -> Vocabulary:
     if not isinstance(data, list):
         raise SchemaError("vocabulary: expected a JSON array of trajectories")
     dts, tracks = [], []

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from drivegen import geometry
 from drivegen.geometry import (
     TWO_PI,
     BoxArrays,
@@ -344,6 +345,57 @@ def test_segments_intersect_many_matches_scalar():
     p1x, p1y, p2x, p2y = (np.array(c) for c in zip(*[(*p, *q) for p, q in segs]))
     got = segments_intersect_many(p1x, p1y, p2x, p2y, q1, q2)
     assert got.tolist() == [segments_intersect(p, q, q1, q2) for p, q in segs]
+
+
+def test_distinct_is_np_unique_with_its_inverse():
+    """`distinct` gives np.unique's sorted values and inverse, for the lane
+    indices, the complex gain keys and the slab cuts it replaces it in;
+    -0.0 and 0.0 are one value, as np.unique has them."""
+    rng = np.random.default_rng(26)
+    keys = rng.integers(-3, 4, 400) * 0.5 + 1j * rng.integers(-2, 3, 400) * 0.25
+    keys[::7] = -0.0 + 1j * -0.0
+    cases = [rng.integers(0, 5, 300), keys, np.array([0.0, -0.0, 1.5, -0.0, 1.5, -2.0]),
+             np.array([3]), np.array([], dtype=float)]
+    for values in cases:
+        got, inverse = geometry.distinct(values)
+        want, want_inverse = np.unique(values, return_inverse=True)
+        assert got.tolist() == want.tolist() and got.dtype == want.dtype
+        assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+        assert (got[inverse] == values).all()
+
+
+def test_point_blocks_give_the_bits_of_one_broadcast(monkeypatch):
+    """Above `_POINT_BLOCK` (1024) points, `project_many` and `nearest_many`
+    broadcast a block at a time and give every point the bits of one
+    broadcast over all points and of `project` per point; points midway
+    between two lanes, in every block, go to the first lane."""
+    assert geometry._POINT_BLOCK == 1024
+    rng = random.Random(26)
+    pts, heading = [(0.0, 0.0)], 0.0
+    for _ in range(20):
+        heading += rng.uniform(-0.3, 0.3)
+        pts.append((pts[-1][0] + 5 * math.cos(heading), pts[-1][1] + 5 * math.sin(heading)))
+    straight = ((0.0, 0.0), (40.0, 0.0), (100.0, 0.0))
+    lines = (straight, tuple(pts), tuple((x, y + 3.5) for x, y in straight), straight)
+    midway = [(rng.uniform(0.0, 100.0), 1.75) for _ in range(600)]
+    scatter = [(rng.uniform(-10.0, 110.0), rng.uniform(-20.0, 30.0)) for _ in range(1900)]
+    xs, ys = (np.array(v) for v in zip(*rng.sample(midway + scatter, 2500)))
+    ops, set_ops = PolylineOps(pts), PolylineSetOps(lines)
+    blocked = (*ops.project_many(xs, ys), set_ops.nearest_many(xs, ys))
+    monkeypatch.setattr(geometry, "_POINT_BLOCK", len(xs))
+    whole = (*ops.project_many(xs, ys), set_ops.nearest_many(xs, ys))
+    for got, want in zip(blocked, whole):
+        assert got.dtype == want.dtype and _same_bits(got, want)
+    scalar = [ops.project(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    for got, want in zip(blocked, zip(*scalar)):
+        assert _same_bits(got, want)
+    ties = []
+    for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        d = [polyline_ops(line).min_dist2(x, y) for line in lines]
+        assert blocked[3][i] == d.index(min(d))
+        if d[0] == d[2] == min(d):
+            ties.append(i)
+    assert ties and max(ties) >= 2048  # ties also in the last block
 
 
 def test_point_at_many_and_nearest_polyline_match_scalar():

@@ -276,5 +276,5 @@ def test_a_huge_vocabulary_number_is_refused_as_in_any_file(
         path.write_text(json.dumps(data))
         argv = ["generate", "--corpus", str(corpus), "--vocab", str(path), "--out", str(tmp_path / "ds")]
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (tmp_path / "ds").exists()

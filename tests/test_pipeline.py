@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from drivegen.pipeline import (
     stats_csv_text,
 )
 from drivegen.reactive import StateBatch
-from drivegen.scenario import Trajectory
+from drivegen.scenario import Trajectory, dump_json_canonical
 from drivegen.seeding import mix64
 from drivegen.vocab import (
     STATUS_PENDING,
@@ -580,6 +581,43 @@ def test_export_reexport_identical(gen_run, tmp_path, small_corpus):
     f2 = export_dataset(samples, tmp_path / "r2", stats, config, ids)
     for a, b in zip(f1, f2):
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_export_writes_the_bytes_of_the_records_encoded_together(gen_run, tmp_path):
+    """dataset.jsonl, written one record at a time, holds the bytes of every
+    record's canonical JSON joined in sample order, for 0, 1 and several
+    samples."""
+    config, (samples, stats) = gen_run
+    assert len(samples) > 2
+    for count in (0, 1, len(samples)):
+        dataset = export_dataset(samples[:count], tmp_path / str(count), stats, config, [])[0]
+        records = [dump_json_canonical(sample_to_dict(s, config.cameras)) for s in samples[:count]]
+        assert dataset.read_bytes() == "".join(records).encode("utf-8")
+
+
+def test_export_writes_nothing_when_a_sample_breaks_the_guarantee(gen_run, tmp_path):
+    """Every sample is checked before dataset.jsonl is opened, so a breach in
+    the last sample leaves no file behind."""
+    config, (samples, stats) = gen_run
+    last = samples[-1]
+    bad = replace(last, reward=replace(last.reward, submetrics=replace(last.reward.submetrics, nc=0.0)))
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError, match="violates the export safety guarantee"):
+        export_dataset([*samples[:-1], bad], out, stats, config, [])
+    assert not (out / "dataset.jsonl").exists()
+
+
+def test_export_holds_less_than_the_file_it_writes(gen_run, tmp_path):
+    """The export's own allocations peak below the size of dataset.jsonl:
+    no list of all records, joined text or encoded bytes is held."""
+    config, (samples, stats) = gen_run
+    tracemalloc.start()
+    try:
+        dataset = export_dataset(samples, tmp_path / "out", stats, config, [])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dataset.stat().st_size
 
 
 def test_stats_csv_columns():

@@ -10,10 +10,12 @@ import pytest
 
 from drivegen import vocab as vocab_module
 from drivegen.cli import main
-from drivegen.errors import SchemaError, ValidationError
+from drivegen.errors import DrivegenError, SchemaError, ValidationError
 from drivegen.geometry import wrap_angle
 from drivegen.reactive import StateBatch
-from drivegen.scenario import AgentTrack, Pose2D, Scenario, Trajectory, dump_json_canonical
+from drivegen.scenario import (
+    AgentTrack, Pose2D, Scenario, Trajectory, dump_json_canonical, track_to_json, write_json_array,
+)
 from drivegen.seeding import mix64
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 from drivegen.vocab import (
@@ -25,6 +27,7 @@ from drivegen.vocab import (
     PerturbationCandidate,
     Vocabulary,
     build_vocabulary,
+    default_vocabulary,
     enumerate_perturbations,
     feasibility_filter,
     grid_sparsify,
@@ -301,6 +304,93 @@ def test_snap_tie_goes_to_lowest_index(ys, winner):
 def test_vocabulary_uniformity_enforced():
     with pytest.raises(ValidationError):
         Vocabulary.of([_shifted_trajectory(0.0, n=11), _shifted_trajectory(0.0, n=12)])
+
+
+@pytest.mark.parametrize("count", [1000, 1024, 2500], ids=["below", "at", "not-a-multiple"])
+def test_default_vocabulary_is_the_clustered_bank_bit_for_bit(count):
+    """`default_vocabulary` integrates the maneuvers a block of
+    `_SYNTH_ROWS` (1024) at a time and the chosen ones again, and gives the
+    bits of clustering the whole bank, at counts below, at and not a
+    multiple of the block."""
+    assert vocab_module._SYNTH_ROWS == 1024
+    got = default_vocabulary(seed=4, horizon=40, dt=0.1, size=16, source_count=count)
+    want = build_vocabulary(synthesize_maneuvers(count, 40, 0.1, seed=4), k=16, seed=4)
+    assert got.dt == want.dt
+    assert got.tracks.data.tobytes() == want.tracks.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "count, horizon, dt, k",
+    [(0, 1, 0.0, 0), (16, 1, 0.0, 0), (16, 40, 0.0, 0), (16, 40, 0.1, 0), (16, 40, 0.1, 17)],
+    ids=["count", "horizon", "dt", "k-zero", "k-above-count"],
+)
+def test_default_vocabulary_raises_what_the_clustered_bank_raises(count, horizon, dt, k):
+    """Of several bad arguments, `default_vocabulary` names the one that
+    synthesizing and then clustering the whole bank names first."""
+    with pytest.raises(DrivegenError) as want:
+        build_vocabulary(synthesize_maneuvers(count, horizon, dt, seed=1), k=k, seed=1)
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        default_vocabulary(seed=1, horizon=horizon, dt=dt, size=k, source_count=count)
+
+
+def test_default_vocabulary_works_through_the_module_names(monkeypatch):
+    """The maneuvers are integrated only by calls of the module's
+    `synthesize_maneuvers`, a block of `_SYNTH_ROWS` and then the chosen
+    rows, inside one call of its `build_vocabulary` for the clustering, so
+    wrappers bound to those two names (as a tracer binds them) see all of
+    the set-up's work."""
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, kwargs.get("rows")))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("synthesize_maneuvers", "build_vocabulary"):
+        monkeypatch.setattr(vocab_module, name, recording(name, getattr(vocab_module, name)))
+    vocab = default_vocabulary(seed=4, horizon=10, dt=0.1, size=8, source_count=2500)
+    blocks = [("synthesize_maneuvers", slice(r0, r0 + 1024)) for r0 in (0, 1024, 2048)]
+    assert calls[:3] == blocks and calls[3] == ("build_vocabulary", None)
+    assert [name for name, _ in calls[4:]] == ["synthesize_maneuvers"]
+    assert len(calls[4][1]) == len(vocab) == 8
+
+
+def test_synthesize_maneuvers_rows_are_the_whole_banks_rows():
+    """Any rows of the bank, by slice or by index in any order, have the
+    bits of those rows of the whole bank."""
+    whole = synthesize_maneuvers(300, horizon=20, dt=0.1, seed=3).tracks.data
+    for rows in (slice(0, 7), slice(250, 1024), [299, 0, 17, 17]):
+        got = synthesize_maneuvers(300, horizon=20, dt=0.1, seed=3, rows=rows).tracks.data
+        assert got.tobytes() == whole[:, rows].tobytes()
+
+
+def test_save_vocabulary_writes_the_bytes_of_the_whole_payload(tmp_path, small_vocab):
+    """The file, written one entry at a time, holds the bytes of the whole
+    array encoded at once, for 1 and several entries; an empty array (no
+    vocabulary has one) is `[]`."""
+    path = tmp_path / "vocab.json"
+    for count in (1, 2, len(small_vocab)):
+        vocab = Vocabulary(small_vocab.dt, StateBatch(small_vocab.tracks.data[:, :count]))
+        save_vocabulary(vocab, path)
+        payload = [
+            {"dt": vocab.dt, "states": track_to_json(track)}
+            for track in vocab.tracks.data.transpose(1, 0, 2)
+        ]
+        assert path.read_bytes() == dump_json_canonical(payload).encode("utf-8")
+    write_json_array(iter(()), path)
+    assert path.read_bytes() == dump_json_canonical([]).encode("utf-8")
+
+
+def test_save_vocabulary_holds_less_than_the_file_it_writes(tmp_path, small_vocab):
+    path = tmp_path / "vocab.json"
+    tracemalloc.start()
+    try:
+        save_vocabulary(small_vocab, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_vocabulary_save_load_roundtrip(tmp_path, small_vocab):
