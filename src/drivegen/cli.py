@@ -95,10 +95,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = _generate_config(args)
     corpus = _load_corpus(args.corpus)
     vocab = load_vocabulary(args.vocab) if args.vocab else None
-    samples, stats = run_generation(corpus, config, vocab=vocab, workers=args.workers)
-    files = export_dataset(
-        samples, args.out, stats, config, corpus_ids=[s.id for s in corpus]
-    )
+    # the scenarios run while export_dataset writes their records
+    records, stats = run_generation(corpus, config, vocab=vocab, workers=args.workers, stream=True)
+    files = export_dataset(records, args.out, stats, config, corpus_ids=[s.id for s in corpus])
     total = stats[-1].cumulative_accepted if stats else 0
     print(
         f"accepted {total} samples over {config.rounds} rounds "

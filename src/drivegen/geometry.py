@@ -178,8 +178,9 @@ def corridor_polygon(points: Sequence[Point], half_width: float) -> list[Point]:
 _POINT_BLOCK = 1024
 
 
-def _point_blocks(n: int) -> list[slice]:
-    return [slice(i, i + _POINT_BLOCK) for i in range(0, n, _POINT_BLOCK)]
+def index_blocks(n: int, size: int) -> list[slice]:
+    """Consecutive slices of at most `size` indices that cover range(n)."""
+    return [slice(i, i + size) for i in range(0, n, size)]
 
 
 class PolylineOps:
@@ -213,7 +214,7 @@ class PolylineOps:
         """Vectorized projection of many points: (s, lat, heading) arrays,
         broadcast against the segments `_POINT_BLOCK` points at a time."""
         s, lat, heading = np.empty(len(xs)), np.empty(len(xs)), np.empty(len(xs))
-        for b in _point_blocks(len(xs)):
+        for b in index_blocks(len(xs), _POINT_BLOCK):
             x, y = xs[b, None], ys[b, None]
             t = np.clip(((x - self.ax) * self.ex + (y - self.ay) * self.ey) / self.len2, 0.0, 1.0)
             dx = x - (self.ax + t * self.ex)
@@ -263,7 +264,7 @@ class PolylineSetOps:
         nearest = np.zeros(len(xs), dtype=np.intp)
         if len(self.starts) == 1:
             return nearest
-        for b in _point_blocks(len(xs)):
+        for b in index_blocks(len(xs), _POINT_BLOCK):
             x, y = xs[b, None], ys[b, None]
             t = np.clip(((x - self.ax) * self.ex + (y - self.ay) * self.ey) / self.len2, 0.0, 1.0)
             dx = x - (self.ax + t * self.ex)

@@ -20,6 +20,7 @@ from .geometry import (
     OrientedBox,
     box_corners,
     boxes_overlap_many,
+    index_blocks,
     per_element,
     points_in_any_polygon,
     polyline_ops,
@@ -439,6 +440,26 @@ def _swept(boxes: BoxArrays, vx, vy, cells, taus: np.ndarray) -> BoxArrays:
     return replace(at, x=at.x + vx[cells][:, None] * taus, y=at.y + vy[cells][:, None] * taus)
 
 
+# (row, frame) cells per broadcast of the TTC sweep against its taus, which
+# bounds the (cells, taus) box temporaries. Each cell's first overlap depends
+# on its own row of the broadcast alone, so it is the same whatever the block.
+_TTC_BLOCK = 256
+
+
+def _first_overlaps(ego: BoxArrays, evx, evy, agent: BoxArrays, avx, avy, cells, taus):
+    """Per cell of `cells`: the first time in `taus` at which the ego's and
+    the agent's boxes there, each moved at its velocity, overlap; +inf where
+    they never do. Swept `_TTC_BLOCK` cells at a time."""
+    first = np.empty(cells[0].size)
+    for b in index_blocks(cells[0].size, _TTC_BLOCK):
+        part = (cells[0][b], cells[1][b])
+        hit = boxes_overlap_many(
+            _swept(ego, evx, evy, part, taus), _swept(agent, avx, avy, part, taus)
+        )
+        first[b] = np.where(hit.any(axis=1), taus[np.argmax(hit, axis=1)], math.inf)
+    return first
+
+
 def time_to_collision(
     scene: SceneBatch,
     ego_boxes: BoxArrays,
@@ -480,11 +501,8 @@ def time_to_collision(
         cells = np.nonzero(moving & ~(dist - speed * horizon > radii))
         if not cells[0].size:
             continue
-        hit = boxes_overlap_many(
-            _swept(ego_boxes, evx, evy, cells, taus), _swept(b, avx, avy, cells, taus)
-        )
         first = np.full(dist.shape, math.inf)  # earliest overlap of each (row, frame)
-        first[cells] = np.where(hit.any(axis=1), taus[np.argmax(hit, axis=1)], math.inf)
+        first[cells] = _first_overlaps(ego_boxes, evx, evy, b, avx, avy, cells, taus)
         pairs.append((dist, speed, radii, first))
 
     frames = set()

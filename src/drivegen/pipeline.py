@@ -12,6 +12,7 @@ config, master seed), including under process-level parallelism.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -19,7 +20,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,7 +108,7 @@ def sensor_stub(ego: StateBatch, camera_rig: Sequence[CameraConfig]) -> np.ndarr
     offsets = np.zeros((7, ego.data.shape[2], len(camera_rig)))  # the rig at every pose
     offsets[:3] = np.array([(cam.dx, cam.dy, cam.dyaw) for cam in camera_rig]).T[:, None]
     poses = place_tracks(offsets, StateBatch(ego.data[:, 0]))
-    return poses.data[:3].transpose(2, 1, 0)
+    return poses.data[:3].transpose(2, 1, 0).copy()  # a copy does not pin the 7-field poses
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +235,6 @@ def _sample(
 # ---------------------------------------------------------------------------
 # Corpus-level generation
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(vocab: Vocabulary, config: PipelineConfig) -> None:
-    _WORKER_STATE["vocab"] = vocab
-    _WORKER_STATE["config"] = config
-
 
 def _round_draws(
     n_cleared: int, rounds: int, per_round: int | None, master_seed: int, scenario_id: str
@@ -264,17 +258,100 @@ def _process_scenario_impl(
     stage1 = scene.take([i for _, i in drawn])
     stage2, sub2 = expert_stage(scenario, stage1, config, vocab)
     vocab_index = index.tolist()
+    # a list of rows copies them: a sample owns its rows, not views that pin the whole scene
     return [
         (r, *_sample(
-            scenario, vocab_index[i], r, config, stage1.take(slice(j, j + 1)), sub[i],
-            stage2.take(slice(j, j + 1)), sub2[j],
+            scenario, vocab_index[i], r, config, stage1.take([j]), sub[i], stage2.take([j]), sub2[j],
         ))
         for j, (r, i) in enumerate(drawn)
     ]
 
 
+class ExportRecord(NamedTuple):
+    """An accepted sample as dataset.jsonl holds it: its line, and what the
+    export guarantee reads."""
+
+    scenario_id: str
+    candidate_index: int
+    submetrics: SubMetricVector
+    line: str
+
+
+def export_record(sample: SimSample, cameras: Sequence[CameraConfig]) -> ExportRecord:
+    """The record encoder: a sample's canonical JSON line."""
+    return ExportRecord(
+        sample.scenario_id, sample.candidate_index, sample.reward.submetrics,
+        dump_json_canonical(sample_to_dict(sample, cameras)),
+    )
+
+
+_COUNTS = ("attempted", "accepted", *REJECT_BUCKETS)  # the columns of a scenario's round counts
+
+
+def _scenario_result(
+    scenario: Scenario, vocab: Vocabulary, config: PipelineConfig, encode: bool
+) -> tuple[list, np.ndarray]:
+    """A scenario's accepted samples in (round, candidate index) order, as
+    their `ExportRecord`s if `encode`, and its (rounds, `_COUNTS`) counts."""
+    counts = np.zeros((config.rounds, len(_COUNTS)), dtype=np.int64)
+    samples = []
+    for r, sample, reason in _process_scenario_impl(scenario, vocab, config):
+        counts[r, 0] += 1
+        if sample is None:
+            counts[r, _COUNTS.index(_reject_bucket(reason))] += 1
+        else:
+            counts[r, 1] += 1
+            samples.append(sample)
+    samples.sort(key=lambda s: (s.round, s.candidate_index))
+    if encode:
+        return [export_record(s, config.cameras) for s in samples], counts
+    return samples, counts
+
+
+_WORKER_STATE: dict = {}
+
+
+def _worker_init(vocab: Vocabulary, config: PipelineConfig, encode: bool) -> None:
+    _WORKER_STATE.update(vocab=vocab, config=config, encode=encode)
+
+
 def _process_scenario(scenario: Scenario):
-    return _process_scenario_impl(scenario, _WORKER_STATE["vocab"], _WORKER_STATE["config"])
+    return _scenario_result(scenario, **_WORKER_STATE)
+
+
+def _scenario_results(
+    ordered: Sequence[Scenario], vocab: Vocabulary, config: PipelineConfig, workers: int,
+    encode: bool,
+) -> Iterator[tuple[list, np.ndarray]]:
+    """`_scenario_result` of each scenario in turn, run as it is asked for;
+    with a pool, the workers run ahead and each result is handed over in
+    order as soon as it and every earlier one are done."""
+    if workers == 1:
+        for s in ordered:
+            yield _scenario_result(s, vocab, config, encode)
+        return
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_worker_init, initargs=(vocab, config, encode)
+    ) as pool:
+        yield from pool.map(_process_scenario, ordered)
+
+
+def _records(
+    results: Iterable[tuple[list, np.ndarray]], config: PipelineConfig, stats: list[RoundStats]
+) -> Iterator:
+    """Every record of each scenario result in turn; `stats` is filled in
+    from their counts once the last has been read."""
+    totals = np.zeros((config.rounds, len(_COUNTS)), dtype=np.int64)
+    for records, counts in results:
+        totals += counts
+        yield from records
+    cumulative = 0
+    for r, (attempted, accepted, *rejects) in enumerate(totals.tolist()):
+        cumulative += accepted
+        stats.append(RoundStats(
+            round=r, expert_kind=config.expert_kind, attempted=attempted, accepted=accepted,
+            cumulative_accepted=cumulative, rejects=dict(zip(REJECT_BUCKETS, rejects)),
+        ))
 
 
 def run_generation(
@@ -282,13 +359,22 @@ def run_generation(
     config: PipelineConfig,
     vocab: Vocabulary | None = None,
     workers: int = 1,
-) -> tuple[list[SimSample], list[RoundStats]]:
+    *,
+    stream: bool = False,
+) -> tuple[list[SimSample] | Iterator[ExportRecord], list[RoundStats]]:
     """Generate a dataset over a corpus with disjoint draws in each of
     `config.rounds` rounds.
 
     No candidate is reused across rounds. Output ordering and content are
-    independent of `workers`; the merge is done in (scenario id, round,
-    candidate index) order and per-sample seeds depend only on identifiers.
+    independent of `workers`: samples come in (scenario id, round, candidate
+    index) order and per-sample seeds depend only on identifiers.
+
+    With `stream`, no scenario has run yet when this returns: the samples
+    come as an iterator that runs the scenarios as it is read and yields
+    each sample's `ExportRecord`, encoded where its scenario ran (in the
+    pool's workers too), and the stats list is filled in once it is
+    exhausted. `export_dataset` writes such a stream as it comes, so that
+    only the records of the scenarios in flight are held.
     """
     if not corpus:
         raise ValidationError("corpus is empty")
@@ -309,44 +395,9 @@ def run_generation(
     ordered = sorted(corpus, key=lambda s: s.id)
     # no more worker processes than scenarios: each forks and unpickles the vocabulary
     workers = min(workers, len(ordered))
-    if workers == 1:
-        per_scenario = [_process_scenario_impl(s, vocab, config) for s in ordered]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(vocab, config)
-        ) as pool:
-            per_scenario = list(pool.map(_process_scenario, ordered))
-
-    rounds = config.rounds
-    samples: list[SimSample] = []
-    attempted = [0] * rounds
-    accepted = [0] * rounds
-    rejects = [{b: 0 for b in REJECT_BUCKETS} for _ in range(rounds)]
-    for scenario_results in per_scenario:
-        for r, sample, reason in scenario_results:
-            attempted[r] += 1
-            if sample is not None:
-                accepted[r] += 1
-                samples.append(sample)
-            else:
-                rejects[r][_reject_bucket(reason)] += 1
-
-    samples.sort(key=lambda s: (s.scenario_id, s.round, s.candidate_index))
-    stats = []
-    cumulative = 0
-    for r in range(rounds):
-        cumulative += accepted[r]
-        stats.append(
-            RoundStats(
-                round=r,
-                expert_kind=config.expert_kind,
-                attempted=attempted[r],
-                accepted=accepted[r],
-                cumulative_accepted=cumulative,
-                rejects=dict(rejects[r]),
-            )
-        )
-    return samples, stats
+    stats: list[RoundStats] = []
+    records = _records(_scenario_results(ordered, vocab, config, workers, stream), config, stats)
+    return (records, stats) if stream else (list(records), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +448,7 @@ def stats_csv_text(stats: Sequence[RoundStats]) -> str:
 
 
 def export_dataset(
-    samples: Sequence[SimSample],
+    samples: Iterable[SimSample | ExportRecord],
     path: str | Path,
     stats: Sequence[RoundStats],
     config: PipelineConfig,
@@ -405,27 +456,41 @@ def export_dataset(
 ) -> list[Path]:
     """Write dataset.jsonl, stats.csv and manifest.json into a directory.
 
-    Every sample is checked against the export guarantee before any file is
-    written; dataset.jsonl is then written one record at a time, so only one
-    record's text is held. Re-exporting the same inputs produces
-    byte-identical files.
+    `samples` are `SimSample`s or the records of `run_generation(...,
+    stream=True)`. Each is encoded (`export_record`), checked against the
+    export guarantee and written one at a time to a temporary file in the
+    directory, which becomes dataset.jsonl only once every record has
+    passed; on any failure it is removed, with the directory if this call
+    made it. stats.csv is written after the last record, so a stream's
+    stats are complete. Re-exporting the same inputs produces byte-identical
+    files.
     """
-    # the expert-filter guarantee is re-asserted at the export boundary
     ep_min = config.expert_filter.ep_min
-    for s in samples:
-        sub = s.reward.submetrics
-        if not (sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0 and sub.ep > ep_min):
-            raise ValidationError(
-                f"sample {s.scenario_id}/{s.candidate_index} violates the export safety guarantee"
-            )
-
     out_dir = Path(path)
+    made = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
-
     dataset_path = out_dir / "dataset.jsonl"
-    with dataset_path.open("w", encoding="utf-8") as f:
-        for s in samples:
-            f.write(dump_json_canonical(sample_to_dict(s, config.cameras)))
+    partial = out_dir / "dataset.jsonl.partial"
+    try:
+        with partial.open("w", encoding="utf-8") as f:
+            for record in samples:
+                if isinstance(record, SimSample):
+                    record = export_record(record, config.cameras)
+                # the expert-filter guarantee is re-asserted at the export boundary
+                sub = record.submetrics
+                if not (sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0 and sub.ep > ep_min):
+                    raise ValidationError(
+                        f"sample {record.scenario_id}/{record.candidate_index} "
+                        "violates the export safety guarantee"
+                    )
+                f.write(record.line)
+        partial.replace(dataset_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        if made:
+            with contextlib.suppress(OSError):
+                out_dir.rmdir()
+        raise
 
     stats_path = out_dir / "stats.csv"
     stats_path.write_text(stats_csv_text(stats), encoding="utf-8")

@@ -14,7 +14,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -418,14 +418,43 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"cannot read {path}: {e}") from e
 
 
-def read_json(path: str | Path) -> Any:
-    """The parsed JSON of an input file; ParseError naming the file if it
-    cannot be read or is not JSON."""
-    text = read_text(path)
+def _decode(text: str, path: str | Path) -> Any:
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: malformed JSON: {e}") from e
+
+
+def read_json(path: str | Path) -> Any:
+    """The parsed JSON of an input file; ParseError naming the file if it
+    cannot be read or is not JSON."""
+    return _decode(read_text(path), path)
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _array_items(text: str) -> Iterator[Any]:
+    """The items of the JSON array that `text` holds, decoded one at a time;
+    JSONDecodeError where the text stops being one. It reads the text as
+    `json.loads` does: the same whitespace, values and delimiters."""
+    skip = json.decoder.WHITESPACE.match
+    i = skip(text).end()
+    if text[i : i + 1] != "[":
+        raise json.JSONDecodeError("Expecting '['", text, i)
+    i = skip(text, i + 1).end()
+    if text[i : i + 1] != "]":
+        while True:
+            item, i = _DECODER.raw_decode(text, i)
+            yield item
+            i = skip(text, i).end()
+            if text[i : i + 1] == "]":
+                break
+            if text[i : i + 1] != ",":
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+            i = skip(text, i + 1).end()
+    if skip(text, i + 1).end() != len(text):
+        raise json.JSONDecodeError("Extra data", text, i + 1)
 
 
 def load_json(path: str | Path, parse: Callable[[Any], T]) -> T:
@@ -435,6 +464,24 @@ def load_json(path: str | Path, parse: Callable[[Any], T]) -> T:
     try:
         return parse(data)
     except (SchemaError, ValidationError) as e:
+        raise type(e)(f"{path}: {e}") from e
+
+
+def load_json_array(path: str | Path, parse: Callable[[Iterator[Any]], T], expected: str) -> T:
+    """`parse` of the items of an input file that holds one JSON array,
+    decoded one at a time as `parse` reads them, so that the file's whole
+    tree is never built. It fails as `load_json` of the whole array would:
+    malformed JSON anywhere in the file is a ParseError before any error of
+    `parse`, JSON that is not an array is SchemaError(`expected`), and a
+    SchemaError or ValidationError of `parse` names the file."""
+    text = read_text(path)
+    try:
+        return parse(_array_items(text))
+    except json.JSONDecodeError:
+        _decode(text, path)  # the scan fails only where json.loads does, or on a non-array
+        raise SchemaError(f"{path}: {expected}") from None
+    except (SchemaError, ValidationError) as e:
+        _decode(text, path)  # malformed JSON further on is reported first
         raise type(e)(f"{path}: {e}") from e
 
 

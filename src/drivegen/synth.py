@@ -75,10 +75,15 @@ def _validate_config(config: CorpusConfig) -> None:
         raise ConfigError("lane geometry must be positive")
 
 
+_CENTERLINE_SPACING = 0.5  # s of ego travel between centerline points
+
+
 def _centerline_from_path(
-    states: list[VehicleState], stride: int = 5, extend: float = 40.0
+    states: list[VehicleState], dt: float, extend: float = 40.0
 ) -> list[tuple[float, float]]:
-    """Downsampled ego path, extended along the end headings."""
+    """The ego path, every `_CENTERLINE_SPACING` seconds (every state at a
+    step above it), extended along the end headings."""
+    stride = max(1, round(_CENTERLINE_SPACING / dt))
     pts = [(s.pose.x, s.pose.y) for s in states[::stride]]
     last = (states[-1].pose.x, states[-1].pose.y)
     if pts[-1] != last:
@@ -122,9 +127,15 @@ def _smoothstep(u: float) -> float:
     return u * u * (3.0 - 2.0 * u)
 
 
-def _arc_steering(rng: random.Random) -> float:
-    """The steady steering of a curve of random radius, turning either way."""
+_MAX_TURN = 2.0  # rad a curve turns at most, so that its corridor never comes back on itself
+
+
+def _arc_steering(rng: random.Random, length: float) -> float:
+    """The steady steering of a curve of random radius, turning either way;
+    the radius grows where an arc `length` m long would turn by more than
+    `_MAX_TURN` (at the default window no curve is long enough)."""
     radius = rng.uniform(70.0, 140.0) * rng.choice((-1.0, 1.0))
+    radius = math.copysign(max(abs(radius), length / _MAX_TURN), radius)
     return math.atan(VehicleLimits().wheelbase / abs(radius)) * math.copysign(1.0, radius)
 
 
@@ -176,7 +187,7 @@ def _build_scenario(
             )
         agents.append(AgentTrack("a00-cutin", 4.5, 1.9, "vehicle", tuple(states)))
 
-    center = _centerline_from_path(ego_states)
+    center = _centerline_from_path(ego_states, dt)
     lanes = [Lane(polyline=tuple(center), width=config.lane_width, direction=1)]
     polys = [tuple(corridor_polygon(center, half_corridor))]
 
@@ -231,14 +242,15 @@ def generate_synthetic_corpus(config: CorpusConfig, seed: int) -> list[Scenario]
     first diagnostic.
     """
     _validate_config(config)
+    n = config.t_history + 2 * config.t_horizon
     jobs, speeds, arcs = [], [], []
     for template in TEMPLATES:
         for _ in range(config.counts.get(template, 0)):
             rng = random.Random(mix64(seed, "scenario", template, len(jobs)))
             speeds.append(rng.uniform(8.0, 12.0))
-            arcs.append(_arc_steering(rng) if template == "curve" else 0.0)
+            arc_length = speeds[-1] * (n - 1 - config.t_history) * config.dt  # at constant speed
+            arcs.append(_arc_steering(rng, arc_length) if template == "curve" else 0.0)
             jobs.append((template, len(jobs), rng))
-    n = config.t_history + 2 * config.t_horizon
     egos = two_phase_tracks(speeds, 0.0, 0.0, arcs, config.t_history, n - 1, config.dt)
     out: list[Scenario] = []
     for row, (template, index, rng) in enumerate(jobs):

@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .reactive import (  # noqa: F401
     MODE_NONREACTIVE, MODE_REACTIVE, SceneBatch, StateBatch, rollout,
 )
 from .scenario import (
-    FRAME_EGO_LOCAL, Scenario, Trajectory, _number, load_json, track_from_json, track_of,
+    FRAME_EGO_LOCAL, Scenario, Trajectory, _number, load_json_array, track_from_json, track_of,
     track_to_json, write_json_array,
 )
 from .seeding import mix64
@@ -537,16 +537,16 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    """The vocabulary file parsed straight into the bank; an error in its
-    content names the file."""
-    return load_json(path, _vocabulary_from_json)
+    """The vocabulary file decoded one entry at a time into the bank, so its
+    JSON tree is never whole; an error in its content names the file."""
+    return load_json_array(
+        path, _vocabulary_from_entries, "vocabulary: expected a JSON array of trajectories"
+    )
 
 
-def _vocabulary_from_json(data) -> Vocabulary:
-    if not isinstance(data, list):
-        raise SchemaError("vocabulary: expected a JSON array of trajectories")
+def _vocabulary_from_entries(entries: Iterable[Any]) -> Vocabulary:
     dts, tracks = [], []
-    for i, item in enumerate(data):
+    for i, item in enumerate(entries):
         if not isinstance(item, dict) or set(item) != {"dt", "states"}:
             raise SchemaError(f"vocabulary[{i}]: expected fields dt, states")
         dts.append(_number(item["dt"], f"vocabulary[{i}].dt"))

@@ -9,6 +9,12 @@ whole-array perturbation passes (`vocab.enumerate_perturbations`,
 (`expert.recovery_targets`, `expert.kinematic_limit_violation`) and of the
 vocabulary build (`vocab.synthesize_maneuvers`, `vocab.build_vocabulary`).
 
+Two whole-array references keep the code that bounded memory replaced:
+`unblocked_first_overlaps` sweeps every TTC cell against every tau in one
+broadcast (`metrics._first_overlaps` sweeps blocks of cells), and
+`whole_tree_load_vocabulary` parses a vocabulary file with one `json.loads`
+(`vocab.load_vocabulary` decodes one entry at a time).
+
 A simulated window is a one-row `SceneBatch` in the package. The oracles
 hold it as `SceneStates`, tuples of `VehicleState` per vehicle: the record
 `oracle_rollout` returns and the scalar scorers read. `SceneStates.of`
@@ -61,9 +67,12 @@ from drivegen.control import (
     LqrParams,
     VehicleLimits,
 )
-from drivegen.errors import RolloutError
+import drivegen.metrics
+import drivegen.vocab
+from drivegen.errors import RolloutError, SchemaError
 from drivegen.geometry import (
     OrientedBox,
+    boxes_overlap_many,
     local_to_global,
     polyline_ops,
     rotate,
@@ -94,6 +103,7 @@ from drivegen.scenario import (
     Pose2D,
     Trajectory,
     VehicleState,
+    load_json,
 )
 from drivegen.seeding import mix64
 from drivegen.vocab import STATUS_PENDING
@@ -1106,3 +1116,23 @@ def oracle_lloyd_pass(X, centers, blocks):
     ])
     nearest = np.argmin(d2, axis=1)
     return nearest, d2[np.arange(len(X)), nearest], d2
+
+
+def unblocked_first_overlaps(ego, evx, evy, agent, avx, avy, cells, taus):
+    """`metrics._first_overlaps` as one broadcast of every cell against
+    every tau."""
+    swept = drivegen.metrics._swept
+    hit = boxes_overlap_many(swept(ego, evx, evy, cells, taus), swept(agent, avx, avy, cells, taus))
+    return np.where(hit.any(axis=1), taus[np.argmax(hit, axis=1)], math.inf)
+
+
+def whole_tree_load_vocabulary(path):
+    """`vocab.load_vocabulary` through the file's whole JSON tree: one
+    `json.loads`, then the entries in order."""
+
+    def parse(data):
+        if not isinstance(data, list):
+            raise SchemaError("vocabulary: expected a JSON array of trajectories")
+        return drivegen.vocab._vocabulary_from_entries(data)
+
+    return load_json(path, parse)

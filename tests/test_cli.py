@@ -3,14 +3,21 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import drivegen
+import drivegen.cli
+import drivegen.geometry
+import drivegen.pipeline
+import drivegen.synth
 from drivegen.cli import main
 from drivegen.config import PipelineConfig, save_config
 from drivegen.metrics import PENALTY_METRICS, aggregate_epdms
+from drivegen.pipeline import export_dataset, run_generation
 from drivegen.scenario import (
     Trajectory,
     dump_json_canonical,
@@ -18,6 +25,7 @@ from drivegen.scenario import (
     scenario_to_dict,
     track_of,
     track_to_json,
+    write_scenario,
 )
 from drivegen.vocab import load_vocabulary, save_vocabulary
 
@@ -162,6 +170,108 @@ def test_generate_rejects_a_worker_count_below_one(
     assert rc == 1
     assert _one_error_line(capsys) == f"error: workers must be >= 1, got {workers}"
     assert not out.exists()
+
+
+def test_generate_writes_the_files_of_run_generation_and_export_dataset(
+    tmp_path, corpus_dir, vocab_file
+):
+    """`generate` runs its scenarios while it writes their records, encoded
+    in the pool's workers when it has them; with 1, 2 and 3 workers its
+    files are the bytes of `export_dataset` of `run_generation`'s samples,
+    and it leaves no other file."""
+    config = PipelineConfig(master_seed=9, rounds=2)
+    corpus = [load_scenario(p) for p in sorted(corpus_dir.glob("*.json"))]
+    samples, stats = run_generation(corpus, config, vocab=load_vocabulary(vocab_file))
+    assert len(samples) > len(corpus)
+    api = tmp_path / "api"
+    export_dataset(samples, api, stats, config, [s.id for s in corpus])
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"w{workers}"
+        assert main([
+            "generate", "--corpus", str(corpus_dir), "--out", str(out), "--vocab", str(vocab_file),
+            "--rounds", "2", "--seed", "9", "--workers", workers,
+        ]) == 0
+        assert _dir_bytes(out) == _dir_bytes(api), workers
+
+
+@pytest.mark.parametrize("out_exists", [False, True])
+def test_generate_leaves_no_dataset_when_a_record_breaks_the_guarantee(
+    tmp_path, corpus_dir, vocab_file, capsys, monkeypatch, out_exists
+):
+    """Records are checked as they are written, to a temporary file: when
+    the second breaks the export guarantee, `generate` stops with one error
+    line and leaves neither dataset.jsonl nor that file, nor the output
+    directory if it made it."""
+    encode, encoded = drivegen.pipeline.export_record, []
+
+    def breaking(sample, cameras):
+        record = encode(sample, cameras)
+        encoded.append(record)
+        if len(encoded) == 2:
+            record = record._replace(submetrics=replace(record.submetrics, dac=0.0))
+        return record
+
+    monkeypatch.setattr(drivegen.pipeline, "export_record", breaking)
+    out = tmp_path / "ds"
+    if out_exists:
+        out.mkdir()
+    rc = main([
+        "generate", "--corpus", str(corpus_dir), "--out", str(out), "--vocab", str(vocab_file),
+        "--rounds", "2", "--seed", "9",
+    ])
+    assert rc == 1
+    bad = encoded[1]
+    assert _one_error_line(capsys) == (
+        f"error: sample {bad.scenario_id}/{bad.candidate_index} violates the export safety guarantee"
+    )
+    assert (list(out.iterdir()) == []) if out_exists else not out.exists()
+
+
+def test_generate_holds_no_more_for_four_times_the_scenarios(
+    tmp_path, corpus_dir, vocab_file, monkeypatch
+):
+    """`generate` holds one scenario's records at a time: over 4N
+    scenarios its traced peak above what it holds when generation starts
+    (the loaded scenarios and the vocabulary) is within a sixth of what the
+    extra records take in dataset.jsonl of its peak over N. The scenarios
+    are the N of the corpus, copied under new ids. Geometry's ops cache
+    (bounded at 257 entries) is emptied before each scenario so that it
+    does not count."""
+    corpus = [load_scenario(p) for p in sorted(corpus_dir.glob("*.json"))]
+    process = drivegen.pipeline._process_scenario_impl
+
+    def processed(*args):
+        drivegen.geometry._OPS_CACHE.clear()
+        return process(*args)
+
+    monkeypatch.setattr(drivegen.pipeline, "_process_scenario_impl", processed)
+    run, held = drivegen.cli.run_generation, []
+
+    def started(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(drivegen.cli, "run_generation", started)
+    peaks, sizes = [], []
+    for copies in (1, 4):
+        scenarios, out = tmp_path / f"corpus-{copies}", tmp_path / f"out-{copies}"
+        scenarios.mkdir()
+        for k in range(copies):
+            for s in corpus:
+                write_scenario(replace(s, id=f"{s.id}-{k}"), scenarios / f"{s.id}-{k}.json")
+        tracemalloc.start()
+        try:
+            assert main([
+                "generate", "--corpus", str(scenarios), "--out", str(out),
+                "--vocab", str(vocab_file),
+            ]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - held[-1])
+        finally:
+            tracemalloc.stop()
+        sizes.append((out / "dataset.jsonl").stat().st_size)
+    assert sizes[1] > 3 * sizes[0]
+    assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 6, (peaks, sizes)
 
 
 def _write_logged_trajectory(scenario_path: Path, out_path: Path) -> None:
@@ -436,9 +546,31 @@ def test_gen_corpus_at_a_short_step_writes_scenarios_that_load(tmp_path):
         load_scenario(path)
 
 
-def test_gen_corpus_refuses_a_scenario_that_does_not_validate(tmp_path, capsys):
-    """At dt 0.5 some curves leave their corridor: one error line names the
-    first such scenario and its first diagnostic, and nothing is written."""
+@pytest.mark.parametrize("dt", ["0.5", "1.0"])
+def test_gen_corpus_up_to_a_one_second_step_writes_scenarios_that_load(tmp_path, dt):
+    """Up to a 1 s step, lanes keep a point every 0.5 s of the ego's path
+    (each state at a step above it) and a curve turns by at most 2 rad
+    whatever its log's length, so every written scenario loads."""
+    out = tmp_path / "corpus"
+    assert main(["gen-corpus", "--count", "50", "--seed", "2026", "--dt", dt,
+                 "--out", str(out)]) == 0
+    paths = sorted(out.glob("*.json"))
+    assert len(paths) == 50
+    for path in paths:
+        s = load_scenario(path)
+        reach = max(0.5, float(dt)) * max(state.vel_lon for state in s.ego_log.states)
+        route = s.map.route[1:-1]  # without the 40 m extensions at either end
+        gaps = [math.dist(a, b) for a, b in zip(route, route[1:])]
+        assert max(gaps) <= reach * (1 + 1e-9), s.id
+
+
+def test_gen_corpus_refuses_a_scenario_that_does_not_validate(tmp_path, capsys, monkeypatch):
+    """With lane points every 2.5 s of the path and curves free to turn
+    any amount, at dt 0.5 some curves leave their corridor: one error line
+    names the first such scenario and its first diagnostic, and nothing is
+    written."""
+    monkeypatch.setattr(drivegen.synth, "_CENTERLINE_SPACING", 2.5)
+    monkeypatch.setattr(drivegen.synth, "_MAX_TURN", math.inf)
     out = tmp_path / "corpus"
     rc = main(["gen-corpus", "--count", "50", "--seed", "2026", "--dt", "0.5", "--out", str(out)])
     assert rc == 1
@@ -700,22 +832,32 @@ def _wrap(data):
     return {"entries": data}
 
 
-@pytest.mark.parametrize(
-    "breaks, message",
-    [
-        (_set(2, 5, "y", "1.0"), "vocabulary[2].states[5].y: expected a number, got '1.0'"),
-        (_set(2, 5, "theta", True), "vocabulary[2].states[5].theta: expected a number, got True"),
-        (_set(2, 5, "x", float("nan")), "vocabulary[2].states[5].x: not a finite float: nan"),
-        (_drop(2, 5, "v_lat"), "vocabulary[2].states[5]: missing field 'v_lat'"),
-        (_set(2, 5, "extra", 1.0), "vocabulary[2].states[5]: unknown field 'extra'"),
-        (_shorten, "vocabulary entry 3 has mismatched horizon or dt"),
-        (_retime, "vocabulary entry 4 has mismatched horizon or dt"),
-        (_bad_value_after_short_entry, "vocabulary[6].states[0].x: expected a number, got 'a'"),
-        (_wrap, "vocabulary: expected a JSON array of trajectories"),
-    ],
-    ids=["string", "bool", "nan", "missing-key", "unknown-key", "unequal-length",
-         "mismatched-dt", "schema-before-shape", "not-an-array"],
-)
+_BAD_VOCABULARIES = [
+    (_set(2, 5, "y", "1.0"), "vocabulary[2].states[5].y: expected a number, got '1.0'"),
+    (_set(2, 5, "theta", True), "vocabulary[2].states[5].theta: expected a number, got True"),
+    (_set(2, 5, "x", float("nan")), "vocabulary[2].states[5].x: not a finite float: nan"),
+    (_drop(2, 5, "v_lat"), "vocabulary[2].states[5]: missing field 'v_lat'"),
+    (_set(2, 5, "extra", 1.0), "vocabulary[2].states[5]: unknown field 'extra'"),
+    (_shorten, "vocabulary entry 3 has mismatched horizon or dt"),
+    (_retime, "vocabulary entry 4 has mismatched horizon or dt"),
+    (_bad_value_after_short_entry, "vocabulary[6].states[0].x: expected a number, got 'a'"),
+    (_wrap, "vocabulary: expected a JSON array of trajectories"),
+]
+_BAD_VOCABULARY_IDS = ["string", "bool", "nan", "missing-key", "unknown-key", "unequal-length",
+                       "mismatched-dt", "schema-before-shape", "not-an-array"]
+
+
+def _generate_with_vocabulary(tmp_path, corpus_dir, text: str) -> tuple[int, Path]:
+    path = tmp_path / "vocab.json"
+    path.write_text(text)
+    rc = main([
+        "generate", "--corpus", str(corpus_dir), "--out", str(tmp_path / "ds"),
+        "--vocab", str(path),
+    ])
+    return rc, path
+
+
+@pytest.mark.parametrize("breaks, message", _BAD_VOCABULARIES, ids=_BAD_VOCABULARY_IDS)
 def test_generate_bad_vocabulary_one_error_line(
     tmp_path, corpus_dir, vocab_file, capsys, breaks, message
 ):
@@ -724,14 +866,54 @@ def test_generate_bad_vocabulary_one_error_line(
     fault wins over a shape mismatch found only once every entry is read."""
     data = json.loads(vocab_file.read_text())
     data = breaks(data) or data
-    path = tmp_path / "vocab.json"
-    path.write_text(json.dumps(data))
-    rc = main([
-        "generate", "--corpus", str(corpus_dir), "--out", str(tmp_path / "ds"),
-        "--vocab", str(path),
-    ])
+    rc, path = _generate_with_vocabulary(tmp_path, corpus_dir, json.dumps(data))
     assert rc == 1
     assert _one_error_line(capsys) == f"error: {path}: {message}"
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("indent", [0, 2])
+@pytest.mark.parametrize("breaks, message", _BAD_VOCABULARIES, ids=_BAD_VOCABULARY_IDS)
+def test_generate_bad_vocabulary_laid_out_otherwise_one_error_line(
+    tmp_path, corpus_dir, vocab_file, capsys, breaks, message, indent
+):
+    """The vocabulary is decoded one entry at a time, whatever JSON
+    whitespace lays it out: the same broken files, indented or padded with
+    whitespace, give the same one line."""
+    data = json.loads(vocab_file.read_text())
+    data = breaks(data) or data
+    text = " \r\n" + json.dumps(data, indent=indent, separators=(" , ", " : ")) + "\t\n"
+    rc, path = _generate_with_vocabulary(tmp_path, corpus_dir, text)
+    assert rc == 1
+    assert _one_error_line(capsys) == f"error: {path}: {message}"
+    assert not (tmp_path / "ds").exists()
+
+
+_MALFORMED = {
+    "trailing-garbage": lambda text: text + "x",
+    "second-array": lambda text: text + "[]",
+    "trailing-comma": lambda text: text.rstrip()[:-1] + ",]",
+    "missing-bracket": lambda text: text.rstrip()[:-1],
+    "missing-comma": lambda text: text.replace("]},{", "]} {", 1),
+    "byte-order-mark": lambda text: "\ufeff" + text,
+    "bad-entry-then-garbage": lambda text: text.replace('"dt":0.1', '"dt":"0.1"', 1) + "x",
+    "empty": lambda text: "",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_generate_malformed_vocabulary_one_error_line(
+    tmp_path, corpus_dir, vocab_file, capsys, name
+):
+    """Malformed JSON anywhere in a vocabulary file, trailing garbage
+    included, is reported in the words of `json.loads` of the whole file,
+    before any fault of an entry that comes earlier."""
+    text = _MALFORMED[name](vocab_file.read_text())
+    with pytest.raises(json.JSONDecodeError) as parse:
+        json.loads(text)
+    rc, path = _generate_with_vocabulary(tmp_path, corpus_dir, text)
+    assert rc == 1
+    assert _one_error_line(capsys) == f"error: {path}: malformed JSON: {parse.value}"
     assert not (tmp_path / "ds").exists()
 
 

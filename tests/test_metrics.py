@@ -17,6 +17,7 @@ from drivegen.metrics import (
     RewardRecord,
     SimContext,
     SubMetricVector,
+    _boxes,
     _contact_lon,
     _epdms_rows,
     aggregate_epdms,
@@ -40,7 +41,7 @@ from drivegen.scenario import (
 from conftest import make_state, scene_states, shifted_plan
 from oracle import (
     SceneStates, comfort_profile, contact_point, global_to_local, oracle_aggregate_epdms,
-    oracle_submetrics, oracle_time_to_collision,
+    oracle_submetrics, oracle_time_to_collision, unblocked_first_overlaps,
 )
 from test_geometry import oracle_boxes_overlap
 
@@ -653,3 +654,47 @@ def test_scoring_kernel_matches_the_scalar_oracle_with_several_agents(multi_agen
                 cleared += want.nc == want.ttc == want.dac == 1.0
     assert all(values == {0.0, 1.0} for values in seen.values()), seen
     assert cleared >= 30, cleared
+
+
+def test_blocked_ttc_sweep_equals_one_broadcast(multi_agent_corpus, monkeypatch):
+    """`time_to_collision` sweeps its (row, frame) cells `_TTC_BLOCK` at a
+    time. With blocks of 1, of 7 and of more cells than any call has, every
+    sweep has the bits of one broadcast of all its cells (the oracle's
+    `unblocked_first_overlaps`), and so has every row's TTC, on the crowded
+    scenes: several agents of a scene reach the sweep, and some rows have a
+    finite TTC."""
+    assert drivegen.metrics._TTC_BLOCK == 256
+    ctx = SimContext()
+    th = ctx.thresholds
+    scenes = []
+    for s in multi_agent_corpus:
+        t = s.anchor_frame
+        logged = s.ego_log.segment(t, t + s.t_horizon)
+        plans = StateBatch.tracks([
+            shifted_plan(logged, lateral, speed).states
+            for lateral in (-1.6, 0.0, 1.6) for speed in (0.8, 1.15)
+        ])
+        scene = rollout_batch(s, plans, t, s.t_horizon, ctx)
+        scenes.append((scene, *_boxes(scene, s, ctx), th.ttc_horizon, th.ttc_min_ego_speed))
+
+    sweeps = []  # (scene, arguments, the oracle's first overlaps) of every sweep
+
+    def oracle(*args):
+        sweeps.append((len(want), args, unblocked_first_overlaps(*args)))
+        return sweeps[-1][2]
+
+    monkeypatch.setattr(drivegen.metrics, "_first_overlaps", oracle)
+    want = []
+    for x in scenes:
+        want.append(time_to_collision(*x).tobytes())
+    monkeypatch.undo()
+    for block in (1, 7, 10**6):
+        monkeypatch.setattr(drivegen.metrics, "_TTC_BLOCK", block)
+        for _, args, first in sweeps:
+            assert drivegen.metrics._first_overlaps(*args).tobytes() == first.tobytes(), block
+        assert [time_to_collision(*x).tobytes() for x in scenes] == want, block
+    per_scene = [sum(k == i for k, _, _ in sweeps) for i in range(len(scenes))]
+    assert max(per_scene) >= 2, per_scene  # several agents of one scene are swept
+    assert 7 < max(args[6][0].size for _, args, _ in sweeps) < 10**6
+    assert any(np.isfinite(first).any() for _, _, first in sweeps)
+    assert any(np.isfinite(np.frombuffer(b)).any() for b in want)

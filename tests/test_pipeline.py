@@ -508,6 +508,25 @@ def test_run_generation_round_monotonicity(gen_run):
         assert st.accepted <= st.attempted
 
 
+def test_samples_own_their_rows(gen_run):
+    """A sample's scenes and camera poses sit on buffers of their own size,
+    not on views that keep a scenario's whole screen or stage 2 alive."""
+    _, (samples, _) = gen_run
+    assert samples
+
+    def buffer(a):
+        while a.base is not None:
+            a = a.base
+        return a
+
+    for s in samples:
+        scenes = (s.stage1, s.stage2)
+        arrays = [x.data for scene in scenes for x in (scene.ego, *scene.agents.values())]
+        for a in (*arrays, s.sensors):
+            assert buffer(a).nbytes == a.nbytes, (s.scenario_id, s.candidate_index, a.shape)
+    assert any(s.stage1.agents for s in samples)
+
+
 def test_run_generation_round_disjointness(gen_run):
     _, (samples, _) = gen_run
     seen = set()
@@ -596,8 +615,9 @@ def test_export_writes_the_bytes_of_the_records_encoded_together(gen_run, tmp_pa
 
 
 def test_export_writes_nothing_when_a_sample_breaks_the_guarantee(gen_run, tmp_path):
-    """Every sample is checked before dataset.jsonl is opened, so a breach in
-    the last sample leaves no file behind."""
+    """Records are written to a temporary file that becomes dataset.jsonl
+    only once every one has passed the guarantee, so a breach in the last
+    sample leaves no file behind, nor the directory the export made."""
     config, (samples, stats) = gen_run
     last = samples[-1]
     bad = replace(last, reward=replace(last.reward, submetrics=replace(last.reward.submetrics, nc=0.0)))
@@ -605,6 +625,7 @@ def test_export_writes_nothing_when_a_sample_breaks_the_guarantee(gen_run, tmp_p
     with pytest.raises(ValidationError, match="violates the export safety guarantee"):
         export_dataset([*samples[:-1], bad], out, stats, config, [])
     assert not (out / "dataset.jsonl").exists()
+    assert not out.exists()
 
 
 def test_export_holds_less_than_the_file_it_writes(gen_run, tmp_path):

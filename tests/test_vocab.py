@@ -47,6 +47,7 @@ from oracle import (
     oracle_place_at_state,
     oracle_synthesize_maneuvers,
     oracle_threshold_and_grid,
+    whole_tree_load_vocabulary,
 )
 
 
@@ -445,6 +446,62 @@ def test_load_vocabulary_takes_integer_numbers(tmp_path, small_vocab):
         data[1]["states"][0][key] = 0
     path.write_text(json.dumps(data))
     assert load_vocabulary(path).tracks.data.tobytes() == small_vocab.tracks.data.tobytes()
+
+
+_LAYOUTS = {
+    "canonical": dump_json_canonical,
+    "indented": lambda data: json.dumps(data, indent=2),
+    "padded": lambda data: " \t\r\n" + json.dumps(data, separators=(" ,\n", " :\t")) + "\r\n \n",
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_load_vocabulary_decodes_each_entry_into_the_same_bank(tmp_path, small_vocab, layout):
+    """Decoded one entry at a time, a vocabulary file laid out with any JSON
+    whitespace gives the bank of the whole file's parse, bit for bit."""
+    path = tmp_path / "vocab.json"
+    save_vocabulary(small_vocab, path)
+    path.write_text(_LAYOUTS[layout](json.loads(path.read_text())))
+    loaded, want = load_vocabulary(path), whole_tree_load_vocabulary(path)
+    assert loaded.dt == want.dt == small_vocab.dt
+    assert loaded.tracks.data.tobytes() == want.tracks.data.tobytes()
+    assert loaded.tracks.data.tobytes() == small_vocab.tracks.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " \n", "[", "]", "[]", " [ ]\n", "[] x", "[][]", "[,]", "[1,]", "[1 2]", "[{}", "[{}]]",
+     "{}", "1", "null", '"[]"', "[1]", "[[]]", "[{}]", '[{"dt": 0.1}]', "\ufeff[]",
+     '[{"dt": "a", "states": []}, x]', '[{"dt": 0.1, "states": [1]}] 2'],
+)
+def test_load_vocabulary_fails_as_the_whole_file_parse_does(tmp_path, text):
+    """A file that is not a vocabulary fails with the error of the whole
+    file's parse, type and line: malformed JSON anywhere (after a bad
+    entry too) before any fault of an entry, JSON that is not an array, an
+    empty array and the first bad entry."""
+    path = tmp_path / "vocab.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DrivegenError) as want:
+        whole_tree_load_vocabulary(path)
+    with pytest.raises(DrivegenError) as got:
+        load_vocabulary(path)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert str(got.value).startswith(f"{path}: ")
+
+
+def test_load_vocabulary_holds_less_than_the_whole_tree(tmp_path, small_vocab):
+    """Decoding one entry at a time never builds the file's JSON tree, which
+    takes about four times the file's size: the load peaks at the file's
+    text, its bytes while they are decoded and the bank."""
+    path = tmp_path / "vocab.json"
+    save_vocabulary(small_vocab, path)
+    tracemalloc.start()
+    try:
+        load_vocabulary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * path.stat().st_size
 
 
 # --- enumeration and thresholds
