@@ -12,11 +12,9 @@ from .scenario import (  # noqa: F401
     AgentTrack,
     Lane,
     MapModel,
-    Pose2D,
     Scenario,
     TrafficLight,
     Trajectory,
-    VehicleState,
     load_scenario,
     validate_scenario,
     write_scenario,

@@ -48,7 +48,7 @@ from .reactive import (
     idm_accel,
     lane_centerline_ops,
 )
-from .scenario import Lane, Scenario, VehicleState
+from .scenario import Lane, Scenario
 
 if TYPE_CHECKING:  # metrics scores what this module simulates; neither imports the other
     from .metrics import SimContext
@@ -255,7 +255,7 @@ def _agent_step_batch(
     _advance(st, accel, steering, dt, wheelbase, steering, out)
 
 
-def _per_row(state: VehicleState | StateBatch, rows: int) -> StateBatch:
+def _per_row(state: np.ndarray | StateBatch, rows: int) -> StateBatch:
     return state if isinstance(state, StateBatch) else StateBatch.full(state, rows)
 
 
@@ -265,8 +265,8 @@ def rollout_batch(
     t_start: int,
     horizon: int,
     ctx: SimContext,
-    ego_start: VehicleState | StateBatch | None = None,
-    agent_init: Mapping[str, VehicleState | StateBatch] | None = None,
+    ego_start: np.ndarray | StateBatch | None = None,
+    agent_init: Mapping[str, np.ndarray | StateBatch] | None = None,
     mode: str = MODE_REACTIVE,
 ) -> SceneBatch:
     """Simulate every row of `plans` (global-frame references of at least
@@ -274,7 +274,7 @@ def rollout_batch(
     [t_start, t_start + horizon] in the world of `ctx`: the ego tracks each
     plan, then `rollout_agents` steps the agents against that track (the ego
     tracks its plan whatever the agents do). A start state (`ego_start`, each
-    `agent_init` entry) is one state for every row or a (7, P) batch.
+    `agent_init` entry) is one (7,) state for every row or a (7, P) batch.
     """
     check_window(scenario, t_start, horizon)
     start = ego_start if ego_start is not None else scenario.ego_log[t_start]
@@ -289,7 +289,7 @@ def rollout_agents(
     ego: StateBatch,
     t_start: int,
     ctx: SimContext,
-    agent_init: Mapping[str, VehicleState | StateBatch] | None = None,
+    agent_init: Mapping[str, np.ndarray | StateBatch] | None = None,
     mode: str = MODE_REACTIVE,
 ) -> SceneBatch:
     """The scene of P ego rows already tracked, (7, P, H + 1), over the frame
@@ -308,7 +308,7 @@ def rollout_agents(
     if mode == MODE_NONREACTIVE:
         agents = {
             a.id: StateBatch(np.broadcast_to(
-                StateBatch.track(a.states[t_start : t_end + 1]).data, (7, rows, horizon + 1)
+                a.track[:, None, t_start : t_end + 1], (7, rows, horizon + 1)
             ))
             for a in ordered
         }
@@ -317,7 +317,7 @@ def rollout_agents(
     tracks = {a.id: np.empty((7, rows, horizon + 1)) for a in ordered}
     for a in ordered:
         init = agent_init.get(a.id) if agent_init else None
-        tracks[a.id][:, :, 0] = _per_row(a.states[t_start] if init is None else init, rows).data
+        tracks[a.id][:, :, 0] = _per_row(a.track[:, t_start] if init is None else init, rows).data
     lanes = scenario.map.lanes
     for k in range(horizon):
         scene = {"ego": (ego.at(k), ctx.ego_length)}

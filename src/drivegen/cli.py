@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import PipelineConfig, config_hash, load_config, save_config
 from .errors import DrivegenError, FitError, ParseError, SchemaError
@@ -34,7 +36,6 @@ from .scenario import (
     load_scenario,
     read_json,
     read_text,
-    states_of,
     track_from_json,
     write_scenario,
 )
@@ -118,7 +119,7 @@ def _trajectory_from_json(data) -> Trajectory:
     if len(states) < 2:
         raise SchemaError(f"states: expected at least 2 states, got {len(states)}")
     dt = _number(data.get("dt"), "dt")
-    return Trajectory(dt=dt, states=states_of(track_from_json(states, "states")), frame=frame)
+    return Trajectory(dt, track_from_json(states, "states"), frame)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -129,10 +130,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     horizon = min(scenario.t_horizon, len(traj) - 1)
     ctx = config.sim_context
     scene = rollout(scenario, traj, t_start, horizon, mode=args.mode, ctx=ctx)
-    history = scenario.ego_log.segment(0, t_start)
-    combined = Trajectory(
-        dt=scenario.dt, states=history.states + scene.ego.states(0)[1:], frame=FRAME_GLOBAL
-    )
+    combined = Trajectory(scenario.dt, np.concatenate(
+        [scenario.ego_log.track[:, : t_start + 1], scene.ego.data[:, 0, 1:]], axis=1
+    ))
     sub = compute_submetrics(scene, scenario, combined, ctx)
     report = {
         "scenario_id": scenario.id,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import RolloutError, ValidationError
 from .geometry import distinct
-from .scenario import Trajectory, VehicleState
+from .scenario import Trajectory
 
 # Actuation and geometry defaults; all overridable through VehicleLimits.
 DEFAULT_WHEELBASE = 2.7
@@ -131,11 +131,12 @@ _tracking_gain = _GainTable()
 
 def lqr_track(
     reference: Trajectory,
-    start: VehicleState,
+    start: np.ndarray,
     params: LqrParams | None = None,
     limits: VehicleLimits | None = None,
 ) -> Trajectory:
-    """Execute a reference trajectory with error-state LQR feedback.
+    """Execute a reference trajectory with error-state LQR feedback from the
+    (7,) `start` state.
 
     The output has the same length and frame tag as the reference. When the
     error state is exactly zero and the next reference state respects the
@@ -151,7 +152,7 @@ def lqr_track(
     if not reference.dt > 0:
         raise ValueError("dt must be positive")
     track = _lqr_track_batch(
-        StateBatch.track(reference.states), StateBatch.frame([start]), len(reference) - 1,
+        StateBatch(reference.track[:, None]), StateBatch.full(start, 1), len(reference) - 1,
         reference.dt, params or LqrParams(), limits or VehicleLimits(),
     )
-    return Trajectory(dt=reference.dt, states=track.states(0), frame=reference.frame)
+    return Trajectory(reference.dt, track.data[:, 0], reference.frame)

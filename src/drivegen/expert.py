@@ -9,7 +9,7 @@ centerline-offset proposals in reactive simulation and returns the best one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -38,7 +38,7 @@ from .metrics import compute_submetrics  # noqa: F401
 from .reactive import IdmParams, SceneBatch, StateBatch, check_window, idm_accel
 # `rollout` stays bound here: perfbench/tracer.py wraps `expert.rollout` by name
 from .reactive import rollout  # noqa: F401
-from .scenario import Scenario, Trajectory, VehicleState
+from .scenario import Scenario, Trajectory
 from .vocab import Vocabulary
 
 EXPERT_RECOVERY = "recovery"
@@ -64,12 +64,11 @@ def _matching_matrix(vocab: Vocabulary) -> np.ndarray:
     return _matching_rows(first, last[0], last[1], last[2])
 
 
-def recovery_targets(starts: StateBatch, logged_end: VehicleState) -> np.ndarray:
+def recovery_targets(starts: StateBatch, logged_end: np.ndarray) -> np.ndarray:
     """(P, 6) retrieval targets of P perturbed starts, (7, P): each start's
-    velocity with the logged endpoint as the goal, in the start's frame, so
-    retrieval steers back toward the human log."""
-    end = logged_end.pose
-    return _matching_rows(starts.data, end.x, end.y, end.theta)
+    velocity with the (7,) logged endpoint as the goal, in the start's frame,
+    so retrieval steers back toward the human log."""
+    return _matching_rows(starts.data, *logged_end[:3].tolist())
 
 
 _ANGLE_COMPONENTS = np.array([False, False, True, False, False, True])
@@ -213,13 +212,13 @@ def _score_starts(
     return refs, scene, sub, _epdms_rows(sub, ctx.weights)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Plan:
     """The planner's winning proposal: its reference trajectory, and the
     reactive rollout and sub-metrics that scored it."""
 
     reference: Trajectory
-    states: SceneBatch = field(compare=False)  # one row; arrays have no truth value
+    states: SceneBatch  # one row
     submetrics: SubMetricVector
 
 
@@ -256,8 +255,8 @@ def privileged_plan(
     scenario: Scenario,
     t: int,
     p: PlannerParams | None = None,
-    ego_start: VehicleState | None = None,
-    agent_init: Mapping[str, VehicleState] | None = None,
+    ego_start: np.ndarray | None = None,
+    agent_init: Mapping[str, np.ndarray] | None = None,
     ctx: SimContext | None = None,
 ) -> Plan:
     """Best-scoring proposal of a rule-based planner with ground-truth access.
@@ -269,12 +268,12 @@ def privileged_plan(
     (ties go to the lower proposal index) with its rollout, which equals a
     reactive `rollout` of its reference alone, and its sub-metrics, scored
     on that window. `ego_start` / `agent_init` plan from perturbed rather
-    than logged states.
+    than logged states, (7,) each.
     """
     ego = StateBatch.full(ego_start if ego_start is not None else scenario.ego_log[t], 1)
     agents = {aid: StateBatch.full(s, 1) for aid, s in (agent_init or {}).items()}
     refs, scene, sub = privileged_plans(scenario, t, ego, agents, p, ctx)
-    return Plan(refs.trajectory(0, scenario.dt), scene, SubMetricVector(*sub[0].tolist()))
+    return Plan(Trajectory(scenario.dt, refs.data[:, 0]), scene, SubMetricVector(*sub[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -419,10 +419,10 @@ def _progress(scene: SceneBatch, scenario: Scenario, th: MetricThresholds) -> np
     """EP per row: route progress over the logged human progress of the window."""
     ego = scene.ego
     rows = ego.x.shape[0]
-    log_a, log_b = scenario.ego_log[scene.t_start], scenario.ego_log[scene.t_end]
+    log_x, log_y = scenario.ego_log.track[:2, [scene.t_start, scene.t_end]]
     s, _, _ = polyline_ops(scenario.map.route).project_many(
-        np.concatenate([ego.x[:, 0], ego.x[:, -1], [log_a.pose.x, log_b.pose.x]]),
-        np.concatenate([ego.y[:, 0], ego.y[:, -1], [log_a.pose.y, log_b.pose.y]]),
+        np.concatenate([ego.x[:, 0], ego.x[:, -1], log_x]),
+        np.concatenate([ego.y[:, 0], ego.y[:, -1], log_y]),
     )
     reference = max(0.0, s[-1] - s[-2])
     if reference < th.ep_min_reference:
@@ -590,5 +590,5 @@ def compute_submetrics(
         raise ValueError("scored window must contain at least 2 frames")
     if ego_traj.dt != states.dt:
         raise ValueError(f"ego_traj dt {ego_traj.dt} does not match the window's {states.dt}")
-    row = submetrics_batch(states, scenario, ctx, comfort=StateBatch.track(ego_traj.states))[0]
+    row = submetrics_batch(states, scenario, ctx, comfort=StateBatch(ego_traj.track[:, None]))[0]
     return SubMetricVector(*row.tolist())

@@ -6,10 +6,9 @@ following. Agents update synchronously from the previous frame, in
 ascending id order, so results are independent of scheduling. The engine is
 `batch.rollout_batch`; `rollout` simulates one plan as its one row.
 
-States live in arrays: a `StateBatch` stacks the seven `VehicleState` fields
-of P rows, and a `SceneBatch` holds P simulated versions of one frame
-window. A simulated window is a one-row `SceneBatch` from the screen to the
-export.
+States live in arrays: a `StateBatch` stacks the seven state fields of P
+rows, and a `SceneBatch` holds P simulated versions of one frame window. A
+simulated window is a one-row `SceneBatch` from the screen to the export.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ import numpy as np
 from .control import lqr_track  # noqa: F401
 from .errors import RolloutError, ValidationError
 from .geometry import PolylineOps, PolylineSetOps, _cached_ops, per_element
-from .scenario import (
-    FRAME_GLOBAL, Lane, Scenario, Trajectory, VehicleState, states_of, track_of,
-)
+from .scenario import FRAME_GLOBAL, Lane, Scenario, Trajectory
 
 if TYPE_CHECKING:  # metrics imports this module, so the context type is annotation-only
     from .metrics import SimContext
@@ -65,8 +62,9 @@ class IdmParams:
 
 @dataclass(frozen=True, slots=True)
 class StateBatch:
-    """The seven `VehicleState` fields stacked on axis 0 of one array: (7, P)
-    for one frame of P rows, (7, P, n) for P tracks of n frames."""
+    """The seven state fields (x, y, theta, vel_lon, vel_lat, accel,
+    steering) stacked on axis 0 of one array: (7, P) for one frame of P rows,
+    (7, P, n) for P tracks of n frames."""
 
     data: np.ndarray
 
@@ -83,34 +81,12 @@ class StateBatch:
         return cls(np.stack([x, y, theta, v, v_lat, accel, steering]))
 
     @classmethod
-    def full(cls, state: VehicleState, rows: int) -> "StateBatch":
-        return cls(np.repeat(track_of([state]), rows, axis=1))
-
-    @classmethod
-    def tracks(cls, tracks: Sequence[Sequence[VehicleState]]) -> "StateBatch":
-        """(7, P, n): P rows holding the n states of a track each."""
-        return cls(np.stack([track_of(states) for states in tracks], axis=1))
-
-    @classmethod
-    def track(cls, states: Sequence[VehicleState]) -> "StateBatch":
-        """(7, 1, n): one row holding the n states of a track."""
-        return cls.tracks([states])
-
-    @classmethod
-    def frame(cls, states: Sequence[VehicleState]) -> "StateBatch":
-        """(7, P): one frame of P rows, one state each."""
-        return cls(cls.track(states).data[:, 0])
+    def full(cls, state: np.ndarray, rows: int) -> "StateBatch":
+        """(7, rows): the (7,) `state` in every row."""
+        return cls(np.repeat(np.asarray(state, dtype=float)[:, None], rows, axis=1))
 
     def at(self, k: int) -> "StateBatch":
         return StateBatch(self.data[:, :, k])
-
-    def states(self, row: int) -> tuple[VehicleState, ...]:
-        """The states of one row of tracks."""
-        return states_of(self.data[:, row, :])
-
-    def trajectory(self, row: int, dt: float) -> Trajectory:
-        """The global-frame trajectory of one row of tracks."""
-        return Trajectory(dt=dt, states=self.states(row), frame=FRAME_GLOBAL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,16 +167,17 @@ def rollout(
     horizon: int,
     mode: str = MODE_REACTIVE,
     ctx: SimContext | None = None,
-    ego_start: VehicleState | None = None,
-    agent_init: Mapping[str, VehicleState] | None = None,
+    ego_start: np.ndarray | None = None,
+    agent_init: Mapping[str, np.ndarray] | None = None,
 ) -> SceneBatch:
     """Simulate a frame window [t_start, t_start + horizon] in the world of `ctx`.
 
     The ego executes `ego_plan` through the LQR tracker (or replays the log
     in log-replay-ego mode). Agents replay their logged tracks in nonreactive
     and log-replay-ego modes, and run IDM + pure pursuit in reactive mode.
-    `ego_start` / `agent_init` optionally override the initial states, which
-    is how the second simulation stage continues from perturbed states.
+    `ego_start` / `agent_init` optionally override the initial states, (7,)
+    each, which is how the second simulation stage continues from perturbed
+    states.
     Without `ctx` the defaults of SimContext apply. Returns the window as a
     one-row scene; the executing modes are one row of `batch.rollout_batch`.
 
@@ -217,9 +194,9 @@ def rollout(
             dt=scenario.dt,
             t_start=t_start,
             t_end=t_start + horizon,
-            ego=StateBatch.track(scenario.ego_log.states[window]),
+            ego=StateBatch(scenario.ego_log.track[:, None, window]),
             agents={
-                a.id: StateBatch.track(a.states[window])
+                a.id: StateBatch(a.track[:, None, window])
                 for a in sorted(scenario.agents, key=lambda a: a.id)
             },
         )
@@ -232,6 +209,6 @@ def rollout(
     from .metrics import SimContext
 
     return rollout_batch(
-        scenario, StateBatch.track(ego_plan.states[: horizon + 1]), t_start, horizon,
+        scenario, StateBatch(ego_plan.track[:, None, : horizon + 1]), t_start, horizon,
         ctx or SimContext(), ego_start, agent_init, mode,
     )

@@ -45,55 +45,52 @@ FRAME_EGO_LOCAL = "ego-local-at-start"
 T = TypeVar("T")
 
 
-@dataclass(frozen=True, slots=True)
-class Pose2D:
-    x: float
-    y: float
-    theta: float  # radians in (-pi, pi]
+def _frozen(track: Any) -> np.ndarray:
+    """A read-only float view of a (7, n) track; the caller's array keeps its flags."""
+    view = np.asarray(track, dtype=float).view()
+    view.flags.writeable = False
+    return view
 
 
-@dataclass(frozen=True, slots=True)
-class VehicleState:
-    """Full kinematic state; velocities are in the vehicle body frame."""
-
-    pose: Pose2D
-    vel_lon: float
-    vel_lat: float
-    accel: float
-    steering: float
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Trajectory:
-    """Fixed-rate state sequence; the action representation everywhere."""
+    """Fixed-rate states as one read-only (7, n) track: x, y, theta, vel_lon,
+    vel_lat, accel and steering on axis 0, velocities in the body frame."""
 
     dt: float
-    states: tuple[VehicleState, ...]
+    track: np.ndarray
     frame: str = FRAME_GLOBAL
 
-    def __len__(self) -> int:
-        return len(self.states)
+    def __post_init__(self):
+        object.__setattr__(self, "track", _frozen(self.track))
 
-    def __getitem__(self, i: int) -> VehicleState:
-        return self.states[i]
+    def __len__(self) -> int:
+        return self.track.shape[1]
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        """The (7,) state of frame i."""
+        return self.track[:, i]
 
     @property
     def horizon(self) -> int:
         """Number of time steps spanned (one less than the state count)."""
-        return len(self.states) - 1
+        return len(self) - 1
 
     def segment(self, start: int, end: int) -> "Trajectory":
         """Sub-trajectory covering state indices [start, end] inclusive."""
-        return Trajectory(self.dt, self.states[start : end + 1], self.frame)
+        return Trajectory(self.dt, self.track[:, start : end + 1], self.frame)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class AgentTrack:
     id: str
     length: float
     width: float
     kind: str  # "vehicle" | "static"
-    states: tuple[VehicleState, ...]
+    track: np.ndarray  # (7, n), read-only
+
+    def __post_init__(self):
+        object.__setattr__(self, "track", _frozen(self.track))
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +120,7 @@ class MapModel:
     traffic_lights: tuple[TrafficLight, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Scenario:
     id: str
     map: MapModel
@@ -263,23 +260,6 @@ def track_to_json(track: np.ndarray) -> list[dict]:
     return [dict(zip(_STATE_FIELDS, s)) for s in track.T.tolist()]
 
 
-def track_of(states: Iterable[VehicleState]) -> np.ndarray:
-    """(7, n) values of n states."""
-    values = [
-        (s.pose.x, s.pose.y, s.pose.theta, s.vel_lon, s.vel_lat, s.accel, s.steering)
-        for s in states
-    ]
-    return np.array(values, dtype=float).reshape(-1, 7).T
-
-
-def states_of(track: np.ndarray) -> tuple[VehicleState, ...]:
-    """The n states of a (7, n) track."""
-    return tuple(
-        VehicleState(Pose2D(x, y, th), v, v_lat, a, st)
-        for x, y, th, v, v_lat, a, st in track.T.tolist()
-    )
-
-
 def scenario_to_dict(s: Scenario) -> dict:
     return {
         "id": s.id,
@@ -301,14 +281,14 @@ def scenario_to_dict(s: Scenario) -> dict:
                 for tl in s.map.traffic_lights
             ],
         },
-        "ego_log": track_to_json(track_of(s.ego_log.states)),
+        "ego_log": track_to_json(s.ego_log.track),
         "agents": [
             {
                 "id": a.id,
                 "length": a.length,
                 "width": a.width,
                 "kind": a.kind,
-                "states": track_to_json(track_of(a.states)),
+                "states": track_to_json(a.track),
             }
             for a in s.agents
         ],
@@ -354,7 +334,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         lights.append(TrafficLight(stop_line=stop_line, phases=tuple(phases)))
 
     dt = _number(d["dt"], "dt")
-    ego_states = states_of(track_from_json(d["ego_log"], "ego_log"))
+    ego_track = track_from_json(d["ego_log"], "ego_log")
 
     agents = []
     for i, ag in enumerate(_array(d["agents"], "agents")):
@@ -366,7 +346,7 @@ def scenario_from_dict(d: dict) -> Scenario:
                 length=_number(ag["length"], f"{where}.length"),
                 width=_number(ag["width"], f"{where}.width"),
                 kind=str(ag["kind"]),
-                states=states_of(track_from_json(ag["states"], f"{where}.states")),
+                track=track_from_json(ag["states"], f"{where}.states"),
             )
         )
 
@@ -381,7 +361,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             route=_polyline(m["route"], "map.route"),
             traffic_lights=tuple(lights),
         ),
-        ego_log=Trajectory(dt=dt, states=ego_states, frame=FRAME_GLOBAL),
+        ego_log=Trajectory(dt, ego_track),
         agents=tuple(agents),
         t_history=_integer(d["t_history"], "t_history"),
         t_horizon=_integer(d["t_horizon"], "t_horizon"),
@@ -505,23 +485,25 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def trajectory_consistency_errors(traj: Trajectory, tol: float = KINEMATIC_CONSISTENCY_TOL) -> list[str]:
     """Frames where finite-difference pose speed disagrees with stored vel_lon."""
-    errs = []
-    for k in range(len(traj) - 1):
-        a, b = traj[k], traj[k + 1]
-        d = math.hypot(b.pose.x - a.pose.x, b.pose.y - a.pose.y)
-        if abs(d / traj.dt - abs(a.vel_lon)) > tol:
-            errs.append(
-                f"kinematic consistency violated at frame {k}: "
-                f"pose speed {d / traj.dt:.3f} vs vel_lon {a.vel_lon:.3f}"
-            )
-    return errs
+    x, y, _, v = traj.track[:4]
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf and nan, silently
+        speed = per_element(math.hypot, x[1:] - x[:-1], y[1:] - y[:-1]) / traj.dt
+        bad = np.abs(speed - np.abs(v[:-1])) > tol
+    return [
+        f"kinematic consistency violated at frame {k}: pose speed {d:.3f} vs vel_lon {vk:.3f}"
+        for k, d, vk in zip(np.flatnonzero(bad).tolist(), speed[bad].tolist(), v[:-1][bad].tolist())
+    ]
 
 
 def validate_scenario(s: Scenario) -> list[str]:
     """Check all Scenario invariants; returns one diagnostic per violation."""
     from .control import DEFAULT_STEER_MAX  # control imports this module
 
-    diags: list[str] = []
+    diags = [
+        f"{name} must be at least 1, got {value}"
+        for name, value in (("t_history", s.t_history), ("t_horizon", s.t_horizon))
+        if value < 1
+    ]
 
     expected = s.t_history + 2 * s.t_horizon
     if len(s.ego_log) != expected:
@@ -531,25 +513,24 @@ def validate_scenario(s: Scenario) -> list[str]:
     if s.ego_log.dt <= 0:
         diags.append("ego_log dt must be positive")
 
-    finite = True
-    for k, st in enumerate(s.ego_log.states):
-        if not all(
-            math.isfinite(v)
-            for v in (st.pose.x, st.pose.y, st.pose.theta, st.vel_lon, st.vel_lat, st.accel, st.steering)
-        ):
-            diags.append(f"non-finite ego state at frame {k}")
-            finite = False
-            break
-        if not (-math.pi < st.pose.theta <= math.pi + 1e-12):
-            diags.append(f"ego theta not normalized to (-pi, pi] at frame {k}")
-            break
-        if abs(st.steering) > DEFAULT_STEER_MAX + 1e-9:
-            diags.append(f"ego steering exceeds the steering limit at frame {k}")
-            break
+    # the first frame that breaks a state rule, named by the first rule it breaks
+    track, n = s.ego_log.track, len(s.ego_log)
+    theta = track[2]
+    normalized = (-math.pi < theta) & (theta <= math.pi + 1e-12)
+    rules = (
+        (~np.isfinite(track).all(axis=0), "non-finite ego state"),
+        (~normalized, "ego theta not normalized to (-pi, pi]"),
+        (np.abs(track[6]) > DEFAULT_STEER_MAX + 1e-9, "ego steering exceeds the steering limit"),
+    )
+    first = [int(np.argmax(bad)) if bad.any() else n for bad, _ in rules]
+    k = min(first)
+    if k < n:
+        diags.append(f"{rules[first.index(k)][1]} at frame {k}")
+    finite = k == n or first[0] > k
 
     # footprint containment, named by frame; a non-finite state has no footprint
     if s.map.drivable_area and finite:
-        x, y, theta = track_of(s.ego_log.states)[:3]
+        x, y, theta = track[:3]
         c, sn = per_element(math.cos, theta), per_element(math.sin, theta)
         cx, cy = stack_corners(box_corners(x, y, c, sn, DEFAULT_EGO_LENGTH, DEFAULT_EGO_WIDTH))
         inside = points_in_any_polygon(cx.ravel(), cy.ravel(), s.map.drivable_area)
@@ -591,15 +572,19 @@ def validate_scenario(s: Scenario) -> list[str]:
                 diags.append(f"traffic light {li} has unknown phase state '{state}'")
                 break
 
+    seen = set()
     for a in s.agents:
         if a.length <= 0 or a.width <= 0:
             diags.append(f"agent {a.id}: extent must be positive")
         if a.kind not in ("vehicle", "static"):
             diags.append(f"agent {a.id}: unknown kind '{a.kind}'")
-        if len(a.states) != len(s.ego_log):
+        if a.track.shape[1] != len(s.ego_log):
             diags.append(
-                f"agent {a.id}: state count {len(a.states)} != scenario frame count {len(s.ego_log)}"
+                f"agent {a.id}: state count {a.track.shape[1]} != scenario frame count {len(s.ego_log)}"
             )
+        if a.id in seen:
+            diags.append(f"agent {a.id}: duplicate id")
+        seen.add(a.id)
 
     return diags
 

@@ -14,6 +14,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .batch import two_phase_tracks
 from .control import VehicleLimits
 from .errors import ConfigError, ValidationError
@@ -25,11 +27,9 @@ from .scenario import (
     AgentTrack,
     Lane,
     MapModel,
-    Pose2D,
     Scenario,
     TrafficLight,
     Trajectory,
-    VehicleState,
     validate_scenario,
 )
 from .seeding import mix64
@@ -79,17 +79,18 @@ _CENTERLINE_SPACING = 0.5  # s of ego travel between centerline points
 
 
 def _centerline_from_path(
-    states: list[VehicleState], dt: float, extend: float = 40.0
+    track: np.ndarray, dt: float, extend: float = 40.0
 ) -> list[tuple[float, float]]:
-    """The ego path, every `_CENTERLINE_SPACING` seconds (every state at a
-    step above it), extended along the end headings."""
+    """The path of a (7, n) ego track, every `_CENTERLINE_SPACING` seconds
+    (every state at a step above it), extended along the end headings."""
     stride = max(1, round(_CENTERLINE_SPACING / dt))
-    pts = [(s.pose.x, s.pose.y) for s in states[::stride]]
-    last = (states[-1].pose.x, states[-1].pose.y)
+    x, y, theta = track[:3].tolist()
+    pts = list(zip(x[::stride], y[::stride]))
+    last = (x[-1], y[-1])
     if pts[-1] != last:
         pts.append(last)
-    h0 = states[0].pose.theta
-    h1 = states[-1].pose.theta
+    h0 = theta[0]
+    h1 = theta[-1]
     front = (pts[0][0] - extend * math.cos(h0), pts[0][1] - extend * math.sin(h0))
     back = (pts[-1][0] + extend * math.cos(h1), pts[-1][1] + extend * math.sin(h1))
     return [front] + pts + [back]
@@ -107,19 +108,11 @@ def _constant_speed_track(
     dt: float,
     kind: str = "vehicle",
 ) -> AgentTrack:
-    states = []
-    for k in range(n):
-        x, y = local_to_global(speed * k * dt, 0.0, x0, y0, heading)
-        states.append(
-            VehicleState(
-                pose=Pose2D(x, y, heading),
-                vel_lon=speed,
-                vel_lat=0.0,
-                accel=0.0,
-                steering=0.0,
-            )
-        )
-    return AgentTrack(id=agent_id, length=length, width=width, kind=kind, states=tuple(states))
+    states = [
+        (*local_to_global(speed * k * dt, 0.0, x0, y0, heading), heading, speed, 0.0, 0.0, 0.0)
+        for k in range(n)
+    ]
+    return AgentTrack(agent_id, length, width, kind, np.array(states).T)
 
 
 def _smoothstep(u: float) -> float:
@@ -141,13 +134,13 @@ def _arc_steering(rng: random.Random, length: float) -> float:
 
 def _build_scenario(
     template: str, index: int, config: CorpusConfig, rng: random.Random,
-    ego_states: tuple[VehicleState, ...],
+    ego_track: np.ndarray,
 ) -> Scenario:
-    """The scenario around an integrated ego log; `rng` has drawn its start
-    speed (and a curve's arc) and draws the rest."""
+    """The scenario around an integrated (7, n) ego log; `rng` has drawn its
+    start speed (and a curve's arc) and draws the rest."""
     dt = config.dt
-    n = len(ego_states)
-    speed = ego_states[0].vel_lon
+    n = ego_track.shape[1]
+    speed = float(ego_track[3, 0])
     half_corridor = 0.5 * config.lane_width + config.drivable_buffer
 
     agents: list[AgentTrack] = []
@@ -176,18 +169,10 @@ def _build_scenario(
             if prev_xy is not None:
                 heading = math.atan2(y - prev_xy[1], x - prev_xy[0])
             prev_xy = (x, y)
-            states.append(
-                VehicleState(
-                    pose=Pose2D(x, y, heading),
-                    vel_lon=v_agent,
-                    vel_lat=0.0,
-                    accel=0.0,
-                    steering=0.0,
-                )
-            )
-        agents.append(AgentTrack("a00-cutin", 4.5, 1.9, "vehicle", tuple(states)))
+            states.append((x, y, heading, v_agent, 0.0, 0.0, 0.0))
+        agents.append(AgentTrack("a00-cutin", 4.5, 1.9, "vehicle", np.array(states).T))
 
-    center = _centerline_from_path(ego_states, dt)
+    center = _centerline_from_path(ego_track, dt)
     lanes = [Lane(polyline=tuple(center), width=config.lane_width, direction=1)]
     polys = [tuple(corridor_polygon(center, half_corridor))]
 
@@ -223,7 +208,7 @@ def _build_scenario(
             route=tuple(center),
             traffic_lights=lights,
         ),
-        ego_log=Trajectory(dt=dt, states=tuple(ego_states)),
+        ego_log=Trajectory(dt, ego_track),
         agents=tuple(agents),
         t_history=config.t_history,
         t_horizon=config.t_horizon,
@@ -254,7 +239,7 @@ def generate_synthetic_corpus(config: CorpusConfig, seed: int) -> list[Scenario]
     egos = two_phase_tracks(speeds, 0.0, 0.0, arcs, config.t_history, n - 1, config.dt)
     out: list[Scenario] = []
     for row, (template, index, rng) in enumerate(jobs):
-        scenario = _build_scenario(template, index, config, rng, egos.states(row))
+        scenario = _build_scenario(template, index, config, rng, egos.data[:, row])
         diagnostics = validate_scenario(scenario)
         if diagnostics:
             raise ValidationError(f"scenario {scenario.id}: {diagnostics[0]}")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .batch import rollout_batch, two_phase_tracks
 from .errors import SchemaError, ValidationError
-from .geometry import _cached_ops, per_element, wrap_angle_many
+from .geometry import per_element, wrap_angle_many
 # `check_collision`, `compute_submetrics` and `rollout` stay bound here:
 # perfbench/tracer.py wraps `vocab.check_collision`, `vocab.compute_submetrics`
 # and `vocab.rollout` by name
@@ -49,7 +49,7 @@ from .reactive import (  # noqa: F401
     MODE_NONREACTIVE, MODE_REACTIVE, SceneBatch, StateBatch, rollout,
 )
 from .scenario import (
-    FRAME_EGO_LOCAL, Scenario, Trajectory, _number, load_json_array, track_from_json, track_of,
+    FRAME_EGO_LOCAL, Scenario, Trajectory, _number, load_json_array, track_from_json,
     track_to_json, write_json_array,
 )
 from .seeding import mix64
@@ -64,8 +64,7 @@ class Vocabulary(Sequence[Trajectory]):
     """Ego-local maneuvers of one dt and horizon, held as one (7, N, H + 1)
     `StateBatch` bank.
 
-    Reading an entry builds its `Trajectory`, so a caller that reads a few
-    entries of a large bank never materializes the rest.
+    Reading an entry gives a `Trajectory` view of its bank row.
     """
 
     dt: float
@@ -78,15 +77,15 @@ class Vocabulary(Sequence[Trajectory]):
     @classmethod
     def of(cls, entries: Sequence[Trajectory]) -> "Vocabulary":
         """The bank of trajectories that share one horizon and dt."""
-        return _bank([e.dt for e in entries], [track_of(e.states) for e in entries])
+        return _bank([e.dt for e in entries], [e.track for e in entries])
 
     def __len__(self) -> int:
         return self.tracks.data.shape[1]
 
     def __getitem__(self, i: int) -> Trajectory:
-        return Trajectory(dt=self.dt, states=self.tracks.states(i), frame=FRAME_EGO_LOCAL)
+        return Trajectory(self.dt, self.tracks.data[:, i], FRAME_EGO_LOCAL)
 
-    entries = property(lambda self: self)  # the trajectories, each built when read
+    entries = property(lambda self: self)  # the trajectories, each a view when read
     size = property(__len__)
     horizon = property(lambda self: self.tracks.data.shape[2] - 1)
 
@@ -588,11 +587,11 @@ def enumerate_perturbations(
     check_vocabulary(vocab, scenario)
     anchor = StateBatch.full(scenario.ego_log[scenario.anchor_frame], len(vocab))
     end = place_tracks(vocab.tracks.data[:, :, -1:], anchor).data[:, :, 0]
-    ref = scenario.ego_log[scenario.anchor_frame + scenario.t_horizon].pose
-    c, s = math.cos(-ref.theta), math.sin(-ref.theta)
-    dx, dy = end[0] - ref.x, end[1] - ref.y
+    x, y, theta = scenario.ego_log[scenario.anchor_frame + scenario.t_horizon][:3].tolist()
+    c, s = math.cos(-theta), math.sin(-theta)
+    dx, dy = end[0] - x, end[1] - y
     lon, lat = c * dx - s * dy, s * dx + c * dy
-    dtheta = wrap_angle_many(end[2] - ref.theta)
+    dtheta = wrap_angle_many(end[2] - theta)
     bad = [np.abs(lon) > th.r_lon, np.abs(lat) > th.r_lat, np.abs(dtheta) > th.dtheta_max]
     reason = np.select(bad, [1, 2, 3])
     offsets = zip(lon.tolist(), lat.tolist(), dtheta.tolist())
@@ -631,11 +630,6 @@ def grid_sparsify(
     return out
 
 
-def _history_track(scenario: Scenario) -> StateBatch:
-    """(7, 1, anchor + 1): the logged ego up to the anchor, packed once per scenario."""
-    return StateBatch.track(scenario.ego_log.states[: scenario.anchor_frame + 1])
-
-
 def screen_verdicts(
     scene: SceneBatch, scenario: Scenario, epdms_min: float, ctx: SimContext
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -655,7 +649,7 @@ def screen_verdicts(
     sub = np.full((len(reasons), len(ALL_METRICS)), np.nan)
     scored = np.flatnonzero(reasons == "")
     window = scene.take(scored)
-    history = _cached_ops(scenario, _history_track).data
+    history = scenario.ego_log.track[:, None, : scenario.anchor_frame + 1]
     comfort = StateBatch(np.concatenate(
         [np.repeat(history, len(scored), axis=1), window.ego.data[:, :, 1:]], axis=2
     ))

@@ -15,11 +15,17 @@ broadcast (`metrics._first_overlaps` sweeps blocks of cells), and
 `whole_tree_load_vocabulary` parses a vocabulary file with one `json.loads`
 (`vocab.load_vocabulary` decodes one entry at a time).
 
-A simulated window is a one-row `SceneBatch` in the package. The oracles
-hold it as `SceneStates`, tuples of `VehicleState` per vehicle: the record
-`oracle_rollout` returns and the scalar scorers read. `SceneStates.of`
-turns a scene row into one, and `SceneStates.batch` turns one back into
-the package's one-row scene.
+The package holds every state as a column of a (7, n) float array. The
+oracles step and score `VehicleState`s, one frozen record per state, which
+live here with their conversions: `track_of` packs states into a track,
+`states_of` unpacks one, `state_of` reads one (7,) column, and `frame_of`
+and `batch_of` stack states into a (7, P) frame or (7, P, n) tracks. An oracle
+takes what its package twin takes (a `Trajectory`, (7,) start states) and
+unpacks it. A simulated window is a one-row `SceneBatch` in the package. The
+oracles hold it as `SceneStates`, tuples of `VehicleState` per vehicle: the
+record `oracle_rollout` returns and the scalar scorers read.
+`SceneStates.of` turns a scene row into one, and `SceneStates.batch` turns
+one back into the package's one-row scene.
 
 The simulation runs on Python floats, one vehicle and one frame at a time:
 `oracle_lqr_track` and `oracle_synthesize_maneuvers` step with the scalar
@@ -56,7 +62,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -100,13 +106,63 @@ from drivegen.scenario import (
     DEFAULT_EGO_WIDTH,
     FRAME_EGO_LOCAL,
     FRAME_GLOBAL,
-    Pose2D,
     Trajectory,
-    VehicleState,
     load_json,
 )
 from drivegen.seeding import mix64
 from drivegen.vocab import STATUS_PENDING
+
+
+@dataclass(frozen=True, slots=True)
+class Pose2D:
+    x: float
+    y: float
+    theta: float  # radians in (-pi, pi]
+
+
+@dataclass(frozen=True, slots=True)
+class VehicleState:
+    """Full kinematic state; velocities are in the vehicle body frame."""
+
+    pose: Pose2D
+    vel_lon: float
+    vel_lat: float
+    accel: float
+    steering: float
+
+
+def track_of(states: Iterable[VehicleState]) -> np.ndarray:
+    """(7, n) values of n states."""
+    values = [
+        (s.pose.x, s.pose.y, s.pose.theta, s.vel_lon, s.vel_lat, s.accel, s.steering)
+        for s in states
+    ]
+    return np.array(values, dtype=float).reshape(-1, 7).T
+
+
+def states_of(track: np.ndarray) -> tuple[VehicleState, ...]:
+    """The n states of a (7, n) track."""
+    return tuple(
+        VehicleState(Pose2D(x, y, th), v, v_lat, a, st)
+        for x, y, th, v, v_lat, a, st in np.asarray(track, dtype=float).T.tolist()
+    )
+
+
+def state_of(state) -> VehicleState:
+    """The `VehicleState` of a (7,) column; a `VehicleState` is returned as is."""
+    if isinstance(state, VehicleState):
+        return state
+    return states_of(np.asarray(state, dtype=float)[:, None])[0]
+
+
+def frame_of(states) -> StateBatch:
+    """(7, P): one frame of P rows, one state each, a (7,) column or a `VehicleState`."""
+    return StateBatch(track_of(map(state_of, states)))
+
+
+def batch_of(tracks) -> StateBatch:
+    """(7, P, n): P rows of n states each, (7,) columns or `VehicleState`s."""
+    return StateBatch(np.stack([track_of(map(state_of, t)) for t in tracks], axis=1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,8 +220,7 @@ def global_to_local(px, py, ox, oy, otheta):
 def comfort_profile(traj):
     """Finite-difference accel, jerk, yaw rate and yaw acceleration series."""
     dt = traj.dt
-    vs = [s.vel_lon for s in traj.states]
-    thetas = [s.pose.theta for s in traj.states]
+    vs, thetas = traj.track[3].tolist(), traj.track[2].tolist()
     accel = [(vs[k + 1] - vs[k]) / dt for k in range(len(vs) - 1)]
     jerk = [(accel[k + 1] - accel[k]) / dt for k in range(len(accel) - 1)]
     yaw_rate = [angle_diff(thetas[k + 1], thetas[k]) / dt for k in range(len(thetas) - 1)]
@@ -202,15 +257,15 @@ class SceneStates:
     def of(cls, scene: SceneBatch, row: int = 0) -> "SceneStates":
         """One row of a scene as states."""
         return cls(
-            scene.dt, scene.t_start, scene.t_end, scene.ego.states(row),
-            {aid: t.states(row) for aid, t in scene.agents.items()},
+            scene.dt, scene.t_start, scene.t_end, states_of(scene.ego.data[:, row]),
+            {aid: states_of(t.data[:, row]) for aid, t in scene.agents.items()},
         )
 
     def batch(self) -> SceneBatch:
         """The one-row scene of this window, agents in its order."""
         return SceneBatch(
-            self.dt, self.t_start, self.t_end, StateBatch.track(self.ego),
-            {aid: StateBatch.track(track) for aid, track in self.agents.items()},
+            self.dt, self.t_start, self.t_end, batch_of([self.ego]),
+            {aid: batch_of([track]) for aid, track in self.agents.items()},
         )
 
 
@@ -485,7 +540,8 @@ def oracle_tracking_gain(v_ref, delta_ref, dt, wheelbase, state_weights, control
 
 
 def oracle_lqr_track(reference, start, params=None, limits=None):
-    """`control.lqr_track` one step at a time on `VehicleState`s.
+    """`control.lqr_track` one step at a time on `VehicleState`s, from the
+    (7,) `start`.
 
     When the error state is exactly zero and the next reference state
     respects the actuator limits, that state is taken verbatim.
@@ -495,12 +551,13 @@ def oracle_lqr_track(reference, start, params=None, limits=None):
         raise RolloutError("reference must contain at least 2 states")
     lim = limits or VehicleLimits()
     dt = reference.dt
+    ref = states_of(reference.track)
 
-    out = [start]
-    cur = start
+    cur = state_of(start)
+    out = [cur]
     for k in range(len(reference) - 1):
-        ref_k = reference[k]
-        ref_next = reference[k + 1]
+        ref_k = ref[k]
+        ref_next = ref[k + 1]
         err = tracking_error(cur, ref_k)
         if (
             err == (0.0, 0.0, 0.0, 0.0)
@@ -530,7 +587,7 @@ def oracle_lqr_track(reference, start, params=None, limits=None):
         cur = bicycle_step(cur, u, dt, lim)
         out.append(cur)
 
-    return Trajectory(dt=dt, states=tuple(out), frame=reference.frame)
+    return Trajectory(dt, track_of(out), reference.frame)
 
 
 def assign_lane(x, y, map_model):
@@ -639,7 +696,7 @@ def oracle_rollout(
 
     # --- ego
     if mode == MODE_LOG_REPLAY_EGO:
-        ego_states = scenario.ego_log.states[t_start : t_end + 1]
+        ego_states = states_of(scenario.ego_log.track[:, t_start : t_end + 1])
     else:
         if ego_plan.frame != FRAME_GLOBAL:
             raise RolloutError(f"ego_plan is in frame '{ego_plan.frame}', needs '{FRAME_GLOBAL}'")
@@ -649,19 +706,19 @@ def oracle_rollout(
             )
         reference = ego_plan.segment(0, horizon)
         start = ego_start if ego_start is not None else scenario.ego_log[t_start]
-        ego_states = oracle_lqr_track(reference, start, ctx.lqr, ctx.limits).states
+        ego_states = states_of(oracle_lqr_track(reference, start, ctx.lqr, ctx.limits).track)
 
     # --- agents
     ordered = sorted(scenario.agents, key=lambda a: a.id)
     tracks = {}
     if mode in (MODE_NONREACTIVE, MODE_LOG_REPLAY_EGO):
         for a in ordered:
-            tracks[a.id] = list(a.states[t_start : t_end + 1])
+            tracks[a.id] = list(states_of(a.track[:, t_start : t_end + 1]))
     else:
         current = {}
         for a in ordered:
             init = agent_init.get(a.id) if agent_init else None
-            current[a.id] = init if init is not None else a.states[t_start]
+            current[a.id] = state_of(init if init is not None else a.track[:, t_start])
             tracks[a.id] = [current[a.id]]
 
         for k in range(horizon):
@@ -860,11 +917,8 @@ def oracle_submetrics(states, scenario, ego_traj, ctx=None):
         states.ego[-1].pose.x,
         states.ego[-1].pose.y,
     )
-    log_a = scenario.ego_log[states.t_start]
-    log_b = scenario.ego_log[states.t_end]
-    reference = _route_progress(
-        scenario, log_a.pose.x, log_a.pose.y, log_b.pose.x, log_b.pose.y
-    )
+    (ax, bx), (ay, by) = scenario.ego_log.track[:2, [states.t_start, states.t_end]].tolist()
+    reference = _route_progress(scenario, ax, ay, bx, by)
     if reference < th.ep_min_reference:
         ep = 1.0
     else:
@@ -887,25 +941,26 @@ def oracle_submetrics(states, scenario, ego_traj, ctx=None):
 
 def entry_trajectory(row, dt):
     """The ego-local trajectory of one (7, n) vocabulary bank row."""
-    return Trajectory(dt=dt, states=StateBatch(row[:, None]).states(0), frame=FRAME_EGO_LOCAL)
+    return Trajectory(dt, row, FRAME_EGO_LOCAL)
 
 
 def oracle_place_at_state(entry, anchor):
-    """An ego-local entry rigidly moved to start at the anchor pose, one state
-    at a time with Python floats."""
-    a = anchor.pose
+    """An ego-local entry rigidly moved to start at the (7,) anchor's pose,
+    one state at a time with Python floats."""
+    a = state_of(anchor).pose
     states = []
-    for st in entry.states:
+    for st in states_of(entry.track):
         x, y = local_to_global(st.pose.x, st.pose.y, a.x, a.y, a.theta)
         pose = Pose2D(x, y, wrap_angle(st.pose.theta + a.theta))
         states.append(VehicleState(pose, st.vel_lon, st.vel_lat, st.accel, st.steering))
-    return Trajectory(dt=entry.dt, states=tuple(states), frame=FRAME_GLOBAL)
+    return Trajectory(entry.dt, track_of(states), FRAME_GLOBAL)
 
 
 def oracle_endpoint_offsets(end, anchor, logged_end):
     """(lon, lat, dtheta): an ego-local endpoint placed at the anchor, in the
-    logged endpoint's frame (lon ahead, lat left)."""
-    a, ref = anchor.pose, logged_end.pose
+    logged endpoint's frame (lon ahead, lat left); each state a (7,) column
+    or a `VehicleState`."""
+    end, a, ref = state_of(end), state_of(anchor).pose, state_of(logged_end).pose
     x, y = local_to_global(end.pose.x, end.pose.y, a.x, a.y, a.theta)
     lon, lat = global_to_local(x, y, ref.x, ref.y, ref.theta)
     return (lon, lat, angle_diff(wrap_angle(end.pose.theta + a.theta), ref.theta))
@@ -954,7 +1009,7 @@ def oracle_matching_vector(traj):
     entry's is its row of `expert._matching_matrix`; the two-state path from
     a perturbed start to the logged endpoint gives the start's row of
     `expert.recovery_targets`."""
-    s0, end = traj.states[0], traj.states[-1]
+    s0, end = states_of(traj.track[:, [0, -1]])
     ex, ey = global_to_local(end.pose.x, end.pose.y, s0.pose.x, s0.pose.y, s0.pose.theta)
     return (s0.vel_lon, s0.vel_lat, 0.0, ex, ey, angle_diff(end.pose.theta, s0.pose.theta))
 
@@ -964,7 +1019,8 @@ def oracle_kinematic_limit_violation(traj, limits):
     trajectory breaks the curvature limit on a step of more than 5 cm, or
     the acceleration limit."""
     max_curv = limits.max_curvature() + 1e-9
-    for a, b in zip(traj.states, traj.states[1:]):
+    states = states_of(traj.track)
+    for a, b in zip(states, states[1:]):
         ds = math.hypot(b.pose.x - a.pose.x, b.pose.y - a.pose.y)
         if ds > 0.05 and abs(angle_diff(b.pose.theta, a.pose.theta)) / ds > max_curv:
             return True
@@ -1000,10 +1056,9 @@ def oracle_feasibility_filter(entry, scenario, mode, epdms_min, ctx=None):
     if oracle_drivable_area_compliance(ego_boxes, scenario) == 0.0:
         return "off-road", states, None
 
-    history = scenario.ego_log.segment(0, anchor)
-    combined = Trajectory(
-        dt=scenario.dt, states=history.states + states.ego[1:], frame=FRAME_GLOBAL
-    )
+    combined = Trajectory(scenario.dt, np.concatenate(
+        [scenario.ego_log.track[:, : anchor + 1], track_of(states.ego[1:])], axis=1
+    ))
     sub = compute_submetrics(states.batch(), scenario, combined, ctx)
     return ("reward" if oracle_aggregate_epdms(sub, ctx.weights) < epdms_min else ""), states, sub
 
@@ -1052,16 +1107,14 @@ def oracle_synthesize_maneuvers(count, horizon, dt, seed):
             cur = bicycle_step(cur, ControlInput(accel, rate), dt, limits)
             delta = cur.steering
             states.append(cur)
-        out.append(Trajectory(dt=dt, states=tuple(states), frame=FRAME_EGO_LOCAL))
+        out.append(Trajectory(dt, track_of(states), FRAME_EGO_LOCAL))
     return out
 
 
 def oracle_flatten(traj):
     """One trajectory's x, then y, then unwrapped heading."""
-    xs = [s.pose.x for s in traj.states]
-    ys = [s.pose.y for s in traj.states]
-    thetas = np.unwrap([s.pose.theta for s in traj.states])
-    return np.concatenate([xs, ys, thetas])
+    xs, ys, thetas = traj.track[:3].tolist()
+    return np.concatenate([xs, ys, np.unwrap(thetas)])
 
 
 def oracle_build_vocabulary(samples, k, seed):

@@ -25,15 +25,17 @@ from drivegen.metrics import (
 from drivegen.pipeline import export_dataset, prepare_candidates, run_generation
 from drivegen.reactive import DEFAULT_B_HARD, IdmParams, idm_accel
 from drivegen.scaling import ScalingPoint, fit_log_quadratic
-from drivegen.scenario import SIM_DT, Pose2D, Trajectory, VehicleState
+from drivegen.scenario import SIM_DT
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 from drivegen.seeding import mix64
 from drivegen.vocab import STATUS_PENDING, default_vocabulary, enumerate_perturbations, grid_sparsify
 from drivegen.expert import recovery_retrieve
 
-from conftest import make_state, scene_states, straight_trajectory
-from test_expert import oracle_scan
-from oracle import boxes_overlap, finite_horizon_gain, oracle_tracking_gain
+from conftest import make_state, scene_states, straight_trajectory, trajectory
+from test_expert import end_states, oracle_scan
+from oracle import (
+    Pose2D, VehicleState, boxes_overlap, finite_horizon_gain, oracle_tracking_gain,
+)
 from test_geometry import oracle_boxes_overlap
 
 BUNDLED_COUNT = 100
@@ -147,7 +149,7 @@ def test_criterion_3_lqr():
 
     ref = straight_trajectory(v=10.0, n_states=41)
     out = lqr_track(ref, make_state(x=0.0, y=0.5, v=10.0))
-    final_lat = abs(out.states[-1].pose.y)
+    final_lat = abs(float(out[-1][1]))
     ok &= final_lat < 0.05
     assert report(3, ok, f"Riccati K={K:.6f} at horizon {horizon} (target 0.618034), "
                          f"offset recovery to {final_lat:.4f} m in 4 s")
@@ -160,7 +162,7 @@ def test_criterion_4_retrieval_oracle():
     from drivegen.vocab import synthesize_maneuvers
 
     vocab = synthesize_maneuvers(512, 40, 0.1, seed=404)
-    entries = list(vocab.entries)
+    entries = end_states(vocab)
     rng = random.Random(404)
     t0 = time.perf_counter()
     agree = 0
@@ -243,7 +245,7 @@ def test_criterion_6_export_safety_guarantee(bundled_corpus, recovery_run, tmp_p
                 for a in rec["agents_sim"]
             }
             scene = scene_states(states, agents, s.dt, anchor2)
-            traj = Trajectory(dt=s.dt, states=tuple(states))
+            traj = trajectory(states, s.dt)
             sub = compute_submetrics(scene.batch(), s, traj, config.sim_context)
             n_checked += 1
             if (

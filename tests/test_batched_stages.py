@@ -24,9 +24,9 @@ from drivegen.scenario import Trajectory
 from drivegen.seeding import mix64
 from drivegen.vocab import STATUS_PENDING, enumerate_perturbations, grid_sparsify
 
-from conftest import plan_bits, scene_bits, start_frames, sub_bits, winning_plans
+from conftest import plan_bits, scene_bits, start_frames, sub_bits, trajectory, winning_plans
 from oracle import (
-    SceneStates, oracle_feasibility_filter, oracle_matching_vector, oracle_place_at_state,
+    oracle_feasibility_filter, oracle_matching_vector, oracle_place_at_state,
     oracle_rollout, oracle_submetrics,
 )
 
@@ -128,9 +128,12 @@ def test_batched_screen_matches_the_scalar_oracle_with_several_agents(
 
 
 def _plan_starts(scene):
-    """The planner's start of each row of a stage-1 scene: its perturbed ego and agent states."""
-    rows = [SceneStates.of(scene, j) for j in range(scene.ego.data.shape[1])]
-    return [(r.ego[-1], {aid: track[-1] for aid, track in r.agents.items()}) for r in rows]
+    """The planner's start of each row of a stage-1 scene: its perturbed ego
+    and agent states, (7,) each."""
+    return [
+        (scene.ego.data[:, j, -1], {aid: t.data[:, j, -1] for aid, t in scene.agents.items()})
+        for j in range(scene.ego.data.shape[1])
+    ]
 
 
 @pytest.mark.parametrize(
@@ -154,7 +157,7 @@ def test_stage2_rows_match_the_scalar_rollout(
     def recorded(*args, **kwargs):
         chosen = real_plans(*args, **kwargs)
         refs, dt = chosen[0], args[0].dt
-        plans.extend(refs.trajectory(j, dt) for j in range(refs.x.shape[0]))
+        plans.extend(Trajectory(dt, refs.data[:, j]) for j in range(refs.x.shape[0]))
         return chosen
 
     monkeypatch.setattr(drivegen.pipeline, "privileged_plans", recorded)
@@ -171,14 +174,14 @@ def test_stage2_rows_match_the_scalar_rollout(
         for j, (perturbed, finals) in enumerate(starts):
             if expert == "recovery":
                 logged_end = s.ego_log[anchor2 + s.t_horizon]
-                target = oracle_matching_vector(Trajectory(s.dt, (perturbed, logged_end)))
+                target = oracle_matching_vector(trajectory((perturbed, logged_end), s.dt))
                 entry = small_vocab.entries[recovery_retrieve(np.array(target), small_vocab)]
                 plan = oracle_place_at_state(entry, perturbed)
             else:
                 plan = plans[j]
             want = oracle_rollout(s, plan, anchor2, s.t_horizon, mode, ctx,
                                   ego_start=perturbed, agent_init=finals)
-            want_sub = oracle_submetrics(want, s, Trajectory(dt=s.dt, states=want.ego), ctx)
+            want_sub = oracle_submetrics(want, s, trajectory(want.ego, s.dt), ctx)
             assert scene_bits(scene2.take([j])) == scene_bits(want), (s.id, index[j])
             assert sub_bits(sub2[j]) == sub_bits(want_sub), (s.id, index[j])
             rows += 1

@@ -7,6 +7,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import drivegen
@@ -23,14 +24,13 @@ from drivegen.scenario import (
     dump_json_canonical,
     load_scenario,
     scenario_to_dict,
-    track_of,
     track_to_json,
     write_scenario,
 )
 from drivegen.vocab import load_vocabulary, save_vocabulary
 
-from conftest import shifted_plan
-from oracle import oracle_rollout, oracle_submetrics
+from conftest import make_state, shifted_plan
+from oracle import oracle_rollout, oracle_submetrics, track_of
 
 
 def _dir_bytes(d: Path) -> dict:
@@ -312,13 +312,13 @@ def test_eval_report_equals_the_scalar_oracles(tmp_path, corpus_dir, capsys, mod
         for plan in (logged, shifted_plan(logged, 0.7, 0.9)):
             traj_path.write_text(json.dumps(
                 {"dt": plan.dt, "frame": plan.frame,
-                 "states": track_to_json(track_of(plan.states))}
+                 "states": track_to_json(plan.track)}
             ))
             states = oracle_rollout(s, plan, anchor, s.t_horizon, mode, ctx)
-            history = s.ego_log.segment(0, anchor)
-            sub = oracle_submetrics(
-                states, s, Trajectory(dt=s.dt, states=history.states + states.ego[1:]), ctx
-            )
+            combined = Trajectory(s.dt, np.concatenate(
+                [s.ego_log.track[:, : anchor + 1], track_of(states.ego[1:])], axis=1
+            ))
+            sub = oracle_submetrics(states, s, combined, ctx)
             expected = dump_json_canonical({
                 "scenario_id": s.id,
                 "submetrics": sub.as_dict(),
@@ -336,21 +336,18 @@ def test_eval_report_equals_the_scalar_oracles(tmp_path, corpus_dir, capsys, mod
 
 def _parked_car_scenario_file(path: Path) -> None:
     """Straight road with a parked car; the log brakes and stops before it."""
-    from drivegen.scenario import (
-        AgentTrack, Lane, MapModel, Pose2D, Scenario, Trajectory, VehicleState,
-        write_scenario,
-    )
+    from drivegen.scenario import AgentTrack, Lane, MapModel, Scenario, Trajectory, write_scenario
 
     dt, t_history, t_horizon = 0.1, 20, 40
     n = t_history + 2 * t_horizon
     states = []
     x, v = 0.0, 8.0
     for k in range(n):
-        states.append(VehicleState(Pose2D(x, 0.0, 0.0), v, 0.0, 0.0, 0.0))
+        states.append(make_state(x=x, v=v))
         x += dt * v
         if k >= t_history:
             v = max(0.0, v - dt * 2.0)
-    anchor_x = states[t_history - 1].pose.x
+    anchor_x = states[t_history - 1][0]
     parked_x = anchor_x + 25.0
     lane = ((-60.0, 0.0), (300.0, 0.0))
     scenario = Scenario(
@@ -361,14 +358,11 @@ def _parked_car_scenario_file(path: Path) -> None:
             route=lane,
             traffic_lights=(),
         ),
-        ego_log=Trajectory(dt=dt, states=tuple(states)),
+        ego_log=Trajectory(dt, np.stack(states, axis=1)),
         agents=(
             AgentTrack(
                 id="parked", length=4.5, width=1.9, kind="static",
-                states=tuple(
-                    VehicleState(Pose2D(parked_x, 0.0, 0.0), 0.0, 0.0, 0.0, 0.0)
-                    for _ in range(n)
-                ),
+                track=np.stack([make_state(x=parked_x)] * n, axis=1),
             ),
         ),
         t_history=t_history,
@@ -382,10 +376,10 @@ def test_eval_collision_trajectory_zero(tmp_path, capsys):
     _parked_car_scenario_file(scenario_path)
     s = load_scenario(scenario_path)
     anchor = s.t_history - 1
-    st0 = s.ego_log[anchor]
+    x0 = float(s.ego_log[anchor][0])
     # constant speed straight into the parked car: executable and fatal
     states = [
-        {"x": st0.pose.x + 8.0 * 0.1 * k, "y": 0.0, "theta": 0.0,
+        {"x": x0 + 8.0 * 0.1 * k, "y": 0.0, "theta": 0.0,
          "v_lon": 8.0, "v_lat": 0.0, "accel": 0.0, "steering": 0.0}
         for k in range(s.t_horizon + 1)
     ]
@@ -558,7 +552,7 @@ def test_gen_corpus_up_to_a_one_second_step_writes_scenarios_that_load(tmp_path,
     assert len(paths) == 50
     for path in paths:
         s = load_scenario(path)
-        reach = max(0.5, float(dt)) * max(state.vel_lon for state in s.ego_log.states)
+        reach = max(0.5, float(dt)) * max(s.ego_log.track[3].tolist())
         route = s.map.route[1:-1]  # without the 40 m extensions at either end
         gaps = [math.dist(a, b) for a, b in zip(route, route[1:])]
         assert max(gaps) <= reach * (1 + 1e-9), s.id
@@ -697,7 +691,7 @@ def test_eval_refuses_a_plan_that_is_not_global(tmp_path, corpus_dir, small_voca
     entry = small_vocab.entries[0]
     traj_path = tmp_path / "entry.json"
     traj_path.write_text(json.dumps(
-        {"dt": entry.dt, "frame": frame, "states": track_to_json(track_of(entry.states))}
+        {"dt": entry.dt, "frame": frame, "states": track_to_json(entry.track)}
     ))
     rc = main(["eval", "--scenario", str(scenario_path), "--trajectory", str(traj_path)])
     assert rc == 1
@@ -987,4 +981,53 @@ def test_generate_bad_scenario_one_error_line(
     ])
     assert rc == 1
     assert _one_error_line(capsys) == f"error: {corpus / path.name}: {message}"
+    assert not (tmp_path / "ds").exists()
+
+
+def _generate_one_file(tmp_path, vocab_file, data, name):
+    """`generate` over a corpus of the one scenario `data`, written as `name`;
+    the path of that file and the exit code."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / name).write_text(json.dumps(data))
+    rc = main([
+        "generate", "--corpus", str(corpus), "--out", str(tmp_path / "ds"),
+        "--vocab", str(vocab_file), "--rounds", "1",
+    ])
+    return corpus / name, rc
+
+
+def test_generate_refuses_a_duplicate_agent_id(tmp_path, corpus_dir, vocab_file, capsys):
+    """A second agent under an id already taken would drop out of the
+    rollout and the scoring, which key agents by id: the file is refused
+    with one `error:` line naming it, before any output."""
+    path = sorted(corpus_dir.glob("lead-vehicle-*.json"))[0]
+    data = json.loads(path.read_text())
+    (lead,) = data["agents"]
+    ahead = json.loads(json.dumps(lead))
+    for state in ahead["states"]:
+        state["x"] += 8.0
+    data["agents"].append(ahead)
+    file, rc = _generate_one_file(tmp_path, vocab_file, data, path.name)
+    assert rc == 1
+    assert _one_error_line(capsys) == f"error: {file}: agent {lead['id']}: duplicate id"
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("field", ["t_history", "t_horizon"])
+def test_generate_refuses_a_history_or_horizon_below_one(
+    tmp_path, corpus_dir, vocab_file, capsys, field
+):
+    """A straight scenario cut to no history frame (its anchor would be
+    frame -1) or to no horizon, with the 80 logged states that the other
+    field then asks for, is refused with one `error:` line naming the file
+    and the field."""
+    path = sorted(corpus_dir.glob("straight-*.json"))[0]
+    data = json.loads(path.read_text())
+    assert not data["agents"]
+    data["ego_log"] = data["ego_log"][-80:]
+    data["t_history"], data["t_horizon"] = (0, 40) if field == "t_history" else (80, 0)
+    file, rc = _generate_one_file(tmp_path, vocab_file, data, path.name)
+    assert rc == 1
+    assert _one_error_line(capsys) == f"error: {file}: {field} must be at least 1, got 0"
     assert not (tmp_path / "ds").exists()

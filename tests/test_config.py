@@ -170,9 +170,9 @@ def test_config_surface_is_pinned():
 PUBLIC_NAMES = [
     "AgentTrack", "CorpusConfig", "ExpertFilterSpec", "FitResult", "GridSpec",
     "IdmParams", "Lane", "LqrParams", "MapModel", "MetricThresholds", "MetricWeights",
-    "PerturbThresholds", "PerturbationCandidate", "PipelineConfig", "PlannerParams", "Pose2D",
+    "PerturbThresholds", "PerturbationCandidate", "PipelineConfig", "PlannerParams",
     "RewardRecord", "RoundStats", "ScalingPoint", "Scenario", "SimContext", "SimSample",
-    "SubMetricVector", "TrafficLight", "Trajectory", "VehicleLimits", "VehicleState", "Vocabulary",
+    "SubMetricVector", "TrafficLight", "Trajectory", "VehicleLimits", "Vocabulary",
     "aggregate_epdms", "build_vocabulary", "check_collision", "compare_fits",
     "compute_submetrics", "config_hash", "corpus_config_for_count", "emit_curve",
     "enumerate_perturbations", "expert_filter", "export_dataset", "feasibility_filter",

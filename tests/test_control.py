@@ -17,10 +17,10 @@ from drivegen.errors import RolloutError, ValidationError
 from drivegen.reactive import StateBatch
 from drivegen.scenario import FRAME_EGO_LOCAL, Trajectory
 
-from conftest import make_state, state_bits, straight_trajectory
+from conftest import make_state, state_bits, straight_trajectory, track_bits, trajectory
 from oracle import (
-    ControlInput, bicycle_step, finite_horizon_gain, oracle_lqr_track, oracle_tracking_gain,
-    tracking_error,
+    ControlInput, bicycle_step, finite_horizon_gain, frame_of, oracle_lqr_track,
+    oracle_tracking_gain, state_of, states_of, tracking_error,
 )
 
 
@@ -30,10 +30,10 @@ from oracle import (
 def _step(state, accel, steer_rate, dt, limits=None):
     """One `_bicycle_step` of a one-row batch, back as a `VehicleState`."""
     out = _bicycle_step(
-        StateBatch.frame([state]), np.array([accel]), np.array([steer_rate]), dt,
+        StateBatch.full(state, 1), np.array([accel]), np.array([steer_rate]), dt,
         limits or VehicleLimits(),
     )
-    return StateBatch(out.data[:, :, None]).states(0)[0]
+    return state_of(out.data[:, 0])
 
 
 def test_bicycle_straight_advance_exact():
@@ -86,11 +86,10 @@ def test_bicycle_step_matches_the_scalar_oracle(seed):
         accels.append(rng.choice([-0.0, -9.0, 7.5, -lim.accel_max, rng.uniform(-4.0, 4.0)]))
         rates.append(rng.choice([-0.0, 2.0, -lim.steer_rate_max, rng.uniform(-1.0, 1.0)]))
     for dt in (0.1, 0.05):
-        out = _bicycle_step(StateBatch.frame(states), np.array(accels), np.array(rates), dt, lim)
-        got = StateBatch(out.data[:, :, None])
+        out = _bicycle_step(frame_of(states), np.array(accels), np.array(rates), dt, lim)
         for row, (state, accel, rate) in enumerate(zip(states, accels, rates)):
-            want = bicycle_step(state, ControlInput(accel, rate), dt, lim)
-            assert state_bits(got.states(row)[0]) == state_bits(want), (dt, row)
+            want = bicycle_step(state_of(state), ControlInput(accel, rate), dt, lim)
+            assert state_bits(out.data[:, row]) == state_bits(want), (dt, row)
 
 
 # --- Riccati
@@ -124,11 +123,10 @@ def test_riccati_requires_positive_definite_R():
 
 def test_lqr_track_on_reference_stays_exact():
     ref = straight_trajectory(v=10.0, n_states=41)
-    out = lqr_track(ref, ref.states[0])
+    out = lqr_track(ref, ref[0])
     assert len(out) == len(ref)
     assert out.frame == ref.frame
-    for k in range(41):
-        assert out.states[k] == ref.states[k]  # bit-exact replay
+    assert track_bits(out.track) == track_bits(ref.track)  # bit-exact replay
 
 
 def test_lqr_track_lateral_offset_recovery():
@@ -136,7 +134,7 @@ def test_lqr_track_lateral_offset_recovery():
     ref = straight_trajectory(v=10.0, n_states=41)
     start = make_state(x=0.0, y=0.5, v=10.0)
     out = lqr_track(ref, start)
-    lat = [abs(s.pose.y) for s in out.states]
+    lat = np.abs(out.track[1]).tolist()
     assert lat[0] == pytest.approx(0.5)
     assert lat[-1] < 0.05  # converged within 4 s
     # decay: once under 1 m, error at k+10 is no larger than at k
@@ -159,18 +157,16 @@ def test_lqr_track_clamped_reference_deviates_but_stays_consistent():
         y += dt * v * math.sin(theta)
         theta += dt * v * math.tan(needed) / lim.wheelbase
         states.append(make_state(x=x, y=y, theta=theta, v=v, steering=needed))
-    ref = Trajectory(dt=dt, states=tuple(states))
-    out = lqr_track(ref, ref.states[0])
+    ref = trajectory(states, dt)
+    out = lqr_track(ref, ref[0])
     # every produced state respects the clamp; the start state is the caller's
-    assert all(abs(s.steering) <= lim.steer_max + 1e-12 for s in out.states[1:])
-    end_err = math.hypot(
-        out.states[-1].pose.x - ref.states[-1].pose.x,
-        out.states[-1].pose.y - ref.states[-1].pose.y,
-    )
+    assert all(abs(st) <= lim.steer_max + 1e-12 for st in out.track[6, 1:].tolist())
+    end_err = math.hypot(*(out[-1][:2] - ref[-1][:2]).tolist())
     assert end_err > 0.5
     # kinematic consistency of the executed trajectory
+    executed = states_of(out.track)
     for k in range(len(out) - 1):
-        a, b = out.states[k], out.states[k + 1]
+        a, b = executed[k], executed[k + 1]
         d = math.hypot(b.pose.x - a.pose.x, b.pose.y - a.pose.y)
         assert abs(d / dt - a.vel_lon) <= 0.05
 
@@ -180,13 +176,13 @@ def test_lqr_track_deterministic():
     start = make_state(x=0.0, y=0.3, theta=0.05, v=7.0)
     a = lqr_track(ref, start)
     b = lqr_track(ref, start)
-    assert a == b
+    assert track_bits(a.track) == track_bits(b.track)
 
 
 def test_tracking_error_frame_local():
     ref = make_state(x=5.0, y=3.0, theta=math.pi / 2, v=10.0)
     cur = make_state(x=4.0, y=3.0, theta=math.pi / 2, v=9.0)
-    e_lat, e_theta, e_v, e_delta = tracking_error(cur, ref)
+    e_lat, e_theta, e_v, e_delta = tracking_error(state_of(cur), state_of(ref))
     # one meter to the left of a north-facing reference
     assert e_lat == pytest.approx(1.0)
     assert e_theta == pytest.approx(0.0)
@@ -195,7 +191,7 @@ def test_tracking_error_frame_local():
 
 
 def _track_bits(traj):
-    return traj.dt, traj.frame, [state_bits(s) for s in traj.states]
+    return traj.dt, traj.frame, track_bits(traj.track)
 
 
 def test_lqr_track_matches_the_scalar_oracle(corpus_100):
@@ -208,16 +204,17 @@ def test_lqr_track_matches_the_scalar_oracle(corpus_100):
     for s in corpus_100:
         anchor = s.anchor_frame
         ref = s.ego_log.segment(anchor, anchor + s.t_horizon)
-        st = ref.states[0]
-        off = make_state(x=st.pose.x - 0.4, y=st.pose.y + 0.7, theta=st.pose.theta + 0.05,
-                         v=0.9 * st.vel_lon, steering=st.steering + 0.01)
-        local = Trajectory(dt=ref.dt, states=ref.states, frame=FRAME_EGO_LOCAL)
+        st = ref[0]
+        x, y, theta, v, _, _, steering = st.tolist()
+        off = make_state(x=x - 0.4, y=y + 0.7, theta=theta + 0.05, v=0.9 * v,
+                         steering=steering + 0.01)
+        local = Trajectory(ref.dt, ref.track, FRAME_EGO_LOCAL)
         for reference, start, args in (
             (ref, st, ()), (ref, off, ()), (local, off, ()), (ref, off, tuned),
         ):
             got = lqr_track(reference, start, *args)
             assert _track_bits(got) == _track_bits(oracle_lqr_track(reference, start, *args)), s.id
-        verbatim += lqr_track(ref, st) == ref
+        verbatim += _track_bits(lqr_track(ref, st)) == _track_bits(ref)
     assert verbatim >= 90  # the logged windows replay verbatim
 
 
@@ -257,7 +254,7 @@ def test_gain_table_matches_the_scalar_gain(setting):
 def test_lqr_track_rejects_a_one_state_reference():
     ref = straight_trajectory(v=5.0, n_states=1)
     with pytest.raises(RolloutError, match="at least 2 states"):
-        lqr_track(ref, ref.states[0])
+        lqr_track(ref, ref[0])
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])

@@ -26,10 +26,11 @@ from drivegen.vocab import Vocabulary, synthesize_maneuvers
 
 from conftest import (
     make_state, plan_bits, scene_bits, scene_states, shifted_plan, straight_trajectory,
+    trajectory,
 )
 from oracle import (
-    ControlInput, SceneStates, bicycle_step, oracle_kinematic_limit_violation,
-    oracle_matching_vector, oracle_rollout, oracle_submetrics,
+    ControlInput, SceneStates, batch_of, bicycle_step, oracle_kinematic_limit_violation,
+    oracle_matching_vector, oracle_rollout, oracle_submetrics, state_of, states_of,
 )
 
 
@@ -62,12 +63,12 @@ def test_matching_vector_global_rotation_invariance():
 def test_matching_vector_arc_against_scripted_extraction():
     # integrate an arc, then extract the endpoint with independent math
     dt, v, delta, L = 0.1, 8.0, 0.08, 2.7
-    cur = make_state(v=v, steering=delta)
+    cur = state_of(make_state(v=v, steering=delta))
     states = [cur]
     for _ in range(40):
         cur = bicycle_step(cur, ControlInput(0.0, 0.0), dt, limits=VehicleLimits(wheelbase=L))
         states.append(cur)
-    traj = Trajectory(dt=dt, states=tuple(states))
+    traj = trajectory(states, dt)
     *_, x_end, y_end, theta_end = matching_vector(traj)
 
     # oracle: scripted pose accumulation in the start frame
@@ -121,8 +122,8 @@ def test_recovery_targets_match_the_scalar_oracle():
     for end_theta in (0.0, 3.0, -3.1):
         logged_end = make_state(x=rng.uniform(-60, 60), y=rng.uniform(-60, 60), theta=end_theta)
         want = np.array([
-            oracle_matching_vector(Trajectory(dt=0.1, states=(start, logged_end)))
-            for start in StateBatch(starts.data[:, None]).states(0)
+            oracle_matching_vector(trajectory((start, logged_end)))
+            for start in starts.data.T
         ])
         assert recovery_targets(starts, logged_end).tobytes() == want.tobytes()
 
@@ -133,12 +134,17 @@ def test_retrieve_tie_breaks_to_lower_index():
     assert recovery_retrieve(matching_vector(e), vocab) == 0
 
 
+def end_states(vocab):
+    """The first and last `VehicleState` of each vocabulary entry."""
+    return [states_of(e.track[:, [0, -1]]) for e in vocab.entries]
+
+
 def oracle_scan(t, entries) -> int:
     """Exhaustive linear scan with independently-written distance math, to
-    the six values of a target `t`."""
+    the six values of a target `t`, over the (first, last) states of each
+    entry (`end_states`)."""
     best_i, best_d = 0, float("inf")
-    for i, e in enumerate(entries):
-        s0, s_end = e.states[0], e.states[-1]
+    for i, (s0, s_end) in enumerate(entries):
         c, s = math.cos(-s0.pose.theta), math.sin(-s0.pose.theta)
         dx, dy = s_end.pose.x - s0.pose.x, s_end.pose.y - s0.pose.y
         ex, ey = c * dx - s * dy, s * dx + c * dy
@@ -157,7 +163,7 @@ def oracle_scan(t, entries) -> int:
 
 def test_retrieval_matches_exhaustive_oracle_on_random_targets():
     vocab = _vocab(128, seed=4)
-    entries = list(vocab.entries)
+    entries = end_states(vocab)
     rng = random.Random(17)
     for _ in range(300):
         target = np.array([
@@ -181,7 +187,7 @@ def test_privileged_plan_empty_road_full_progress(benign_scenario):
     anchor = s.anchor_frame
     plan = privileged_plan(s, anchor)
     states = oracle_rollout(s, plan.reference, anchor, s.t_horizon, mode="reactive")
-    executed = Trajectory(dt=s.dt, states=states.ego)
+    executed = trajectory(states.ego, s.dt)
     sub = oracle_submetrics(states, s, executed)
     assert sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0
     assert sub.ep == 1.0
@@ -202,7 +208,7 @@ def _straight_scenario(v: float, t_history=20, t_horizon=40, agents=()):
             route=lane,
             traffic_lights=(),
         ),
-        ego_log=Traj(dt=0.1, states=tuple(make_state(x=v * 0.1 * k, v=v) for k in range(n))),
+        ego_log=Traj(0.1, np.stack([make_state(x=v * 0.1 * k, v=v) for k in range(n)], axis=1)),
         agents=tuple(agents),
         t_history=t_history,
         t_horizon=t_horizon,
@@ -220,7 +226,7 @@ def test_privileged_plan_blocked_lane_avoids_collision():
         length=4.5,
         width=1.9,
         kind="static",
-        states=tuple(make_state(x=stop_x, v=0.0) for _ in range(n)),
+        track=np.stack([make_state(x=stop_x, v=0.0) for _ in range(n)], axis=1),
     )
     s2 = _straight_scenario(v, agents=(blocker,))
     plan = privileged_plan(s2, anchor).reference
@@ -255,7 +261,7 @@ def test_privileged_plan_argmax_dominates_all_proposals(benign_scenario):
     best = privileged_plan(s, anchor, p).reference
     best_states = oracle_rollout(s, best, anchor, s.t_horizon, mode="reactive")
     best_score = aggregate_epdms(
-        oracle_submetrics(best_states, s, Trajectory(dt=s.dt, states=best_states.ego)),
+        oracle_submetrics(best_states, s, trajectory(best_states.ego, s.dt)),
         MetricWeights(),
     )
     # re-score every proposal independently, with the scalar oracles
@@ -265,7 +271,7 @@ def test_privileged_plan_argmax_dominates_all_proposals(benign_scenario):
             prop = privileged_plan(s, anchor, single).reference
             st = oracle_rollout(s, prop, anchor, s.t_horizon, mode="reactive")
             score = aggregate_epdms(
-                oracle_submetrics(st, s, Trajectory(dt=s.dt, states=st.ego)), MetricWeights()
+                oracle_submetrics(st, s, trajectory(st.ego, s.dt)), MetricWeights()
             )
             assert best_score >= score - 1e-12
 
@@ -294,7 +300,7 @@ def _stage2_setup(scenario):
 def _judge(states, scenario, spec=ExpertFilterSpec(), ctx=SimContext()):
     """The filter's verdict on a window scored first in the world of `ctx`,
     comfort judged on its own ego track, as a caller does."""
-    sub = compute_submetrics(states, scenario, states.ego.trajectory(0, states.dt), ctx)
+    sub = compute_submetrics(states, scenario, Trajectory(states.dt, states.ego.data[:, 0]), ctx)
     return expert_filter(states, sub, spec, ctx.limits)
 
 
@@ -307,15 +313,14 @@ def test_expert_filter_ep_relaxation_bound(benign_scenario):
     s = benign_scenario
     anchor = s.anchor_frame
     # crawl forward: positive progress but well under half the logged progress
-    v = s.ego_log[anchor].vel_lon
-    start = s.ego_log[anchor]
-    crawl = 0.35 * v
+    start = state_of(s.ego_log[anchor])
+    crawl = 0.35 * start.vel_lon
     n = s.t_horizon + 1
     states_list = tuple(
         make_state(x=start.pose.x + crawl * s.dt * k, v=crawl) for k in range(n)
     )
     states = scene_states(states_list, dt=s.dt, t_start=anchor).batch()
-    traj = Trajectory(dt=s.dt, states=states_list)
+    traj = trajectory(states_list, s.dt)
     sub = compute_submetrics(states, s, traj)
     assert sub.ep == pytest.approx(0.35, abs=0.02)
     accepted, reason = expert_filter(states, sub, ExpertFilterSpec(ep_min=0.5), VehicleLimits())
@@ -326,7 +331,7 @@ def test_expert_filter_ep_relaxation_bound(benign_scenario):
 def test_expert_filter_kinematics_rejection(benign_scenario):
     s = benign_scenario
     anchor = s.anchor_frame
-    start = s.ego_log[anchor]
+    start = state_of(s.ego_log[anchor])
     # almost-straight trajectory with one kink whose curvature exceeds
     # tan(steer_max)/wheelbase; progress stays high, only kinematics fail
     lim = VehicleLimits()
@@ -343,7 +348,7 @@ def test_expert_filter_kinematics_rejection(benign_scenario):
             theta += dt * v * curv
     states = scene_states(sts, dt=dt, t_start=anchor).batch()
     assert kinematic_limit_violation(states.ego, dt, lim)
-    assert oracle_kinematic_limit_violation(Trajectory(dt=dt, states=tuple(sts)), lim)
+    assert oracle_kinematic_limit_violation(trajectory(sts, dt), lim)
     # every sub-metric passes, so the kinematic check is the one that fires
     ones = SubMetricVector(*[1.0] * 9)
     accepted, reason = expert_filter(states, ones, ExpertFilterSpec(), lim)
@@ -355,11 +360,11 @@ def test_expert_filter_scores_in_the_context_world(benign_scenario):
     """Scored first in the world of `ctx`, a lead car 5 m ahead (center to
     center) clears a 4.6 m ego and hits a 6.0 m one, and the filter says so."""
     s = benign_scenario
-    lead = tuple(
+    lead = trajectory([
         replace(st, pose=replace(st.pose, x=st.pose.x + 5.0 * math.cos(st.pose.theta),
                                  y=st.pose.y + 5.0 * math.sin(st.pose.theta)))
-        for st in s.ego_log.states
-    )
+        for st in states_of(s.ego_log.track)
+    ]).track
     s2 = replace(s, id="tailgate", agents=(AgentTrack("lead", 4.5, 1.9, "vehicle", lead),))
     anchor = s2.anchor_frame
     plan = s2.ego_log.segment(anchor, anchor + s2.t_horizon)
@@ -371,7 +376,7 @@ def test_expert_filter_scores_in_the_context_world(benign_scenario):
 def test_expert_filter_guarantee_property(benign_scenario, small_vocab, small_config):
     """Anything accepted has all penalties at 1 and EP above the bound."""
     states = _stage2_setup(benign_scenario)
-    sub = compute_submetrics(states, benign_scenario, states.ego.trajectory(0, states.dt))
+    sub = compute_submetrics(states, benign_scenario, Trajectory(states.dt, states.ego.data[:, 0]))
     accepted, _ = expert_filter(states, sub, ExpertFilterSpec(), VehicleLimits())
     if accepted:
         assert sub.nc == sub.dac == sub.ddc == sub.tlc == 1.0
@@ -395,8 +400,8 @@ def test_kinematic_gate_matches_the_scalar_oracle():
             x, y = x + step * math.cos(theta), y + step * math.sin(theta)
             theta += step * lim.max_curvature() * rng.uniform(-1.01, 1.01) ** 9
             v = max(0.0, v + dt * lim.accel_max * rng.uniform(-1.01, 1.01) ** 9)
-        want = oracle_kinematic_limit_violation(Trajectory(dt=dt, states=tuple(sts)), lim)
-        got = kinematic_limit_violation(StateBatch.track(sts), dt, lim)
+        want = oracle_kinematic_limit_violation(trajectory(sts, dt), lim)
+        got = kinematic_limit_violation(batch_of([sts]), dt, lim)
         assert got is want
         verdicts.append(want)
     assert 50 <= sum(verdicts) <= 350, sum(verdicts)

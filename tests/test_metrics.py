@@ -38,10 +38,11 @@ from drivegen.scenario import (
     Trajectory,
 )
 
-from conftest import make_state, scene_states, shifted_plan
+from conftest import make_state, scene_states, shifted_plan, trajectory
 from oracle import (
-    SceneStates, comfort_profile, contact_point, global_to_local, oracle_aggregate_epdms,
-    oracle_submetrics, oracle_time_to_collision, unblocked_first_overlaps,
+    SceneStates, batch_of, comfort_profile, contact_point, global_to_local,
+    oracle_aggregate_epdms, oracle_submetrics, oracle_time_to_collision, state_of,
+    unblocked_first_overlaps,
 )
 from test_geometry import oracle_boxes_overlap
 
@@ -256,8 +257,11 @@ def test_fault_ruling_matches_the_scalar_oracle_row_by_row():
             route=lane,
             traffic_lights=(),
         ),
-        ego_log=Trajectory(dt=dt, states=tuple(make_state(x=k, v=10.0) for k in range(n))),
-        agents=tuple(AgentTrack(aid, l, w, kind, far) for aid, (l, w, kind) in extents.items()),
+        ego_log=trajectory([make_state(x=k, v=10.0) for k in range(n)], dt),
+        agents=tuple(
+            AgentTrack(aid, l, w, kind, np.stack(far, axis=1))
+            for aid, (l, w, kind) in extents.items()
+        ),
         t_history=1,
         t_horizon=2,
     )
@@ -270,16 +274,16 @@ def test_fault_ruling_matches_the_scalar_oracle_row_by_row():
         for aid, track in tracks.items():
             dx, dy, heading, frames = placed.get(aid, (0.0, 0.0, 0.0, ()))
             track.append([
-                make_state(x=e.pose.x + dx, y=e.pose.y + dy, theta=heading)
+                make_state(x=e[0] + dx, y=e[1] + dy, theta=heading)
                 if k in frames else far[k]
                 for k, e in enumerate(ego)
             ])
-    agents = {aid: StateBatch.tracks(t) for aid, t in tracks.items()}
-    scene = SceneBatch(dt, 0, n - 1, StateBatch.tracks(egos), agents)
+    agents = {aid: batch_of(t) for aid, t in tracks.items()}
+    scene = SceneBatch(dt, 0, n - 1, batch_of(egos), agents)
     got = submetrics_batch(scene, scenario, ctx)
     for p, (*_, expected) in enumerate(rows):
         states = SceneStates.of(scene, p)
-        want = oracle_submetrics(states, scenario, Trajectory(dt=dt, states=states.ego), ctx)
+        want = oracle_submetrics(states, scenario, trajectory(states.ego, dt), ctx)
         assert [v.hex() for v in got[p].tolist()] == [
             getattr(want, m).hex() for m in ALL_METRICS
         ], p
@@ -348,7 +352,7 @@ def test_ttc_late_approach_after_an_early_running_minimum():
     ego = tuple(make_state(x=10.0 * k * dt, v=10.0) for k in range(n))
     front = 0.5 * 4.6 + 0.5 * 4.5  # center offset of bumpers that touch
     early = tuple(
-        make_state(x=front + 12.0 if k < 3 else ego[k].pose.x + front + 25.0) for k in range(n)
+        make_state(x=front + 12.0 if k < 3 else ego[k][0] + front + 25.0) for k in range(n)
     )
     late = tuple(make_state(x=front + 12.0, y=-40.0 if k < 6 else 0.0) for k in range(n))
     extents = {"early": (4.5, 1.9), "late": (4.5, 1.9)}
@@ -371,10 +375,9 @@ def _window(scenario):
     anchor = scenario.anchor_frame
     plan = scenario.ego_log.segment(anchor, anchor + scenario.t_horizon)
     scene = rollout(scenario, plan, anchor, scenario.t_horizon, mode="nonreactive")
-    history = scenario.ego_log.segment(0, anchor)
-    combined = Trajectory(
-        dt=scenario.dt, states=history.states + scene.ego.states(0)[1:], frame="global"
-    )
+    combined = Trajectory(scenario.dt, np.concatenate(
+        [scenario.ego_log.track[:, : anchor + 1], scene.ego.data[:, 0, 1:]], axis=1
+    ))
     return scene, combined
 
 
@@ -415,13 +418,13 @@ def test_authored_head_on_collision_nc_zero(benign_scenario):
     s = benign_scenario
     anchor = s.anchor_frame
     # park an agent right on the ego path, some way past the anchor
-    hit_x = s.ego_log[anchor + 10].pose.x
+    hit_x = s.ego_log[anchor + 10][0]
     blocker = AgentTrack(
         id="wall",
         length=4.5,
         width=1.9,
         kind="static",
-        states=tuple(make_state(x=hit_x, v=0.0) for _ in range(s.frame_count)),
+        track=np.stack([make_state(x=hit_x, v=0.0) for _ in range(s.frame_count)], axis=1),
     )
     s2 = Scenario(
         id="crash", map=s.map, ego_log=s.ego_log, agents=(blocker,),
@@ -436,12 +439,12 @@ def test_stationary_ego_zero_progress(benign_scenario):
     s = benign_scenario
     anchor = s.anchor_frame
     n = s.t_horizon + 1
-    pose0 = s.ego_log[anchor].pose
+    pose0 = state_of(s.ego_log[anchor]).pose
     frozen = tuple(
         make_state(x=pose0.x, y=pose0.y, theta=pose0.theta, v=0.0) for _ in range(n)
     )
     states = scene_states(frozen, dt=s.dt, t_start=anchor)
-    traj = Trajectory(dt=s.dt, states=frozen)
+    traj = trajectory(frozen, s.dt)
     sub = compute_submetrics(states.batch(), s, traj)
     assert sub.ep == 0.0  # log advances ~40 m; the ego does not
 
@@ -465,9 +468,7 @@ def test_traffic_light_red_crossing_zero():
                 ),
             ),
         ),
-        ego_log=Trajectory(
-            dt=dt, states=tuple(make_state(x=v * k * dt, v=v) for k in range(n))
-        ),
+        ego_log=trajectory([make_state(x=v * k * dt, v=v) for k in range(n)], dt),
         agents=(),
         t_history=10,
         t_horizon=20,
@@ -504,7 +505,7 @@ def _braking_window(decel):
         x += dt * v
         v = max(0.0, v - dt * decel)
         states.append(make_state(x=x, v=v))
-    traj = Trajectory(dt=dt, states=tuple(states))
+    traj = trajectory(states, dt)
     return scene_states(states, dt=dt).batch(), traj
 
 
@@ -587,7 +588,7 @@ def test_scoring_kernel_matches_the_scalar_oracle_on_a_generated_corpus(
             judged = comfort if comfort is not None else scene.ego
             for row, values in enumerate(got.tolist()):
                 check(SubMetricVector(*values), SceneStates.of(scene, row), scenario,
-                      judged.trajectory(row, scene.dt), ctx, caller)
+                      Trajectory(scene.dt, judged.data[:, row]), ctx, caller)
             return got
 
         monkeypatch.setattr(module, "submetrics_batch", scorer)
@@ -601,7 +602,7 @@ def test_scoring_kernel_matches_the_scalar_oracle_on_a_generated_corpus(
         _, scene, sub = result
         for row, values in enumerate(sub.tolist()):
             states = SceneStates.of(scene, row)
-            executed = Trajectory(dt=scenario.dt, states=states.ego)
+            executed = trajectory(states.ego, scenario.dt)
             check(SubMetricVector(*values), states, scenario, executed, ctx, "pipeline")
         return result
 
@@ -636,14 +637,14 @@ def test_scoring_kernel_matches_the_scalar_oracle_with_several_agents(multi_agen
         extents = {a.id: (a.length, a.width) for a in s.agents}
         for t in (s.anchor_frame, s.anchor_frame + s.t_horizon):
             logged = s.ego_log.segment(t, t + s.t_horizon)
-            plans = StateBatch.tracks([
-                shifted_plan(logged, lateral, speed).states
+            plans = StateBatch(np.stack([
+                shifted_plan(logged, lateral, speed).track
                 for lateral in (-1.6, -0.8, 0.0, 0.8, 1.6) for speed in (0.8, 1.0, 1.15)
-            ])
+            ], axis=1))
             scene = rollout_batch(s, plans, t, s.t_horizon, ctx)
             for row, values in enumerate(submetrics_batch(scene, s, ctx).tolist()):
                 states = SceneStates.of(scene, row)
-                want = oracle_submetrics(states, s, Trajectory(s.dt, states.ego), ctx)
+                want = oracle_submetrics(states, s, trajectory(states.ego, s.dt), ctx)
                 assert [v.hex() for v in values] == [
                     getattr(want, name).hex() for name in ALL_METRICS
                 ], (s.id, t, row)
@@ -670,10 +671,10 @@ def test_blocked_ttc_sweep_equals_one_broadcast(multi_agent_corpus, monkeypatch)
     for s in multi_agent_corpus:
         t = s.anchor_frame
         logged = s.ego_log.segment(t, t + s.t_horizon)
-        plans = StateBatch.tracks([
-            shifted_plan(logged, lateral, speed).states
+        plans = StateBatch(np.stack([
+            shifted_plan(logged, lateral, speed).track
             for lateral in (-1.6, 0.0, 1.6) for speed in (0.8, 1.15)
-        ])
+        ], axis=1))
         scene = rollout_batch(s, plans, t, s.t_horizon, ctx)
         scenes.append((scene, *_boxes(scene, s, ctx), th.ttc_horizon, th.ttc_min_ego_speed))
 

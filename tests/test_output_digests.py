@@ -1,8 +1,9 @@
 """Byte-identity guard: the exported files of a small default-config run are
 pinned by SHA-256, so a refactor that changes any output bit fails here.
-The same runs guard the sample path's arrays: `run_generation` builds no
-`VehicleState`, `Pose2D` or `Trajectory`, and no `PerturbationCandidate`
-once a scenario's `grid_sparsify` has returned.
+The run reads its 5 scenarios back from the files `write_scenario` wrote,
+so the digests cover the parser's arrays as well. The same runs guard the
+sample path's arrays: `run_generation` builds no `Trajectory`, and no
+`PerturbationCandidate` once a scenario's `grid_sparsify` has returned.
 
 The vocabulary comes straight from `synthesize_maneuvers`, without the
 k-means matmul of `build_vocabulary`. The digests still depend on the
@@ -26,7 +27,7 @@ import drivegen.pipeline
 from drivegen.cli import main
 from drivegen.config import PipelineConfig
 from drivegen.pipeline import export_dataset, run_generation
-from drivegen.scenario import Pose2D, Trajectory, VehicleState
+from drivegen.scenario import Trajectory, load_scenario, write_scenario
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 from drivegen.vocab import PerturbationCandidate, synthesize_maneuvers
 
@@ -71,8 +72,12 @@ def test_corpus_bytes_are_pinned(tmp_path, flags):
 
 
 @pytest.fixture(scope="module")
-def corpus_and_vocab():
-    corpus = generate_synthetic_corpus(corpus_config_for_count(5), seed=2026)
+def corpus_and_vocab(tmp_path_factory):
+    """5 scenarios written to files and loaded back, and 64 maneuvers."""
+    out = tmp_path_factory.mktemp("corpus")
+    for s in generate_synthetic_corpus(corpus_config_for_count(5), seed=2026):
+        write_scenario(s, out / f"{s.id}.json")
+    corpus = [load_scenario(path) for path in sorted(out.glob("*.json"))]
     return corpus, synthesize_maneuvers(64, 40, 0.1, seed=2026)
 
 
@@ -82,7 +87,7 @@ def test_exported_bytes_are_pinned(tmp_path, corpus_and_vocab, monkeypatch, expe
     config = PipelineConfig(master_seed=2026, expert_kind=expert, reactive=reactive)
     built = Counter()
     stage = [""]  # where the current scenario is: "" until its grid has returned
-    for cls in (Pose2D, VehicleState, Trajectory, PerturbationCandidate):
+    for cls in (Trajectory, PerturbationCandidate):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             if _name != "PerturbationCandidate" or stage[0]:
                 built[_name + stage[0]] += 1

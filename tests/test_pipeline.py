@@ -43,6 +43,7 @@ from drivegen.vocab import (
 from conftest import make_state, plan_entry, scene_bits, sub_bits
 from oracle import (
     SceneStates, oracle_place_at_state, oracle_rollout, oracle_sensor_stub, oracle_submetrics,
+    state_of, track_of,
 )
 
 
@@ -50,21 +51,21 @@ from oracle import (
 
 
 def test_sensor_stub_identity_rig():
-    ego = StateBatch.track([make_state(x=3.0, y=4.0, theta=0.3)])
+    ego = StateBatch(make_state(x=3.0, y=4.0, theta=0.3)[:, None, None])
     poses = sensor_stub(ego, [CameraConfig("c", 0.0, 0.0, 0.0)])
     assert poses.shape == (1, 1, 3)
     assert poses[0, 0].tolist() == pytest.approx([3.0, 4.0, 0.3])
 
 
 def test_sensor_stub_forward_offset():
-    ego = StateBatch.track([make_state(x=0.0, y=0.0, theta=0.0)])
+    ego = StateBatch(make_state(x=0.0, y=0.0, theta=0.0)[:, None, None])
     x, y, _ = sensor_stub(ego, [CameraConfig("c", 2.0, 0.0, 0.0)])[0, 0].tolist()
     assert (x, y) == pytest.approx((2.0, 0.0))
 
 
 def test_sensor_stub_rotation_composition():
     # oracle: R(90 deg) @ [2, 0] = [0, 2]
-    ego = StateBatch.track([make_state(x=0.0, y=0.0, theta=math.pi / 2)])
+    ego = StateBatch(make_state(x=0.0, y=0.0, theta=math.pi / 2)[:, None, None])
     x, y, theta = sensor_stub(ego, [CameraConfig("c", 2.0, 0.0, 0.1)])[0, 0].tolist()
     assert (x, y) == pytest.approx((0.0, 2.0), abs=1e-12)
     assert theta == pytest.approx(math.pi / 2 + 0.1)
@@ -72,7 +73,7 @@ def test_sensor_stub_rotation_composition():
 
 def test_sensor_stub_empty_rig_rejected():
     with pytest.raises(ValidationError):
-        sensor_stub(StateBatch.track([make_state()]), [])
+        sensor_stub(StateBatch(make_state()[:, None, None]), [])
 
 
 def _pose_bits(poses):
@@ -100,7 +101,7 @@ def test_sensor_stub_matches_the_scalar_loop(small_corpus, small_vocab, small_co
         assert _pose_bits(sample.sensors.tolist()) == _pose_bits(
             oracle_sensor_stub(ego, config.cameras)
         )
-        got = sensor_stub(StateBatch.track(ego), rig)
+        got = sensor_stub(StateBatch(track_of(ego)[:, None]), rig)
         assert _pose_bits(got.tolist()) == _pose_bits(oracle_sensor_stub(ego, rig))
         for cam in rig:
             crossed.update(
@@ -141,7 +142,7 @@ def test_simulate_sample_identity_recovery_endpoint(small_corpus, small_vocab, s
     sample = _simulate(s, screened, 0, small_config, small_vocab)
     assert sample is not None
     end_x, end_y = sample.stage2.ego.data[:2, 0, -1].tolist()
-    log_end = s.ego_log[anchor + 2 * s.t_horizon].pose
+    log_end = state_of(s.ego_log[anchor + 2 * s.t_horizon]).pose
     dist = math.hypot(end_x - log_end.x, end_y - log_end.y)
     assert dist < 2.0
 
@@ -227,12 +228,13 @@ def test_screen_simulates_the_configured_world(small_corpus, small_vocab, monkey
     checked = 0
     for s in (x for x in small_corpus if x.agents):
         anchor, H = s.anchor_frame, s.t_horizon
-        history = s.ego_log.segment(0, anchor)
         index, scene, screen_sub = prepare_candidates(s, small_vocab, config)
         for j, i in enumerate(index.tolist()):
             plan = oracle_place_at_state(small_vocab.entries[i], s.ego_log[anchor])
             states = oracle_rollout(s, plan, anchor, H, "reactive", ctx)
-            combined = Trajectory(dt=s.dt, states=history.states + states.ego[1:])
+            combined = Trajectory(s.dt, np.concatenate(
+                [s.ego_log.track[:, : anchor + 1], track_of(states.ego[1:])], axis=1
+            ))
             sub = oracle_submetrics(states, s, combined, ctx)
             assert scene_bits(scene.take([j])) == scene_bits(states)
             assert sub_bits(screen_sub[j]) == sub_bits(sub)
@@ -335,13 +337,13 @@ def test_no_state_objects_between_the_vocabulary_file_and_the_screen(
     tmp_path, small_corpus, small_vocab, small_config, monkeypatch
 ):
     """From a loaded vocabulary file to the screen's first rollout, the
-    candidate path stays in arrays: no state is parsed into a `VehicleState`
-    and no bank row is unpacked into states."""
+    candidate path stays in arrays: the file's states are read in bulk, none
+    is parsed one at a time, and nothing runs before the screen's rollout.
+    The package has no state object to unpack a bank row into."""
     path = tmp_path / "vocab.json"
     save_vocabulary(small_vocab, path)
     calls = []
     _spy(monkeypatch, drivegen.scenario, "_require_keys", lambda a, k: calls.append("parse"))
-    _spy(monkeypatch, StateBatch, "states", lambda a, k: calls.append("states"))
     _spy(monkeypatch, drivegen.pipeline, "rollout_batch", lambda a, k: calls.append("rollout"))
     vocab = load_vocabulary(path)
     for s in small_corpus:
@@ -370,8 +372,8 @@ def test_cleared_candidates_carry_the_placed_entry(
         survivors = _grid_survivors(s, small_vocab, config)
         assert len(plans) == 1 and plans[0].data.shape[1] == len(survivors)
         for j, i in enumerate(survivors):
-            want = StateBatch.track(oracle_place_at_state(entries[i], anchor).states)
-            assert plans[0].data[:, j:j + 1].tobytes() == want.data.tobytes()
+            want = oracle_place_at_state(entries[i], anchor).track
+            assert plans[0].data[:, j].tobytes() == want.tobytes()
         kept = set(index.tolist())
         assert index.tolist() == [i for i in survivors if i in kept]
         cleared += len(kept)

@@ -7,8 +7,6 @@ proposal of maximal score.
 """
 
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -26,20 +24,18 @@ from drivegen.scenario import (
     AgentTrack,
     Lane,
     MapModel,
-    Pose2D,
     Scenario,
     TrafficLight,
     Trajectory,
-    VehicleState,
 )
 
 from conftest import (
-    make_state, plan_bits, scene_bits, start_frames, start_states, state_bits, sub_bits,
-    winning_plans,
+    make_state, plan_bits, scene_bits, start_frames, start_states, sub_bits, track_bits,
+    trajectory, winning_plans, with_fields,
 )
 from oracle import (
-    angle_diff, oracle_idm_accel, oracle_rollout, oracle_select_leader, oracle_submetrics,
-    point_at,
+    Pose2D, VehicleState, angle_diff, oracle_idm_accel, oracle_rollout, oracle_select_leader,
+    oracle_submetrics, point_at, state_of, track_of,
 )
 
 BINARY = ("nc", "dac", "ddc", "tlc", "ttc", "lk", "hc", "ec")
@@ -83,13 +79,13 @@ def oracle_reference(scenario, start, lateral_offset, v_target, horizon, idm, li
         steering = max(-limits.steer_max, min(limits.steer_max, steering))
         accel = (speeds[k + 1] - speeds[k]) / dt if k < horizon else 0.0
         states.append(VehicleState(Pose2D(x, y, heading), speeds[k], 0.0, accel, steering))
-    return Trajectory(dt=dt, states=tuple(states))
+    return Trajectory(dt, track_of(states))
 
 
 def oracle_plan(scenario, t, p, ego_start=None, agent_init=None, ctx=None):
     """(references, rollouts, sub-metric vectors, scores, winner index) of the scalar loop."""
     ctx = ctx or SimContext()
-    start = ego_start if ego_start is not None else scenario.ego_log[t]
+    start = state_of(ego_start if ego_start is not None else scenario.ego_log[t])
     horizon = scenario.t_horizon
     refs, rollouts, subs, scores = [], [], [], []
     for frac in p.speed_fractions:
@@ -100,7 +96,7 @@ def oracle_plan(scenario, t, p, ego_start=None, agent_init=None, ctx=None):
             )
             states = oracle_rollout(scenario, ref, t, horizon, mode="reactive", ctx=ctx,
                                     ego_start=start, agent_init=agent_init)
-            executed = Trajectory(dt=scenario.dt, states=states.ego)
+            executed = trajectory(states.ego, scenario.dt)
             sub = oracle_submetrics(states, scenario, executed, ctx)
             refs.append(ref)
             rollouts.append(states)
@@ -111,15 +107,6 @@ def oracle_plan(scenario, t, p, ego_start=None, agent_init=None, ctx=None):
         if score > scores[best]:
             best = i
     return refs, rollouts, subs, scores, best
-
-
-def _state_tuple(s):
-    return (s.pose.x, s.pose.y, s.pose.theta, s.vel_lon, s.vel_lat, s.accel, s.steering)
-
-
-def _bits(values):
-    """Values as hex strings, so -0.0 and 0.0 differ."""
-    return [float(v).hex() for v in values]
 
 
 def check_against_oracle(
@@ -142,27 +129,18 @@ def check_against_oracle(
             assert row[name] == getattr(o_sub, name), (scenario.id, t, i, name)
         assert float(row["ep"]).hex() == o_sub.ep.hex(), (scenario.id, t, i)
         assert scores[i] == o_scores[i], (scenario.id, t, i)
-        got = refs.trajectory(i, scenario.dt)
-        assert [_bits(_state_tuple(s)) for s in got.states] == [
-            _bits(_state_tuple(s)) for s in o_refs[i].states
-        ]
+        assert track_bits(refs.data[:, i]) == track_bits(o_refs[i].track)
     if states:
         scene = rollout_batch(scenario, refs, t, scenario.t_horizon, ctx or SimContext(),
                               ego_start=ego_start, agent_init=agent_init)
         for i, o_states in enumerate(o_rollouts):
-            ego = scene.ego.trajectory(i, scenario.dt)
-            assert [_bits(_state_tuple(s)) for s in ego.states] == [
-                _bits(_state_tuple(s)) for s in o_states.ego
-            ]
+            assert track_bits(scene.ego.data[:, i]) == track_bits(track_of(o_states.ego))
             assert list(scene.agents) == list(o_states.agents)
             for aid, track in scene.agents.items():
-                got = track.trajectory(i, scenario.dt)
-                assert [_bits(_state_tuple(s)) for s in got.states] == [
-                    _bits(_state_tuple(s)) for s in o_states.agents[aid]
-                ]
+                assert track_bits(track.data[:, i]) == track_bits(track_of(o_states.agents[aid]))
     plan = plan or privileged_plan(scenario, t, p, ego_start, agent_init, ctx)
     assert plan_bits(plan) == (
-        (scenario.dt, o_refs[o_best].frame, [state_bits(s) for s in o_refs[o_best].states]),
+        (scenario.dt, o_refs[o_best].frame, track_bits(o_refs[o_best].track)),
         scene_bits(o_rollouts[o_best]),
         sub_bits(o_subs[o_best]),
     ), (scenario.id, t, o_best)
@@ -178,10 +156,10 @@ SIDE_LANE = tuple((x, 3.5) for x, _ in ROAD)
 
 def _track(x0, v, y=0.0, speed=None):
     """Constant-speed log along x; `speed` overrides the recorded vel_lon."""
-    return tuple(
+    return np.stack([
         make_state(x=x0 + v * 0.1 * k, y=y, v=v if speed is None else speed)
         for k in range(N_FRAMES)
-    )
+    ], axis=1)
 
 
 def _scene(scene_id, agents=(), lights=()):
@@ -194,7 +172,7 @@ def _scene(scene_id, agents=(), lights=()):
             route=ROAD,
             traffic_lights=tuple(lights),
         ),
-        ego_log=Trajectory(dt=0.1, states=_track(0.0, 10.0)),
+        ego_log=Trajectory(0.1, _track(0.0, 10.0)),
         agents=tuple(agents),
         t_history=20,
         t_horizon=40,
@@ -202,7 +180,7 @@ def _scene(scene_id, agents=(), lights=()):
 
 
 def _vehicle(agent_id, x0, v, y=0.0, kind="vehicle", speed=None):
-    return AgentTrack(id=agent_id, length=4.5, width=1.9, kind=kind, states=_track(x0, v, y, speed))
+    return AgentTrack(id=agent_id, length=4.5, width=1.9, kind=kind, track=_track(x0, v, y, speed))
 
 
 # listed out of id order: the simulation steps agents in ascending id order
@@ -239,9 +217,9 @@ def test_hand_built_scene_matches_oracle(scenario, ctx):
     subs = check_against_oracle(scenario, scenario.anchor_frame, ctx=ctx, states=True)
     t2 = scenario.anchor_frame + scenario.t_horizon
     perturbed = make_state(
-        x=scenario.ego_log[t2].pose.x - 3.0, y=0.6, theta=0.04, v=11.0, steering=0.02
+        x=scenario.ego_log[t2][0] - 3.0, y=0.6, theta=0.04, v=11.0, steering=0.02
     )
-    agent_init = {a.id: replace(a.states[t2], vel_lat=0.1) for a in scenario.agents}
+    agent_init = {a.id: with_fields(a.track[:, t2], v_lat=0.1) for a in scenario.agents}
     subs += check_against_oracle(
         scenario, t2, ego_start=perturbed, agent_init=agent_init, ctx=ctx, states=True
     )
@@ -264,9 +242,8 @@ def test_planner_matches_the_scalar_oracle_with_several_agents(multi_agent_corpu
         subs += check_against_oracle(s, s.anchor_frame, p, states=True)
         t2 = s.anchor_frame + s.t_horizon
         logged = s.ego_log[t2]
-        perturbed = replace(logged, vel_lon=0.9 * logged.vel_lon, steering=0.01)
-        agent_init = {a.id: replace(a.states[t2], vel_lon=1.1 * a.states[t2].vel_lon)
-                      for a in s.agents}
+        perturbed = with_fields(logged, v=0.9 * logged[3], steering=0.01)
+        agent_init = {a.id: with_fields(a.track[:, t2], v=1.1 * a.track[3, t2]) for a in s.agents}
         subs += check_against_oracle(s, t2, p, perturbed, agent_init, states=True)
     assert {sub.nc for sub in subs} == {0.0, 1.0}
     assert sum(sub.nc == sub.ttc == 1.0 for sub in subs) >= 20
@@ -278,7 +255,7 @@ def test_each_planned_sample_keeps_its_own_winner():
     the first: each keeps the oracle's winner, not an argmax over all rows,
     and equals `privileged_plan` from its start alone. No sample, no plan."""
     t = EMPTY_ROAD.anchor_frame
-    side_lane = make_state(x=EMPTY_ROAD.ego_log[t].pose.x + 10.0, y=3.5, v=3.0)
+    side_lane = make_state(x=EMPTY_ROAD.ego_log[t][0] + 10.0, y=3.5, v=3.0)
     starts = [(side_lane, {}), (EMPTY_ROAD.ego_log[t], {})]
     plans = winning_plans(privileged_plans(EMPTY_ROAD, t, *start_frames(starts)), EMPTY_ROAD.dt)
     winners = []
@@ -304,8 +281,9 @@ def test_select_leaders_tie_goes_to_the_lower_id():
     the kernel takes the one with the lower id (k-twin, the faster one here)."""
     states = {"z-back": (30.0, 9.0, 4.5), "m-twin": (45.0, 4.0, 4.5), "k-twin": (45.0, 7.0, 4.5),
               "ego": (0.0, 10.0, 4.6)}
-    scalar = {aid: (make_state(x=x, v=v), length) for aid, (x, v, length) in states.items()}
-    batch = {aid: (StateBatch.full(s, 3), length) for aid, (s, length) in scalar.items()}
+    columns = {aid: (make_state(x=x, v=v), length) for aid, (x, v, length) in states.items()}
+    batch = {aid: (StateBatch.full(s, 3), length) for aid, (s, length) in columns.items()}
+    scalar = {aid: (state_of(s), length) for aid, (s, length) in columns.items()}
     s_self, found, v_lead, gap = select_leaders(
         "z-back", batch, TIED_LEADERS.map.lanes, np.zeros(3, dtype=int)
     )
@@ -350,7 +328,7 @@ def test_proposal_speeds_brake_within_the_run_b_hard(benign_scenario):
     b_hard = 2 decelerate by at most 2 m/s^2, and that bound binds."""
     s = benign_scenario
     ctx = PipelineConfig(b_hard=2.0).sim_context
-    start = StateBatch.frame([replace(s.ego_log[s.anchor_frame], vel_lon=12.0)])
+    start = StateBatch.full(with_fields(s.ego_log[s.anchor_frame], v=12.0), 1)
     p = PlannerParams(speed_fractions=(0.5,), lateral_offsets=(0.0,))
     refs = _proposal_references(s, start, p, s.t_horizon, ctx)
     accel = np.diff(refs.v, axis=1) / s.dt

@@ -21,8 +21,8 @@ from drivegen.scenario import FRAME_EGO_LOCAL, Trajectory
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
 from drivegen.vocab import screen_verdicts
 
-from conftest import make_state, scene_bits, shifted_plan
-from oracle import SceneStates, oracle_idm_accel, oracle_rollout
+from conftest import make_state, scene_bits, shifted_plan, trajectory, with_fields
+from oracle import SceneStates, oracle_idm_accel, oracle_rollout, state_of, states_of
 
 
 # --- IDM closed form
@@ -114,7 +114,7 @@ def test_idm_powers_round_as_python_pow():
 def select_leader(agent_id, scene, map_model):
     """One row of `batch.select_leaders` for an agent on its assigned lane:
     (leader speed, bumper-to-bumper gap) or None."""
-    batch = {aid: (StateBatch.frame([state]), length) for aid, (state, length) in scene.items()}
+    batch = {aid: (StateBatch.full(state, 1), length) for aid, (state, length) in scene.items()}
     own = batch[agent_id][0]
     lane = assign_lanes(own.x, own.y, map_model.lanes)
     _, found, v_lead, gap = select_leaders(agent_id, batch, map_model.lanes, lane)
@@ -198,9 +198,8 @@ def _check_rollouts(corpus, mode):
     compared = 0
     for s in corpus:
         t2 = s.anchor_frame + s.t_horizon
-        perturbed = replace(s.ego_log[t2], vel_lon=0.9 * s.ego_log[t2].vel_lon, steering=0.01)
-        agent_init = {a.id: replace(a.states[t2], vel_lon=1.1 * a.states[t2].vel_lon)
-                      for a in s.agents}
+        perturbed = with_fields(s.ego_log[t2], v=0.9 * s.ego_log[t2][3], steering=0.01)
+        agent_init = {a.id: with_fields(a.track[:, t2], v=1.1 * a.track[3, t2]) for a in s.agents}
         for t, ctx, starts in (
             (s.anchor_frame, None, {}),
             (t2, world, dict(ego_start=perturbed, agent_init=agent_init)),
@@ -258,7 +257,7 @@ def test_rollout_nonreactive_replay_identity(benign_scenario):
     anchor = s.anchor_frame
     plan = s.ego_log.segment(anchor, anchor + s.t_horizon)
     states = SceneStates.of(rollout(s, plan, anchor, s.t_horizon, mode="nonreactive"))
-    assert states.ego == s.ego_log.states[anchor : anchor + s.t_horizon + 1]
+    assert states.ego == states_of(plan.track)
 
 
 def test_rollout_log_replay_mode(small_corpus):
@@ -266,9 +265,9 @@ def test_rollout_log_replay_mode(small_corpus):
     anchor = s.anchor_frame
     plan = s.ego_log.segment(anchor, anchor + s.t_horizon)
     states = SceneStates.of(rollout(s, plan, anchor, s.t_horizon, mode="log-replay-ego"))
-    assert states.ego == s.ego_log.states[anchor : anchor + s.t_horizon + 1]
+    assert states.ego == states_of(plan.track)
     for a in s.agents:
-        assert states.agents[a.id] == a.states[anchor : anchor + s.t_horizon + 1]
+        assert states.agents[a.id] == states_of(a.track[:, anchor : anchor + s.t_horizon + 1])
 
 
 def _check_follower_oracle(ctx, ego_length, b_hard):
@@ -277,7 +276,7 @@ def _check_follower_oracle(ctx, ego_length, b_hard):
     s = next(x for x in corpus if x.id.startswith("lead"))
     # ego plan: hard but legal braking from the anchor state
     anchor = s.anchor_frame
-    start = s.ego_log[anchor]
+    start = state_of(s.ego_log[anchor])
     dt, v = s.dt, start.vel_lon
     states = [start]
     x = start.pose.x
@@ -286,15 +285,15 @@ def _check_follower_oracle(ctx, ego_length, b_hard):
         x += dt * v
         v = max(0.0, v + dt * a)
         states.append(make_state(x=x, v=v))
-    plan = Trajectory(dt=dt, states=tuple(states))
+    plan = trajectory(states, dt)
 
     # follower agent: behind the braking ego, same lane
     from drivegen.scenario import AgentTrack, Scenario
 
-    follower_states = tuple(
-        make_state(x=st.pose.x - 25.0, v=st.vel_lon) for st in s.ego_log.states
+    follower_track = np.stack(
+        [make_state(x=st.pose.x - 25.0, v=st.vel_lon) for st in states_of(s.ego_log.track)], axis=1
     )
-    follower = AgentTrack(id="f00", length=4.5, width=1.9, kind="vehicle", states=follower_states)
+    follower = AgentTrack(id="f00", length=4.5, width=1.9, kind="vehicle", track=follower_track)
     s2 = Scenario(
         id=s.id + "-f",
         map=s.map,
@@ -374,14 +373,15 @@ def test_rollout_reactivity_monotone():
     base = next(x for x in corpus if x.id.startswith("straight"))
     from drivegen.scenario import AgentTrack, Scenario
 
-    follower_states = tuple(
-        make_state(x=st.pose.x - 30.0, v=st.vel_lon) for st in base.ego_log.states
+    follower_track = np.stack(
+        [make_state(x=st.pose.x - 30.0, v=st.vel_lon) for st in states_of(base.ego_log.track)],
+        axis=1,
     )
     s2 = Scenario(
         id="sweep",
         map=base.map,
         ego_log=base.ego_log,
-        agents=(AgentTrack("f00", 4.5, 1.9, "vehicle", follower_states),),
+        agents=(AgentTrack("f00", 4.5, 1.9, "vehicle", follower_track),),
         t_history=base.t_history,
         t_horizon=base.t_horizon,
     )
@@ -390,14 +390,14 @@ def test_rollout_reactivity_monotone():
 
     min_gaps = []
     for brake in (0.5, 1.0, 1.5, 2.0, 2.5):
-        start = s2.ego_log[anchor]
+        start = state_of(s2.ego_log[anchor])
         v, x = start.vel_lon, start.pose.x
         sts = [start]
         for _ in range(s2.t_horizon):
             x += dt * v
             v = max(0.0, v - dt * brake)
             sts.append(make_state(x=x, v=v))
-        plan = Trajectory(dt=dt, states=tuple(sts))
+        plan = trajectory(sts, dt)
         out = SceneStates.of(rollout(s2, plan, anchor, s2.t_horizon, "reactive"))
         gaps = [
             out.ego[k].pose.x - out.agents["f00"][k].pose.x for k in range(out.frame_count)
@@ -413,7 +413,7 @@ def test_rollout_window_errors(benign_scenario):
     plan = s.ego_log.segment(0, s.t_horizon)
     with pytest.raises(RolloutError):
         rollout(s, plan, s.frame_count - 5, 10, "reactive")
-    bad_plan = Trajectory(dt=0.2, states=plan.states)
+    bad_plan = Trajectory(0.2, plan.track)
     with pytest.raises(RolloutError):
         rollout(s, bad_plan, 0, 10, "reactive")
     with pytest.raises(RolloutError):
@@ -429,9 +429,9 @@ def test_rollout_executes_only_global_plans(benign_scenario):
             rollout(s, local, anchor, s.t_horizon, mode)
     # the plan is not executed
     replayed = SceneStates.of(rollout(s, local, anchor, s.t_horizon, "log-replay-ego"))
-    assert replayed.ego == s.ego_log.states[anchor : anchor + s.t_horizon + 1]
+    assert replayed.ego == states_of(local.track)
 
 
 def test_scene_states_shape_validation():
     with pytest.raises(ValueError):
-        SceneStates(dt=0.1, t_start=0, t_end=2, ego=(make_state(),), agents={})
+        SceneStates(dt=0.1, t_start=0, t_end=2, ego=(state_of(make_state()),), agents={})

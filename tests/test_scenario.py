@@ -1,9 +1,12 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from drivegen.cli import _load_corpus
 from drivegen.errors import ParseError, SchemaError, ValidationError
 from drivegen.scenario import (
     dump_json_canonical,
@@ -16,7 +19,7 @@ from drivegen.scenario import (
 from drivegen.synth import CorpusConfig, corpus_config_for_count, generate_synthetic_corpus
 from drivegen.errors import ConfigError
 
-from oracle import point_in_polygon
+from oracle import point_in_polygon, states_of
 
 
 def minimal_scenario_dict(t_history=2, t_horizon=4, n_agents=0, v=10.0):
@@ -63,7 +66,19 @@ def test_load_minimal_scenario_roundtrips_fields(tmp_path):
     assert len(s.map.lanes) == 1
     assert len(s.agents) == 0
     assert len(s.ego_log) == 60
-    assert s.ego_log[3].pose.x == pytest.approx(3.0)
+    assert s.ego_log[3][0] == pytest.approx(3.0)
+
+
+def test_loaded_scenario_arrays_are_read_only(tmp_path):
+    """A loaded scenario holds each log as one read-only (7, n) float array,
+    so that sharing the scenario cannot change it."""
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(minimal_scenario_dict(n_agents=1)))
+    s = load_scenario(path)
+    for track in (s.ego_log.track, s.agents[0].track):
+        assert track.shape == (7, 10) and track.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            track[0, 0] = 1.0
 
 
 def test_load_scenario_wrong_log_length_names_invariant(tmp_path):
@@ -181,6 +196,27 @@ def test_validate_agent_track_length_mismatch():
     assert any("a00" in x and "state count" in x for x in diags)
 
 
+def test_validate_duplicate_agent_id():
+    """Agents are keyed by id in the rollout and the scoring, so a second
+    agent under one id would vanish from both: it is refused."""
+    d = minimal_scenario_dict(n_agents=2)
+    d["agents"][1]["id"] = "a00"
+    assert validate_scenario(scenario_from_dict(d)) == ["agent a00: duplicate id"]
+
+
+@pytest.mark.parametrize("field", ["t_history", "t_horizon"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_validate_history_and_horizon_at_least_one(field, value):
+    """A history of no frame puts the anchor at frame -1, which indexing
+    reads as the last frame; a horizon of none has no window to simulate."""
+    d = minimal_scenario_dict()
+    d[field] = value
+    n = d["t_history"] + 2 * d["t_horizon"]
+    # a log of the length the two fields ask for: the field is the first diagnostic
+    d["ego_log"] = (d["ego_log"] * n)[:n]
+    assert validate_scenario(scenario_from_dict(d))[0] == f"{field} must be at least 1, got {value}"
+
+
 def test_validate_valid_scenario_empty_diagnostics():
     s = scenario_from_dict(minimal_scenario_dict())
     assert validate_scenario(s) == []
@@ -191,7 +227,7 @@ def test_write_load_roundtrip_equality(tmp_path, small_corpus):
         path = tmp_path / f"{s.id}.json"
         write_scenario(s, path)
         loaded = load_scenario(path)
-        assert loaded == s  # field-for-field dataclass equality
+        assert scenario_to_dict(loaded) == scenario_to_dict(s)
 
 
 def test_write_load_reproduces_every_corpus_file_byte_for_byte(tmp_path, corpus_100):
@@ -214,14 +250,30 @@ def test_write_load_reproduces_every_corpus_file_byte_for_byte(tmp_path, corpus_
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_loaded_corpus_memory_is_bounded(tmp_path, corpus_100):
+    """What loading the 100 bundled scenario files leaves held, its parse
+    and validation caches included, stays below 45 kB a scenario: each log
+    is one (7, n) float array (about 32 kB a scenario all told), where one
+    object per state took about 67 kB."""
+    for s in corpus_100:
+        write_scenario(s, tmp_path / f"{s.id}.json")
+    tracemalloc.start()
+    try:
+        corpus = _load_corpus(str(tmp_path))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 100
+    assert held < 45_000 * len(corpus), held
+
+
 def test_synthesis_determinism():
     config = corpus_config_for_count(10)
     a = generate_synthetic_corpus(config, seed=7)
     b = generate_synthetic_corpus(config, seed=7)
-    assert a == b
     assert [scenario_to_dict(x) for x in a] == [scenario_to_dict(y) for y in b]
     c = generate_synthetic_corpus(config, seed=8)
-    assert a != c
+    assert [scenario_to_dict(x) for x in a] != [scenario_to_dict(y) for y in c]
 
 
 def test_synthesis_count_zero():
@@ -247,16 +299,17 @@ def test_synthesized_corpus_validates():
 def test_synthesized_logs_kinematically_consistent(small_corpus):
     for s in small_corpus:
         dt = s.ego_log.dt
+        states = states_of(s.ego_log.track)
         for k in range(len(s.ego_log) - 1):
-            a, b = s.ego_log[k], s.ego_log[k + 1]
+            a, b = states[k], states[k + 1]
             d = math.hypot(b.pose.x - a.pose.x, b.pose.y - a.pose.y)
             assert abs(d / dt - a.vel_lon) <= 0.05
 
 
 def test_ego_log_theta_normalized(small_corpus):
     for s in small_corpus:
-        for st in s.ego_log.states:
-            assert -math.pi < st.pose.theta <= math.pi
+        for theta in s.ego_log.track[2].tolist():
+            assert -math.pi < theta <= math.pi
 
 
 def test_validate_steering_bound():
@@ -271,9 +324,9 @@ def test_validate_reports_a_non_finite_ego_state(small_corpus, field):
     """An infinite ego pose gets its diagnostic, not a math error from the
     footprint check, which a non-finite state skips."""
     s = small_corpus[1]
-    states = list(s.ego_log.states)
-    states[30] = replace(states[30], pose=replace(states[30].pose, **{field: math.inf}))
-    s = replace(s, ego_log=replace(s.ego_log, states=tuple(states)))
+    track = s.ego_log.track.copy()
+    track[{"x": 0, "theta": 2}[field], 30] = math.inf
+    s = replace(s, ego_log=replace(s.ego_log, track=track))
     diags = validate_scenario(s)
     assert "non-finite ego state at frame 30" in diags
     assert not any("footprint" in x for x in diags)

@@ -14,7 +14,7 @@ from drivegen.errors import DrivegenError, SchemaError, ValidationError
 from drivegen.geometry import wrap_angle
 from drivegen.reactive import StateBatch
 from drivegen.scenario import (
-    AgentTrack, Pose2D, Scenario, Trajectory, dump_json_canonical, track_to_json, write_json_array,
+    AgentTrack, Scenario, dump_json_canonical, track_to_json, write_json_array,
 )
 from drivegen.seeding import mix64
 from drivegen.synth import corpus_config_for_count, generate_synthetic_corpus
@@ -37,8 +37,14 @@ from drivegen.vocab import (
     synthesize_maneuvers,
 )
 
-from conftest import make_state, plan_entry, straight_trajectory, sub_bits
+from conftest import (
+    make_state, plan_entry, straight_trajectory, sub_bits, trajectory, trajectory_bits,
+    with_fields,
+)
 from oracle import (
+    Pose2D,
+    VehicleState,
+    frame_of,
     oracle_build_vocabulary,
     oracle_cell,
     oracle_feasibility_filter,
@@ -47,6 +53,8 @@ from oracle import (
     oracle_place_at_state,
     oracle_synthesize_maneuvers,
     oracle_threshold_and_grid,
+    state_of,
+    states_of,
     whole_tree_load_vocabulary,
 )
 
@@ -55,15 +63,15 @@ from oracle import (
 
 
 def _shifted_trajectory(base_y, v=10.0, n=11):
-    states = tuple(make_state(x=v * 0.1 * k, y=base_y, v=v) for k in range(n))
-    return Trajectory(dt=0.1, states=states, frame="ego-local-at-start")
+    states = [make_state(x=v * 0.1 * k, y=base_y, v=v) for k in range(n)]
+    return trajectory(states, 0.1, "ego-local-at-start")
 
 
 def test_build_vocabulary_degenerate_k_equals_n():
     samples = [_shifted_trajectory(y) for y in (0.0, 5.0, 10.0, 20.0)]
     vocab = build_vocabulary(samples, k=len(samples), seed=0)
     assert vocab.size == 4
-    assert sorted(e.states[0].pose.y for e in vocab.entries) == [0.0, 5.0, 10.0, 20.0]
+    assert sorted(e[0][1] for e in vocab.entries) == [0.0, 5.0, 10.0, 20.0]
 
 
 def test_build_vocabulary_two_separated_groups():
@@ -72,18 +80,18 @@ def test_build_vocabulary_two_separated_groups():
     vocab = build_vocabulary(group_a + group_b, k=2, seed=1)
 
     # oracle: brute-force nearest-center check on the authored groups
-    ys = sorted(e.states[0].pose.y for e in vocab.entries)
+    ys = sorted(e[0][1] for e in vocab.entries)
     assert ys[0] < 1.0 and ys[1] > 99.0
     for sample in group_a + group_b:
         d = [
             sum(
                 (a.pose.x - b.pose.x) ** 2 + (a.pose.y - b.pose.y) ** 2
-                for a, b in zip(sample.states, e.states)
+                for a, b in zip(states_of(sample.track), states_of(e.track))
             )
             for e in vocab.entries
         ]
         nearest = vocab.entries[d.index(min(d))]
-        same_group = (sample.states[0].pose.y < 1.0) == (nearest.states[0].pose.y < 1.0)
+        same_group = (sample[0][1] < 1.0) == (nearest[0][1] < 1.0)
         assert same_group
 
 
@@ -92,7 +100,7 @@ def test_build_vocabulary_deterministic():
     a = build_vocabulary(samples, k=8, seed=9)
     b = build_vocabulary(samples, k=8, seed=9)
     assert (a.dt, a.tracks.data.tobytes()) == (b.dt, b.tracks.data.tobytes())
-    assert list(a.entries) == list(b.entries)
+    assert list(map(trajectory_bits, a.entries)) == list(map(trajectory_bits, b.entries))
 
 
 def test_build_vocabulary_errors():
@@ -110,9 +118,10 @@ def test_synthesize_maneuvers_realizable():
     assert len(entries) == 32
     for e in entries:
         assert len(e) == 41
-        assert e.states[0].pose.x == 0.0 and e.states[0].pose.y == 0.0
+        states = states_of(e.track)
+        assert states[0].pose.x == 0.0 and states[0].pose.y == 0.0
         for k in range(len(e) - 1):
-            a, b = e.states[k], e.states[k + 1]
+            a, b = states[k], states[k + 1]
             d = math.hypot(b.pose.x - a.pose.x, b.pose.y - a.pose.y)
             assert abs(d / e.dt - a.vel_lon) <= 0.05
 
@@ -131,7 +140,7 @@ def test_vocabulary_build_matches_scalar_oracle(count, k, seed, block_rows, monk
     monkeypatch.setattr(vocab_module, "_BLOCK_ROWS", block_rows)
     bank = synthesize_maneuvers(count, horizon=40, dt=0.1, seed=seed)
     scalar = oracle_synthesize_maneuvers(count, 40, 0.1, seed)
-    assert bank.tracks.data.tobytes() == StateBatch.tracks([t.states for t in scalar]).data.tobytes()
+    assert bank.tracks.data.tobytes() == np.stack([t.track for t in scalar], axis=1).tobytes()
 
     X = vocab_module._flatten(bank.tracks)
     assert X.tobytes() == np.stack([oracle_flatten(t) for t in scalar]).tobytes()
@@ -147,7 +156,9 @@ def test_vocabulary_build_matches_scalar_oracle(count, k, seed, block_rows, monk
     vocab = build_vocabulary(bank, k, seed)
     assert reads == []
     assert vocab.tracks.data.tobytes() == bank.tracks.data[:, nearest].tobytes()
-    assert list(vocab.entries) == [scalar[i] for i in nearest]
+    assert [trajectory_bits(e) for e in vocab.entries] == [
+        trajectory_bits(scalar[i]) for i in nearest
+    ]
 
 
 @pytest.mark.parametrize("seed", [2, 3, 5])
@@ -172,7 +183,7 @@ def test_empty_cluster_revive_matches_oracle(seed, monkeypatch):
         revived.extend(np.flatnonzero(assign != before).tolist())
 
     monkeypatch.setattr(vocab_module, "_update_centers", spy)
-    X = vocab_module._flatten(StateBatch.tracks([t.states for t in samples]))
+    X = vocab_module._flatten(StateBatch(np.stack([t.track for t in samples], axis=1)))
     for block_rows in (5, 8, 64):
         monkeypatch.setattr(vocab_module, "_BLOCK_ROWS", block_rows)
         revived.clear()
@@ -298,7 +309,7 @@ def test_snap_tie_goes_to_lowest_index(ys, winner):
     wins, as `np.argmin` over all rows picks it."""
     samples = [_shifted_trajectory(y) for y in ys]
     vocab = build_vocabulary(samples, k=1, seed=0)
-    assert vocab.size == 1 and vocab.entries[0] == samples[winner]
+    assert vocab.size == 1 and trajectory_bits(vocab.entries[0]) == trajectory_bits(samples[winner])
     assert oracle_build_vocabulary(samples, 1, 0)[0] == [winner]
 
 
@@ -401,7 +412,9 @@ def test_vocabulary_save_load_roundtrip(tmp_path, small_vocab):
     assert loaded.size == small_vocab.size
     assert loaded.dt == small_vocab.dt
     assert loaded.tracks.data.tobytes() == small_vocab.tracks.data.tobytes()
-    assert list(loaded.entries) == list(small_vocab.entries)
+    assert [trajectory_bits(e) for e in loaded.entries] == [
+        trajectory_bits(e) for e in small_vocab.entries
+    ]
 
 
 @pytest.mark.parametrize(
@@ -509,14 +522,13 @@ def test_load_vocabulary_holds_less_than_the_whole_tree(tmp_path, small_vocab):
 
 def test_enumerate_identity_perturbation_zero_offsets(benign_scenario, small_vocab):
     s = benign_scenario
-    anchor_state = s.ego_log[s.anchor_frame]
+    anchor_state = state_of(s.ego_log[s.anchor_frame])
     # vocabulary whose first entry reproduces the logged future exactly
     logged = s.ego_log.segment(s.anchor_frame, s.anchor_frame + s.t_horizon)
     from oracle import angle_diff, global_to_local
-    from drivegen.scenario import Pose2D, VehicleState
 
     local_states = []
-    for st in logged.states:
+    for st in states_of(logged.track):
         lx, ly = global_to_local(
             st.pose.x, st.pose.y, anchor_state.pose.x, anchor_state.pose.y, anchor_state.pose.theta
         )
@@ -526,7 +538,7 @@ def test_enumerate_identity_perturbation_zero_offsets(benign_scenario, small_voc
                 vel_lon=st.vel_lon, vel_lat=st.vel_lat, accel=st.accel, steering=st.steering,
             )
         )
-    identity = Trajectory(dt=s.dt, states=tuple(local_states), frame="ego-local-at-start")
+    identity = trajectory(local_states, s.dt, "ego-local-at-start")
     vocab = Vocabulary.of([identity] + [small_vocab.entries[i] for i in range(3)])
 
     cands = enumerate_perturbations(s, vocab, PerturbThresholds())
@@ -538,7 +550,7 @@ def test_enumerate_identity_perturbation_zero_offsets(benign_scenario, small_voc
 def test_enumerate_heading_rejection(benign_scenario):
     # entry ending 25 degrees off the log heading: rejected with reason "heading"
     s = benign_scenario
-    v = s.ego_log[s.anchor_frame].vel_lon
+    v = s.ego_log[s.anchor_frame][3]
     n = s.t_horizon + 1
     theta_end = math.radians(25.0)
     states = []
@@ -546,7 +558,7 @@ def test_enumerate_heading_rejection(benign_scenario):
         u = k / (n - 1)
         states.append(make_state(x=v * 0.1 * k, y=0.0, theta=theta_end * u, v=v))
     # fix positions so the consistency is irrelevant here; only endpoints matter
-    entry = Trajectory(dt=s.dt, states=tuple(states), frame="ego-local-at-start")
+    entry = trajectory(states, s.dt, "ego-local-at-start")
     cands = enumerate_perturbations(s, Vocabulary.of([entry]), PerturbThresholds())
     assert cands[0].status == STATUS_THRESHOLD_REJECTED
     assert cands[0].reason == "heading"
@@ -554,7 +566,7 @@ def test_enumerate_heading_rejection(benign_scenario):
 
 def test_enumerate_in_range_offsets_pending(benign_scenario):
     s = benign_scenario
-    v = s.ego_log[s.anchor_frame].vel_lon
+    v = s.ego_log[s.anchor_frame][3]
     n = s.t_horizon + 1
     horizon_s = s.t_horizon * s.dt
     # entry ending (lon +10 m, lat +1.5 m, 5 degrees): inside all ranges
@@ -568,7 +580,7 @@ def test_enumerate_in_range_offsets_pending(benign_scenario):
         )
         for k in range(n)
     ]
-    entry = Trajectory(dt=s.dt, states=tuple(states), frame="ego-local-at-start")
+    entry = trajectory(states, s.dt, "ego-local-at-start")
     cands = enumerate_perturbations(s, Vocabulary.of([entry]), PerturbThresholds())
     assert cands[0].status == STATUS_PENDING
     lon, lat, dtheta = cands[0].offsets
@@ -619,12 +631,12 @@ def _hex(values):
 def _turned(s, angle):
     """The scenario with its logged ego turned by `angle` about the origin."""
     c, sn = math.cos(angle), math.sin(angle)
-    states = tuple(
+    states = [
         replace(st, pose=Pose2D(c * st.pose.x - sn * st.pose.y, sn * st.pose.x + c * st.pose.y,
                                 wrap_angle(st.pose.theta + angle)))
-        for st in s.ego_log.states
-    )
-    return replace(s, ego_log=replace(s.ego_log, states=states))
+        for st in states_of(s.ego_log.track)
+    ]
+    return replace(s, ego_log=trajectory(states, s.dt))
 
 
 def test_endpoint_enumeration_matches_placed_oracle(corpora, small_vocab, small_config):
@@ -633,7 +645,7 @@ def test_endpoint_enumeration_matches_placed_oracle(corpora, small_vocab, small_
     both corpus seeds, also with the log turned to head near +-pi, where
     headings wrap."""
     th, g = small_config.perturb, small_config.grid
-    ends = [e.states[-1] for e in small_vocab.entries]
+    ends = small_vocab.tracks.data[:, :, -1].T
     seen = Counter()
     for corpus in corpora.values():
         for s in list(corpus) + [_turned(s, math.pi - 0.05) for s in corpus[:20]]:
@@ -672,14 +684,14 @@ def test_placement_matches_the_scalar_oracle(corpora, small_vocab, small_config)
             for k in range(len(rows)):
                 st = s.ego_log[s.anchor_frame + k % (s.t_horizon + 1)]
                 if k % 2:
-                    st = replace(st, pose=replace(st.pose, theta=(math.pi, -3.0, 2.5, -1.5)[k % 4]))
+                    st = with_fields(st, theta=(math.pi, -3.0, 2.5, -1.5)[k % 4])
                 starts.append(st)
             for batch, at in ((StateBatch.full(anchor, len(rows)), [anchor] * len(rows)),
-                              (StateBatch.frame(starts), starts)):
+                              (frame_of(starts), starts)):
                 got = place_tracks(small_vocab.tracks.data[:, rows], batch).data
                 for j, row in enumerate(rows):
-                    want = StateBatch.track(oracle_place_at_state(entries[row], at[j]).states)
-                    assert got[:, j:j + 1].tobytes() == want.data.tobytes(), (s.id, row)
+                    want = oracle_place_at_state(entries[row], at[j]).track
+                    assert got[:, j].tobytes() == want.tobytes(), (s.id, row)
                     placed += 1
     assert placed > 1000
 
@@ -755,13 +767,13 @@ def test_feasibility_identity_clears_both_passes(benign_scenario):
 def test_feasibility_collision_detected(benign_scenario):
     s = benign_scenario
     anchor = s.anchor_frame
-    hit_x = s.ego_log[anchor + 20].pose.x
+    hit_x = s.ego_log[anchor + 20][0]
     blocker = AgentTrack(
         id="parked",
         length=4.5,
         width=1.9,
         kind="static",
-        states=tuple(make_state(x=hit_x, v=0.0) for _ in range(s.frame_count)),
+        track=np.stack([make_state(x=hit_x, v=0.0) for _ in range(s.frame_count)], axis=1),
     )
     s2 = Scenario(
         id="blocked", map=s.map, ego_log=s.ego_log, agents=(blocker,),
@@ -773,9 +785,9 @@ def test_feasibility_collision_detected(benign_scenario):
 def test_feasibility_offroad_detected(benign_scenario):
     s = benign_scenario
     anchor = s.anchor_frame
-    v = s.ego_log[anchor].vel_lon
+    start = state_of(s.ego_log[anchor])
+    v = start.vel_lon
     n = s.t_horizon + 1
-    start = s.ego_log[anchor]
     # veer steadily off the road: ends ~8 m laterally off a 2 m corridor
     states = []
     theta = math.radians(12.0)
@@ -788,7 +800,7 @@ def test_feasibility_offroad_detected(benign_scenario):
                 v=v,
             )
         )
-    entry = plan_entry(s, Trajectory(dt=s.dt, states=tuple(states)))
+    entry = plan_entry(s, trajectory(states, s.dt))
     assert feasibility_filter(entry, s, "nonreactive", 0.8) == "off-road"
 
 
